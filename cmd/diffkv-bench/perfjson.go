@@ -9,21 +9,14 @@ package main
 // PRs a perf trajectory to diff against.
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
-	"diffkv"
-	"diffkv/internal/analysis"
 	"diffkv/internal/benchkernels"
 	"diffkv/internal/experiments"
-	"diffkv/internal/offload"
-	"diffkv/internal/telemetry"
 )
 
 // KernelResult is one micro-benchmark measurement.
@@ -41,100 +34,6 @@ type ExperimentResult struct {
 	WallMs float64 `json:"wall_ms"`
 }
 
-// OffloadGoodput is one cell of the swap-vs-recompute record: a full-size
-// offload-experiment run (closed-loop MATH CoT, Llama3-8B on one L40) at
-// one oversubscription level under one recovery policy.
-type OffloadGoodput struct {
-	KVBudgetFrac     float64 `json:"kv_budget_frac"`
-	Policy           string  `json:"policy"`
-	GoodputTokSec    float64 `json:"goodput_tok_per_sec"`
-	ThroughputTokSec float64 `json:"throughput_tok_per_sec"`
-	Preemptions      int     `json:"preemptions"`
-	SwapOuts         int     `json:"swap_outs"`
-	SwapOutMB        float64 `json:"swap_out_mb"`
-	PCIeStallMs      float64 `json:"pcie_stall_ms"`
-}
-
-// ChaosGoodput is one cell of the fault-injection record: a full-size
-// chaos-experiment run (3-instance oversubscribed DiffKV cluster, paced
-// MATH CoT arrivals) at one crash rate under one recovery policy. The
-// swap-vs-recompute goodput delta at each rate is the headline number:
-// positive means the host tier carried swapped sequences through
-// crash-with-restart instead of regenerating them.
-type ChaosGoodput struct {
-	CrashPerMin   float64 `json:"crash_per_min"`
-	Policy        string  `json:"policy"`
-	GoodputReqSec float64 `json:"goodput_req_per_sec"`
-	TTFTP99Sec    float64 `json:"ttft_p99_sec"`
-	Completed     int     `json:"completed"`
-	Failed        int     `json:"failed"`
-	Crashes       int     `json:"crashes"`
-	Redispatches  int     `json:"redispatches"`
-	SwapRecovered int     `json:"swap_recovered"`
-	LostKVMB      float64 `json:"lost_kv_mb"`
-}
-
-// DisaggGoodput is one cell of the disaggregation record: a full-size
-// disagg-experiment run (4x L40 DiffKV cluster, paced MMLU arrivals) at
-// one pool split under one wire tier. Wire bytes scale with the tier —
-// K4V2 ships under a third of FP16's bytes at identical request sets —
-// and the colocated split {0, 0} is the no-transfer control.
-type DisaggGoodput struct {
-	Split         string  `json:"split"`
-	Tier          string  `json:"tier"`
-	GoodputReqSec float64 `json:"goodput_req_per_sec"`
-	TTFTP99Sec    float64 `json:"ttft_p99_sec"`
-	Completed     int     `json:"completed"`
-	Transfers     int     `json:"transfers"`
-	WireMB        float64 `json:"wire_mb"`
-	XferSec       float64 `json:"xfer_sec"`
-}
-
-// ServingHotPathResult measures scheduler wall-clock cost: one
-// scenario-built serving run (Llama3-8B, MATH, 32 closed-loop requests,
-// 1024-token limit) timed end to end, reported as engine steps per
-// wall-clock second. The traits row is pure scheduler overhead (no page
-// manager), so it is the sensitive detector for regressions in the
-// registry/session indirection on the hot path; best of three runs.
-type ServingHotPathResult struct {
-	Mode            string  `json:"mode"`
-	Steps           int     `json:"steps"`
-	WallMs          float64 `json:"wall_ms"`
-	StepsPerSec     float64 `json:"steps_per_sec"`
-	SimTokensPerSec float64 `json:"sim_tokens_per_sec"`
-}
-
-// TelemetryOverheadRow compares one Loop hot-path mode with and
-// without a telemetry center attached (100ms sim-time sampling — 10x
-// the default cadence — one SLO, saturation analyzer on: the full
-// tick, not a stub). OverheadPct attributes the measured per-sample
-// cost (samples x sample_ns_per_op) to the sampled run's wall time;
-// a direct steps/sec diff is dominated by open-order scheduling noise
-// on sub-second runs (step counts themselves vary across reps), so
-// both raw rates are recorded but the attribution is the gate number.
-// The acceptance target is <2% on the manager (DiffKV) row — the
-// realistic serving path. The traits row is reported for context but
-// exempt by construction: that microbench simulates ~1e5x real time
-// (454 sim-seconds in ~4ms), so per-sim-second sampling there costs
-// more than the entire simulator and no sim-cadence scheme can pass.
-type TelemetryOverheadRow struct {
-	Mode               string  `json:"mode"`
-	BaseStepsPerSec    float64 `json:"base_steps_per_sec"`
-	SampledStepsPerSec float64 `json:"sampled_steps_per_sec"`
-	Samples            int64   `json:"samples"`
-	SampledWallMs      float64 `json:"sampled_wall_ms"`
-	OverheadPct        float64 `json:"overhead_pct"`
-}
-
-// TelemetryPerf records the telemetry center's cost: the idle Due
-// gate and a full Sample tick in isolation (ns/op), and the Loop
-// workload re-run with sampling enabled.
-type TelemetryPerf struct {
-	DueNsPerOp    float64                `json:"due_ns_per_op"`
-	SampleNsPerOp float64                `json:"sample_ns_per_op"`
-	LoopOverhead  []TelemetryOverheadRow `json:"loop_overhead"`
-}
-
 // PerfSnapshot is the full -json payload.
 type PerfSnapshot struct {
 	GoVersion   string             `json:"go_version"`
@@ -142,309 +41,6 @@ type PerfSnapshot struct {
 	Workers     int                `json:"workers"`
 	Kernels     []KernelResult     `json:"kernels"`
 	Experiments []ExperimentResult `json:"experiments"`
-	// Offload records swap-vs-recompute goodput at each oversubscription
-	// level, and SwapBytes the per-tier PCIe cost of one swapped sequence
-	// (compression moves fewer bytes than FP16).
-	Offload   []OffloadGoodput           `json:"offload"`
-	SwapBytes []experiments.SwapBytesRow `json:"swap_bytes"`
-	// Chaos records swap-vs-recompute goodput under crash injection at
-	// each crash rate (identical crash timelines per rate, so the delta
-	// between policy rows is attributable to the recovery path alone).
-	Chaos []ChaosGoodput `json:"chaos,omitempty"`
-	// Disagg records prefill/decode pool-split goodput and wire traffic
-	// per quant tier (PR 10): identical request sets per cell, so the
-	// tier rows isolate the compression economics of the KV transfer.
-	Disagg []DisaggGoodput `json:"disagg,omitempty"`
-	// ServingHotPath times the v2-API serving path (scenario build +
-	// Run): steps/sec must stay within noise of the pre-registry numbers.
-	ServingHotPath []ServingHotPathResult `json:"serving_hot_path"`
-	// LoopHotPath times the same request set driven by the always-on
-	// Loop (sessions opened concurrently, unpaced background stepping)
-	// instead of the caller-owned Run shim. The shapes differ by design
-	// — online opens race the step cadence, so the loop runs many
-	// smaller-batch steps where Run admits everything upfront — but
-	// steps/sec must stay at least at the caller-driven level, or the
-	// loop's lock/wakeup machinery has become the bottleneck.
-	LoopHotPath []ServingHotPathResult `json:"loop_hot_path"`
-	// Telemetry records the sampling cost of the PR 8 telemetry center
-	// against the LoopHotPath baselines.
-	Telemetry TelemetryPerf `json:"telemetry"`
-	// Vet records one diffkv-vet pass over the module (PR 9): wall time
-	// for parse + source-importer typecheck + all analyzers, and what it
-	// found. Errors must be 0 in any committed snapshot — the vet.sh CI
-	// gate enforces the same invariant on every push.
-	Vet VetPerf `json:"vet"`
-}
-
-// VetPerf is one diffkv-vet pass over the module.
-type VetPerf struct {
-	WallMs        float64 `json:"wall_ms"`
-	Packages      int     `json:"packages"`
-	TypedPackages int     `json:"typed_packages"`
-	Files         int     `json:"files"`
-	Diagnostics   int     `json:"diagnostics"`
-	Suppressions  int     `json:"suppressions"`
-	Errors        int     `json:"errors"`
-}
-
-// measureVet runs the full static-analysis pass the way `diffkv-vet
-// ./...` does (module load, typecheck, every analyzer, suppression
-// audit) and reports its cost and findings.
-func measureVet() (VetPerf, error) {
-	start := time.Now()
-	m, err := analysis.LoadModule(".", analysis.LoadOptions{Types: true})
-	if err != nil {
-		return VetPerf{}, err
-	}
-	res := analysis.Run(m, analysis.DefaultConfig())
-	return VetPerf{
-		WallMs:        float64(time.Since(start).Microseconds()) / 1e3,
-		Packages:      res.Packages,
-		TypedPackages: res.TypedPackages,
-		Files:         res.Files,
-		Diagnostics:   len(res.Diagnostics),
-		Suppressions:  res.Suppressions,
-		Errors:        len(res.Errors()),
-	}, nil
-}
-
-// runServingHotPath measures both engine modes through the full v2
-// stack: Scenario.Build resolves the method registry and the engine runs
-// with session bookkeeping compiled in (no sessions open — the
-// steady-state hot path).
-func runServingHotPath(seed uint64) ([]ServingHotPathResult, error) {
-	var out []ServingHotPathResult
-	for _, mode := range []struct {
-		label, method string
-	}{
-		{"traits-vLLM", "vLLM"},
-		{"manager-DiffKV", "DiffKV"},
-	} {
-		var best ServingHotPathResult
-		for rep := 0; rep < 3; rep++ {
-			sc := diffkv.Scenario{
-				Model: "Llama3-8B", Method: mode.method, MemFrac: 0.3,
-				MaxGenLen: 1024,
-				Workload:  diffkv.WorkloadSpec{Bench: "MATH", Requests: 32},
-				Seed:      seed,
-			}
-			st, err := sc.Build()
-			if err != nil {
-				return nil, err
-			}
-			reqs := st.Requests()
-			start := time.Now()
-			res, err := st.Server.Run(reqs)
-			if err != nil {
-				return nil, err
-			}
-			wall := time.Since(start)
-			steps := res.PromptSteps + res.GenSteps
-			r := ServingHotPathResult{
-				Mode:            mode.label,
-				Steps:           steps,
-				WallMs:          float64(wall.Microseconds()) / 1e3,
-				StepsPerSec:     float64(steps) / wall.Seconds(),
-				SimTokensPerSec: res.Throughput,
-			}
-			if r.StepsPerSec > best.StepsPerSec {
-				best = r
-			}
-		}
-		out = append(out, best)
-	}
-	return out, nil
-}
-
-// runLoopHotPath measures the same workload as runServingHotPath but
-// driven by the always-on Loop: every request opened as a session from
-// its own goroutine while the loop owns the step cadence, the shape a
-// network gateway produces. Comparing steps/sec against ServingHotPath
-// isolates the loop's serialization overhead; best of three runs.
-func runLoopHotPath(seed uint64) ([]ServingHotPathResult, error) {
-	var out []ServingHotPathResult
-	for _, mode := range []struct {
-		label, method string
-	}{
-		{"loop-traits-vLLM", "vLLM"},
-		{"loop-manager-DiffKV", "DiffKV"},
-	} {
-		var best ServingHotPathResult
-		for rep := 0; rep < 3; rep++ {
-			sc := diffkv.Scenario{
-				Model: "Llama3-8B", Method: mode.method, MemFrac: 0.3,
-				MaxGenLen: 1024,
-				Workload:  diffkv.WorkloadSpec{Bench: "MATH", Requests: 32},
-				Seed:      seed,
-			}
-			st, err := sc.Build()
-			if err != nil {
-				return nil, err
-			}
-			reqs := st.Requests()
-			start := time.Now()
-			loop := st.StartLoop(diffkv.LoopConfig{})
-			var wg sync.WaitGroup
-			sessions := make([]*diffkv.Session, len(reqs))
-			errs := make([]error, len(reqs))
-			for i, r := range reqs {
-				wg.Add(1)
-				go func(i int, r diffkv.Request) {
-					defer wg.Done()
-					sessions[i], errs[i] = loop.Open(context.Background(), r, nil)
-				}(i, r)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-			for _, s := range sessions {
-				<-s.Done()
-			}
-			if err := loop.Shutdown(context.Background()); err != nil {
-				return nil, err
-			}
-			wall := time.Since(start)
-			m := loop.Metrics()
-			r := ServingHotPathResult{
-				Mode:            mode.label,
-				Steps:           m.Steps,
-				WallMs:          float64(wall.Microseconds()) / 1e3,
-				StepsPerSec:     float64(m.Steps) / wall.Seconds(),
-				SimTokensPerSec: m.Driver.ThroughputTokensPerSec,
-			}
-			if r.StepsPerSec > best.StepsPerSec {
-				best = r
-			}
-		}
-		out = append(out, best)
-	}
-	return out, nil
-}
-
-// measureTelemetry isolates the telemetry center's per-call cost: the
-// Due gate at its not-yet-due steady state (what every Loop step pays)
-// and a full Sample tick over a 4-instance observation with the
-// analyzer and one SLO active (what a due tick pays).
-func measureTelemetry() (dueNs, sampleNs float64) {
-	mkObs := func(t float64) telemetry.Observation {
-		o := telemetry.Observation{
-			TimeUs:                 t,
-			ThroughputTokensPerSec: 900,
-			GoodputTokensPerSec:    850,
-			InstancesUp:            4,
-		}
-		for i := 1; i <= 4; i++ {
-			o.PerInstance = append(o.PerInstance, telemetry.InstanceObservation{
-				Inst: i, QueueDepth: 3, Running: 8,
-				UsedKVPages: 400, FreeKVPages: 100,
-				ResidentTokens: 6000, MemoryTokens: 16000,
-				Health: "healthy",
-			})
-		}
-		return o
-	}
-	due := testing.Benchmark(func(b *testing.B) {
-		c := telemetry.New(telemetry.Config{SampleIntervalUs: 1e6})
-		c.Sample(mkObs(0))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if c.Due(1) { // just sampled at 0: never due again
-				b.Fatal("unexpected due")
-			}
-		}
-	})
-	sample := testing.Benchmark(func(b *testing.B) {
-		c := telemetry.New(telemetry.Config{
-			SampleIntervalUs: 1,
-			SLOs:             []telemetry.SLOSpec{{Metric: "ttft", Pctl: 95, TargetSec: 2}},
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Sample(mkObs(float64(i + 1)))
-		}
-	})
-	perOp := func(r testing.BenchmarkResult) float64 {
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	return perOp(due), perOp(sample)
-}
-
-// measureTelemetryOverhead re-runs the Loop hot path with a
-// full-featured telemetry center sampling every 100 simulated ms and
-// attributes the measured per-sample cost to each run's wall time
-// (see TelemetryOverheadRow for why that beats a steps/sec diff).
-func measureTelemetryOverhead(seed uint64, base []ServingHotPathResult, sampleNs float64) ([]TelemetryOverheadRow, error) {
-	var out []TelemetryOverheadRow
-	for i, mode := range []struct {
-		label, method string
-	}{
-		{"loop-traits-vLLM", "vLLM"},
-		{"loop-manager-DiffKV", "DiffKV"},
-	} {
-		var best TelemetryOverheadRow
-		for rep := 0; rep < 3; rep++ {
-			sc := diffkv.Scenario{
-				Model: "Llama3-8B", Method: mode.method, MemFrac: 0.3,
-				MaxGenLen: 1024,
-				Workload:  diffkv.WorkloadSpec{Bench: "MATH", Requests: 32},
-				Seed:      seed,
-				Observability: &diffkv.ObservabilitySpec{
-					SampleIntervalMs: 100,
-					Saturation:       &diffkv.SaturationConfig{},
-					SLOs:             []diffkv.SLOSpec{{Metric: "ttft", Pctl: 95, TargetSec: 2}},
-				},
-			}
-			st, err := sc.Build()
-			if err != nil {
-				return nil, err
-			}
-			reqs := st.Requests()
-			start := time.Now()
-			loop := st.StartLoop(diffkv.LoopConfig{})
-			var wg sync.WaitGroup
-			sessions := make([]*diffkv.Session, len(reqs))
-			errs := make([]error, len(reqs))
-			for i, r := range reqs {
-				wg.Add(1)
-				go func(i int, r diffkv.Request) {
-					defer wg.Done()
-					sessions[i], errs[i] = loop.Open(context.Background(), r, nil)
-				}(i, r)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-			for _, s := range sessions {
-				<-s.Done()
-			}
-			if err := loop.Shutdown(context.Background()); err != nil {
-				return nil, err
-			}
-			wall := time.Since(start)
-			m := loop.Metrics()
-			r := TelemetryOverheadRow{
-				Mode:               mode.label,
-				SampledStepsPerSec: float64(m.Steps) / wall.Seconds(),
-				Samples:            st.Telemetry.Snapshot().Samples,
-				SampledWallMs:      float64(wall.Microseconds()) / 1e3,
-			}
-			if rep == 0 || r.SampledStepsPerSec > best.SampledStepsPerSec {
-				best = r
-			}
-		}
-		if i < len(base) {
-			best.BaseStepsPerSec = base[i].StepsPerSec
-		}
-		best.OverheadPct = 100 * float64(best.Samples) * sampleNs / (best.SampledWallMs * 1e6)
-		out = append(out, best)
-	}
-	return out, nil
 }
 
 // measureKernels runs every kernel micro-benchmark reps times and keeps
@@ -495,83 +91,6 @@ func writePerfJSON(path string, seed uint64, workers int) error {
 			ID:     id,
 			WallMs: float64(time.Since(start).Microseconds()) / 1e3,
 		})
-	}
-	// swap-vs-recompute goodput at every oversubscription level (full-size
-	// cells, matching `-exp offload` without -fast)
-	for _, reserve := range experiments.OffloadReserves() {
-		for _, policy := range offload.Policies() {
-			res := experiments.OffloadRun(reserve, policy, 20, 2048, seed)
-			snap.Offload = append(snap.Offload, OffloadGoodput{
-				KVBudgetFrac:     1 - reserve,
-				Policy:           policy,
-				GoodputTokSec:    res.GoodputTokensPerSec,
-				ThroughputTokSec: res.Throughput,
-				Preemptions:      res.Preemptions,
-				SwapOuts:         res.Offload.SwapOuts,
-				SwapOutMB:        float64(res.Offload.SwapOutBytes) / (1 << 20),
-				PCIeStallMs:      res.OffloadStallSeconds * 1e3,
-			})
-		}
-	}
-	snap.SwapBytes = experiments.OffloadSwapBytes()
-	// fault-injection goodput at every crash rate (full-size cells,
-	// matching `-exp chaos` without -fast)
-	for _, rate := range experiments.ChaosRates(false) {
-		for _, policy := range []string{offload.PolicyRecompute, offload.PolicySwap} {
-			m := experiments.ChaosRun(rate, policy, 36, seed)
-			snap.Chaos = append(snap.Chaos, ChaosGoodput{
-				CrashPerMin:   rate,
-				Policy:        policy,
-				GoodputReqSec: m.GoodputReqPerSec,
-				TTFTP99Sec:    m.TTFT.P99,
-				Completed:     m.Completed,
-				Failed:        m.Failed,
-				Crashes:       m.Crashes,
-				Redispatches:  m.Redispatches,
-				SwapRecovered: m.SwapRecovered,
-				LostKVMB:      float64(m.LostKVBytes) / (1 << 20),
-			})
-		}
-	}
-	// disaggregation goodput and wire traffic per pool split x tier
-	// (full-size cells, matching `-exp disagg` without -fast)
-	for _, split := range experiments.DisaggSplits(false) {
-		for _, tier := range experiments.DisaggTiers() {
-			m := experiments.DisaggRun(split, tier, 48, seed)
-			row := DisaggGoodput{
-				Split:         "colocated",
-				Tier:          tier.String(),
-				GoodputReqSec: m.GoodputReqPerSec,
-				TTFTP99Sec:    m.TTFT.P99,
-				Completed:     m.Completed,
-			}
-			if split[0] > 0 {
-				row.Split = fmt.Sprintf("%d:%d", split[0], split[1])
-			}
-			if m.Disagg != nil {
-				row.Transfers = m.Disagg.Transfers
-				row.WireMB = float64(m.Disagg.KVBytesShipped) / (1 << 20)
-				row.XferSec = m.Disagg.XferSeconds
-			}
-			snap.Disagg = append(snap.Disagg, row)
-		}
-	}
-	hot, err := runServingHotPath(seed)
-	if err != nil {
-		return err
-	}
-	snap.ServingHotPath = hot
-	loopHot, err := runLoopHotPath(seed)
-	if err != nil {
-		return err
-	}
-	snap.LoopHotPath = loopHot
-	snap.Telemetry.DueNsPerOp, snap.Telemetry.SampleNsPerOp = measureTelemetry()
-	if snap.Telemetry.LoopOverhead, err = measureTelemetryOverhead(seed, loopHot, snap.Telemetry.SampleNsPerOp); err != nil {
-		return err
-	}
-	if snap.Vet, err = measureVet(); err != nil {
-		return err
 	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

@@ -67,12 +67,12 @@ func main() {
 			Seed:     *seed,
 		}
 		if *instances > 0 {
-			sc.Cluster = &diffkv.ClusterSpec{Instances: *instances, Routing: diffkv.RouteLeastLoaded}
+			sc.Cluster = &diffkv.ClusterSpec{Instances: *instances, Routing: "least-loaded"}
 		}
 		if *chaosRate > 0 {
 			// fault injection needs survivors to re-dispatch to
 			if sc.Cluster == nil {
-				sc.Cluster = &diffkv.ClusterSpec{Instances: 2, Routing: diffkv.RouteLeastLoaded}
+				sc.Cluster = &diffkv.ClusterSpec{Instances: 2, Routing: "least-loaded"}
 			}
 			sc.Faults = &diffkv.FaultsSpec{
 				CrashRatePerMin: *chaosRate,

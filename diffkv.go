@@ -25,8 +25,6 @@
 package diffkv
 
 import (
-	"fmt"
-
 	"diffkv/internal/baselines"
 	"diffkv/internal/cluster"
 	"diffkv/internal/core"
@@ -184,21 +182,6 @@ func MethodByName(name string) (Method, error) { return baselines.ServingMethodB
 // registrations, derived from the registry.
 func Methods() []string { return baselines.ServingMethods() }
 
-// TraitsFor returns the serving traits of a named registered method.
-// diffKVMemFrac is DiffKV's measured resident memory fraction (ignored
-// by fixed-trait methods; <= 0 selects DiffKV's 0.3 default).
-//
-// Deprecated: TraitsFor is a shim over the method registry. Use
-// MethodByName(name).ServingTraits(memFrac), or skip traits entirely and
-// build from a Scenario.
-func TraitsFor(name string, diffKVMemFrac float64) (ServingTraits, error) {
-	m, err := MethodByName(name)
-	if err != nil {
-		return ServingTraits{}, fmt.Errorf("diffkv: %w", err)
-	}
-	return m.ServingTraits(diffKVMemFrac), nil
-}
-
 // ExperimentOpts tune experiment cost (repetitions, fast mode, seed).
 type ExperimentOpts = experiments.Opts
 
@@ -225,18 +208,6 @@ type ClusterServer = cluster.Cluster
 // ClusterMetrics aggregates one cluster run: TTFT/TPOT/E2E percentiles,
 // goodput, per-instance utilization and load imbalance.
 type ClusterMetrics = cluster.Metrics
-
-// Routing policies for ClusterServerConfig.Policy.
-//
-// Deprecated: these consts are shims over the routing-policy registry;
-// any name reported by RoutingPolicies (including runtime registrations
-// via RegisterRoutingPolicy) is valid.
-const (
-	RouteRoundRobin     = cluster.PolicyRoundRobin
-	RouteLeastLoaded    = cluster.PolicyLeastLoaded
-	RoutePrefixAffinity = cluster.PolicyPrefixAffinity
-	RouteDisaggAware    = cluster.PolicyDisaggAware
-)
 
 // DisaggPools sizes the prefill and decode pools of a disaggregated
 // cluster (ClusterServerConfig.Disagg): instances [0, Prefill) run
@@ -290,19 +261,6 @@ func NewClusterServer(cfg ClusterServerConfig) (*ClusterServer, error) {
 // timestamps plus per-request preemption count and retry timestamps,
 // returned by the steppable Server API (Server.Step).
 type ServingCompletion = serving.Completion
-
-// Preemption recovery policies for ServerConfig.PreemptPolicy: what the
-// engine does with a victim when it runs out of KV pages. Swap policies
-// require UseManager and ServerConfig.HostMemoryBytes > 0.
-//
-// Deprecated: these consts are shims over the preemption-policy
-// registry; any name reported by PreemptPolicies (including runtime
-// registrations via RegisterPreemptPolicy) is valid.
-const (
-	PreemptRecompute    = offload.PolicyRecompute
-	PreemptSwap         = offload.PolicySwap
-	PreemptCompressSwap = offload.PolicyCompressSwap
-)
 
 // PreemptRecoveryPolicy picks the victim and recovery action when a
 // serving step runs out of KV pages. Implementations must be
@@ -425,7 +383,7 @@ func BuildRequestSpans(events []TraceEvent) []*TraceRequestSpans {
 // Session is a per-request streaming handle over the serving engine:
 // Server.Open (or ClusterServer.Open) submits the request and returns
 // the handle; token progress streams through its OnToken callback while
-// the engine is driven (Step / Drain / DrainContext); cancelling it —
+// the engine is driven (Step / DrainContext); cancelling it —
 // explicitly or via the Open context — frees the request's KV pages and
 // host-tier state immediately instead of finishing the generation.
 type Session = serving.Session

@@ -61,11 +61,19 @@ func TestPublicExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestPublicServerSmoke(t *testing.T) {
-	traits, err := TraitsFor("vLLM", 0)
+// vllmTraits resolves the vLLM baseline's serving traits through the
+// method registry.
+func vllmTraits(t *testing.T) ServingTraits {
+	t.Helper()
+	m, err := MethodByName("vLLM")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m.ServingTraits(0)
+}
+
+func TestPublicServerSmoke(t *testing.T) {
+	traits := vllmTraits(t)
 	srv, err := NewServer(ServerConfig{
 		Model:   Llama3_8B,
 		Cluster: NewCluster(L40(), 1),
@@ -85,25 +93,22 @@ func TestPublicServerSmoke(t *testing.T) {
 	}
 }
 
-func TestTraitsForRejectsUnknownMethod(t *testing.T) {
-	if _, err := TraitsFor("NoSuchMethod", 0); err == nil {
+func TestMethodByNameRejectsUnknownMethod(t *testing.T) {
+	if _, err := MethodByName("NoSuchMethod"); err == nil {
 		t.Fatal("unknown method must error, not silently map to vLLM")
 	}
 	for _, m := range Methods() {
-		if _, err := TraitsFor(m, 0.3); err != nil {
+		if _, err := MethodByName(m); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 	}
 }
 
 func TestPublicClusterSmoke(t *testing.T) {
-	traits, err := TraitsFor("vLLM", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traits := vllmTraits(t)
 	cfg := ClusterServerConfig{
 		Instances: 2,
-		Policy:    RoutePrefixAffinity,
+		Policy:    "prefix-affinity",
 		Seed:      5,
 	}
 	cfg.Engine.Model = Llama3_8B

@@ -13,10 +13,11 @@ import (
 )
 
 func main() {
-	traits, err := diffkv.TraitsFor("DiffKV", 0.3)
+	method, err := diffkv.MethodByName("DiffKV")
 	if err != nil {
 		log.Fatal(err)
 	}
+	traits := method.ServingTraits(0.3)
 
 	// prefix-heavy workload: 16 system prompts of 768 tokens, 90% of
 	// requests reuse one of them

@@ -31,7 +31,7 @@ func main() {
 		MemFrac:   0.3,
 		MaxGenLen: 256,
 		Workload:  diffkv.WorkloadSpec{Bench: "GSM8K"}, // shapes the stack; traffic arrives over HTTP
-		Cluster:   &diffkv.ClusterSpec{Instances: 2, Routing: diffkv.RouteLeastLoaded},
+		Cluster:   &diffkv.ClusterSpec{Instances: 2, Routing: "least-loaded"},
 		Gateway:   &diffkv.GatewaySpec{TimeScale: 0.02}, // 50x faster than real time
 		Seed:      7,
 	}

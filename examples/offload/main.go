@@ -21,10 +21,11 @@ import (
 )
 
 func main() {
-	traits, err := diffkv.TraitsFor("DiffKV", 0.3)
+	method, err := diffkv.MethodByName("DiffKV")
 	if err != nil {
 		log.Fatal(err)
 	}
+	traits := method.ServingTraits(0.3)
 
 	const (
 		batch   = 20
@@ -49,7 +50,7 @@ func main() {
 			PreemptPolicy: policy,
 			Seed:          42,
 		}
-		if policy != diffkv.PreemptRecompute {
+		if policy != "recompute" {
 			cfg.HostMemoryBytes = 4 << 30 // 4 GiB host tier
 		}
 		srv, err := diffkv.NewServer(cfg)

@@ -89,10 +89,11 @@ func main() {
 
 	// --- act two: host-tier prefix spillover at serving time ---
 	fmt.Println("\n--- host-memory prefix tier ---")
-	traits, err := diffkv.TraitsFor("DiffKV", 0.3)
+	method, err := diffkv.MethodByName("DiffKV")
 	if err != nil {
 		log.Fatal(err)
 	}
+	traits := method.ServingTraits(0.3)
 	srv, err := diffkv.NewServer(diffkv.ServerConfig{
 		Model: diffkv.Llama3_8B, Cluster: diffkv.NewCluster(diffkv.L40(), 1),
 		Traits: traits, UseManager: true, HiFrac: 0.2, LoFrac: 0.25,

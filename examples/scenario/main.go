@@ -125,7 +125,7 @@ func main() {
 			log.Fatal(err)
 		default:
 			fmt.Printf("  request %d: %d tokens, TTFT %.0f ms\n",
-				s.ID(), cp.Req.GenLen, (cp.FirstTokenUs-cp.Req.ArrivalUs)/1e3)
+				s.ID(), cp.Req.GenLen, cp.TTFTUs()/1e3)
 		}
 	}
 

@@ -22,14 +22,14 @@ func main() {
 	for _, rate := range []float64{0.5, 1, 2, 5} {
 		row := fmt.Sprintf("%-12.1f", rate)
 		for _, method := range []string{"vLLM", "DiffKV"} {
-			traits, err := diffkv.TraitsFor(method, 0.3)
+			m, err := diffkv.MethodByName(method)
 			if err != nil {
 				log.Fatal(err)
 			}
 			cfg := diffkv.ServerConfig{
 				Model:   model,
 				Cluster: cluster,
-				Traits:  traits,
+				Traits:  m.ServingTraits(0.3),
 				Seed:    11,
 			}
 			if method == "DiffKV" {

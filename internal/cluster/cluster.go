@@ -1,8 +1,8 @@
 // Package cluster runs N independent serving engines behind a router — the
 // fleet-level layer over the per-GPU DiffKV engine. A discrete-event loop
 // interleaves request dispatch with instance progress in global timestamp
-// order (arrivals before instance steps at equal times, lowest instance
-// index on ties, in the spirit of inference-sim's cluster simulator).
+// order (one next-event selector, events.go, in the spirit of
+// inference-sim's cluster simulator).
 // Routing policies are pluggable (round-robin, least-loaded,
 // prefix-affinity over a prefix-hash KV index), admission control sheds
 // load beyond a per-instance queue-depth bound, and the run reports
@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"diffkv/internal/disagg"
@@ -78,7 +77,7 @@ type Config struct {
 	// instance's engine events, tagged with 1-based instance IDs.
 	Tracer trace.Tracer
 	// Telemetry, when set, is sampled on its sim-time cadence inside the
-	// single-threaded event loop (Run / StepNext) and fed every dispatch
+	// single-threaded event loop (Run / Step) and fed every dispatch
 	// and completion — this is what makes a seeded batch run's alert
 	// timeline bit-identical across runs. Attach a Center to exactly one
 	// layer: here for batch runs, or serving.LoopConfig.Telemetry when a
@@ -113,6 +112,9 @@ type Cluster struct {
 	acc         *accumulator
 	steps       int
 	autoID      int
+	// pending holds Run's not-yet-dispatched arrivals in arrival order
+	// (always empty in session mode, where Open dispatches immediately)
+	pending []workload.Request
 
 	// disaggregation coordinator state (disagg.go); nil without
 	// Config.Disagg
@@ -149,7 +151,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, policy: policy}
+	c := &Cluster{cfg: cfg, policy: policy, acc: newAccumulator(cfg, policy.Name())}
 	if cfg.Disagg != nil {
 		if err := cfg.Disagg.Validate(cfg.Instances); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -204,8 +206,8 @@ func (c *Cluster) emit(ev trace.Event) {
 	}
 }
 
-// maxClusterSteps bounds the event loop like Engine.Drain bounds a
-// single-engine run: an unservable request (e.g. a prompt that can never
+// maxClusterSteps bounds the event loop like Engine.DrainContext bounds
+// a single-engine run: an unservable request (e.g. a prompt that can never
 // fit one instance's pages) recompute-preempts forever, and without a
 // step bound the cluster would never return. Breaking leaves the request
 // visible as Metrics.Stuck() > 0.
@@ -223,84 +225,13 @@ func (c *Cluster) Run(reqs []workload.Request) (Metrics, error) {
 	}
 	c.hasRun = true
 
-	pending := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(pending, func(a, b int) bool {
-		return pending[a].ArrivalUs < pending[b].ArrivalUs
+	c.pending = append([]workload.Request(nil), reqs...)
+	sort.SliceStable(c.pending, func(a, b int) bool {
+		return c.pending[a].ArrivalUs < c.pending[b].ArrivalUs
 	})
-
-	c.acc = newAccumulator(c.cfg, c.policy.Name(), len(reqs))
-
-	for c.steps < maxClusterSteps {
-		// earliest instance step among live instances (lowest index wins
-		// ties; down instances do not execute until their restart)
-		stepT := math.Inf(1)
-		pick := -1
-		for i, e := range c.engines {
-			if c.down(i) {
-				continue
-			}
-			if t, ok := e.NextTime(); ok && float64(t) < stepT {
-				stepT, pick = float64(t), i
-			}
-		}
-		arrT := math.Inf(1)
-		if len(pending) > 0 {
-			arrT = pending[0].ArrivalUs
-		}
-		rdT := c.redispatchDue()
-		xT := c.transferDue()
-		fT := c.faultDue()
-		if len(pending) > 0 && c.inj != nil {
-			// pending arrivals keep the fault timeline live even when the
-			// fleet is momentarily idle
-			if at, ok := c.inj.NextAt(); ok && at < fT {
-				fT = at
-			}
-		}
-		if pick == -1 && math.IsInf(arrT, 1) && math.IsInf(rdT, 1) && math.IsInf(xT, 1) && math.IsInf(fT, 1) {
-			break
-		}
-		// at equal timestamps: faults fire first (a crash at an arrival's
-		// instant is visible to its routing), then KV transfers land (an
-		// adoption at an arrival's instant is visible to its routing too),
-		// then re-dispatches, then arrivals, then instance steps
-		switch {
-		case fT <= xT && fT <= rdT && fT <= arrT && fT <= stepT:
-			if err := c.processFault(); err != nil {
-				return c.finishMetrics(), err
-			}
-		case xT <= rdT && xT <= arrT && xT <= stepT:
-			if err := c.processTransfer(); err != nil {
-				return c.finishMetrics(), err
-			}
-		case rdT <= arrT && rdT <= stepT:
-			if err := c.processRedispatch(); err != nil {
-				return c.finishMetrics(), err
-			}
-		case arrT <= stepT:
-			r := pending[0]
-			pending = pending[1:]
-			c.dispatch(r)
-		default:
-			c.steps++
-			comps, err := c.engines[pick].Step()
-			if err != nil {
-				return c.finishMetrics(), fmt.Errorf("cluster: instance %d: %w", pick, err)
-			}
-			for i := range comps {
-				comps[i].Inst = pick + 1
-			}
-			comps, err = c.settle(pick, comps)
-			if err != nil {
-				return c.finishMetrics(), err
-			}
-			for i := range comps {
-				c.acc.complete(pick, comps[i])
-			}
-			c.recordTelemetry(comps)
-		}
-	}
-	return c.finishMetrics(), nil
+	c.acc.m.Submitted = len(reqs)
+	err := c.DrainContext(context.Background())
+	return c.finishMetrics(), err
 }
 
 // dispatch routes one request: snapshot the fleet, filter saturated
@@ -340,23 +271,14 @@ func (c *Cluster) dispatch(r workload.Request) {
 // the policy in use.
 func (c *Cluster) route(r workload.Request) (int, bool) {
 	snaps := make([]Snapshot, 0, len(c.engines))
-	for i, e := range c.engines {
+	for i := range c.engines {
 		if c.down(i) {
 			continue // crashed: unroutable until restart
 		}
 		if c.dg != nil && c.dg.roles[i] == disagg.RoleDecode {
 			continue // decode pool: adopts shipped prefills only
 		}
-		s := Snapshot{
-			ID:             i,
-			QueueDepth:     e.QueueDepth(),
-			Running:        e.RunningCount(),
-			ResidentTokens: e.ResidentTokens(),
-			SwappedTokens:  e.SwappedTokens(),
-			ClockUs:        float64(e.Clock()),
-			Degraded:       c.health != nil && c.health[i] == Degraded,
-			Role:           c.Role(i),
-		}
+		s := c.snapshot(i)
 		if c.cfg.MaxQueueDepth > 0 && s.QueueDepth >= c.cfg.MaxQueueDepth {
 			continue // saturated: unroutable
 		}
@@ -366,6 +288,23 @@ func (c *Cluster) route(r workload.Request) (int, bool) {
 		return 0, false
 	}
 	return c.policy.Pick(r, snaps), true
+}
+
+// snapshot is the router's view of instance i (0-based) right now — the
+// one place a Snapshot is built, for first dispatch, crash re-dispatch
+// and decode-side placement alike.
+func (c *Cluster) snapshot(i int) Snapshot {
+	e := c.engines[i]
+	return Snapshot{
+		ID:             i,
+		QueueDepth:     e.QueueDepth(),
+		Running:        e.RunningCount(),
+		ResidentTokens: e.ResidentTokens(),
+		SwappedTokens:  e.SwappedTokens(),
+		ClockUs:        float64(e.Clock()),
+		Degraded:       c.InstanceHealth(i) == Degraded,
+		Role:           c.Role(i),
+	}
 }
 
 // observe lets learning policies record the dispatch decision.
@@ -378,15 +317,12 @@ func (c *Cluster) observe(r workload.Request, idx int) {
 // Open routes one request and opens a session on the chosen instance —
 // the online-serving counterpart of Run's batch dispatch. The context
 // governs the request's lifetime (see serving.Engine.Open); the cluster
-// must then be driven with DrainContext (or StepNext) for sessions to
+// must then be driven with DrainContext (or Step) for sessions to
 // progress. Returns ErrAllSaturated when admission control sheds the
 // request.
 func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Session, error) {
 	if c.hasRun {
 		return nil, fmt.Errorf("cluster: Open after Run (pick batch or session driving, not both)")
-	}
-	if c.acc == nil {
-		c.acc = newAccumulator(c.cfg, c.policy.Name(), 0)
 	}
 	if r.ID == 0 {
 		// assign fleet-unique IDs here: per-engine auto-assignment would
@@ -450,73 +386,16 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	return s, nil
 }
 
-// Step advances the instance with the earliest next step and returns its
-// completions, routing them into the cluster metrics. With no instance
-// work it is a cheap no-op returning (nil, nil) — the same contract as
-// serving.Engine.Step, which is what lets a serving.Loop drive a cluster
-// and a single engine interchangeably.
+// Step fires the earliest pending event (after reaping cancelled
+// sessions) and returns the requests it completed — only an instance
+// step completes any. With no pending event it is a cheap no-op returning
+// (nil, nil) — the same contract as serving.Engine.Step, which is what
+// lets a serving.Loop drive a cluster and a single engine
+// interchangeably. One call is one event, so interleaved Open calls
+// between steps model online arrivals.
 func (c *Cluster) Step() ([]serving.Completion, error) {
-	comps, _, err := c.stepNext()
-	return comps, err
-}
-
-// StepNext advances the instance with the earliest next step, routing its
-// completions into the cluster metrics. It reports false when no instance
-// has work (after reaping cancelled sessions). One call is one instance
-// step, so interleaved Open calls between steps model online arrivals.
-func (c *Cluster) StepNext() (bool, error) {
-	_, progressed, err := c.stepNext()
-	return progressed, err
-}
-
-func (c *Cluster) stepNext() ([]serving.Completion, bool, error) {
 	c.ReapSessions()
-	stepT := math.Inf(1)
-	pick := -1
-	for i, e := range c.engines {
-		if c.down(i) {
-			continue
-		}
-		if t, ok := e.NextTime(); ok && float64(t) < stepT {
-			stepT, pick = float64(t), i
-		}
-	}
-	// fault events, KV-transfer deliveries and re-dispatch deadlines
-	// interleave with steps in timestamp order, faults first at ties,
-	// transfers next
-	rdT := c.redispatchDue()
-	xT := c.transferDue()
-	if fT := c.faultDue(); !math.IsInf(fT, 1) && fT <= xT && fT <= rdT && fT <= stepT {
-		return nil, true, c.processFault()
-	}
-	if !math.IsInf(xT, 1) && xT <= rdT && xT <= stepT {
-		return nil, true, c.processTransfer()
-	}
-	if !math.IsInf(rdT, 1) && rdT <= stepT {
-		return nil, true, c.processRedispatch()
-	}
-	if pick == -1 {
-		return nil, false, nil
-	}
-	c.steps++
-	comps, err := c.engines[pick].Step()
-	if err != nil {
-		return nil, true, fmt.Errorf("cluster: instance %d: %w", pick, err)
-	}
-	for i := range comps {
-		comps[i].Inst = pick + 1
-	}
-	comps, err = c.settle(pick, comps)
-	if err != nil {
-		return nil, true, err
-	}
-	if c.acc != nil {
-		for _, cp := range comps {
-			c.acc.complete(pick, cp)
-		}
-	}
-	c.recordTelemetry(comps)
-	return comps, true, nil
+	return c.fire(c.next())
 }
 
 // Clock returns the latest simulated clock across instances.
@@ -530,32 +409,12 @@ func (c *Cluster) Clock() gpusim.Micros {
 	return best
 }
 
-// recordTelemetry feeds the attached telemetry center (no-op without
-// one): completion latencies from this step, then a cadence sample when
-// one is due. Both run inside the event loop, so batch-run sampling is
-// deterministic.
-func (c *Cluster) recordTelemetry(comps []serving.Completion) {
-	tc := c.cfg.Telemetry
-	if tc == nil {
-		return
-	}
-	for _, cp := range comps {
-		ttft := (cp.FirstTokenUs - cp.Req.ArrivalUs) / 1e6
-		e2e := (cp.DoneUs - cp.Req.ArrivalUs) / 1e6
-		var tpot float64
-		if cp.Req.GenLen > 0 {
-			tpot = (cp.DoneUs - cp.FirstTokenUs) / 1e6 / float64(cp.Req.GenLen)
-		}
-		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen)
-	}
-	if now := float64(c.Clock()); tc.Due(now) {
-		tc.Sample(serving.ObservationFromStats(c.Stats()))
-	}
-}
-
 // ReapSessions frees the state of context-cancelled sessions on every
 // instance — cancellations free capacity and may idle an engine.
 func (c *Cluster) ReapSessions() {
+	if !c.sessionMode {
+		return // no Open yet, so no session to reap
+	}
 	for _, e := range c.engines {
 		e.ReapSessions()
 	}
@@ -574,29 +433,11 @@ func (c *Cluster) HasWork() bool {
 	return c.engineWork()
 }
 
-// NextTime returns the simulated time of the earliest next event — a
-// live instance's step, a re-dispatch deadline, a KV-transfer delivery,
-// or a due fault event — and false when the cluster is idle.
+// NextTime returns the simulated time of the earliest pending event and
+// false when the cluster is idle.
 func (c *Cluster) NextTime() (gpusim.Micros, bool) {
-	best, ok := gpusim.Micros(0), false
-	for i, e := range c.engines {
-		if c.down(i) {
-			continue
-		}
-		if t, has := e.NextTime(); has && (!ok || t < best) {
-			best, ok = t, true
-		}
-	}
-	if rdT := c.redispatchDue(); !math.IsInf(rdT, 1) && (!ok || gpusim.Micros(rdT) < best) {
-		best, ok = gpusim.Micros(rdT), true
-	}
-	if xT := c.transferDue(); !math.IsInf(xT, 1) && (!ok || gpusim.Micros(xT) < best) {
-		best, ok = gpusim.Micros(xT), true
-	}
-	if fT := c.faultDue(); !math.IsInf(fT, 1) && (!ok || gpusim.Micros(fT) < best) {
-		best, ok = gpusim.Micros(fT), true
-	}
-	return best, ok
+	ev := c.next()
+	return gpusim.Micros(ev.atUs), ev.class != evNone
 }
 
 // Stats implements serving.Driver: fleet-wide counters summed over
@@ -608,9 +449,7 @@ func (c *Cluster) Stats() serving.DriverStats {
 		Redispatches: c.redispatchN,
 		Crashes:      c.crashes,
 		Restarts:     c.restarts,
-	}
-	if c.acc != nil {
-		ds.Rejected = c.acc.m.Rejected
+		Rejected:     c.acc.m.Rejected,
 	}
 	var genTok, doneTok float64
 	ds.PerInstance = make([]serving.InstanceStats, 0, len(c.engines))
@@ -703,9 +542,10 @@ func (c *Cluster) finishMetrics() Metrics {
 	return m
 }
 
-// DrainContext steps the cluster until every instance is idle, the
-// context is done, or the step bound is hit — the deadline-respecting
-// drain of the session API. Metrics reports the state accumulated so far.
+// DrainContext fires events until none is pending, the context is done,
+// or the step bound is hit — the deadline-respecting drain of the session
+// API, and the whole of a batch Run. Metrics reports the state accumulated
+// so far.
 func (c *Cluster) DrainContext(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -714,12 +554,13 @@ func (c *Cluster) DrainContext(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		progressed, err := c.StepNext()
-		if err != nil {
-			return err
-		}
-		if !progressed {
+		c.ReapSessions()
+		ev := c.next()
+		if ev.class == evNone {
 			return nil
+		}
+		if _, err := c.fire(ev); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -728,9 +569,4 @@ func (c *Cluster) DrainContext(ctx context.Context) error {
 // Metrics finalizes and returns the cluster metrics accumulated by the
 // session API (Open / DrainContext). It may be called mid-drive; before
 // any Open it returns zero-valued metrics.
-func (c *Cluster) Metrics() Metrics {
-	if c.acc == nil {
-		c.acc = newAccumulator(c.cfg, c.policy.Name(), 0)
-	}
-	return c.finishMetrics()
-}
+func (c *Cluster) Metrics() Metrics { return c.finishMetrics() }

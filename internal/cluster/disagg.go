@@ -23,7 +23,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"diffkv/internal/disagg"
 	"diffkv/internal/serving"
@@ -105,19 +104,10 @@ type decodePicker interface {
 // never decode.
 func (c *Cluster) pickDecode(r workload.Request) int {
 	snaps := make([]Snapshot, 0, len(c.engines))
-	for i, e := range c.engines {
-		if c.dg.roles[i] == disagg.RolePrefill {
-			continue
+	for i := range c.engines {
+		if c.dg.roles[i] != disagg.RolePrefill {
+			snaps = append(snaps, c.snapshot(i))
 		}
-		snaps = append(snaps, Snapshot{
-			ID:             i,
-			QueueDepth:     e.QueueDepth(),
-			Running:        e.RunningCount(),
-			ResidentTokens: e.ResidentTokens(),
-			SwappedTokens:  e.SwappedTokens(),
-			ClockUs:        float64(e.Clock()),
-			Role:           c.dg.roles[i],
-		})
 	}
 	if dp, ok := c.policy.(decodePicker); ok {
 		return dp.PickDecode(r, snaps)
@@ -188,18 +178,6 @@ func (c *Cluster) shipPrefill(from int, cp serving.Completion) error {
 		Note: fmt.Sprintf("from=%d link=%s>%s", from+1, c.dg.roles[from], c.dg.roles[to]),
 	})
 	return nil
-}
-
-// transferDue returns the earliest KV-transfer delivery time (Inf
-// without disaggregation or with an empty wire).
-func (c *Cluster) transferDue() float64 {
-	if c.dg == nil {
-		return math.Inf(1)
-	}
-	if t, ok := c.dg.xq.NextDue(); ok {
-		return t
-	}
-	return math.Inf(1)
 }
 
 // processTransfer delivers the earliest due shipment: the decode

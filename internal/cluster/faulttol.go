@@ -3,9 +3,8 @@ package cluster
 // Failure recovery: the cluster half of the fault-injection layer. An
 // internal/faults Injector expands the scenario's fault plan into a
 // deterministic timeline of crash / restart / slowdown events; the
-// event loop interleaves them with arrivals and instance steps in
-// global timestamp order (faults first at equal times, so a crash at
-// the instant of an arrival is visible to its routing decision). A
+// event loop (events.go) interleaves them with arrivals and instance
+// steps in global timestamp order, faults first at equal times. A
 // crash marks the instance down, loses its GPU KV state and orphans its
 // requests into a re-dispatch queue drained with exponential backoff
 // under a per-request retry budget; sequences swapped to the host tier
@@ -13,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"diffkv/internal/faults"
@@ -57,30 +55,22 @@ func (c *Cluster) InstanceHealth(i int) Health {
 	return c.health[i]
 }
 
-// redispatchDue returns the earliest re-dispatch deadline (Inf when the
-// queue is empty).
-func (c *Cluster) redispatchDue() float64 {
-	if len(c.redispatchQ) == 0 {
-		return math.Inf(1)
-	}
-	return c.redispatchQ[0].dueUs
-}
-
-// faultDue returns the next fault-event time, Inf when the injector is
-// exhausted or the cluster has nothing left for faults to affect —
-// an idle cluster does not churn through the remaining fault timeline.
-func (c *Cluster) faultDue() float64 {
+// faultDue returns the next fault-event time, false when the injector
+// is exhausted or the cluster has nothing left for faults to affect —
+// no undispatched arrival, no re-dispatch, no instance work — so an idle
+// cluster does not churn through the remaining fault timeline.
+func (c *Cluster) faultDue() (float64, bool) {
 	if c.inj == nil {
-		return math.Inf(1)
+		return 0, false
 	}
 	at, ok := c.inj.NextAt()
 	if !ok {
-		return math.Inf(1)
+		return 0, false
 	}
-	if !c.engineWork() && len(c.redispatchQ) == 0 {
-		return math.Inf(1)
+	if len(c.pending) == 0 && len(c.redispatchQ) == 0 && !c.engineWork() {
+		return 0, false
 	}
-	return at
+	return at, true
 }
 
 // engineWork reports whether any instance — down ones included, whose
@@ -221,20 +211,11 @@ func (c *Cluster) processRedispatch() error {
 // retry budget.
 func (c *Cluster) routeRedispatch() (int, bool) {
 	best, ok := Snapshot{}, false
-	for i, e := range c.engines {
+	for i := range c.engines {
 		if c.down(i) {
 			continue
 		}
-		s := Snapshot{
-			ID:             i,
-			QueueDepth:     e.QueueDepth(),
-			Running:        e.RunningCount(),
-			ResidentTokens: e.ResidentTokens(),
-			SwappedTokens:  e.SwappedTokens(),
-			ClockUs:        float64(e.Clock()),
-			Degraded:       c.health[i] == Degraded,
-		}
-		if !ok || less(s, best) {
+		if s := c.snapshot(i); !ok || less(s, best) {
 			best, ok = s, true
 		}
 	}

@@ -9,25 +9,7 @@ import (
 )
 
 // Quantiles summarizes a latency distribution in seconds.
-type Quantiles struct {
-	P50, P95, P99, Mean float64
-}
-
-func quantilesOf(xs []float64) Quantiles {
-	if len(xs) == 0 {
-		return Quantiles{}
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return Quantiles{
-		P50:  stats.Quantile(xs, 0.50),
-		P95:  stats.Quantile(xs, 0.95),
-		P99:  stats.Quantile(xs, 0.99),
-		Mean: sum / float64(len(xs)),
-	}
-}
+type Quantiles = stats.LatencySummary
 
 // InstanceStats reports one instance's share of the run.
 type InstanceStats struct {
@@ -148,13 +130,12 @@ type accumulator struct {
 	cached int64
 }
 
-func newAccumulator(cfg Config, policy string, submitted int) *accumulator {
+func newAccumulator(cfg Config, policy string) *accumulator {
 	return &accumulator{
 		cfg: cfg,
 		m: Metrics{
 			Policy:      policy,
 			Instances:   cfg.Instances,
-			Submitted:   submitted,
 			PerInstance: make([]InstanceStats, cfg.Instances),
 		},
 	}
@@ -174,14 +155,10 @@ func (a *accumulator) complete(inst int, cp serving.Completion) {
 	if cp.Preemptions > 0 {
 		a.m.PreemptedRequests++
 	}
-	ttft := (cp.FirstTokenUs - cp.Req.ArrivalUs) / 1e6
-	tpot := 0.0
-	if cp.Req.GenLen > 0 {
-		tpot = (cp.DoneUs - cp.FirstTokenUs) / 1e6 / float64(cp.Req.GenLen)
-	}
+	ttft, tpot, e2e := cp.LatencySec()
 	a.ttft = append(a.ttft, ttft)
 	a.tpot = append(a.tpot, tpot)
-	a.e2e = append(a.e2e, (cp.DoneUs-cp.Req.ArrivalUs)/1e6)
+	a.e2e = append(a.e2e, e2e)
 	if ttft*1e6 <= a.cfg.TTFTSLOUs && tpot*1e6 <= a.cfg.TPOTSLOUs {
 		a.good++
 	}
@@ -226,9 +203,9 @@ func (a *accumulator) finish(engines []*serving.Engine) Metrics {
 	if m.Dispatched > 0 {
 		m.GoodputFrac = float64(a.good) / float64(m.Dispatched)
 	}
-	m.TTFT = quantilesOf(a.ttft)
-	m.TPOT = quantilesOf(a.tpot)
-	m.E2E = quantilesOf(a.e2e)
+	m.TTFT = stats.SummarizeLatency(a.ttft)
+	m.TPOT = stats.SummarizeLatency(a.tpot)
+	m.E2E = stats.SummarizeLatency(a.e2e)
 	if a.prompt > 0 {
 		m.PrefixCacheHitFrac = float64(a.cached) / float64(a.prompt)
 	}

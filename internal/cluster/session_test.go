@@ -45,7 +45,7 @@ func TestClusterSessions(t *testing.T) {
 	}
 	// interleave: advance a few steps, then cancel one session online
 	for i := 0; i < 3; i++ {
-		if _, err := c.StepNext(); err != nil {
+		if _, err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,9 +14,8 @@ import (
 )
 
 // ChaosRates returns the crash-rate sweep (expected crashes per instance
-// per minute) the chaos experiment runs. Shared with the BENCH_PR7
-// snapshot so the experiment table and the checked-in record measure
-// identical runs.
+// per minute) the chaos experiment runs. The checked-in BENCH_PR7
+// record used the same rates.
 func ChaosRates(fast bool) []float64 {
 	if fast {
 		return []float64{0, 3}

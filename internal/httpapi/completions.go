@@ -77,14 +77,27 @@ type completionResponse struct {
 
 var stop = "stop"
 
-// retriedAttempts reports cp.Attempts only when the request was
-// dispatched more than once, so single-dispatch responses omit the
-// field entirely.
-func retriedAttempts(cp serving.Completion) int {
-	if cp.Attempts > 1 {
-		return cp.Attempts
+// completionInfo is the final response's simulator-side annotation:
+// the request's latencies and phase breakdown in milliseconds. Attempts
+// is reported only when the request was dispatched more than once, so
+// single-dispatch responses omit the field entirely.
+func completionInfo(cp serving.Completion) *simInfo {
+	info := &simInfo{
+		SimTimeUs:   cp.DoneUs,
+		TTFTMs:      cp.TTFTUs() / 1e3,
+		E2EMs:       cp.E2EUs() / 1e3,
+		Generated:   cp.Req.GenLen,
+		Preemptions: cp.Preemptions,
+		QueueMs:     cp.Phases.QueueUs / 1e3,
+		PrefillMs:   cp.Phases.PrefillUs / 1e3,
+		DecodeMs:    cp.Phases.DecodeUs / 1e3,
+		StallMs:     cp.Phases.StallUs / 1e3,
+		SwappedMs:   cp.Phases.SwappedUs / 1e3,
 	}
-	return 0
+	if cp.Attempts > 1 {
+		info.Attempts = cp.Attempts
+	}
+	return info
 }
 
 // fillerVocab supplies deterministic placeholder token text: the
@@ -214,19 +227,7 @@ func (g *Gateway) completeBlocking(w http.ResponseWriter, r *http.Request, wr wo
 			CompletionTokens: cp.Req.GenLen,
 			TotalTokens:      cp.Req.PromptLen + cp.Req.GenLen,
 		},
-		DiffKV: &simInfo{
-			SimTimeUs:   cp.DoneUs,
-			TTFTMs:      (cp.FirstTokenUs - cp.Req.ArrivalUs) / 1e3,
-			E2EMs:       (cp.DoneUs - cp.Req.ArrivalUs) / 1e3,
-			Generated:   cp.Req.GenLen,
-			Preemptions: cp.Preemptions,
-			Attempts:    retriedAttempts(cp),
-			QueueMs:     cp.Phases.QueueUs / 1e3,
-			PrefillMs:   cp.Phases.PrefillUs / 1e3,
-			DecodeMs:    cp.Phases.DecodeUs / 1e3,
-			StallMs:     cp.Phases.StallUs / 1e3,
-			SwappedMs:   cp.Phases.SwappedUs / 1e3,
-		},
+		DiffKV: completionInfo(cp),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -310,19 +311,7 @@ func (g *Gateway) completeSSE(w http.ResponseWriter, r *http.Request, wr workloa
 					CompletionTokens: cp.Req.GenLen,
 					TotalTokens:      cp.Req.PromptLen + cp.Req.GenLen,
 				},
-				DiffKV: &simInfo{
-					SimTimeUs:   cp.DoneUs,
-					TTFTMs:      (cp.FirstTokenUs - cp.Req.ArrivalUs) / 1e3,
-					E2EMs:       (cp.DoneUs - cp.Req.ArrivalUs) / 1e3,
-					Generated:   cp.Req.GenLen,
-					Preemptions: cp.Preemptions,
-					Attempts:    retriedAttempts(cp),
-					QueueMs:     cp.Phases.QueueUs / 1e3,
-					PrefillMs:   cp.Phases.PrefillUs / 1e3,
-					DecodeMs:    cp.Phases.DecodeUs / 1e3,
-					StallMs:     cp.Phases.StallUs / 1e3,
-					SwappedMs:   cp.Phases.SwappedUs / 1e3,
-				},
+				DiffKV: completionInfo(cp),
 			}
 			data, _ := json.Marshal(final)
 			fmt.Fprintf(w, "data: %s\n\n", data)

@@ -9,11 +9,13 @@
 // The engine is incrementally steppable: Submit queues requests, Step runs
 // one batched prompt or generation step and returns the requests it
 // completed, and NextTime exposes the clock at which the next step would
-// execute. Run wraps Submit+Drain for single-instance use; the cluster
-// package interleaves Step calls across many engines behind a router.
+// execute. Run wraps Submit+DrainContext for single-instance use; the
+// cluster package interleaves Step calls across many engines behind a
+// router.
 package serving
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -179,8 +181,7 @@ type Result struct {
 }
 
 // Completion records one finished request with its latency-defining
-// timestamps: TTFT is FirstTokenUs-Req.ArrivalUs, TPOT is
-// (DoneUs-FirstTokenUs)/Req.GenLen.
+// timestamps; TTFTUs, E2EUs and LatencySec derive the latencies.
 type Completion struct {
 	Req workload.Request
 	// FirstTokenUs is the clock when the prompt phase finished (the first
@@ -213,6 +214,23 @@ type Completion struct {
 	// cluster runs (the cluster stamps it when collecting completions);
 	// 0 from a bare engine.
 	Inst int
+}
+
+// TTFTUs is the time to first token: arrival to the end of the prompt
+// phase, in microseconds.
+func (c Completion) TTFTUs() float64 { return c.FirstTokenUs - c.Req.ArrivalUs }
+
+// E2EUs is the end-to-end latency, arrival to completion, in microseconds.
+func (c Completion) E2EUs() float64 { return c.DoneUs - c.Req.ArrivalUs }
+
+// LatencySec returns the request's TTFT, TPOT (time per output token
+// after the first; 0 for a request that generates nothing) and
+// end-to-end latency in seconds — the units every metrics sink records.
+func (c Completion) LatencySec() (ttft, tpot, e2e float64) {
+	if c.Req.GenLen > 0 {
+		tpot = (c.DoneUs - c.FirstTokenUs) / 1e6 / float64(c.Req.GenLen)
+	}
+	return c.TTFTUs() / 1e6, tpot, c.E2EUs() / 1e6
 }
 
 type seqState struct {
@@ -251,7 +269,7 @@ type Engine struct {
 	capTok  int     // token capacity (traits mode)
 	capHiPg int     // tokens per high-precision page (manager mode)
 
-	// incremental run state (Submit / Step / Drain)
+	// incremental run state (Submit / Step / DrainContext)
 	pending      []workload.Request
 	running      []*seqState
 	swappedQ     []*seqState // swapped-out sequences awaiting swap-in
@@ -976,22 +994,6 @@ func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 	e.admitBlocked = true
 }
 
-// Drain steps the engine until all submitted work completes (or the step
-// bound is hit, matching the historical Run guard).
-//
-// Deprecated: Drain is the caller-owned, single-threaded driving shim.
-// Online servers should run the engine under a Loop, whose Shutdown is
-// the graceful-drain entry point; Drain remains for batch harnesses
-// (experiments, Run).
-func (e *Engine) Drain() error {
-	for e.HasWork() && e.steps < maxTotalSteps {
-		if _, err := e.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Result snapshots the aggregate metrics accumulated so far. It does not
 // mutate engine state, so it may be called mid-run.
 func (e *Engine) Result() Result {
@@ -1016,15 +1018,13 @@ func (e *Engine) Result() Result {
 
 // Run processes the request list to completion (or admission starvation)
 // and returns aggregate metrics. It is a convenience wrapper over
-// Submit/Drain/Result; an engine is meant to serve one run.
+// Submit/DrainContext/Result; an engine is meant to serve one run.
 func (e *Engine) Run(reqs []workload.Request) (Result, error) {
 	for _, r := range reqs {
 		e.Submit(r)
 	}
-	if err := e.Drain(); err != nil {
-		return e.Result(), err
-	}
-	return e.Result(), nil
+	err := e.DrainContext(context.Background())
+	return e.Result(), err
 }
 
 // hasCapacityFor conservatively checks that admitting r keeps usage under

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestBrownoutAdmitsAtLowTier(t *testing.T) {
 		reqs[i].ArrivalUs = 0 // an instantaneous burst: deep queue guaranteed
 		e.Submit(reqs[i])
 	}
-	if err := e.Drain(); err != nil {
+	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if res := e.Result(); res.Completed != len(reqs) {

@@ -169,9 +169,7 @@ type LoopConfig struct {
 // exact over the loop's lifetime; the quantiles are computed over the
 // most recent loopLatencyWindow completions, so an always-on server's
 // memory and scrape cost stay bounded.
-type LatencyStats struct {
-	P50, P95, P99, Mean float64
-}
+type LatencyStats = stats.LatencySummary
 
 // loopLatencyWindow bounds the per-distribution sample retention.
 const loopLatencyWindow = 16384
@@ -197,15 +195,11 @@ func (a *latencyAcc) add(v float64) {
 }
 
 func (a *latencyAcc) stats() LatencyStats {
-	if a.count == 0 {
-		return LatencyStats{}
+	s := stats.SummarizeLatency(a.ring)
+	if a.count > 0 {
+		s.Mean = a.sum / float64(a.count) // lifetime-exact, not windowed
 	}
-	return LatencyStats{
-		P50:  stats.Quantile(a.ring, 0.50),
-		P95:  stats.Quantile(a.ring, 0.95),
-		P99:  stats.Quantile(a.ring, 0.99),
-		Mean: a.sum / float64(a.count),
-	}
+	return s
 }
 
 // LoopMetrics snapshots a running loop for observability: loop-level
@@ -455,16 +449,13 @@ func (l *Loop) run() {
 		comps, err := l.d.Step()
 		l.steps++
 		l.record(comps)
+		// telemetry sampling rides the step cadence at sim time
+		FeedTelemetry(l.cfg.Telemetry, l.d, comps, float64(t))
 		if err != nil {
 			l.failed = err
 			l.stopped = true
 			l.mu.Unlock()
 			return
-		}
-		// telemetry sampling rides the step cadence at sim time: Due is a
-		// cheap check, and only a due tick pays for the Stats walk
-		if tc := l.cfg.Telemetry; tc != nil && tc.Due(float64(t)) {
-			tc.Sample(ObservationFromStats(l.d.Stats()))
 		}
 		l.mu.Unlock()
 	}
@@ -495,19 +486,7 @@ func (l *Loop) paceWait(t gpusim.Micros) time.Duration {
 func (l *Loop) record(comps []Completion) {
 	for _, cp := range comps {
 		l.completed++
-		ttft := (cp.FirstTokenUs - cp.Req.ArrivalUs) / 1e6
-		e2e := (cp.DoneUs - cp.Req.ArrivalUs) / 1e6
-		var tpot float64
-		if cp.Req.GenLen > 0 {
-			tpot = (cp.DoneUs - cp.FirstTokenUs) / 1e6 / float64(cp.Req.GenLen)
-		}
-		if tc := l.cfg.Telemetry; tc != nil {
-			inst := cp.Inst
-			if inst == 0 {
-				inst = 1 // bare engine: single-instance fleet
-			}
-			tc.RecordCompletion(inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen)
-		}
+		ttft, tpot, e2e := cp.LatencySec()
 		l.ttft.add(ttft)
 		if cp.Req.GenLen > 0 {
 			l.tpot.add(tpot)

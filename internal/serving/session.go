@@ -134,8 +134,8 @@ func (s *Session) finish(cp Completion, err error) {
 // governs the request's lifetime: once it is cancelled or its deadline
 // passes, the next engine step reaps the session and frees its KV state.
 // A zero request ID is auto-assigned from a private range so hand-built
-// requests need no ID bookkeeping. The engine must still be driven (Step,
-// Drain or DrainContext) for the session to make progress — Open itself
+// requests need no ID bookkeeping. The engine must still be driven (Step
+// or DrainContext) for the session to make progress — Open itself
 // performs no work, matching a real online server's accept path.
 func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error) {
 	if ctx == nil {
@@ -314,7 +314,7 @@ func (e *Engine) notifyGenProgress(genSeqs []*seqState) {
 // DrainContext steps the engine until all submitted work completes, the
 // context is done, or the step bound is hit. On context expiry it stops
 // between steps and returns the context's error with unfinished work
-// still queued — the deadline-respecting counterpart of Drain.
+// still queued.
 func (e *Engine) DrainContext(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()

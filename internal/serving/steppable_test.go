@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -8,9 +9,10 @@ import (
 	"diffkv/internal/workload"
 )
 
-// TestSteppableMatchesRun verifies the incremental Submit/Step/Drain API
-// produces exactly the metrics the one-shot Run wrapper reports — Run is a
-// thin wrapper, so any divergence means hidden state.
+// TestSteppableMatchesRun verifies the incremental
+// Submit/Step/DrainContext API produces exactly the metrics the one-shot
+// Run wrapper reports — Run is a thin wrapper, so any divergence means
+// hidden state.
 func TestSteppableMatchesRun(t *testing.T) {
 	reqs := workload.NewRequestGen(workload.GSM8K, 512, 77).Poisson(2, 60)
 	cfg := Config{
@@ -154,7 +156,7 @@ func TestPrefixCacheLRUEviction(t *testing.T) {
 			PromptLen: 512, GenLen: 16, PrefixGroup: g, PrefixLen: 384,
 		})
 	}
-	if err := e.Drain(); err != nil {
+	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if e.CachedPrefixTokens(1) != 0 {

@@ -2,6 +2,25 @@ package serving
 
 import "diffkv/internal/telemetry"
 
+// FeedTelemetry is the one event-loop → telemetry feed, shared by Loop
+// and the cluster's batch event loop: record the step's completion
+// latencies, then take a cadence sample of d when one is due at nowUs
+// (only a due tick pays for the Stats walk). A nil center is a no-op.
+// Completions from a bare engine carry no instance tag and count as the
+// single-instance fleet's instance 1.
+func FeedTelemetry(tc *telemetry.Center, d interface{ Stats() DriverStats }, comps []Completion, nowUs float64) {
+	if tc == nil {
+		return
+	}
+	for _, cp := range comps {
+		ttft, tpot, e2e := cp.LatencySec()
+		tc.RecordCompletion(max(cp.Inst, 1), cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen)
+	}
+	if tc.Due(nowUs) {
+		tc.Sample(ObservationFromStats(d.Stats()))
+	}
+}
+
 // ObservationFromStats converts a driver counter snapshot into the
 // telemetry package's fleet observation. The conversion lives here (not
 // in telemetry) so telemetry never imports serving — the dependency

@@ -90,17 +90,48 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0]
+	return sortedQuantile(cp, q)
+}
+
+// sortedQuantile is Quantile over an already sorted, non-empty sample.
+func sortedQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
 	}
-	pos := q * float64(len(cp)-1)
+	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo]
+		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// LatencySummary summarizes a latency distribution in seconds.
+type LatencySummary struct {
+	P50, P95, P99, Mean float64
+}
+
+// SummarizeLatency returns the exact p50/p95/p99 (Quantile's
+// interpolation, one copy-and-sort for all three) and the mean of xs;
+// the zero summary for an empty sample.
+func SummarizeLatency(xs []float64) LatencySummary {
+	if len(xs) == 0 {
+		return LatencySummary{}
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return LatencySummary{
+		P50:  sortedQuantile(cp, 0.50),
+		P95:  sortedQuantile(cp, 0.95),
+		P99:  sortedQuantile(cp, 0.99),
+		Mean: sum / float64(len(xs)),
+	}
 }
 
 // CDF is an empirical cumulative distribution function over a sample.

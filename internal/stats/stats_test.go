@@ -108,6 +108,36 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
+// SummarizeLatency is the one-sort form of three Quantile calls plus an
+// input-order mean: bit-equal on every field, input untouched.
+func TestSummarizeLatencyMatchesQuantile(t *testing.T) {
+	if got := SummarizeLatency(nil); got != (LatencySummary{}) {
+		t.Fatalf("empty sample = %+v, want zero", got)
+	}
+	for _, n := range []int{1, 2, 7, 100, 1001} {
+		xs := make([]float64, n)
+		var sum float64
+		for i := range xs {
+			xs[i] = math.Mod(float64(i)*0.6180339887, 1) * 3.7
+			sum += xs[i]
+		}
+		orig := append([]float64(nil), xs...)
+		got := SummarizeLatency(xs)
+		want := LatencySummary{
+			P50: Quantile(xs, 0.50), P95: Quantile(xs, 0.95), P99: Quantile(xs, 0.99),
+			Mean: sum / float64(n),
+		}
+		if got != want {
+			t.Fatalf("n=%d: got %+v, want %+v", n, got, want)
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				t.Fatalf("n=%d: input mutated at %d", n, i)
+			}
+		}
+	}
+}
+
 func TestQuantilePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { Quantile(nil, 0.5) },

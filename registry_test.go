@@ -98,8 +98,8 @@ func TestDerivedListsNoDrift(t *testing.T) {
 		t.Fatalf("runtime registration %q missing from derived list %v", probe, got)
 	}
 	wantPrefix(Methods(), []string{"vLLM", "Quest", "SnapKV", "Atom", "KIVI", "DiffKV"}, "probe-method")
-	wantPrefix(RoutingPolicies(), []string{RouteRoundRobin, RouteLeastLoaded, RoutePrefixAffinity}, "probe-route")
-	wantPrefix(PreemptPolicies(), []string{PreemptRecompute, PreemptSwap, PreemptCompressSwap}, "probe-preempt")
+	wantPrefix(RoutingPolicies(), []string{"round-robin", "least-loaded", "prefix-affinity"}, "probe-route")
+	wantPrefix(PreemptPolicies(), []string{"recompute", "swap", "compress-swap"}, "probe-preempt")
 }
 
 type probeMethod struct{ name string }
@@ -119,7 +119,7 @@ func (probePreempt) Recovery() PreemptRecovery { return RecoverRecompute }
 
 // TestRegistryEdgeCases pins duplicate-registration errors, unknown-name
 // error text (it must name the registry and list known entries), and
-// registration visibility through MethodByName / TraitsFor.
+// registration visibility through MethodByName.
 func TestRegistryEdgeCases(t *testing.T) {
 	if err := RegisterMethod(probeMethod{"edge-method"}); err != nil {
 		t.Fatal(err)
@@ -142,9 +142,8 @@ func TestRegistryEdgeCases(t *testing.T) {
 	if m.Name() != "edge-method" {
 		t.Fatalf("wrong method returned: %s", m.Name())
 	}
-	tr, err := TraitsFor("edge-method", 0)
-	if err != nil || tr.Name != "edge-method" {
-		t.Fatalf("TraitsFor over a runtime registration: %v %v", tr, err)
+	if tr := m.ServingTraits(0); tr.Name != "edge-method" {
+		t.Fatalf("ServingTraits over a runtime registration: %v", tr)
 	}
 
 	_, err = MethodByName("no-such-method")
@@ -157,12 +156,12 @@ func TestRegistryEdgeCases(t *testing.T) {
 		}
 	}
 
-	if err := RegisterRoutingPolicy(RouteRoundRobin, func(ClusterServerConfig) (RoutingPolicy, error) {
+	if err := RegisterRoutingPolicy("round-robin", func(ClusterServerConfig) (RoutingPolicy, error) {
 		return arrivalHash{}, nil
 	}); err == nil {
 		t.Fatal("duplicate routing policy must error")
 	}
-	if err := RegisterPreemptPolicy(PreemptSwap, func() PreemptRecoveryPolicy { return probePreempt{} }); err == nil {
+	if err := RegisterPreemptPolicy("swap", func() PreemptRecoveryPolicy { return probePreempt{} }); err == nil {
 		t.Fatal("duplicate preemption policy must error")
 	}
 	if _, err := NewClusterServer(ClusterServerConfig{Instances: 1, Policy: "no-such-route"}); err == nil ||

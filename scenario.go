@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 
+	"diffkv/internal/cluster"
 	"diffkv/internal/quant"
 	"diffkv/internal/workload"
 )
@@ -362,9 +363,9 @@ func (s Scenario) withDefaults() Scenario {
 		// silently defaulting would mask a broken spec
 		cc := *c
 		if cc.Routing == "" {
-			cc.Routing = RouteRoundRobin
+			cc.Routing = cluster.PolicyRoundRobin
 			if s.Disaggregation != nil {
-				cc.Routing = RouteDisaggAware
+				cc.Routing = cluster.PolicyDisaggAware
 			}
 		}
 		s.Cluster = &cc

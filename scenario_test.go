@@ -154,9 +154,9 @@ func TestScenarioDisaggGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scenario.Cluster.Routing != RouteDisaggAware {
-		t.Fatalf("disaggregation with unset routing must default to %s, got %q",
-			RouteDisaggAware, st.Scenario.Cluster.Routing)
+	if st.Scenario.Cluster.Routing != "disagg-aware" {
+		t.Fatalf("disaggregation with unset routing must default to disagg-aware, got %q",
+			st.Scenario.Cluster.Routing)
 	}
 }
 
@@ -396,4 +396,46 @@ func TestScenarioFaultsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("chaos scenario not reproducible:\n got %+v\nand %+v", a, b)
 	}
+}
+
+// FuzzParseScenario feeds ParseScenario arbitrary bytes, seeded from
+// every checked-in scenario spec. The strict parser must never panic,
+// and a spec it accepts must survive a marshal → parse round trip
+// unchanged: what a tool dumps (-dump-scenario) is what it loads back.
+// Equality is on the marshalled form, the one view in which an explicit
+// empty list and an absent one (omitempty drops both) are the same spec.
+func FuzzParseScenario(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "scenario*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no scenario seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"faults":{"crashes":[]},"workload":{"trace":[]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("parsed scenario does not marshal: %v", err)
+		}
+		back, err := ParseScenario(out)
+		if err != nil {
+			t.Fatalf("re-marshalled scenario does not parse: %v\n%s", err, out)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("re-parsed scenario does not marshal: %v", err)
+		}
+		if string(again) != string(out) {
+			t.Fatalf("round trip changed the scenario:\n got %s\nwant %s", again, out)
+		}
+	})
 }
