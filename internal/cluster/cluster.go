@@ -236,9 +236,10 @@ func (c *Cluster) Run(reqs []workload.Request) (Metrics, error) {
 
 // dispatch routes one request: snapshot the fleet, filter saturated
 // instances (admission control), let the policy pick, and submit. Under
-// disaggregation the prefill sub-request is submitted and the parent
-// parked until its prefill child completes (settle / shipPrefill);
-// accounting always sees the parent, so a request is dispatched once.
+// disaggregation the prefill sub-request is submitted, marked so that its
+// completion exports the sequence for the parent's decode half (settle /
+// shipPrefill); accounting always sees the parent, so a request is
+// dispatched once.
 func (c *Cluster) dispatch(r workload.Request) {
 	idx, ok := c.route(r)
 	if !ok {
@@ -250,8 +251,7 @@ func (c *Cluster) dispatch(r workload.Request) {
 		pre, handoff := disagg.Split(r)
 		c.engines[idx].Submit(pre)
 		if handoff {
-			c.engines[idx].MarkHandoff(r.ID)
-			c.dg.await[r.ID] = r
+			c.engines[idx].MarkHandoff(r.ID, r.GenLen)
 		}
 	} else {
 		c.engines[idx].Submit(r)
@@ -374,8 +374,7 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	r = s.Request()
 	if handoff {
 		r.GenLen = genLen
-		c.engines[idx].MarkHandoff(r.ID)
-		c.dg.await[r.ID] = r
+		c.engines[idx].MarkHandoff(r.ID, genLen)
 	}
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)

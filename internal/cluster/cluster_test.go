@@ -32,6 +32,21 @@ func newTestCluster(t *testing.T, policy string, mutate func(*Config)) *Cluster 
 	return c
 }
 
+// liveRecords counts the per-request state left anywhere in the cluster:
+// request records on any engine (serving.Engine.LiveRecords), crash
+// orphans awaiting re-dispatch and KV shipments on the wire. Zero after a
+// drained run.
+func liveRecords(c *Cluster) int {
+	n := len(c.redispatchQ)
+	for _, e := range c.engines {
+		n += e.LiveRecords()
+	}
+	if c.dg != nil {
+		n += len(c.dg.inflight) + c.dg.xq.Len()
+	}
+	return n
+}
+
 func sharedReqs(n int, rate float64, seed uint64) []workload.Request {
 	gen := workload.NewRequestGen(workload.MMLU, 256, seed)
 	pc := workload.PrefixConfig{Groups: 16, PrefixLen: 768, SharedFrac: 0.9}
@@ -202,6 +217,9 @@ func TestClusterLiveness(t *testing.T) {
 			}
 			if m.Completed != len(reqs) {
 				t.Fatalf("completed %d of %d", m.Completed, len(reqs))
+			}
+			if n := liveRecords(c); n != 0 {
+				t.Fatalf("%d request records left after drain", n)
 			}
 			if m.TTFT.P95 <= 0 || m.TPOT.P95 <= 0 {
 				t.Fatalf("degenerate SLO quantiles: %+v", m)

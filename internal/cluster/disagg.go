@@ -46,24 +46,16 @@ type DisaggMetrics struct {
 	Links []disagg.LinkBytes
 }
 
-// shipment is one in-wire prefill→decode handoff: the decode
-// sub-request (the parent resuming after its first token) plus the
-// exported sequence state it adopts on arrival.
-type shipment struct {
-	req workload.Request
-	exp *serving.KVExport
-}
-
 // disaggState is the cluster's coordinator state (nil without
 // Config.Disagg).
 type disaggState struct {
 	cfg   disagg.Config
 	roles []disagg.Role
-	// await maps request ID → parent request while its prefill child is
-	// in flight; inflight maps request ID → shipment while its KV is on
-	// the wire.
-	await    map[int]workload.Request
-	inflight map[int]*shipment
+	// inflight maps request ID → exported sequence while its KV is on the
+	// wire. A prefill child still on its instance needs no entry here: the
+	// engine's own record marks it, and its export names the decode
+	// sub-request.
+	inflight map[int]*serving.KVExport
 	xq       disagg.Queue
 	ledger   disagg.Ledger
 
@@ -76,8 +68,7 @@ func newDisaggState(cfg disagg.Config, instances int) *disaggState {
 	return &disaggState{
 		cfg:      cfg,
 		roles:    cfg.Roles(instances),
-		await:    make(map[int]workload.Request),
-		inflight: make(map[int]*shipment),
+		inflight: make(map[int]*serving.KVExport),
 	}
 }
 
@@ -122,78 +113,66 @@ func (c *Cluster) pickDecode(r workload.Request) int {
 }
 
 // settle filters one step's completions through the coordinator:
-// prefill children awaiting handoff are shipped (consumed here, never
-// reaching the accumulator), final completions pass through.
-func (c *Cluster) settle(inst int, comps []serving.Completion) ([]serving.Completion, error) {
-	if c.dg == nil || len(comps) == 0 {
-		return comps, nil
+// prefill children left an export behind and are shipped (consumed here,
+// never reaching the accumulator), final completions pass through.
+func (c *Cluster) settle(inst int, comps []serving.Completion) []serving.Completion {
+	if c.dg == nil {
+		return comps
 	}
 	out := comps[:0]
 	for _, cp := range comps {
-		if _, ok := c.dg.await[cp.Req.ID]; ok {
-			if err := c.shipPrefill(inst, cp); err != nil {
-				return nil, err
-			}
+		if exp, ok := c.engines[inst].TakeExport(cp.Req.ID); ok {
+			c.shipPrefill(inst, exp)
 			continue
 		}
 		out = append(out, cp)
 	}
-	return out, nil
+	return out
 }
 
-// shipPrefill turns an intercepted prefill-child completion into a
-// scheduled KV transfer: collect the engine's export, stamp it with the
-// child's lifecycle accounting (phase breakdown, honest TTFT, retry
-// history), pick the decode instance, price the wire time on the
-// receiver's NIC and enqueue delivery. The kv_ship trace event opens
-// the decode side's span tree with an xfer:inst span.
-func (c *Cluster) shipPrefill(from int, cp serving.Completion) error {
-	parent := c.dg.await[cp.Req.ID]
-	delete(c.dg.await, cp.Req.ID)
-	exp, err := c.engines[from].TakeExport(cp.Req.ID)
-	if err != nil {
-		return fmt.Errorf("cluster: disagg ship request %d: %w", cp.Req.ID, err)
-	}
-	exp.FirstTokenUs = cp.FirstTokenUs
-	exp.AsOfUs = cp.DoneUs
-	exp.Phases = cp.Phases
-	exp.Preempts = cp.Preemptions
-	exp.RetryUs = cp.RetryUs
-	exp.Attempts = cp.Attempts
-	to := c.pickDecode(parent)
+// shipPrefill turns a finished prefill child's export into a scheduled KV
+// transfer: pick the decode instance, price the wire time on the
+// receiver's NIC and enqueue delivery. The export already carries the
+// child's whole request record (phase breakdown, honest TTFT, retry
+// history), closed at its completion clock AsOfUs. The kv_ship trace
+// event opens the decode side's span tree with an xfer:inst span.
+func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
+	id, doneUs := exp.Req.ID, exp.AsOfUs
+	to := c.pickDecode(exp.Req)
 	xfer := float64(c.engines[to].Device().NICTransfer(float64(exp.Bytes)))
 	exp.XferUs = xfer
 	c.dg.xq.Push(disagg.Transfer{
-		SeqID: cp.Req.ID, From: from, To: to,
-		Bytes: exp.Bytes, DueUs: cp.DoneUs + xfer,
+		SeqID: id, From: from, To: to,
+		Bytes: exp.Bytes, DueUs: doneUs + xfer,
 	})
-	c.dg.inflight[cp.Req.ID] = &shipment{req: parent, exp: exp}
+	c.dg.inflight[id] = exp
 	c.dg.ledger.Record(from, to, exp.Bytes)
 	c.dg.transfers++
 	c.dg.bytes += exp.Bytes
 	c.dg.xferUs += xfer
 	c.emit(trace.Event{
-		Kind: trace.KindKVShip, TimeUs: cp.DoneUs, Seq: cp.Req.ID, Inst: to + 1,
+		Kind: trace.KindKVShip, TimeUs: doneUs, Seq: id, Inst: to + 1,
 		Bytes: exp.Bytes, DurUs: xfer,
 		Note: fmt.Sprintf("from=%d link=%s>%s", from+1, c.dg.roles[from], c.dg.roles[to]),
 	})
-	return nil
 }
 
 // processTransfer delivers the earliest due shipment: the decode
 // instance queues the decode sub-request for adoption at the delivery
-// time, resuming the parent's phase accounting across the wire.
+// time, resuming the parent's phase accounting across the wire. A
+// session cancelled while on the wire is delivered like any other; the
+// decode engine reaps it before admitting anything.
 func (c *Cluster) processTransfer() error {
 	t, ok := c.dg.xq.Pop()
 	if !ok {
 		return fmt.Errorf("cluster: processTransfer on empty wire")
 	}
-	sh := c.dg.inflight[t.SeqID]
-	if sh == nil {
+	exp := c.dg.inflight[t.SeqID]
+	if exp == nil {
 		return fmt.Errorf("cluster: transfer %d has no shipment", t.SeqID)
 	}
 	delete(c.dg.inflight, t.SeqID)
-	if err := c.engines[t.To].SubmitPrefilled(sh.req, sh.exp, t.DueUs); err != nil {
+	if err := c.engines[t.To].SubmitPrefilled(exp, t.DueUs); err != nil {
 		return fmt.Errorf("cluster: adopt request %d on instance %d: %w", t.SeqID, t.To+1, err)
 	}
 	return nil

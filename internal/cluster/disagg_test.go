@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"diffkv/internal/faults"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/quant"
+	"diffkv/internal/serving"
 	"diffkv/internal/synth"
 	"diffkv/internal/trace"
 	"diffkv/internal/workload"
@@ -140,6 +142,9 @@ func TestDisaggRunCompletesAndShips(t *testing.T) {
 	}
 	if m.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", m.Completed, len(reqs))
+	}
+	if n := liveRecords(c); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 	handoffs := 0
 	for _, r := range reqs {
@@ -300,5 +305,103 @@ func TestDisaggCompressionCutsWireBytes(t *testing.T) {
 	k4v2 := run(quant.K4V2, quant.K4V2)
 	if 3*k4v2 > fp16 {
 		t.Fatalf("K4V2 wire bytes %d not <= 1/3 of FP16 %d", k4v2, fp16)
+	}
+}
+
+// TestCancelAcrossHandoff cancels a session at each of the five points of
+// a disaggregated request's life, by context and by Session.Cancel alike.
+// Wherever the cancel lands the request is counted exactly once — as
+// Cancelled, never also Completed — adopts no pages afterwards, and
+// leaves no per-request state on any engine or in the coordinator.
+func TestCancelAcrossHandoff(t *testing.T) {
+	// each point is a condition on the cluster holding only the target
+	// request, reached by firing events one at a time
+	running := func(c *Cluster, lo, hi int) bool {
+		for _, e := range c.engines[lo:hi] {
+			if e.RunningCount() > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	queued := func(c *Cluster, lo, hi int) bool {
+		for _, e := range c.engines[lo:hi] {
+			if e.QueueDepth() > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	points := []struct {
+		name    string
+		reached func(c *Cluster) bool
+	}{
+		{"prefill queue", func(c *Cluster) bool { return queued(c, 0, 2) }},
+		{"prefill running", func(c *Cluster) bool { return running(c, 0, 2) }},
+		{"on the wire", func(c *Cluster) bool { return len(c.dg.inflight) > 0 }},
+		{"decode queue", func(c *Cluster) bool { return queued(c, 2, 4) }},
+		{"decode running", func(c *Cluster) bool { return running(c, 2, 4) }},
+	}
+	for _, pt := range points {
+		for _, kind := range []string{"ctx", "Cancel"} {
+			t.Run(pt.name+"/"+kind, func(t *testing.T) {
+				c := newDisaggCluster(t, nil)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				target, err := c.Open(ctx, workload.Request{PromptLen: 512, GenLen: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !pt.reached(c) {
+					if !c.HasWork() {
+						t.Fatalf("drained before reaching %q", pt.name)
+					}
+					if _, err := c.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if kind == "ctx" {
+					cancel()
+				} else {
+					target.Cancel()
+				}
+				// bystanders opened after the cancel share the fleet with it
+				var others []*serving.Session
+				for i := 0; i < 3; i++ {
+					s, err := c.Open(context.Background(), workload.Request{PromptLen: 256, GenLen: 16})
+					if err != nil {
+						t.Fatal(err)
+					}
+					others = append(others, s)
+				}
+				if err := c.DrainContext(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := target.Completion(); !errors.Is(err, serving.ErrCancelled) {
+					t.Fatalf("cancelled session error = %v", err)
+				}
+				for _, s := range others {
+					if _, err := s.Completion(); err != nil {
+						t.Fatalf("bystander session failed: %v", err)
+					}
+				}
+				m := c.Metrics()
+				if m.Stuck() != 0 || m.Completed+m.Cancelled != m.Dispatched {
+					t.Fatalf("stuck %d: dispatched %d, completed %d, cancelled %d",
+						m.Stuck(), m.Dispatched, m.Completed, m.Cancelled)
+				}
+				if m.Cancelled != 1 || m.Completed != len(others) {
+					t.Fatalf("cancelled %d completed %d, want 1 and %d", m.Cancelled, m.Completed, len(others))
+				}
+				for _, is := range c.Stats().PerInstance {
+					if is.UsedKVPages != 0 {
+						t.Fatalf("instance %d holds %d KV pages after drain", is.Inst, is.UsedKVPages)
+					}
+				}
+				if n := liveRecords(c); n != 0 {
+					t.Fatalf("%d request records left after drain", n)
+				}
+			})
+		}
 	}
 }

@@ -98,9 +98,7 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 		for i := range comps {
 			comps[i].Inst = ev.inst + 1
 		}
-		if comps, err = c.settle(ev.inst, comps); err != nil {
-			return nil, err
-		}
+		comps = c.settle(ev.inst, comps)
 		for _, cp := range comps {
 			c.acc.complete(ev.inst, cp)
 		}

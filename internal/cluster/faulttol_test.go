@@ -89,6 +89,9 @@ func TestChaosLivenessUnderChurn(t *testing.T) {
 		t.Fatalf("liveness violated: %d requests unaccounted (completed %d, failed %d of %d)",
 			m.Stuck(), m.Completed, m.Failed, m.Dispatched)
 	}
+	if n := liveRecords(c); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	if m.Crashes != 2 || m.Restarts != 2 {
 		t.Fatalf("crashes/restarts %d/%d, want 2/2", m.Crashes, m.Restarts)
 	}
@@ -208,6 +211,9 @@ func TestChaosRetryBudgetExhaustionFailsSessions(t *testing.T) {
 	if m.Failed == 0 {
 		t.Fatal("permanent crash with no retry budget failed nothing")
 	}
+	if n := liveRecords(c); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	failed := 0
 	for _, s := range sessions {
 		if !s.Finished() {
@@ -241,6 +247,9 @@ func TestChaosSessionsSurviveRedispatch(t *testing.T) {
 	m := c.Metrics()
 	if m.Stuck() != 0 {
 		t.Fatalf("liveness violated: %d unaccounted", m.Stuck())
+	}
+	if n := liveRecords(c); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 	redispatched := 0
 	for _, s := range sessions {

@@ -63,6 +63,9 @@ func TestClusterSessions(t *testing.T) {
 	if m.Stuck() != 0 {
 		t.Fatalf("stuck %d", m.Stuck())
 	}
+	if n := liveRecords(c); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	if _, err := sessions[4].Completion(); !errors.Is(err, serving.ErrCancelled) {
 		t.Fatalf("cancelled session error = %v", err)
 	}

@@ -30,6 +30,12 @@ type KVStore interface {
 	PromptCompact(seqID, promptLen int, demands []kvcache.HeadDemand) (kvcache.CompactStats, error)
 	// GenCompact runs one generation-step compaction for a set of sequences.
 	GenCompact(seqIDs []int, demands [][]kvcache.GenDemand) (kvcache.CompactStats, error)
+	// HeadCounts / AdoptCounts read a sequence's per-head tier shape and
+	// rebuild it on another store (the disaggregated handoff); SeqKVBytes
+	// is the sequence's resident footprint at its quantized size.
+	HeadCounts(seqID int, buf []kvcache.HeadDemand) ([]kvcache.HeadDemand, error)
+	AdoptCounts(seqID int, demands []kvcache.HeadDemand) (kvcache.CompactStats, error)
+	SeqKVBytes(seqID int) (int64, error)
 	// FreePages / UsedPages report GPU page-pool occupancy.
 	FreePages() int
 	UsedPages() int

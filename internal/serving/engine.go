@@ -18,7 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"diffkv/internal/baselines"
 	"diffkv/internal/gpusim"
@@ -140,6 +140,15 @@ type StepBreakdown struct {
 	Offload gpusim.Micros
 }
 
+// Add accumulates o into s, component by component.
+func (s *StepBreakdown) Add(o StepBreakdown) {
+	s.Scheduler += o.Scheduler
+	s.MemMgmt += o.MemMgmt
+	s.Compressor += o.Compressor
+	s.ModelExec += o.ModelExec
+	s.Offload += o.Offload
+}
+
 // Total returns the summed step time.
 func (s StepBreakdown) Total() gpusim.Micros {
 	return s.Scheduler + s.MemMgmt + s.Compressor + s.ModelExec + s.Offload
@@ -233,19 +242,6 @@ func (c Completion) LatencySec() (ttft, tpot, e2e float64) {
 	return c.TTFTUs() / 1e6, tpot, c.E2EUs() / 1e6
 }
 
-type seqState struct {
-	req        workload.Request
-	promptDone bool
-	generated  int
-	hiF, loF   []float64 // per-head tier fractions (manager mode)
-	winFill    int
-	cached     int     // prompt tokens served from the prefix cache
-	firstTokUs float64 // clock when the prompt phase completed
-	swapBytes  int64   // D2H bytes of the latest swap-out (trace payload)
-	brownout   bool    // admitted at the all-low tier (graceful degradation)
-	adoptedGen int     // tokens generated elsewhere before a disagg adoption
-}
-
 // prefixEntry tracks one resident shared-prefix group.
 type prefixEntry struct {
 	tokens  int
@@ -266,13 +262,21 @@ type Engine struct {
 	headsN  int
 	rng     *mathx.RNG
 	kvToken float64 // resident KV bytes per cached token (traits mode)
-	capTok  int     // token capacity (traits mode)
-	capHiPg int     // tokens per high-precision page (manager mode)
+	// blendTok is one head's KV bytes per cached token at the configured
+	// tier mix (manager mode); capTok the whole-pool token capacity — the
+	// page pool at that mix in manager mode, the analytic budget in traits
+	// mode. Both are fixed at construction.
+	blendTok float64
+	capTok   float64
+	capHiPg  int // tokens per high-precision page (manager mode)
 
-	// incremental run state (Submit / Step / DrainContext)
-	pending      []workload.Request
+	// incremental run state (Submit / Step / DrainContext). Every in-flight
+	// request is one record (record.go) held by exactly one of the three
+	// queues and indexed by request ID in live.
+	pending      []*seqState
 	running      []*seqState
 	swappedQ     []*seqState // swapped-out sequences awaiting swap-in
+	live         map[int]*seqState
 	clock        gpusim.Micros
 	admitBlocked bool
 	steps        int
@@ -286,34 +290,22 @@ type Engine struct {
 	prefix       map[int]*prefixEntry
 	pendingXfer  gpusim.Micros // H2D prefetch charged to the next step
 	xferUs       gpusim.Micros // total PCIe transfer time, pre-overlap
-	preemptN     map[int]int
-	retryUs      map[int][]float64
-	attempts     map[int]int       // dispatch count of re-dispatched requests
-	phase        map[int]*phaseAcc // per in-flight request lifecycle phase
 
 	// fault-tolerance state (faulttol.go)
 	slowFactor  float64 // step-time multiplier while degraded (<=1 = none)
 	brownoutN   int     // admissions made at the all-low tier
 	lostKVBytes int64   // GPU KV bytes lost to crashes
-	// readmitted marks crash orphans awaiting their first admission
-	// here: they carry pre-crash preemption counts, but that admission
-	// is a re-dispatch (already in RetryUs), not a preemption retry
-	readmitted map[int]bool
 
-	// disaggregated handoff state (handoff.go): exportOn marks prefill
-	// children whose completion must retain the sequence's KV shape,
-	// exports holds captured KVExports awaiting cluster pickup, adopts
-	// holds shipped sequences awaiting decode-side admission, and
-	// pendingNIC is the landed transfers' ingest DMA charged to the next
-	// step overlapped against its compute
-	exportOn   map[int]bool
+	// disaggregated handoff state (handoff.go): exports is the mailbox of
+	// records that have already left — captured KVExports awaiting cluster
+	// pickup — and pendingNIC is the landed transfers' ingest DMA charged
+	// to the next step overlapped against its compute
 	exports    map[int]*KVExport
-	adopts     map[int]*KVExport
 	pendingNIC gpusim.Micros
 
-	// session state (Open / DrainContext): per-request handles with token
-	// callbacks and cancellation (see session.go)
-	sessions       map[int]*Session
+	// session state (Open / DrainContext): sessN counts the live records
+	// that carry a session handle (see session.go)
+	sessN          int
 	cancelledN     int
 	autoID         int
 	inStep         bool // a scheduler iteration is executing
@@ -335,7 +327,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, dev: cfg.Cluster.Device, rng: mathx.NewRNG(cfg.Seed + 99)}
+	e := &Engine{cfg: cfg, dev: cfg.Cluster.Device, rng: mathx.NewRNG(cfg.Seed + 99),
+		live: make(map[int]*seqState), exports: make(map[int]*KVExport)}
 	if cfg.PrefixCacheGroups > 0 {
 		e.prefix = make(map[int]*prefixEntry)
 	}
@@ -388,22 +381,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.mgr = mgr
 		}
 		e.capHiPg = mgr.TokensPerHiPage()
+		mc := mgr.Config()
+		e.blendTok = cfg.HiFrac*float64(mc.HiPrec.TokenBytes(mc.Dim)) +
+			cfg.LoFrac*float64(mc.LoPrec.TokenBytes(mc.Dim))
+		e.capTok = e.pageTokens(numPages)
 	} else {
 		e.kvToken = float64(cfg.Model.KVBytesPerTokenFP16()) * cfg.Traits.ResidentMemFrac
-		e.capTok = int(budget / e.kvToken)
+		e.capTok = float64(int(budget / e.kvToken))
 	}
 	return e, nil
+}
+
+// pageTokens is how many cached tokens fit in the given number of pages
+// with every head at the blended tier mix (manager mode).
+func (e *Engine) pageTokens(pages int) float64 {
+	return float64(pages*e.cfg.PageBytes) / (e.blendTok * float64(e.headsN))
 }
 
 // TokenCapacity reports how many cached tokens fit (traits mode) or an
 // estimate from pages (manager mode).
 func (e *Engine) TokenCapacity() int {
 	if e.mgr != nil {
-		// rough: all pages at the blended tier mix
-		perTok := e.blendedTokenBytes()
-		return int(float64(e.mgr.FreePages()*e.cfg.PageBytes) / (perTok * float64(e.headsN)))
+		// rough: all free pages at the blended tier mix
+		return int(e.pageTokens(e.mgr.FreePages()))
 	}
-	return e.capTok
+	return int(e.capTok)
 }
 
 // TotalTokenCapacity reports the engine's whole-pool token capacity —
@@ -412,20 +414,7 @@ func (e *Engine) TokenCapacity() int {
 // saturation analyzer's capacity = min(memory, compute); the engine has
 // no independent compute-token bound (admission is memory-gated via
 // fitsTokens), so memory capacity is the binding axis.
-func (e *Engine) TotalTokenCapacity() float64 {
-	if e.mgr != nil {
-		return float64((e.mgr.FreePages()+e.mgr.UsedPages())*e.cfg.PageBytes) /
-			(e.blendedTokenBytes() * float64(e.headsN))
-	}
-	return float64(e.capTok)
-}
-
-func (e *Engine) blendedTokenBytes() float64 {
-	cfg := e.mgr.Config()
-	dim := cfg.Dim
-	h, l := e.cfg.HiFrac, e.cfg.LoFrac
-	return h*float64(cfg.HiPrec.TokenBytes(dim)) + l*float64(cfg.LoPrec.TokenBytes(dim))
-}
+func (e *Engine) TotalTokenCapacity() float64 { return e.capTok }
 
 // emit sends a trace event when a tracer is configured.
 func (e *Engine) emit(ev trace.Event) {
@@ -437,61 +426,16 @@ func (e *Engine) emit(ev trace.Event) {
 // maxTotalSteps bounds a drain loop against runaway simulations.
 const maxTotalSteps = 20_000_000
 
-// phaseAcc tracks one in-flight request's current lifecycle phase so its
-// end-to-end latency is attributed exactly (Completion.Phases): every
-// scheduler transition folds the elapsed interval into the bucket of the
-// phase being left.
-type phaseAcc struct {
-	cur     trace.Phase
-	sinceUs float64
-	bd      trace.PhaseBreakdown
-}
+// Submit queues a request for admission at its arrival time. Submit is
+// the accept point of a request's lifecycle: its record is created here,
+// phase accounting opens (queueing from arrival) and the open trace event
+// is emitted.
+func (e *Engine) Submit(r workload.Request) { e.submit(r, nil) }
 
-// phaseStart opens a request's phase accounting at arrival (queueing).
-func (e *Engine) phaseStart(id int, arrivalUs float64) {
-	if e.phase == nil {
-		e.phase = make(map[int]*phaseAcc)
-	}
-	e.phase[id] = &phaseAcc{cur: trace.PhaseQueue, sinceUs: arrivalUs}
-}
-
-// phaseTo folds the elapsed interval into the current phase's bucket and
-// enters ph at the engine clock.
-func (e *Engine) phaseTo(id int, ph trace.Phase) {
-	pa := e.phase[id]
-	if pa == nil {
-		return
-	}
-	now := float64(e.clock)
-	pa.bd.Add(pa.cur, now-pa.sinceUs)
-	pa.cur, pa.sinceUs = ph, now
-}
-
-// phaseClose finalizes a request's breakdown at the engine clock and
-// frees its accounting entry.
-func (e *Engine) phaseClose(id int) trace.PhaseBreakdown {
-	pa := e.phase[id]
-	if pa == nil {
-		return trace.PhaseBreakdown{}
-	}
-	pa.bd.Add(pa.cur, float64(e.clock)-pa.sinceUs)
-	delete(e.phase, id)
-	return pa.bd
-}
-
-// Submit queues a request for admission at its arrival time. The pending
-// queue is kept sorted by arrival so Step admits in time order. Submit
-// is the accept point of a request's lifecycle: its phase accounting
-// opens here (queueing from arrival) and the open trace event is
-// emitted.
-func (e *Engine) Submit(r workload.Request) {
-	i := sort.Search(len(e.pending), func(i int) bool {
-		return e.pending[i].ArrivalUs > r.ArrivalUs
-	})
-	e.pending = append(e.pending, workload.Request{})
-	copy(e.pending[i+1:], e.pending[i:])
-	e.pending[i] = r
-	e.phaseStart(r.ID, r.ArrivalUs)
+func (e *Engine) submit(r workload.Request, s *Session) {
+	st := &seqState{req: r}
+	st.cur, st.AsOfUs, st.Attempts, st.Sess = trace.PhaseQueue, r.ArrivalUs, 1, s
+	e.enter(st)
 	e.emit(trace.Event{Kind: trace.KindOpen, TimeUs: r.ArrivalUs, Seq: r.ID})
 }
 
@@ -509,7 +453,7 @@ func (e *Engine) NextTime() (gpusim.Micros, bool) {
 	}
 	if len(e.pending) > 0 {
 		t := e.clock
-		if a := gpusim.Micros(e.pending[0].ArrivalUs); a > t {
+		if a := gpusim.Micros(e.pending[0].req.ArrivalUs); a > t {
 			t = a
 		}
 		return t, true
@@ -535,7 +479,7 @@ func (e *Engine) RunningCount() int { return len(e.running) }
 func (e *Engine) ResidentTokens() int {
 	var n int
 	for _, st := range e.running {
-		n += st.req.PromptLen + st.generated
+		n += st.tokens()
 	}
 	return n
 }
@@ -554,26 +498,16 @@ func (e *Engine) SwappedCount() int { return len(e.swappedQ) }
 func (e *Engine) SwappedTokens() int {
 	var n int
 	for _, st := range e.swappedQ {
-		n += st.req.PromptLen + st.generated
+		n += st.tokens()
 	}
 	return n
 }
 
-// notePreempt records a preemption event for request id.
-func (e *Engine) notePreempt(id int) {
-	if e.preemptN == nil {
-		e.preemptN = make(map[int]int)
-	}
-	e.preemptN[id]++
-	e.preemptTotal++
-}
-
-// noteRetry records a recovery re-admission timestamp for request id.
-func (e *Engine) noteRetry(id int) {
-	if e.retryUs == nil {
-		e.retryUs = make(map[int][]float64)
-	}
-	e.retryUs[id] = append(e.retryUs[id], float64(e.clock))
+// run moves an admitted record into the running batch, opening phase ph.
+func (e *Engine) run(st *seqState, ph trace.Phase) {
+	e.running = append(e.running, st)
+	st.at = atRunning
+	st.phaseTo(ph, float64(e.clock))
 }
 
 // CachedPrefixTokens reports how many tokens of the given prefix group are
@@ -601,8 +535,7 @@ func (e *Engine) admit() error {
 			break
 		}
 		st := e.swappedQ[0]
-		needed := float64(st.req.PromptLen + st.generated + (st.req.GenLen-st.generated)/2)
-		if len(e.running) > 0 && !e.fitsTokens(needed) {
+		if len(e.running) > 0 && !e.fitsTokens(st.projected()) {
 			break
 		}
 		if e.xferFault() {
@@ -612,27 +545,27 @@ func (e *Engine) admit() error {
 		if err != nil {
 			break // GPU pages not yet available; retry after a completion
 		}
-		e.swappedQ = e.swappedQ[1:]
+		shift(&e.swappedQ)
 		// H2D prefetch: the transfer stall is charged to the next step,
 		// overlapped against its compute
 		xfer := e.dev.PCIeTransfer(float64(res.Bytes))
 		e.pendingXfer += xfer
 		e.xferUs += xfer
-		e.running = append(e.running, st)
-		e.noteRetry(st.req.ID)
-		e.phaseTo(st.req.ID, trace.PhaseDecode)
+		st.RetryUs = append(st.RetryUs, float64(e.clock))
+		e.run(st, trace.PhaseDecode)
 		e.emit(trace.Event{Kind: trace.KindSwapIn, TimeUs: float64(e.clock), Seq: st.req.ID,
 			Bytes: res.Bytes, DurUs: float64(xfer)})
 	}
-	for len(e.pending) > 0 && float64(e.clock) >= e.pending[0].ArrivalUs {
-		r := e.pending[0]
+	for len(e.pending) > 0 && float64(e.clock) >= e.pending[0].req.ArrivalUs {
+		st := e.pending[0]
+		r := st.req
 		if e.admitBlocked && len(e.running) > 0 {
 			break
 		}
 		// shipped prefilled sequences adopt their exported page shape
 		// instead of re-running the prompt (disaggregated handoff)
-		if exp, ok := e.adopts[r.ID]; ok {
-			admitted, err := e.admitAdopted(r, exp)
+		if st.adopt != nil {
+			admitted, err := e.admitAdopted(st)
 			if err != nil {
 				return err
 			}
@@ -641,13 +574,10 @@ func (e *Engine) admit() error {
 			}
 			continue
 		}
-		if len(e.running) > 0 && !e.hasCapacityFor(r) {
+		if len(e.running) > 0 && !e.hasCapacityFor(st) {
 			break
 		}
-		st := &seqState{req: r}
-		if st.req.GenLen > e.cfg.MaxGenLen {
-			st.req.GenLen = e.cfg.MaxGenLen
-		}
+		st.req.GenLen = min(st.req.GenLen, e.cfg.MaxGenLen)
 		// brownout: with the queue this deep (the popped request
 		// included), admit at the all-low tier for memory headroom
 		st.brownout = e.cfg.BrownoutQueueDepth > 0 && len(e.pending) >= e.cfg.BrownoutQueueDepth
@@ -690,14 +620,14 @@ func (e *Engine) admit() error {
 				return err
 			}
 		}
-		e.running = append(e.running, st)
-		e.pending = e.pending[1:]
-		if e.readmitted[r.ID] {
-			delete(e.readmitted, r.ID)
-		} else if e.preemptN[r.ID] > 0 {
-			e.noteRetry(r.ID)
+		shift(&e.pending)
+		if st.cur == trace.PhaseStall {
+			// a recompute victim coming back; a crash orphan's first
+			// admission here queues instead, its re-dispatch already in
+			// RetryUs
+			st.RetryUs = append(st.RetryUs, float64(e.clock))
 		}
-		e.phaseTo(r.ID, trace.PhasePrefill)
+		e.run(st, trace.PhasePrefill)
 		ev := trace.Event{Kind: trace.KindAdmit, TimeUs: float64(e.clock), Seq: st.req.ID}
 		if st.brownout {
 			e.brownoutN++
@@ -751,7 +681,7 @@ func (e *Engine) insertPrefix(group int) *prefixEntry {
 		}
 		if e.tiered != nil {
 			vic := e.prefix[victim]
-			bytes := int64(float64(vic.tokens) * e.blendedTokenBytes() * float64(e.headsN))
+			bytes := int64(float64(vic.tokens) * e.blendTok * float64(e.headsN))
 			e.tiered.SpillPrefix(victim, vic.tokens, bytes, float64(e.clock))
 		}
 		delete(e.prefix, victim)
@@ -786,8 +716,8 @@ func (e *Engine) step() ([]Completion, error) {
 			return nil, nil
 		}
 		// idle until next arrival
-		if float64(e.clock) < e.pending[0].ArrivalUs {
-			e.clock = gpusim.Micros(e.pending[0].ArrivalUs)
+		if a := e.pending[0].req.ArrivalUs; float64(e.clock) < a {
+			e.clock = gpusim.Micros(a)
 		}
 	}
 	if err := e.admit(); err != nil {
@@ -839,18 +769,10 @@ func (e *Engine) step() ([]Completion, error) {
 		e.pendingNIC = 0
 	}
 	if isPrompt {
-		e.agg.Prompt.Scheduler += bd.Scheduler
-		e.agg.Prompt.MemMgmt += bd.MemMgmt
-		e.agg.Prompt.Compressor += bd.Compressor
-		e.agg.Prompt.ModelExec += bd.ModelExec
-		e.agg.Prompt.Offload += bd.Offload
+		e.agg.Prompt.Add(bd)
 		e.agg.PromptSteps++
 	} else {
-		e.agg.Gen.Scheduler += bd.Scheduler
-		e.agg.Gen.MemMgmt += bd.MemMgmt
-		e.agg.Gen.Compressor += bd.Compressor
-		e.agg.Gen.ModelExec += bd.ModelExec
-		e.agg.Gen.Offload += bd.Offload
+		e.agg.Gen.Add(bd)
 		e.agg.GenSteps++
 		e.genTokens += int64(len(genSeqs) - len(preempted) - len(swapped))
 	}
@@ -865,7 +787,7 @@ func (e *Engine) step() ([]Completion, error) {
 	e.busyUs += stepTime
 	e.batchTimeUs += float64(len(e.running)) * float64(stepTime)
 	stepKind := trace.KindGenStep
-	if len(promptSeqs) > 0 {
+	if isPrompt {
 		stepKind = trace.KindPromptStep
 	}
 	e.emit(trace.Event{Kind: stepKind, TimeUs: float64(e.clock),
@@ -877,7 +799,7 @@ func (e *Engine) step() ([]Completion, error) {
 	for _, st := range promptSeqs {
 		if st.promptDone && st.firstTokUs == 0 {
 			st.firstTokUs = float64(e.clock)
-			e.phaseTo(st.req.ID, trace.PhaseDecode)
+			st.phaseTo(trace.PhaseDecode, float64(e.clock))
 			e.emit(trace.Event{Kind: trace.KindFirstToken, TimeUs: float64(e.clock), Seq: st.req.ID})
 			e.touchPrefix(st)
 			e.notifyFirstToken(st)
@@ -893,105 +815,100 @@ func (e *Engine) step() ([]Completion, error) {
 	e.promptBuf = e.promptBuf[:0]
 	e.genBuf = e.genBuf[:0]
 
-	// completions
+	// completions: finishers leave through complete, the rest stay, and
+	// e.running is filtered in place. After a teardown error the remaining
+	// records are kept as they are so the slice stays whole.
 	var done []Completion
-	var still []*seqState
+	kept := e.running[:0]
 	for _, st := range e.running {
-		if st.promptDone && st.generated >= st.req.GenLen {
-			e.latencySum += (float64(e.clock) - st.req.ArrivalUs) / 1e6 / float64(st.req.GenLen)
-			e.agg.Completed++
-			e.admitBlocked = false
-			e.emit(trace.Event{Kind: trace.KindComplete, TimeUs: float64(e.clock), Seq: st.req.ID})
-			// a handoff-marked prefill child retains its KV shape for the
-			// cluster to ship (TakeExport) before the pages are released
-			exported := e.exportOn[st.req.ID]
-			if exported {
-				if err := e.exportSeq(st); err != nil {
-					return done, err
-				}
-			}
-			if e.mgr != nil {
-				if err := e.mgr.ReleaseSequence(st.req.ID); err != nil {
-					return done, err
-				}
-			}
-			e.doneTokens += int64(st.req.GenLen - st.adoptedGen)
-			cp := Completion{
-				Req:                st.req,
-				FirstTokenUs:       st.firstTokUs,
-				DoneUs:             float64(e.clock),
-				CachedPrefixTokens: st.cached,
-				Attempts:           1,
-				Phases:             e.phaseClose(st.req.ID),
-			}
-			if n := e.attempts[st.req.ID]; n > 0 {
-				cp.Attempts = n
-				delete(e.attempts, st.req.ID)
-			}
-			if n := e.preemptN[st.req.ID]; n > 0 {
-				cp.Preemptions = n
-				delete(e.preemptN, st.req.ID)
-			}
-			// retry timestamps flow from preemption recoveries and from
-			// crash re-dispatches alike
-			if rs := e.retryUs[st.req.ID]; len(rs) > 0 {
-				cp.RetryUs = rs
-				delete(e.retryUs, st.req.ID)
-			}
-			if s, ok := e.sessions[st.req.ID]; ok {
-				delete(e.sessions, st.req.ID)
-				if exported {
-					// the session survives the handoff: it detaches here
-					// and rebinds to the decode engine at SubmitPrefilled
-					e.exports[st.req.ID].Sess = s
-				} else {
-					s.generated = st.req.GenLen
-					s.finish(cp, nil)
-				}
-			}
-			done = append(done, cp)
+		if err != nil || !st.promptDone || st.generated < st.req.GenLen {
+			kept = append(kept, st)
 			continue
 		}
-		still = append(still, st)
+		var cp Completion
+		if cp, err = e.complete(st); err == nil {
+			done = append(done, cp)
+		}
 	}
-	e.running = still
-	return done, nil
+	clear(e.running[len(kept):])
+	e.running = kept
+	return done, err
 }
 
-// recordPreemptions books this step's victims: recompute victims go back
-// to pending (restart from scratch), swap victims join the swapped queue
-// (resume via swap-in), both leave the running set, and admissions hold
-// until a completion frees real pages.
+// complete takes a finished sequence off the engine and returns its
+// Completion. A handoff-marked prefill child is exported on the way out:
+// its KV shape and both record halves go to the exports mailbox for the
+// cluster to ship (TakeExport), and its session — detached, not finished
+// — rides along to rebind on the decode engine.
+func (e *Engine) complete(st *seqState) (Completion, error) {
+	now := float64(e.clock)
+	e.latencySum += (now - st.req.ArrivalUs) / 1e6 / float64(st.req.GenLen)
+	e.agg.Completed++
+	e.emit(trace.Event{Kind: trace.KindComplete, TimeUs: now, Seq: st.req.ID})
+	// close the breakdown; the phase opened here only matters to an export,
+	// whose record lives on while its KV crosses the wire
+	st.phaseTo(trace.PhaseXferInst, now)
+	exported := st.handoffGen > 0
+	if exported {
+		// before retire: the export reads the KV shape off the live pages
+		if err := e.exportSeq(st); err != nil {
+			return Completion{}, err
+		}
+	}
+	if err := e.retire(st); err != nil {
+		return Completion{}, err
+	}
+	e.doneTokens += int64(st.req.GenLen - st.adoptedGen)
+	cp := Completion{
+		Req:                st.req,
+		FirstTokenUs:       st.firstTokUs,
+		DoneUs:             now,
+		CachedPrefixTokens: st.cached,
+		Preemptions:        st.Preempts,
+		RetryUs:            st.RetryUs,
+		Phases:             st.Phases,
+		Attempts:           st.Attempts,
+	}
+	if s := st.Sess; s != nil && !exported {
+		s.generated = st.req.GenLen
+		s.finish(cp, nil)
+	}
+	return cp, nil
+}
+
+// recordPreemptions books this step's victims: recompute victims lose
+// their progress and go back to the front of pending (restart from
+// scratch), swap victims join the swapped queue (resume via swap-in),
+// both leave the running set, and admissions hold until a completion
+// frees real pages.
 func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 	if len(preempted)+len(swapped) == 0 {
 		return
 	}
-	drop := make(map[*seqState]bool, len(preempted)+len(swapped))
-	var requeued []workload.Request
+	now := float64(e.clock)
 	for _, st := range preempted {
-		drop[st] = true
-		requeued = append(requeued, st.req)
-		e.notePreempt(st.req.ID)
-		e.phaseTo(st.req.ID, trace.PhaseStall)
-		e.emit(trace.Event{Kind: trace.KindPreempt, TimeUs: float64(e.clock), Seq: st.req.ID})
+		st.progress = progress{}
+		e.evict(st, atQueue, trace.PhaseStall)
+		e.emit(trace.Event{Kind: trace.KindPreempt, TimeUs: now, Seq: st.req.ID})
 	}
 	for _, st := range swapped {
-		drop[st] = true
-		e.swappedQ = append(e.swappedQ, st)
-		e.notePreempt(st.req.ID)
-		e.phaseTo(st.req.ID, trace.PhaseSwapped)
-		e.emit(trace.Event{Kind: trace.KindSwapOut, TimeUs: float64(e.clock), Seq: st.req.ID,
+		e.evict(st, atSwapped, trace.PhaseSwapped)
+		e.emit(trace.Event{Kind: trace.KindSwapOut, TimeUs: now, Seq: st.req.ID,
 			Bytes: st.swapBytes, DurUs: float64(e.dev.PCIeTransfer(float64(st.swapBytes)))})
 	}
-	var kept []*seqState
-	for _, st := range e.running {
-		if !drop[st] {
-			kept = append(kept, st)
-		}
-	}
-	e.running = kept
-	e.pending = append(requeued, e.pending...)
+	e.pending = slices.Insert(e.pending, 0, preempted...)
+	e.swappedQ = append(e.swappedQ, swapped...)
+	e.running = slices.DeleteFunc(e.running, func(st *seqState) bool { return st.at != atRunning })
 	e.admitBlocked = true
+}
+
+// evict books one preemption: the victim's residency and open phase
+// change and the preemption is counted on its record and on the engine.
+func (e *Engine) evict(st *seqState, to residency, ph trace.Phase) {
+	st.at = to
+	st.Preempts++
+	e.preemptTotal++
+	st.phaseTo(ph, float64(e.clock))
 }
 
 // Result snapshots the aggregate metrics accumulated so far. It does not
@@ -1027,7 +944,7 @@ func (e *Engine) Run(reqs []workload.Request) (Result, error) {
 	return e.Result(), err
 }
 
-// hasCapacityFor conservatively checks that admitting r keeps usage under
+// hasCapacityFor conservatively checks that admitting cand keeps usage under
 // the high watermark (85%), accounting for the tokens running sequences
 // will still generate. Manager mode adds a page-granular prompt check:
 // PromptCompact's conservative allocation (every head at ceil(prompt/
@@ -1035,14 +952,14 @@ func (e *Engine) Run(reqs []workload.Request) (Result, error) {
 // prompts, or the admission would only bounce off a prompt preemption —
 // queueing the request is strictly better than admitting and restarting
 // it.
-func (e *Engine) hasCapacityFor(r workload.Request) bool {
-	if !e.fitsTokens(float64(r.PromptLen + r.GenLen/2)) {
+func (e *Engine) hasCapacityFor(cand *seqState) bool {
+	if !e.fitsTokens(cand.projected()) {
 		return false
 	}
 	if e.mgr == nil {
 		return true
 	}
-	reserved := e.promptPages(r.PromptLen)
+	reserved := e.promptPages(cand.req.PromptLen)
 	for _, st := range e.running {
 		if !st.promptDone {
 			reserved += e.promptPages(st.req.PromptLen)
@@ -1061,17 +978,9 @@ func (e *Engine) promptPages(promptLen int) int {
 func (e *Engine) fitsTokens(needed float64) bool {
 	var current float64
 	for _, st := range e.running {
-		current += float64(st.req.PromptLen + st.generated + (st.req.GenLen-st.generated)/2)
+		current += st.projected()
 	}
-	var capTok float64
-	if e.mgr != nil {
-		// manager mode: translate pages to blended-token capacity
-		capTok = float64(e.mgr.FreePages()+e.mgr.UsedPages()) * float64(e.cfg.PageBytes) /
-			(e.blendedTokenBytes() * float64(e.headsN))
-	} else {
-		capTok = float64(e.capTok)
-	}
-	return (current + needed) <= 0.85*capTok
+	return (current + needed) <= 0.85*e.capTok
 }
 
 // registerSeq sets up per-head tier fractions and registers the sequence
@@ -1148,10 +1057,14 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 				preempted = append(preempted, st)
 				continue
 			}
+			st.promptDone = true
 			stats.Add(s)
 		}
 		bd.MemMgmt = e.memMgmtTime(stats, len(seqs))
 	} else {
+		for _, st := range seqs {
+			st.promptDone = true
+		}
 		bd.MemMgmt = gpusim.Micros(20 + 2*float64(batch)) // paged FP16 allocator
 		bd.Compressor = 0
 		if cfg.Traits.AttnBytesFrac < 1 && cfg.Traits.Name != "Quest" &&
@@ -1166,19 +1079,6 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 		bd.Scheduler += gpusim.Micros((cfg.Traits.FrameworkOverhead - 1) * 3000)
 	}
 
-	isPreempted := func(st *seqState) bool {
-		for _, p := range preempted {
-			if p == st {
-				return true
-			}
-		}
-		return false
-	}
-	for _, st := range seqs {
-		if !isPreempted(st) {
-			st.promptDone = true
-		}
-	}
 	return bd, preempted, nil
 }
 
@@ -1204,7 +1104,7 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	var cachedTokens float64
 	longest := 0
 	for _, st := range seqs {
-		n := st.req.PromptLen + st.generated
+		n := st.tokens()
 		cachedTokens += float64(n)
 		if n > longest {
 			longest = n
@@ -1291,7 +1191,7 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 				cands = append(cands, offload.Victim{
 					SeqID:     st.req.ID,
 					ArrivalUs: st.req.ArrivalUs,
-					Tokens:    st.req.PromptLen + st.generated,
+					Tokens:    st.tokens(),
 					Generated: st.generated,
 				})
 			}

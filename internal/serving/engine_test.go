@@ -20,6 +20,30 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// liveRecords counts the request records e still holds (queued, running,
+// swapped, or exported and uncollected), cross-checking the ID index and
+// the session count against the three queues. Zero after a drained run.
+func liveRecords(t *testing.T, e *Engine) int {
+	t.Helper()
+	queued, sessions := 0, 0
+	for _, q := range [][]*seqState{e.pending, e.running, e.swappedQ} {
+		for _, st := range q {
+			queued++
+			if e.live[st.req.ID] != st {
+				t.Fatalf("request %d is queued but not indexed", st.req.ID)
+			}
+			if st.Sess != nil {
+				sessions++
+			}
+		}
+	}
+	if queued != len(e.live) || sessions != e.sessN {
+		t.Fatalf("index holds %d records (%d sessions), queues hold %d (%d sessions)",
+			len(e.live), e.sessN, queued, sessions)
+	}
+	return e.LiveRecords()
+}
+
 func batchReqs(b *workload.Benchmark, n int, seed uint64) []workload.Request {
 	return workload.NewRequestGen(b, 1024, seed).Batch(n)
 }
@@ -149,6 +173,9 @@ func TestManagerConservation(t *testing.T) {
 	}
 	if e.mgr.UsedPages() != 0 {
 		t.Fatalf("pages leaked after run: %d", e.mgr.UsedPages())
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 }
 

@@ -18,20 +18,14 @@ import (
 	"diffkv/internal/workload"
 )
 
-// Orphan is one request stranded by an instance crash, carrying
-// everything a surviving instance needs to resume its accounting: the
-// original request (ArrivalUs preserved — TTFT/E2E include the lost
-// time), the pre-crash phase breakdown closed at AsOfUs, the
-// preemption/retry record, the dispatch count, and the live session
-// handle to rebind (nil in batch runs).
+// Orphan is one request stranded by an instance crash: the original
+// request (ArrivalUs preserved — TTFT/E2E include the lost time) and the
+// lifecycle half of its record, closed at the crash (AsOfUs), which is
+// everything a surviving instance needs to resume its accounting. The
+// progress half died with the instance's KV.
 type Orphan struct {
-	Req      workload.Request
-	Sess     *Session
-	AsOfUs   float64 // clock at which Phases was closed (the crash)
-	Phases   trace.PhaseBreakdown
-	Preempts int
-	RetryUs  []float64
-	Attempts int // dispatches so far (>= 1)
+	Req workload.Request
+	Lifecycle
 }
 
 // CrashReport summarizes one instance crash for the recovery layer.
@@ -55,46 +49,16 @@ func (e *Engine) xferFault() bool {
 }
 
 // seqKVBytes returns the sequence's resident KV footprint: exact from
-// the manager when it exposes byte accounting, otherwise estimated from
-// its token count at the blended tier mix.
+// the store's byte accounting, otherwise estimated from its token count
+// at the blended tier mix.
 func (e *Engine) seqKVBytes(st *seqState) int64 {
-	tokens := st.req.PromptLen + st.generated
 	if e.mgr == nil {
-		return int64(float64(tokens) * e.kvToken)
+		return int64(float64(st.tokens()) * e.kvToken)
 	}
-	if bg, ok := e.mgr.(interface{ SeqKVBytes(int) (int64, error) }); ok {
-		if b, err := bg.SeqKVBytes(st.req.ID); err == nil {
-			return b
-		}
+	if b, err := e.mgr.SeqKVBytes(st.req.ID); err == nil {
+		return b
 	}
-	return int64(float64(tokens) * e.blendedTokenBytes() * float64(e.headsN))
-}
-
-// orphanOut closes a request's engine-side accounting and packages it
-// for re-dispatch. The session handle (if any) leaves the engine's map
-// but stays alive: the cluster either rebinds it via Readmit or fails
-// it terminally.
-func (e *Engine) orphanOut(r workload.Request) Orphan {
-	o := Orphan{Req: r, AsOfUs: float64(e.clock), Attempts: 1}
-	o.Phases = e.phaseClose(r.ID)
-	if n := e.attempts[r.ID]; n > 0 {
-		o.Attempts = n
-		delete(e.attempts, r.ID)
-	}
-	if n := e.preemptN[r.ID]; n > 0 {
-		o.Preempts = n
-		delete(e.preemptN, r.ID)
-	}
-	if rs := e.retryUs[r.ID]; len(rs) > 0 {
-		o.RetryUs = rs
-		delete(e.retryUs, r.ID)
-	}
-	if s, ok := e.sessions[r.ID]; ok {
-		o.Sess = s
-		delete(e.sessions, r.ID)
-	}
-	delete(e.readmitted, r.ID)
-	return o
+	return int64(float64(st.tokens()) * e.blendTok * float64(e.headsN))
 }
 
 // Crash simulates the instance's GPU process dying at nowUs: every
@@ -107,37 +71,30 @@ func (e *Engine) orphanOut(r workload.Request) Orphan {
 // they are orphaned too, their progress lost. The engine object itself
 // stays alive for Restart; the cluster must not step it while down.
 func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
-	if t := gpusim.Micros(nowUs); t > e.clock {
-		e.clock = t
-	}
+	e.clock = max(e.clock, gpusim.Micros(nowUs))
 	e.slowFactor = 1 // a crash ends any degraded window
 	var rep CrashReport
-
-	// running sequences: count then release their (now lost) GPU pages
-	for _, st := range e.running {
-		rep.LostKVBytes += e.seqKVBytes(st)
-		if e.mgr != nil {
-			if err := e.mgr.ReleaseSequence(st.req.ID); err != nil {
-				return rep, fmt.Errorf("serving: crash release seq %d: %w", st.req.ID, err)
-			}
-		}
-		rep.Orphans = append(rep.Orphans, e.orphanOut(st.req))
-	}
-	e.running = nil
-	for _, r := range e.pending {
-		rep.Orphans = append(rep.Orphans, e.orphanOut(r))
-	}
-	e.pending = nil
+	stranded := [][]*seqState{e.running, e.pending}
+	e.running, e.pending = nil, nil
 	if keepSwapped {
 		rep.KeptSwapped = len(e.swappedQ)
 	} else {
-		for _, st := range e.swappedQ {
-			if e.tiered != nil {
-				e.tiered.Drop(st.req.ID)
-			}
-			rep.Orphans = append(rep.Orphans, e.orphanOut(st.req))
-		}
+		stranded = append(stranded, e.swappedQ)
 		e.swappedQ = nil
+	}
+	for _, q := range stranded {
+		for _, st := range q {
+			if st.at == atRunning {
+				rep.LostKVBytes += e.seqKVBytes(st) // counted before the pages go
+			}
+			if err := e.retire(st); err != nil {
+				return rep, fmt.Errorf("serving: crash release seq %d: %w", st.req.ID, err)
+			}
+			// the crash-to-readmission gap counts as queueing wherever the
+			// orphan lands
+			st.phaseTo(trace.PhaseQueue, float64(e.clock))
+			rep.Orphans = append(rep.Orphans, Orphan{Req: st.req, Lifecycle: st.Lifecycle})
+		}
 	}
 	// GPU prefix-cache entries vanish with the GPU memory; host-tier
 	// spills made at earlier evictions are the only copies that survive
@@ -158,9 +115,7 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 // kept through the crash drain back in via the normal admission path —
 // their next step swaps them in from host memory instead of recomputing.
 func (e *Engine) Restart(nowUs float64) {
-	if t := gpusim.Micros(nowUs); t > e.clock {
-		e.clock = t
-	}
+	e.clock = max(e.clock, gpusim.Micros(nowUs))
 	e.slowFactor = 1
 }
 
@@ -199,55 +154,19 @@ func (e *Engine) LostKVBytes() int64 { return e.lostKVBytes }
 
 // Readmit lands a crash orphan on this engine: the request joins the
 // pending queue with its original arrival time (honest latency), its
-// pre-crash phase buckets carry over with the crash-to-now gap charged
-// to queueing, its retry record gains the re-dispatch timestamp, and
-// its session — when present — is rebound here. nowUs is the cluster
-// time of the re-dispatch; an idle engine's clock is pulled up to it so
-// the request cannot be admitted before its crash was processed.
+// lifecycle half carries over whole — the open phase is queueing since
+// the crash — its retry record gains the re-dispatch timestamp, and its
+// session, when present, is rebound here. nowUs is the cluster time of
+// the re-dispatch; an idle engine's clock is pulled up to it so the
+// request cannot be admitted before its crash was processed.
 func (e *Engine) Readmit(o Orphan, nowUs float64) error {
-	r := o.Req
-	if _, dup := e.sessions[r.ID]; dup {
-		return fmt.Errorf("serving: readmit of request %d: session already open here", r.ID)
+	if e.live[o.Req.ID] != nil {
+		return fmt.Errorf("serving: readmit of request %d: already in flight here", o.Req.ID)
 	}
-	// the engine is either idle (clock may lag the cluster) or its next
-	// step is already >= nowUs (the cluster processes events in global
-	// time order); only the idle case needs the clamp
-	if t := gpusim.Micros(nowUs); e.clock < t && len(e.running) == 0 && len(e.swappedQ) == 0 {
-		e.clock = t
-	}
-	i := sort.Search(len(e.pending), func(i int) bool {
-		return e.pending[i].ArrivalUs > r.ArrivalUs
-	})
-	e.pending = append(e.pending, workload.Request{})
-	copy(e.pending[i+1:], e.pending[i:])
-	e.pending[i] = r
-
-	if e.attempts == nil {
-		e.attempts = make(map[int]int)
-	}
-	e.attempts[r.ID] = o.Attempts + 1
-	if o.Preempts > 0 {
-		if e.preemptN == nil {
-			e.preemptN = make(map[int]int)
-		}
-		e.preemptN[r.ID] = o.Preempts
-		if e.readmitted == nil {
-			e.readmitted = make(map[int]bool)
-		}
-		e.readmitted[r.ID] = true
-	}
-	if e.retryUs == nil {
-		e.retryUs = make(map[int][]float64)
-	}
-	e.retryUs[r.ID] = append(o.RetryUs, nowUs)
-	if e.phase == nil {
-		e.phase = make(map[int]*phaseAcc)
-	}
-	// pre-crash buckets carried over; the time from crash to (eventual)
-	// re-admission here all counts as queueing
-	e.phase[r.ID] = &phaseAcc{cur: trace.PhaseQueue, sinceUs: o.AsOfUs, bd: o.Phases}
-	if o.Sess != nil {
-		o.Sess.rebind(e)
-	}
+	e.catchUp(nowUs)
+	st := &seqState{req: o.Req, Lifecycle: o.Lifecycle}
+	st.Attempts++
+	st.RetryUs = append(st.RetryUs, nowUs)
+	e.enter(st)
 	return nil
 }

@@ -49,6 +49,9 @@ func TestCrashReadmitAccountingStaysExact(t *testing.T) {
 	if a.HasWork() {
 		t.Fatal("crashed engine still reports work")
 	}
+	if n := liveRecords(t, a); n != 0 {
+		t.Fatalf("crash left %d request records behind", n)
+	}
 	if a.mgr.UsedPages() != 0 {
 		t.Fatalf("crash left %d pages registered", a.mgr.UsedPages())
 	}
@@ -77,6 +80,9 @@ func TestCrashReadmitAccountingStaysExact(t *testing.T) {
 	comps := drainCompletions(t, b)
 	if len(comps) != len(rep.Orphans) {
 		t.Fatalf("completed %d of %d re-dispatched", len(comps), len(rep.Orphans))
+	}
+	if n := liveRecords(t, b); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 	for _, cp := range comps {
 		if cp.Attempts != 2 {
@@ -154,6 +160,9 @@ func TestCrashKeepsSwappedThroughRestart(t *testing.T) {
 	}
 	if e.tiered.HostUsedBytes() != 0 {
 		t.Fatalf("host tier not drained: %d bytes", e.tiered.HostUsedBytes())
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 }
 

@@ -8,19 +8,21 @@ package serving
 // prefill's KV pages cross the NIC. The engine's share of that protocol
 // is three calls:
 //
-//   - MarkHandoff(id): the cluster flags a submitted prefill child so
-//     its completion retains the sequence's KV description instead of
-//     silently dropping it with ReleaseSequence.
+//   - MarkHandoff(id, genLen): the cluster flags a submitted prefill
+//     child so its completion exports the sequence instead of silently
+//     dropping its KV with ReleaseSequence. genLen is the parent's
+//     generation budget, which the export's decode sub-request restores.
 //   - TakeExport(id): after the prefill child completes, the cluster
-//     collects the KVExport — per-head tier counts, packed byte size,
-//     tier fractions, lifecycle accounting — to ship to the decode side.
-//   - SubmitPrefilled(r, exp, nowUs): the decode engine accepts the
-//     shipped sequence. It rides the ordinary pending queue and
-//     admission gate, but admission adopts the exact page shape via
-//     AdoptCounts instead of re-running the prompt, and the request's
-//     phase accounting continues from the prefill side's breakdown plus
-//     the modeled wire time — so the final Completion.Phases telescopes
-//     to end-to-end latency across both instances within 1µs.
+//     collects the KVExport — the decode sub-request, per-head tier counts,
+//     packed byte size and both halves of the request record — to ship to
+//     the decode side.
+//   - SubmitPrefilled(exp, nowUs): the decode engine accepts the shipped
+//     sequence. It rides the ordinary pending queue and admission gate,
+//     but admission adopts the exact page shape via AdoptCounts instead of
+//     re-running the prompt, and the request's phase accounting continues
+//     from the prefill side's breakdown plus the modeled wire time — so
+//     the final Completion.Phases telescopes to end-to-end latency across
+//     both instances within 1µs.
 //
 // The same invariants as crash re-dispatch (faulttol.go) apply: arrival
 // time is preserved across the handoff, the decode engine's clock is
@@ -31,7 +33,6 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 
 	"diffkv/internal/gpusim"
 	"diffkv/internal/kvcache"
@@ -39,18 +40,14 @@ import (
 	"diffkv/internal/workload"
 )
 
-// KVExport is one finished prefill's portable sequence state: everything
-// the decode instance needs to resume generation bit-identically, plus
-// the lifecycle accounting that keeps cross-instance completions honest.
+// KVExport is one finished prefill's portable sequence state: the request
+// record itself — both halves, so the decode instance resumes generation
+// bit-identically and cross-instance completions stay honest — plus the
+// KV shape that crosses the wire.
 type KVExport struct {
-	// SeqID is the request ID the KV belongs to (preserved across the
-	// handoff: sub-requests keep the parent's ID, instances disambiguate).
-	SeqID int
-	// Tokens is the cached KV length (prompt + generated-so-far);
-	// Generated is how many output tokens the prefill side produced
-	// (1 in the standard split).
-	Tokens    int
-	Generated int
+	// Req is the decode sub-request: the parent request (same ID and
+	// ArrivalUs as its prefill child) resuming after its first token.
+	Req workload.Request
 	// Bytes is the packed payload crossing the wire: the sequence's
 	// resident KV at its quantized size (SeqKVBytes in manager mode, the
 	// analytic per-token estimate in traits mode). Compression pays here
@@ -60,197 +57,104 @@ type KVExport struct {
 	// mode): the decode manager adopts exactly these page demands, so
 	// occupancy transfers page-identically.
 	Counts []kvcache.HeadDemand
-	// HiF / LoF / WinFill / Cached / Brownout carry the sequence's
-	// scheduling traits so decode-side steps are priced identically to a
-	// colocated run.
-	HiF, LoF []float64
-	WinFill  int
-	Cached   int
-	Brownout bool
+	// XferUs is the modeled NICTransfer wire time, stamped by the cluster;
+	// adoption charges it to the decode instance's next step as ingest
+	// stall.
+	XferUs float64
 
-	// Lifecycle accounting, filled by the cluster from the prefill
-	// child's Completion: AsOfUs is the prefill-side completion clock,
-	// XferUs the modeled NICTransfer wire time (SubmitPrefilled folds
-	// delivery-minus-AsOfUs into the xfer:inst phase bucket and charges
-	// the ingest stall to the decode instance's next step).
-	FirstTokenUs float64
-	AsOfUs       float64
-	XferUs       float64
-	Phases       trace.PhaseBreakdown
-	Preempts     int
-	RetryUs      []float64
-	Attempts     int
-	// Sess is the live session handle when the request was opened online;
-	// SubmitPrefilled rebinds it to the decode engine.
-	Sess *Session
+	// progress prices decode-side steps identically to a colocated run;
+	// Lifecycle continues the accounting: its open phase is xfer:inst since
+	// AsOfUs, the prefill-side completion clock, and its Sess rebinds to
+	// the decode engine at SubmitPrefilled.
+	progress
+	Lifecycle
 }
 
-// headCounter / countAdopter are the manager capabilities the handoff
-// needs; both *kvcache.Manager and offload.TieredStore (by embedding)
-// provide them.
-type headCounter interface {
-	HeadCounts(seqID int, buf []kvcache.HeadDemand) ([]kvcache.HeadDemand, error)
-}
-type countAdopter interface {
-	AdoptCounts(seqID int, demands []kvcache.HeadDemand) (kvcache.CompactStats, error)
-}
-
-// MarkHandoff flags a submitted request so its completion exports the
-// sequence's KV description (TakeExport) instead of dropping it.
-func (e *Engine) MarkHandoff(id int) {
-	if e.exportOn == nil {
-		e.exportOn = make(map[int]bool)
+// MarkHandoff flags a submitted request as the prefill child of a
+// disaggregated request generating genLen tokens in all: its completion
+// exports the sequence (TakeExport) instead of dropping its KV.
+func (e *Engine) MarkHandoff(id, genLen int) {
+	if st := e.live[id]; st != nil {
+		st.handoffGen = genLen
 	}
-	e.exportOn[id] = true
 }
 
-// exportSeq captures a completing handoff-marked sequence's KV
-// description before its pages are released. Called from the completion
-// path in Step; the cluster collects the export via TakeExport.
+// exportSeq captures a completing prefill child into the exports mailbox
+// before its pages are released: the KV shape is read off the store, the
+// record's halves are copied whole. Called from complete; the cluster
+// collects the export via TakeExport.
 func (e *Engine) exportSeq(st *seqState) error {
-	exp := &KVExport{
-		SeqID:     st.req.ID,
-		Tokens:    st.req.PromptLen + st.generated,
-		Generated: st.generated,
-		Bytes:     e.seqKVBytes(st),
-		HiF:       st.hiF,
-		LoF:       st.loF,
-		WinFill:   st.winFill,
-		Cached:    st.cached,
-		Brownout:  st.brownout,
-	}
-	if hc, ok := e.mgr.(headCounter); ok {
-		counts, err := hc.HeadCounts(st.req.ID, nil)
+	exp := &KVExport{Req: st.req, Bytes: e.seqKVBytes(st), progress: st.progress, Lifecycle: st.Lifecycle}
+	exp.Req.GenLen, exp.handoffGen = st.handoffGen, 0
+	if e.mgr != nil {
+		counts, err := e.mgr.HeadCounts(st.req.ID, nil)
 		if err != nil {
 			return fmt.Errorf("serving: handoff export %d: %w", st.req.ID, err)
 		}
 		exp.Counts = counts
 	}
-	if e.exports == nil {
-		e.exports = make(map[int]*KVExport)
-	}
 	e.exports[st.req.ID] = exp
-	delete(e.exportOn, st.req.ID)
 	return nil
 }
 
 // TakeExport removes and returns the KVExport captured when the given
-// handoff-marked request completed.
-func (e *Engine) TakeExport(id int) (*KVExport, error) {
+// request completed, false when it was not a handoff-marked prefill child.
+func (e *Engine) TakeExport(id int) (*KVExport, bool) {
 	exp, ok := e.exports[id]
-	if !ok {
-		return nil, fmt.Errorf("serving: no KV export for request %d", id)
-	}
 	delete(e.exports, id)
-	return exp, nil
+	return exp, ok
 }
 
 // SubmitPrefilled queues a shipped prefilled sequence for adoption at
 // nowUs (the transfer's delivery time). The request keeps its original
 // ArrivalUs — end-to-end latency spans both instances — while its phase
 // accounting resumes from the prefill side's breakdown with the wire
-// time folded into the xfer:inst bucket.
-func (e *Engine) SubmitPrefilled(r workload.Request, exp *KVExport, nowUs float64) error {
+// time folded into the xfer:inst bucket. A session cancelled while its KV
+// was on the wire enters like any other and is reaped before admission,
+// so it is counted once and adopts no pages.
+func (e *Engine) SubmitPrefilled(exp *KVExport, nowUs float64) error {
 	if exp == nil {
-		return fmt.Errorf("serving: SubmitPrefilled %d: nil export", r.ID)
+		return fmt.Errorf("serving: SubmitPrefilled: nil export")
 	}
-	if _, dup := e.adopts[r.ID]; dup {
-		return fmt.Errorf("serving: SubmitPrefilled %d: duplicate adoption", r.ID)
+	if e.live[exp.Req.ID] != nil {
+		return fmt.Errorf("serving: SubmitPrefilled %d: duplicate adoption", exp.Req.ID)
 	}
-	// causality: an idle engine's clock may trail the transfer's
-	// delivery; a busy engine's next step is already >= nowUs because
-	// the cluster processes events in global time order
-	if len(e.running) == 0 && len(e.swappedQ) == 0 && float64(e.clock) < nowUs {
-		e.clock = gpusim.Micros(nowUs)
-	}
-	if e.adopts == nil {
-		e.adopts = make(map[int]*KVExport)
-	}
-	e.adopts[r.ID] = exp
-	i := sort.Search(len(e.pending), func(i int) bool {
-		return e.pending[i].ArrivalUs > r.ArrivalUs
-	})
-	e.pending = append(e.pending, workload.Request{})
-	copy(e.pending[i+1:], e.pending[i:])
-	e.pending[i] = r
-	// phase accounting continues across the handoff: prefill-side
-	// breakdown, then the wire time, then decode-side queueing from now
-	if e.phase == nil {
-		e.phase = make(map[int]*phaseAcc)
-	}
-	bd := exp.Phases
-	bd.Add(trace.PhaseXferInst, nowUs-exp.AsOfUs)
-	e.phase[r.ID] = &phaseAcc{cur: trace.PhaseQueue, sinceUs: nowUs, bd: bd}
-	if exp.Preempts > 0 {
-		if e.preemptN == nil {
-			e.preemptN = make(map[int]int)
-		}
-		e.preemptN[r.ID] = exp.Preempts
-	}
-	if len(exp.RetryUs) > 0 {
-		if e.retryUs == nil {
-			e.retryUs = make(map[int][]float64)
-		}
-		e.retryUs[r.ID] = exp.RetryUs
-	}
-	if exp.Attempts > 1 {
-		if e.attempts == nil {
-			e.attempts = make(map[int]int)
-		}
-		e.attempts[r.ID] = exp.Attempts
-	}
-	if exp.Sess != nil {
-		exp.Sess.rebind(e)
-	}
-	e.emit(trace.Event{Kind: trace.KindOpen, TimeUs: nowUs, Seq: r.ID})
+	e.catchUp(nowUs)
+	st := &seqState{req: exp.Req, Lifecycle: exp.Lifecycle, adopt: exp}
+	st.phaseTo(trace.PhaseQueue, nowUs) // wire time ends, decode-side queueing begins
+	e.enter(st)
+	e.emit(trace.Event{Kind: trace.KindOpen, TimeUs: nowUs, Seq: exp.Req.ID})
 	return nil
 }
 
 // admitAdopted admits a shipped prefilled sequence: instead of
-// registering fresh tiers and re-running the prompt, the manager adopts
-// the exported page shape and generation resumes where the prefill side
-// stopped. Returns false (no error) when pages are not yet available —
-// the sequence stays queued and retries after a completion, exactly like
-// a blocked swap-in.
-func (e *Engine) admitAdopted(r workload.Request, exp *KVExport) (bool, error) {
-	st := &seqState{
-		req:        r,
-		promptDone: true,
-		generated:  exp.Generated,
-		adoptedGen: exp.Generated,
-		hiF:        exp.HiF,
-		loF:        exp.LoF,
-		winFill:    exp.WinFill,
-		cached:     exp.Cached,
-		firstTokUs: exp.FirstTokenUs,
-		brownout:   exp.Brownout,
-	}
-	if st.req.GenLen > e.cfg.MaxGenLen {
-		st.req.GenLen = e.cfg.MaxGenLen
-	}
-	needed := float64(st.req.PromptLen + st.generated + (st.req.GenLen-st.generated)/2)
-	if len(e.running) > 0 && !e.fitsTokens(needed) {
+// registering fresh tiers and re-running the prompt, the record takes
+// over the exported progress, the manager adopts the exported page shape
+// and generation resumes where the prefill side stopped. Returns false
+// (no error) when pages are not yet available — the sequence stays queued
+// and retries after a completion, exactly like a blocked swap-in.
+func (e *Engine) admitAdopted(st *seqState) (bool, error) {
+	exp := st.adopt
+	st.progress = exp.progress
+	st.adoptedGen = st.generated
+	st.req.GenLen = min(st.req.GenLen, e.cfg.MaxGenLen)
+	if len(e.running) > 0 && !e.fitsTokens(st.projected()) {
 		return false, nil
 	}
 	if e.mgr != nil {
-		ca, ok := e.mgr.(countAdopter)
-		if !ok {
-			return false, fmt.Errorf("serving: admitAdopted %d: store cannot adopt counts", r.ID)
-		}
-		if _, err := ca.AdoptCounts(r.ID, exp.Counts); err != nil {
+		if _, err := e.mgr.AdoptCounts(st.req.ID, exp.Counts); err != nil {
 			if len(e.running) > 0 {
 				return false, nil // page pressure: retry after a completion
 			}
-			return false, fmt.Errorf("serving: admitAdopted %d: %w", r.ID, err)
+			return false, fmt.Errorf("serving: admitAdopted %d: %w", st.req.ID, err)
 		}
 	}
 	// the landed transfer's device DMA contends with the next step's
 	// compute up to the NIC overlap fraction (ingest stall)
 	e.pendingNIC += gpusim.Micros(exp.XferUs)
-	e.pending = e.pending[1:]
-	delete(e.adopts, r.ID)
-	e.running = append(e.running, st)
-	e.phaseTo(r.ID, trace.PhaseDecode)
-	e.emit(trace.Event{Kind: trace.KindAdmit, TimeUs: float64(e.clock), Seq: r.ID, Note: "adopt"})
+	shift(&e.pending)
+	st.adopt = nil
+	e.run(st, trace.PhaseDecode)
+	e.emit(trace.Event{Kind: trace.KindAdmit, TimeUs: float64(e.clock), Seq: st.req.ID, Note: "adopt"})
 	return true, nil
 }

@@ -31,6 +31,9 @@ func TestPreemptionUnderTightMemory(t *testing.T) {
 	if e.mgr.UsedPages() != 0 {
 		t.Fatalf("pages leaked under preemption: %d", e.mgr.UsedPages())
 	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	if res.Throughput <= 0 {
 		t.Fatal("no throughput recorded")
 	}
@@ -57,6 +60,9 @@ func TestPreemptionPoisson(t *testing.T) {
 	}
 	if e.mgr.UsedPages() != 0 {
 		t.Fatalf("pages leaked: %d", e.mgr.UsedPages())
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 }
 

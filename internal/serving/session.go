@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"diffkv/internal/trace"
@@ -42,6 +43,8 @@ type TokenUpdate struct {
 // goroutine, like the engine itself; Done is the only member safe to use
 // from other goroutines.
 type Session struct {
+	// eng is the engine whose record carries the session; nil while the
+	// request is in transit between engines (on an Orphan or a KVExport)
 	eng *Engine
 	ctx context.Context
 	req workload.Request
@@ -50,7 +53,7 @@ type Session struct {
 	generated int
 	firstSent bool // First update delivered (dedups recompute retries)
 	finished  bool
-	cancelReq bool // Cancel() called mid-step; honored when the step ends
+	cancelReq bool // Cancel() called mid-step or in transit; honored at the next reap
 	comp      Completion
 	err       error
 	done      chan struct{}
@@ -89,34 +92,36 @@ func (s *Session) Completion() (Completion, error) {
 
 // Cancel terminates the session: the request leaves the queue / running
 // batch / swapped queue and its KV pages and host-tier bytes are freed
-// immediately (when called from inside a token callback, at the end of
-// the current step — the engine is mid-iteration then). Cancelling a
-// finished session is a no-op.
+// immediately. Two cases defer it to the next reap instead: a call from
+// inside a token callback (the engine is mid-iteration, so the reap at
+// the end of the current step honors it) and a call while the request is
+// in transit between engines (the engine it lands on honors it before
+// admitting anything). Cancelling a finished session is a no-op.
 func (s *Session) Cancel() {
-	s.eng.cancelSession(s)
+	if s.finished || s.cancelReq {
+		return
+	}
+	e := s.eng
+	if e != nil && !e.inStep {
+		e.cancel(e.live[s.req.ID])
+		return
+	}
+	s.cancelReq = true
+	if e != nil {
+		e.deferredCancel = true
+	}
 }
 
 // Abort terminally fails the session with err (ErrFailed when nil).
 // The recovery layer calls it for crash orphans that exhaust their
 // retry budget — the request is already off every engine by then
-// (Crash orphaned it), so only the session-side terminal state is set.
+// (Crash retired its record), so only the session-side terminal state
+// is set.
 func (s *Session) Abort(err error) {
 	if err == nil {
 		err = ErrFailed
 	}
 	s.finish(Completion{Req: s.req}, err)
-}
-
-// rebind transfers the session to a new engine after a crash
-// re-dispatch: progress counters (generated, firstSent) persist so the
-// token stream stays monotonic and First is delivered at most once per
-// request, even though the new engine replays the prompt from scratch.
-func (s *Session) rebind(e *Engine) {
-	s.eng = e
-	if e.sessions == nil {
-		e.sessions = make(map[int]*Session)
-	}
-	e.sessions[s.req.ID] = s
 }
 
 // finish marks the session terminal and signals Done.
@@ -145,10 +150,7 @@ func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error)
 		e.autoID++
 		r.ID = sessionAutoIDBase + e.autoID
 	}
-	if e.sessions == nil {
-		e.sessions = make(map[int]*Session)
-	}
-	if _, dup := e.sessions[r.ID]; dup {
+	if e.live[r.ID] != nil {
 		return nil, fmt.Errorf("serving: session for request %d already open", r.ID)
 	}
 	if r.GenLen <= 0 {
@@ -158,9 +160,8 @@ func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error)
 		// an online request cannot arrive in the simulated past
 		r.ArrivalUs = float64(e.clock)
 	}
-	s := &Session{eng: e, ctx: ctx, req: r, done: make(chan struct{})}
-	e.sessions[r.ID] = s
-	e.Submit(r) // Submit emits the open trace event
+	s := &Session{ctx: ctx, req: r, done: make(chan struct{})}
+	e.submit(r, s)
 	return s, nil
 }
 
@@ -169,79 +170,30 @@ func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error)
 const sessionAutoIDBase = 1 << 30
 
 // OpenSessions returns the number of unfinished sessions.
-func (e *Engine) OpenSessions() int {
-	n := 0
-	//diffkv:allow maprange -- integer count of a predicate: commutative, order cannot change the total
-	for _, s := range e.sessions {
-		if !s.finished {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) OpenSessions() int { return e.sessN }
 
 // CancelledSessions returns how many sessions were cancelled over the
 // engine's lifetime.
 func (e *Engine) CancelledSessions() int { return e.cancelledN }
 
-// cancelSession implements Session.Cancel: immediate when the engine is
-// between steps, deferred to the end of the current step otherwise
-// (cancelling mid-step would mutate the running set under iteration).
-func (e *Engine) cancelSession(s *Session) {
-	if s.finished || s.cancelReq {
-		return
+// cancel takes a cancelled session's record off whichever queue holds it
+// and retires it — releasing KV pages (running) or pinned host bytes
+// (swapped), so the capacity is immediately available to other requests,
+// and dropping a pending adoption unadopted.
+func (e *Engine) cancel(st *seqState) {
+	q := &e.pending
+	switch st.at {
+	case atRunning:
+		q = &e.running
+	case atSwapped:
+		q = &e.swappedQ
 	}
-	if e.inStep {
-		s.cancelReq = true
-		e.deferredCancel = true
-		return
-	}
-	e.finalizeCancel(s)
-}
-
-// finalizeCancel removes the session's request from whichever structure
-// holds it — pending queue, running batch, or swapped queue — releasing
-// KV pages (running) and pinned host bytes (swapped) so the capacity
-// they held is immediately available to other requests.
-func (e *Engine) finalizeCancel(s *Session) {
-	id := s.req.ID
-	for i, r := range e.pending {
-		if r.ID == id {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			break
-		}
-	}
-	for i, st := range e.running {
-		if st.req.ID == id {
-			e.running = append(e.running[:i], e.running[i+1:]...)
-			if e.mgr != nil {
-				// a running sequence always holds a manager registration;
-				// releasing it frees its pages, so admissions may resume
-				if err := e.mgr.ReleaseSequence(id); err == nil {
-					e.admitBlocked = false
-				}
-			}
-			break
-		}
-	}
-	for i, st := range e.swappedQ {
-		if st.req.ID == id {
-			e.swappedQ = append(e.swappedQ[:i], e.swappedQ[i+1:]...)
-			if e.tiered != nil {
-				e.tiered.Drop(id)
-			}
-			break
-		}
-	}
-	delete(e.preemptN, id)
-	delete(e.retryUs, id)
-	delete(e.attempts, id)
-	delete(e.readmitted, id)
-	delete(e.phase, id)
-	delete(e.sessions, id)
+	i := slices.Index(*q, st)
+	*q = slices.Delete(*q, i, i+1)
+	_ = e.retire(st) // a failed page release cannot un-cancel the session
 	e.cancelledN++
-	e.emit(trace.Event{Kind: trace.KindCancel, TimeUs: float64(e.clock), Seq: id})
-	s.finish(Completion{Req: s.req}, ErrCancelled)
+	e.emit(trace.Event{Kind: trace.KindCancel, TimeUs: float64(e.clock), Seq: st.req.ID})
+	st.Sess.finish(Completion{Req: st.Sess.req}, ErrCancelled)
 }
 
 // ReapSessions processes context-cancelled and deferred-cancelled
@@ -249,40 +201,30 @@ func (e *Engine) finalizeCancel(s *Session) {
 // drivers (the cluster event loop) call it to observe cancellations on
 // engines that have gone idle and would otherwise never step again.
 func (e *Engine) ReapSessions() {
-	if len(e.sessions) == 0 {
+	e.deferredCancel = false
+	if e.sessN == 0 {
 		return
 	}
 	var ids []int
-	for id, s := range e.sessions {
-		if s.finished {
-			continue
-		}
-		if s.cancelReq || s.ctx.Err() != nil {
+	for id, st := range e.live {
+		if st.Sess != nil && (st.Sess.cancelReq || st.Sess.ctx.Err() != nil) {
 			ids = append(ids, id)
 		}
 	}
-	if len(ids) == 0 {
-		e.deferredCancel = false
-		return
-	}
 	sort.Ints(ids) // deterministic cancel order regardless of map walk
 	for _, id := range ids {
-		e.finalizeCancel(e.sessions[id])
+		e.cancel(e.live[id])
 	}
-	e.deferredCancel = false
 }
 
 // notifyFirstToken streams a First (TTFT) update to the session of a
-// prompt that finished this step. A recompute-preempted request re-runs
-// its prompt on a fresh seqState, so the sent flag lives on the session:
+// prompt that finished this step. A recompute-preempted or re-dispatched
+// request re-runs its prompt, so the sent flag lives on the session:
 // exactly one First per session, like generation updates stay monotonic
 // across retries. Called with the post-step clock.
 func (e *Engine) notifyFirstToken(st *seqState) {
-	if len(e.sessions) == 0 {
-		return
-	}
-	s, ok := e.sessions[st.req.ID]
-	if !ok || s.finished || s.firstSent {
+	s := st.Sess
+	if s == nil || s.finished || s.firstSent {
 		return
 	}
 	s.firstSent = true
@@ -295,13 +237,13 @@ func (e *Engine) notifyFirstToken(st *seqState) {
 // token this step (preempted and swapped victims did not). Called with
 // the post-step clock.
 func (e *Engine) notifyGenProgress(genSeqs []*seqState) {
-	if len(e.sessions) == 0 {
+	if e.sessN == 0 {
 		return
 	}
 	now := float64(e.clock)
 	for _, st := range genSeqs {
-		s, ok := e.sessions[st.req.ID]
-		if !ok || s.finished || st.generated <= s.generated {
+		s := st.Sess
+		if s == nil || s.finished || st.generated <= s.generated {
 			continue
 		}
 		s.generated = st.generated

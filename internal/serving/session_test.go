@@ -134,6 +134,9 @@ func TestSessionCancelFreesPages(t *testing.T) {
 	if e.mgr.UsedPages() != 0 {
 		t.Fatalf("pages leaked after drain: %d", e.mgr.UsedPages())
 	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	if e.CancelledSessions() != 1 {
 		t.Fatalf("cancelled count = %d", e.CancelledSessions())
 	}
@@ -197,6 +200,9 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 		t.Fatalf("leak after drain: %d pages, %d host bytes",
 			e.mgr.UsedPages(), e.tiered.HostUsedBytes())
 	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 	done := 0
 	for _, s := range sessions {
 		if _, err := s.Completion(); err == nil {
@@ -237,6 +243,9 @@ func TestSessionContextCancellation(t *testing.T) {
 	}
 	if _, err := alive.Completion(); err != nil {
 		t.Fatalf("unrelated session failed: %v", err)
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 
 	// deadline on the drain itself: expired context stops stepping
@@ -290,6 +299,9 @@ func TestSessionCancelFromCallback(t *testing.T) {
 	if e.mgr.UsedPages() != 0 {
 		t.Fatalf("pages leaked: %d", e.mgr.UsedPages())
 	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
 }
 
 // TestSessionSingleFirstUnderPreemption runs sessions through a
@@ -328,6 +340,9 @@ func TestSessionSingleFirstUnderPreemption(t *testing.T) {
 	}
 	if e.preemptTotal == 0 {
 		t.Fatal("workload not preemption-heavy; test proves nothing")
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
 	}
 	for _, s := range sessions {
 		if _, err := s.Completion(); err != nil {
