@@ -76,18 +76,65 @@ func BenchmarkParallelExclusiveScan64K(b *testing.B) {
 }
 
 func BenchmarkFreeListAllocBatch(b *testing.B) {
-	// the coordination phase of parallel compaction: 2048 heads allocating
+	// the coordination phase of compaction: 2048 heads allocating, then
+	// recycling, on one list (as the benchmark module's probe does)
 	counts := make([]int32, 2048)
 	for i := range counts {
 		counts[i] = int32(i % 3)
 	}
+	fl := kvcache.NewFreeList(8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fl := kvcache.NewFreeList(8192)
-		b.StartTimer()
-		if _, err := fl.AllocBatch(counts); err != nil {
+		ids, err := fl.AllocBatch(counts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fl.RecycleBatch(ids)
+	}
+}
+
+// BenchmarkGenCompactSteady is one generation step of the page manager at
+// the decode_heavy probe's shape: 78 sequences × 256 heads, counts-only,
+// 64 KB pages. Every head's candidate displaces a victim of its tier, so
+// token counts hold still and the cost is the plan and apply walks alone.
+func BenchmarkGenCompactSteady(b *testing.B) {
+	const seqs, heads, promptLen = 78, 256, 512
+	mgr, err := kvcache.NewManager(kvcache.Config{
+		Dim: 128, PageBytes: 65536, NumPages: 4 * seqs * heads, MaxSeqLen: 8192,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRNG(42)
+	ids := make([]int, seqs)
+	demands := make([][]kvcache.GenDemand, seqs)
+	prompt := make([]kvcache.HeadDemand, heads)
+	for i := range ids {
+		ids[i] = i + 1
+		demands[i] = make([]kvcache.GenDemand, heads)
+		for h := range prompt {
+			hiF := mathx.Clamp(0.25*rng.LogNorm(0, 0.3), 0.02, 0.9)
+			loF := mathx.Clamp(0.3*rng.LogNorm(0, 0.3), 0, 0.9-hiF)
+			prompt[h] = kvcache.HeadDemand{HiTokens: int(hiF * promptLen), LoTokens: int(loF * promptLen)}
+			switch u := rng.Float64(); {
+			case u < hiF:
+				demands[i][h] = kvcache.GenDemand{HiDelta: 1, HiRemoved: 1}
+			case u < hiF+loF:
+				demands[i][h] = kvcache.GenDemand{LoDelta: 1, LoRemoved: 1}
+			}
+		}
+		if _, err := mgr.AddSequence(ids[i], heads); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.PromptCompact(ids[i], promptLen, prompt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mgr.GenCompact(ids, demands); err != nil {
 			b.Fatal(err)
 		}
 	}

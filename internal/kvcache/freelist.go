@@ -1,17 +1,14 @@
 package kvcache
 
-import (
-	"fmt"
-
-	"diffkv/internal/mathx"
-)
+import "fmt"
 
 // FreeList is the circular free page list (paper §5.2): all page IDs live
 // in a fixed ring; the free region is contiguous (module wrap-around),
 // tracked by a start pointer (next allocation) and an implicit end pointer
 // (start+free, next recycle slot). Contiguity is what lets batch
-// allocation and recycling parallelize with a prefix sum: each head is
-// assigned a disjoint region of the ring to read from or write to.
+// allocation and recycling coordinate with a prefix sum: the batch is one
+// run of the ring, and each head's share of it is the run sliced at the
+// head's scanned offset.
 type FreeList struct {
 	ring    []int32
 	start   int // index of the next free page ID to hand out
@@ -42,6 +39,32 @@ func (fl *FreeList) Used() int { return len(fl.ring) - fl.freeCnt }
 // end returns the recycle position (one past the last free slot).
 func (fl *FreeList) end() int { return (fl.start + fl.freeCnt) % len(fl.ring) }
 
+// take hands out the next n free page IDs into buf[:n], in the order n
+// single Allocs would: one contiguous run of the ring, so at most two
+// copies across the wrap. When n exceeds the free pages it returns an error
+// and moves nothing.
+func (fl *FreeList) take(n int, buf []int32) error {
+	if n > fl.freeCnt {
+		return fmt.Errorf("kvcache: out of pages: need %d, %d free (cap %d)", n, fl.freeCnt, len(fl.ring))
+	}
+	k := copy(buf[:n], fl.ring[fl.start:])
+	copy(buf[k:n], fl.ring)
+	fl.start = (fl.start + n) % len(fl.ring)
+	fl.freeCnt -= n
+	return nil
+}
+
+// give is take's inverse: it returns ids to the ring after the end pointer,
+// in the order single Recycles would.
+func (fl *FreeList) give(ids []int32) {
+	if fl.freeCnt+len(ids) > len(fl.ring) {
+		panic("kvcache: recycle overflows free list")
+	}
+	k := copy(fl.ring[fl.end():], ids)
+	copy(fl.ring, ids[k:])
+	fl.freeCnt += len(ids)
+}
+
 // Alloc hands out a single page ID.
 func (fl *FreeList) Alloc() (int32, error) {
 	if fl.freeCnt == 0 {
@@ -62,58 +85,33 @@ func (fl *FreeList) Recycle(id int32) {
 	fl.freeCnt++
 }
 
-// AllocBatch performs the coordination phase of parallel KV compaction for
-// allocation: counts[i] is the number of pages head i needs. A prefix sum
-// assigns each head a disjoint region of the free ring; heads then read
-// their page IDs concurrently. Returns one ID slice per head, or an error
-// (allocating nothing) if the total demand exceeds the free pages.
+// AllocBatch is the caller-owned form of a batch allocation: counts[i] is
+// the number of pages head i needs, and the result holds one ID slice per
+// head, each head's region following the previous head's in ring order. On
+// insufficient free pages it returns an error and allocates nothing.
+// Manager does the same over its own scratch, without the result slices.
 func (fl *FreeList) AllocBatch(counts []int32) ([][]int32, error) {
-	offsets := make([]int32, len(counts))
-	total := mathx.ParallelExclusiveScan(counts, offsets)
-	if int(total) > fl.freeCnt {
-		return nil, fmt.Errorf("kvcache: batch alloc of %d pages exceeds %d free", total, fl.freeCnt)
+	total := 0
+	for _, c := range counts {
+		total += int(c)
+	}
+	flat := make([]int32, total)
+	if err := fl.take(total, flat); err != nil {
+		return nil, err
 	}
 	out := make([][]int32, len(counts))
-	n := len(fl.ring)
-	start := fl.start
-	mathx.ParallelFor(len(counts), func(i int) {
-		c := int(counts[i])
-		if c == 0 {
-			return
-		}
-		ids := make([]int32, c)
-		base := start + int(offsets[i])
-		for j := 0; j < c; j++ {
-			ids[j] = fl.ring[(base+j)%n]
-		}
-		out[i] = ids
-	})
-	fl.start = (fl.start + int(total)) % n
-	fl.freeCnt -= int(total)
+	off := 0
+	for i, c := range counts {
+		out[i] = flat[off : off+int(c) : off+int(c)]
+		off += int(c)
+	}
 	return out, nil
 }
 
-// RecycleBatch performs the coordination phase for recycling: each head i
-// returns ids[i]; a prefix sum assigns each head a disjoint write region
-// after the end pointer, heads write concurrently, and the end pointer
-// advances by the total.
+// RecycleBatch returns every head's pages, head i's region following head
+// i-1's after the end pointer.
 func (fl *FreeList) RecycleBatch(ids [][]int32) {
-	counts := make([]int32, len(ids))
-	for i, l := range ids {
-		counts[i] = int32(len(l))
+	for _, l := range ids {
+		fl.give(l)
 	}
-	offsets := make([]int32, len(counts))
-	total := mathx.ParallelExclusiveScan(counts, offsets)
-	if fl.freeCnt+int(total) > len(fl.ring) {
-		panic("kvcache: batch recycle overflows free list")
-	}
-	n := len(fl.ring)
-	end := fl.end()
-	mathx.ParallelFor(len(ids), func(i int) {
-		base := end + int(offsets[i])
-		for j, id := range ids[i] {
-			fl.ring[(base+j)%n] = id
-		}
-	})
-	fl.freeCnt += int(total)
 }

@@ -235,8 +235,8 @@ func TestAllocBatchOrderProperty(t *testing.T) {
 }
 
 func TestAllocBatchLargeParallel(t *testing.T) {
-	// exercise the goroutine-parallel path with a head count above the
-	// parallel-scan threshold
+	// a head count the size of a serving batch: thousands of regions cut
+	// from one run of the ring
 	nHeads := 8192
 	fl := NewFreeList(3 * nHeads)
 	counts := make([]int32, nHeads)

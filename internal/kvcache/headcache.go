@@ -30,88 +30,63 @@ type TokenRef struct {
 // table plus token counts. In materialized mode it supports token-level
 // append / score-update / remove / downgrade operations (the mechanics
 // behind the compression policy); in counts-only mode just the counts.
+//
+// A sequence's HeadCaches are one slab (see Manager.AddSequence), the table
+// is held by value and both per-tier pairs are indexed by Level, so the
+// Manager's planning pass reads one cache line per head.
 type HeadCache struct {
-	mgr      *Manager
-	table    *BiTable
-	hiTokens int
-	loTokens int
+	mgr    *Manager
+	table  BiTable
+	tokens [2]int // cached tokens per tier
 }
 
 // HiTokens returns the number of tokens in the high-precision tier.
-func (hc *HeadCache) HiTokens() int { return hc.hiTokens }
+func (hc *HeadCache) HiTokens() int { return hc.tokens[LevelHi] }
 
 // LoTokens returns the number of tokens in the low-precision tier.
-func (hc *HeadCache) LoTokens() int { return hc.loTokens }
+func (hc *HeadCache) LoTokens() int { return hc.tokens[LevelLo] }
 
 // TotalTokens returns the number of cached tokens across both tiers.
-func (hc *HeadCache) TotalTokens() int { return hc.hiTokens + hc.loTokens }
+func (hc *HeadCache) TotalTokens() int { return hc.tokens[LevelHi] + hc.tokens[LevelLo] }
 
 // Pages returns the tier's pages in push order.
 func (hc *HeadCache) Pages(level Level) []*Page {
-	var n int
-	if level == LevelHi {
-		n = hc.table.Hi()
-	} else {
-		n = hc.table.Lo()
-	}
-	out := make([]*Page, n)
-	for i := 0; i < n; i++ {
+	out := make([]*Page, hc.table.count(level))
+	for i := range out {
 		out[i] = hc.page(level, i)
 	}
 	return out
 }
 
 func (hc *HeadCache) page(level Level, i int) *Page {
-	if level == LevelHi {
-		return hc.mgr.pool.Get(hc.table.HiID(i))
-	}
-	return hc.mgr.pool.Get(hc.table.LoID(i))
-}
-
-func (hc *HeadCache) pageCount(level Level) int {
-	if level == LevelHi {
-		return hc.table.Hi()
-	}
-	return hc.table.Lo()
+	return hc.mgr.pool.Get(hc.table.id(level, i))
 }
 
 // KVBytes returns the payload+metadata bytes attention must read for this
 // head (token-exact, not page-rounded).
 func (hc *HeadCache) KVBytes() int {
 	dim := hc.mgr.cfg.Dim
-	return hc.hiTokens*hc.mgr.cfg.HiPrec.TokenBytes(dim) +
-		hc.loTokens*hc.mgr.cfg.LoPrec.TokenBytes(dim)
+	return hc.tokens[LevelHi]*hc.mgr.cfg.HiPrec.TokenBytes(dim) +
+		hc.tokens[LevelLo]*hc.mgr.cfg.LoPrec.TokenBytes(dim)
 }
 
 // appendPage returns the tier's last page, allocating and configuring a
 // fresh unified page when it is missing or full.
 func (hc *HeadCache) appendPage(level Level) (*Page, error) {
-	n := hc.pageCount(level)
-	var p *Page
-	if n > 0 {
-		p = hc.page(level, n-1)
-	}
-	if p == nil || p.Full() {
-		id, err := hc.mgr.free.Alloc()
-		if err != nil {
-			return nil, err
-		}
-		prec := hc.mgr.cfg.HiPrec
-		if level == LevelLo {
-			prec = hc.mgr.cfg.LoPrec
-		}
-		p = hc.mgr.pool.Configure(id, prec)
-		if level == LevelHi {
-			err = hc.table.PushHi(id)
-		} else {
-			err = hc.table.PushLo(id)
-		}
-		if err != nil {
-			hc.mgr.free.Recycle(id)
-			return nil, err
+	if n := hc.table.count(level); n > 0 {
+		if p := hc.page(level, n-1); !p.Full() {
+			return p, nil
 		}
 	}
-	return p, nil
+	if hc.table.room() == 0 {
+		return nil, tableOverflow(hc.table.Len())
+	}
+	id, err := hc.mgr.free.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	hc.mgr.attach(hc, level, []int32{id}, 0)
+	return hc.mgr.pool.Get(id), nil
 }
 
 // AppendToken quantizes (key, val) into the tier, allocating and
@@ -126,11 +101,7 @@ func (hc *HeadCache) AppendToken(level Level, key, val []float32, score float32,
 		return err
 	}
 	p.Append(key, val, score, pos)
-	if level == LevelHi {
-		hc.hiTokens++
-	} else {
-		hc.loTokens++
-	}
+	hc.tokens[level]++
 	return nil
 }
 
@@ -145,17 +116,13 @@ func (hc *HeadCache) AppendRawToken(level Level, key, val []byte, kScale, kZero,
 		return err
 	}
 	p.AppendRaw(key, val, kScale, kZero, vScale, vZero, score, pos)
-	if level == LevelHi {
-		hc.hiTokens++
-	} else {
-		hc.loTokens++
-	}
+	hc.tokens[level]++
 	return nil
 }
 
 // PageCount returns the number of pages in the tier (push order indexing
 // for PageAt). Trailing pages may be empty after removals.
-func (hc *HeadCache) PageCount(level Level) int { return hc.pageCount(level) }
+func (hc *HeadCache) PageCount(level Level) int { return hc.table.count(level) }
 
 // PageAt returns the i-th page of the tier in push order — the slot-range
 // accessor the scratch-based attention kernels iterate directly, avoiding
@@ -164,7 +131,7 @@ func (hc *HeadCache) PageAt(level Level, i int) *Page { return hc.page(level, i)
 
 // ForEachToken calls fn for every live token of the tier.
 func (hc *HeadCache) ForEachToken(level Level, fn func(p *Page, slot int)) {
-	n := hc.pageCount(level)
+	n := hc.table.count(level)
 	for i := 0; i < n; i++ {
 		p := hc.page(level, i)
 		for s := 0; s < p.N; s++ {
@@ -176,7 +143,7 @@ func (hc *HeadCache) ForEachToken(level Level, fn func(p *Page, slot int)) {
 // MinScore returns a reference to the tier's least significant token.
 // ok is false when the tier is empty.
 func (hc *HeadCache) MinScore(level Level) (ref TokenRef, score float32, ok bool) {
-	n := hc.pageCount(level)
+	n := hc.table.count(level)
 	first := true
 	for i := 0; i < n; i++ {
 		scores := hc.page(level, i).Scores()
@@ -204,7 +171,7 @@ func (hc *HeadCache) TokenAt(ref TokenRef, key, val []float32) (score float32, p
 // recycled during generation (paper §5.3); an emptied trailing page is
 // reused by the next append.
 func (hc *HeadCache) RemoveToken(ref TokenRef) error {
-	n := hc.pageCount(ref.Level)
+	n := hc.table.count(ref.Level)
 	if n == 0 {
 		return fmt.Errorf("kvcache: RemoveToken from empty tier")
 	}
@@ -231,11 +198,7 @@ func (hc *HeadCache) RemoveToken(ref TokenRef) error {
 		target.copyFrom(last, last.N-1, ref.Slot)
 		last.N--
 	}
-	if ref.Level == LevelHi {
-		hc.hiTokens--
-	} else {
-		hc.loTokens--
-	}
+	hc.tokens[ref.Level]--
 	return nil
 }
 
@@ -268,27 +231,4 @@ func (p *Page) copyFrom(src *Page, srcSlot, dstSlot int) {
 	p.valMeta[2*dstSlot], p.valMeta[2*dstSlot+1] = src.valMeta[2*srcSlot], src.valMeta[2*srcSlot+1]
 	p.scores[dstSlot] = src.scores[srcSlot]
 	p.pos[dstSlot] = src.pos[srcSlot]
-}
-
-// markCounts records page occupancy in counts-only mode so that
-// byte-accounting works without payloads.
-func (hc *HeadCache) markCounts(hiPages, loPages, hiTokens, loTokens int) {
-	if hc.mgr.cfg.Materialize {
-		return
-	}
-	fill := func(level Level, pages, tokens, cap int) {
-		for i := 0; i < pages; i++ {
-			p := hc.page(level, hc.pageCount(level)-pages+i)
-			n := cap
-			if rem := tokens - i*cap; rem < cap {
-				n = rem
-			}
-			if n < 0 {
-				n = 0
-			}
-			p.N = n
-		}
-	}
-	fill(LevelHi, hiPages, hiTokens, hc.mgr.capHi)
-	fill(LevelLo, loPages, loTokens, hc.mgr.capLo)
 }

@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 
+	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
 )
 
@@ -56,13 +57,29 @@ func (c *Config) Validate() error {
 // Manager is one worker's KV-cache memory manager: a page pool, the
 // circular free page list, and per-(sequence, head) bidirectional page
 // tables.
+//
+// Every call that moves pages runs the paper's compaction pipeline (§5.3)
+// over scratch the Manager keeps: plan each head's page count while
+// checking everything that can fail, scan the counts into offsets, take one
+// contiguous run of the free ring, apply by walking the heads again with
+// their slice of the run. A call that returns an error has therefore moved
+// no page, table entry or token count. The scratch is what makes a Manager
+// single-goroutine: the parallelism the paper measures is on the device and
+// is priced by gpusim from CompactStats, not bought with host goroutines.
 type Manager struct {
-	cfg   Config
-	pool  *PagePool
-	free  *FreeList
-	seqs  map[int]*SeqCache
-	capHi int // tokens per high-precision page
-	capLo int // tokens per low-precision page
+	cfg       Config
+	pool      *PagePool
+	free      *FreeList
+	seqs      map[int]*SeqCache
+	capHi     int // tokens per high-precision page
+	capLo     int // tokens per low-precision page
+	slots     int // page-table entry length
+	metaBytes int // page-table footprint of the registered sequences
+
+	// pipeline scratch, grown when a larger batch first appears, then reused
+	cnt  []int32 // plan: pages per head
+	off  []int32 // scan: each head's offset into flat
+	flat []int32 // take: the page IDs
 }
 
 // NewManager builds a manager from cfg.
@@ -78,6 +95,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		capHi: TokensPerPage(cfg.PageBytes, cfg.Dim, cfg.HiPrec),
 		capLo: TokensPerPage(cfg.PageBytes, cfg.Dim, cfg.LoPrec),
 	}
+	// The page-table entry length is the max sequence length divided by
+	// tokens per high-precision page (paper §5.2 — low-precision pages hold
+	// more tokens, so this side can never overflow first).
+	m.slots = pagesNeeded(cfg.MaxSeqLen, m.capHi)
 	return m, nil
 }
 
@@ -96,43 +117,58 @@ func (m *Manager) TokensPerHiPage() int { return m.capHi }
 // TokensPerLoPage returns the capacity of a low-precision page.
 func (m *Manager) TokensPerLoPage() int { return m.capLo }
 
-// tableSlots is the page-table entry length: max sequence length divided by
-// tokens per high-precision page (paper §5.2 — low-precision pages hold
-// more tokens, so this side can never overflow first).
-func (m *Manager) tableSlots() int {
-	s := (m.cfg.MaxSeqLen + m.capHi - 1) / m.capHi
-	if s < 1 {
-		s = 1
+// tier returns a level's precision and page capacity.
+func (m *Manager) tier(level Level) (quant.Precision, int) {
+	if level == LevelHi {
+		return m.cfg.HiPrec, m.capHi
 	}
-	return s
+	return m.cfg.LoPrec, m.capLo
 }
 
 // SeqCache is the per-sequence view: one HeadCache per KV head managed by
 // this worker.
 type SeqCache struct {
 	ID    int
-	Heads []*HeadCache
-	mgr   *Manager
+	Heads []*HeadCache // Heads[i] is &heads[i], for callers that hold one head
+	heads []HeadCache  // the slab the Manager's passes scan
 }
 
 // AddSequence registers a sequence with numHeads KV heads and returns its
 // cache view.
 func (m *Manager) AddSequence(id, numHeads int) (*SeqCache, error) {
+	if err := m.checkNew(id, numHeads); err != nil {
+		return nil, err
+	}
+	return m.register(id, numHeads), nil
+}
+
+// checkNew reports why a sequence cannot be registered, if it cannot.
+func (m *Manager) checkNew(id, numHeads int) error {
 	if _, dup := m.seqs[id]; dup {
-		return nil, fmt.Errorf("kvcache: sequence %d already registered", id)
+		return fmt.Errorf("kvcache: sequence %d already registered", id)
 	}
 	if numHeads <= 0 {
-		return nil, fmt.Errorf("kvcache: sequence needs at least one head")
+		return fmt.Errorf("kvcache: sequence needs at least one head")
 	}
-	sc := &SeqCache{ID: id, Heads: make([]*HeadCache, numHeads), mgr: m}
-	for i := range sc.Heads {
-		sc.Heads[i] = &HeadCache{
-			mgr:   m,
-			table: NewBiTable(m.tableSlots()),
-		}
+	return nil
+}
+
+// register builds a sequence in four allocations whatever its head count:
+// the view, the pointer slice, one slab of HeadCaches and one block of
+// page-table entries the tables slice up.
+func (m *Manager) register(id, numHeads int) *SeqCache {
+	sc := &SeqCache{ID: id, Heads: make([]*HeadCache, numHeads), heads: make([]HeadCache, numHeads)}
+	block := make([]int32, numHeads*m.slots)
+	for i := range block {
+		block[i] = -1
+	}
+	for i := range sc.heads {
+		sc.heads[i] = HeadCache{mgr: m, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
+		sc.Heads[i] = &sc.heads[i]
 	}
 	m.seqs[id] = sc
-	return sc, nil
+	m.metaBytes += 4 * len(block)
+	return sc
 }
 
 // Sequence returns a registered sequence's cache view.
@@ -147,14 +183,52 @@ func (m *Manager) ReleaseSequence(id int) error {
 	if !ok {
 		return fmt.Errorf("kvcache: unknown sequence %d", id)
 	}
-	lists := make([][]int32, len(sc.Heads))
-	for i, hc := range sc.Heads {
-		lists[i] = hc.table.DrainAll()
-		hc.hiTokens, hc.loTokens = 0, 0
+	flat := m.flat[:0]
+	for i := range sc.heads {
+		hc := &sc.heads[i]
+		flat = hc.table.drain(flat)
+		hc.tokens = [2]int{}
 	}
-	m.free.RecycleBatch(lists)
+	m.flat = flat[:0]
+	m.free.give(flat)
+	m.metaBytes -= 4 * len(sc.heads) * m.slots
 	delete(m.seqs, id)
 	return nil
+}
+
+// sized returns (*buf)[:n], reallocating only when n exceeds every earlier
+// request.
+func sized(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	return (*buf)[:n]
+}
+
+// scanTake scans the planned counts into offsets and takes their total from
+// the free ring as one run. On error nothing has moved.
+func (m *Manager) scanTake(cnt []int32) (off, flat []int32, err error) {
+	off = sized(&m.off, len(cnt))
+	total := int(mathx.ExclusiveScan(cnt, off))
+	flat = sized(&m.flat, total)
+	return off, flat, m.free.take(total, flat)
+}
+
+// attach configures pages ids for a tier and pushes them onto hc's table,
+// whose room the caller's plan has checked. In counts-only mode tokens fill
+// the pages in order, so byte accounting works without payloads.
+func (m *Manager) attach(hc *HeadCache, level Level, ids []int32, tokens int) {
+	prec, perPage := m.tier(level)
+	for _, id := range ids {
+		p := m.pool.configure(id, prec, perPage)
+		if !m.cfg.Materialize {
+			p.N = min(tokens, perPage)
+			tokens -= p.N
+		}
+		if err := hc.table.push(level, id); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // CompactStats counts the work of one compaction pass; the gpusim cost
@@ -181,92 +255,77 @@ type HeadDemand struct {
 	LoTokens int
 }
 
+// pages returns the pages d occupies across both tiers.
+func (m *Manager) pages(d HeadDemand) int {
+	return pagesNeeded(d.HiTokens, m.capHi) + pagesNeeded(d.LoTokens, m.capLo)
+}
+
+// place attaches a head's planned pages — the high tier's first, then the
+// low tier's — and sets its token counts to d.
+func (m *Manager) place(hc *HeadCache, d HeadDemand, ids []int32) {
+	hi := pagesNeeded(d.HiTokens, m.capHi)
+	m.attach(hc, LevelHi, ids[:hi], d.HiTokens)
+	m.attach(hc, LevelLo, ids[hi:], d.LoTokens)
+	hc.tokens = [2]int{LevelHi: d.HiTokens, LevelLo: d.LoTokens}
+}
+
 // PromptCompact runs the full prompt-phase compaction workflow (paper
 // §5.3) for one sequence: conservative allocation assuming every prompt
 // token is stored at high precision, per-head planning (demands computed by
-// the caller's compression policy), and parallel reclamation of unused
-// pages. Counts-only: materialized token payloads are appended separately
-// by the policy via HeadCache in accuracy experiments.
+// the caller's compression policy), and reclamation of unused pages.
+// Counts-only: materialized token payloads are appended separately by the
+// policy via HeadCache in accuracy experiments.
+//
+// The device allocates before its planning kernel has run, so every head is
+// reserved ceil(promptLen/capHi) pages — plus a top-up where both tiers
+// round up — and returns the rest. The host has the demands up front, so it
+// takes only the pages the tables keep; but the whole reservation must fit
+// the free pool, or admission would differ from the paper's, and the stats
+// report the reservation's allocations and reclaims.
 func (m *Manager) PromptCompact(seqID, promptLen int, demands []HeadDemand) (CompactStats, error) {
 	sc, ok := m.seqs[seqID]
 	if !ok {
 		return CompactStats{}, fmt.Errorf("kvcache: unknown sequence %d", seqID)
 	}
-	if len(demands) != len(sc.Heads) {
-		return CompactStats{}, fmt.Errorf("kvcache: %d demands for %d heads", len(demands), len(sc.Heads))
+	if len(demands) != len(sc.heads) {
+		return CompactStats{}, fmt.Errorf("kvcache: %d demands for %d heads", len(demands), len(sc.heads))
 	}
-	nHeads := len(sc.Heads)
-	conservative := (promptLen + m.capHi - 1) / m.capHi
+	nHeads := len(sc.heads)
+	conservative := pagesNeeded(promptLen, m.capHi)
+	// TokenOps accounts for the planning kernel's per-token scan.
+	stats := CompactStats{TokenOps: promptLen * nHeads, Regions: nHeads}
 
-	// Conservative allocation: every head gets ceil(promptLen/capHi) pages.
-	counts := make([]int32, nHeads)
-	for i := range counts {
-		counts[i] = int32(conservative)
-	}
-	allocated, err := m.free.AllocBatch(counts)
-	if err != nil {
-		return CompactStats{}, err
-	}
-
-	// Planning phase (parallel per head in the real system): compute page
-	// needs from token demands; TokenOps accounts for the per-token scan.
-	stats := CompactStats{
-		TokenOps: promptLen * nHeads,
-		Regions:  nHeads,
-	}
-
-	// Coordination: assign used pages to tables, gather unused for
-	// recycling.
-	unused := make([][]int32, nHeads)
-	for i, hc := range sc.Heads {
-		d := demands[i]
+	cnt := sized(&m.cnt, nHeads)
+	reserve := 0
+	for i, d := range demands {
 		if d.HiTokens < 0 || d.LoTokens < 0 || d.HiTokens+d.LoTokens > promptLen {
-			// roll back this head's pages and all subsequent
-			m.free.RecycleBatch(allocated[i:])
 			return CompactStats{}, fmt.Errorf("kvcache: head %d demand (%d,%d) exceeds prompt %d",
 				i, d.HiTokens, d.LoTokens, promptLen)
 		}
-		hiPages := (d.HiTokens + m.capHi - 1) / m.capHi
-		loPages := (d.LoTokens + m.capLo - 1) / m.capLo
-		need := hiPages + loPages
-		ids := allocated[i]
-		if need > len(ids) {
-			// Low-precision pages hold ≥ as many tokens as high-precision
-			// ones and demands sum to ≤ promptLen, so the conservative
-			// allocation always suffices — except when *both* tiers round
-			// up; top up from the free list in that rare case.
-			extra := make([]int32, need-len(ids))
-			for j := range extra {
-				id, err2 := m.free.Alloc()
-				if err2 != nil {
-					m.free.RecycleBatch([][]int32{ids})
-					return CompactStats{}, err2
-				}
-				extra[j] = id
-			}
-			ids = append(ids, extra...)
-			stats.PagesAllocated += len(extra)
+		need := m.pages(d)
+		if need > sc.heads[i].table.room() {
+			return CompactStats{}, fmt.Errorf("kvcache: head %d: %w", i, tableOverflow(m.slots))
 		}
-		for _, id := range ids[:hiPages] {
-			m.pool.Configure(id, m.cfg.HiPrec)
-			if err := hc.table.PushHi(id); err != nil {
-				return CompactStats{}, err
-			}
-		}
-		for _, id := range ids[hiPages : hiPages+loPages] {
-			m.pool.Configure(id, m.cfg.LoPrec)
-			if err := hc.table.PushLo(id); err != nil {
-				return CompactStats{}, err
-			}
-		}
-		unused[i] = ids[hiPages+loPages:]
-		hc.hiTokens = d.HiTokens
-		hc.loTokens = d.LoTokens
-		hc.markCounts(hiPages, loPages, d.HiTokens, d.LoTokens)
-		stats.PagesAllocated += hiPages + loPages
-		stats.PagesFreed += len(unused[i])
+		cnt[i] = int32(need)
+		// Low-precision pages hold ≥ as many tokens as high-precision ones
+		// and demands sum to ≤ promptLen, so the conservative allocation
+		// always suffices — except when *both* tiers round up.
+		topUp := max(0, need-conservative)
+		reserve += conservative + topUp
+		stats.PagesAllocated += need + topUp // a top-up page counts when drawn and when attached
+		stats.PagesFreed += conservative + topUp - need
 	}
-	m.free.RecycleBatch(unused)
+	if reserve > m.free.Free() {
+		return CompactStats{}, fmt.Errorf("kvcache: out of pages: prompt of %d tokens reserves %d, %d free",
+			promptLen, reserve, m.free.Free())
+	}
+	off, flat, err := m.scanTake(cnt)
+	if err != nil {
+		return CompactStats{}, err
+	}
+	for i, d := range demands {
+		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
+	}
 	return stats, nil
 }
 
@@ -284,70 +343,79 @@ type GenDemand struct {
 	LoRemoved int
 }
 
-// GenCompact runs one generation-step compaction for a set of sequences:
-// each head allocates at most the pages it needs (usually 0, at most one
-// per tier), coordinated by one batch prefix-sum allocation across all
-// heads of all sequences.
+// after returns hc's per-tier token counts once d has landed.
+func (d *GenDemand) after(hc *HeadCache) (hi, lo int) {
+	return hc.tokens[LevelHi] + d.HiDelta - d.HiRemoved, hc.tokens[LevelLo] + d.LoDelta - d.LoRemoved
+}
+
+// shortfall is the planning step of one tier of one head during generation:
+// the pages the tier must gain to hold tokens. The comparison settles the
+// common case, none, without a division.
+func shortfall(tokens, have, perPage int) int {
+	if tokens <= have*perPage {
+		return 0
+	}
+	return pagesNeeded(tokens, perPage) - have
+}
+
+// GenCompact runs one generation-step compaction for a set of distinct
+// sequences: each head allocates at most the pages it needs (usually 0, at
+// most one per tier), coordinated by one batch prefix-sum allocation across
+// all heads of all sequences.
 func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats, error) {
 	if len(seqIDs) != len(demands) {
 		return CompactStats{}, fmt.Errorf("kvcache: %d seqs vs %d demand sets", len(seqIDs), len(demands))
 	}
-	type headRef struct {
-		hc     *HeadCache
-		d      GenDemand
-		needHi int
-		needLo int
+	heads := 0
+	for _, ds := range demands {
+		heads += len(ds)
 	}
-	var refs []headRef
-	var counts []int32
-	stats := CompactStats{}
+	cnt := sized(&m.cnt, heads)
+	stats := CompactStats{Regions: heads}
+	k := 0
 	for si, id := range seqIDs {
 		sc, ok := m.seqs[id]
 		if !ok {
 			return CompactStats{}, fmt.Errorf("kvcache: unknown sequence %d", id)
 		}
-		if len(demands[si]) != len(sc.Heads) {
+		if len(demands[si]) != len(sc.heads) {
 			return CompactStats{}, fmt.Errorf("kvcache: seq %d: %d demands for %d heads",
-				id, len(demands[si]), len(sc.Heads))
+				id, len(demands[si]), len(sc.heads))
 		}
-		for hi, d := range demands[si] {
-			hc := sc.Heads[hi]
-			needHi := pagesNeeded(hc.hiTokens+d.HiDelta-d.HiRemoved, m.capHi) - hc.table.Hi()
-			if needHi < 0 {
-				needHi = 0
+		for h := range sc.heads {
+			hc := &sc.heads[h]
+			hiTok, loTok := demands[si][h].after(hc)
+			need := shortfall(hiTok, hc.table.count(LevelHi), m.capHi) +
+				shortfall(loTok, hc.table.count(LevelLo), m.capLo)
+			if need > hc.table.room() {
+				return CompactStats{}, fmt.Errorf("kvcache: seq %d head %d: %w", id, h, tableOverflow(m.slots))
 			}
-			needLo := pagesNeeded(hc.loTokens+d.LoDelta-d.LoRemoved, m.capLo) - hc.table.Lo()
-			if needLo < 0 {
-				needLo = 0
-			}
-			refs = append(refs, headRef{hc: hc, d: d, needHi: needHi, needLo: needLo})
-			counts = append(counts, int32(needHi+needLo))
+			cnt[k] = int32(need)
+			k++
 			// planning cost: victim search scans the head's cached tokens
-			stats.TokenOps += hc.hiTokens + hc.loTokens
-			stats.Regions++
+			stats.TokenOps += hc.tokens[LevelHi] + hc.tokens[LevelLo]
 		}
 	}
-	allocated, err := m.free.AllocBatch(counts)
+	off, flat, err := m.scanTake(cnt)
 	if err != nil {
 		return CompactStats{}, err
 	}
-	for i, ref := range refs {
-		ids := allocated[i]
-		for _, id := range ids[:ref.needHi] {
-			m.pool.Configure(id, m.cfg.HiPrec)
-			if err := ref.hc.table.PushHi(id); err != nil {
-				return CompactStats{}, err
+	stats.PagesAllocated = len(flat)
+	k = 0
+	for si, id := range seqIDs {
+		sc := m.seqs[id]
+		for h := range sc.heads {
+			hc := &sc.heads[h]
+			hiTok, loTok := demands[si][h].after(hc)
+			if cnt[k] > 0 {
+				ids := flat[off[k] : off[k]+cnt[k]]
+				hi := shortfall(hiTok, hc.table.count(LevelHi), m.capHi)
+				m.attach(hc, LevelHi, ids[:hi], 0)
+				m.attach(hc, LevelLo, ids[hi:], 0)
 			}
+			hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+			k++
 		}
-		for _, id := range ids[ref.needHi:] {
-			m.pool.Configure(id, m.cfg.LoPrec)
-			if err := ref.hc.table.PushLo(id); err != nil {
-				return CompactStats{}, err
-			}
-		}
-		ref.hc.hiTokens += ref.d.HiDelta - ref.d.HiRemoved
-		ref.hc.loTokens += ref.d.LoDelta - ref.d.LoRemoved
-		stats.PagesAllocated += len(ids)
 	}
 	return stats, nil
 }
@@ -361,12 +429,12 @@ func (m *Manager) HeadCounts(seqID int, buf []HeadDemand) ([]HeadDemand, error) 
 	if !ok {
 		return nil, fmt.Errorf("kvcache: unknown sequence %d", seqID)
 	}
-	if cap(buf) < len(sc.Heads) {
-		buf = make([]HeadDemand, len(sc.Heads))
+	if cap(buf) < len(sc.heads) {
+		buf = make([]HeadDemand, len(sc.heads))
 	}
-	buf = buf[:len(sc.Heads)]
-	for i, hc := range sc.Heads {
-		buf[i] = HeadDemand{HiTokens: hc.hiTokens, LoTokens: hc.loTokens}
+	buf = buf[:len(sc.heads)]
+	for i := range sc.heads {
+		buf[i] = HeadDemand{HiTokens: sc.heads[i].HiTokens(), LoTokens: sc.heads[i].LoTokens()}
 	}
 	return buf, nil
 }
@@ -381,8 +449,8 @@ func (m *Manager) SeqKVBytes(seqID int) (int64, error) {
 		return 0, fmt.Errorf("kvcache: unknown sequence %d", seqID)
 	}
 	var b int64
-	for _, hc := range sc.Heads {
-		b += int64(hc.KVBytes())
+	for i := range sc.heads {
+		b += int64(sc.heads[i].KVBytes())
 	}
 	return b, nil
 }
@@ -392,58 +460,34 @@ func (m *Manager) SeqKVBytes(seqID int) (int64, error) {
 // sequence whose counts were captured by HeadCounts before release is
 // re-admitted with an identical page-table shape. Counts-only mode;
 // materialized payloads are restored via ReadSnapshot, which allocates its
-// own pages. On allocation failure nothing is registered.
+// own pages. Nothing is registered until the pages have been taken.
 func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) (CompactStats, error) {
 	if m.cfg.Materialize {
 		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager (use ReadSnapshot)")
 	}
-	var need int32
-	for _, d := range demands {
+	if err := m.checkNew(seqID, len(demands)); err != nil {
+		return CompactStats{}, err
+	}
+	cnt := sized(&m.cnt, len(demands))
+	for i, d := range demands {
 		if d.HiTokens < 0 || d.LoTokens < 0 {
 			return CompactStats{}, fmt.Errorf("kvcache: negative adopt demand (%d,%d)", d.HiTokens, d.LoTokens)
 		}
-		need += int32(pagesNeeded(d.HiTokens, m.capHi) + pagesNeeded(d.LoTokens, m.capLo))
+		need := m.pages(d)
+		if need > m.slots {
+			return CompactStats{}, fmt.Errorf("kvcache: head %d: %w", i, tableOverflow(m.slots))
+		}
+		cnt[i] = int32(need)
 	}
-	if int(need) > m.free.Free() {
-		return CompactStats{}, fmt.Errorf("kvcache: adopt of %d pages exceeds %d free", need, m.free.Free())
-	}
-	sc, err := m.AddSequence(seqID, len(demands))
+	off, flat, err := m.scanTake(cnt)
 	if err != nil {
 		return CompactStats{}, err
 	}
-	stats := CompactStats{Regions: len(demands)}
-	for i, hc := range sc.Heads {
-		d := demands[i]
-		hiPages := pagesNeeded(d.HiTokens, m.capHi)
-		loPages := pagesNeeded(d.LoTokens, m.capLo)
-		push := func(pages int, prec quant.Precision, pushFn func(int32) error) error {
-			for p := 0; p < pages; p++ {
-				id, err := m.free.Alloc()
-				if err != nil {
-					return err
-				}
-				m.pool.Configure(id, prec)
-				if err := pushFn(id); err != nil {
-					m.free.Recycle(id)
-					return err
-				}
-			}
-			return nil
-		}
-		if err := push(hiPages, m.cfg.HiPrec, hc.table.PushHi); err != nil {
-			_ = m.ReleaseSequence(seqID)
-			return CompactStats{}, err
-		}
-		if err := push(loPages, m.cfg.LoPrec, hc.table.PushLo); err != nil {
-			_ = m.ReleaseSequence(seqID)
-			return CompactStats{}, err
-		}
-		hc.hiTokens = d.HiTokens
-		hc.loTokens = d.LoTokens
-		hc.markCounts(hiPages, loPages, d.HiTokens, d.LoTokens)
-		stats.PagesAllocated += hiPages + loPages
+	sc := m.register(seqID, len(demands))
+	for i, d := range demands {
+		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
 	}
-	return stats, nil
+	return CompactStats{Regions: len(demands), PagesAllocated: len(flat)}, nil
 }
 
 func pagesNeeded(tokens, perPage int) int {
@@ -461,16 +505,7 @@ func (m *Manager) BytesUsed() int64 {
 
 // MetadataBytes returns the total page-table footprint across registered
 // sequences.
-func (m *Manager) MetadataBytes() int {
-	var b int
-	//diffkv:allow maprange -- integer sum: addition over int is commutative and exact
-	for _, sc := range m.seqs {
-		for _, hc := range sc.Heads {
-			b += hc.table.MetadataBytes()
-		}
-	}
-	return b
-}
+func (m *Manager) MetadataBytes() int { return m.metaBytes }
 
 // TrimSequence recycles empty trailing pages from every head of a
 // sequence. The paper's design recycles pages only when a request
@@ -483,32 +518,17 @@ func (m *Manager) TrimSequence(seqID int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("kvcache: unknown sequence %d", seqID)
 	}
-	lists := make([][]int32, len(sc.Heads))
-	freed := 0
-	for i, hc := range sc.Heads {
-		var ids []int32
-		for _, level := range []Level{LevelHi, LevelLo} {
-			for hc.pageCount(level) > 0 {
-				last := hc.page(level, hc.pageCount(level)-1)
-				if last.N != 0 {
-					break
-				}
-				var id int32
-				var err error
-				if level == LevelHi {
-					id, err = hc.table.PopHi()
-				} else {
-					id, err = hc.table.PopLo()
-				}
-				if err != nil {
-					return freed, err
-				}
-				ids = append(ids, id)
+	flat := m.flat[:0]
+	for i := range sc.heads {
+		hc := &sc.heads[i]
+		for _, level := range [2]Level{LevelHi, LevelLo} {
+			for n := hc.table.count(level); n > 0 && hc.page(level, n-1).N == 0; n-- {
+				id, _ := hc.table.pop(level) // n > 0: the side is not empty
+				flat = append(flat, id)
 			}
 		}
-		lists[i] = ids
-		freed += len(ids)
 	}
-	m.free.RecycleBatch(lists)
-	return freed, nil
+	m.flat = flat[:0]
+	m.free.give(flat)
+	return len(flat), nil
 }

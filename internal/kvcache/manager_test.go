@@ -305,7 +305,7 @@ func TestAppendTokenAndRoundTrip(t *testing.T) {
 	if hc.HiTokens() != 80 {
 		t.Fatalf("HiTokens = %d", hc.HiTokens())
 	}
-	if got := hc.pageCount(LevelHi); got != 3 {
+	if got := hc.PageCount(LevelHi); got != 3 {
 		t.Fatalf("hi pages = %d, want 3", got)
 	}
 	// every token must round-trip with small error and correct position
@@ -496,13 +496,13 @@ func TestPageFullCycleAfterEviction(t *testing.T) {
 		k, v := genToken(rng, 128)
 		hc.AppendToken(LevelHi, k, v, 1, int32(i))
 	}
-	pagesBefore := hc.pageCount(LevelHi)
+	pagesBefore := hc.PageCount(LevelHi)
 	hc.RemoveToken(TokenRef{Level: LevelHi, Page: 1, Slot: 0})
 	k, v := genToken(rng, 128)
 	hc.AppendToken(LevelHi, k, v, 1, int32(capHi+1))
-	if hc.pageCount(LevelHi) != pagesBefore {
+	if hc.PageCount(LevelHi) != pagesBefore {
 		t.Fatalf("empty trailing page not reused: %d -> %d",
-			pagesBefore, hc.pageCount(LevelHi))
+			pagesBefore, hc.PageCount(LevelHi))
 	}
 }
 

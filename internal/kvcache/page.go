@@ -56,23 +56,23 @@ func TokensPerPage(pageBytes, dim int, prec quant.Precision) int {
 	return n
 }
 
-// configure prepares the page for tokens at precision prec, resetting its
-// contents. In materialized mode segments are (re)allocated to exact size.
-func (p *Page) configure(pageBytes, dim int, prec quant.Precision, materialize bool) {
+// configure prepares the page for cap tokens at precision prec, resetting
+// its contents. In materialized mode segments are (re)allocated to exact
+// size; a counts-only pool's pages never carry segments.
+func (p *Page) configure(dim int, prec quant.Precision, cap int, materialize bool) {
 	p.Prec = prec
 	p.Dim = dim
 	p.N = 0
-	p.Cap = TokensPerPage(pageBytes, dim, prec)
+	p.Cap = cap
 	if !materialize {
-		p.keys, p.vals, p.keyMeta, p.valMeta, p.scores, p.pos = nil, nil, nil, nil, nil, nil
 		return
 	}
-	p.keys = make([]byte, p.Cap*prec.KeyBytes(dim))
-	p.vals = make([]byte, p.Cap*prec.ValBytes(dim))
-	p.keyMeta = make([]float32, 2*p.Cap)
-	p.valMeta = make([]float32, 2*p.Cap)
-	p.scores = make([]float32, p.Cap)
-	p.pos = make([]int32, p.Cap)
+	p.keys = make([]byte, cap*prec.KeyBytes(dim))
+	p.vals = make([]byte, cap*prec.ValBytes(dim))
+	p.keyMeta = make([]float32, 2*cap)
+	p.valMeta = make([]float32, 2*cap)
+	p.scores = make([]float32, cap)
+	p.pos = make([]int32, cap)
 }
 
 // Full reports whether the page has no free slots.
@@ -250,8 +250,14 @@ func (pp *PagePool) Get(id int32) *Page {
 
 // Configure prepares page id for precision prec and returns it.
 func (pp *PagePool) Configure(id int32, prec quant.Precision) *Page {
+	return pp.configure(id, prec, TokensPerPage(pp.pageBytes, pp.dim, prec))
+}
+
+// configure is Configure for a caller that already knows the precision's
+// page capacity (the Manager computes its two once).
+func (pp *PagePool) configure(id int32, prec quant.Precision, cap int) *Page {
 	p := &pp.pages[id]
-	p.configure(pp.pageBytes, pp.dim, prec, pp.materialize)
+	p.configure(pp.dim, prec, cap, pp.materialize)
 	return p
 }
 

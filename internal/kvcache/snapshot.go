@@ -56,7 +56,7 @@ func writeHead(w io.Writer, m *Manager, hc *HeadCache) error {
 	meta := []uint32{
 		uint32(cfg.HiPrec.KeyBits), uint32(cfg.HiPrec.ValBits),
 		uint32(cfg.LoPrec.KeyBits), uint32(cfg.LoPrec.ValBits),
-		uint32(hc.hiTokens), uint32(hc.loTokens),
+		uint32(hc.HiTokens()), uint32(hc.LoTokens()),
 	}
 	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
 		return err

@@ -10,8 +10,7 @@ import "fmt"
 // high-precision ones.
 type BiTable struct {
 	slots []int32
-	hi    int // number of high-precision pages (left side)
-	lo    int // number of low-precision pages (right side)
+	n     [2]int // pages per side, indexed by Level: hi grows from the left, lo from the right
 }
 
 // NewBiTable creates a table with n slots.
@@ -29,86 +28,103 @@ func NewBiTable(n int) *BiTable {
 // Len returns the table capacity in slots.
 func (t *BiTable) Len() int { return len(t.slots) }
 
+// count returns the number of pages on a side.
+func (t *BiTable) count(level Level) int { return t.n[level] }
+
+// room returns the number of unused slots.
+func (t *BiTable) room() int { return len(t.slots) - t.n[LevelHi] - t.n[LevelLo] }
+
+// at returns the slot index of a side's i-th page in push order.
+func (t *BiTable) at(level Level, i int) int {
+	if level == LevelHi {
+		return i
+	}
+	return len(t.slots) - 1 - i
+}
+
+// id returns a side's i-th page ID in push order.
+func (t *BiTable) id(level Level, i int) int32 { return t.slots[t.at(level, i)] }
+
+// tableOverflow is the error of needing more slots than a table has room
+// for.
+func tableOverflow(slots int) error {
+	return fmt.Errorf("kvcache: bidirectional table overflow (%d slots)", slots)
+}
+
+// push appends a page ID on a side.
+func (t *BiTable) push(level Level, id int32) error {
+	if t.room() <= 0 {
+		return tableOverflow(len(t.slots))
+	}
+	t.slots[t.at(level, t.n[level])] = id
+	t.n[level]++
+	return nil
+}
+
+// pop removes and returns a side's most recently pushed page.
+func (t *BiTable) pop(level Level) (int32, error) {
+	if t.n[level] == 0 {
+		return -1, fmt.Errorf("kvcache: pop on empty %s side", level)
+	}
+	t.n[level]--
+	i := t.at(level, t.n[level])
+	id := t.slots[i]
+	t.slots[i] = -1
+	return id, nil
+}
+
+// drain removes every page ID from both sides and appends them to dst, the
+// high side then the low side, each in push order.
+func (t *BiTable) drain(dst []int32) []int32 {
+	for _, level := range [2]Level{LevelHi, LevelLo} {
+		for i := 0; i < t.n[level]; i++ {
+			s := t.at(level, i)
+			dst = append(dst, t.slots[s])
+			t.slots[s] = -1
+		}
+	}
+	t.n = [2]int{}
+	return dst
+}
+
 // Hi returns the number of high-precision pages.
-func (t *BiTable) Hi() int { return t.hi }
+func (t *BiTable) Hi() int { return t.n[LevelHi] }
 
 // Lo returns the number of low-precision pages.
-func (t *BiTable) Lo() int { return t.lo }
+func (t *BiTable) Lo() int { return t.n[LevelLo] }
 
 // PushHi appends a high-precision page ID on the left side.
-func (t *BiTable) PushHi(id int32) error {
-	if t.hi+t.lo >= len(t.slots) {
-		return fmt.Errorf("kvcache: bidirectional table overflow (%d slots)", len(t.slots))
-	}
-	t.slots[t.hi] = id
-	t.hi++
-	return nil
-}
+func (t *BiTable) PushHi(id int32) error { return t.push(LevelHi, id) }
 
 // PushLo appends a low-precision page ID on the right side.
-func (t *BiTable) PushLo(id int32) error {
-	if t.hi+t.lo >= len(t.slots) {
-		return fmt.Errorf("kvcache: bidirectional table overflow (%d slots)", len(t.slots))
-	}
-	t.slots[len(t.slots)-1-t.lo] = id
-	t.lo++
-	return nil
-}
+func (t *BiTable) PushLo(id int32) error { return t.push(LevelLo, id) }
 
 // PopHi removes and returns the most recently pushed high-precision page.
-func (t *BiTable) PopHi() (int32, error) {
-	if t.hi == 0 {
-		return -1, fmt.Errorf("kvcache: PopHi on empty high side")
-	}
-	t.hi--
-	id := t.slots[t.hi]
-	t.slots[t.hi] = -1
-	return id, nil
-}
+func (t *BiTable) PopHi() (int32, error) { return t.pop(LevelHi) }
 
 // PopLo removes and returns the most recently pushed low-precision page.
-func (t *BiTable) PopLo() (int32, error) {
-	if t.lo == 0 {
-		return -1, fmt.Errorf("kvcache: PopLo on empty low side")
-	}
-	t.lo--
-	id := t.slots[len(t.slots)-1-t.lo]
-	t.slots[len(t.slots)-1-t.lo] = -1
-	return id, nil
-}
-
-// HiID returns the i-th high-precision page ID in push order.
-func (t *BiTable) HiID(i int) int32 { return t.slots[i] }
-
-// LoID returns the i-th low-precision page ID in push order.
-func (t *BiTable) LoID(i int) int32 { return t.slots[len(t.slots)-1-i] }
+func (t *BiTable) PopLo() (int32, error) { return t.pop(LevelLo) }
 
 // HiIDs returns the high-precision page IDs in push order (shared backing
 // array; do not mutate).
-func (t *BiTable) HiIDs() []int32 { return t.slots[:t.hi] }
+func (t *BiTable) HiIDs() []int32 { return t.slots[:t.n[LevelHi]] }
 
 // LoIDs returns the low-precision page IDs in push order (copied, since the
 // right side is stored reversed).
-func (t *BiTable) LoIDs() []int32 {
-	out := make([]int32, t.lo)
-	for i := 0; i < t.lo; i++ {
-		out[i] = t.LoID(i)
+func (t *BiTable) LoIDs() []int32 { return t.ids(LevelLo) }
+
+// ids returns a copy of a side's page IDs in push order.
+func (t *BiTable) ids(level Level) []int32 {
+	out := make([]int32, t.n[level])
+	for i := range out {
+		out[i] = t.id(level, i)
 	}
 	return out
 }
 
 // DrainAll removes every page ID from both sides and returns them —
 // used when a sequence finishes and its pages are recycled.
-func (t *BiTable) DrainAll() []int32 {
-	out := make([]int32, 0, t.hi+t.lo)
-	out = append(out, t.HiIDs()...)
-	out = append(out, t.LoIDs()...)
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
-	t.hi, t.lo = 0, 0
-	return out
-}
+func (t *BiTable) DrainAll() []int32 { return t.drain(nil) }
 
 // MetadataBytes returns the memory footprint of the table (4 bytes per
 // slot) — the quantity behind the paper's "32 MB for batch 128 on
@@ -143,54 +159,44 @@ func NewMultiTable(levels, n int) *MultiTable {
 // Levels returns the number of precision levels.
 func (m *MultiTable) Levels() int { return m.levels }
 
-func (m *MultiTable) side(level int) (*BiTable, bool) {
+// side maps a precision level to its table and the side of it the level
+// occupies.
+func (m *MultiTable) side(level int) (*BiTable, Level) {
 	if level < 0 || level >= m.levels {
 		panic(fmt.Sprintf("kvcache: level %d out of range [0,%d)", level, m.levels))
 	}
-	return m.tables[level/2], level%2 == 0
+	return m.tables[level/2], Level(level % 2)
 }
 
 // Push appends a page ID at the given precision level.
 func (m *MultiTable) Push(level int, id int32) error {
-	t, hiSide := m.side(level)
-	if hiSide {
-		return t.PushHi(id)
-	}
-	return t.PushLo(id)
+	t, side := m.side(level)
+	return t.push(side, id)
 }
 
 // Pop removes the most recently pushed page at the given level.
 func (m *MultiTable) Pop(level int) (int32, error) {
-	t, hiSide := m.side(level)
-	if hiSide {
-		return t.PopHi()
-	}
-	return t.PopLo()
+	t, side := m.side(level)
+	return t.pop(side)
 }
 
 // Count returns the number of pages at the given level.
 func (m *MultiTable) Count(level int) int {
-	t, hiSide := m.side(level)
-	if hiSide {
-		return t.Hi()
-	}
-	return t.Lo()
+	t, side := m.side(level)
+	return t.count(side)
 }
 
 // IDs returns the page IDs of a level in push order.
 func (m *MultiTable) IDs(level int) []int32 {
-	t, hiSide := m.side(level)
-	if hiSide {
-		return append([]int32(nil), t.HiIDs()...)
-	}
-	return t.LoIDs()
+	t, side := m.side(level)
+	return t.ids(side)
 }
 
 // DrainAll empties every level and returns all page IDs.
 func (m *MultiTable) DrainAll() []int32 {
 	var out []int32
 	for _, t := range m.tables {
-		out = append(out, t.DrainAll()...)
+		out = t.drain(out)
 	}
 	return out
 }

@@ -989,8 +989,8 @@ func (e *Engine) registerSeq(st *seqState) error {
 	if _, err := e.mgr.AddSequence(st.req.ID, e.headsN); err != nil {
 		return err
 	}
-	st.hiF = make([]float64, e.headsN)
-	st.loF = make([]float64, e.headsN)
+	f := make([]float64, 2*e.headsN)
+	st.hiF, st.loF = f[:e.headsN:e.headsN], f[e.headsN:]
 	for h := range st.hiF {
 		st.hiF[h] = mathx.Clamp(e.cfg.HiFrac*e.rng.LogNorm(0, 0.3), 0.02, 0.9)
 		st.loF[h] = mathx.Clamp(e.cfg.LoFrac*e.rng.LogNorm(0, 0.3), 0, 0.9-st.hiF[h])
@@ -1134,7 +1134,7 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	var preempted, swapped []*seqState
 	var swapXferBytes float64
 	if e.mgr != nil {
-		active := append([]*seqState(nil), seqs...)
+		active := seqs // the caller's slice, until a victim leaves the batch
 		for {
 			n := len(active)
 			if cap(e.genIDs) < n {
@@ -1150,10 +1150,9 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 			for i, st := range active {
 				ids[i] = st.req.ID
 				d := flat[i*e.headsN : (i+1)*e.headsN]
-				for h := range d {
-					d[h] = kvcache.GenDemand{}
-				}
-				if st.winFill >= 64 {
+				if st.winFill < 64 {
+					clear(d)
+				} else {
 					for h := range d {
 						// steady state: candidate lands by tier
 						// probability; victims keep counts roughly stable
@@ -1163,6 +1162,8 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 							d[h] = kvcache.GenDemand{HiDelta: 1}
 						case u < st.hiF[h]+st.loF[h]:
 							d[h] = kvcache.GenDemand{LoDelta: 1}
+						default:
+							d[h] = kvcache.GenDemand{}
 						}
 					}
 				}
@@ -1198,7 +1199,7 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 			e.victimBuf = cands
 			vi := e.rpolicy.PickVictim(cands)
 			victim := active[vi]
-			active = append(active[:vi], active[vi+1:]...)
+			active = slices.Delete(slices.Clone(active), vi, vi+1)
 			recovered := false
 			if e.tiered != nil && e.rpolicy.Recovery() != offload.RecoverRecompute &&
 				!e.xferFault() { // a faulted D2H falls back to recompute

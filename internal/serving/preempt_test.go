@@ -150,3 +150,65 @@ func TestTracerReceivesEvents(t *testing.T) {
 		prev = ev.TimeUs
 	}
 }
+
+// A prompt longer than MaxSeqLen can overflow a head's page table, which
+// fails PromptCompact after it has planned. The failed step must leave no
+// page behind and keep the request's record, or every retry shrinks the
+// pool until nothing admits.
+func TestOverlongPromptFailsClean(t *testing.T) {
+	cfg := managerCfg(3)
+	cfg.HiFrac = 0.7 // 1.3 × MaxSeqLen at 0.7 high precision: no draw fits 28 slots
+	e := newEngine(t, cfg)
+	e.Submit(workload.Request{ID: 1, PromptLen: synth.Llama3_8B.MaxSeqLen * 13 / 10, GenLen: 4})
+	used := e.Stats().UsedKVPages
+	for steps := 0; e.Result().Preemptions == 0; steps++ {
+		if steps == 4 {
+			t.Fatal("the over-long prompt was never preempted")
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Stats().UsedKVPages; got != used {
+		t.Fatalf("failed prompt step left %d KV pages in use, %d before it", got, used)
+	}
+	if n := liveRecords(t, e); n != 1 {
+		t.Fatalf("%d records for one preempted request", n)
+	}
+}
+
+// At 0.35 high precision the same prompt fits on about one draw in twenty;
+// mixed into ordinary traffic the run must still drain to an empty pool
+// with every request completed.
+func TestOverlongPromptDrains(t *testing.T) {
+	cfg := managerCfg(5)
+	cfg.HiFrac = 0.35
+	e := newEngine(t, cfg)
+	reqs := batchReqs(workload.GSM8K, 12, 5)
+	reqs = append(reqs, workload.Request{ID: 1000, PromptLen: synth.Llama3_8B.MaxSeqLen * 13 / 10, GenLen: 8})
+	for _, r := range reqs {
+		e.Submit(r)
+	}
+	for steps := 0; e.HasWork(); steps++ {
+		if steps == 5000 {
+			t.Fatalf("no drain in %d steps: %d of %d completed, %d KV pages in use",
+				steps, e.Result().Completed, len(reqs), e.Stats().UsedKVPages)
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := e.Result()
+	if res.Completed != len(reqs) {
+		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
+	}
+	if res.Preemptions == 0 {
+		t.Fatal("the over-long prompt fitted on its first draw: pick a seed that exercises the retry")
+	}
+	if used := e.Stats().UsedKVPages; used != 0 {
+		t.Fatalf("%d KV pages in use after the drain", used)
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after drain", n)
+	}
+}
