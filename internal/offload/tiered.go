@@ -1,3 +1,18 @@
+// Package offload implements the host-memory KV tier layered under the
+// paged kvcache.Manager: swap-instead-of-recompute preemption, spillover of
+// evicted prefix-cache entries, and the accounting (swap bytes, thrashing,
+// host prefix hits) the serving and cluster layers surface.
+//
+// The design follows the two related systems the ROADMAP names:
+// inference-sim's TieredKVCache (a GPU+CPU two-tier store, with
+// transfer-latency accounting and thrashing metrics) and llm-d's
+// kv-cache-manager (a host-memory prefix tier consulted on admission).
+// DiffKV's contribution composes with both: compressed tiers move fewer
+// bytes, so its compression directly cuts the PCIe cost of every swap.
+//
+// Timing is never measured here — swap operations return byte counts that
+// the gpusim cost model (Device.PCIeTransfer / TransferStall) converts to
+// simulated time, mirroring the kvcache/gpusim split.
 package offload
 
 import (
@@ -91,10 +106,10 @@ type hostPrefix struct {
 }
 
 // TieredStore layers a host-memory tier under a GPU kvcache.Manager. It
-// satisfies KVStore by embedding the manager (GPU operations pass through
-// untouched) and adds swap-out/swap-in of whole sequences plus spillover
-// of evicted prefix-cache entries. A TieredStore is single-goroutine, like
-// the serving engine that owns it.
+// embeds the manager (GPU operations pass through untouched) and adds
+// swap-out/swap-in of whole sequences plus spillover of evicted
+// prefix-cache entries. A TieredStore is single-goroutine, like the
+// serving engine that owns it.
 //
 // Invariant: a sequence is resident in exactly one tier. SwapOut releases
 // every GPU page before the host copy becomes visible; SwapIn removes the

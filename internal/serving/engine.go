@@ -23,7 +23,6 @@ import (
 	"diffkv/internal/baselines"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/kvcache"
-	"diffkv/internal/mathx"
 	"diffkv/internal/offload"
 	"diffkv/internal/quant"
 	"diffkv/internal/synth"
@@ -37,8 +36,8 @@ type Config struct {
 	Cluster *gpusim.Cluster
 	// Traits selects the compression method's serving behaviour.
 	Traits baselines.ServingTraits
-	// UseManager runs the real counts-mode kvcache.Manager (DiffKV);
-	// otherwise capacity is tracked analytically (baselines).
+	// UseManager runs the real counts-mode page manager of package kvcache
+	// (DiffKV); otherwise capacity is tracked analytically (baselines).
 	UseManager bool
 	// OnCPUMemMgr switches the DiffKV manager's timing to the on-CPU
 	// multithreaded comparator (Fig. 13).
@@ -256,19 +255,16 @@ var _ Driver = (*Engine)(nil)
 type Engine struct {
 	cfg     Config
 	dev     *gpusim.Device
-	mgr     offload.KVStore      // nil in traits mode
+	kv      kvStore              // the KV seam (store.go)
 	tiered  *offload.TieredStore // non-nil when the host tier is enabled
 	rpolicy offload.RecoveryPolicy
-	headsN  int
-	rng     *mathx.RNG
-	kvToken float64 // resident KV bytes per cached token (traits mode)
-	// blendTok is one head's KV bytes per cached token at the configured
-	// tier mix (manager mode); capTok the whole-pool token capacity — the
-	// page pool at that mix in manager mode, the analytic budget in traits
-	// mode. Both are fixed at construction.
-	blendTok float64
-	capTok   float64
-	capHiPg  int // tokens per high-precision page (manager mode)
+	// capTok is the whole-pool token capacity — the page pool at the
+	// configured tier mix on a pageStore, the analytic budget on a
+	// countStore; promptCompress says whether prompt steps run the KV
+	// compressor (the page manager always, of the baselines only those
+	// that quantize — not Quest or SnapKV). Both are fixed at construction.
+	capTok         float64
+	promptCompress bool
 
 	// incremental run state (Submit / Step / DrainContext). Every in-flight
 	// request is one record (record.go) held by exactly one of the three
@@ -313,13 +309,9 @@ type Engine struct {
 
 	// step scratch: buffers reused across Step calls so the scheduler's
 	// steady state allocates nothing (an Engine is single-goroutine)
-	promptBuf  []*seqState
-	genBuf     []*seqState
-	headDemand []kvcache.HeadDemand
-	genIDs     []int
-	genDemands [][]kvcache.GenDemand
-	genFlat    []kvcache.GenDemand
-	victimBuf  []offload.Victim
+	promptBuf []*seqState
+	genBuf    []*seqState
+	victimBuf []offload.Victim
 }
 
 // NewEngine builds a serving engine.
@@ -327,7 +319,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, dev: cfg.Cluster.Device, rng: mathx.NewRNG(cfg.Seed + 99),
+	e := &Engine{cfg: cfg, dev: cfg.Cluster.Device,
 		live: make(map[int]*seqState), exports: make(map[int]*KVExport)}
 	if cfg.PrefixCacheGroups > 0 {
 		e.prefix = make(map[int]*prefixEntry)
@@ -345,7 +337,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 			cfg.PreemptPolicy)
 	}
 	e.rpolicy = rpolicy
-	e.headsN = cfg.Model.Layers * cfg.Model.KVHeads
 
 	weights := cfg.Model.ParamsB * 2e9
 	budget := float64(cfg.Cluster.TotalMemory()) - weights
@@ -371,41 +362,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		if cfg.HostMemoryBytes > 0 {
-			ts, err := offload.NewTieredStore(mgr, offload.Config{HostBytes: cfg.HostMemoryBytes})
-			if err != nil {
+			if e.tiered, err = offload.NewTieredStore(mgr, offload.Config{HostBytes: cfg.HostMemoryBytes}); err != nil {
 				return nil, err
 			}
-			e.tiered = ts
-			e.mgr = ts
-		} else {
-			e.mgr = mgr
 		}
-		e.capHiPg = mgr.TokensPerHiPage()
-		mc := mgr.Config()
-		e.blendTok = cfg.HiFrac*float64(mc.HiPrec.TokenBytes(mc.Dim)) +
-			cfg.LoFrac*float64(mc.LoPrec.TokenBytes(mc.Dim))
-		e.capTok = e.pageTokens(numPages)
+		ps := newPageStore(cfg, mgr)
+		// every page of the pool with every head at the blended tier mix
+		e.kv, e.capTok = ps, float64(numPages*cfg.PageBytes)/(ps.blendTok*float64(ps.heads))
 	} else {
-		e.kvToken = float64(cfg.Model.KVBytesPerTokenFP16()) * cfg.Traits.ResidentMemFrac
-		e.capTok = float64(int(budget / e.kvToken))
+		cs := countStore{kvToken: float64(cfg.Model.KVBytesPerTokenFP16()) * cfg.Traits.ResidentMemFrac}
+		e.kv, e.capTok = cs, float64(int(budget/cs.kvToken))
 	}
+	e.promptCompress = cfg.UseManager || cfg.Traits.AttnBytesFrac < 1 &&
+		cfg.Traits.Name != "Quest" && cfg.Traits.Name != "SnapKV"
 	return e, nil
-}
-
-// pageTokens is how many cached tokens fit in the given number of pages
-// with every head at the blended tier mix (manager mode).
-func (e *Engine) pageTokens(pages int) float64 {
-	return float64(pages*e.cfg.PageBytes) / (e.blendTok * float64(e.headsN))
-}
-
-// TokenCapacity reports how many cached tokens fit (traits mode) or an
-// estimate from pages (manager mode).
-func (e *Engine) TokenCapacity() int {
-	if e.mgr != nil {
-		// rough: all free pages at the blended tier mix
-		return int(e.pageTokens(e.mgr.FreePages()))
-	}
-	return int(e.capTok)
 }
 
 // TotalTokenCapacity reports the engine's whole-pool token capacity —
@@ -615,10 +585,8 @@ func (e *Engine) admit() error {
 				ent.lastUse = e.clock
 			}
 		}
-		if e.mgr != nil {
-			if err := e.registerSeq(st); err != nil {
-				return err
-			}
+		if err := e.kv.register(st); err != nil {
+			return err
 		}
 		shift(&e.pending)
 		if st.cur == trace.PhaseStall {
@@ -681,8 +649,7 @@ func (e *Engine) insertPrefix(group int) *prefixEntry {
 		}
 		if e.tiered != nil {
 			vic := e.prefix[victim]
-			bytes := int64(float64(vic.tokens) * e.blendTok * float64(e.headsN))
-			e.tiered.SpillPrefix(victim, vic.tokens, bytes, float64(e.clock))
+			e.tiered.SpillPrefix(victim, vic.tokens, e.kv.estBytes(vic.tokens), float64(e.clock))
 		}
 		delete(e.prefix, victim)
 	}
@@ -842,7 +809,9 @@ func (e *Engine) step() ([]Completion, error) {
 // — rides along to rebind on the decode engine.
 func (e *Engine) complete(st *seqState) (Completion, error) {
 	now := float64(e.clock)
-	e.latencySum += (now - st.req.ArrivalUs) / 1e6 / float64(st.req.GenLen)
+	if st.req.GenLen > 0 { // a request that generates nothing adds 0, as in Completion.LatencySec
+		e.latencySum += (now - st.req.ArrivalUs) / 1e6 / float64(st.req.GenLen)
+	}
 	e.agg.Completed++
 	e.emit(trace.Event{Kind: trace.KindComplete, TimeUs: now, Seq: st.req.ID})
 	// close the breakdown; the phase opened here only matters to an export,
@@ -946,31 +915,9 @@ func (e *Engine) Run(reqs []workload.Request) (Result, error) {
 
 // hasCapacityFor conservatively checks that admitting cand keeps usage under
 // the high watermark (85%), accounting for the tokens running sequences
-// will still generate. Manager mode adds a page-granular prompt check:
-// PromptCompact's conservative allocation (every head at ceil(prompt/
-// capHi) pages) must fit the free pool alongside the other not-yet-run
-// prompts, or the admission would only bounce off a prompt preemption —
-// queueing the request is strictly better than admitting and restarting
-// it.
+// will still generate, and that the store has room for its prompt.
 func (e *Engine) hasCapacityFor(cand *seqState) bool {
-	if !e.fitsTokens(cand.projected()) {
-		return false
-	}
-	if e.mgr == nil {
-		return true
-	}
-	reserved := e.promptPages(cand.req.PromptLen)
-	for _, st := range e.running {
-		if !st.promptDone {
-			reserved += e.promptPages(st.req.PromptLen)
-		}
-	}
-	return reserved <= e.mgr.FreePages()*9/10
-}
-
-// promptPages is the conservative page demand of one prompt admission.
-func (e *Engine) promptPages(promptLen int) int {
-	return (promptLen + e.capHiPg - 1) / e.capHiPg * e.headsN
+	return e.fitsTokens(cand.projected()) && e.kv.promptFits(cand, e.running)
 }
 
 // fitsTokens checks whether needed more tokens keep usage under the high
@@ -981,27 +928,6 @@ func (e *Engine) fitsTokens(needed float64) bool {
 		current += st.projected()
 	}
 	return (current + needed) <= 0.85*e.capTok
-}
-
-// registerSeq sets up per-head tier fractions and registers the sequence
-// with the manager.
-func (e *Engine) registerSeq(st *seqState) error {
-	if _, err := e.mgr.AddSequence(st.req.ID, e.headsN); err != nil {
-		return err
-	}
-	f := make([]float64, 2*e.headsN)
-	st.hiF, st.loF = f[:e.headsN:e.headsN], f[e.headsN:]
-	for h := range st.hiF {
-		st.hiF[h] = mathx.Clamp(e.cfg.HiFrac*e.rng.LogNorm(0, 0.3), 0.02, 0.9)
-		st.loF[h] = mathx.Clamp(e.cfg.LoFrac*e.rng.LogNorm(0, 0.3), 0, 0.9-st.hiF[h])
-		if st.brownout {
-			// the whole tier budget shifts low, like a compress-swap
-			// victim's post-requantize state
-			st.loF[h] = mathx.Clamp(st.hiF[h]+st.loF[h], 0, 0.9)
-			st.hiF[h] = 0
-		}
-	}
-	return nil
 }
 
 // promptStep runs one batched prompt step for the given sequences. It
@@ -1030,49 +956,28 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 	bd.ModelExec = exec
 
 	// compressor: quantize all prompt tokens' K/V
-	kvBytes := float64(tokens) * float64(cfg.Model.KVBytesPerTokenFP16()) / float64(cfg.Cluster.GPUs)
-	bd.Compressor = dev.CompressorKernel(kvBytes * cfg.Traits.AttnBytesFrac)
+	if e.promptCompress {
+		kvBytes := float64(tokens) * float64(cfg.Model.KVBytesPerTokenFP16()) / float64(cfg.Cluster.GPUs)
+		bd.Compressor = dev.CompressorKernel(kvBytes * cfg.Traits.AttnBytesFrac)
+	}
 
 	// memory management
-	var stats kvcache.CompactStats
+	var work kvcache.CompactStats
 	var preempted []*seqState
-	if e.mgr != nil {
-		if cap(e.headDemand) < e.headsN {
-			e.headDemand = make([]kvcache.HeadDemand, e.headsN)
-		}
-		for _, st := range seqs {
-			demands := e.headDemand[:e.headsN]
-			for h := range demands {
-				demands[h] = kvcache.HeadDemand{
-					HiTokens: int(st.hiF[h] * float64(st.req.PromptLen)),
-					LoTokens: int(st.loF[h] * float64(st.req.PromptLen)),
-				}
+	for _, st := range seqs {
+		w, err := e.kv.prompt(st)
+		if err != nil {
+			// out of pages: recompute-preempt this sequence
+			if rerr := e.kv.release(st); rerr != nil {
+				return bd, preempted, rerr
 			}
-			s, err := e.mgr.PromptCompact(st.req.ID, st.req.PromptLen, demands)
-			if err != nil {
-				// out of pages: recompute-preempt this sequence
-				if rerr := e.mgr.ReleaseSequence(st.req.ID); rerr != nil {
-					return bd, preempted, rerr
-				}
-				preempted = append(preempted, st)
-				continue
-			}
-			st.promptDone = true
-			stats.Add(s)
+			preempted = append(preempted, st)
+			continue
 		}
-		bd.MemMgmt = e.memMgmtTime(stats, len(seqs))
-	} else {
-		for _, st := range seqs {
-			st.promptDone = true
-		}
-		bd.MemMgmt = gpusim.Micros(20 + 2*float64(batch)) // paged FP16 allocator
-		bd.Compressor = 0
-		if cfg.Traits.AttnBytesFrac < 1 && cfg.Traits.Name != "Quest" &&
-			cfg.Traits.Name != "SnapKV" {
-			// quantizing baselines still run a compressor
-			bd.Compressor = dev.CompressorKernel(kvBytes * cfg.Traits.AttnBytesFrac)
-		}
+		st.promptDone = true
+		work.Add(w)
 	}
+	bd.MemMgmt = e.kv.memMgmtTime(work, batch)
 
 	// HF-based frameworks pay per-step host overhead
 	if cfg.Traits.FrameworkOverhead > 1 {
@@ -1133,105 +1038,60 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	// memory management
 	var preempted, swapped []*seqState
 	var swapXferBytes float64
-	if e.mgr != nil {
-		active := seqs // the caller's slice, until a victim leaves the batch
-		for {
-			n := len(active)
-			if cap(e.genIDs) < n {
-				e.genIDs = make([]int, n)
-				e.genDemands = make([][]kvcache.GenDemand, n)
-			}
-			if cap(e.genFlat) < n*e.headsN {
-				e.genFlat = make([]kvcache.GenDemand, n*e.headsN)
-			}
-			ids := e.genIDs[:n]
-			demands := e.genDemands[:n]
-			flat := e.genFlat[:n*e.headsN]
-			for i, st := range active {
-				ids[i] = st.req.ID
-				d := flat[i*e.headsN : (i+1)*e.headsN]
-				if st.winFill < 64 {
-					clear(d)
-				} else {
-					for h := range d {
-						// steady state: candidate lands by tier
-						// probability; victims keep counts roughly stable
-						u := e.rng.Float64()
-						switch {
-						case u < st.hiF[h]:
-							d[h] = kvcache.GenDemand{HiDelta: 1}
-						case u < st.hiF[h]+st.loF[h]:
-							d[h] = kvcache.GenDemand{LoDelta: 1}
-						default:
-							d[h] = kvcache.GenDemand{}
-						}
-					}
+	active := seqs // the caller's slice, until a victim leaves the batch
+	for {
+		memMgmt, err := e.kv.gen(active)
+		if err == nil {
+			bd.MemMgmt = memMgmt
+			seqs = active
+			break
+		}
+		// out of pages: the recovery policy picks a victim and how it
+		// comes back (recompute from scratch vs swap to the host tier).
+		// Error returns carry the victims already processed so Step can
+		// book them even when the step itself fails.
+		if len(active) <= 1 {
+			return bd, preempted, swapped, err
+		}
+		cands := e.victimBuf[:0]
+		for _, st := range active {
+			cands = append(cands, offload.Victim{
+				SeqID:     st.req.ID,
+				ArrivalUs: st.req.ArrivalUs,
+				Tokens:    st.tokens(),
+				Generated: st.generated,
+			})
+		}
+		e.victimBuf = cands
+		vi := e.rpolicy.PickVictim(cands)
+		victim := active[vi]
+		active = slices.Delete(slices.Clone(active), vi, vi+1)
+		recovered := false
+		if e.tiered != nil && e.rpolicy.Recovery() != offload.RecoverRecompute &&
+			!e.xferFault() { // a faulted D2H falls back to recompute
+			compress := e.rpolicy.Recovery() == offload.RecoverCompressSwap
+			res, serr := e.tiered.SwapOut(victim.req.ID, compress, float64(e.clock))
+			if serr == nil {
+				if compress {
+					// the compress-deeper pass re-quantizes the high
+					// tier before the transfer; the sequence resumes
+					// all-low, so its future demand follows suit
+					bd.Compressor += dev.CompressorKernel(float64(res.RecompressBytes))
+					victim.allLow()
 				}
-				demands[i] = d
-			}
-			s, err := e.mgr.GenCompact(ids, demands)
-			if err == nil {
-				for _, st := range active {
-					if st.winFill < 64 {
-						st.winFill++
-					}
-				}
-				bd.MemMgmt = e.memMgmtTime(s, len(active))
-				seqs = active
-				break
-			}
-			// out of pages: the recovery policy picks a victim and how it
-			// comes back (recompute from scratch vs swap to the host tier).
-			// Error returns carry the victims already processed so Step can
-			// book them even when the step itself fails.
-			if len(active) <= 1 {
-				return bd, preempted, swapped, err
-			}
-			cands := e.victimBuf[:0]
-			for _, st := range active {
-				cands = append(cands, offload.Victim{
-					SeqID:     st.req.ID,
-					ArrivalUs: st.req.ArrivalUs,
-					Tokens:    st.tokens(),
-					Generated: st.generated,
-				})
-			}
-			e.victimBuf = cands
-			vi := e.rpolicy.PickVictim(cands)
-			victim := active[vi]
-			active = slices.Delete(slices.Clone(active), vi, vi+1)
-			recovered := false
-			if e.tiered != nil && e.rpolicy.Recovery() != offload.RecoverRecompute &&
-				!e.xferFault() { // a faulted D2H falls back to recompute
-				compress := e.rpolicy.Recovery() == offload.RecoverCompressSwap
-				res, serr := e.tiered.SwapOut(victim.req.ID, compress, float64(e.clock))
-				if serr == nil {
-					if compress {
-						// the compress-deeper pass re-quantizes the high
-						// tier before the transfer; the sequence resumes
-						// all-low, so its future demand follows suit
-						bd.Compressor += dev.CompressorKernel(float64(res.RecompressBytes))
-						for h := range victim.hiF {
-							victim.loF[h] = mathx.Clamp(victim.hiF[h]+victim.loF[h], 0, 0.9)
-							victim.hiF[h] = 0
-						}
-					}
-					swapXferBytes += float64(res.Bytes)
-					victim.swapBytes = res.Bytes
-					swapped = append(swapped, victim)
-					recovered = true
-				}
-			}
-			if !recovered {
-				// recompute: discard the victim's pages entirely
-				if rerr := e.mgr.ReleaseSequence(victim.req.ID); rerr != nil {
-					return bd, preempted, swapped, rerr
-				}
-				preempted = append(preempted, victim)
+				swapXferBytes += float64(res.Bytes)
+				victim.swapBytes = res.Bytes
+				swapped = append(swapped, victim)
+				recovered = true
 			}
 		}
-	} else {
-		bd.MemMgmt = gpusim.Micros(10 + float64(batch))
+		if !recovered {
+			// recompute: discard the victim's pages entirely
+			if rerr := e.kv.release(victim); rerr != nil {
+				return bd, preempted, swapped, rerr
+			}
+			preempted = append(preempted, victim)
+		}
 	}
 
 	if cfg.Traits.FrameworkOverhead > 1 {
@@ -1249,11 +1109,4 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 		st.generated++
 	}
 	return bd, preempted, swapped, nil
-}
-
-func (e *Engine) memMgmtTime(stats kvcache.CompactStats, batch int) gpusim.Micros {
-	if e.cfg.OnCPUMemMgr {
-		return e.dev.CPUMemoryManagement(stats.TokenOps, stats.Regions, batch)
-	}
-	return e.dev.GPUCompaction(stats.TokenOps, stats.Regions)
 }

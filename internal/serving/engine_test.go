@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -171,8 +173,8 @@ func TestManagerConservation(t *testing.T) {
 	if _, err := e.Run(batchReqs(workload.GSM8K, 24, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked after run: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked after run: %d", e.Stats().UsedKVPages)
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
@@ -254,7 +256,7 @@ func TestTokenCapacityPositive(t *testing.T) {
 	e := newEngine(t, Config{
 		Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM,
 	})
-	if e.TokenCapacity() <= 0 {
+	if e.TotalTokenCapacity() <= 0 {
 		t.Fatal("capacity must be positive")
 	}
 	// compression raises capacity
@@ -262,7 +264,33 @@ func TestTokenCapacityPositive(t *testing.T) {
 		Model: synth.Llama3_8B, Cluster: cluster(1),
 		Traits: baselines.TraitsDiffKV(0.3),
 	})
-	if c.TokenCapacity() <= e.TokenCapacity() {
+	if c.TotalTokenCapacity() <= e.TotalTokenCapacity() {
 		t.Fatal("compression must raise token capacity")
+	}
+}
+
+// A request that generates nothing completes right after its prompt step
+// and must not poison the run's mean per-token latency: it contributes 0,
+// as in Completion.LatencySec, so the Result stays finite and marshals.
+func TestZeroGenLenKeepsLatencyFinite(t *testing.T) {
+	for _, cfg := range []Config{
+		{Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM},
+		managerCfg(9),
+	} {
+		e := newEngine(t, cfg)
+		res, err := e.Run([]workload.Request{
+			{ID: 1, PromptLen: 256, GenLen: 0},
+			{ID: 2, PromptLen: 256, GenLen: 32},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != 2 || res.AvgPerTokenLatency <= 0 || math.IsInf(res.AvgPerTokenLatency, 0) {
+			t.Fatalf("UseManager=%v: completed %d, avg per-token latency %v",
+				cfg.UseManager, res.Completed, res.AvgPerTokenLatency)
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatalf("UseManager=%v: %v", cfg.UseManager, err)
+		}
 	}
 }

@@ -48,19 +48,6 @@ func (e *Engine) xferFault() bool {
 	return e.cfg.XferFault != nil && e.cfg.XferFault()
 }
 
-// seqKVBytes returns the sequence's resident KV footprint: exact from
-// the store's byte accounting, otherwise estimated from its token count
-// at the blended tier mix.
-func (e *Engine) seqKVBytes(st *seqState) int64 {
-	if e.mgr == nil {
-		return int64(float64(st.tokens()) * e.kvToken)
-	}
-	if b, err := e.mgr.SeqKVBytes(st.req.ID); err == nil {
-		return b
-	}
-	return int64(float64(st.tokens()) * e.blendTok * float64(e.headsN))
-}
-
 // Crash simulates the instance's GPU process dying at nowUs: every
 // GPU-resident KV page is lost, queued and running requests are
 // orphaned for the cluster to re-dispatch, and the GPU prefix cache is
@@ -85,7 +72,7 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 	for _, q := range stranded {
 		for _, st := range q {
 			if st.at == atRunning {
-				rep.LostKVBytes += e.seqKVBytes(st) // counted before the pages go
+				rep.LostKVBytes += e.kv.kvBytes(st) // counted before the pages go
 			}
 			if err := e.retire(st); err != nil {
 				return rep, fmt.Errorf("serving: crash release seq %d: %w", st.req.ID, err)
@@ -128,14 +115,6 @@ func (e *Engine) SetSlowFactor(factor float64) {
 	e.slowFactor = factor
 }
 
-// SlowFactor returns the current step-time multiplier (1 = healthy).
-func (e *Engine) SlowFactor() float64 {
-	if e.slowFactor < 1 {
-		return 1
-	}
-	return e.slowFactor
-}
-
 // SwappedIDs returns the request IDs currently swapped to the host
 // tier, in queue order.
 func (e *Engine) SwappedIDs() []int {
@@ -148,9 +127,6 @@ func (e *Engine) SwappedIDs() []int {
 
 // BrownoutAdmits counts admissions made at the all-low tier.
 func (e *Engine) BrownoutAdmits() int { return e.brownoutN }
-
-// LostKVBytes is the cumulative GPU KV footprint lost to crashes.
-func (e *Engine) LostKVBytes() int64 { return e.lostKVBytes }
 
 // Readmit lands a crash orphan on this engine: the request joins the
 // pending queue with its original arrival time (honest latency), its

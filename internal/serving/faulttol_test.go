@@ -52,8 +52,8 @@ func TestCrashReadmitAccountingStaysExact(t *testing.T) {
 	if n := liveRecords(t, a); n != 0 {
 		t.Fatalf("crash left %d request records behind", n)
 	}
-	if a.mgr.UsedPages() != 0 {
-		t.Fatalf("crash left %d pages registered", a.mgr.UsedPages())
+	if a.Stats().UsedKVPages != 0 {
+		t.Fatalf("crash left %d pages registered", a.Stats().UsedKVPages)
 	}
 	if rep.LostKVBytes <= 0 {
 		t.Fatal("crash with running sequences lost no KV bytes")

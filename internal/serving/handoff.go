@@ -49,13 +49,13 @@ type KVExport struct {
 	// ArrivalUs as its prefill child) resuming after its first token.
 	Req workload.Request
 	// Bytes is the packed payload crossing the wire: the sequence's
-	// resident KV at its quantized size (SeqKVBytes in manager mode, the
-	// analytic per-token estimate in traits mode). Compression pays here
+	// resident KV at its quantized size (the page manager's byte
+	// accounting, or a baseline's per-token estimate). Compression pays here
 	// a second time — K4V2 pages ship several times cheaper than FP16.
 	Bytes int64
-	// Counts is the per-head tier shape (manager mode; nil in traits
-	// mode): the decode manager adopts exactly these page demands, so
-	// occupancy transfers page-identically.
+	// Counts is the per-head tier shape (nil from a store without pages):
+	// the decode manager adopts exactly these page demands, so occupancy
+	// transfers page-identically.
 	Counts []kvcache.HeadDemand
 	// XferUs is the modeled NICTransfer wire time, stamped by the cluster;
 	// adoption charges it to the decode instance's next step as ingest
@@ -84,14 +84,11 @@ func (e *Engine) MarkHandoff(id, genLen int) {
 // record's halves are copied whole. Called from complete; the cluster
 // collects the export via TakeExport.
 func (e *Engine) exportSeq(st *seqState) error {
-	exp := &KVExport{Req: st.req, Bytes: e.seqKVBytes(st), progress: st.progress, Lifecycle: st.Lifecycle}
+	exp := &KVExport{Req: st.req, Bytes: e.kv.kvBytes(st), progress: st.progress, Lifecycle: st.Lifecycle}
 	exp.Req.GenLen, exp.handoffGen = st.handoffGen, 0
-	if e.mgr != nil {
-		counts, err := e.mgr.HeadCounts(st.req.ID, nil)
-		if err != nil {
-			return fmt.Errorf("serving: handoff export %d: %w", st.req.ID, err)
-		}
-		exp.Counts = counts
+	var err error
+	if exp.Counts, err = e.kv.shape(st); err != nil {
+		return fmt.Errorf("serving: handoff export %d: %w", st.req.ID, err)
 	}
 	e.exports[st.req.ID] = exp
 	return nil
@@ -141,13 +138,11 @@ func (e *Engine) admitAdopted(st *seqState) (bool, error) {
 	if len(e.running) > 0 && !e.fitsTokens(st.projected()) {
 		return false, nil
 	}
-	if e.mgr != nil {
-		if _, err := e.mgr.AdoptCounts(st.req.ID, exp.Counts); err != nil {
-			if len(e.running) > 0 {
-				return false, nil // page pressure: retry after a completion
-			}
-			return false, fmt.Errorf("serving: admitAdopted %d: %w", st.req.ID, err)
+	if err := e.kv.adopt(st, exp.Counts); err != nil {
+		if len(e.running) > 0 {
+			return false, nil // page pressure: retry after a completion
 		}
+		return false, fmt.Errorf("serving: admitAdopted %d: %w", st.req.ID, err)
 	}
 	// the landed transfer's device DMA contends with the next step's
 	// compute up to the NIC overlap fraction (ingest stall)

@@ -376,13 +376,6 @@ func (l *Loop) Err() error {
 	return l.failed
 }
 
-// Draining reports whether Shutdown has begun.
-func (l *Loop) Draining() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.draining
-}
-
 // Metrics snapshots the loop and its driver. Safe from any goroutine and
 // cheap enough to serve a metrics scrape.
 func (l *Loop) Metrics() LoopMetrics {
@@ -546,10 +539,7 @@ func (e *Engine) Stats() DriverStats {
 		BrownoutAdmits:         e.brownoutN,
 		InstancesUp:            1,
 	}
-	if e.mgr != nil {
-		ds.FreeKVPages = e.mgr.FreePages()
-		ds.UsedKVPages = e.mgr.UsedPages()
-	}
+	ds.FreeKVPages, ds.UsedKVPages = e.kv.pages()
 	ds.PerInstance = []InstanceStats{{
 		Inst:           1,
 		QueueDepth:     ds.QueueDepth,

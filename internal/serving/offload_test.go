@@ -49,8 +49,8 @@ func TestSwapPreemptionCompletesAll(t *testing.T) {
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d under swap preemption", res.Completed, len(reqs))
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked: %d", e.Stats().UsedKVPages)
 	}
 	if e.SwappedCount() != 0 || e.tiered.HostUsedBytes() != 0 {
 		t.Fatalf("host tier not drained: %d seqs, %d bytes", e.SwappedCount(), e.tiered.HostUsedBytes())

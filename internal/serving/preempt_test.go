@@ -28,8 +28,8 @@ func TestPreemptionUnderTightMemory(t *testing.T) {
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d under pressure", res.Completed, len(reqs))
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked under preemption: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked under preemption: %d", e.Stats().UsedKVPages)
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
@@ -58,8 +58,8 @@ func TestPreemptionPoisson(t *testing.T) {
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked: %d", e.Stats().UsedKVPages)
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"diffkv/internal/gpusim"
+	"diffkv/internal/mathx"
 	"diffkv/internal/trace"
 	"diffkv/internal/workload"
 )
@@ -41,12 +42,22 @@ const (
 type progress struct {
 	promptDone bool
 	generated  int
-	hiF, loF   []float64 // per-head tier fractions (manager mode)
+	hiF, loF   []float64 // per-head tier fractions (pageStore)
 	winFill    int
 	cached     int     // prompt tokens served from the prefix cache
 	firstTokUs float64 // clock when the prompt phase completed
 	brownout   bool    // admitted at the all-low tier (graceful degradation)
 	adoptedGen int     // tokens generated elsewhere before a disagg adoption
+}
+
+// allLow shifts every head's whole tier budget into the low tier — the
+// state of a brownout admission and of a compress-swap victim after its
+// re-quantize pass.
+func (p *progress) allLow() {
+	for h := range p.hiF {
+		p.loF[h] = mathx.Clamp(p.hiF[h]+p.loF[h], 0, 0.9)
+		p.hiF[h] = 0
+	}
 }
 
 // Lifecycle is the half of a request record that survives preemption,
@@ -146,9 +157,7 @@ func (e *Engine) retire(st *seqState) error {
 	case atRunning:
 		// freed pages: admissions held back by a preemption may resume
 		e.admitBlocked = false
-		if e.mgr != nil {
-			return e.mgr.ReleaseSequence(st.req.ID)
-		}
+		return e.kv.release(st)
 	}
 	return nil
 }

@@ -113,12 +113,12 @@ func TestSessionCancelFreesPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := e.mgr.UsedPages()
+	before := e.Stats().UsedKVPages
 	if before == 0 {
 		t.Fatal("no pages in use after prompt steps")
 	}
 	sessions[0].Cancel()
-	after := e.mgr.UsedPages()
+	after := e.Stats().UsedKVPages
 	if after >= before {
 		t.Fatalf("cancel freed no pages: %d -> %d", before, after)
 	}
@@ -131,8 +131,8 @@ func TestSessionCancelFreesPages(t *testing.T) {
 	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked after drain: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked after drain: %d", e.Stats().UsedKVPages)
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
@@ -196,9 +196,9 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e.mgr.UsedPages() != 0 || e.tiered.HostUsedBytes() != 0 {
+	if e.Stats().UsedKVPages != 0 || e.tiered.HostUsedBytes() != 0 {
 		t.Fatalf("leak after drain: %d pages, %d host bytes",
-			e.mgr.UsedPages(), e.tiered.HostUsedBytes())
+			e.Stats().UsedKVPages, e.tiered.HostUsedBytes())
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
@@ -296,8 +296,8 @@ func TestSessionCancelFromCallback(t *testing.T) {
 	if _, err := other.Completion(); err != nil {
 		t.Fatalf("other session failed: %v", err)
 	}
-	if e.mgr.UsedPages() != 0 {
-		t.Fatalf("pages leaked: %d", e.mgr.UsedPages())
+	if e.Stats().UsedKVPages != 0 {
+		t.Fatalf("pages leaked: %d", e.Stats().UsedKVPages)
 	}
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
