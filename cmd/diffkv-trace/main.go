@@ -279,6 +279,7 @@ func analyze(events []trace.Event, trees []*trace.RequestSpans, windowUs float64
 		e2e = append(e2e, rt.E2EUs())
 		arrivals = append(arrivals, arrival{rt.StartUs, rt.Phases.QueueUs})
 	}
+	var queueP50Us float64
 	for _, d := range []struct {
 		name string
 		xs   []float64
@@ -293,13 +294,17 @@ func analyze(events []trace.Event, trees []*trace.RequestSpans, windowUs float64
 		for _, v := range d.xs {
 			sum += v
 		}
+		lat := stats.SummarizeLatency(d.xs)
+		if d.name == "queue" {
+			queueP50Us = lat.P50
+		}
 		rep.Phases = append(rep.Phases, phaseDist{
 			Phase:   d.name,
 			Count:   len(d.xs),
-			P50Ms:   stats.Quantile(d.xs, 0.50) / 1e3,
-			P95Ms:   stats.Quantile(d.xs, 0.95) / 1e3,
-			P99Ms:   stats.Quantile(d.xs, 0.99) / 1e3,
-			MeanMs:  sum / float64(len(d.xs)) / 1e3,
+			P50Ms:   lat.P50 / 1e3,
+			P95Ms:   lat.P95 / 1e3,
+			P99Ms:   lat.P99 / 1e3,
+			MeanMs:  lat.Mean / 1e3,
 			TotalMs: sum / 1e3,
 		})
 	}
@@ -310,8 +315,7 @@ func analyze(events []trace.Event, trees []*trace.RequestSpans, windowUs float64
 	rep.QueueingOnsetMs = -1
 	if len(arrivals) >= 4 {
 		sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].startUs < arrivals[j].startUs })
-		med := stats.Quantile(queue, 0.50)
-		threshold := 2 * med
+		threshold := 2 * queueP50Us
 		if threshold < 1 { // all-zero queueing: any wait at all is onset
 			threshold = 1
 		}

@@ -17,6 +17,15 @@
 //	             event-loop step path.
 //	timeunits  — no arithmetic/comparisons directly mixing identifiers
 //	             with different time-unit suffixes (Us/Ms/Sec).
+//	deadcode   — no top-level func, method, type or var under internal/
+//	             that non-test code cannot reach. Roots: every
+//	             declaration outside internal/ (the root package, cmd/,
+//	             examples/, benchmark/), main, init and package-level
+//	             var initialisers. Never reported: constants, struct
+//	             fields, methods that may satisfy an interface. Needs
+//	             the whole module typed; an accessor a test of live
+//	             behaviour reads as its observation point stays under
+//	             an allow naming the invariant seen through it.
 //	allowaudit — every //diffkv:allow directive must carry a reason and
 //	             suppress at least one live diagnostic, so suppressions
 //	             self-clean as the code they excuse disappears.
@@ -67,19 +76,6 @@ func (s Severity) String() string {
 	return fmt.Sprintf("severity(%d)", int(s))
 }
 
-// ParseSeverity maps "off"/"warn"/"error" back to a Severity.
-func ParseSeverity(s string) (Severity, error) {
-	switch s {
-	case "off":
-		return Off, nil
-	case "warn":
-		return Warn, nil
-	case "error":
-		return Error, nil
-	}
-	return Off, fmt.Errorf("unknown severity %q (want off|warn|error)", s)
-}
-
 // Diagnostic is one finding: a check name, a position and a message.
 // Severity is resolved from the per-package config at report time.
 type Diagnostic struct {
@@ -108,6 +104,8 @@ type Analyzer struct {
 	// Doc is a one-line description for `diffkv-vet -list`.
 	Doc string
 	// Run inspects pass.Pkg and reports findings through pass.Reportf.
+	// It is nil for Deadcode, which the runner executes once over the
+	// whole module.
 	Run func(pass *Pass)
 }
 
@@ -199,7 +197,8 @@ func register(a *Analyzer) *Analyzer {
 
 // Analyzers returns the built-in analyzers sorted by name. AllowAudit is
 // not in the list: it is a runner-level pass over directives, not a
-// per-package AST walk, but its name is still valid in config.
+// per-package AST walk, but its name is still valid in config. Deadcode
+// is in it, for its name and Doc, with a nil Run.
 func Analyzers() []*Analyzer {
 	out := make([]*Analyzer, len(builtins))
 	copy(out, builtins)

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Config maps (import path, check) to a Severity. Rules are matched by
 // longest path prefix, so a narrow rule for one package overrides a
@@ -49,31 +46,6 @@ func (c *Config) SeverityFor(check, importPath string) Severity {
 		return s
 	}
 	return Off
-}
-
-// Checks returns every check name the config ever enables, sorted.
-func (c *Config) Checks() []string {
-	set := map[string]bool{}
-	//diffkv:allow maprange -- set-union into a map, sorted before return
-	for name, s := range c.Default {
-		if s != Off {
-			set[name] = true
-		}
-	}
-	for _, r := range c.Rules {
-		//diffkv:allow maprange -- set-union into a map, sorted before return
-		for name, s := range r.Checks {
-			if s != Off {
-				set[name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func matchPrefix(path, prefix string) bool {
@@ -172,6 +144,7 @@ func DefaultConfig() *Config {
 	for _, p := range stepPathPackages {
 		c.addRule(p, "goroutine", Error)
 	}
+	c.addRule("diffkv/internal", Deadcode.Name, Error)
 	return c
 }
 

@@ -24,6 +24,9 @@ type Module struct {
 	Fset *token.FileSet
 	// Packages are sorted by import path.
 	Packages []*Package
+	// Typed records that the go/types pass was asked for, which tells a
+	// package that failed to typecheck from a load that never tried.
+	Typed bool
 }
 
 // LoadOptions configures LoadModule.
@@ -47,7 +50,7 @@ func LoadModule(root string, opts LoadOptions) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet()}
+	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet(), Typed: opts.Types}
 
 	dirs := opts.Dirs
 	if len(dirs) == 0 {

@@ -51,6 +51,14 @@ func Run(m *Module, cfg *Config) *Result {
 		cfg = DefaultConfig()
 	}
 	res := &Result{}
+	report := func(pkg *Package, d Diagnostic) {
+		if dir := matchDirective(pkg, d.Check, d.Pos.Filename, d.Pos.Line); dir != nil {
+			dir.Used = true
+			d.Suppressed = true
+			d.SuppressedBy = dir.Reason
+		}
+		res.Diagnostics = append(res.Diagnostics, d)
+	}
 	for _, pkg := range m.Packages {
 		res.Packages++
 		res.Files += len(pkg.Files)
@@ -59,7 +67,7 @@ func Run(m *Module, cfg *Config) *Result {
 		}
 		for _, a := range Analyzers() {
 			sev := cfg.SeverityFor(a.Name, pkg.ImportPath)
-			if sev == Off {
+			if sev == Off || a.Run == nil {
 				continue
 			}
 			pass := &Pass{
@@ -68,16 +76,17 @@ func Run(m *Module, cfg *Config) *Result {
 				analyzer: a,
 				report: func(d Diagnostic) {
 					d.Severity = sev
-					if dir := matchDirective(pkg, d.Check, d.Pos.Filename, d.Pos.Line); dir != nil {
-						dir.Used = true
-						d.Suppressed = true
-						d.SuppressedBy = dir.Reason
-					}
-					res.Diagnostics = append(res.Diagnostics, d)
+					report(pkg, d)
 				},
 			}
 			a.Run(pass)
 		}
+	}
+	// deadcode sees the whole module at once, and must mark the allows it
+	// honours before allowaudit counts the unused ones; when it reached no
+	// verdict its allows are not stale either.
+	deadcodeRan := deadcode(m, cfg, report)
+	for _, pkg := range m.Packages {
 		// allowaudit: malformed directives always fire; well-formed but
 		// unused ones fire unless the check is Off for this package (a
 		// directive cannot be "live" for a check that never runs here —
@@ -95,6 +104,7 @@ func Run(m *Module, cfg *Config) *Result {
 					Pos:      dir.Pos,
 					Message:  dir.parseErr,
 				})
+			case !dir.Used && dir.Check == Deadcode.Name && !deadcodeRan:
 			case !dir.Used:
 				msg := "allow directive for " + dir.Check + " suppresses nothing — remove it"
 				if cfg.SeverityFor(dir.Check, pkg.ImportPath) == Off {

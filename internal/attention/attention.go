@@ -11,7 +11,6 @@ import (
 	"diffkv/internal/kvcache"
 	"diffkv/internal/mathx"
 	"diffkv/internal/policy"
-	"diffkv/internal/quant"
 )
 
 // TokenWeight is one token's attention weight, keyed by its original
@@ -41,16 +40,6 @@ func Reference(q []float32, keys, vals [][]float32) Result {
 	return s.Reference(q, keys, vals)
 }
 
-// Uniform computes attention with every key/value quantized at one
-// precision — the uniform-quantization ablation of Fig. 8 (K8V4, K4V8,
-// K8V2, K4V2, K2V4, K4V1 applied to all tokens). Quantization is performed
-// per vector exactly as the cache would store it. Convenience wrapper over
-// Scratch.Uniform.
-func Uniform(q []float32, keys, vals [][]float32, prec quant.Precision) Result {
-	var s Scratch
-	return s.Uniform(q, keys, vals, prec)
-}
-
 // Compressed computes attention over a DiffKV head cache plus the
 // uncompressed recent window. High-precision pages are processed first,
 // then low-precision pages, then the window (which the real kernel reads
@@ -66,25 +55,4 @@ func Compressed(q []float32, hc *kvcache.HeadCache, window []policy.WindowToken)
 // model consumes.
 func OutputError(compressed, reference []float32) float64 {
 	return mathx.RelErr(compressed, reference)
-}
-
-// MaxAggregate folds per-query-head weights into per-position significance
-// scores using the max operation across the GQA group (paper §4). maxPos is
-// the exclusive upper bound on token positions (callers track the sequence
-// length); the returned slice is indexed by position, with 0 for positions
-// no result touched. Using a position-indexed slice instead of a map keeps
-// the score-aggregation path free of hashing and map churn.
-func MaxAggregate(results []Result, maxPos int) []float32 {
-	if maxPos < 0 {
-		maxPos = 0
-	}
-	agg := make([]float32, maxPos)
-	for _, r := range results {
-		for _, tw := range r.Weights {
-			if tw.Weight > agg[tw.Pos] {
-				agg[tw.Pos] = tw.Weight
-			}
-		}
-	}
-	return agg
 }

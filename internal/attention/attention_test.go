@@ -58,7 +58,7 @@ func TestUniformHighPrecisionMatchesReference(t *testing.T) {
 	rng := mathx.NewRNG(3)
 	q, keys, vals := genKV(rng, 100, 64)
 	ref := Reference(q, keys, vals)
-	res := Uniform(q, keys, vals, quant.K8V8)
+	res := new(Scratch).Uniform(q, keys, vals, quant.K8V8)
 	if e := OutputError(res.Output, ref.Output); e > 0.02 {
 		t.Fatalf("K8V8 error vs reference = %v", e)
 	}
@@ -71,7 +71,7 @@ func TestUniformErrorOrdering(t *testing.T) {
 	ref := Reference(q, keys, vals)
 	prev := -1.0
 	for _, prec := range []quant.Precision{quant.K8V8, quant.K8V4, quant.K4V2, quant.K2V2} {
-		res := Uniform(q, keys, vals, prec)
+		res := new(Scratch).Uniform(q, keys, vals, prec)
 		e := OutputError(res.Output, ref.Output)
 		if e < prev {
 			t.Fatalf("%s error %v below previous %v", prec, e, prev)
@@ -93,10 +93,10 @@ func TestKeyBitsMatterMoreThanValueBits(t *testing.T) {
 		h := synth.GenHead(model, prof, 256, rng.SplitAt(uint64(100+rep)))
 		q := h.Query(rng)
 		ref := Reference(q, h.Keys, h.Vals)
-		e84 += OutputError(Uniform(q, h.Keys, h.Vals, quant.K8V4).Output, ref.Output)
-		e48 += OutputError(Uniform(q, h.Keys, h.Vals, quant.K4V8).Output, ref.Output)
-		e42 += OutputError(Uniform(q, h.Keys, h.Vals, quant.K4V2).Output, ref.Output)
-		e24 += OutputError(Uniform(q, h.Keys, h.Vals, quant.K2V4).Output, ref.Output)
+		e84 += OutputError(new(Scratch).Uniform(q, h.Keys, h.Vals, quant.K8V4).Output, ref.Output)
+		e48 += OutputError(new(Scratch).Uniform(q, h.Keys, h.Vals, quant.K4V8).Output, ref.Output)
+		e42 += OutputError(new(Scratch).Uniform(q, h.Keys, h.Vals, quant.K4V2).Output, ref.Output)
+		e24 += OutputError(new(Scratch).Uniform(q, h.Keys, h.Vals, quant.K2V4).Output, ref.Output)
 	}
 	if e84 >= e48 {
 		t.Fatalf("K8V4 error (%v) should be below K4V8 (%v)", e84/float64(reps), e48/float64(reps))
@@ -109,7 +109,7 @@ func TestKeyBitsMatterMoreThanValueBits(t *testing.T) {
 func TestUniformBytesAccounting(t *testing.T) {
 	rng := mathx.NewRNG(6)
 	q, keys, vals := genKV(rng, 10, 64)
-	res := Uniform(q, keys, vals, quant.K4V2)
+	res := new(Scratch).Uniform(q, keys, vals, quant.K4V2)
 	if res.BytesRead != 10*quant.K4V2.TokenBytes(64) {
 		t.Fatalf("BytesRead = %d", res.BytesRead)
 	}
@@ -138,7 +138,7 @@ func newTestCache(t *testing.T, dim int) (*kvcache.Manager, *kvcache.HeadCache) 
 
 func TestCompressedMatchesUniformWhenAllHigh(t *testing.T) {
 	// With every token in the high tier and no window, Compressed must
-	// match the Uniform(K8V4) path.
+	// match the Scratch.Uniform(K8V4) path.
 	rng := mathx.NewRNG(7)
 	dim := 64
 	q, keys, vals := genKV(rng, 120, dim)
@@ -149,7 +149,7 @@ func TestCompressedMatchesUniformWhenAllHigh(t *testing.T) {
 		}
 	}
 	cRes := Compressed(q, hc, nil)
-	uRes := Uniform(q, keys, vals, quant.K8V4)
+	uRes := new(Scratch).Uniform(q, keys, vals, quant.K8V4)
 	if e := mathx.RelErr(cRes.Output, uRes.Output); e > 1e-4 {
 		t.Fatalf("compressed vs uniform mismatch: %v", e)
 	}
@@ -232,24 +232,6 @@ func TestCompressedBytesReflectTiers(t *testing.T) {
 	want := 20*quant.K8V4.TokenBytes(dim) + 20*quant.K4V2.TokenBytes(dim)
 	if res.BytesRead != want {
 		t.Fatalf("BytesRead = %d, want %d", res.BytesRead, want)
-	}
-}
-
-func TestMaxAggregate(t *testing.T) {
-	r1 := Result{Weights: []TokenWeight{{Pos: 0, Weight: 0.3}, {Pos: 1, Weight: 0.7}}}
-	r2 := Result{Weights: []TokenWeight{{Pos: 0, Weight: 0.5}, {Pos: 1, Weight: 0.2}}}
-	agg := MaxAggregate([]Result{r1, r2}, 3)
-	if agg[0] != 0.5 || agg[1] != 0.7 {
-		t.Fatalf("agg = %v", agg)
-	}
-	if agg[2] != 0 {
-		t.Fatalf("untouched position should score 0, got %v", agg[2])
-	}
-}
-
-func TestMaxAggregateEmpty(t *testing.T) {
-	if len(MaxAggregate(nil, 0)) != 0 {
-		t.Fatal("empty aggregate should be empty")
 	}
 }
 

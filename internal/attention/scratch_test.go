@@ -88,7 +88,7 @@ func TestScratchUniformMatchesWrapper(t *testing.T) {
 	var s Scratch
 	s.Uniform(q, keys, vals, quant.K4V2)
 	got := s.Uniform(q, keys, vals, quant.K4V2)
-	want := Uniform(q, keys, vals, quant.K4V2)
+	want := new(Scratch).Uniform(q, keys, vals, quant.K4V2)
 	if e := mathx.RelErr(got.Output, want.Output); e != 0 {
 		t.Fatalf("scratch uniform differs: %v", e)
 	}

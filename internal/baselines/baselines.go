@@ -24,7 +24,6 @@ import (
 
 	"diffkv/internal/attention"
 	"diffkv/internal/mathx"
-	"diffkv/internal/quant"
 	"diffkv/internal/synth"
 )
 
@@ -150,26 +149,4 @@ func topKBySig(sig []float32, k, window int) []int {
 		}
 	}
 	return idx
-}
-
-// VLLM is the uncompressed FP16 baseline.
-type VLLM struct{}
-
-// Name implements Method.
-func (VLLM) Name() string { return "vLLM" }
-
-// Evaluate implements Method: binary16 storage, error ≈ 0, memory 1.
-func (VLLM) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
-	dim := data.Dim
-	keys := make([][]float32, data.Len())
-	vals := make([][]float32, data.Len())
-	for j := 0; j < data.Len(); j++ {
-		keys[j] = quant.RoundTrip(data.Keys[j], quant.BitsF16)
-		vals[j] = quant.RoundTrip(data.Vals[j], quant.BitsF16)
-	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return reconAttention(q, keys, vals)
-	})
-	_ = dim
-	return EvalResult{OutputErr: e, MemFrac: 1}
 }

@@ -13,18 +13,8 @@ func evalHead(t *testing.T, m Method, model *synth.ModelConfig, n int, seed uint
 	rng := mathx.NewRNG(seed)
 	prof := synth.Profile(model, 8, 1, 1, rng)
 	data := synth.GenHead(model, prof, n, rng.SplitAt(1))
-	sig := data.Significance(model, rng.SplitAt(2))
+	sig := data.SignificancePrefix(model, data.Len(), rng.SplitAt(2))
 	return m.Evaluate(model, data, sig, 3, rng.SplitAt(3))
-}
-
-func TestVLLMNearZeroError(t *testing.T) {
-	r := evalHead(t, VLLM{}, synth.Llama3_8B, 256, 1)
-	if r.OutputErr > 0.01 {
-		t.Fatalf("vLLM FP16 error = %v", r.OutputErr)
-	}
-	if r.MemFrac != 1 {
-		t.Fatalf("vLLM memory = %v", r.MemFrac)
-	}
 }
 
 func TestINT4BetterThanKIVI(t *testing.T) {
@@ -199,40 +189,12 @@ func TestTraits(t *testing.T) {
 }
 
 func TestMethodNamesDistinct(t *testing.T) {
-	methods := []Method{VLLM{}, INT4Atom{}, KIVI{}, QAQ{}, H2O{}, SnapKV{}, Quest{}, DuoAttention{}, StreamingLLM{}}
+	methods := []Method{INT4Atom{}, KIVI{}, QAQ{}, H2O{}, SnapKV{}, Quest{}, DuoAttention{}}
 	seen := map[string]bool{}
 	for _, m := range methods {
 		if seen[m.Name()] {
 			t.Fatalf("duplicate method name %q", m.Name())
 		}
 		seen[m.Name()] = true
-	}
-}
-
-func TestStreamingLLMConstantMemory(t *testing.T) {
-	short := evalHead(t, StreamingLLM{}, synth.Llama3_8B, 512, 20)
-	long := evalHead(t, StreamingLLM{}, synth.Llama3_8B, 2048, 20)
-	// memory fraction shrinks with sequence length (constant token count)
-	if long.MemFrac >= short.MemFrac {
-		t.Fatalf("streaming memory should shrink with length: %v vs %v",
-			long.MemFrac, short.MemFrac)
-	}
-	// losing mid-context costs accuracy on long sequences
-	if long.OutputErr <= short.OutputErr {
-		t.Fatalf("longer sequences should hurt more: %v vs %v",
-			long.OutputErr, short.OutputErr)
-	}
-}
-
-func TestStreamingLLMWorseThanH2OAtEqualMemory(t *testing.T) {
-	// at the same retained fraction, score-based selection (H2O) must beat
-	// pure recency (StreamingLLM): the core premise of importance-based
-	// pruning
-	n := 1024
-	s := evalHead(t, StreamingLLM{Recent: 252}, synth.Llama3_8B, n, 21) // 256/1024 = 25%
-	h := evalHead(t, H2O{Budget: 0.25}, synth.Llama3_8B, n, 21)
-	if s.OutputErr <= h.OutputErr {
-		t.Fatalf("recency-only (%v) should lose to heavy-hitter selection (%v)",
-			s.OutputErr, h.OutputErr)
 	}
 }

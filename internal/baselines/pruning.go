@@ -206,44 +206,3 @@ func allIdx(n int) []int {
 	}
 	return idx
 }
-
-// StreamingLLM keeps only attention sinks plus a recent window on every
-// head (Xiao et al., "Efficient Streaming Language Models with Attention
-// Sinks" — the paper's [71]). It is DuoAttention's streaming half applied
-// uniformly: constant memory, but all mid-context information is lost.
-type StreamingLLM struct {
-	// Sink and Recent shape the cache (defaults 4 / 256).
-	Sink, Recent int
-}
-
-// Name implements Method.
-func (StreamingLLM) Name() string { return "StreamingLLM" }
-
-// Evaluate implements Method.
-func (m StreamingLLM) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
-	sink := m.Sink
-	if sink <= 0 {
-		sink = 4
-	}
-	recent := m.Recent
-	if recent <= 0 {
-		recent = 256
-	}
-	n := data.Len()
-	var idx []int
-	for j := 0; j < sink && j < n; j++ {
-		idx = append(idx, j)
-	}
-	for j := n - recent; j < n; j++ {
-		if j >= sink && j >= 0 {
-			idx = append(idx, j)
-		}
-	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return subsetAttention(q, data.Keys, data.Vals, idx)
-	})
-	return EvalResult{
-		OutputErr: e,
-		MemFrac:   float64(len(idx)) / float64(n),
-	}
-}

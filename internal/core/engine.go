@@ -104,9 +104,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Config returns the engine's validated configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // vLLM FP16 KV payload per token per head (no quantization metadata): K and
 // V at 2 bytes per element.
 func fp16TokenBytes(dim int) int { return 4 * dim }

@@ -33,7 +33,7 @@ func TestNewEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := e.Config()
+	cfg := e.cfg
 	if cfg.HiPrec != quant.K8V4 || cfg.LoPrec != quant.K4V2 {
 		t.Fatal("precision defaults wrong")
 	}

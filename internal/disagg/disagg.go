@@ -193,6 +193,8 @@ func (l *Ledger) Links() []LinkBytes {
 }
 
 // TotalBytes sums shipment traffic across links.
+//
+//diffkv:allow deadcode -- tests see shipment byte conservation through it: the per-link ledger sums to the bytes handed off
 func (l *Ledger) TotalBytes() int64 {
 	var n int64
 	for _, lb := range l.Links() {

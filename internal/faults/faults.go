@@ -282,6 +282,8 @@ func normalizeTimeline(events []Event, instances int) []Event {
 func (in *Injector) Plan() Plan { return in.plan }
 
 // Events returns the full expanded timeline (for reports and tests).
+//
+//diffkv:allow deadcode -- tests see seed determinism through it: the same plan and seed expand to the same fault timeline, a different seed to another
 func (in *Injector) Events() []Event { return in.events }
 
 // NextAt returns the time of the next unconsumed fault event.

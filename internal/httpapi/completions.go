@@ -124,6 +124,19 @@ func estimatePromptTokens(prompt string) int {
 	return n
 }
 
+// bodyFieldAllowance bounds everything in a completion request body that
+// is not prompt text: the six other fields, keys and punctuation.
+const bodyFieldAllowance = 1 << 10
+
+// maxBodyBytes is the largest request body handleCompletions reads: the
+// longest prompt estimatePromptTokens still maps to MaxPromptTokens
+// (4 bytes a token, rounded down) plus the allowance for the rest. A
+// body past it is refused before it is buffered, where the token check
+// could only run after the whole prompt was in memory.
+func (g *Gateway) maxBodyBytes() int64 {
+	return 4*(int64(g.cfg.MaxPromptTokens)+1) + bodyFieldAllowance
+}
+
 // handleCompletions serves POST /v1/completions: open a session on the
 // loop, then either stream token progress as SSE chunks or block until
 // completion. The request context rides into Open, so a client
@@ -136,9 +149,15 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req completionRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBodyBytes()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+				fmt.Sprintf("request body exceeds the limit of %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid_request_error",
 			fmt.Sprintf("malformed request body: %v", err))
 		return

@@ -163,6 +163,42 @@ func TestCompletionsBlocking(t *testing.T) {
 	}
 }
 
+// TestCompletionsBodyLimit: the request body is bounded before it is
+// read, from the prompt limit the gateway already has. A body one byte
+// past the bound is a 413 however little of it is prompt; a body of
+// exactly the bound, carrying the longest prompt the token limit admits,
+// is served.
+func TestCompletionsBodyLimit(t *testing.T) {
+	g, err := New(Config{Loop: engineLoop(t, traitsCfg(6), serving.LoopConfig{}), MaxPromptTokens: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(srv.Close)
+	limit := int(g.maxBodyBytes())
+	body := func(size int) string {
+		head := `{"prompt": "` + strings.Repeat("x", 4*64) + `",`
+		tail := `"max_tokens": 4}`
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	for _, c := range []struct {
+		size, want int
+	}{{limit, http.StatusOK}, {limit + 1, http.StatusRequestEntityTooLarge}} {
+		resp, err := http.Post(srv.URL+"/v1/completions", "application/json", strings.NewReader(body(c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%d-byte body (limit %d): status %d, want %d: %s", c.size, limit, resp.StatusCode, c.want, got)
+		}
+		if c.want != http.StatusOK && !strings.Contains(string(got), "invalid_request_error") {
+			t.Fatalf("413 body is not an invalid_request_error: %s", got)
+		}
+	}
+}
+
 // TestDisconnectFreesPages is the page-count canary of the gateway's
 // cancellation contract: a client that disconnects mid-stream must have
 // its session cancelled and every KV page returned to the pool. The

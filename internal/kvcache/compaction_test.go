@@ -50,7 +50,7 @@ func captureState(m *Manager) managerState {
 		var heads []headState
 		for _, hc := range m.seqs[id].Heads {
 			heads = append(heads, headState{
-				Hi: append([]int32{}, hc.table.HiIDs()...), Lo: append([]int32{}, hc.table.LoIDs()...),
+				Hi: sideIDs(&hc.table, LevelHi), Lo: sideIDs(&hc.table, LevelLo),
 				HiTokens: hc.HiTokens(), LoTokens: hc.LoTokens(),
 			})
 		}
@@ -214,13 +214,13 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 	held, meta := 0, 0
 	for _, sc := range m.seqs {
 		for _, hc := range sc.Heads {
-			for _, id := range hc.table.HiIDs() {
+			for _, id := range sideIDs(&hc.table, LevelHi) {
 				mark(id, "hi table")
 			}
-			for _, id := range hc.table.LoIDs() {
+			for _, id := range sideIDs(&hc.table, LevelLo) {
 				mark(id, "lo table")
 			}
-			held += hc.table.Hi() + hc.table.Lo()
+			held += hc.table.count(LevelHi) + hc.table.count(LevelLo)
 			meta += hc.table.MetadataBytes()
 		}
 	}
@@ -232,8 +232,8 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 	}
 }
 
-// Property: under any interleaving of add / prompt / gen / trim / adopt /
-// release, calls that fail included, ring ∪ tables stays a permutation of
+// Property: under any interleaving of add / prompt / gen / adopt / release,
+// calls that fail included, ring ∪ tables stays a permutation of
 // [0, NumPages).
 func TestManagerConservationProperty(t *testing.T) {
 	const heads, numPages, maxSeqLen = 4, 96, 300 // 9-slot tables, a pool a few prompts fill
@@ -278,7 +278,7 @@ func TestManagerConservationProperty(t *testing.T) {
 				if _, err = m.PromptCompact(id, promptLen, demands); err == nil {
 					fresh, live = drop(fresh, i), append(live, id)
 				}
-			case 4, 5:
+			case 4, 5, 6:
 				op = "gen"
 				// every live sequence grows; large deltas run out of pages or slots
 				demands := make([][]GenDemand, len(live))
@@ -291,10 +291,6 @@ func TestManagerConservationProperty(t *testing.T) {
 					}
 				}
 				_, err = m.GenCompact(live, demands)
-			case 6:
-				op = "trim"
-				_, id := pick(live)
-				_, err = m.TrimSequence(id)
 			case 7:
 				op = "adopt"
 				// swap out and back in under a new ID; sometimes inflated past the pool

@@ -49,15 +49,6 @@ func (hc *HeadCache) LoTokens() int { return hc.tokens[LevelLo] }
 // TotalTokens returns the number of cached tokens across both tiers.
 func (hc *HeadCache) TotalTokens() int { return hc.tokens[LevelHi] + hc.tokens[LevelLo] }
 
-// Pages returns the tier's pages in push order.
-func (hc *HeadCache) Pages(level Level) []*Page {
-	out := make([]*Page, hc.table.count(level))
-	for i := range out {
-		out[i] = hc.page(level, i)
-	}
-	return out
-}
-
 func (hc *HeadCache) page(level Level, i int) *Page {
 	return hc.mgr.pool.Get(hc.table.id(level, i))
 }

@@ -107,15 +107,15 @@ func TestPromptCompactBasic(t *testing.T) {
 		}
 		wantHi := (20 + i + m.capHi - 1) / m.capHi
 		wantLo := (30 + m.capLo - 1) / m.capLo
-		if hc.table.Hi() != wantHi || hc.table.Lo() != wantLo {
+		if hc.table.count(LevelHi) != wantHi || hc.table.count(LevelLo) != wantLo {
 			t.Fatalf("head %d pages: hi=%d lo=%d, want %d/%d",
-				i, hc.table.Hi(), hc.table.Lo(), wantHi, wantLo)
+				i, hc.table.count(LevelHi), hc.table.count(LevelLo), wantHi, wantLo)
 		}
 	}
 	// unused conservative pages must be back on the free list
 	used := 0
 	for _, hc := range sc.Heads {
-		used += hc.table.Hi() + hc.table.Lo()
+		used += hc.table.count(LevelHi) + hc.table.count(LevelLo)
 	}
 	if m.UsedPages() != used {
 		t.Fatalf("UsedPages=%d, tables hold %d", m.UsedPages(), used)
@@ -135,7 +135,7 @@ func TestPromptCompactConservativeReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, _ := m.Sequence(1)
-	if sc.Heads[0].table.Hi() != 0 || sc.Heads[0].table.Lo() != 0 {
+	if sc.Heads[0].table.count(LevelHi) != 0 || sc.Heads[0].table.count(LevelLo) != 0 {
 		t.Fatal("pruned head kept pages")
 	}
 	if stats.PagesFreed == 0 {
@@ -177,8 +177,8 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, _ := m.Sequence(1)
-	if sc.Heads[0].table.Hi() != 1 {
-		t.Fatalf("expected 1 hi page, got %d", sc.Heads[0].table.Hi())
+	if sc.Heads[0].table.count(LevelHi) != 1 {
+		t.Fatalf("expected 1 hi page, got %d", sc.Heads[0].table.count(LevelHi))
 	}
 	// next hi token forces a second page on both heads
 	stats, err := m.GenCompact([]int{1}, [][]GenDemand{{
@@ -190,7 +190,7 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 	if stats.PagesAllocated != 2 {
 		t.Fatalf("PagesAllocated = %d, want 2", stats.PagesAllocated)
 	}
-	if sc.Heads[0].table.Hi() != 2 {
+	if sc.Heads[0].table.count(LevelHi) != 2 {
 		t.Fatal("second hi page not attached")
 	}
 	// a step with no growth allocates nothing
@@ -223,7 +223,7 @@ func TestGenCompactDowngradePath(t *testing.T) {
 	if hc.HiTokens() != 30 || hc.LoTokens() != 1 {
 		t.Fatalf("counts after downgrade: hi=%d lo=%d", hc.HiTokens(), hc.LoTokens())
 	}
-	if hc.table.Lo() != 1 {
+	if hc.table.count(LevelLo) != 1 {
 		t.Fatal("downgrade should have allocated one lo page")
 	}
 }
@@ -503,71 +503,5 @@ func TestPageFullCycleAfterEviction(t *testing.T) {
 	if hc.PageCount(LevelHi) != pagesBefore {
 		t.Fatalf("empty trailing page not reused: %d -> %d",
 			pagesBefore, hc.PageCount(LevelHi))
-	}
-}
-
-func TestTrimSequenceReclaimsEmptyTails(t *testing.T) {
-	m := testManager(t, true, 64)
-	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
-	rng := mathx.NewRNG(31)
-	capHi := m.TokensPerHiPage()
-	// fill two pages, then evict everything in the second page
-	for i := 0; i < capHi+5; i++ {
-		k, v := genToken(rng, 128)
-		hc.AppendToken(LevelHi, k, v, 1, int32(i))
-	}
-	for i := 0; i < 5; i++ {
-		ref, _, ok := hc.MinScore(LevelHi)
-		if !ok {
-			t.Fatal("no tokens")
-		}
-		if err := hc.RemoveToken(ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// second page is now empty but still attached
-	used := m.UsedPages()
-	freed, err := m.TrimSequence(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freed != 1 {
-		t.Fatalf("freed = %d, want 1", freed)
-	}
-	if m.UsedPages() != used-1 {
-		t.Fatal("page not returned to free list")
-	}
-	// remaining tokens intact
-	if hc.HiTokens() != capHi {
-		t.Fatalf("tokens = %d", hc.HiTokens())
-	}
-	// appending after trim allocates a fresh page
-	k, v := genToken(rng, 128)
-	if err := hc.AppendToken(LevelHi, k, v, 1, 999); err != nil {
-		t.Fatal(err)
-	}
-	if hc.HiTokens() != capHi+1 {
-		t.Fatal("append after trim failed")
-	}
-}
-
-func TestTrimSequenceNoopWhenFull(t *testing.T) {
-	m := testManager(t, true, 64)
-	sc, _ := m.AddSequence(1, 2)
-	rng := mathx.NewRNG(37)
-	for i := 0; i < 20; i++ {
-		k, v := genToken(rng, 128)
-		sc.Heads[i%2].AppendToken(LevelLo, k, v, 1, int32(i))
-	}
-	freed, err := m.TrimSequence(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freed != 0 {
-		t.Fatalf("freed %d pages from partial tails", freed)
-	}
-	if _, err := m.TrimSequence(99); err == nil {
-		t.Fatal("expected unknown-sequence error")
 	}
 }

@@ -182,10 +182,6 @@ func (p *Page) DequantToken(slot int, key, val []float32) {
 // Score returns the significance score of a slot.
 func (p *Page) Score(slot int) float32 { return p.scores[slot] }
 
-// SetScore updates the significance score of a slot (running-average
-// updates during generation).
-func (p *Page) SetScore(slot int, s float32) { p.scores[slot] = s }
-
 // Position returns the original token position of a slot.
 func (p *Page) Position(slot int) int32 { return p.pos[slot] }
 
@@ -210,12 +206,6 @@ func (p *Page) RemoveSwap(slot int) int {
 	}
 	p.N--
 	return last
-}
-
-// PayloadBytes returns the bytes of KV payload + metadata actually used by
-// the page's N tokens — the quantity the attention kernel must read.
-func (p *Page) PayloadBytes() int {
-	return p.N * p.Prec.TokenBytes(p.Dim)
 }
 
 // PagePool owns every page of one memory manager.
@@ -248,13 +238,8 @@ func (pp *PagePool) Get(id int32) *Page {
 	return &pp.pages[id]
 }
 
-// Configure prepares page id for precision prec and returns it.
-func (pp *PagePool) Configure(id int32, prec quant.Precision) *Page {
-	return pp.configure(id, prec, TokensPerPage(pp.pageBytes, pp.dim, prec))
-}
-
-// configure is Configure for a caller that already knows the precision's
-// page capacity (the Manager computes its two once).
+// configure prepares page id for precision prec, whose page capacity the
+// caller already knows (the Manager computes its two once), and returns it.
 func (pp *PagePool) configure(id int32, prec quant.Precision, cap int) *Page {
 	p := &pp.pages[id]
 	p.configure(pp.dim, prec, cap, pp.materialize)
@@ -263,9 +248,3 @@ func (pp *PagePool) configure(id int32, prec quant.Precision, cap int) *Page {
 
 // Len returns the total number of pages.
 func (pp *PagePool) Len() int { return len(pp.pages) }
-
-// PageBytes returns the fixed page size.
-func (pp *PagePool) PageBytes() int { return pp.pageBytes }
-
-// Dim returns the head dimension pages are configured for.
-func (pp *PagePool) Dim() int { return pp.dim }

@@ -29,9 +29,15 @@ func TestTokensPerPagePanicsWhenTooSmall(t *testing.T) {
 	TokensPerPage(64, 128, quant.FP16)
 }
 
+// configurePage prepares the pool's page 0 for prec at the capacity the
+// Manager would compute for it.
+func configurePage(pool *PagePool, prec quant.Precision) *Page {
+	return pool.configure(0, prec, TokensPerPage(pool.pageBytes, pool.dim, prec))
+}
+
 func TestPageConfigureResets(t *testing.T) {
 	pool := NewPagePool(2, 8192, 128, true)
-	p := pool.Configure(0, quant.K8V4)
+	p := configurePage(pool, quant.K8V4)
 	k := make([]float32, 128)
 	v := make([]float32, 128)
 	rng := mathx.NewRNG(1)
@@ -42,7 +48,7 @@ func TestPageConfigureResets(t *testing.T) {
 		t.Fatalf("N = %d", p.N)
 	}
 	// reconfigure to the other precision: capacity changes, contents reset
-	p2 := pool.Configure(0, quant.K4V2)
+	p2 := configurePage(pool, quant.K4V2)
 	if p2.N != 0 {
 		t.Fatal("configure did not reset N")
 	}
@@ -53,7 +59,7 @@ func TestPageConfigureResets(t *testing.T) {
 
 func TestPageAppendFullPanics(t *testing.T) {
 	pool := NewPagePool(1, 8192, 128, true)
-	p := pool.Configure(0, quant.FP16)
+	p := configurePage(pool, quant.FP16)
 	k := make([]float32, 128)
 	for i := 0; i < p.Cap; i++ {
 		p.Append(k, k, 0, int32(i))
@@ -68,7 +74,7 @@ func TestPageAppendFullPanics(t *testing.T) {
 
 func TestPageCountsOnlyAppendPanics(t *testing.T) {
 	pool := NewPagePool(1, 8192, 128, false)
-	p := pool.Configure(0, quant.K8V4)
+	p := configurePage(pool, quant.K8V4)
 	if p.Materialized() {
 		t.Fatal("counts-only page should not be materialized")
 	}
@@ -82,7 +88,7 @@ func TestPageCountsOnlyAppendPanics(t *testing.T) {
 
 func TestPageRemoveSwapWithinPage(t *testing.T) {
 	pool := NewPagePool(1, 8192, 64, true)
-	p := pool.Configure(0, quant.K8V4)
+	p := configurePage(pool, quant.K8V4)
 	rng := mathx.NewRNG(2)
 	for i := 0; i < 5; i++ {
 		k := make([]float32, 64)
@@ -105,7 +111,7 @@ func TestPageRemoveSwapWithinPage(t *testing.T) {
 
 func TestPageRemoveSwapOutOfRangePanics(t *testing.T) {
 	pool := NewPagePool(1, 8192, 64, true)
-	p := pool.Configure(0, quant.K8V4)
+	p := configurePage(pool, quant.K8V4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -114,20 +120,9 @@ func TestPageRemoveSwapOutOfRangePanics(t *testing.T) {
 	p.RemoveSwap(0)
 }
 
-func TestPagePayloadBytes(t *testing.T) {
-	pool := NewPagePool(1, 8192, 128, true)
-	p := pool.Configure(0, quant.K4V2)
-	k := make([]float32, 128)
-	p.Append(k, k, 0, 0)
-	p.Append(k, k, 0, 1)
-	if p.PayloadBytes() != 2*quant.K4V2.TokenBytes(128) {
-		t.Fatalf("PayloadBytes = %d", p.PayloadBytes())
-	}
-}
-
 func TestPageDequantRoundTrip(t *testing.T) {
 	pool := NewPagePool(1, 8192, 128, true)
-	p := pool.Configure(0, quant.K8V4)
+	p := configurePage(pool, quant.K8V4)
 	rng := mathx.NewRNG(3)
 	k := make([]float32, 128)
 	v := make([]float32, 128)
@@ -159,7 +154,7 @@ func TestPagePoolInvalid(t *testing.T) {
 
 func TestPagePoolAccessors(t *testing.T) {
 	pool := NewPagePool(3, 4096, 64, false)
-	if pool.Len() != 3 || pool.PageBytes() != 4096 || pool.Dim() != 64 {
+	if pool.Len() != 3 || pool.pageBytes != 4096 || pool.dim != 64 {
 		t.Fatal("accessors wrong")
 	}
 	if pool.Get(2).ID != 2 {

@@ -5,76 +5,66 @@ import (
 	"testing/quick"
 )
 
+// sideIDs returns a side's page IDs in push order.
+func sideIDs(bt *BiTable, level Level) []int32 {
+	ids := make([]int32, bt.count(level))
+	for i := range ids {
+		ids[i] = bt.id(level, i)
+	}
+	return ids
+}
+
 func TestBiTablePushPop(t *testing.T) {
 	bt := NewBiTable(6)
 	for i := int32(0); i < 3; i++ {
-		if err := bt.PushHi(i); err != nil {
+		if err := bt.push(LevelHi, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := int32(10); i < 13; i++ {
-		if err := bt.PushLo(i); err != nil {
+		if err := bt.push(LevelLo, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if bt.Hi() != 3 || bt.Lo() != 3 {
-		t.Fatalf("hi/lo = %d/%d", bt.Hi(), bt.Lo())
+	if bt.count(LevelHi) != 3 || bt.count(LevelLo) != 3 {
+		t.Fatalf("hi/lo = %d/%d", bt.count(LevelHi), bt.count(LevelLo))
 	}
 	// table full now
-	if err := bt.PushHi(99); err == nil {
+	if err := bt.push(LevelHi, 99); err == nil {
 		t.Fatal("expected overflow")
 	}
-	if err := bt.PushLo(99); err == nil {
+	if err := bt.push(LevelLo, 99); err == nil {
 		t.Fatal("expected overflow")
 	}
 	// push order preserved
-	hi := bt.HiIDs()
+	hi := sideIDs(bt, LevelHi)
 	for i, id := range hi {
 		if id != int32(i) {
 			t.Fatalf("hi order wrong: %v", hi)
 		}
 	}
-	lo := bt.LoIDs()
+	lo := sideIDs(bt, LevelLo)
 	for i, id := range lo {
 		if id != int32(10+i) {
 			t.Fatalf("lo order wrong: %v", lo)
 		}
 	}
-	// pops reverse push order
-	id, err := bt.PopHi()
-	if err != nil || id != 2 {
-		t.Fatalf("PopHi = %d, %v", id, err)
-	}
-	id, err = bt.PopLo()
-	if err != nil || id != 12 {
-		t.Fatalf("PopLo = %d, %v", id, err)
-	}
-}
-
-func TestBiTablePopEmpty(t *testing.T) {
-	bt := NewBiTable(2)
-	if _, err := bt.PopHi(); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := bt.PopLo(); err == nil {
-		t.Fatal("expected error")
-	}
 }
 
 func TestBiTableDrainAll(t *testing.T) {
 	bt := NewBiTable(8)
-	bt.PushHi(1)
-	bt.PushHi(2)
-	bt.PushLo(7)
-	ids := bt.DrainAll()
+	bt.push(LevelHi, 1)
+	bt.push(LevelHi, 2)
+	bt.push(LevelLo, 7)
+	ids := bt.drain(nil)
 	if len(ids) != 3 {
 		t.Fatalf("drained %d ids", len(ids))
 	}
-	if bt.Hi() != 0 || bt.Lo() != 0 {
+	if bt.count(LevelHi) != 0 || bt.count(LevelLo) != 0 {
 		t.Fatal("drain left entries")
 	}
 	// table reusable after drain
-	if err := bt.PushLo(3); err != nil {
+	if err := bt.push(LevelLo, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,16 +98,16 @@ func TestBiTableInterleavingProperty(t *testing.T) {
 		next := int32(0)
 		for _, hiSide := range ops {
 			if hiSide {
-				if err := bt.PushHi(next); err != nil {
-					if bt.Hi()+bt.Lo() != n {
+				if err := bt.push(LevelHi, next); err != nil {
+					if bt.count(LevelHi)+bt.count(LevelLo) != n {
 						return false // spurious overflow
 					}
 				} else {
 					hiRef = append(hiRef, next)
 				}
 			} else {
-				if err := bt.PushLo(next); err != nil {
-					if bt.Hi()+bt.Lo() != n {
+				if err := bt.push(LevelLo, next); err != nil {
+					if bt.count(LevelHi)+bt.count(LevelLo) != n {
 						return false
 					}
 				} else {
@@ -126,15 +116,15 @@ func TestBiTableInterleavingProperty(t *testing.T) {
 			}
 			next++
 		}
-		if bt.Hi() != len(hiRef) || bt.Lo() != len(loRef) {
+		if bt.count(LevelHi) != len(hiRef) || bt.count(LevelLo) != len(loRef) {
 			return false
 		}
-		for i, id := range bt.HiIDs() {
+		for i, id := range sideIDs(bt, LevelHi) {
 			if id != hiRef[i] {
 				return false
 			}
 		}
-		for i, id := range bt.LoIDs() {
+		for i, id := range sideIDs(bt, LevelLo) {
 			if id != loRef[i] {
 				return false
 			}
@@ -144,77 +134,4 @@ func TestBiTableInterleavingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMultiTableTwoLevels(t *testing.T) {
-	mt := NewMultiTable(2, 8)
-	mt.Push(0, 5)
-	mt.Push(1, 9)
-	if mt.Count(0) != 1 || mt.Count(1) != 1 {
-		t.Fatal("counts wrong")
-	}
-	if ids := mt.IDs(0); len(ids) != 1 || ids[0] != 5 {
-		t.Fatalf("level0 ids: %v", ids)
-	}
-	if ids := mt.IDs(1); len(ids) != 1 || ids[0] != 9 {
-		t.Fatalf("level1 ids: %v", ids)
-	}
-}
-
-func TestMultiTableThreeLevels(t *testing.T) {
-	// paper §5.3: three levels = one bidirectional + one unidirectional
-	mt := NewMultiTable(3, 4)
-	if len(mt.tables) != 2 {
-		t.Fatalf("3 levels should use 2 tables, got %d", len(mt.tables))
-	}
-	for lvl := 0; lvl < 3; lvl++ {
-		if err := mt.Push(lvl, int32(100+lvl)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for lvl := 0; lvl < 3; lvl++ {
-		if mt.Count(lvl) != 1 {
-			t.Fatalf("level %d count = %d", lvl, mt.Count(lvl))
-		}
-		ids := mt.IDs(lvl)
-		if ids[0] != int32(100+lvl) {
-			t.Fatalf("level %d ids = %v", lvl, ids)
-		}
-	}
-	id, err := mt.Pop(2)
-	if err != nil || id != 102 {
-		t.Fatalf("Pop(2) = %d, %v", id, err)
-	}
-}
-
-func TestMultiTableFourLevels(t *testing.T) {
-	// paper §5.3: four levels = two bidirectional tables
-	mt := NewMultiTable(4, 4)
-	if len(mt.tables) != 2 {
-		t.Fatalf("4 levels should use 2 tables, got %d", len(mt.tables))
-	}
-	for lvl := 0; lvl < 4; lvl++ {
-		mt.Push(lvl, int32(lvl))
-		mt.Push(lvl, int32(10+lvl))
-	}
-	for lvl := 0; lvl < 4; lvl++ {
-		ids := mt.IDs(lvl)
-		if len(ids) != 2 || ids[0] != int32(lvl) || ids[1] != int32(10+lvl) {
-			t.Fatalf("level %d ids = %v", lvl, ids)
-		}
-	}
-	drained := mt.DrainAll()
-	if len(drained) != 8 {
-		t.Fatalf("drained %d", len(drained))
-	}
-}
-
-func TestMultiTableInvalidLevel(t *testing.T) {
-	mt := NewMultiTable(2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	mt.Push(2, 0)
 }

@@ -18,12 +18,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Split derives an independent child stream. The child's sequence is
-// decorrelated from the parent's by mixing the parent's next output.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
-}
-
 // SplitN derives the i-th of several independent child streams without
 // advancing the parent more than once per call.
 func (r *RNG) SplitAt(i uint64) *RNG {
@@ -96,53 +90,10 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// Pareto returns a Pareto(alpha) variate with minimum xm: heavy-tailed, used
-// to model attention-score concentration.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("mathx: Pareto with non-positive parameter")
-	}
-	return xm / math.Pow(1-r.Float64(), 1/alpha)
-}
-
-// Poisson returns a Poisson(lambda) variate (Knuth for small lambda, normal
-// approximation for large).
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		v := lambda + math.Sqrt(lambda)*r.Norm()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // NormVec fills dst with independent normal variates of the given standard
 // deviation.
 func (r *RNG) NormVec(dst []float32, sigma float64) {
 	for i := range dst {
 		dst[i] = float32(sigma * r.Norm())
-	}
-}
-
-// Shuffle permutes the first n indices, calling swap(i, j) Fisher-Yates
-// style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

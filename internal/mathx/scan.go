@@ -98,42 +98,3 @@ func ParallelExclusiveScan(src, dst []int32) int32 {
 	wg.Wait()
 	return total
 }
-
-// ParallelFor runs fn(i) for i in [0, n) across GOMAXPROCS goroutines. It is
-// the "planning phase" primitive: each attention head independently computes
-// its memory demands.
-func ParallelFor(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}

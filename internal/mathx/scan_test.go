@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -123,32 +122,6 @@ func TestScanProperty(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	var count int64
-	hits := make([]int32, 1000)
-	ParallelFor(1000, func(i int) {
-		atomic.AddInt64(&count, 1)
-		atomic.AddInt32(&hits[i], 1)
-	})
-	if count != 1000 {
-		t.Fatalf("count = %d, want 1000", count)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestParallelForZeroAndNegative(t *testing.T) {
-	called := false
-	ParallelFor(0, func(i int) { called = true })
-	ParallelFor(-5, func(i int) { called = true })
-	if called {
-		t.Fatal("fn called for non-positive n")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
@@ -197,44 +170,6 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestRNGPoissonMean(t *testing.T) {
-	r := NewRNG(9)
-	lambda := 4.0
-	n := 50_000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(lambda)
-	}
-	mean := float64(sum) / float64(n)
-	if mean < 3.9 || mean > 4.1 {
-		t.Fatalf("poisson mean = %v, want ~4", mean)
-	}
-}
-
-func TestRNGPoissonLargeLambda(t *testing.T) {
-	r := NewRNG(13)
-	lambda := 500.0
-	n := 20_000
-	var sum int
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(lambda)
-	}
-	mean := float64(sum) / float64(n)
-	if mean < 490 || mean > 510 {
-		t.Fatalf("poisson(500) mean = %v", mean)
-	}
-}
-
-func TestRNGParetoTail(t *testing.T) {
-	r := NewRNG(17)
-	for i := 0; i < 10_000; i++ {
-		v := r.Pareto(1, 1.5)
-		if v < 1 {
-			t.Fatalf("pareto below xm: %v", v)
-		}
-	}
-}
-
 func TestRNGExpPositive(t *testing.T) {
 	r := NewRNG(19)
 	var sum float64
@@ -249,18 +184,5 @@ func TestRNGExpPositive(t *testing.T) {
 	mean := sum / float64(n)
 	if mean < 0.48 || mean > 0.52 {
 		t.Fatalf("exp mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestRNGShufflePermutation(t *testing.T) {
-	r := NewRNG(23)
-	x := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(x), func(i, j int) { x[i], x[j] = x[j], x[i] })
-	seen := make(map[int]bool)
-	for _, v := range x {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", x)
 	}
 }

@@ -49,23 +49,6 @@ func Norm2(x []float32) float32 {
 	return float32(math.Sqrt(s))
 }
 
-// MinMax returns the minimum and maximum of x. It panics on an empty slice.
-func MinMax(x []float32) (minV, maxV float32) {
-	if len(x) == 0 {
-		panic("mathx: MinMax of empty slice")
-	}
-	minV, maxV = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return minV, maxV
-}
-
 // Softmax writes the softmax of logits into dst and returns dst. It is
 // numerically stable (subtracts the max logit before exponentiation).
 // dst may alias logits. Panics if lengths differ.
@@ -111,21 +94,6 @@ func RelErr(a, b []float32) float64 {
 		return math.Sqrt(num)
 	}
 	return math.Sqrt(num / den)
-}
-
-// ArgMin returns the index of the smallest element of x, or -1 for an empty
-// slice.
-func ArgMin(x []float32) int {
-	if len(x) == 0 {
-		return -1
-	}
-	idx := 0
-	for i, v := range x {
-		if v < x[idx] {
-			idx = i
-		}
-	}
-	return idx
 }
 
 // Clamp bounds v to the closed interval [lo, hi].

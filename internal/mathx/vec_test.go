@@ -64,20 +64,6 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	minV, maxV := MinMax([]float32{3, -1, 7, 0})
-	if minV != -1 || maxV != 7 {
-		t.Fatalf("MinMax = (%v, %v), want (-1, 7)", minV, maxV)
-	}
-}
-
-func TestMinMaxSingle(t *testing.T) {
-	minV, maxV := MinMax([]float32{42})
-	if minV != 42 || maxV != 42 {
-		t.Fatalf("MinMax single = (%v, %v)", minV, maxV)
-	}
-}
-
 func TestSoftmaxSumsToOne(t *testing.T) {
 	logits := []float32{1, 2, 3, 4}
 	dst := make([]float32, 4)
@@ -159,15 +145,6 @@ func TestRelErrZeroDenominator(t *testing.T) {
 	got := RelErr([]float32{3, 4}, []float32{0, 0})
 	if !almostEq(got, 5, 1e-9) {
 		t.Fatalf("RelErr vs zero = %v, want 5", got)
-	}
-}
-
-func TestArgMin(t *testing.T) {
-	if got := ArgMin([]float32{3, 1, 2}); got != 1 {
-		t.Fatalf("ArgMin = %d, want 1", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Fatalf("ArgMin(nil) = %d, want -1", got)
 	}
 }
 

@@ -78,7 +78,11 @@ func TestShipmentRestoresBitIdenticalKV(t *testing.T) {
 			}
 		}
 
-		payload, counts, err := CaptureShipment(src, 7)
+		counts, err := src.HeadCounts(7, nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", pair.hi, pair.lo, err)
+		}
+		payload, err := captureRaw(src, 7)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", pair.hi, pair.lo, err)
 		}
@@ -86,7 +90,7 @@ func TestShipmentRestoresBitIdenticalKV(t *testing.T) {
 			t.Fatalf("%s/%s: empty shipment (payload %d bytes, %d heads)",
 				pair.hi, pair.lo, len(payload), len(counts))
 		}
-		if err := RestoreShipment(dst, 7, counts, payload); err != nil {
+		if err := restoreRaw(dst, 7, counts, payload); err != nil {
 			t.Fatalf("%s/%s: %v", pair.hi, pair.lo, err)
 		}
 
@@ -155,7 +159,7 @@ func TestShipmentPayloadCompression(t *testing.T) {
 				}
 			}
 		}
-		payload, _, err := CaptureShipment(mgr, 1)
+		payload, err := captureRaw(mgr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

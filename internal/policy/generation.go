@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"diffkv/internal/kvcache"
-)
+import "diffkv/internal/kvcache"
 
 // SigTracker maintains running-average significance scores per token
 // position: the mean attention a token has received across generation
@@ -239,19 +235,4 @@ func (g *GenPolicy) Step(hc *kvcache.HeadCache, key, val []float32, pos int32) (
 		// dropped outright
 	}
 	return res, nil
-}
-
-// FlushWindow stores every remaining window token at high precision (end
-// of generation, used when the caller wants the final cache state to cover
-// the full sequence).
-func (g *GenPolicy) FlushWindow(hc *kvcache.HeadCache) error {
-	for len(g.Window()) > 0 {
-		tc := g.popWindow()
-		score := g.Sig.Avg(int(tc.Pos))
-		// window tokens are recent: store at high precision
-		if err := hc.AppendToken(kvcache.LevelHi, tc.Key, tc.Val, score, tc.Pos); err != nil {
-			return fmt.Errorf("policy: flush: %w", err)
-		}
-	}
-	return nil
 }

@@ -5,11 +5,7 @@
 // path (high → low → pruned).
 package policy
 
-import (
-	"fmt"
-
-	"diffkv/internal/kvcache"
-)
+import "fmt"
 
 // Params are the calibrated policy parameters.
 type Params struct {
@@ -135,45 +131,8 @@ func classify(sig float64, p Params) Level {
 	}
 }
 
-// Demand converts a level assignment into the head's page-planning demand.
-func Demand(levels []Level) kvcache.HeadDemand {
-	var d kvcache.HeadDemand
-	for _, l := range levels {
-		switch l {
-		case LevelHigh:
-			d.HiTokens++
-		case LevelLow:
-			d.LoTokens++
-		}
-	}
-	return d
-}
-
 // Breakdown reports the fraction of tokens at each level — the quantity of
 // paper Fig. 12.
 type Breakdown struct {
 	High, Low, Pruned float64
-}
-
-// BreakdownOf computes the level fractions of an assignment.
-func BreakdownOf(levels []Level) Breakdown {
-	if len(levels) == 0 {
-		return Breakdown{}
-	}
-	var b Breakdown
-	for _, l := range levels {
-		switch l {
-		case LevelHigh:
-			b.High++
-		case LevelLow:
-			b.Low++
-		default:
-			b.Pruned++
-		}
-	}
-	n := float64(len(levels))
-	b.High /= n
-	b.Low /= n
-	b.Pruned /= n
-	return b
 }

@@ -117,21 +117,6 @@ func TestClassifySequenceLengthAdaptive(t *testing.T) {
 	}
 }
 
-func TestDemandAndBreakdown(t *testing.T) {
-	levels := []Level{LevelHigh, LevelHigh, LevelLow, LevelPruned}
-	d := Demand(levels)
-	if d.HiTokens != 2 || d.LoTokens != 1 {
-		t.Fatalf("demand = %+v", d)
-	}
-	b := BreakdownOf(levels)
-	if b.High != 0.5 || b.Low != 0.25 || b.Pruned != 0.25 {
-		t.Fatalf("breakdown = %+v", b)
-	}
-	if (BreakdownOf(nil) != Breakdown{}) {
-		t.Fatal("empty breakdown should be zero")
-	}
-}
-
 func TestSigTracker(t *testing.T) {
 	s := NewSigTracker(4)
 	s.Add(2, 0.4)
@@ -331,27 +316,6 @@ func TestGenPolicyVictimPrunedFromLow(t *testing.T) {
 	}
 	if res.Victim != VictimPruned {
 		t.Fatalf("victim action = %v, want pruned", res.Victim)
-	}
-}
-
-func TestGenPolicyFlushWindow(t *testing.T) {
-	m := genManager(t)
-	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
-	g, _ := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0, Window: 16}, 64, 128)
-	rng := mathx.NewRNG(6)
-	for i := 0; i < 10; i++ {
-		k, v := mkToken(rng, 64)
-		g.Step(hc, k, v, int32(i))
-	}
-	if err := g.FlushWindow(hc); err != nil {
-		t.Fatal(err)
-	}
-	if hc.HiTokens() != 10 {
-		t.Fatalf("flush stored %d tokens, want 10", hc.HiTokens())
-	}
-	if len(g.Window()) != 0 {
-		t.Fatal("window not emptied")
 	}
 }
 

@@ -49,11 +49,6 @@ func (p Precision) Valid() bool {
 	return ValidBits(p.KeyBits) && ValidBits(p.ValBits)
 }
 
-// Mirror returns the configuration with key and value widths swapped.
-func (p Precision) Mirror() Precision {
-	return Precision{KeyBits: p.ValBits, ValBits: p.KeyBits}
-}
-
 // KeyBytes returns the packed key storage for one token of dimension dim.
 func (p Precision) KeyBytes(dim int) int { return PackedLen(dim, p.KeyBits) }
 
@@ -74,11 +69,4 @@ const AuxBytes = 4 + 4
 // and position (paper §5.2: the six page segments).
 func (p Precision) TokenBytes(dim int) int {
 	return p.KeyBytes(dim) + p.ValBytes(dim) + MetaBytes + AuxBytes
-}
-
-// CompressionRatio returns the FP16-relative compression of the quantized
-// payload only (excluding metadata), e.g. 3.2x for K8V4 at dim=128.
-func (p Precision) CompressionRatio(dim int) float64 {
-	fp := float64(FP16.KeyBytes(dim) + FP16.ValBytes(dim))
-	return fp / float64(p.KeyBytes(dim)+p.ValBytes(dim))
 }

@@ -43,13 +43,6 @@ func (r *Registry[T]) Register(name string, v T) error {
 	return nil
 }
 
-// MustRegister registers builtins at init time.
-func (r *Registry[T]) MustRegister(name string, v T) {
-	if err := r.Register(name, v); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup returns the value registered under name.
 func (r *Registry[T]) Lookup(name string) (T, error) {
 	r.mu.RLock()

@@ -37,7 +37,9 @@ func TestNamesKeepRegistrationOrder(t *testing.T) {
 	}
 	want := []string{"zeta", "alpha", "mid"}
 	for _, n := range want {
-		r.MustRegister(n, strings.ToUpper(n))
+		if err := r.Register(n, strings.ToUpper(n)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := r.Names()
 	if !reflect.DeepEqual(got, want) {
@@ -52,8 +54,11 @@ func TestNamesKeepRegistrationOrder(t *testing.T) {
 
 func TestLookupMissNamesRegistryAndKnownEntries(t *testing.T) {
 	r := New[int]("cluster", "routing policy")
-	r.MustRegister("round-robin", 1)
-	r.MustRegister("least-loaded", 2)
+	for i, n := range []string{"round-robin", "least-loaded"} {
+		if err := r.Register(n, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	v, err := r.Lookup("nope")
 	if err == nil || v != 0 {
 		t.Fatalf("Lookup miss = %v, %v; want zero value and an error", v, err)
@@ -62,15 +67,4 @@ func TestLookupMissNamesRegistryAndKnownEntries(t *testing.T) {
 	if err.Error() != want {
 		t.Fatalf("miss message = %q, want %q", err, want)
 	}
-}
-
-func TestMustRegisterPanicsOnDuplicate(t *testing.T) {
-	r := New[int]("pkg", "widget")
-	r.MustRegister("a", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRegister of a duplicate did not panic")
-		}
-	}()
-	r.MustRegister("a", 2)
 }

@@ -458,10 +458,6 @@ func (e *Engine) ResidentTokens() int {
 // (the engine is idle for the remainder of its clock).
 func (e *Engine) BusyTime() gpusim.Micros { return e.busyUs }
 
-// SwappedCount returns the number of sequences currently swapped out to
-// the host tier.
-func (e *Engine) SwappedCount() int { return len(e.swappedQ) }
-
 // SwappedTokens sums the KV tokens of swapped-out sequences — load that
 // is latent rather than GPU-resident, which offload-aware routing weighs
 // separately from ResidentTokens.
@@ -478,15 +474,6 @@ func (e *Engine) run(st *seqState, ph trace.Phase) {
 	e.running = append(e.running, st)
 	st.at = atRunning
 	st.phaseTo(ph, float64(e.clock))
-}
-
-// CachedPrefixTokens reports how many tokens of the given prefix group are
-// resident in the prefix cache (0 when disabled or evicted).
-func (e *Engine) CachedPrefixTokens(group int) int {
-	if ent, ok := e.prefix[group]; ok {
-		return ent.tokens
-	}
-	return 0
 }
 
 // admit moves due work into the running batch while capacity allows.

@@ -120,8 +120,8 @@ func TestCrashKeepsSwappedThroughRestart(t *testing.T) {
 	for _, r := range cotReqs(20, 11) {
 		e.Submit(r)
 	}
-	stepUntil(t, e, func() bool { return e.SwappedCount() >= 2 })
-	kept := e.SwappedCount()
+	stepUntil(t, e, func() bool { return len(e.swappedQ) >= 2 })
+	kept := len(e.swappedQ)
 	if kept < 2 {
 		t.Skipf("run produced only %d swapped sequences", kept)
 	}

@@ -52,8 +52,8 @@ func TestSwapPreemptionCompletesAll(t *testing.T) {
 	if e.Stats().UsedKVPages != 0 {
 		t.Fatalf("pages leaked: %d", e.Stats().UsedKVPages)
 	}
-	if e.SwappedCount() != 0 || e.tiered.HostUsedBytes() != 0 {
-		t.Fatalf("host tier not drained: %d seqs, %d bytes", e.SwappedCount(), e.tiered.HostUsedBytes())
+	if len(e.swappedQ) != 0 || e.tiered.HostUsedBytes() != 0 {
+		t.Fatalf("host tier not drained: %d seqs, %d bytes", len(e.swappedQ), e.tiered.HostUsedBytes())
 	}
 	m := res.Offload
 	if m.SwapOuts == 0 {

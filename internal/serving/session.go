@@ -81,6 +81,8 @@ func (s *Session) Generated() int { return s.generated }
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Finished reports whether the session has completed or been cancelled.
+//
+//diffkv:allow deadcode -- tests see session liveness through it: every session finishes or is cancelled, also across instance crashes and re-routes
 func (s *Session) Finished() bool { return s.finished }
 
 // Completion returns the completion record once the session finished

@@ -167,7 +167,7 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 		sessions = append(sessions, s)
 	}
 	// step until something is swapped out
-	for e.SwappedCount() == 0 {
+	for len(e.swappedQ) == 0 {
 		if !e.HasWork() {
 			t.Fatal("run drained without any swap-out; oversubscription recipe broken")
 		}

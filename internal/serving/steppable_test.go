@@ -159,11 +159,10 @@ func TestPrefixCacheLRUEviction(t *testing.T) {
 	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if e.CachedPrefixTokens(1) != 0 {
+	if e.prefix[1] != nil {
 		t.Fatal("group 1 should have been LRU-evicted")
 	}
-	if e.CachedPrefixTokens(2) != 384 || e.CachedPrefixTokens(3) != 384 {
-		t.Fatalf("groups 2/3 should be resident: %d %d",
-			e.CachedPrefixTokens(2), e.CachedPrefixTokens(3))
+	if e.prefix[2] == nil || e.prefix[2].tokens != 384 || e.prefix[3] == nil || e.prefix[3].tokens != 384 {
+		t.Fatalf("groups 2/3 should be resident with 384 tokens each: %+v %+v", e.prefix[2], e.prefix[3])
 	}
 }

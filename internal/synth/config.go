@@ -42,9 +42,6 @@ type ModelConfig struct {
 	KeyOutlierAmp float64
 }
 
-// QueryHeads returns the total number of query heads per layer.
-func (m *ModelConfig) QueryHeads() int { return m.KVHeads * m.QueriesPerKV }
-
 // KVBytesPerTokenFP16 returns the FP16 KV-cache footprint of one token
 // across all layers and KV heads (2 bytes × 2 tensors × dim × heads ×
 // layers).

@@ -112,18 +112,13 @@ func (h *HeadData) Scores(q []float32, n int) []float32 {
 	return mathx.Softmax(logits, logits)
 }
 
-// Significance computes per-token significance scores for the prompt phase
-// exactly as the paper specifies (§4): token i's score is the average of the
-// attention it receives from subsequent tokens, max-aggregated across the
-// query heads of the GQA group.
+// SignificancePrefix computes per-token significance scores for the prompt
+// phase exactly as the paper specifies (§4), over the first n tokens only
+// (the prompt prefix of a longer pre-generated sequence): token i's score
+// is the average of the attention it receives from subsequent tokens,
+// max-aggregated across the query heads of the GQA group.
 //
 // Queries for steps 1..n-1 are generated on the fly from qrng.
-func (h *HeadData) Significance(model *ModelConfig, qrng *mathx.RNG) []float32 {
-	return h.SignificancePrefix(model, h.Len(), qrng)
-}
-
-// SignificancePrefix computes prompt-phase significance over the first n
-// tokens only (the prompt prefix of a longer pre-generated sequence).
 func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG) []float32 {
 	if n > h.Len() {
 		n = h.Len()

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"diffkv/internal/mathx"
@@ -115,7 +116,7 @@ func TestOutlierChannelsInflateKeyRange(t *testing.T) {
 	prof := Profile(Llama3_8B, 2, 0, 1, rng)
 	data := GenHead(Llama3_8B, prof, 64, rng)
 	k := data.Keys[0]
-	minV, maxV := mathx.MinMax(k)
+	minV, maxV := slices.Min(k), slices.Max(k)
 	spread := float64(maxV - minV)
 	if spread < float64(Llama3_8B.KeyOutlierAmp) {
 		t.Fatalf("key spread %v below outlier amplitude %v", spread, Llama3_8B.KeyOutlierAmp)

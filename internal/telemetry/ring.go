@@ -6,10 +6,9 @@ package telemetry
 // always-on server keep dozens of these without unbounded growth. Series
 // is not goroutine-safe: the Center serializes access behind its lock.
 type Series struct {
-	t, v  []float64
-	next  int
-	n     int
-	total int
+	t, v []float64
+	next int
+	n    int
 }
 
 // NewSeries creates a series retaining at most capacity samples
@@ -29,28 +28,15 @@ func (s *Series) Add(timeUs, value float64) {
 	if s.n < len(s.t) {
 		s.n++
 	}
-	s.total++
 }
 
 // Len returns how many samples are retained.
 func (s *Series) Len() int { return s.n }
 
-// Total returns how many samples were ever added (wraparound included).
-func (s *Series) Total() int { return s.total }
-
 // At returns the i-th retained sample, oldest first (0 <= i < Len).
 func (s *Series) At(i int) (timeUs, value float64) {
 	idx := (s.next - s.n + i + len(s.t)) % len(s.t)
 	return s.t[idx], s.v[idx]
-}
-
-// Last returns the most recent sample; ok is false on an empty series.
-func (s *Series) Last() (timeUs, value float64, ok bool) {
-	if s.n == 0 {
-		return 0, 0, false
-	}
-	timeUs, value = s.At(s.n - 1)
-	return timeUs, value, true
 }
 
 // Values copies the retained values oldest-first (sparkline feed).

@@ -159,7 +159,6 @@ type Center struct {
 
 	alerts      []Alert
 	alertsStart int
-	totalAlerts int64
 	samples     int64
 	completions int64
 	opens       int64
@@ -184,9 +183,6 @@ func New(cfg Config) *Center {
 		satByKey:   map[int]SatSample{},
 	}
 }
-
-// SampleIntervalUs reports the configured cadence.
-func (c *Center) SampleIntervalUs() float64 { return c.cfg.SampleIntervalUs }
 
 // Due reports whether a sample is owed at sim time nowUs. Drivers call
 // this between steps and, when true, build an Observation and Sample it
@@ -313,30 +309,12 @@ func (c *Center) Sample(obs Observation) {
 
 // pushAlert appends to the bounded recent-alerts ring. Caller holds mu.
 func (c *Center) pushAlert(a Alert) {
-	c.totalAlerts++
 	if len(c.alerts) < alertRingCap {
 		c.alerts = append(c.alerts, a)
 		return
 	}
 	c.alerts[c.alertsStart] = a
 	c.alertsStart = (c.alertsStart + 1) % alertRingCap
-}
-
-// Alerts returns the retained recent alerts in emission order.
-func (c *Center) Alerts() []Alert {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Alert, 0, len(c.alerts))
-	out = append(out, c.alerts[c.alertsStart:]...)
-	out = append(out, c.alerts[:c.alertsStart]...)
-	return out
-}
-
-// TotalAlerts returns how many alerts were ever emitted.
-func (c *Center) TotalAlerts() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalAlerts
 }
 
 // LatencyHists returns merged cluster-wide copies of the TTFT/TPOT/E2E

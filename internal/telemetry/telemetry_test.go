@@ -51,7 +51,7 @@ func TestCenterSampleToAlert(t *testing.T) {
 	for i := 0; i <= 30; i++ {
 		c.Sample(obsAt(float64(i)*1e6, 0, int64(i*33)))
 	}
-	alerts := c.Alerts()
+	alerts := c.Snapshot().Alerts
 	if len(alerts) == 0 {
 		t.Fatal("saturation ramp emitted no alerts")
 	}
@@ -70,8 +70,8 @@ func TestCenterSampleToAlert(t *testing.T) {
 			traced++
 		}
 	}
-	if traced != int(c.TotalAlerts()) {
-		t.Fatalf("tracer saw %d alerts, center emitted %d", traced, c.TotalAlerts())
+	if traced != len(alerts) {
+		t.Fatalf("tracer saw %d alerts, center emitted %d", traced, len(alerts))
 	}
 
 	snap := c.Snapshot()
@@ -139,13 +139,13 @@ func TestCenterSLOAlert(t *testing.T) {
 		c.Sample(obsAt(now, 0, 100))
 	}
 	var burn bool
-	for _, a := range c.Alerts() {
+	for _, a := range c.Snapshot().Alerts {
 		if strings.HasPrefix(a.Note, "slo_burn ttft") {
 			burn = true
 		}
 	}
 	if !burn {
-		t.Fatalf("no slo_burn alert in %v", c.Alerts())
+		t.Fatalf("no slo_burn alert in %v", c.Snapshot().Alerts)
 	}
 	st := c.SLOStatuses()
 	if len(st) != 1 || !st[0].Firing {
@@ -160,15 +160,12 @@ func TestAlertRingBounded(t *testing.T) {
 	for i := 0; i < alertRingCap+50; i++ {
 		c.pushAlert(Alert{TimeUs: float64(i)})
 	}
-	got := c.Alerts()
+	got := c.Snapshot().Alerts
 	if len(got) != alertRingCap {
 		t.Fatalf("ring holds %d, want %d", len(got), alertRingCap)
 	}
 	if got[0].TimeUs != 50 || got[len(got)-1].TimeUs != float64(alertRingCap+49) {
 		t.Fatalf("ring order: first=%g last=%g", got[0].TimeUs, got[len(got)-1].TimeUs)
-	}
-	if c.TotalAlerts() != int64(alertRingCap+50) {
-		t.Fatalf("TotalAlerts = %d", c.TotalAlerts())
 	}
 }
 

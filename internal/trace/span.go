@@ -70,6 +70,8 @@ func (p *PhaseBreakdown) Add(ph Phase, durUs float64) {
 }
 
 // TotalUs sums the buckets — the end-to-end latency they attribute.
+//
+//diffkv:allow deadcode -- tests see phase telescoping through it: a request's phase buckets sum to its end-to-end latency, across preemption, crash and handoff
 func (p PhaseBreakdown) TotalUs() float64 {
 	return p.QueueUs + p.PrefillUs + p.DecodeUs + p.StallUs + p.SwappedUs + p.XferUs
 }
@@ -85,9 +87,6 @@ type Span struct {
 	Bytes    int64   `json:"bytes,omitempty"`
 	Children []*Span `json:"children,omitempty"`
 }
-
-// DurUs returns the span's duration.
-func (s *Span) DurUs() float64 { return s.EndUs - s.StartUs }
 
 // Names of non-phase spans in a request tree.
 const (

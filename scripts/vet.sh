@@ -7,9 +7,16 @@
 #      formatted but exercise deliberately odd code) must print nothing.
 #   2. go vet ./... must exit 0.
 #   3. diffkv-vet ./... (the project's determinism checks: wallclock,
-#      globalrand, maprange, goroutine, timeunits, allowaudit) must
-#      exit 0 — every finding either fixed or carrying a reasoned
-#      //diffkv:allow directive.
+#      globalrand, maprange, goroutine, timeunits, allowaudit — and
+#      deadcode) must exit 0 — every finding either fixed or carrying a
+#      reasoned //diffkv:allow directive. deadcode reports every func,
+#      method, type and var under internal/ unreachable from its roots:
+#      declarations outside internal/ (root package, cmd/, examples/,
+#      benchmark/), main, init and package-level var initialisers. It
+#      never reports constants, struct fields or methods that may
+#      satisfy an interface, and test files are not callers. Its only
+#      allow is an accessor a test of live behaviour reads (an
+#      observation point), the reason naming that behaviour.
 #
 # Before trusting layer 3, the script proves the gate can actually fail:
 # diffkv-vet is run over the injected-violation fixture
@@ -38,20 +45,22 @@ if ! go vet ./...; then
 fi
 
 echo "vet: building diffkv-vet"
-if ! go build -o /tmp/diffkv-vet ./cmd/diffkv-vet; then
+bindir="$(mktemp -d)"
+trap 'rm -rf "${bindir}"' EXIT
+if ! go build -o "${bindir}/diffkv-vet" ./cmd/diffkv-vet; then
     echo "vet: diffkv-vet does not build" >&2
     exit 1
 fi
 
 echo "vet: self-test (injected violations must fail the gate)"
-if /tmp/diffkv-vet internal/analysis/testdata/ci_violation >/dev/null 2>&1; then
+if "${bindir}/diffkv-vet" internal/analysis/testdata/ci_violation >/dev/null 2>&1; then
     echo "vet: SELF-TEST FAILED — diffkv-vet exited 0 on the injected-violation fixture" >&2
     echo "vet: the gate cannot be trusted; failing the build" >&2
     exit 1
 fi
 
 echo "vet: diffkv-vet ./..."
-if ! /tmp/diffkv-vet ./...; then
+if ! "${bindir}/diffkv-vet" ./...; then
     fail=1
 fi
 
