@@ -1,66 +1,42 @@
 package diffkv
 
-// One benchmark per paper table/figure (regenerating its rows/series in
-// fast mode), plus micro-benchmarks of the hot kernels. Run with:
+// Micro-benchmarks of the hot kernels, the page manager, the synthetic
+// generator and one engine sequence. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The per-figure benchmarks print nothing; use cmd/diffkv-bench to see the
-// tables.
+// Most kernel bodies live in internal/benchkernels, shared with the
+// benchmark module's paper_tables probes so both measure identical
+// workloads. Paper tables and figures print through cmd/diffkv-bench;
+// end-to-end performance is measured by benchmark/run.sh.
 
 import (
 	"testing"
 
 	"diffkv/internal/benchkernels"
-	"diffkv/internal/experiments"
 	"diffkv/internal/kvcache"
 	"diffkv/internal/mathx"
+	"diffkv/internal/quant"
 	"diffkv/internal/synth"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Opts{Fast: true, Reps: 1, Seed: 42}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- one benchmark per paper artifact ---
-
-func BenchmarkFig2ScoreValueNormCDF(b *testing.B)       { benchExperiment(b, "fig2") }
-func BenchmarkFig3PerTokenScores(b *testing.B)          { benchExperiment(b, "fig3") }
-func BenchmarkFig4CriticalTokensPerLayer(b *testing.B)  { benchExperiment(b, "fig4") }
-func BenchmarkFig5CriticalTokensPerHead(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig8DifferentiatedQuant(b *testing.B)     { benchExperiment(b, "fig8") }
-func BenchmarkFig9DynamicVsStatic(b *testing.B)         { benchExperiment(b, "fig9") }
-func BenchmarkFig10Calibration(b *testing.B)            { benchExperiment(b, "fig10") }
-func BenchmarkFig11MemoryAccuracyTradeoff(b *testing.B) { benchExperiment(b, "fig11") }
-func BenchmarkFig12CompressionBreakdown(b *testing.B)   { benchExperiment(b, "fig12") }
-func BenchmarkFig13CompactionLatency(b *testing.B)      { benchExperiment(b, "fig13") }
-func BenchmarkFig14LatencyBreakdown(b *testing.B)       { benchExperiment(b, "fig14") }
-func BenchmarkFig15KernelSpeedup(b *testing.B)          { benchExperiment(b, "fig15") }
-func BenchmarkFig16DynamicWorkloads(b *testing.B)       { benchExperiment(b, "fig16") }
-func BenchmarkFig17Throughput(b *testing.B)             { benchExperiment(b, "fig17") }
-func BenchmarkTable1AccuracyMemory(b *testing.B)        { benchExperiment(b, "tab1") }
-func BenchmarkTable2LongBench(b *testing.B)             { benchExperiment(b, "tab2") }
-func BenchmarkTable3ThinkingModels(b *testing.B)        { benchExperiment(b, "tab3") }
-
-// --- beyond the paper: cluster serving ---
-
-func BenchmarkClusterRouting(b *testing.B) { benchExperiment(b, "cluster-routing") }
-
-// --- kernel micro-benchmarks ---
-//
-// Bodies live in internal/benchkernels, shared with the diffkv-bench -json
-// perf snapshot so both measure identical workloads.
-
 func BenchmarkQuantizeK8(b *testing.B)          { benchkernels.QuantizeK8(b) }
-func BenchmarkQuantizeV2(b *testing.B)          { benchkernels.QuantizeV2(b) }
 func BenchmarkDequantDotK4(b *testing.B)        { benchkernels.DequantDotK4(b) }
 func BenchmarkDequantAxpyV2(b *testing.B)       { benchkernels.DequantAxpyV2(b) }
 func BenchmarkDequantDotSlotsPage(b *testing.B) { benchkernels.DequantDotSlotsPage(b) }
+
+// BenchmarkQuantizeV2 packs one dim-128 value vector at 2 bits.
+func BenchmarkQuantizeV2(b *testing.B) {
+	rng := mathx.NewRNG(2)
+	src := make([]float32, 128)
+	rng.NormVec(src, 1)
+	dst := make([]byte, quant.PackedLen(128, 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quant.QuantizeInto(src, 2, dst)
+	}
+}
 
 func BenchmarkParallelExclusiveScan64K(b *testing.B) {
 	src := make([]int32, 65536)
@@ -141,10 +117,6 @@ func BenchmarkGenCompactSteady(b *testing.B) {
 }
 
 func BenchmarkCompressedAttention1K(b *testing.B) { benchkernels.CompressedAttention1K(b) }
-
-func BenchmarkCompressedAttention1KScratch(b *testing.B) {
-	benchkernels.CompressedAttention1KScratch(b)
-}
 
 func BenchmarkGenPolicyStep(b *testing.B) { benchkernels.GenPolicyStep(b) }
 

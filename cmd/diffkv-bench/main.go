@@ -7,8 +7,8 @@
 //	diffkv-bench -exp tab1 -fast      # reduced resolution
 //	diffkv-bench -exp all -workers 1  # force sequential execution
 //	diffkv-bench -list                # available experiment IDs
-//	diffkv-bench -json BENCH_PR2.json # perf snapshot (kernels + wall times)
-//	diffkv-bench -gate BENCH_PR5.json # fail if kernels regress vs snapshot
+//
+// Performance is measured end to end by benchmark/run.sh, not here.
 package main
 
 import (
@@ -31,9 +31,6 @@ func main() {
 		workers = flag.Int("workers", 0, "worker pool size (0 = NumCPU, 1 = sequential; output is identical)")
 		list    = flag.Bool("list", false, "list experiment ids")
 		format  = flag.String("format", "text", "output format: text|csv|markdown")
-		jsonOut = flag.String("json", "", "write a perf snapshot (kernel ns/op + per-experiment wall time) to this file")
-		gate    = flag.String("gate", "", "compare current kernel ns/op against this baseline snapshot; exit non-zero on regression")
-		gateTol = flag.Float64("gate-tolerance", 0.20, "fractional slowdown tolerated by -gate before failing (0.20 = 20%)")
 	)
 	flag.Parse()
 
@@ -41,23 +38,8 @@ func main() {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return
 	}
-	if *jsonOut != "" {
-		if err := writePerfJSON(*jsonOut, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote perf snapshot to %s\n", *jsonOut)
-		return
-	}
-	if *gate != "" {
-		if err := runGate(*gate, *gateTol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: diffkv-bench -exp <id>|all [-fast] [-reps N] [-seed S] [-workers W] | -json FILE | -gate FILE")
+		fmt.Fprintln(os.Stderr, "usage: diffkv-bench -exp <id>|all [-fast] [-reps N] [-seed S] [-workers W] [-format F] | -list")
 		os.Exit(2)
 	}
 

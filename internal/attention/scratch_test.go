@@ -144,6 +144,25 @@ func TestScratchCompressedZeroAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkCompressedAttention1KScratch is the steady-state variant of the
+// root BenchmarkCompressedAttention1K: a 1024-token mixed-tier head at dim
+// 128, with the kernel context reused across calls so the loop runs at
+// 0 allocs/op (asserted by TestScratchCompressedZeroAllocs).
+func BenchmarkCompressedAttention1KScratch(b *testing.B) {
+	rng := mathx.NewRNG(5)
+	dim := 128
+	hc, _, _, _ := buildMixedCache(b, rng, dim, 342, 682, 0)
+	q := make([]float32, dim)
+	rng.NormVec(q, 1)
+	var s Scratch
+	s.Compressed(q, hc, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Compressed(q, hc, nil)
+	}
+}
+
 func TestScratchUniformZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(26)
 	q, keys, vals := genKV(rng, 128, 64)

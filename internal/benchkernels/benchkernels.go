@@ -1,7 +1,7 @@
 // Package benchkernels holds the hot-path kernel micro-benchmarks shared by
-// the repository-root bench_test.go and the diffkv-bench -json perf
-// snapshot, so `go test -bench` and the checked-in regression record
-// (BENCH_PR2.json) always measure the same workloads.
+// the repository-root bench_test.go and the paper_tables workload of the
+// benchmark module, so `go test -bench` and the benchmark ledger always
+// measure the same workloads.
 package benchkernels
 
 import (
@@ -14,26 +14,6 @@ import (
 	"diffkv/internal/quant"
 )
 
-// Benchmark is one named kernel micro-benchmark.
-type Benchmark struct {
-	Name string
-	Fn   func(b *testing.B)
-}
-
-// List returns the kernel micro-benchmarks in canonical order.
-func List() []Benchmark {
-	return []Benchmark{
-		{"QuantizeK8", QuantizeK8},
-		{"QuantizeV2", QuantizeV2},
-		{"DequantDotK4", DequantDotK4},
-		{"DequantAxpyV2", DequantAxpyV2},
-		{"DequantDotSlotsPage", DequantDotSlotsPage},
-		{"CompressedAttention1K", CompressedAttention1K},
-		{"CompressedAttention1KScratch", CompressedAttention1KScratch},
-		{"GenPolicyStep", GenPolicyStep},
-	}
-}
-
 // QuantizeK8 packs one dim-128 key vector at 8 bits.
 func QuantizeK8(b *testing.B) {
 	rng := mathx.NewRNG(1)
@@ -44,19 +24,6 @@ func QuantizeK8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		quant.QuantizeInto(src, 8, dst)
-	}
-}
-
-// QuantizeV2 packs one dim-128 value vector at 2 bits.
-func QuantizeV2(b *testing.B) {
-	rng := mathx.NewRNG(2)
-	src := make([]float32, 128)
-	rng.NormVec(src, 1)
-	dst := make([]byte, quant.PackedLen(128, 2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		quant.QuantizeInto(src, 2, dst)
 	}
 }
 
@@ -156,20 +123,6 @@ func CompressedAttention1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		attention.Compressed(q, hc, nil)
-	}
-}
-
-// CompressedAttention1KScratch is the steady-state variant: the kernel
-// context is reused across calls, so the loop must run at exactly 0
-// allocs/op (asserted by TestScratchCompressedZeroAllocs).
-func CompressedAttention1KScratch(b *testing.B) {
-	hc, q := cache1K(b)
-	var scratch attention.Scratch
-	scratch.Compressed(q, hc, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch.Compressed(q, hc, nil)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 // ChaosRates returns the crash-rate sweep (expected crashes per instance
-// per minute) the chaos experiment runs. The checked-in BENCH_PR7
-// record used the same rates.
+// per minute) the chaos experiment runs. `diffkv-bench -exp chaos`
+// prints one row per rate, and the chaos entry in CHANGES.md was
+// measured at the same rates.
 func ChaosRates(fast bool) []float64 {
 	if fast {
 		return []float64{0, 3}

@@ -63,7 +63,7 @@ func TestSeedOfDistinct(t *testing.T) {
 
 // Fast-mode smoke tests: every cheap harness must produce non-empty tables
 // with consistent row widths. The expensive harnesses are covered by
-// bench_test.go at the repository root.
+// TestParallelMatchesSequential, which runs every ID.
 func TestCheapHarnessesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -14,8 +14,9 @@ import (
 
 // OffloadReserves returns the oversubscription levels (MemoryReserve
 // fractions shrinking the KV budget) the offload experiment sweeps — at
-// least two, per the acceptance criterion. The checked-in BENCH_PR3
-// record used the same levels.
+// least two. `diffkv-bench -exp offload` prints one row per level and
+// policy, and the swap goodput CHANGES.md records was measured at these
+// levels.
 func OffloadReserves() []float64 { return []float64{0.975, 0.985} }
 
 // OffloadRun executes one cell of the offload grid: a closed-loop
@@ -23,8 +24,8 @@ func OffloadReserves() []float64 { return []float64{0.975, 0.985} }
 // setting) at the given oversubscription level under the given recovery
 // policy. Every admitted sequence is deep into generation when memory
 // pressure hits, so a recompute victim throws away thousands of tokens
-// while a swap victim resumes where it stopped. The checked-in
-// BENCH_PR3 record holds full-size cells of this same run.
+// while a swap victim resumes where it stopped. `diffkv-bench -exp
+// offload` (without -fast) prints full-size cells of this same run.
 func OffloadRun(reserve float64, policy string, batch, maxGen int, seed uint64) serving.Result {
 	var host int64
 	if policy != offload.PolicyRecompute {
@@ -120,7 +121,7 @@ type SwapBytesRow struct {
 
 // OffloadSwapBytes computes the per-tier PCIe cost of swapping one
 // 1024-token sequence (per KV head, dim 128, L40 PCIe), the numbers the
-// offload experiment table and the checked-in BENCH_PR3 record report.
+// `diffkv-bench -exp offload` table reports.
 func OffloadSwapBytes() []SwapBytesRow {
 	dev := gpusim.L40()
 	row := func(name string, hi, lo quant.Precision, hiTok, loTok int) SwapBytesRow {

@@ -1,8 +1,8 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation (§7). Each harness runs the relevant modules and
 // returns formatted tables whose rows/series correspond to what the paper
-// plots; cmd/diffkv-bench prints them and bench_test.go wraps each in a
-// testing.B benchmark.
+// plots; cmd/diffkv-bench prints them and TestParallelMatchesSequential
+// runs every one in fast mode.
 package experiments
 
 import (
@@ -60,13 +60,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", t.Notes)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Opts tune experiment cost.

@@ -182,9 +182,9 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("max_tokens %d exceeds the limit of %d", maxTokens, g.cfg.MaxTokensLimit))
 		return
 	}
-	if req.PrefixLen > promptTokens {
+	if req.PrefixLen < 0 || req.PrefixLen > promptTokens {
 		writeError(w, http.StatusBadRequest, "invalid_request_error",
-			"prefix_len exceeds the prompt length")
+			fmt.Sprintf("prefix_len %d is outside [0, %d] (the prompt length)", req.PrefixLen, promptTokens))
 		return
 	}
 	wr := workload.Request{

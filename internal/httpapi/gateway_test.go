@@ -294,6 +294,42 @@ func TestSaturated503(t *testing.T) {
 	}
 }
 
+// TestNegativePrefixLen400: a negative prefix_len is a 400 before the
+// request reaches the cluster. Admitted, it reaches the prefix-affinity
+// router as a negative block count and panics the handler mid-dispatch,
+// leaving a session cancelled that was never dispatched.
+func TestNegativePrefixLen400(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		Instances: 2,
+		Engine:    traitsCfg(13),
+		Policy:    cluster.PolicyPrefixAffinity,
+		Seed:      13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := serving.NewLoop(c, serving.LoopConfig{})
+	srv := newTestServer(t, l)
+	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"prompt_tokens": 256, "max_tokens": 4, "prefix_group": 1, "prefix_len": -128}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid_request_error") {
+		t.Fatalf("status %d, want a 400 invalid_request_error: %s", resp.StatusCode, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := l.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics(); m.Stuck() != 0 {
+		t.Fatalf("cluster left with stuck %d: %+v", m.Stuck(), m)
+	}
+}
+
 // TestMetricsAndHealthz: /metrics exposes the TTFT/TPOT/goodput series
 // after a completion; /healthz flips to 503 once the loop drains.
 func TestMetricsAndHealthz(t *testing.T) {

@@ -222,3 +222,27 @@ func TestSlotKernelsZeroAllocs(t *testing.T) {
 		t.Fatalf("slot kernels allocated %v per run", allocs)
 	}
 }
+
+func TestQuantizeIntoZeroAllocs(t *testing.T) {
+	rng := mathx.NewRNG(19)
+	dim := 128
+	src := make([]float32, dim)
+	rng.NormVec(src, 1)
+	widths := 0
+	for bits := 0; bits <= 32; bits++ {
+		if !ValidBits(bits) {
+			continue
+		}
+		widths++
+		dst := make([]byte, PackedLen(dim, bits))
+		allocs := testing.AllocsPerRun(100, func() {
+			QuantizeInto(src, bits, dst)
+		})
+		if allocs != 0 {
+			t.Errorf("QuantizeInto at %d bits allocated %v per run", bits, allocs)
+		}
+	}
+	if widths != 5 {
+		t.Fatalf("checked %d widths, want 5 (1, 2, 4, 8 and F16)", widths)
+	}
+}

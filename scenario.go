@@ -563,8 +563,8 @@ func validateTrace(w WorkloadSpec) error {
 		if tr.ArrivalSec < 0 {
 			return fmt.Errorf("workload trace[%d] (id %d): arrival_sec must be >= 0", i, tr.ID)
 		}
-		if tr.PrefixLen > tr.PromptTokens {
-			return fmt.Errorf("workload trace[%d] (id %d): prefix_len exceeds prompt_tokens", i, tr.ID)
+		if tr.PrefixLen < 0 || tr.PrefixLen > tr.PromptTokens {
+			return fmt.Errorf("workload trace[%d] (id %d): prefix_len must be in [0, prompt_tokens]", i, tr.ID)
 		}
 	}
 	return nil

@@ -215,7 +215,9 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 
 // TestScenarioTraceWorkload covers the hand-authored request-list
 // workload: verbatim replay in arrival order, no benchmark needed, and
-// Build-time rejection of malformed traces — duplicate IDs above all.
+// Build-time rejection of malformed traces — duplicate IDs above all,
+// and a negative prefix_len, which the prefix-affinity router would
+// turn into a negative block count and panic on.
 func TestScenarioTraceWorkload(t *testing.T) {
 	sc := Scenario{Model: "Llama3-8B", Method: "vLLM", MaxGenLen: 64,
 		Workload: WorkloadSpec{Trace: []TraceRequest{
@@ -250,6 +252,7 @@ func TestScenarioTraceWorkload(t *testing.T) {
 		"no tokens":    func(s *Scenario) { s.Workload.Trace[0].GenTokens = 0 },
 		"neg arrival":  func(s *Scenario) { s.Workload.Trace[0].ArrivalSec = -1 },
 		"long prefix":  func(s *Scenario) { s.Workload.Trace[0].PrefixLen = 4096 },
+		"neg prefix":   func(s *Scenario) { s.Workload.Trace[0].PrefixLen = -128 },
 		"trace+bench":  func(s *Scenario) { s.Workload.Bench = "MATH" },
 		"trace+rate":   func(s *Scenario) { s.Workload.RatePerSec = 2 },
 		"trace+secs":   func(s *Scenario) { s.Workload.Seconds = 30 },
