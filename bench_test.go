@@ -130,6 +130,21 @@ func BenchmarkSynthGenHead512(b *testing.B) {
 	}
 }
 
+// BenchmarkScoresInto512 is one query's softmax scores over a 512-token
+// head into a reused buffer: the row-interleaved dot kernel behind
+// SignificancePrefix, the reproduction path's hottest loop.
+func BenchmarkScoresInto512(b *testing.B) {
+	rng := mathx.NewRNG(9)
+	h := synth.GenHead(synth.Llama3_8B, synth.Profile(synth.Llama3_8B, 8, 0, 1, rng), 512, rng)
+	q := h.Query(rng)
+	dst := make([]float32, h.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ScoresInto(q, dst)
+	}
+}
+
 func BenchmarkEngineSequence(b *testing.B) {
 	eng, err := NewEngine(EngineConfig{
 		Model:  Llama3_8B,

@@ -28,6 +28,9 @@ type Scratch struct {
 	kbuf   []byte
 	varena []byte
 	vmeta  []float32
+
+	// Subset's gathered row headers
+	subKeys, subVals [][]float32
 }
 
 // grow readies the shared buffers for n tokens at dimension dim.
@@ -178,19 +181,30 @@ func (s *Scratch) Reference(q []float32, keys, vals [][]float32) Result {
 	invSqrt := float32(1 / math.Sqrt(float64(dim)))
 
 	logits := s.logits[:n]
-	for j := 0; j < n; j++ {
-		logits[j] = mathx.Dot(q, keys[j]) * invSqrt
-	}
+	mathx.DotRows(q, keys, invSqrt, logits)
 	weights := mathx.Softmax(logits, logits)
 
 	out := s.out[:dim]
 	for i := range out {
 		out[i] = 0
 	}
+	mathx.AxpyRows(weights, vals[:n], out)
 	tw := s.tw[:n]
-	for j := 0; j < n; j++ {
-		mathx.Axpy(weights[j], vals[j], out)
+	for j := range tw {
 		tw[j] = TokenWeight{Pos: int32(j), Weight: weights[j]}
 	}
 	return Result{Output: out, Weights: tw, BytesRead: n * quant.FP16.TokenBytes(dim)}
+}
+
+// Subset is Reference restricted to the rows of keys and vals listed in
+// idx, taken in idx order (so Weights' positions count within idx). It
+// gathers the row headers into Scratch storage, so the steady state
+// allocates nothing.
+func (s *Scratch) Subset(q []float32, keys, vals [][]float32, idx []int) Result {
+	s.subKeys, s.subVals = s.subKeys[:0], s.subVals[:0]
+	for _, j := range idx {
+		s.subKeys = append(s.subKeys, keys[j])
+		s.subVals = append(s.subVals, vals[j])
+	}
+	return s.Reference(q, s.subKeys, s.subVals)
 }

@@ -163,6 +163,19 @@ func BenchmarkCompressedAttention1KScratch(b *testing.B) {
 	}
 }
 
+func TestScratchReferenceZeroAllocs(t *testing.T) {
+	rng := mathx.NewRNG(27)
+	q, keys, vals := genKV(rng, 131, 64)
+	var s Scratch
+	s.Reference(q, keys, vals)
+	allocs := testing.AllocsPerRun(50, func() {
+		s.Reference(q, keys, vals)
+	})
+	if allocs != 0 {
+		t.Fatalf("scratch Reference allocated %v per run", allocs)
+	}
+}
+
 func TestScratchUniformZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(26)
 	q, keys, vals := genKV(rng, 128, 64)

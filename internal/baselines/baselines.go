@@ -17,7 +17,6 @@
 package baselines
 
 import (
-	"math"
 	"sort"
 
 	"diffkv/internal/stats"
@@ -64,9 +63,10 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 	}
 	samples := make([]float64, probes)
 	var sum float64
+	var sc attention.Scratch
 	for p := 0; p < probes; p++ {
 		q := data.Query(rng)
-		ref := attention.Reference(q, data.Keys, data.Vals)
+		ref := sc.Reference(q, data.Keys, data.Vals)
 		out := attnFn(q)
 		samples[p] = attention.OutputError(out, ref.Output)
 		sum += samples[p]
@@ -76,37 +76,23 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 	return 0.5*mean + 0.5*p90
 }
 
-// subsetAttention computes FP16 attention restricted to the tokens in idx.
-func subsetAttention(q []float32, keys, vals [][]float32, idx []int) []float32 {
-	dim := len(q)
-	logits := make([]float32, len(idx))
-	invSqrt := float32(1 / math.Sqrt(float64(dim)))
-	for n, j := range idx {
-		logits[n] = mathx.Dot(q, keys[j]) * invSqrt
-	}
-	mathx.Softmax(logits, logits)
-	out := make([]float32, dim)
-	for n, j := range idx {
-		mathx.Axpy(logits[n], vals[j], out)
-	}
-	return out
+// subsetErr is probeErr for a method that keeps the tokens in idx at full
+// precision and drops the rest.
+func subsetErr(data *synth.HeadData, idx []int, probes int, rng *mathx.RNG) float64 {
+	var sc attention.Scratch
+	return probeErr(data, probes, rng, func(q []float32) []float32 {
+		return sc.Subset(q, data.Keys, data.Vals, idx).Output
+	})
 }
 
-// reconAttention computes attention over reconstructed (dequantized) keys
-// and values.
-func reconAttention(q []float32, keys, vals [][]float32) []float32 {
-	dim := len(q)
-	logits := make([]float32, len(keys))
-	invSqrt := float32(1 / math.Sqrt(float64(dim)))
-	for j := range keys {
-		logits[j] = mathx.Dot(q, keys[j]) * invSqrt
-	}
-	mathx.Softmax(logits, logits)
-	out := make([]float32, dim)
-	for j := range vals {
-		mathx.Axpy(logits[j], vals[j], out)
-	}
-	return out
+// reconErr is probeErr for a method that keeps every token, attending over
+// keys and vals: the dequantized reconstructions for a quantizing method,
+// the originals for a full-cache one.
+func reconErr(data *synth.HeadData, keys, vals [][]float32, probes int, rng *mathx.RNG) float64 {
+	var sc attention.Scratch
+	return probeErr(data, probes, rng, func(q []float32) []float32 {
+		return sc.Reference(q, keys, vals).Output
+	})
 }
 
 // topKBySig returns the indices of the k highest-significance tokens,

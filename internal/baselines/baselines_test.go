@@ -1,8 +1,10 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
+	"diffkv/internal/attention"
 	"diffkv/internal/mathx"
 	"diffkv/internal/synth"
 )
@@ -168,10 +170,17 @@ func TestSubsetAttentionFullEqualsReference(t *testing.T) {
 	prof := synth.Profile(synth.Llama3_8B, 0, 0, 1, rng)
 	data := synth.GenHead(synth.Llama3_8B, prof, 64, rng)
 	q := data.Query(rng)
-	out := subsetAttention(q, data.Keys, data.Vals, allIdx(64))
-	refOut := reconAttention(q, data.Keys, data.Vals)
-	if e := mathx.RelErr(out, refOut); e > 1e-6 {
-		t.Fatalf("full subset differs from reference: %v", e)
+	all := make([]int, 64)
+	for i := range all {
+		all[i] = i
+	}
+	var sc attention.Scratch
+	out := sc.Subset(q, data.Keys, data.Vals, all).Output
+	refOut := attention.Reference(q, data.Keys, data.Vals).Output
+	for i := range refOut {
+		if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
+			t.Fatalf("full subset differs from reference at %d: %v vs %v", i, out[i], refOut[i])
+		}
 	}
 }
 

@@ -49,11 +49,8 @@ func (m H2O) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []floa
 		k = 1
 	}
 	idx := topKBySig(sig, k, m.window())
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return subsetAttention(q, data.Keys, data.Vals, idx)
-	})
 	return EvalResult{
-		OutputErr: e,
+		OutputErr: subsetErr(data, idx, probes, rng),
 		MemFrac:   float64(len(idx)) / float64(n),
 	}
 }
@@ -127,11 +124,8 @@ func (m SnapKV) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []f
 	for j := genStart; j < n; j++ {
 		idx = append(idx, j)
 	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return subsetAttention(q, data.Keys, data.Vals, idx)
-	})
 	return EvalResult{
-		OutputErr: e,
+		OutputErr: subsetErr(data, idx, probes, rng),
 		MemFrac:   float64(len(idx)) / float64(n),
 	}
 }
@@ -175,10 +169,7 @@ func (m DuoAttention) Evaluate(model *synth.ModelConfig, data *synth.HeadData, s
 	}
 	n := data.Len()
 	if retrieval {
-		e := probeErr(data, probes, rng, func(q []float32) []float32 {
-			return subsetAttention(q, data.Keys, data.Vals, allIdx(n))
-		})
-		return EvalResult{OutputErr: e, MemFrac: 1}
+		return EvalResult{OutputErr: reconErr(data, data.Keys, data.Vals, probes, rng), MemFrac: 1}
 	}
 	// streaming: sink + recent only
 	var idx []int
@@ -190,19 +181,8 @@ func (m DuoAttention) Evaluate(model *synth.ModelConfig, data *synth.HeadData, s
 			idx = append(idx, j)
 		}
 	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return subsetAttention(q, data.Keys, data.Vals, idx)
-	})
 	return EvalResult{
-		OutputErr: e,
+		OutputErr: subsetErr(data, idx, probes, rng),
 		MemFrac:   float64(len(idx)) / float64(n),
 	}
-}
-
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }

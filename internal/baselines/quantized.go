@@ -34,9 +34,7 @@ func (m INT4Atom) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig [
 		keys[j] = quant.RoundTripGrouped(data.Keys[j], 4, g)
 		vals[j] = quant.RoundTripGrouped(data.Vals[j], 4, g)
 	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return reconAttention(q, keys, vals)
-	})
+	e := reconErr(data, keys, vals, probes, rng)
 	perToken := quant.GroupedTokenBytes(data.Dim, quant.K4V4, g)
 	return EvalResult{
 		OutputErr: e,
@@ -89,9 +87,7 @@ func (m KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []flo
 			vals[j] = data.Vals[j]
 		}
 	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return reconAttention(q, keys, vals)
-	})
+	e := reconErr(data, keys, vals, probes, rng)
 	qBytes := cut * quant.GroupedTokenBytes(data.Dim, quant.K2V2, g)
 	fpBytes := (n - cut) * fp16PayloadBytes(data.Dim)
 	return EvalResult{
@@ -139,9 +135,7 @@ func (QAQ) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float3
 		vals[j] = quant.RoundTripGrouped(data.Vals[j], bits[j], 32)
 		bytes += quant.GroupedTokenBytes(data.Dim, quant.Precision{KeyBits: bits[j], ValBits: bits[j]}, 32)
 	}
-	e := probeErr(data, probes, rng, func(q []float32) []float32 {
-		return reconAttention(q, keys, vals)
-	})
+	e := reconErr(data, keys, vals, probes, rng)
 	return EvalResult{
 		OutputErr: e,
 		MemFrac:   float64(bytes) / float64(n*fp16PayloadBytes(data.Dim)),

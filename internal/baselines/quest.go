@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"diffkv/internal/attention"
 	"diffkv/internal/mathx"
 	"diffkv/internal/synth"
 )
@@ -46,6 +47,8 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 		loadPages = 1
 	}
 
+	var sc attention.Scratch
+	dots := make([]float32, n)
 	e := probeErr(data, probes, rng, func(q []float32) []float32 {
 		// Page criticality: Quest's min/max channel envelope upper-bounds
 		// the page's maximum q·k. On this substrate the persistent key
@@ -58,6 +61,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			p     int
 			score float32
 		}
+		mathx.DotRows(q, data.Keys, 1, dots)
 		scores := make([]pageScore, numPages)
 		for p := 0; p < numPages; p++ {
 			lo, hi := p*ps, (p+1)*ps
@@ -65,8 +69,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 				hi = n
 			}
 			best := float32(mathInfNeg)
-			for j := lo; j < hi; j++ {
-				s := mathx.Dot(q, data.Keys[j])
+			for _, s := range dots[lo:hi] {
 				if s > best {
 					best = s
 				}
@@ -85,7 +88,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			}
 		}
 		sort.Ints(idx)
-		return subsetAttention(q, data.Keys, data.Vals, idx)
+		return sc.Subset(q, data.Keys, data.Vals, idx).Output
 	})
 
 	// Reported per the paper's convention: the loading budget. The

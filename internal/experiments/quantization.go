@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"diffkv/internal/attention"
 	"diffkv/internal/core"
@@ -116,22 +117,37 @@ func Fig9(o Opts) []*Table {
 				Header: []string{"pruned-frac", "dynamic-acc", "static-acc"},
 				Notes:  "dynamic per-head budgets dominate uniform budgets",
 			}
-			for _, frac := range fracs {
-				// reps fan out across the worker pool; per-rep results land
-				// in their own buckets and are concatenated in rep order
-				repDyn := make([][]float64, reps)
-				repStat := make([][]float64, reps)
-				o.forEach(reps, func(rep int) {
-					rng := root.SplitAt(seedOf(model.Name, bench.Name) + uint64(rep))
-					// one request: heads spanning sparse to dense profiles
-					hs := make([]headEval, heads)
-					for i := range hs {
-						prof := synth.Profile(model, (i*3)%model.Layers, i%model.KVHeads, bench.DensityScale, rng.SplitAt(uint64(i)))
-						data := synth.GenHead(model, prof, n, rng.SplitAt(uint64(100+i)))
-						hs[i] = headEval{data: data, sig: data.CheapSignificance(model, rng.SplitAt(uint64(200+i)))}
+			// reps fan out across the worker pool. A rep's heads, queries and
+			// reference outputs do not depend on the pruned fraction, so each
+			// rep builds them once and then sweeps every fraction; per-rep
+			// results land in their own buckets and are concatenated in rep
+			// order.
+			repDyn := make([][][]float64, len(fracs))
+			repStat := make([][][]float64, len(fracs))
+			for f := range fracs {
+				repDyn[f] = make([][]float64, reps)
+				repStat[f] = make([][]float64, reps)
+			}
+			o.forEach(reps, func(rep int) {
+				rng := root.SplitAt(seedOf(model.Name, bench.Name) + uint64(rep))
+				// one request: heads spanning sparse to dense profiles, each
+				// with its probe queries and their full-cache outputs
+				hs := make([]headEval, heads)
+				for i := range hs {
+					prof := synth.Profile(model, (i*3)%model.Layers, i%model.KVHeads, bench.DensityScale, rng.SplitAt(uint64(i)))
+					data := synth.GenHead(model, prof, n, rng.SplitAt(uint64(100+i)))
+					hs[i] = headEval{data: data, sig: data.CheapSignificance(model, rng.SplitAt(uint64(200+i)))}
+					for pr := 0; pr < probes; pr++ {
+						q := data.Query(rng.SplitAt(uint64(300 + i*100 + pr)))
+						hs[i].queries = append(hs[i].queries, q)
+						hs[i].refs = append(hs[i].refs, attention.Reference(q, data.Keys, data.Vals).Output)
 					}
+				}
+				sorted := sortedSig(hs)
+				var sc attention.Scratch
+				for f, frac := range fracs {
 					// dynamic: one global threshold hits the aggregate target
-					keepDyn := dynamicKeepSets(hs, frac)
+					keepDyn := dynamicKeepSets(hs, sorted, frac)
 					// static: every head prunes exactly frac; per-head errors
 					// blend mean with tail (pruning errors are spiky: a query
 					// that needs an evicted token fails hard)
@@ -141,24 +157,24 @@ func Fig9(o Opts) []*Table {
 						sSamples := make([]float64, probes)
 						k := int(float64(n) * (1 - frac))
 						sIdx := topK(h.sig, k)
-						for pr := 0; pr < probes; pr++ {
-							q := h.data.Query(rng.SplitAt(uint64(300 + i*100 + pr)))
-							ref := attention.Reference(q, h.data.Keys, h.data.Vals)
-							dSamples[pr] = attention.OutputError(subsetAttn(q, h.data, keepDyn[i]), ref.Output)
-							sSamples[pr] = attention.OutputError(subsetAttn(q, h.data, sIdx), ref.Output)
+						for pr, q := range h.queries {
+							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, keepDyn[i]).Output, h.refs[pr])
+							sSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, sIdx).Output, h.refs[pr])
 							dSum += dSamples[pr]
 							sSum += sSamples[pr]
 						}
-						repDyn[rep] = append(repDyn[rep],
+						repDyn[f][rep] = append(repDyn[f][rep],
 							0.5*dSum/float64(probes)+0.5*stats.Quantile(dSamples, 0.9))
-						repStat[rep] = append(repStat[rep],
+						repStat[f][rep] = append(repStat[f][rep],
 							0.5*sSum/float64(probes)+0.5*stats.Quantile(sSamples, 0.9))
 					}
-				})
+				}
+			})
+			for f, frac := range fracs {
 				var dynErrs, statErrs []float64
 				for rep := 0; rep < reps; rep++ {
-					dynErrs = append(dynErrs, repDyn[rep]...)
-					statErrs = append(statErrs, repStat[rep]...)
+					dynErrs = append(dynErrs, repDyn[f][rep]...)
+					statErrs = append(statErrs, repStat[f][rep]...)
 				}
 				blend := func(errs []float64) float64 {
 					var mean float64
@@ -178,29 +194,37 @@ func Fig9(o Opts) []*Table {
 	return out
 }
 
-// headEval bundles one head's tensors with its significance scores.
+// headEval bundles one head's tensors with its significance scores, its
+// probe queries and each query's full-cache attention output.
 type headEval struct {
-	data *synth.HeadData
-	sig  []float32
+	data    *synth.HeadData
+	sig     []float32
+	queries [][]float32
+	refs    [][]float32
+}
+
+// sortedSig returns every head's significance scores in one ascending
+// slice, the order statistics dynamicKeepSets draws its threshold from.
+func sortedSig(hs []headEval) []float32 {
+	var all []float32
+	for _, h := range hs {
+		all = append(all, h.sig...)
+	}
+	slices.Sort(all)
+	return all
 }
 
 // dynamicKeepSets finds one global normalized-significance threshold such
 // that the aggregate pruned fraction across heads hits the target, then
 // returns each head's kept indices (per-head counts differ — the dynamic
-// sparsity DiffKV exploits).
-func dynamicKeepSets(hs []headEval, frac float64) [][]int {
-	var all []float32
-	for _, h := range hs {
-		all = append(all, h.sig...)
-	}
-	k := int(float64(len(all)) * frac) // number pruned
+// sparsity DiffKV exploits). sorted is sortedSig(hs).
+func dynamicKeepSets(hs []headEval, sorted []float32, frac float64) [][]int {
+	k := int(float64(len(sorted)) * frac) // number pruned
 	if k <= 0 {
 		k = 1
 	}
 	// threshold = k-th smallest significance
-	cp := append([]float32(nil), all...)
-	quickSelectAsc(cp)
-	thr := cp[k-1]
+	thr := sorted[k-1]
 	out := make([][]int, len(hs))
 	for i, h := range hs {
 		var idx []int
@@ -215,15 +239,6 @@ func dynamicKeepSets(hs []headEval, frac float64) [][]int {
 		out[i] = idx
 	}
 	return out
-}
-
-func quickSelectAsc(x []float32) {
-	// full sort is fine at experiment scale
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }
 
 func topK(sig []float32, k int) []int {
@@ -257,16 +272,6 @@ func topK(sig []float32, k int) []int {
 		}
 	}
 	return kept
-}
-
-func subsetAttn(q []float32, data *synth.HeadData, idx []int) []float32 {
-	keys := make([][]float32, len(idx))
-	vals := make([][]float32, len(idx))
-	for i, j := range idx {
-		keys[i] = data.Keys[j]
-		vals[i] = data.Vals[j]
-	}
-	return attention.Reference(q, keys, vals).Output
 }
 
 // Fig10 reproduces the (αh, αl) calibration on the MATH training split:

@@ -18,8 +18,9 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// SplitN derives the i-th of several independent child streams without
-// advancing the parent more than once per call.
+// SplitAt derives the i-th of several independent child streams. It reads
+// the parent's state and never advances it, so the same i always gives the
+// same child.
 func (r *RNG) SplitAt(i uint64) *RNG {
 	s := r.state + (i+1)*0xbf58476d1ce4e5b9
 	mixed := mix64(s)

@@ -33,6 +33,63 @@ func Axpy(alpha float32, x, dst []float32) {
 	}
 }
 
+// DotRows writes out[j] = Dot(q, rows[j]) * scale for every row. It works
+// through the rows four at a time, one accumulator per row, so each row is
+// summed in exactly Dot's order and every output bit equals the per-row
+// loop's; a tail of fewer than four rows goes through Dot. Like Dot, it
+// panics on a row whose length differs from len(q).
+func DotRows(q []float32, rows [][]float32, scale float32, out []float32) {
+	out = out[:len(rows)]
+	j := 0
+	for ; j+4 <= len(rows); j += 4 {
+		r0, r1, r2, r3 := rows[j], rows[j+1], rows[j+2], rows[j+3]
+		if len(r0) != len(q) || len(r1) != len(q) || len(r2) != len(q) || len(r3) != len(q) {
+			panic("mathx: DotRows length mismatch")
+		}
+		r0, r1, r2, r3 = r0[:len(q)], r1[:len(q)], r2[:len(q)], r3[:len(q)]
+		var s0, s1, s2, s3 float32
+		for i, qv := range q {
+			s0 += qv * r0[i]
+			s1 += qv * r1[i]
+			s2 += qv * r2[i]
+			s3 += qv * r3[i]
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0*scale, s1*scale, s2*scale, s3*scale
+	}
+	for ; j < len(rows); j++ {
+		out[j] = Dot(q, rows[j]) * scale
+	}
+}
+
+// AxpyRows computes dst += w[j]*rows[j] for j in order, with the same
+// result bits as calling Axpy once per row. It works through the rows four
+// at a time: each dst element is loaded and stored once per group and
+// receives the four terms in row order. A tail of fewer than four rows
+// goes through Axpy. Like Axpy, it panics on a row whose length differs
+// from len(dst).
+func AxpyRows(w []float32, rows [][]float32, dst []float32) {
+	w = w[:len(rows)]
+	j := 0
+	for ; j+4 <= len(rows); j += 4 {
+		r0, r1, r2, r3 := rows[j], rows[j+1], rows[j+2], rows[j+3]
+		if len(r0) != len(dst) || len(r1) != len(dst) || len(r2) != len(dst) || len(r3) != len(dst) {
+			panic("mathx: AxpyRows length mismatch")
+		}
+		r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
+		w0, w1, w2, w3 := w[j], w[j+1], w[j+2], w[j+3]
+		for i, d := range dst {
+			d += w0 * r0[i]
+			d += w1 * r1[i]
+			d += w2 * r2[i]
+			d += w3 * r3[i]
+			dst[i] = d
+		}
+	}
+	for ; j < len(rows); j++ {
+		Axpy(w[j], rows[j], dst)
+	}
+}
+
 // Scale multiplies every element of x by alpha in place.
 func Scale(alpha float32, x []float32) {
 	for i := range x {

@@ -8,7 +8,8 @@ package quant
 // paper's CUDA kernel decoding a full register per instruction (§6.2). The
 // *Slots variants process every occupied slot of a unified page in one call,
 // so the attention path pays bit-width dispatch and the q-summation term
-// once per page rather than once per token.
+// once per page rather than once per token, and they decode four slots per
+// pass with one accumulator each, keeping every slot's summation order.
 
 import "fmt"
 
@@ -186,6 +187,123 @@ func axpyPacked(ws, wz float32, data []byte, bits, n int, dst []float32) {
 	}
 }
 
+// interleaves reports whether the four-slot kernels dotPacked4 and
+// axpyPacked4 cover codes of this width at this dimension: 8-, 4- and 2-bit
+// codes with no partially filled last byte. Every other shape takes the
+// per-slot loop.
+func interleaves(bits, dim int) bool {
+	switch bits {
+	case 8, 4, 2:
+		return dim%(8/bits) == 0
+	}
+	return false
+}
+
+// slots4 splits four consecutive slots of stride bytes each, all sliced to
+// len(d0) so one index bound covers the four.
+func slots4(data []byte, stride int) (d0, d1, d2, d3 []byte) {
+	d0 = data[:stride]
+	return d0, data[stride:][:len(d0)], data[2*stride:][:len(d0)], data[3*stride:][:len(d0)]
+}
+
+// dotPacked4 is dotPacked over four slots stored at stride: one
+// accumulator per slot, each summed in exactly dotPacked's order, so every
+// result is bit-identical to a dotPacked call. Only shapes interleaves
+// accepts reach it.
+func dotPacked4(q []float32, data []byte, stride, bits int) [4]float32 {
+	d0, d1, d2, d3 := slots4(data, stride)
+	var s0, s1, s2, s3 float32
+	switch bits {
+	case 8:
+		d0, d1, d2, d3 = d0[:len(q)], d1[:len(q)], d2[:len(q)], d3[:len(q)]
+		for i, qv := range q {
+			s0 += qv * float32(d0[i])
+			s1 += qv * float32(d1[i])
+			s2 += qv * float32(d2[i])
+			s3 += qv * float32(d3[i])
+		}
+	case 4:
+		q = q[:2*stride]
+		for k := range d0 {
+			q0, q1 := q[2*k], q[2*k+1]
+			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
+			s0 += q0*float32(b0&0x0f) + q1*float32(b0>>4)
+			s1 += q0*float32(b1&0x0f) + q1*float32(b1>>4)
+			s2 += q0*float32(b2&0x0f) + q1*float32(b2>>4)
+			s3 += q0*float32(b3&0x0f) + q1*float32(b3>>4)
+		}
+	case 2:
+		q = q[:4*stride]
+		for k := range d0 {
+			q0, q1, q2, q3 := q[4*k], q[4*k+1], q[4*k+2], q[4*k+3]
+			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
+			s0 += q0*float32(b0&3) + q1*float32((b0>>2)&3) + q2*float32((b0>>4)&3) + q3*float32(b0>>6)
+			s1 += q0*float32(b1&3) + q1*float32((b1>>2)&3) + q2*float32((b1>>4)&3) + q3*float32(b1>>6)
+			s2 += q0*float32(b2&3) + q1*float32((b2>>2)&3) + q2*float32((b2>>4)&3) + q3*float32(b2>>6)
+			s3 += q0*float32(b3&3) + q1*float32((b3>>2)&3) + q2*float32((b3>>4)&3) + q3*float32(b3>>6)
+		}
+	default:
+		panic(fmt.Sprintf("quant: no four-slot dot at %d bits", bits))
+	}
+	return [4]float32{s0, s1, s2, s3}
+}
+
+// axpyPacked4 is axpyPacked over four slots stored at stride, with slot
+// k's folded weights in ws[k] and wz[k]. Each dst element is loaded and
+// stored once and receives the four slots' terms in slot order, so dst
+// ends bit-identical to four axpyPacked calls. Only shapes interleaves
+// accepts reach it.
+func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32) {
+	d0, d1, d2, d3 := slots4(data, stride)
+	ws0, ws1, ws2, ws3 := ws[0], ws[1], ws[2], ws[3]
+	wz0, wz1, wz2, wz3 := wz[0], wz[1], wz[2], wz[3]
+	switch bits {
+	case 8:
+		dst = dst[:stride]
+		d0, d1, d2, d3 = d0[:len(dst)], d1[:len(dst)], d2[:len(dst)], d3[:len(dst)]
+		for i, x := range dst {
+			x += ws0*float32(d0[i]) + wz0
+			x += ws1*float32(d1[i]) + wz1
+			x += ws2*float32(d2[i]) + wz2
+			x += ws3*float32(d3[i]) + wz3
+			dst[i] = x
+		}
+	case 4:
+		dst = dst[:2*stride]
+		for k := range d0 {
+			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
+			x, y := dst[2*k], dst[2*k+1]
+			x += ws0*float32(b0&0x0f) + wz0
+			x += ws1*float32(b1&0x0f) + wz1
+			x += ws2*float32(b2&0x0f) + wz2
+			x += ws3*float32(b3&0x0f) + wz3
+			y += ws0*float32(b0>>4) + wz0
+			y += ws1*float32(b1>>4) + wz1
+			y += ws2*float32(b2>>4) + wz2
+			y += ws3*float32(b3>>4) + wz3
+			dst[2*k], dst[2*k+1] = x, y
+		}
+	case 2:
+		dst = dst[:4*stride]
+		for k := range d0 {
+			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
+			// element i of the byte is code (b>>2i)&3: consume two bits
+			// of each slot's byte per element
+			e := dst[4*k : 4*k+4 : 4*k+4]
+			for i, x := range e {
+				x += ws0*float32(b0&3) + wz0
+				x += ws1*float32(b1&3) + wz1
+				x += ws2*float32(b2&3) + wz2
+				x += ws3*float32(b3&3) + wz3
+				e[i] = x
+				b0, b1, b2, b3 = b0>>2, b1>>2, b2>>2, b3>>2
+			}
+		}
+	default:
+		panic(fmt.Sprintf("quant: no four-slot axpy at %d bits", bits))
+	}
+}
+
 // unpackInto decodes n packed b-bit codes as float32 code values (no
 // scale/zero applied) into dst.
 func unpackInto(data []byte, bits, n int, dst []float32) {
@@ -242,7 +360,8 @@ func unpackInto(data []byte, bits, n int, dst []float32) {
 // holds the slots at stride PackedLen(len(q), bits); meta holds one
 // (scale, zero) pair per slot (ignored for the FP16 tier). The Σq term of
 // the affine expansion dot(q, s·Q+z) = s·dot(q,Q) + z·Σq is computed once
-// for the whole page.
+// for the whole page. Where interleaves allows, slots go four per pass
+// through dotPacked4; every output bit equals the per-slot loop's.
 func DequantDotSlots(q []float32, data []byte, bits, nSlots int, meta []float32, out []float32) {
 	if len(out) < nSlots {
 		panic("quant: DequantDotSlots output too small")
@@ -260,7 +379,15 @@ func DequantDotSlots(q []float32, data []byte, bits, nSlots int, meta []float32,
 	}
 	stride := PackedLen(dim, bits)
 	sq := sum32(q)
-	for s := 0; s < nSlots; s++ {
+	s := 0
+	if interleaves(bits, dim) {
+		for ; s+4 <= nSlots; s += 4 {
+			for k, d := range dotPacked4(q, data[s*stride:(s+4)*stride], stride, bits) {
+				out[s+k] = meta[2*(s+k)]*d + meta[2*(s+k)+1]*sq
+			}
+		}
+	}
+	for ; s < nSlots; s++ {
 		d := data[s*stride : (s+1)*stride]
 		out[s] = meta[2*s]*dotPacked(q, d, bits) + meta[2*s+1]*sq
 	}
@@ -269,7 +396,8 @@ func DequantDotSlots(q []float32, data []byte, bits, nSlots int, meta []float32,
 // DequantAxpySlots accumulates dst += Σ_s w[s]·dequantize(slot s) over
 // len(w) consecutive packed vectors of n elements — the page-granular fused
 // value kernel. meta holds one (scale, zero) pair per slot (ignored for the
-// FP16 tier).
+// FP16 tier). Where interleaves allows, slots go four per pass through
+// axpyPacked4; dst ends bit-identical to the per-slot loop's.
 func DequantAxpySlots(w []float32, data []byte, bits, n int, meta []float32, dst []float32) {
 	if len(dst) < n {
 		panic("quant: DequantAxpySlots destination too small")
@@ -289,7 +417,17 @@ func DequantAxpySlots(w []float32, data []byte, bits, n int, meta []float32, dst
 		panic("quant: DequantAxpySlots metadata too small")
 	}
 	stride := PackedLen(n, bits)
-	for s, ws := range w {
-		axpyPacked(ws*meta[2*s], ws*meta[2*s+1], data[s*stride:(s+1)*stride], bits, n, dst)
+	s := 0
+	if interleaves(bits, n) {
+		for ; s+4 <= len(w); s += 4 {
+			var ws, wz [4]float32
+			for k := range ws {
+				ws[k], wz[k] = w[s+k]*meta[2*(s+k)], w[s+k]*meta[2*(s+k)+1]
+			}
+			axpyPacked4(ws, wz, data[s*stride:(s+4)*stride], stride, bits, dst)
+		}
+	}
+	for ; s < len(w); s++ {
+		axpyPacked(w[s]*meta[2*s], w[s]*meta[2*s+1], data[s*stride:(s+1)*stride], bits, n, dst)
 	}
 }

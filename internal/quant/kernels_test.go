@@ -171,6 +171,79 @@ func TestDequantAxpySlotsMatchesPerToken(t *testing.T) {
 	}
 }
 
+// refDotSlots and refAxpySlots are the per-slot loops the four-slot passes
+// of DequantDotSlots and DequantAxpySlots replace.
+func refDotSlots(q []float32, data []byte, bits, nSlots int, meta, out []float32) {
+	stride := PackedLen(len(q), bits)
+	for s := 0; s < nSlots; s++ {
+		d := data[s*stride : (s+1)*stride]
+		if bits == BitsF16 {
+			out[s] = dotF16(q, d)
+			continue
+		}
+		out[s] = meta[2*s]*dotPacked(q, d, bits) + meta[2*s+1]*sum32(q)
+	}
+}
+
+func refAxpySlots(w []float32, data []byte, bits, n int, meta, dst []float32) {
+	stride := PackedLen(n, bits)
+	for s, ws := range w {
+		d := data[s*stride : (s+1)*stride]
+		if bits == BitsF16 {
+			for i := 0; i < n; i++ {
+				dst[i] += ws * F16ToF32(uint16(d[2*i])|uint16(d[2*i+1])<<8)
+			}
+			continue
+		}
+		axpyPacked(ws*meta[2*s], ws*meta[2*s+1], d, bits, n, dst)
+	}
+}
+
+// TestSlotKernelsBitIdentical: at every storage width, 0-9 slots (every
+// remainder mod 4) and dimensions that do and do not fill their last byte,
+// the slot kernels' output bits equal the per-slot loops'.
+func TestSlotKernelsBitIdentical(t *testing.T) {
+	rng := mathx.NewRNG(20)
+	widths := 0
+	for bits := 0; bits <= 32; bits++ {
+		if !ValidBits(bits) {
+			continue
+		}
+		widths++
+		for _, dim := range []int{1, 2, 3, 7, 64, 127, 128} {
+			for nSlots := 0; nSlots <= 9; nSlots++ {
+				data, meta, _ := slotPage(rng, bits, dim, nSlots)
+				q := make([]float32, dim)
+				rng.NormVec(q, 1)
+				got, want := make([]float32, nSlots), make([]float32, nSlots)
+				DequantDotSlots(q, data, bits, nSlots, meta, got)
+				refDotSlots(q, data, bits, nSlots, meta, want)
+				for s := range want {
+					if math.Float32bits(got[s]) != math.Float32bits(want[s]) {
+						t.Fatalf("dot bits=%d dim=%d slots=%d: slot %d = %v, per-slot %v", bits, dim, nSlots, s, got[s], want[s])
+					}
+				}
+
+				w := make([]float32, nSlots)
+				rng.NormVec(w, 0.3)
+				gotV, wantV := make([]float32, dim), make([]float32, dim)
+				rng.NormVec(gotV, 1)
+				copy(wantV, gotV)
+				DequantAxpySlots(w, data, bits, dim, meta, gotV)
+				refAxpySlots(w, data, bits, dim, meta, wantV)
+				for i := range wantV {
+					if math.Float32bits(gotV[i]) != math.Float32bits(wantV[i]) {
+						t.Fatalf("axpy bits=%d dim=%d slots=%d: dst[%d] = %v, per-slot %v", bits, dim, nSlots, i, gotV[i], wantV[i])
+					}
+				}
+			}
+		}
+	}
+	if widths != 5 {
+		t.Fatalf("checked %d widths, want 5 (1, 2, 4, 8 and F16)", widths)
+	}
+}
+
 func TestDequantDotZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(16)
 	dim := 128

@@ -102,14 +102,16 @@ func (h *HeadData) Query(rng *mathx.RNG) []float32 {
 }
 
 // Scores computes the true softmax attention scores of query q over the
-// first n tokens (causal prefix).
+// first n tokens (causal prefix) into a fresh slice.
 func (h *HeadData) Scores(q []float32, n int) []float32 {
-	logits := make([]float32, n)
-	invSqrt := float32(1 / math.Sqrt(float64(h.Dim)))
-	for j := 0; j < n; j++ {
-		logits[j] = mathx.Dot(q, h.Keys[j]) * invSqrt
-	}
-	return mathx.Softmax(logits, logits)
+	return h.ScoresInto(q, make([]float32, n))
+}
+
+// ScoresInto is Scores over the first len(dst) tokens, written into dst
+// and returned.
+func (h *HeadData) ScoresInto(q, dst []float32) []float32 {
+	mathx.DotRows(q, h.Keys[:len(dst)], float32(1/math.Sqrt(float64(h.Dim))), dst)
+	return mathx.Softmax(dst, dst)
 }
 
 // SignificancePrefix computes per-token significance scores for the prompt
@@ -133,13 +135,14 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 		stride = n / 512
 	}
 	perHead := make([]float32, n)
+	buf := make([]float32, n)
 	for t := 1; t < n; t += stride {
 		for i := range perHead[:t] {
 			perHead[i] = 0
 		}
 		for g := 0; g < group; g++ {
 			q := h.Query(qrng)
-			scores := h.Scores(q, t)
+			scores := h.ScoresInto(q, buf[:t])
 			for j, s := range scores {
 				if s > perHead[j] {
 					perHead[j] = s // max over query heads in the group

@@ -97,6 +97,25 @@ func TestCheapSignificanceIdentifiesHeavy(t *testing.T) {
 	}
 }
 
+func TestScoresIntoZeroAllocs(t *testing.T) {
+	rng := mathx.NewRNG(7)
+	data := GenHead(Llama3_8B, Profile(Llama3_8B, 8, 0, 1, rng), 130, rng)
+	q := data.Query(rng)
+	dst := make([]float32, data.Len())
+	allocs := testing.AllocsPerRun(50, func() {
+		data.ScoresInto(q, dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("ScoresInto allocated %v per run", allocs)
+	}
+	want := data.Scores(q, data.Len())
+	for j := range want {
+		if math.Float32bits(dst[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("ScoresInto[%d] = %v, Scores %v", j, dst[j], want[j])
+		}
+	}
+}
+
 func TestCheapSignificanceNonNegative(t *testing.T) {
 	rng := mathx.NewRNG(4)
 	prof := Profile(Qwen25_7B, 3, 1, 1, rng)
