@@ -41,7 +41,8 @@ type Config struct {
 	// engine gets an instance-tagged tracer.
 	Engine serving.Config
 	// Policy selects the routing policy (PolicyRoundRobin,
-	// PolicyLeastLoaded or PolicyPrefixAffinity; default round-robin).
+	// PolicyLeastLoaded, PolicyPrefixAffinity, PolicyDisaggAware or a
+	// name added with RegisterPolicy; default round-robin).
 	Policy string
 	// MaxQueueDepth bounds each instance's admission queue: an instance
 	// at the bound is unroutable, and a request is shed when every
@@ -115,6 +116,9 @@ type Cluster struct {
 	// pending holds Run's not-yet-dispatched arrivals in arrival order
 	// (always empty in session mode, where Open dispatches immediately)
 	pending []workload.Request
+	// snaps is the one snapshot buffer every routing decision refills
+	// (snapshots), so dispatch allocates no per-arrival fleet view
+	snaps []Snapshot
 
 	// disaggregation coordinator state (disagg.go); nil without
 	// Config.Disagg
@@ -270,29 +274,37 @@ func (c *Cluster) dispatch(r workload.Request) {
 // only adopt shipped prefills), so they are filtered here regardless of
 // the policy in use.
 func (c *Cluster) route(r workload.Request) (int, bool) {
-	snaps := make([]Snapshot, 0, len(c.engines))
-	for i := range c.engines {
-		if c.down(i) {
-			continue // crashed: unroutable until restart
-		}
-		if c.dg != nil && c.dg.roles[i] == disagg.RoleDecode {
-			continue // decode pool: adopts shipped prefills only
-		}
-		s := c.snapshot(i)
-		if c.cfg.MaxQueueDepth > 0 && s.QueueDepth >= c.cfg.MaxQueueDepth {
-			continue // saturated: unroutable
-		}
-		snaps = append(snaps, s)
-	}
+	snaps := c.snapshots(func(s Snapshot) bool {
+		// decode pool: adopts shipped prefills only; a full queue is
+		// saturated, so unroutable
+		return s.Role != disagg.RoleDecode &&
+			(c.cfg.MaxQueueDepth <= 0 || s.QueueDepth < c.cfg.MaxQueueDepth)
+	})
 	if len(snaps) == 0 {
 		return 0, false
 	}
 	return c.policy.Pick(r, snaps), true
 }
 
-// snapshot is the router's view of instance i (0-based) right now — the
-// one place a Snapshot is built, for first dispatch, crash re-dispatch
-// and decode-side placement alike.
+// snapshots refills the cluster's snapshot buffer with the live instances
+// keep accepts, in ascending ID order — the one fleet view behind first
+// dispatch, crash re-dispatch and decode-side placement. Crashed instances
+// are never routable. The slice is valid until the next call.
+func (c *Cluster) snapshots(keep func(s Snapshot) bool) []Snapshot {
+	c.snaps = c.snaps[:0]
+	for i := range c.engines {
+		if c.down(i) {
+			continue
+		}
+		if s := c.snapshot(i); keep(s) {
+			c.snaps = append(c.snaps, s)
+		}
+	}
+	return c.snaps
+}
+
+// snapshot is the router's view of instance i (0-based) right now: every
+// field is an O(1) read, the token counts included.
 func (c *Cluster) snapshot(i int) Snapshot {
 	e := c.engines[i]
 	return Snapshot{

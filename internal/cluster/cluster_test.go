@@ -10,7 +10,7 @@ import (
 	"diffkv/internal/workload"
 )
 
-func newTestCluster(t *testing.T, policy string, mutate func(*Config)) *Cluster {
+func newTestCluster(t testing.TB, policy string, mutate func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
 		Instances: 4,

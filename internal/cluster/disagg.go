@@ -94,22 +94,11 @@ type decodePicker interface {
 // least-loaded over the decode and mixed pools. Prefill-only instances
 // never decode.
 func (c *Cluster) pickDecode(r workload.Request) int {
-	snaps := make([]Snapshot, 0, len(c.engines))
-	for i := range c.engines {
-		if c.dg.roles[i] != disagg.RolePrefill {
-			snaps = append(snaps, c.snapshot(i))
-		}
-	}
+	snaps := c.snapshots(func(s Snapshot) bool { return s.Role != disagg.RolePrefill })
 	if dp, ok := c.policy.(decodePicker); ok {
 		return dp.PickDecode(r, snaps)
 	}
-	best := snaps[0]
-	for _, s := range snaps[1:] {
-		if less(s, best) {
-			best = s
-		}
-	}
-	return best.ID
+	return leastLoaded{}.Pick(r, snaps)
 }
 
 // settle filters one step's completions through the coordinator:

@@ -17,6 +17,7 @@ import (
 	"diffkv/internal/faults"
 	"diffkv/internal/serving"
 	"diffkv/internal/trace"
+	"diffkv/internal/workload"
 )
 
 // Health is an instance's fault-injection state.
@@ -184,7 +185,7 @@ func (c *Cluster) enqueueRedispatch(rd redispatch) {
 func (c *Cluster) processRedispatch() error {
 	rd := c.redispatchQ[0]
 	c.redispatchQ = c.redispatchQ[1:]
-	idx, ok := c.routeRedispatch()
+	idx, ok := c.routeRedispatch(rd.o.Req)
 	if !ok {
 		rd.waits++
 		if rd.o.Attempts+rd.waits > c.inj.RetryBudget() {
@@ -209,17 +210,12 @@ func (c *Cluster) processRedispatch() error {
 // orphan. Unlike first-dispatch routing it ignores MaxQueueDepth — an
 // already-admitted request is never shed by saturation, only by its
 // retry budget.
-func (c *Cluster) routeRedispatch() (int, bool) {
-	best, ok := Snapshot{}, false
-	for i := range c.engines {
-		if c.down(i) {
-			continue
-		}
-		if s := c.snapshot(i); !ok || less(s, best) {
-			best, ok = s, true
-		}
+func (c *Cluster) routeRedispatch(r workload.Request) (int, bool) {
+	snaps := c.snapshots(func(Snapshot) bool { return true })
+	if len(snaps) == 0 {
+		return 0, false
 	}
-	return best.ID, ok
+	return leastLoaded{}.Pick(r, snaps), true
 }
 
 // fail terminally accounts a crash orphan that ran out of retries: the

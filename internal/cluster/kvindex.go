@@ -1,5 +1,7 @@
 package cluster
 
+import "slices"
+
 // KVIndex is a prefix-hash index in the style of llm-d's prefixhashtable:
 // it maps chained prompt-block hashes to the serving instances believed to
 // hold those KV blocks, so the router can score instances by how much of a
@@ -9,10 +11,13 @@ package cluster
 type KVIndex struct {
 	capacity int
 	entries  map[uint64]*indexEntry
+	// counts is Matches' result, reused across calls: one slot per
+	// instance ID up to the largest Add has seen
+	counts []int
 }
 
 type indexEntry struct {
-	insts   map[int]float64 // instance ID → last access (us)
+	insts   []int // IDs of the instances holding the block, each once
 	lastUse float64
 }
 
@@ -37,11 +42,16 @@ func (x *KVIndex) Add(hashes []uint64, inst int, nowUs float64) {
 	for _, h := range hashes {
 		e := x.entries[h]
 		if e == nil {
-			e = &indexEntry{insts: make(map[int]float64, 2)}
+			e = &indexEntry{}
 			x.entries[h] = e
 		}
-		e.insts[inst] = nowUs
+		if !slices.Contains(e.insts, inst) {
+			e.insts = append(e.insts, inst)
+		}
 		e.lastUse = nowUs
+	}
+	if inst >= len(x.counts) {
+		x.counts = make([]int, inst+1)
 	}
 	for len(x.entries) > x.capacity {
 		x.evictOldest()
@@ -69,33 +79,26 @@ func (x *KVIndex) evictOldest() {
 // Matches scores each instance by how many consecutive leading blocks of
 // the hash sequence it holds (llm-d early-stop semantics: scoring for an
 // instance ends at its first missing block, and the scan ends at the first
-// block no instance holds).
-func (x *KVIndex) Matches(hashes []uint64) map[int]int {
-	counts := make(map[int]int)
-	var alive map[int]bool
+// block no instance holds). The result is indexed by instance ID, one slot
+// per instance up to the largest Add has seen; it is a buffer the index
+// owns, valid until the next call.
+func (x *KVIndex) Matches(hashes []uint64) []int {
+	counts := x.counts
+	clear(counts)
 	for i, h := range hashes {
 		e := x.entries[h]
 		if e == nil {
 			break
 		}
-		if i == 0 {
-			alive = make(map[int]bool, len(e.insts))
-			//diffkv:allow maprange -- per-key map writes, no cross-key state: result set is order-independent
-			for inst := range e.insts {
-				alive[inst] = true
-				counts[inst] = 1
-			}
-		} else {
-			//diffkv:allow maprange -- per-key increment/delete, no cross-key state; callers index the result by instance ID
-			for inst := range alive {
-				if _, ok := e.insts[inst]; ok {
-					counts[inst]++
-				} else {
-					delete(alive, inst)
-				}
+		// an instance is still matching at block i iff it held blocks 0..i-1
+		advanced := false
+		for _, inst := range e.insts {
+			if counts[inst] == i {
+				counts[inst]++
+				advanced = true
 			}
 		}
-		if len(alive) == 0 {
+		if !advanced {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"diffkv/internal/serving"
 	"diffkv/internal/stats"
@@ -167,8 +168,12 @@ func (a *accumulator) complete(inst int, cp serving.Completion) {
 	a.cached += int64(cp.CachedPrefixTokens)
 }
 
+// finish returns the Metrics accumulated so far. PerInstance is a copy, so
+// the overlays written here and by finishMetrics never reach a Metrics
+// returned earlier.
 func (a *accumulator) finish(engines []*serving.Engine) Metrics {
 	m := a.m
+	m.PerInstance = slices.Clone(a.m.PerInstance)
 	var makespanUs float64
 	var thrash, swapIns int
 	busy := make([]float64, len(engines))

@@ -36,7 +36,8 @@ type Snapshot struct {
 
 // Policy picks a target instance for each request. Pick receives only
 // routable snapshots (admission control filters saturated instances first)
-// and the slice is never empty; it returns the chosen Snapshot.ID.
+// and the slice is never empty; it returns the chosen Snapshot.ID. The
+// slice is the cluster's reusable buffer, valid only during the call.
 // Policies must be deterministic: equal inputs yield equal picks.
 type Policy interface {
 	Name() string
@@ -225,7 +226,15 @@ type prefixAffinity struct {
 	blockTok   int
 	queueBound int
 	fallback   Policy
+	// memo holds the block hashes of the last request hashed, under every
+	// input of the hash, so Observe reuses what Pick computed for the same
+	// dispatch
+	memoKey hashKey
+	memo    []uint64
 }
+
+// hashKey is every Request field workload.Request.BlockHashes reads.
+type hashKey struct{ id, promptLen, prefixGroup, prefixLen int }
 
 // NewPrefixAffinity returns the prefix-affinity policy: blockTokens is the
 // index granularity (<=0 selects 64), queueBound is the affine instance's
@@ -248,17 +257,26 @@ func NewPrefixAffinity(blockTokens, queueBound, indexCapacity int) Policy {
 
 func (p *prefixAffinity) Name() string { return PolicyPrefixAffinity }
 
+// blockHashes returns req's block hashes, hashing only when req differs
+// from the last request hashed in an input of the hash.
+func (p *prefixAffinity) blockHashes(req workload.Request) []uint64 {
+	k := hashKey{req.ID, req.PromptLen, req.PrefixGroup, req.PrefixLen}
+	if p.memo == nil || k != p.memoKey {
+		p.memoKey, p.memo = k, req.BlockHashes(p.blockTok)
+	}
+	return p.memo
+}
+
 func (p *prefixAffinity) Pick(req workload.Request, snaps []Snapshot) int {
-	matches := p.index.Matches(req.BlockHashes(p.blockTok))
+	matches := p.index.Matches(p.blockHashes(req))
 	best, bestScore := -1, 0
 	for _, s := range snaps {
-		score := matches[s.ID]
-		if score == 0 || s.QueueDepth >= p.queueBound {
-			continue
+		if s.ID >= len(matches) || s.QueueDepth >= p.queueBound {
+			continue // an ID beyond the slice holds no indexed block
 		}
 		// snaps arrive in ascending ID order, so strict > keeps the
-		// lowest-ID instance among equal scores
-		if score > bestScore {
+		// lowest-ID instance among equal scores (and skips score 0)
+		if score := matches[s.ID]; score > bestScore {
 			best, bestScore = s.ID, score
 		}
 	}
@@ -279,7 +297,7 @@ func (p *prefixAffinity) Observe(req workload.Request, inst int, nowUs float64) 
 	if n == 0 {
 		return
 	}
-	hashes := req.BlockHashes(p.blockTok)
+	hashes := p.blockHashes(req)
 	if n > len(hashes) {
 		n = len(hashes)
 	}

@@ -85,6 +85,38 @@ func TestClusterSessions(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshotsDoNotAlias takes Metrics mid-drive, drains, takes it
+// again, and requires the first snapshot's per-instance values unchanged:
+// a returned Metrics belongs to its holder.
+func TestMetricsSnapshotsDoNotAlias(t *testing.T) {
+	c, err := New(sessionCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := c.Open(context.Background(), workload.Request{PromptLen: 256, GenLen: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := c.Metrics()
+	busy := mid.PerInstance[0].BusySeconds
+	if err := c.DrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	end := c.Metrics()
+	if end.PerInstance[0].BusySeconds <= busy {
+		t.Fatalf("instance 0 busy %v s at the end, %v s mid-drive: the drain did no work", end.PerInstance[0].BusySeconds, busy)
+	}
+	if got := mid.PerInstance[0].BusySeconds; got != busy {
+		t.Fatalf("mid-drive Metrics changed under its holder: busy %v s became %v s", busy, got)
+	}
+}
+
 // TestClusterOpenSheds verifies admission control on the session path:
 // once every instance queue is at the bound, Open returns
 // ErrAllSaturated and the reject is accounted.

@@ -269,10 +269,16 @@ type Engine struct {
 	// incremental run state (Submit / Step / DrainContext). Every in-flight
 	// request is one record (record.go) held by exactly one of the three
 	// queues and indexed by request ID in live.
-	pending      []*seqState
-	running      []*seqState
-	swappedQ     []*seqState // swapped-out sequences awaiting swap-in
-	live         map[int]*seqState
+	pending  []*seqState
+	running  []*seqState
+	swappedQ []*seqState // swapped-out sequences awaiting swap-in
+	live     map[int]*seqState
+	// residentTok and swappedTok are the summed tokens() of running and
+	// swappedQ, kept where a record joins or leaves either queue or grows
+	// while running, so the router's per-arrival view of the fleet does
+	// not re-sum every batch
+	residentTok  int
+	swappedTok   int
 	clock        gpusim.Micros
 	admitBlocked bool
 	steps        int
@@ -444,34 +450,24 @@ func (e *Engine) QueueDepth() int { return len(e.pending) }
 // RunningCount returns the number of admitted, in-flight requests.
 func (e *Engine) RunningCount() int { return len(e.running) }
 
-// ResidentTokens sums the cached KV tokens of all running sequences — the
-// load signal a least-loaded router balances on.
-func (e *Engine) ResidentTokens() int {
-	var n int
-	for _, st := range e.running {
-		n += st.tokens()
-	}
-	return n
-}
+// ResidentTokens returns the cached KV tokens of all running sequences —
+// the load signal a least-loaded router balances on. The count is kept
+// as records move, so the call is O(1).
+func (e *Engine) ResidentTokens() int { return e.residentTok }
 
 // BusyTime returns the cumulative simulated time spent executing steps
 // (the engine is idle for the remainder of its clock).
 func (e *Engine) BusyTime() gpusim.Micros { return e.busyUs }
 
-// SwappedTokens sums the KV tokens of swapped-out sequences — load that
-// is latent rather than GPU-resident, which offload-aware routing weighs
-// separately from ResidentTokens.
-func (e *Engine) SwappedTokens() int {
-	var n int
-	for _, st := range e.swappedQ {
-		n += st.tokens()
-	}
-	return n
-}
+// SwappedTokens returns the KV tokens of swapped-out sequences — load
+// that is latent rather than GPU-resident, which offload-aware routing
+// weighs separately from ResidentTokens. Kept like ResidentTokens: O(1).
+func (e *Engine) SwappedTokens() int { return e.swappedTok }
 
 // run moves an admitted record into the running batch, opening phase ph.
 func (e *Engine) run(st *seqState, ph trace.Phase) {
 	e.running = append(e.running, st)
+	e.residentTok += st.tokens()
 	st.at = atRunning
 	st.phaseTo(ph, float64(e.clock))
 }
@@ -503,6 +499,7 @@ func (e *Engine) admit() error {
 			break // GPU pages not yet available; retry after a completion
 		}
 		shift(&e.swappedQ)
+		e.swappedTok -= st.tokens()
 		// H2D prefetch: the transfer stall is charged to the next step,
 		// overlapped against its compute
 		xfer := e.dev.PCIeTransfer(float64(res.Bytes))
@@ -779,6 +776,7 @@ func (e *Engine) step() ([]Completion, error) {
 			kept = append(kept, st)
 			continue
 		}
+		e.residentTok -= st.tokens()
 		var cp Completion
 		if cp, err = e.complete(st); err == nil {
 			done = append(done, cp)
@@ -843,11 +841,15 @@ func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 	}
 	now := float64(e.clock)
 	for _, st := range preempted {
+		e.residentTok -= st.tokens() // before the reset drops generated
 		st.progress = progress{}
 		e.evict(st, atQueue, trace.PhaseStall)
 		e.emit(trace.Event{Kind: trace.KindPreempt, TimeUs: now, Seq: st.req.ID})
 	}
 	for _, st := range swapped {
+		n := st.tokens()
+		e.residentTok -= n
+		e.swappedTok += n
 		e.evict(st, atSwapped, trace.PhaseSwapped)
 		e.emit(trace.Event{Kind: trace.KindSwapOut, TimeUs: now, Seq: st.req.ID,
 			Bytes: st.swapBytes, DurUs: float64(e.dev.PCIeTransfer(float64(st.swapBytes)))})
@@ -1095,5 +1097,6 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	for _, st := range seqs {
 		st.generated++
 	}
+	e.residentTok += len(seqs)
 	return bd, preempted, swapped, nil
 }

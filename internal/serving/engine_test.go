@@ -23,10 +23,12 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 }
 
 // liveRecords counts the request records e still holds (queued, running,
-// swapped, or exported and uncollected), cross-checking the ID index and
-// the session count against the three queues. Zero after a drained run.
+// swapped, or exported and uncollected), cross-checking the ID index, the
+// session count and the kept token counts against the three queues. Zero
+// after a drained run.
 func liveRecords(t *testing.T, e *Engine) int {
 	t.Helper()
+	checkTokenCounts(t, e)
 	queued, sessions := 0, 0
 	for _, q := range [][]*seqState{e.pending, e.running, e.swappedQ} {
 		for _, st := range q {
@@ -44,6 +46,22 @@ func liveRecords(t *testing.T, e *Engine) int {
 			len(e.live), e.sessN, queued, sessions)
 	}
 	return e.LiveRecords()
+}
+
+// checkTokenCounts recounts the running and swapped queues and requires
+// the engine's kept ResidentTokens / SwappedTokens to equal the sums.
+func checkTokenCounts(t *testing.T, e *Engine) {
+	t.Helper()
+	sum := func(q []*seqState) (n int) {
+		for _, st := range q {
+			n += st.tokens()
+		}
+		return n
+	}
+	if r, s := sum(e.running), sum(e.swappedQ); e.ResidentTokens() != r || e.SwappedTokens() != s {
+		t.Fatalf("kept resident/swapped tokens %d/%d, recount %d/%d",
+			e.ResidentTokens(), e.SwappedTokens(), r, s)
+	}
 }
 
 func batchReqs(b *workload.Benchmark, n int, seed uint64) []workload.Request {

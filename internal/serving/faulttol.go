@@ -62,12 +62,12 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 	e.slowFactor = 1 // a crash ends any degraded window
 	var rep CrashReport
 	stranded := [][]*seqState{e.running, e.pending}
-	e.running, e.pending = nil, nil
+	e.running, e.pending, e.residentTok = nil, nil, 0
 	if keepSwapped {
 		rep.KeptSwapped = len(e.swappedQ)
 	} else {
 		stranded = append(stranded, e.swappedQ)
-		e.swappedQ = nil
+		e.swappedQ, e.swappedTok = nil, 0
 	}
 	for _, q := range stranded {
 		for _, st := range q {

@@ -10,7 +10,8 @@ import (
 )
 
 // stepUntil drives the engine until cond holds (or work runs out),
-// returning the completions produced along the way.
+// returning the completions produced along the way. The kept token counts
+// must equal a recount after every Step.
 func stepUntil(t *testing.T, e *Engine, cond func() bool) []Completion {
 	t.Helper()
 	var comps []Completion
@@ -19,6 +20,7 @@ func stepUntil(t *testing.T, e *Engine, cond func() bool) []Completion {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTokenCounts(t, e)
 		comps = append(comps, done...)
 	}
 	return comps

@@ -9,18 +9,10 @@ import (
 )
 
 // drainCompletions drives the engine to completion, returning every
-// Completion it produced.
+// Completion it produced (stepUntil's per-Step checks included).
 func drainCompletions(t *testing.T, e *Engine) []Completion {
 	t.Helper()
-	var comps []Completion
-	for e.HasWork() {
-		done, err := e.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps = append(comps, done...)
-	}
-	return comps
+	return stepUntil(t, e, func() bool { return false })
 }
 
 // The phase buckets are maintained at every scheduler transition, so

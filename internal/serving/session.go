@@ -187,8 +187,10 @@ func (e *Engine) cancel(st *seqState) {
 	switch st.at {
 	case atRunning:
 		q = &e.running
+		e.residentTok -= st.tokens()
 	case atSwapped:
 		q = &e.swappedQ
+		e.swappedTok -= st.tokens()
 	}
 	i := slices.Index(*q, st)
 	*q = slices.Delete(*q, i, i+1)
