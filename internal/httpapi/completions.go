@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -109,8 +110,11 @@ var fillerVocab = []string{
 }
 
 func fillerToken(seq, n int) string {
-	return " " + fillerVocab[(seq*31+n*7)%len(fillerVocab)]
+	return " " + fillerVocab[fillerIndex(seq, n)]
 }
+
+// fillerIndex picks the vocabulary word of request seq's n-th token.
+func fillerIndex(seq, n int) int { return (seq*31 + n*7) % len(fillerVocab) }
 
 // estimatePromptTokens derives a simulated prompt length from a text
 // prompt (~4 chars per token, floored at the workload generator's
@@ -256,7 +260,8 @@ func (g *Gateway) completeBlocking(w http.ResponseWriter, r *http.Request, wr wo
 // callback runs on the loop goroutine, so it only forwards updates into
 // a channel sized for the whole generation (one slot per token plus the
 // First update — it can never block the loop); this goroutine owns the
-// response writer.
+// response writer. A stream ends with the final usage chunk, or with an
+// error event when the request failed, then [DONE].
 func (g *Gateway) completeSSE(w http.ResponseWriter, r *http.Request, wr workload.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -281,68 +286,41 @@ func (g *Gateway) completeSSE(w http.ResponseWriter, r *http.Request, wr workloa
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	id := fmt.Sprintf("cmpl-%d", s.ID())
-	created := time.Now().Unix()
-	writeChunk := func(u serving.TokenUpdate) {
-		text := ""
-		if !u.First {
-			text = fillerToken(s.ID(), u.Generated)
-		}
-		chunk := completionResponse{
-			ID: id, Object: "text_completion", Created: created,
-			Model:   g.cfg.ModelName,
-			Choices: []choice{{Text: text}},
-			DiffKV:  &simInfo{SimTimeUs: u.TimeUs, Generated: u.Generated, FirstToken: u.First},
-		}
-		data, _ := json.Marshal(chunk)
-		fmt.Fprintf(w, "data: %s\n\n", data)
-		flusher.Flush()
+	head := completionResponse{
+		ID: fmt.Sprintf("cmpl-%d", s.ID()), Object: "text_completion",
+		Created: time.Now().Unix(), Model: g.cfg.ModelName,
 	}
-
-	for {
-		select {
-		case u := <-updates:
-			writeChunk(u)
-		case <-s.Done():
-			// the loop delivers every token update before finishing the
-			// session, so drain the channel before the final chunk
-			for {
-				select {
-				case u := <-updates:
-					writeChunk(u)
-					continue
-				default:
-				}
-				break
-			}
-			cp, err := s.Completion()
-			if err != nil {
-				// cancelled (client disconnect or explicit): the SSE
-				// stream just ends — there is no one left to tell
-				return
-			}
-			final := completionResponse{
-				ID: id, Object: "text_completion", Created: created,
-				Model:   g.cfg.ModelName,
-				Choices: []choice{{FinishReason: &stop}},
-				Usage: &usage{
-					PromptTokens:     cp.Req.PromptLen,
-					CompletionTokens: cp.Req.GenLen,
-					TotalTokens:      cp.Req.PromptLen + cp.Req.GenLen,
-				},
-				DiffKV: completionInfo(cp),
-			}
-			data, _ := json.Marshal(final)
-			fmt.Fprintf(w, "data: %s\n\n", data)
-			fmt.Fprint(w, "data: [DONE]\n\n")
-			flusher.Flush()
-			return
-		case <-g.cfg.Loop.Done():
-			return
-		case <-r.Context().Done():
-			// client disconnected mid-stream: the loop reaps the session
-			// via its context and frees its KV pages
-			return
-		}
+	enc := newChunkEncoder(s.ID(), head)
+	if !streamUpdates(w, flusher, &enc, updates, s.Done(), g.cfg.Loop.Done(), r.Context().Done()) {
+		// the loop stopped, or the client disconnected mid-stream: the
+		// loop reaps the session via its context and frees its KV pages
+		return
 	}
+	cp, err := s.Completion()
+	switch {
+	case errors.Is(err, serving.ErrFailed):
+		// the instance holding this request crashed and its re-dispatch
+		// retry budget ran out: the blocking path's 503 body, as an event
+		var eb errorBody
+		eb.Error.Message, eb.Error.Type = err.Error(), "failed"
+		data, _ := json.Marshal(eb)
+		writeEvent(w, data)
+	case err != nil:
+		// cancelled (client disconnect or explicit): the SSE stream just
+		// ends — there is no one left to tell
+		return
+	default:
+		final := head
+		final.Choices = []choice{{FinishReason: &stop}}
+		final.Usage = &usage{
+			PromptTokens:     cp.Req.PromptLen,
+			CompletionTokens: cp.Req.GenLen,
+			TotalTokens:      cp.Req.PromptLen + cp.Req.GenLen,
+		}
+		final.DiffKV = completionInfo(cp)
+		data, _ := json.Marshal(final)
+		writeEvent(w, data)
+	}
+	io.WriteString(w, sseDone)
+	flusher.Flush()
 }

@@ -11,6 +11,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -64,8 +65,9 @@ func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugEvents serves GET /debug/events: a live SSE tail of the
 // trace event stream. Delivery is best-effort (a slow client skips
-// events rather than stalling the serving loop); the stream ends when
-// the client disconnects or the loop stops.
+// events rather than stalling the serving loop); every event buffered
+// when the tail wakes goes out in one flush. The stream ends when the
+// client disconnects or the loop stops.
 func (g *Gateway) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -86,14 +88,18 @@ func (g *Gateway) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	write := func(e trace.Event) {
+		data, _ := json.Marshal(e)
+		writeEvent(w, data)
+	}
 	for {
 		select {
 		case e := <-events:
-			data, _ := json.Marshal(e)
-			fmt.Fprintf(w, "data: %s\n\n", data)
+			write(e)
+			drain(events, write)
 			flusher.Flush()
 		case <-g.cfg.Loop.Done():
-			fmt.Fprint(w, "data: [DONE]\n\n")
+			io.WriteString(w, sseDone)
 			flusher.Flush()
 			return
 		case <-r.Context().Done():

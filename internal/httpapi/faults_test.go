@@ -192,3 +192,37 @@ func TestCompletionFailedMapsTo503(t *testing.T) {
 		t.Fatalf("error type %q, want failed", eb.Error.Type)
 	}
 }
+
+// The same failure on a stream, whose 200 is already sent: the stream
+// ends with the blocking path's error body as an event, then [DONE] —
+// not silently after the last token chunk.
+func TestCompletionStreamFailedEndsWithError(t *testing.T) {
+	plan := &faults.Plan{
+		Seed:        5,
+		Crashes:     []faults.Crash{{Inst: 1, AtSec: 1}},
+		RetryBudget: -1,
+	}
+	srv := newTestServer(t, chaosLoop(t, 1, plan))
+	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"prompt_tokens": 512, "max_tokens": 512, "stream": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	payloads := readSSE(t, resp.Body)
+	n := len(payloads)
+	if n < 3 || payloads[n-1] != "[DONE]" {
+		t.Fatalf("stream of %d events did not end with [DONE]", n)
+	}
+	var eb errorBody
+	if err := json.Unmarshal([]byte(payloads[n-2]), &eb); err != nil || eb.Error.Type != "failed" || eb.Error.Message == "" {
+		t.Fatalf("event before [DONE] is %q, want an error of type failed", payloads[n-2])
+	}
+	var last completionResponse
+	if err := json.Unmarshal([]byte(payloads[n-3]), &last); err != nil || last.Usage != nil || last.DiffKV == nil {
+		t.Fatalf("event before the error is %q, want a token chunk", payloads[n-3])
+	}
+}

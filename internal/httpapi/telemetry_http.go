@@ -10,6 +10,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -130,7 +131,7 @@ func (g *Gateway) handleTelemetryStream(w http.ResponseWriter, r *http.Request) 
 		if err != nil {
 			return false
 		}
-		fmt.Fprintf(w, "data: %s\n\n", data)
+		writeEvent(w, data)
 		flusher.Flush()
 		return true
 	}
@@ -144,7 +145,7 @@ func (g *Gateway) handleTelemetryStream(w http.ResponseWriter, r *http.Request) 
 				return
 			}
 		case <-g.cfg.Loop.Done():
-			fmt.Fprint(w, "data: [DONE]\n\n")
+			io.WriteString(w, sseDone)
 			flusher.Flush()
 			return
 		case <-r.Context().Done():

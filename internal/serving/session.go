@@ -209,13 +209,17 @@ func (e *Engine) ReapSessions() {
 	if e.sessN == 0 {
 		return
 	}
+	// the three queues hold exactly the records e.live indexes, and a walk
+	// over slices costs far less than one over the map
 	var ids []int
-	for id, st := range e.live {
-		if st.Sess != nil && (st.Sess.cancelReq || st.Sess.ctx.Err() != nil) {
-			ids = append(ids, id)
+	for _, q := range [...][]*seqState{e.pending, e.running, e.swappedQ} {
+		for _, st := range q {
+			if st.Sess != nil && (st.Sess.cancelReq || st.Sess.ctx.Err() != nil) {
+				ids = append(ids, st.req.ID)
+			}
 		}
 	}
-	sort.Ints(ids) // deterministic cancel order regardless of map walk
+	sort.Ints(ids) // cancel in ID order, whichever queue holds each
 	for _, id := range ids {
 		e.cancel(e.live[id])
 	}

@@ -3,10 +3,13 @@ package serving
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/offload"
 	"diffkv/internal/synth"
+	"diffkv/internal/trace"
 	"diffkv/internal/workload"
 )
 
@@ -211,6 +214,66 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 	}
 	if done != len(sessions)-1 {
 		t.Fatalf("completed %d of %d surviving sessions", done, len(sessions)-1)
+	}
+}
+
+// cancelLog is a tracer that keeps the request IDs of KindCancel events.
+type cancelLog []int
+
+func (l *cancelLog) Emit(ev trace.Event) {
+	if ev.Kind == trace.KindCancel {
+		*l = append(*l, ev.Seq)
+	}
+}
+
+// TestReapCancelsInIDOrder cancels the contexts of sessions in all three
+// queues of one engine — pending, running and swapped — and requires the
+// next Step to emit their cancels in ascending request ID order, whichever
+// queue holds each.
+func TestReapCancelsInIDOrder(t *testing.T) {
+	var cancelled cancelLog
+	cfg := oversubCfg(offload.PolicySwap, 2<<30, 11)
+	cfg.Tracer = &cancelled
+	e := newEngine(t, cfg)
+	var cancels []context.CancelFunc
+	open := func(r workload.Request) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels = append(cancels, cancel)
+		if _, err := e.Open(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range cotReqs(20, 11) {
+		open(r)
+	}
+	stepUntil(t, e, func() bool { return len(e.swappedQ) > 0 })
+	if len(e.swappedQ) == 0 || len(e.running) == 0 {
+		t.Fatal("run has no swapped and running sequences")
+	}
+	// late arrivals, with IDs above every other, wait in the pending queue
+	for id := 1002; id >= 1000; id-- {
+		open(workload.Request{ID: id, PromptLen: 64, GenLen: 8})
+	}
+	var walk []int
+	for _, q := range [][]*seqState{e.pending, e.running, e.swappedQ} {
+		for _, st := range q {
+			walk = append(walk, st.req.ID)
+		}
+	}
+	if slices.IsSorted(walk) {
+		t.Fatalf("queue order %v is already ascending: a missing sort would go unseen", walk)
+	}
+	for _, cancel := range cancels {
+		cancel()
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if want := slices.Sorted(slices.Values(walk)); !slices.Equal(cancelled, want) {
+		t.Fatalf("one Step cancelled %v, want %v", cancelled, want)
+	}
+	if n := liveRecords(t, e); n != 0 {
+		t.Fatalf("%d request records left after cancelling every session", n)
 	}
 }
 
