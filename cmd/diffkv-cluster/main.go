@@ -37,7 +37,7 @@ func parseDisagg(s string) (*diffkv.DisaggSpec, error) {
 func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "load the full configuration from a scenario JSON file (overrides the other flags; a spec without routing sweeps the registry)")
-		dump         = flag.Bool("dump-scenario", false, "print the flags as a scenario JSON spec and exit")
+		dump         = flag.Bool("dump-scenario", false, "print the flags as a scenario JSON spec and exit (exits 1 on a spec that would not build)")
 		instances    = flag.Int("instances", 4, "number of serving instances")
 		modelName    = flag.String("model", "Llama3-8B", "model name")
 		method       = flag.String("method", "vLLM", "registered serving method")
@@ -122,6 +122,10 @@ func main() {
 		}
 	}
 	if *dump {
+		// a dumped spec must build: refuse what Build would refuse
+		if err := base.Validate(); err != nil {
+			log.Fatal(err)
+		}
 		data, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
 			log.Fatal(err)

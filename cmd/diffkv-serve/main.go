@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "load the full configuration from a scenario JSON file (overrides the other flags)")
-		dump         = flag.Bool("dump-scenario", false, "print the flags as a scenario JSON spec and exit")
+		dump         = flag.Bool("dump-scenario", false, "print the flags as a scenario JSON spec and exit (exits 1 on a spec that would not build)")
 		modelName    = flag.String("model", "Llama3-8B", "model name")
 		method       = flag.String("method", "DiffKV", "registered serving method")
 		benchName    = flag.String("bench", "MATH", "workload benchmark")
@@ -70,6 +70,10 @@ func main() {
 		}
 	}
 	if *dump {
+		// a dumped spec must build: refuse what Build would refuse
+		if err := sc.Validate(); err != nil {
+			log.Fatal(err)
+		}
 		data, err := json.MarshalIndent(sc, "", "  ")
 		if err != nil {
 			log.Fatal(err)

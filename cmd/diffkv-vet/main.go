@@ -7,14 +7,15 @@
 //
 // Besides the per-package checks, ./... runs deadcode: every top-level
 // func, method, type and var under internal/ must be reachable from a
-// declaration outside it (the root package, cmd/, examples/,
+// declaration outside it (the root package, cmd/, examples/scenario,
 // benchmark/), from main or init, or from a package-level var
 // initialiser; test files are not callers. Constants, struct fields and
-// methods that may satisfy an interface are never reported. It needs
-// the whole module typed, so -no-types and explicit directories skip
-// it. An accessor a test of live behaviour reads as its observation
-// point stays under an allow whose reason names what tests see through
-// it; everything else is deleted with the tests that test only it.
+// the methods a live type uses to implement an interface (by method
+// set) are never reported. It needs the whole module typed, so
+// -no-types and explicit directories skip it. An accessor a test of
+// live behaviour reads as its observation point stays under an allow
+// whose reason names what tests see through it; everything else is
+// deleted with the tests that test only it.
 //
 // Exit status: 0 when no error-severity diagnostics remain
 // unsuppressed, 1 when at least one does (or, with -strict, a warning),

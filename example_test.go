@@ -1,6 +1,4 @@
-// Quickstart: compress one sequence with DiffKV and inspect fidelity,
-// memory and the token-tier breakdown.
-package main
+package diffkv_test
 
 import (
 	"fmt"
@@ -9,7 +7,9 @@ import (
 	"diffkv"
 )
 
-func main() {
+// Compress one sequence with DiffKV and inspect fidelity, memory and the
+// token-tier breakdown.
+func Example() {
 	eng, err := diffkv.NewEngine(diffkv.EngineConfig{
 		Model:  diffkv.Llama3_8B,
 		Params: diffkv.DefaultParams("Llama3-8B"), // αh=1, αl=0.02, W=64
@@ -36,4 +36,11 @@ func main() {
 	acc := diffkv.BenchGSM8K.Accuracy("Llama3-8B", res.OutputErr)
 	fmt.Printf("  modeled GSM8K accuracy: %.1f (FP16 reference %.1f)\n",
 		acc, diffkv.BenchGSM8K.FP16["Llama3-8B"])
+	// Output:
+	// DiffKV quickstart — Llama3-8B, 512+512 tokens
+	//   attention output error vs FP16: 0.179
+	//   KV memory vs vLLM FP16:         24.5%
+	//   compression ratio:              4.1x
+	//   token tiers: 32% high (K8V4), 20% low (K4V2), 48% pruned
+	//   modeled GSM8K accuracy: 76.3 (FP16 reference 76.3)
 }

@@ -20,9 +20,11 @@
 //	deadcode   — no top-level func, method, type or var under internal/
 //	             that non-test code cannot reach. Roots: every
 //	             declaration outside internal/ (the root package, cmd/,
-//	             examples/, benchmark/), main, init and package-level
-//	             var initialisers. Never reported: constants, struct
-//	             fields, methods that may satisfy an interface. Needs
+//	             examples/scenario, benchmark/), main, init and
+//	             package-level var initialisers. Never reported:
+//	             constants, struct fields, and the methods a live type
+//	             uses to implement an interface (matched by method set,
+//	             by name only where a generic is uninstantiated). Needs
 //	             the whole module typed; an accessor a test of live
 //	             behaviour reads as its observation point stays under
 //	             an allow naming the invariant seen through it.

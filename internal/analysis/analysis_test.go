@@ -25,7 +25,7 @@ func TestSeverityFor(t *testing.T) {
 		{"maprange", "diffkv", Error},
 		{"maprange", "diffkv/internal/telemetry", Error},
 		{"maprange", "diffkv/cmd/diffkv-trace", Off},
-		{"maprange", "diffkv/examples/quickstart", Off},
+		{"maprange", "diffkv/examples/scenario", Off},
 		// Subpackages of a prefix rule inherit it.
 		{"maprange", "diffkv/internal/experiments/sub", Error},
 		// goroutine only on the step path.

@@ -116,8 +116,9 @@ var stepPathPackages = []string{
 
 // DefaultConfig encodes the project's determinism contract:
 //
-//   - wallclock: error in sim-time packages; off in cmd/, examples/,
-//     httpapi (network edge runs on real time by design).
+//   - wallclock: error in sim-time packages; off in cmd/,
+//     examples/scenario, httpapi (network edge runs on real time by
+//     design).
 //   - globalrand: error module-wide — even host-side tools must thread
 //     an explicit *rand.Rand so reruns reproduce.
 //   - maprange: error in deterministic packages.
@@ -160,7 +161,7 @@ func FixtureConfig() *Config {
 
 func (c *Config) addRule(prefix, check string, s Severity) {
 	// The bare module path is an exact rule: "diffkv" must not match
-	// "diffkv/cmd/..." or "diffkv/examples/...".
+	// "diffkv/cmd/..." or "diffkv/examples/scenario".
 	exact := !strings.Contains(prefix, "/")
 	for i := range c.Rules {
 		if c.Rules[i].Prefix == prefix {

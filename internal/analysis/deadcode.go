@@ -10,7 +10,7 @@ import (
 // Deadcode flags top-level funcs, methods, types and vars that no
 // non-test code can reach. It is a runner-level pass over the typed
 // module (Run is nil; see deadcode below): packages where the check is
-// Off — the root package, cmd/, examples/, benchmark/ — are roots
+// Off — the root package, cmd/, examples/scenario, benchmark/ — are roots
 // together with main, init and package-level var initialisers, and
 // every unreached declaration in a package where the check is on is a
 // finding. Constants and struct fields are never reported.
@@ -39,12 +39,14 @@ type decl struct {
 
 // deadcode builds the use graph from TypesInfo.Uses, marks what the
 // roots reach and reports the rest. Interface satisfaction leaves no
-// identifier behind, so a method of a live type stays live when any
-// interface in the tree or in a (transitively) imported package has a
-// method of that name: false negatives are acceptable, a false positive
-// is a bug. Without types for every package there is no verdict, and
-// deadcode returns false: an untyped load skips the check, a partly
-// typed one is an error.
+// identifier behind, so a live type keeps every method, declared or
+// promoted, that T or *T uses to implement an interface declared in the
+// tree or in a (transitively) imported package. Where either side is an
+// uninstantiated generic the check falls back to the method's name:
+// false negatives are acceptable, a false positive is a bug. Without
+// types for every package there is no verdict, and deadcode returns
+// false: an untyped load skips the check, a partly typed one is an
+// error.
 func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 	if !m.Typed {
 		return false
@@ -80,7 +82,7 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 		}
 		return d
 	}
-	ifaceMethods := map[string]bool{}
+	ifacesByMethod := map[string][]types.Type{} // every named interface declaring the method
 	seen := map[*types.Package]bool{}
 	var scanInterfaces func(tp *types.Package)
 	scanInterfaces = func(tp *types.Package) {
@@ -92,7 +94,7 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 					for i := 0; i < it.NumMethods(); i++ {
-						ifaceMethods[it.Method(i).Name()] = true
+						ifacesByMethod[it.Method(i).Name()] = append(ifacesByMethod[it.Method(i).Name()], tn.Type())
 					}
 				}
 			}
@@ -165,8 +167,15 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 				}
 			}
 			for _, meth := range d.methods {
-				if ifaceMethods[meth.obj.Name()] || runtimeMethods[meth.obj.Name()] {
+				if runtimeMethods[meth.obj.Name()] {
 					work = append(work, meth)
+				}
+			}
+			if tn, ok := d.obj.(*types.TypeName); ok {
+				for _, fn := range satisfying(tn.Type(), ifacesByMethod) {
+					if n := nodes[fn]; n != nil {
+						work = append(work, n)
+					}
 				}
 			}
 		}
@@ -191,6 +200,41 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 		mark()
 	}
 	return true
+}
+
+// satisfying returns the methods in *T's method set that implement some
+// interface in ifacesByMethod for T or *T, each mapped to its
+// declaration. A method promoted from an embedded field counts, since
+// the embedding type may satisfy an interface its field alone does not.
+func satisfying(t types.Type, ifacesByMethod map[string][]types.Type) []types.Object {
+	ptr := types.NewPointer(t)
+	ms := types.NewMethodSet(ptr)
+	implements := map[types.Type]bool{}
+	var out []types.Object
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj()
+		for _, in := range ifacesByMethod[fn.Name()] {
+			ok, known := implements[in]
+			if !known {
+				// types.Implements is unspecified for an uninstantiated
+				// generic on either side: keep the method by name
+				ok = isGeneric(in) || isGeneric(t) || types.Implements(ptr, in.Underlying().(*types.Interface))
+				implements[in] = ok
+			}
+			if ok {
+				out = append(out, origin(fn))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// isGeneric reports whether t is a named type with type parameters
+// still unbound.
+func isGeneric(t types.Type) bool {
+	nt, ok := t.(*types.Named)
+	return ok && nt.TypeParams().Len() > 0 && nt.TypeArgs().Len() == 0
 }
 
 // origin maps an instantiated generic func or method back to its

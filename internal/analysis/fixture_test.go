@@ -113,8 +113,10 @@ func loadDeadcodeFixture(t *testing.T, types bool) *Module {
 
 // TestDeadcodeFixture pins what the check reports (a func only a _test.go
 // calls, the helper only it calls, a type whose every method is dead, an
-// unused method or var of a live package) and what it never does
-// (interface satisfaction, var initialisers, iota enumerators, generic
+// unused method or var of a live package, a method that only shares a
+// name with an interface method) and what it never does (interface
+// satisfaction by method set, through a pointer receiver or a promoted
+// method, var initialisers, iota enumerators, generic
 // instantiations, method values, allowed observation points, anything
 // outside internal/), and that a stale allow reaches allowaudit. Every
 // finding is an error, so diffkv-vet exits 1 on such a tree.

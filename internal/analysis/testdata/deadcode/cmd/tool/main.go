@@ -11,6 +11,8 @@ func main() {
 	var b lib.Box[string]
 	b.Stash("x")
 	_ = b.Unstash()
+	var s lib.Stack
+	s.Push(1)
 	_ = lib.Used() + int(lib.NewShape().Area()) + len(lib.Sorted(nil))
 	lib.AlsoUsed()
 }

@@ -40,8 +40,36 @@ func (b byLen) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
 
 func Sorted(xs []string) []string {
 	sort.Sort(byLen(xs))
+	sort.Sort(&byCount{xs: xs})
+	sort.Sort(byLenDesc{swapper(xs)})
 	return xs
 }
+
+// byCount satisfies sort.Interface through its pointer receivers.
+type byCount struct{ xs []string }
+
+func (b *byCount) Len() int           { return len(b.xs) }
+func (b *byCount) Less(i, j int) bool { return b.xs[i] < b.xs[j] }
+func (b *byCount) Swap(i, j int)      { b.xs[i], b.xs[j] = b.xs[j], b.xs[i] }
+
+// byLenDesc satisfies sort.Interface only with the Swap it promotes from
+// swapper, which satisfies nothing alone.
+type swapper []string
+
+func (s swapper) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+type byLenDesc struct{ swapper }
+
+func (b byLenDesc) Len() int           { return len(b.swapper) }
+func (b byLenDesc) Less(i, j int) bool { return len(b.swapper[i]) > len(b.swapper[j]) }
+
+// Stack is live, and its Len shares a name with sort.Interface's but
+// satisfies no interface, and no non-test code calls it.
+type Stack struct{ xs []int }
+
+func (s *Stack) Push(x int) { s.xs = append(s.xs, x) }
+
+func (s *Stack) Len() int { return len(s.xs) } // want "method Len is reachable only from tests"
 
 // The registration idiom: nobody names Alpha, but its initialiser runs at
 // start-up and is what reaches register.

@@ -459,11 +459,12 @@ func (m *Manager) SeqKVBytes(seqID int) (int64, error) {
 // hold the given per-head tier counts — the swap-in restore path: a
 // sequence whose counts were captured by HeadCounts before release is
 // re-admitted with an identical page-table shape. Counts-only mode;
-// materialized payloads are restored via ReadSnapshot, which allocates its
-// own pages. Nothing is registered until the pages have been taken.
+// materialized payloads are restored by the host tier's raw restore
+// (offload.restoreRaw → HeadCache.AppendRawToken), which allocates its own
+// pages. Nothing is registered until the pages have been taken.
 func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) (CompactStats, error) {
 	if m.cfg.Materialize {
-		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager (use ReadSnapshot)")
+		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager (restore materialized payloads with HeadCache.AppendRawToken)")
 	}
 	if err := m.checkNew(seqID, len(demands)); err != nil {
 		return CompactStats{}, err

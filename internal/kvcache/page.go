@@ -245,6 +245,3 @@ func (pp *PagePool) configure(id int32, prec quant.Precision, cap int) *Page {
 	p.configure(pp.dim, prec, cap, pp.materialize)
 	return p
 }
-
-// Len returns the total number of pages.
-func (pp *PagePool) Len() int { return len(pp.pages) }

@@ -154,7 +154,7 @@ func TestPagePoolInvalid(t *testing.T) {
 
 func TestPagePoolAccessors(t *testing.T) {
 	pool := NewPagePool(3, 4096, 64, false)
-	if pool.Len() != 3 || pool.pageBytes != 4096 || pool.dim != 64 {
+	if len(pool.pages) != 3 || pool.pageBytes != 4096 || pool.dim != 64 {
 		t.Fatal("accessors wrong")
 	}
 	if pool.Get(2).ID != 2 {

@@ -9,9 +9,8 @@ import (
 	"diffkv/internal/kvcache"
 )
 
-// Raw payload capture for materialized swaps. Unlike the kvcache snapshot
-// format (which dequantizes and requantizes, round-tripping only to within
-// float tolerance), a swap is a byte copy: the host buffer holds the exact
+// Raw payload capture for materialized swaps. A swap is a byte copy, not
+// a dequantize-requantize round trip: the host buffer holds the exact
 // packed codes and metadata, and restore writes them back verbatim via
 // Page.AppendRaw — bit-identical across every quant tier.
 //
