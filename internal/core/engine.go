@@ -17,22 +17,26 @@ import (
 	"diffkv/internal/synth"
 )
 
+const (
+	// pageBytes is the manager's unified-page size.
+	pageBytes = 8192
+	// probeEvery measures real compressed-vs-reference attention error
+	// every probeEvery generation steps.
+	probeEvery = 32
+)
+
 // Config parameterizes one engine run.
 type Config struct {
 	Model  *synth.ModelConfig
 	Params policy.Params
 	// HiPrec / LoPrec are the two storage tiers (defaults K8V4 / K4V2).
 	HiPrec, LoPrec quant.Precision
-	PageBytes      int
 	// SampleLayers / SampleHeads bound the (layer, head) pairs simulated
 	// for fidelity measurement — attention statistics are i.i.d. across
 	// pairs given the per-layer profile, so a sample estimates the full
 	// model (defaults 2 / 2).
 	SampleLayers int
 	SampleHeads  int
-	// ProbeEvery measures real compressed-vs-reference attention error
-	// every ProbeEvery generation steps (default 32).
-	ProbeEvery int
 	// DensityScale is the workload information-density divisor (see
 	// synth.Profile).
 	DensityScale float64
@@ -59,17 +63,11 @@ func (c *Config) validate() error {
 	if c.LoPrec == (quant.Precision{}) {
 		c.LoPrec = quant.K4V2
 	}
-	if c.PageBytes <= 0 {
-		c.PageBytes = 8192
-	}
 	if c.SampleLayers <= 0 {
 		c.SampleLayers = 2
 	}
 	if c.SampleHeads <= 0 {
 		c.SampleHeads = 2
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 32
 	}
 	if c.DensityScale <= 0 {
 		c.DensityScale = 1
@@ -183,7 +181,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 	// one manager per head keeps page accounting independent
 	pages := 4 * (total/e.tokensPerHiPage(dim) + 2)
 	mgr, err := kvcache.NewManager(kvcache.Config{
-		Dim: dim, PageBytes: cfg.PageBytes, NumPages: pages,
+		Dim: dim, PageBytes: pageBytes, NumPages: pages,
 		HiPrec: cfg.HiPrec, LoPrec: cfg.LoPrec,
 		MaxSeqLen: total + 1, Materialize: true,
 	})
@@ -239,7 +237,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 		}
 
 		step := t - promptLen
-		if step%cfg.ProbeEvery == 0 {
+		if step%probeEvery == 0 {
 			probeErr, memFrac := e.probe(data, hc, gp, &scComp, &scRef, t, dim, reqRNG.SplitAt(3000+uint64(t)))
 			run.errSum += probeErr
 			run.memSum += memFrac
@@ -341,5 +339,5 @@ func samplePoints(n, k int) []int {
 }
 
 func (e *Engine) tokensPerHiPage(dim int) int {
-	return kvcache.TokensPerPage(e.cfg.PageBytes, dim, e.cfg.HiPrec)
+	return kvcache.TokensPerPage(pageBytes, dim, e.cfg.HiPrec)
 }

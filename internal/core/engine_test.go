@@ -16,7 +16,6 @@ func quickEngine(t *testing.T, model *synth.ModelConfig, p policy.Params) *Engin
 		Params:       p,
 		SampleLayers: 2,
 		SampleHeads:  2,
-		ProbeEvery:   32,
 		Seed:         7,
 	})
 	if err != nil {
@@ -37,7 +36,7 @@ func TestNewEngineValidation(t *testing.T) {
 	if cfg.HiPrec != quant.K8V4 || cfg.LoPrec != quant.K4V2 {
 		t.Fatal("precision defaults wrong")
 	}
-	if cfg.ProbeEvery != 32 || cfg.SampleLayers != 2 {
+	if cfg.SampleLayers != 2 || cfg.SampleHeads != 2 {
 		t.Fatal("sampling defaults wrong")
 	}
 }

@@ -133,13 +133,11 @@ func estimatePromptTokens(prompt string) int {
 const bodyFieldAllowance = 1 << 10
 
 // maxBodyBytes is the largest request body handleCompletions reads: the
-// longest prompt estimatePromptTokens still maps to MaxPromptTokens
+// longest prompt estimatePromptTokens still maps to maxPromptTokens
 // (4 bytes a token, rounded down) plus the allowance for the rest. A
 // body past it is refused before it is buffered, where the token check
 // could only run after the whole prompt was in memory.
-func (g *Gateway) maxBodyBytes() int64 {
-	return 4*(int64(g.cfg.MaxPromptTokens)+1) + bodyFieldAllowance
-}
+const maxBodyBytes = 4*(maxPromptTokens+1) + bodyFieldAllowance
 
 // handleCompletions serves POST /v1/completions: open a session on the
 // loop, then either stream token progress as SSE chunks or block until
@@ -153,7 +151,7 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req completionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBodyBytes()))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
@@ -170,20 +168,20 @@ func (g *Gateway) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	if promptTokens <= 0 {
 		promptTokens = estimatePromptTokens(req.Prompt)
 	}
-	if promptTokens > g.cfg.MaxPromptTokens {
+	if promptTokens > maxPromptTokens {
 		writeError(w, http.StatusBadRequest, "invalid_request_error",
-			fmt.Sprintf("prompt_tokens %d exceeds the limit of %d", promptTokens, g.cfg.MaxPromptTokens))
+			fmt.Sprintf("prompt_tokens %d exceeds the limit of %d", promptTokens, maxPromptTokens))
 		return
 	}
 	maxTokens := req.MaxTokens
 	if maxTokens <= 0 {
 		maxTokens = g.cfg.DefaultMaxTokens
 	}
-	if maxTokens > g.cfg.MaxTokensLimit {
+	if maxTokens > maxTokensLimit {
 		// bound before anything is sized from it (the SSE update channel,
 		// the blocking path's completion text)
 		writeError(w, http.StatusBadRequest, "invalid_request_error",
-			fmt.Sprintf("max_tokens %d exceeds the limit of %d", maxTokens, g.cfg.MaxTokensLimit))
+			fmt.Sprintf("max_tokens %d exceeds the limit of %d", maxTokens, maxTokensLimit))
 		return
 	}
 	if req.PrefixLen < 0 || req.PrefixLen > promptTokens {
@@ -228,7 +226,7 @@ func (g *Gateway) completeBlocking(w http.ResponseWriter, r *http.Request, wr wo
 		if errors.Is(err, serving.ErrFailed) {
 			// the instance holding this request crashed and its re-dispatch
 			// retry budget ran out: honest 503, with a drain-sized hint
-			w.Header().Set("Retry-After", g.adaptiveRetryAfter(g.cfg.Loop.Metrics()))
+			w.Header().Set("Retry-After", g.retryAfterHeader(g.cfg.Loop.Metrics()))
 			writeError(w, http.StatusServiceUnavailable, "failed", err.Error())
 			return
 		}

@@ -25,6 +25,20 @@ import (
 	"diffkv/internal/trace"
 )
 
+const (
+	// maxTokensLimit caps client-supplied max_tokens (the largest
+	// per-model generation limit in the paper); a request above it is a
+	// 400, not a multi-gigabyte stream buffer.
+	maxTokensLimit = 16384
+	// maxPromptTokens caps client-supplied prompt_tokens; a simulated
+	// prompt longer than any model's context is a caller error.
+	maxPromptTokens = 1 << 20
+	// retryAfter is the Retry-After hint, in whole seconds, attached to 503
+	// responses when the loop is draining, and the floor of the adaptive
+	// hint when admission control sheds a request.
+	retryAfter = time.Second
+)
+
 // Config parameterizes a Gateway.
 type Config struct {
 	// Loop is the always-on driver the gateway opens sessions on.
@@ -35,18 +49,6 @@ type Config struct {
 	// DefaultMaxTokens bounds generations when a request omits
 	// max_tokens (default 256).
 	DefaultMaxTokens int
-	// MaxTokensLimit caps client-supplied max_tokens (default 16384,
-	// the largest per-model generation limit in the paper); a request
-	// above it is a 400, not a multi-gigabyte stream buffer.
-	MaxTokensLimit int
-	// MaxPromptTokens caps client-supplied prompt_tokens (default
-	// 1<<20); a simulated prompt longer than any model's context is a
-	// caller error.
-	MaxPromptTokens int
-	// RetryAfter is the Retry-After hint attached to 503 responses when
-	// admission control sheds a request or the loop is draining
-	// (default 1s, rounded up to whole seconds).
-	RetryAfter time.Duration
 	// Trace, when non-nil, is the collector the serving stack emits into;
 	// it enables the /debug routes (per-request span trees, Perfetto
 	// trace download, live event tail) and the trace health metrics.
@@ -76,15 +78,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.DefaultMaxTokens <= 0 {
 		cfg.DefaultMaxTokens = 256
-	}
-	if cfg.MaxTokensLimit <= 0 {
-		cfg.MaxTokensLimit = 16384
-	}
-	if cfg.MaxPromptTokens <= 0 {
-		cfg.MaxPromptTokens = 1 << 20
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.ModelName == "" {
 		cfg.ModelName = "diffkv"
@@ -149,7 +142,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case m.Draining:
 		status = "draining"
 		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", g.adaptiveRetryAfter(m))
+		w.Header().Set("Retry-After", g.retryAfterHeader(m))
 	default:
 		for _, is := range d.PerInstance {
 			if is.Health != "" && is.Health != "healthy" {
@@ -187,17 +180,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func (g *Gateway) retryAfterSeconds() string {
-	secs := int((g.cfg.RetryAfter + time.Second - 1) / time.Second)
-	return strconv.Itoa(secs)
-}
-
-// adaptiveRetryAfter sizes the Retry-After hint from the live queue: a
+// retryAfterHeader sizes the Retry-After hint from the live queue: a
 // client told to come back should not return while the backlog it was
 // shed over is still draining.
-func (g *Gateway) adaptiveRetryAfter(m serving.LoopMetrics) string {
+func (g *Gateway) retryAfterHeader(m serving.LoopMetrics) string {
 	d := m.Driver
-	return strconv.Itoa(retryAfterHint(g.cfg.RetryAfter, m.E2E.Mean, d.QueueDepth, d.InstancesUp))
+	return strconv.Itoa(retryAfterHint(retryAfter, m.E2E.Mean, d.QueueDepth, d.InstancesUp))
 }
 
 // retryAfterHint estimates queue-drain time in whole seconds: the mean
@@ -246,10 +234,10 @@ func writeError(w http.ResponseWriter, status int, typ, msg string) {
 func (g *Gateway) writeOpenError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, cluster.ErrAllSaturated):
-		w.Header().Set("Retry-After", g.adaptiveRetryAfter(g.cfg.Loop.Metrics()))
+		w.Header().Set("Retry-After", g.retryAfterHeader(g.cfg.Loop.Metrics()))
 		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
 	case errors.Is(err, serving.ErrLoopShutdown):
-		w.Header().Set("Retry-After", g.retryAfterSeconds())
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
 	default:
 		writeError(w, http.StatusBadRequest, "invalid_request_error", err.Error())

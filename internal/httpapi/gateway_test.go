@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"diffkv/internal/gpusim"
 	"diffkv/internal/serving"
 	"diffkv/internal/synth"
+	"diffkv/internal/telemetry"
 	"diffkv/internal/workload"
 )
 
@@ -165,19 +167,14 @@ func TestCompletionsBlocking(t *testing.T) {
 
 // TestCompletionsBodyLimit: the request body is bounded before it is
 // read, from the prompt limit the gateway already has. A body one byte
-// past the bound is a 413 however little of it is prompt; a body of
-// exactly the bound, carrying the longest prompt the token limit admits,
-// is served.
+// past the bound (~4 MiB) is a 413 however little of it is prompt; a body
+// of exactly the bound, carrying the longest prompt the token limit
+// admits, is served.
 func TestCompletionsBodyLimit(t *testing.T) {
-	g, err := New(Config{Loop: engineLoop(t, traitsCfg(6), serving.LoopConfig{}), MaxPromptTokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g.Handler())
-	t.Cleanup(srv.Close)
-	limit := int(g.maxBodyBytes())
+	srv := newTestServer(t, engineLoop(t, traitsCfg(6), serving.LoopConfig{}))
+	const limit = maxBodyBytes
 	body := func(size int) string {
-		head := `{"prompt": "` + strings.Repeat("x", 4*64) + `",`
+		head := `{"prompt": "` + strings.Repeat("x", 4*maxPromptTokens) + `",`
 		tail := `"max_tokens": 4}`
 		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
 	}
@@ -376,5 +373,45 @@ func TestMetricsAndHealthz(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz %d, want 503", hz.StatusCode)
+	}
+}
+
+// TestMetricsSaturationHeadroomLines pins the diffkv_saturation_headroom
+// family: the unlabeled cluster-wide value first, then one line per
+// instance in ascending numeric order, whatever order the observation
+// listed them in.
+func TestMetricsSaturationHeadroomLines(t *testing.T) {
+	tc := telemetry.New(telemetry.Config{})
+	tc.Sample(telemetry.Observation{PerInstance: []telemetry.InstanceObservation{
+		{Inst: 10, ResidentTokens: 250, MemoryTokens: 1000},
+		{Inst: 2, ResidentTokens: 500, MemoryTokens: 1000},
+		{Inst: 1, ResidentTokens: 900, MemoryTokens: 1000},
+	}})
+	g, err := New(Config{Loop: engineLoop(t, traitsCfg(12), serving.LoopConfig{}), Telemetry: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var got []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "diffkv_saturation_headroom") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"diffkv_saturation_headroom 0.45",
+		`diffkv_saturation_headroom{inst="1"} 0.1`,
+		`diffkv_saturation_headroom{inst="2"} 0.5`,
+		`diffkv_saturation_headroom{inst="10"} 0.75`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("headroom lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

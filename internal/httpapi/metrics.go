@@ -195,18 +195,11 @@ func (g *Gateway) writeTelemetryMetrics(b *strings.Builder, tc *telemetry.Center
 	hist("diffkv_tpot_seconds_hist", "Time per output token after the first, cumulative histogram (simulated seconds; supersedes the diffkv_tpot_seconds summary).", tpot)
 	hist("diffkv_e2e_seconds_hist", "Arrival-to-completion latency, cumulative histogram (simulated seconds; supersedes the diffkv_e2e_seconds summary).", e2e)
 
-	sat := tc.SatByInst()
-	keys := make([]int, 0, len(sat))
-	for k := range sat {
-		if k != 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Ints(keys)
+	snap := tc.Snapshot()
 	fmt.Fprintf(b, "# HELP diffkv_saturation_headroom Saturation headroom fraction, (capacity-demand)/capacity (unlabeled: cluster-wide; inst label: per instance).\n# TYPE diffkv_saturation_headroom gauge\n")
-	fmt.Fprintf(b, "diffkv_saturation_headroom %g\n", sat[0].Headroom)
-	for _, k := range keys {
-		fmt.Fprintf(b, "diffkv_saturation_headroom{inst=\"%d\"} %g\n", k, sat[k].Headroom)
+	fmt.Fprintf(b, "diffkv_saturation_headroom %g\n", snap.Cluster.Headroom)
+	for _, row := range snap.Instances {
+		fmt.Fprintf(b, "diffkv_saturation_headroom{inst=\"%d\"} %g\n", row.Inst, row.Headroom)
 	}
 
 	slos := tc.SLOStatuses()

@@ -96,40 +96,13 @@ func (hc *HeadCache) AppendToken(level Level, key, val []float32, score float32,
 	return nil
 }
 
-// AppendRawToken copies an already-quantized token into the tier — the
-// swap-in restore path (see Page.AppendRaw). Materialized mode only.
-func (hc *HeadCache) AppendRawToken(level Level, key, val []byte, kScale, kZero, vScale, vZero, score float32, pos int32) error {
-	if !hc.mgr.cfg.Materialize {
-		return fmt.Errorf("kvcache: AppendRawToken requires a materialized manager")
-	}
-	p, err := hc.appendPage(level)
-	if err != nil {
-		return err
-	}
-	p.AppendRaw(key, val, kScale, kZero, vScale, vZero, score, pos)
-	hc.tokens[level]++
-	return nil
-}
-
 // PageCount returns the number of pages in the tier (push order indexing
 // for PageAt). Trailing pages may be empty after removals.
 func (hc *HeadCache) PageCount(level Level) int { return hc.table.count(level) }
 
 // PageAt returns the i-th page of the tier in push order — the slot-range
-// accessor the scratch-based attention kernels iterate directly, avoiding
-// the per-token callback of ForEachToken.
+// accessor the scratch-based attention kernels iterate directly.
 func (hc *HeadCache) PageAt(level Level, i int) *Page { return hc.page(level, i) }
-
-// ForEachToken calls fn for every live token of the tier.
-func (hc *HeadCache) ForEachToken(level Level, fn func(p *Page, slot int)) {
-	n := hc.table.count(level)
-	for i := 0; i < n; i++ {
-		p := hc.page(level, i)
-		for s := 0; s < p.N; s++ {
-			fn(p, s)
-		}
-	}
-}
 
 // MinScore returns a reference to the tier's least significant token.
 // ok is false when the tier is empty.

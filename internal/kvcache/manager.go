@@ -171,12 +171,6 @@ func (m *Manager) register(id, numHeads int) *SeqCache {
 	return sc
 }
 
-// Sequence returns a registered sequence's cache view.
-func (m *Manager) Sequence(id int) (*SeqCache, bool) {
-	sc, ok := m.seqs[id]
-	return sc, ok
-}
-
 // ReleaseSequence recycles every page of a finished sequence.
 func (m *Manager) ReleaseSequence(id int) error {
 	sc, ok := m.seqs[id]
@@ -458,13 +452,11 @@ func (m *Manager) SeqKVBytes(seqID int) (int64, error) {
 // AdoptCounts registers seqID and allocates exactly the pages needed to
 // hold the given per-head tier counts — the swap-in restore path: a
 // sequence whose counts were captured by HeadCounts before release is
-// re-admitted with an identical page-table shape. Counts-only mode;
-// materialized payloads are restored by the host tier's raw restore
-// (offload.restoreRaw → HeadCache.AppendRawToken), which allocates its own
-// pages. Nothing is registered until the pages have been taken.
+// re-admitted with an identical page-table shape. Counts-only mode.
+// Nothing is registered until the pages have been taken.
 func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) (CompactStats, error) {
 	if m.cfg.Materialize {
-		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager (restore materialized payloads with HeadCache.AppendRawToken)")
+		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager")
 	}
 	if err := m.checkNew(seqID, len(demands)); err != nil {
 		return CompactStats{}, err

@@ -24,6 +24,16 @@ func testManager(t *testing.T, materialize bool, numPages int) *Manager {
 	return m
 }
 
+// forEachToken calls fn for every live token of the tier.
+func forEachToken(hc *HeadCache, level Level, fn func(p *Page, slot int)) {
+	for i := 0; i < hc.PageCount(level); i++ {
+		p := hc.PageAt(level, i)
+		for s := 0; s < p.N; s++ {
+			fn(p, s)
+		}
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Dim: 64, NumPages: 10}
 	if err := c.Validate(); err != nil {
@@ -100,7 +110,7 @@ func TestPromptCompactBasic(t *testing.T) {
 	if stats.Regions != nHeads {
 		t.Fatalf("Regions = %d", stats.Regions)
 	}
-	sc, _ := m.Sequence(7)
+	sc := m.seqs[7]
 	for i, hc := range sc.Heads {
 		if hc.HiTokens() != 20+i || hc.LoTokens() != 30 {
 			t.Fatalf("head %d counts: hi=%d lo=%d", i, hc.HiTokens(), hc.LoTokens())
@@ -134,7 +144,7 @@ func TestPromptCompactConservativeReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := m.Sequence(1)
+	sc := m.seqs[1]
 	if sc.Heads[0].table.count(LevelHi) != 0 || sc.Heads[0].table.count(LevelLo) != 0 {
 		t.Fatal("pruned head kept pages")
 	}
@@ -176,7 +186,7 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := m.Sequence(1)
+	sc := m.seqs[1]
 	if sc.Heads[0].table.count(LevelHi) != 1 {
 		t.Fatalf("expected 1 hi page, got %d", sc.Heads[0].table.count(LevelHi))
 	}
@@ -212,7 +222,7 @@ func TestGenCompactDowngradePath(t *testing.T) {
 	if _, err := m.PromptCompact(1, 30, []HeadDemand{{HiTokens: 30}}); err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := m.Sequence(1)
+	sc := m.seqs[1]
 	hc := sc.Heads[0]
 	_, err := m.GenCompact([]int{1}, [][]GenDemand{{
 		{HiDelta: 1, HiRemoved: 1, LoDelta: 1},
@@ -269,7 +279,7 @@ func TestKVBytesTokenExact(t *testing.T) {
 	m := testManager(t, false, 64)
 	m.AddSequence(1, 1)
 	m.PromptCompact(1, 50, []HeadDemand{{HiTokens: 10, LoTokens: 20}})
-	sc, _ := m.Sequence(1)
+	sc := m.seqs[1]
 	want := 10*quant.K8V4.TokenBytes(128) + 20*quant.K4V2.TokenBytes(128)
 	if got := sc.Heads[0].KVBytes(); got != want {
 		t.Fatalf("KVBytes = %d, want %d", got, want)
@@ -312,7 +322,7 @@ func TestAppendTokenAndRoundTrip(t *testing.T) {
 	kb := make([]float32, dim)
 	vb := make([]float32, dim)
 	seen := 0
-	hc.ForEachToken(LevelHi, func(p *Page, slot int) {
+	forEachToken(hc, LevelHi, func(p *Page, slot int) {
 		pos := int(p.Position(slot))
 		p.DequantToken(slot, kb, vb)
 		if e := mathx.RelErr(kb, keys[pos]); e > 0.05 {
@@ -367,7 +377,7 @@ func TestMinScoreAndRemove(t *testing.T) {
 		t.Fatalf("second MinScore = %v", score)
 	}
 	// removed token must be gone
-	hc.ForEachToken(LevelHi, func(p *Page, slot int) {
+	forEachToken(hc, LevelHi, func(p *Page, slot int) {
 		if p.Position(slot) == 3 {
 			t.Fatal("removed token still present")
 		}
@@ -403,7 +413,7 @@ func TestRemoveAcrossPages(t *testing.T) {
 		t.Fatalf("count = %d", hc.HiTokens())
 	}
 	positions := map[int32]int{}
-	hc.ForEachToken(LevelHi, func(p *Page, slot int) {
+	forEachToken(hc, LevelHi, func(p *Page, slot int) {
 		positions[p.Position(slot)]++
 	})
 	if len(positions) != n-1 {
@@ -443,7 +453,7 @@ func TestDowngradeMovesTokenToLowTier(t *testing.T) {
 	// the downgraded token lives in the lo tier with its position intact,
 	// at K4V2 fidelity
 	found := false
-	hc.ForEachToken(LevelLo, func(p *Page, slot int) {
+	forEachToken(hc, LevelLo, func(p *Page, slot int) {
 		if p.Position(slot) == 9 {
 			found = true
 			p.DequantToken(slot, kb, vb)

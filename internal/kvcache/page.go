@@ -100,35 +100,6 @@ func (p *Page) Append(key, val []float32, score float32, position int32) int {
 	return slot
 }
 
-// AppendRaw copies an already-quantized token — packed key/value bytes
-// plus quantization metadata — into the next free slot and returns its
-// index. This is the swap-in restore path: moving a token back from host
-// memory is a byte copy, never a requantization, so payloads round-trip
-// bit-identically. Panics if the page is full, not materialized, or the
-// byte lengths do not match the page's precision.
-func (p *Page) AppendRaw(key, val []byte, kScale, kZero, vScale, vZero, score float32, position int32) int {
-	if p.Full() {
-		panic("kvcache: AppendRaw to full page")
-	}
-	if !p.Materialized() {
-		panic("kvcache: AppendRaw to counts-only page")
-	}
-	kb := p.Prec.KeyBytes(p.Dim)
-	vb := p.Prec.ValBytes(p.Dim)
-	if len(key) != kb || len(val) != vb {
-		panic("kvcache: AppendRaw payload length mismatch")
-	}
-	slot := p.N
-	copy(p.keys[slot*kb:(slot+1)*kb], key)
-	copy(p.vals[slot*vb:(slot+1)*vb], val)
-	p.keyMeta[2*slot], p.keyMeta[2*slot+1] = kScale, kZero
-	p.valMeta[2*slot], p.valMeta[2*slot+1] = vScale, vZero
-	p.scores[slot] = score
-	p.pos[slot] = position
-	p.N++
-	return slot
-}
-
 // KeyData returns the packed key bytes and (scale, zero) of a slot.
 func (p *Page) KeyData(slot int) (data []byte, scale, zero float32) {
 	kb := p.Prec.KeyBytes(p.Dim)

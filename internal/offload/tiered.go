@@ -28,27 +28,10 @@ import (
 // preemption.
 var ErrHostFull = errors.New("offload: host tier full")
 
-// Config parameterizes the tiered store.
-type Config struct {
-	// HostBytes is the host-memory tier capacity. Swapped sequences are
-	// pinned (they must come back); spilled prefix entries are evictable
-	// cache and yield to swap traffic.
-	HostBytes int64
-	// ThrashWindowUs classifies a swap-in occurring within this window of
-	// the sequence's swap-out as thrashing — the swap-out was wasted PCIe
-	// traffic. Default 1e6 (1 simulated second).
-	ThrashWindowUs float64
-}
-
-func (c *Config) validate() error {
-	if c.HostBytes <= 0 {
-		return fmt.Errorf("offload: HostBytes must be positive")
-	}
-	if c.ThrashWindowUs <= 0 {
-		c.ThrashWindowUs = 1e6
-	}
-	return nil
-}
+// thrashWindowUs classifies a swap-in occurring within this window of the
+// sequence's swap-out as thrashing — the swap-out was wasted PCIe traffic
+// (1 simulated second).
+const thrashWindowUs = 1e6
 
 // SwapResult reports the work of one swap operation.
 type SwapResult struct {
@@ -66,7 +49,7 @@ type Metrics struct {
 	SwapIns      int
 	SwapOutBytes int64
 	SwapInBytes  int64
-	// ThrashEvents counts swap-ins within ThrashWindowUs of the matching
+	// ThrashEvents counts swap-ins within thrashWindowUs of the matching
 	// swap-out (monotonic; see ThrashRate).
 	ThrashEvents int
 	// PrefixSpills / PrefixHits / PrefixDrops count prefix-cache entries
@@ -85,7 +68,6 @@ type hostSeq struct {
 	counts    []kvcache.HeadDemand
 	bytes     int64
 	swapOutUs float64
-	snap      []byte // materialized payload snapshot (nil in counts mode)
 }
 
 // hostPrefix is one spilled prefix-cache entry.
@@ -95,38 +77,46 @@ type hostPrefix struct {
 	lastUse float64
 }
 
-// TieredStore layers a host-memory tier under a GPU kvcache.Manager. It
-// embeds the manager (GPU operations pass through untouched) and adds
-// swap-out/swap-in of whole sequences plus spillover of evicted
-// prefix-cache entries. A TieredStore is single-goroutine, like the
-// serving engine that owns it.
+// TieredStore layers a host-memory tier under a counts-only GPU
+// kvcache.Manager. It embeds the manager (GPU operations pass through
+// untouched) and adds swap-out/swap-in of whole sequences plus spillover
+// of evicted prefix-cache entries. The host tier stores counts, not
+// payload: a swapped sequence is its per-head tier shape plus the bytes it
+// occupies. A TieredStore is
+// single-goroutine, like the serving engine that owns it.
 //
 // Invariant: a sequence is resident in exactly one tier. SwapOut releases
 // every GPU page before the host copy becomes visible; SwapIn removes the
 // host copy only after the GPU restore succeeds.
 type TieredStore struct {
 	*kvcache.Manager
-	cfg      Config
-	hostUsed int64
-	seqs     map[int]*hostSeq
-	prefixes map[int]*hostPrefix
-	m        Metrics
-	seqPool  []*hostSeq // recycled hostSeq records (steady-state swap path)
+	// hostBytes is the host-memory tier capacity. Swapped sequences are
+	// pinned (they must come back); spilled prefix entries are evictable
+	// cache and yield to swap traffic.
+	hostBytes int64
+	hostUsed  int64
+	seqs      map[int]*hostSeq
+	prefixes  map[int]*hostPrefix
+	m         Metrics
+	seqPool   []*hostSeq // recycled hostSeq records (steady-state swap path)
 }
 
-// NewTieredStore wraps mgr with a host tier of cfg.HostBytes.
-func NewTieredStore(mgr *kvcache.Manager, cfg Config) (*TieredStore, error) {
+// NewTieredStore wraps a counts-only mgr with a host tier of hostBytes.
+func NewTieredStore(mgr *kvcache.Manager, hostBytes int64) (*TieredStore, error) {
 	if mgr == nil {
 		return nil, fmt.Errorf("offload: manager is required")
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if mgr.Config().Materialize {
+		return nil, fmt.Errorf("offload: the host tier requires a counts-only manager")
+	}
+	if hostBytes <= 0 {
+		return nil, fmt.Errorf("offload: host tier size must be positive")
 	}
 	return &TieredStore{
-		Manager:  mgr,
-		cfg:      cfg,
-		seqs:     make(map[int]*hostSeq),
-		prefixes: make(map[int]*hostPrefix),
+		Manager:   mgr,
+		hostBytes: hostBytes,
+		seqs:      make(map[int]*hostSeq),
+		prefixes:  make(map[int]*hostPrefix),
 	}, nil
 }
 
@@ -148,10 +138,10 @@ func (t *TieredStore) Swapped(seqID int) bool {
 // order (swapped sequences are pinned). Reports whether the reservation
 // fits.
 func (t *TieredStore) reserve(need int64) bool {
-	if need > t.cfg.HostBytes {
+	if need > t.hostBytes {
 		return false
 	}
-	for t.hostUsed+need > t.cfg.HostBytes {
+	for t.hostUsed+need > t.hostBytes {
 		victim, victimT := -1, math.Inf(1)
 		//diffkv:allow maprange -- min-scan with total-order tie-break (lastUse, then lowest group): same victim whatever the walk order
 		for g, p := range t.prefixes {
@@ -179,10 +169,8 @@ func (t *TieredStore) charge(bytes int64) {
 // GPU pages. With compress set, the sequence is first re-quantized
 // entirely into the low-precision tier (DiffKV's compress-deeper-then-swap
 // recovery): fewer bytes cross PCIe, at the cost of one compressor pass
-// whose touched bytes are reported in SwapResult.RecompressBytes.
-// Counts-only managers support both paths; materialized managers support
-// plain swap via snapshot serialization. On ErrHostFull the sequence stays
-// on the GPU untouched.
+// whose touched bytes are reported in SwapResult.RecompressBytes. On
+// ErrHostFull the sequence stays on the GPU untouched.
 func (t *TieredStore) SwapOut(seqID int, compress bool, nowUs float64) (SwapResult, error) {
 	if t.Swapped(seqID) {
 		return SwapResult{}, fmt.Errorf("offload: sequence %d already swapped out", seqID)
@@ -195,14 +183,10 @@ func (t *TieredStore) SwapOut(seqID int, compress bool, nowUs float64) (SwapResu
 	}
 	hs.counts = counts
 
-	cfg := t.Manager.Config()
 	var res SwapResult
 	if compress {
-		if cfg.Materialize {
-			t.putHostSeq(hs)
-			return SwapResult{}, fmt.Errorf("offload: compress-swap requires a counts-only manager")
-		}
 		// re-quantize the high tier down: every token leaves at LoPrec
+		cfg := t.Manager.Config()
 		loTok := int64(cfg.LoPrec.TokenBytes(cfg.Dim))
 		hiTok := int64(cfg.HiPrec.TokenBytes(cfg.Dim))
 		for i, d := range counts {
@@ -222,14 +206,6 @@ func (t *TieredStore) SwapOut(seqID int, compress bool, nowUs float64) (SwapResu
 		t.putHostSeq(hs)
 		return SwapResult{}, ErrHostFull
 	}
-	if cfg.Materialize {
-		snap, err := captureRaw(t.Manager, seqID)
-		if err != nil {
-			t.putHostSeq(hs)
-			return SwapResult{}, err
-		}
-		hs.snap = snap
-	}
 	if err := t.Manager.ReleaseSequence(seqID); err != nil {
 		t.putHostSeq(hs)
 		return SwapResult{}, err
@@ -244,29 +220,22 @@ func (t *TieredStore) SwapOut(seqID int, compress bool, nowUs float64) (SwapResu
 }
 
 // SwapIn restores a host-resident sequence onto the GPU: pages are
-// re-allocated to the exact pre-swap shape (counts mode) or the payload
-// snapshot is deserialized bit-identically (materialized mode). The host
-// copy is dropped only after the restore succeeds, so a failed swap-in
-// (out of GPU pages) leaves the sequence safely in the host tier.
+// re-allocated to the exact pre-swap per-head shape. The host copy is
+// dropped only after the restore succeeds, so a failed swap-in (out of
+// GPU pages) leaves the sequence safely in the host tier.
 func (t *TieredStore) SwapIn(seqID int, nowUs float64) (SwapResult, error) {
 	hs, ok := t.seqs[seqID]
 	if !ok {
 		return SwapResult{}, fmt.Errorf("offload: sequence %d not in host tier", seqID)
 	}
-	if t.Manager.Config().Materialize {
-		if err := restoreRaw(t.Manager, seqID, hs.counts, hs.snap); err != nil {
-			return SwapResult{}, err
-		}
-	} else {
-		if _, err := t.Manager.AdoptCounts(seqID, hs.counts); err != nil {
-			return SwapResult{}, err
-		}
+	if _, err := t.Manager.AdoptCounts(seqID, hs.counts); err != nil {
+		return SwapResult{}, err
 	}
 	delete(t.seqs, seqID)
 	t.hostUsed -= hs.bytes
 	t.m.SwapIns++
 	t.m.SwapInBytes += hs.bytes
-	if nowUs-hs.swapOutUs <= t.cfg.ThrashWindowUs {
+	if nowUs-hs.swapOutUs <= thrashWindowUs {
 		t.m.ThrashEvents++
 	}
 	res := SwapResult{Bytes: hs.bytes}
@@ -347,6 +316,6 @@ func (t *TieredStore) getHostSeq() *hostSeq {
 
 func (t *TieredStore) putHostSeq(hs *hostSeq) {
 	hs.counts = hs.counts[:0]
-	hs.bytes, hs.swapOutUs, hs.snap = 0, 0, nil
+	hs.bytes, hs.swapOutUs = 0, 0
 	t.seqPool = append(t.seqPool, hs)
 }

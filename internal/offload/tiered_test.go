@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"diffkv/internal/kvcache"
-	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
 )
 
@@ -21,11 +20,34 @@ func countsManager(t *testing.T, numPages int) *kvcache.Manager {
 
 func tiered(t *testing.T, mgr *kvcache.Manager, hostBytes int64) *TieredStore {
 	t.Helper()
-	ts, err := NewTieredStore(mgr, Config{HostBytes: hostBytes})
+	ts, err := NewTieredStore(mgr, hostBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ts
+}
+
+// TestNewTieredStoreRefuses pins the constructor's contract: the host tier
+// stores per-head counts, so a materialized manager is refused, and so is
+// a host tier with no room.
+func TestNewTieredStoreRefuses(t *testing.T) {
+	mat, err := kvcache.NewManager(kvcache.Config{
+		Dim: 64, PageBytes: 8192, NumPages: 16, MaxSeqLen: 1024, Materialize: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTieredStore(mat, 64<<20); err == nil {
+		t.Fatal("materialized manager accepted")
+	}
+	for _, host := range []int64{0, -1} {
+		if _, err := NewTieredStore(countsManager(t, 16), host); err == nil {
+			t.Fatalf("host tier of %d bytes accepted", host)
+		}
+	}
+	if _, err := NewTieredStore(nil, 64<<20); err == nil {
+		t.Fatal("nil manager accepted")
+	}
 }
 
 // registerSeq registers a counts-mode sequence holding the given per-head
@@ -65,7 +87,7 @@ func TestNoDoubleResidency(t *testing.T) {
 	if ts.UsedPages() != 0 {
 		t.Fatalf("GPU pages remain after swap-out: %d", ts.UsedPages())
 	}
-	if _, ok := ts.Manager.Sequence(1); ok {
+	if _, err := ts.Manager.HeadCounts(1, nil); err == nil {
 		t.Fatal("sequence still registered on GPU while host-resident")
 	}
 	if !ts.Swapped(1) || len(ts.seqs) != 1 {
@@ -103,100 +125,11 @@ func TestNoDoubleResidency(t *testing.T) {
 	}
 }
 
-// TestSwapInRestoresBitIdenticalPayload swaps a materialized sequence out
-// and back in across every quant tier pair and asserts the restored pages
-// carry bit-identical K/V bytes, metadata, scores and positions.
-func TestSwapInRestoresBitIdenticalPayload(t *testing.T) {
-	pairs := []struct{ hi, lo quant.Precision }{
-		{quant.FP16, quant.FP16},
-		{quant.K8V8, quant.K8V4},
-		{quant.K8V4, quant.K4V2},
-		{quant.K4V4, quant.K2V2},
-	}
-	type token struct {
-		key, val []byte
-		meta     [4]float32
-		score    float32
-		pos      int32
-	}
-	capture := func(hc *kvcache.HeadCache) []token {
-		var out []token
-		for _, lvl := range []kvcache.Level{kvcache.LevelHi, kvcache.LevelLo} {
-			hc.ForEachToken(lvl, func(p *kvcache.Page, slot int) {
-				kd, ks, kz := p.KeyData(slot)
-				vd, vs, vz := p.ValData(slot)
-				out = append(out, token{
-					key: append([]byte(nil), kd...), val: append([]byte(nil), vd...),
-					meta: [4]float32{ks, kz, vs, vz}, score: p.Score(slot), pos: p.Position(slot),
-				})
-			})
-		}
-		return out
-	}
-	for _, pair := range pairs {
-		mgr, err := kvcache.NewManager(kvcache.Config{
-			Dim: 64, PageBytes: 8192, NumPages: 128, MaxSeqLen: 4096,
-			HiPrec: pair.hi, LoPrec: pair.lo, Materialize: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := tiered(t, mgr, 64<<20)
-		sc, err := ts.AddSequence(1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := mathx.NewRNG(7)
-		key := make([]float32, 64)
-		val := make([]float32, 64)
-		for h, hc := range sc.Heads {
-			for i := 0; i < 150; i++ {
-				rng.NormVec(key, 1)
-				rng.NormVec(val, 1)
-				lvl := kvcache.LevelHi
-				if i%3 == 0 {
-					lvl = kvcache.LevelLo
-				}
-				if err := hc.AppendToken(lvl, key, val, float32(rng.Float64()), int32(h*1000+i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		before := [][]token{capture(sc.Heads[0]), capture(sc.Heads[1])}
-
-		if _, err := ts.SwapOut(1, false, 0); err != nil {
-			t.Fatalf("%s/%s: %v", pair.hi, pair.lo, err)
-		}
-		if _, err := ts.SwapIn(1, 0); err != nil {
-			t.Fatalf("%s/%s: %v", pair.hi, pair.lo, err)
-		}
-		restored, _ := ts.Manager.Sequence(1)
-		for h := range before {
-			after := capture(restored.Heads[h])
-			if len(after) != len(before[h]) {
-				t.Fatalf("%s/%s head %d: %d tokens restored, want %d",
-					pair.hi, pair.lo, h, len(after), len(before[h]))
-			}
-			for i := range after {
-				a, b := after[i], before[h][i]
-				if string(a.key) != string(b.key) || string(a.val) != string(b.val) ||
-					a.meta != b.meta || a.score != b.score || a.pos != b.pos {
-					t.Fatalf("%s/%s head %d token %d: payload not bit-identical", pair.hi, pair.lo, h, i)
-				}
-			}
-		}
-	}
-}
-
 // TestThrashCounterMonotonic drives swap cycles inside and outside the
 // thrash window: the counter must never decrease and must increment
 // exactly on within-window swap-ins.
 func TestThrashCounterMonotonic(t *testing.T) {
-	mgr := countsManager(t, 256)
-	ts, err := NewTieredStore(mgr, Config{HostBytes: 64 << 20, ThrashWindowUs: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := tiered(t, countsManager(t, 256), 64<<20)
 	registerSeq(t, ts, 1, 2, 50, 50)
 	prev := 0
 	now := 0.0
@@ -206,9 +139,9 @@ func TestThrashCounterMonotonic(t *testing.T) {
 		}
 		inWindow := i%2 == 0
 		if inWindow {
-			now += 500
+			now += thrashWindowUs / 2
 		} else {
-			now += 5000
+			now += 5 * thrashWindowUs
 		}
 		if _, err := ts.SwapIn(1, now); err != nil {
 			t.Fatal(err)

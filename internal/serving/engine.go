@@ -30,6 +30,9 @@ import (
 	"diffkv/internal/workload"
 )
 
+// pageBytes is the manager's unified-page size at serving scale.
+const pageBytes = 65536
+
 // Config parameterizes one serving run.
 type Config struct {
 	Model   *synth.ModelConfig
@@ -39,15 +42,10 @@ type Config struct {
 	// UseManager runs the real counts-mode page manager of package kvcache
 	// (DiffKV); otherwise capacity is tracked analytically (baselines).
 	UseManager bool
-	// OnCPUMemMgr switches the DiffKV manager's timing to the on-CPU
-	// multithreaded comparator (Fig. 13).
-	OnCPUMemMgr bool
 	// HiFrac / LoFrac are the mean per-head tier fractions for the
 	// workload (measured by the core engine); per-head values jitter
 	// around them. Only used with UseManager.
 	HiFrac, LoFrac float64
-	// PageBytes for the manager (default 65536 at serving scale).
-	PageBytes int
 	// HiPrec / LoPrec override the manager's storage tiers (defaults
 	// K8V4 / K4V2, the paper's configuration; only with UseManager).
 	HiPrec, LoPrec quant.Precision
@@ -104,9 +102,6 @@ func (c *Config) validate() error {
 	}
 	if c.Traits.Name == "" {
 		return fmt.Errorf("serving: Traits are required")
-	}
-	if c.PageBytes <= 0 {
-		c.PageBytes = 65536
 	}
 	if c.MaxGenLen <= 0 {
 		c.MaxGenLen = 4096
@@ -352,13 +347,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	budget *= 1 - cfg.MemoryReserve
 
 	if cfg.UseManager {
-		numPages := int(budget) / cfg.PageBytes
+		numPages := int(budget) / pageBytes
 		if numPages < 16 {
 			return nil, fmt.Errorf("serving: KV budget too small (%d pages)", numPages)
 		}
 		mgr, err := kvcache.NewManager(kvcache.Config{
 			Dim:       cfg.Model.HeadDim,
-			PageBytes: cfg.PageBytes,
+			PageBytes: pageBytes,
 			NumPages:  numPages,
 			HiPrec:    cfg.HiPrec,
 			LoPrec:    cfg.LoPrec,
@@ -368,13 +363,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		if cfg.HostMemoryBytes > 0 {
-			if e.tiered, err = offload.NewTieredStore(mgr, offload.Config{HostBytes: cfg.HostMemoryBytes}); err != nil {
+			if e.tiered, err = offload.NewTieredStore(mgr, cfg.HostMemoryBytes); err != nil {
 				return nil, err
 			}
 		}
 		ps := newPageStore(cfg, mgr)
 		// every page of the pool with every head at the blended tier mix
-		e.kv, e.capTok = ps, float64(numPages*cfg.PageBytes)/(ps.blendTok*float64(ps.heads))
+		e.kv, e.capTok = ps, float64(numPages*pageBytes)/(ps.blendTok*float64(ps.heads))
 	} else {
 		cs := countStore{kvToken: float64(cfg.Model.KVBytesPerTokenFP16()) * cfg.Traits.ResidentMemFrac}
 		e.kv, e.capTok = cs, float64(int(budget/cs.kvToken))

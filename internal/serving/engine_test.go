@@ -217,32 +217,6 @@ func TestMemMgmtBreakdownSmallOnGPU(t *testing.T) {
 	}
 }
 
-func TestOnCPUMemMgrDominatesGeneration(t *testing.T) {
-	// Fig. 13: the on-CPU comparator's memory management must dwarf the
-	// on-GPU path.
-	run := func(onCPU bool) Result {
-		e := newEngine(t, Config{
-			Model: synth.Llama3_8B, Cluster: cluster(1),
-			Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
-			OnCPUMemMgr: onCPU, HiFrac: 0.2, LoFrac: 0.25, Seed: 7,
-		})
-		res, err := e.Run(batchReqs(workload.GSM8K, 16, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	gpu := run(false)
-	cpu := run(true)
-	ratio := float64(cpu.Gen.MemMgmt) / float64(gpu.Gen.MemMgmt)
-	if ratio < 50 {
-		t.Fatalf("CPU/GPU mem-mgmt ratio = %v, want >> 50", ratio)
-	}
-	if cpu.Throughput >= gpu.Throughput {
-		t.Fatal("on-CPU memory management must cost throughput")
-	}
-}
-
 func TestPoissonLatencyGrowsWithRate(t *testing.T) {
 	// Fig. 16: higher request rates mean more queueing, higher per-token
 	// latency.

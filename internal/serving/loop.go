@@ -145,6 +145,12 @@ type KVLink struct {
 	Transfers int
 }
 
+// loopPoll is the idle wakeup interval: how often an idle (or pacing) loop
+// re-checks for new work and reaps context-cancelled sessions. Opens wake
+// the loop immediately; loopPoll only bounds the latency of external
+// context cancellations.
+const loopPoll = 2 * time.Millisecond
+
 // LoopConfig parameterizes a Loop.
 type LoopConfig struct {
 	// TimeScale maps simulated time onto wall time: a step scheduled at
@@ -153,11 +159,6 @@ type LoopConfig struct {
 	// runs it 10x faster than real time, and 0 (the default) runs flat
 	// out — steps execute as fast as the host allows.
 	TimeScale float64
-	// Poll is the idle wakeup interval: how often an idle (or pacing)
-	// loop re-checks for new work and reaps context-cancelled sessions.
-	// Opens wake the loop immediately; Poll only bounds the latency of
-	// external context cancellations. Default 2ms.
-	Poll time.Duration
 	// Telemetry, when set, receives opens, completion latencies and
 	// sim-time cadence samples from the loop. Attach a Center to exactly
 	// one layer — the Loop here, or cluster.Config.Telemetry for batch
@@ -289,9 +290,6 @@ type Loop struct {
 // until Shutdown (or a driver error, observable via Err / Shutdown's
 // return); the caller must eventually call Shutdown to stop it.
 func NewLoop(d Driver, cfg LoopConfig) *Loop {
-	if cfg.Poll <= 0 {
-		cfg.Poll = 2 * time.Millisecond
-	}
 	now := time.Now() //diffkv:allow wallclock -- Loop pacing origin: anchors TimeScale pacing and uptime to the host clock by design
 	l := &Loop{
 		d:          d,
@@ -429,14 +427,14 @@ func (l *Loop) run() {
 				return
 			}
 			l.mu.Unlock()
-			l.sleep(l.cfg.Poll)
+			l.sleep(loopPoll)
 			continue
 		}
 		if wait := l.paceWait(t); wait > 0 {
 			l.d.ReapSessions() // ctx cancellations while pacing holds steps
 			l.mu.Unlock()
-			// sleep in Poll slices: a new Open can pull NextTime earlier
-			l.sleep(min(wait, l.cfg.Poll))
+			// sleep in loopPoll slices: a new Open can pull NextTime earlier
+			l.sleep(min(wait, loopPoll))
 			continue
 		}
 		comps, err := l.d.Step()

@@ -84,7 +84,6 @@ type pageStore struct {
 	mgr            *kvcache.Manager
 	dev            *gpusim.Device
 	rng            *mathx.RNG
-	onCPU          bool // price compaction on the multithreaded CPU comparator
 	hiFrac, loFrac float64
 	heads          int
 	capHi          int     // tokens per high-precision page
@@ -101,7 +100,7 @@ func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
 	mc := mgr.Config()
 	heads := cfg.Model.Layers * cfg.Model.KVHeads
 	return &pageStore{
-		mgr: mgr, dev: cfg.Cluster.Device, rng: mathx.NewRNG(cfg.Seed + 99), onCPU: cfg.OnCPUMemMgr,
+		mgr: mgr, dev: cfg.Cluster.Device, rng: mathx.NewRNG(cfg.Seed + 99),
 		hiFrac: cfg.HiFrac, loFrac: cfg.LoFrac, heads: heads, capHi: mgr.TokensPerHiPage(),
 		blendTok: cfg.HiFrac*float64(mc.HiPrec.TokenBytes(mc.Dim)) +
 			cfg.LoFrac*float64(mc.LoPrec.TokenBytes(mc.Dim)),
@@ -153,10 +152,7 @@ func (s *pageStore) prompt(st *seqState) (kvcache.CompactStats, error) {
 	return s.mgr.PromptCompact(st.req.ID, st.req.PromptLen, demands)
 }
 
-func (s *pageStore) memMgmtTime(work kvcache.CompactStats, batch int) gpusim.Micros {
-	if s.onCPU {
-		return s.dev.CPUMemoryManagement(work.TokenOps, work.Regions, batch)
-	}
+func (s *pageStore) memMgmtTime(work kvcache.CompactStats, _ int) gpusim.Micros {
 	return s.dev.GPUCompaction(work.TokenOps, work.Regions)
 }
 

@@ -343,19 +343,6 @@ func sortedLatKeys(m map[int]*latencySet) []int {
 	return keys
 }
 
-// SatByInst returns the latest saturation verdict per key (0 =
-// cluster-wide) for gauge exposition.
-func (c *Center) SatByInst() map[int]SatSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]SatSample, len(c.satByKey))
-	//diffkv:allow maprange -- map-to-map copy with distinct keys: identical result whatever the walk order
-	for k, v := range c.satByKey {
-		out[k] = v
-	}
-	return out
-}
-
 // SLOStatuses re-evaluates the objectives at the last sample instant
 // (no state transitions — pure read).
 func (c *Center) SLOStatuses() []SLOStatus {
