@@ -18,6 +18,7 @@ import (
 	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
 	"diffkv/internal/synth"
+	"diffkv/internal/workload"
 )
 
 func BenchmarkQuantizeK8(b *testing.B)          { benchkernels.QuantizeK8(b) }
@@ -142,6 +143,20 @@ func BenchmarkScoresInto512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ScoresInto(q, dst)
+	}
+}
+
+// BenchmarkSignificancePrefix is the prompt-phase significance pass of one
+// head at LongBench Qasper's prompt length on Llama3.1-8B: 512 strided
+// steps of four queries each, every query scored against the prefix.
+func BenchmarkSignificancePrefix(b *testing.B) {
+	rng := mathx.NewRNG(9)
+	n := workload.LBQasper.PromptLen
+	h := synth.GenHead(synth.Llama31_8B, synth.Profile(synth.Llama31_8B, 8, 0, 1, rng), n, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.SignificancePrefix(synth.Llama31_8B, n, rng)
 	}
 }
 

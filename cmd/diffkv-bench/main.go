@@ -28,7 +28,7 @@ func main() {
 		fast    = flag.Bool("fast", false, "reduced resolution / sample counts")
 		reps    = flag.Int("reps", 3, "repetitions per measurement")
 		seed    = flag.Uint64("seed", 42, "root random seed")
-		workers = flag.Int("workers", 0, "worker pool size (0 = NumCPU, 1 = sequential; output is identical)")
+		workers = flag.Int("workers", 0, "harness worker pool size (0 = GOMAXPROCS; output is identical for every value)")
 		list    = flag.Bool("list", false, "list experiment ids")
 		format  = flag.String("format", "text", "output format: text|csv|markdown")
 	)

@@ -89,6 +89,8 @@ func DefaultParams(model string) PolicyParams { return policy.ParamsForModel(mod
 type EngineConfig = core.Config
 
 // Engine runs the full DiffKV pipeline on synthetic sequences.
+// RunSequence runs a sequence's sampled heads on up to GOMAXPROCS
+// goroutines; its result is the same for every GOMAXPROCS.
 type Engine = core.Engine
 
 // SequenceResult reports one sequence's fidelity, memory fraction and

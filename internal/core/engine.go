@@ -108,7 +108,8 @@ func fp16TokenBytes(dim int) int { return 4 * dim }
 
 // RunSequence simulates one request of promptLen prompt tokens and genLen
 // generated tokens through the full DiffKV pipeline and reports fidelity
-// and memory.
+// and memory. The sampled heads run on up to GOMAXPROCS goroutines; the
+// result does not depend on how many.
 func (e *Engine) RunSequence(promptLen, genLen int, seqSeed uint64) (SequenceResult, error) {
 	cfg := e.cfg
 	model := cfg.Model
@@ -120,25 +121,32 @@ func (e *Engine) RunSequence(promptLen, genLen int, seqSeed uint64) (SequenceRes
 	layers := samplePoints(model.Layers, cfg.SampleLayers)
 	heads := samplePoints(model.KVHeads, cfg.SampleHeads)
 
+	// Each (layer, head) pair runs on the mathx.ForEach pool, as the
+	// paper's heads run in parallel on the GPU. runHead reads root only
+	// through SplitAt and owns its manager, policy and scratches, and pair
+	// i writes only runs[i] and errs[i]; the sums below run in (layer,
+	// head) order, so the result is bit-identical to a serial loop.
+	n := len(layers) * len(heads)
+	runs := make([]headRun, n)
+	errs := make([]error, n)
+	mathx.ForEach(n, 0, func(i int) {
+		layer, head := layers[i/len(heads)], heads[i%len(heads)]
+		runs[i], errs[i] = e.runHead(layer, head, promptLen, genLen, total, dim, root)
+	})
+
 	var errSum, memSum float64
 	var probes int
 	var bd policy.Breakdown
-	var bdN int
-
-	for _, layer := range layers {
-		for _, head := range heads {
-			r, err := e.runHead(layer, head, promptLen, genLen, total, dim, root)
-			if err != nil {
-				return SequenceResult{}, err
-			}
-			errSum += r.errSum
-			memSum += r.memSum
-			probes += r.probes
-			bd.High += r.bd.High
-			bd.Low += r.bd.Low
-			bd.Pruned += r.bd.Pruned
-			bdN++
+	for i, r := range runs {
+		if errs[i] != nil {
+			return SequenceResult{}, errs[i]
 		}
+		errSum += r.errSum
+		memSum += r.memSum
+		probes += r.probes
+		bd.High += r.bd.High
+		bd.Low += r.bd.Low
+		bd.Pruned += r.bd.Pruned
 	}
 	if probes == 0 {
 		return SequenceResult{}, fmt.Errorf("core: no probes taken (genLen %d too short?)", genLen)
@@ -147,9 +155,9 @@ func (e *Engine) RunSequence(promptLen, genLen int, seqSeed uint64) (SequenceRes
 		OutputErr: errSum / float64(probes),
 		MemFrac:   memSum / float64(probes),
 		Breakdown: policy.Breakdown{
-			High:   bd.High / float64(bdN),
-			Low:    bd.Low / float64(bdN),
-			Pruned: bd.Pruned / float64(bdN),
+			High:   bd.High / float64(n),
+			Low:    bd.Low / float64(n),
+			Pruned: bd.Pruned / float64(n),
 		},
 		Probes: probes,
 	}, nil
@@ -224,6 +232,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 	// kernel scratch reused across every probe of this head (one for the
 	// compressed path, one for the reference, so both outputs stay live)
 	var scComp, scRef attention.Scratch
+	qbuf := make([]float32, dim)
 	wbuf := make([]float32, total)
 	for t := promptLen; t < total; t++ {
 		// significance update: attention weights over the prefix,
@@ -238,7 +247,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 
 		step := t - promptLen
 		if step%probeEvery == 0 {
-			probeErr, memFrac := e.probe(data, hc, gp, &scComp, &scRef, t, dim, reqRNG.SplitAt(3000+uint64(t)))
+			probeErr, memFrac := e.probe(data, hc, gp, &scComp, &scRef, qbuf, t, dim, reqRNG.SplitAt(3000+uint64(t)))
 			run.errSum += probeErr
 			run.memSum += memFrac
 			run.probes++
@@ -261,14 +270,14 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 // probe measures real compressed-vs-reference attention error and the
 // instantaneous memory fraction at step t. scComp and scRef are the
 // caller's reusable kernel scratches (separate so both outputs stay valid
-// for the error computation).
-func (e *Engine) probe(data *synth.HeadData, hc *kvcache.HeadCache, gp *policy.GenPolicy, scComp, scRef *attention.Scratch, t, dim int, rng *mathx.RNG) (outErr, memFrac float64) {
+// for the error computation), and q its reusable query buffer.
+func (e *Engine) probe(data *synth.HeadData, hc *kvcache.HeadCache, gp *policy.GenPolicy, scComp, scRef *attention.Scratch, q []float32, t, dim int, rng *mathx.RNG) (outErr, memFrac float64) {
 	group := e.cfg.Model.QueriesPerKV
 	if group > 4 {
 		group = 4 // probing more query heads adds cost, not information
 	}
 	for g := 0; g < group; g++ {
-		q := data.Query(rng)
+		data.QueryInto(rng, q)
 		comp := scComp.Compressed(q, hc, gp.Window())
 		ref := scRef.Reference(q, data.Keys[:t], data.Vals[:t])
 		outErr += attention.OutputError(comp.Output, ref.Output)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"diffkv/internal/mathx"
 	"diffkv/internal/policy"
 	"diffkv/internal/quant"
 	"diffkv/internal/synth"
@@ -155,6 +157,87 @@ func TestRunSequenceDensityScale(t *testing.T) {
 	}
 	if sMem >= dMem {
 		t.Fatalf("sparse workload should use less memory: %v vs %v", sMem/3, dMem/3)
+	}
+}
+
+// TestRunSequenceFanOutBitIdentical holds RunSequence's head fan-out to a
+// serial loop of runHead in (layer, head) order, reduced the way
+// RunSequence reduces, under 1, 2 and 8 procs. Nine pairs are more than
+// the workers and not a multiple of them. It runs in -short mode so the
+// race step covers the fan-out.
+func TestRunSequenceFanOutBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, model := range []*synth.ModelConfig{synth.Llama3_8B, synth.QwQ_32B} {
+		e, err := NewEngine(Config{
+			Model:        model,
+			Params:       policy.ParamsForModel(model.Name),
+			SampleLayers: 3,
+			SampleHeads:  3,
+			Seed:         5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const promptLen, genLen, seqSeed = 160, 96, 3
+		want := serialSequence(t, e, promptLen, genLen, seqSeed)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := e.RunSequence(promptLen, genLen, seqSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resultBits(got) != resultBits(want) {
+				t.Fatalf("%s, GOMAXPROCS %d: got %+v, serial %+v", model.Name, procs, got, want)
+			}
+		}
+	}
+}
+
+// resultBits is every SequenceResult field as raw bits.
+func resultBits(r SequenceResult) [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(r.OutputErr), math.Float64bits(r.MemFrac),
+		math.Float64bits(r.Breakdown.High), math.Float64bits(r.Breakdown.Low),
+		math.Float64bits(r.Breakdown.Pruned), uint64(r.Probes),
+	}
+}
+
+// serialSequence is RunSequence as one loop over the sampled pairs.
+func serialSequence(t *testing.T, e *Engine, promptLen, genLen int, seqSeed uint64) SequenceResult {
+	t.Helper()
+	cfg := e.cfg
+	root := mathx.NewRNG(cfg.Seed ^ (seqSeed*0x9e3779b97f4a7c15 + 1))
+	total := promptLen + genLen
+	var errSum, memSum float64
+	var probes, n int
+	var bd policy.Breakdown
+	for _, layer := range samplePoints(cfg.Model.Layers, cfg.SampleLayers) {
+		for _, head := range samplePoints(cfg.Model.KVHeads, cfg.SampleHeads) {
+			r, err := e.runHead(layer, head, promptLen, genLen, total, cfg.Model.HeadDim, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errSum += r.errSum
+			memSum += r.memSum
+			probes += r.probes
+			bd.High += r.bd.High
+			bd.Low += r.bd.Low
+			bd.Pruned += r.bd.Pruned
+			n++
+		}
+	}
+	if n != 9 {
+		t.Fatalf("%d sampled pairs, want 9", n)
+	}
+	return SequenceResult{
+		OutputErr: errSum / float64(probes),
+		MemFrac:   memSum / float64(probes),
+		Breakdown: policy.Breakdown{
+			High:   bd.High / float64(n),
+			Low:    bd.Low / float64(n),
+			Pruned: bd.Pruned / float64(n),
+		},
+		Probes: probes,
 	}
 }
 

@@ -1,55 +1,12 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "diffkv/internal/mathx"
 
-// forEach runs fn(i) for every i in [0, n) across the configured worker
-// count (Opts.Workers; 0 means runtime.NumCPU()). It is the experiment
-// harness's worker pool: independent reps/configs of a figure fan out
-// across goroutines while the table stays bit-identical to a sequential
-// run.
-//
-// The determinism contract: each work item derives its own RNG stream from
-// a root seed (mathx.RNG.SplitAt(i) — the parent is read, never advanced)
-// and writes only to its own result index. Reductions over the results are
-// always performed sequentially in index order by the caller. Under that
-// contract scheduling cannot change any output bit, so Workers only moves
-// wall-clock time.
-func (o Opts) forEach(n int, fn func(i int)) {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// forEach runs fn(i) for every i in [0, n) on the harness's worker pool
+// (Opts.Workers goroutines; 0 means runtime.GOMAXPROCS(0)). Independent
+// reps/configs of a figure fan out while the table stays bit-identical
+// for every Workers value, under mathx.ForEach's determinism contract.
+func (o Opts) forEach(n int, fn func(i int)) { mathx.ForEach(n, o.Workers, fn) }
 
 // meanOf reduces a per-index result slice sequentially (index order), so
 // parallel and sequential runs agree bit-for-bit.

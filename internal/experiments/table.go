@@ -73,8 +73,9 @@ type Opts struct {
 	// Seed is the root seed.
 	Seed uint64
 	// Workers bounds the worker pool independent reps/configs fan out
-	// across: 0 means runtime.NumCPU(), 1 forces sequential execution.
-	// Results are bit-identical for every value (see forEach).
+	// across: 0 means runtime.GOMAXPROCS(0). It does not reach inside a
+	// core.Engine sequence, whose sampled heads always fan out. Results
+	// are bit-identical for every value (see mathx.ForEach).
 	Workers int
 }
 

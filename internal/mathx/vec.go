@@ -1,7 +1,8 @@
 // Package mathx provides the small numerical kernels the rest of the
 // repository is built on: float32 vector operations, a numerically stable
-// softmax, sequential and parallel prefix sums, and a deterministic
-// splittable random number generator.
+// softmax, sequential and parallel prefix sums, a deterministic
+// splittable random number generator, and the worker pool (ForEach) whose
+// results do not depend on its worker count.
 //
 // Everything here is pure Go (stdlib only) and allocation-conscious: the hot
 // paths (dot products, axpy, softmax) write into caller-provided buffers.

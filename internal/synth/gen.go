@@ -68,9 +68,13 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 		}
 	}
 
+	// one arena each for keys and values; every row is capped at dim so
+	// an append to a row cannot run into its neighbour
+	keys, vals := make([]float32, n*dim), make([]float32, n*dim)
 	noise := 1.0 / math.Sqrt(float64(dim)) // keeps |k| ≈ O(1..l_j)
 	for j := 0; j < n; j++ {
-		k := make([]float32, dim)
+		lo, hi := j*dim, (j+1)*dim
+		k := keys[lo:hi:hi]
 		rng.NormVec(k, noise)
 		mathx.Axpy(h.Logits[j], h.dir, k)
 		for c, idx := range h.outlierIdx {
@@ -80,7 +84,7 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 		}
 		h.Keys[j] = k
 
-		v := make([]float32, dim)
+		v := vals[lo:hi:hi]
 		rng.NormVec(v, 1)
 		normalize(v)
 		// value norms: log-normal, sigma 0.45 -> ~99.7% inside a 15x band
@@ -95,10 +99,15 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 // q = √dim·u + ε. Each query-head in a GQA group calls this with its own
 // rng, giving correlated but distinct queries.
 func (h *HeadData) Query(rng *mathx.RNG) []float32 {
-	q := make([]float32, h.Dim)
-	rng.NormVec(q, 0.3)
-	mathx.Axpy(float32(math.Sqrt(float64(h.Dim))), h.dir, q)
-	return q
+	return h.QueryInto(rng, make([]float32, h.Dim))
+}
+
+// QueryInto is Query written into dst (length Dim) and returned; it draws
+// the same values from rng.
+func (h *HeadData) QueryInto(rng *mathx.RNG, dst []float32) []float32 {
+	rng.NormVec(dst, 0.3)
+	mathx.Axpy(float32(math.Sqrt(float64(h.Dim))), h.dir, dst)
+	return dst
 }
 
 // Scores computes the true softmax attention scores of query q over the
@@ -136,12 +145,13 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 	}
 	perHead := make([]float32, n)
 	buf := make([]float32, n)
+	q := make([]float32, h.Dim)
 	for t := 1; t < n; t += stride {
 		for i := range perHead[:t] {
 			perHead[i] = 0
 		}
 		for g := 0; g < group; g++ {
-			q := h.Query(qrng)
+			h.QueryInto(qrng, q)
 			scores := h.ScoresInto(q, buf[:t])
 			for j, s := range scores {
 				if s > perHead[j] {

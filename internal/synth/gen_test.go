@@ -116,6 +116,30 @@ func TestScoresIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSignificancePrefixAllocsFlat extends the zero-alloc pattern above:
+// SignificancePrefix allocates its fixed buffers and nothing per stride
+// step, so its count must not grow with n; and QueryInto, which fills the
+// reused query buffer, draws exactly the query Query returns.
+func TestSignificancePrefixAllocsFlat(t *testing.T) {
+	rng := mathx.NewRNG(7)
+	data := GenHead(Llama3_8B, Profile(Llama3_8B, 8, 0, 1, rng), 260, rng)
+	qrng := rng.SplitAt(1)
+	allocsAt := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { data.SignificancePrefix(Llama3_8B, n, qrng) })
+	}
+	if short, long := allocsAt(130), allocsAt(260); long != short {
+		t.Fatalf("SignificancePrefix allocated %v at n=130, %v at n=260", short, long)
+	}
+
+	want := data.Query(mathx.NewRNG(3))
+	got := data.QueryInto(mathx.NewRNG(3), make([]float32, data.Dim))
+	for j := range want {
+		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("QueryInto[%d] = %v, Query %v", j, got[j], want[j])
+		}
+	}
+}
+
 func TestCheapSignificanceNonNegative(t *testing.T) {
 	rng := mathx.NewRNG(4)
 	prof := Profile(Qwen25_7B, 3, 1, 1, rng)
