@@ -1,13 +1,18 @@
-// Command diffkv-cluster runs the multi-instance cluster simulator: N
-// serving engines behind a router, under Poisson arrivals with shared
-// prompt prefixes, and prints per-policy SLO metrics (TTFT/TPOT
-// percentiles, goodput, utilization, load imbalance, shed count). The
-// flags are a thin translation onto one diffkv.Scenario; -scenario
-// replaces them with a spec file.
+// Command diffkv-cluster runs the serving simulator on 1..N serving
+// engines behind a router, under Poisson or closed-loop arrivals with
+// shared prompt prefixes, and prints per-policy SLO metrics (TTFT/TPOT
+// percentiles, goodput, utilization, load imbalance, shed count)
+// followed by the engines' throughput, batch size and per-phase step
+// breakdown. The flags are a thin translation onto one diffkv.Scenario;
+// -scenario replaces them with a spec file, with or without a cluster
+// section. One instance has nothing to route between, so it runs one
+// policy row instead of sweeping the registry.
 //
 // Usage:
 //
 //	diffkv-cluster -instances 4 -rate 10 -seconds 60
+//	diffkv-cluster -instances 1 -rate 0 -requests 64 -method DiffKV -bench MATH
+//	diffkv-cluster -model QwQ-32B -gpus 2 -instances 1 -rate 0 -requests 4
 //	diffkv-cluster -policy prefix-affinity -method DiffKV -trace events.jsonl
 //	diffkv-cluster -policy all -bench MMLU -groups 16 -prefixlen 768
 //	diffkv-cluster -chaos 2 -hostmem 4 -preempt swap     # fault injection
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"diffkv"
 )
@@ -36,15 +42,17 @@ func parseDisagg(s string) (*diffkv.DisaggSpec, error) {
 
 func main() {
 	var (
-		scenarioPath = flag.String("scenario", "", "load the full configuration from a scenario JSON file (overrides the other flags; a spec without routing sweeps the registry)")
+		scenarioPath = flag.String("scenario", "", "load the full configuration from a scenario JSON file (overrides the other flags; a cluster section without routing sweeps the registry)")
 		dump         = flag.Bool("dump-scenario", false, "print the flags as a scenario JSON spec and exit (exits 1 on a spec that would not build)")
 		instances    = flag.Int("instances", 4, "number of serving instances")
 		modelName    = flag.String("model", "Llama3-8B", "model name")
+		gpus         = flag.Int("gpus", 1, "tensor-parallel GPUs per instance")
 		method       = flag.String("method", "vLLM", "registered serving method")
 		benchName    = flag.String("bench", "MMLU", "workload benchmark")
 		policy       = flag.String("policy", "all", "routing policy name, or \"all\" to sweep the registry")
-		rate         = flag.Float64("rate", 10, "Poisson arrival rate (req/s, whole cluster)")
+		rate         = flag.Float64("rate", 10, "Poisson arrival rate (req/s, whole cluster); 0 = closed loop")
 		seconds      = flag.Float64("seconds", 60, "arrival horizon")
+		requests     = flag.Int("requests", 64, "closed-loop request count (with -rate 0)")
 		groups       = flag.Int("groups", 16, "shared-prefix groups (0 = no shared prefixes)")
 		prefixLen    = flag.Int("prefixlen", 768, "shared prefix length (tokens)")
 		sharedFrac   = flag.Float64("sharedfrac", 0.9, "fraction of requests in a prefix group")
@@ -73,14 +81,12 @@ func main() {
 		if base, err = diffkv.LoadScenario(*scenarioPath); err != nil {
 			log.Fatal(err)
 		}
-		if base.Cluster == nil {
-			log.Fatal("diffkv-cluster needs a scenario with a cluster spec; use diffkv-serve for single-instance scenarios")
-		}
 	} else {
 		base = &diffkv.Scenario{
 			Model:             *modelName,
 			Method:            *method,
 			MemFrac:           *memFrac,
+			GPUs:              *gpus,
 			MaxGenLen:         *maxGen,
 			MemoryReserve:     *reserve,
 			PrefixCacheGroups: *cacheG,
@@ -98,6 +104,10 @@ func main() {
 				TPOTSLOSec:    *tpotSLO,
 			},
 			Seed: *seed,
+		}
+		if *rate <= 0 {
+			base.Workload.Requests = *requests
+			base.Workload.Seconds = 0
 		}
 		if *groups > 0 {
 			base.Workload.Prefix = &diffkv.PrefixConfig{
@@ -134,40 +144,31 @@ func main() {
 		return
 	}
 
-	var policies []string
+	fleet := 1
+	if base.Cluster != nil {
+		fleet = base.Cluster.Instances
+	}
+	// "" keeps the scenario's own routing: a spec runs the routing it
+	// pins (omit routing in a cluster section to sweep the registry), and
+	// one instance has nothing to route between
+	policies := []string{*policy}
 	switch {
-	case *scenarioPath != "" && base.Cluster.Routing != "":
-		// a spec that pins its routing runs exactly that; omit routing in
-		// the file to sweep the registry
-		policies = []string{base.Cluster.Routing}
+	case *scenarioPath != "" && (base.Cluster == nil || base.Cluster.Routing != ""),
+		*policy == "all" && fleet == 1:
+		policies = []string{""}
 	case *policy == "all":
 		policies = diffkv.RoutingPolicies()
-	default:
-		policies = []string{*policy}
 	}
-
-	pc := diffkv.PrefixConfig{}
-	if base.Workload.Prefix != nil {
-		pc = *base.Workload.Prefix
-	}
-	fmt.Printf("%d instances | %s | %s | %s | %.1f req/s for %.0fs | %d prefix groups x %d tokens (%.0f%% shared)\n\n",
-		base.Cluster.Instances, base.Model, base.Method, base.Workload.Bench,
-		base.Workload.RatePerSec, base.Workload.Seconds,
-		pc.Groups, pc.PrefixLen, 100*pc.SharedFrac)
 
 	header := fmt.Sprintf("%-16s %8s %11s %11s %11s %9s %14s %6s %10s %8s %6s",
 		"policy", "done", "ttft-p50(s)", "ttft-p95(s)", "ttft-p99(s)", "tpot-p95", "goodput(req/s)", "util", "imbalance", "hit-frac", "shed")
-	fmt.Println(header)
-	for range header {
-		fmt.Print("-")
-	}
-	fmt.Println()
-
-	for _, pol := range policies {
+	for i, pol := range policies {
 		sc := *base
-		spec := *base.Cluster
-		spec.Routing = pol
-		sc.Cluster = &spec
+		if pol != "" {
+			spec := *base.Cluster
+			spec.Routing = pol
+			sc.Cluster = &spec
+		}
 		var collector *diffkv.TraceCollector
 		if *tracePath != "" {
 			collector = diffkv.NewTraceCollector(1 << 20)
@@ -179,7 +180,13 @@ func main() {
 			log.Fatal(err)
 		}
 		// same seed per policy: identical arrival sequences, fair comparison
-		m, err := st.Cluster.Run(st.Requests())
+		reqs := st.Requests()
+		if i == 0 {
+			printHeader(st, len(reqs))
+			fmt.Println(header)
+			fmt.Println(strings.Repeat("-", len(header)))
+		}
+		m, err := st.Cluster.Run(reqs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -189,6 +196,7 @@ func main() {
 			m.TTFT.P50, m.TTFT.P95, m.TTFT.P99, m.TPOT.P95,
 			m.GoodputReqPerSec, 100*m.MeanUtilization, m.LoadImbalanceCV,
 			100*m.PrefixCacheHitFrac, m.Rejected)
+		printEngines(st.Cluster.Engines())
 		if m.Preemptions > 0 || m.SwapOutBytes > 0 || m.HostPrefixHits > 0 {
 			fmt.Printf("  offload: %d preemptions (%d requests) | %.1f MB swapped out / %.1f MB in | %.1f ms stalled | thrash %.2f | %d host prefix hits\n",
 				m.Preemptions, m.PreemptedRequests,
@@ -231,4 +239,67 @@ func main() {
 			fmt.Printf("  trace: %d events -> %s\n", len(collector.Events()), name)
 		}
 	}
+}
+
+// printHeader describes the run: fleet shape, model, method and the
+// request stream after scenario defaults.
+func printHeader(st *diffkv.Stack, requests int) {
+	sc := st.Scenario
+	bench, load := "trace", fmt.Sprintf("%d requests", requests)
+	if st.Benchmark != nil {
+		bench = st.Benchmark.Name
+	}
+	if w := sc.Workload; w.RatePerSec > 0 {
+		load = fmt.Sprintf("%.1f req/s for %.0fs", w.RatePerSec, w.Seconds)
+	}
+	pc := diffkv.PrefixConfig{}
+	if sc.Workload.Prefix != nil {
+		pc = *sc.Workload.Prefix
+	}
+	fmt.Printf("%d instances | %s | %s | %s | %d GPU(s) each | %s | %d prefix groups x %d tokens (%.0f%% shared)\n\n",
+		len(st.Cluster.Engines()), sc.Model, sc.Method, bench, sc.GPUs, load,
+		pc.Groups, pc.PrefixLen, 100*pc.SharedFrac)
+}
+
+// printEngines prints the engines' serving results summed over
+// instances — rates and batch sizes add across the fleet, per-token
+// latency is the completion-weighted mean — and the per-phase step
+// breakdown of where simulated step time went.
+func printEngines(engines []*diffkv.Server) {
+	var sum diffkv.ServingResult
+	var latency float64
+	for _, e := range engines {
+		r := e.Result()
+		sum.Throughput += r.Throughput
+		sum.GoodputTokensPerSec += r.GoodputTokensPerSec
+		sum.AvgBatch += r.AvgBatch
+		sum.Completed += r.Completed
+		latency += r.AvgPerTokenLatency * float64(r.Completed)
+		sum.Prompt.Add(r.Prompt)
+		sum.Gen.Add(r.Gen)
+	}
+	if sum.Completed > 0 {
+		latency /= float64(sum.Completed)
+	}
+	fmt.Printf("  engines: throughput %.0f tokens/s | goodput %.0f tokens/s | avg batch %.1f | per-token latency %.4f s (incl. queueing)\n",
+		sum.Throughput, sum.GoodputTokensPerSec, sum.AvgBatch, latency)
+	p, g := sum.Prompt, sum.Gen
+	printPhase("prompt", float64(p.Scheduler), float64(p.MemMgmt),
+		float64(p.Compressor), float64(p.ModelExec), float64(p.Offload))
+	printPhase("generation", float64(g.Scheduler), float64(g.MemMgmt),
+		float64(g.Compressor), float64(g.ModelExec), float64(g.Offload))
+}
+
+// printPhase prints one phase's step breakdown as shares of its time.
+func printPhase(name string, sched, mem, comp, exec, off float64) {
+	tot := sched + mem + comp + exec + off
+	if tot == 0 {
+		return
+	}
+	line := fmt.Sprintf("  %s breakdown: scheduler %.1f%% | mem-mgmt %.1f%% | compressor %.1f%% | model %.1f%%",
+		name, 100*sched/tot, 100*mem/tot, 100*comp/tot, 100*exec/tot)
+	if off > 0 {
+		line += fmt.Sprintf(" | offload %.1f%%", 100*off/tot)
+	}
+	fmt.Println(line)
 }

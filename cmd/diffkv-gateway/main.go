@@ -1,7 +1,7 @@
-// Command diffkv-gateway boots a serving or cluster stack from a
+// Command diffkv-gateway boots a serving stack (1..N instances) from a
 // scenario spec and serves it over HTTP: an OpenAI-style
 // /v1/completions endpoint with SSE token streaming, /healthz, and a
-// Prometheus-style /metrics endpoint. The engine runs under an
+// Prometheus-style /metrics endpoint. The cluster runs under an
 // always-on Loop, so concurrent clients submit work while the step
 // cadence is owned by one background goroutine; SIGINT/SIGTERM drains
 // in-flight sessions through Loop.Shutdown before exiting.
@@ -43,7 +43,7 @@ func main() {
 		seed         = flag.Uint64("seed", 42, "random seed (flag mode)")
 		debugFlag    = flag.Bool("debug", false, "enable request tracing and the /debug routes even without an observability spec")
 		perfettoOut  = flag.String("perfetto", "", "write the retained trace as a Perfetto file here on shutdown (overrides the scenario's observability.perfetto_path)")
-		instances    = flag.Int("instances", 0, "flag mode: serve an N-instance cluster instead of a single engine")
+		instances    = flag.Int("instances", 0, "flag mode: serve N instances behind least-loaded routing (0 = one instance)")
 		chaosRate    = flag.Float64("chaos", 0, "flag mode: inject random instance crashes at this rate per instance per minute (implies a 2-instance cluster)")
 		chaosDown    = flag.Float64("chaos-down", 5, "mean crash downtime in seconds (with -chaos)")
 	)
@@ -151,11 +151,8 @@ func main() {
 		}
 	}()
 
-	shape := "single instance"
-	if st.Cluster != nil {
-		shape = fmt.Sprintf("%d-instance cluster (%s routing)",
-			len(st.Cluster.Engines()), st.Cluster.Policy())
-	}
+	shape := fmt.Sprintf("%d-instance cluster (%s routing)",
+		len(st.Cluster.Engines()), st.Cluster.Policy())
 	if sc.Faults != nil {
 		shape += " + fault injection"
 	}

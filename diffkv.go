@@ -9,8 +9,9 @@
 //     full DiffKV pipeline — prompt-phase classification, Algorithm 1
 //     generation-phase compression, paged storage, compressed attention —
 //     and reports fidelity and memory;
-//   - the serving simulator (NewServer / Server.Run): continuous batching
-//     with the real counts-mode page manager and the GPU cost model;
+//   - the serving simulator (Scenario.Build / ClusterServer.Run): 1..N
+//     continuous-batching instances with the real counts-mode page
+//     manager and the GPU cost model;
 //   - the experiment harnesses (RunExperiment): regenerate every table and
 //     figure of the paper's evaluation.
 //
@@ -131,9 +132,6 @@ type Server = serving.Engine
 // ServingResult aggregates throughput, batch size, latency and the
 // per-component step breakdown.
 type ServingResult = serving.Result
-
-// NewServer builds a serving engine.
-func NewServer(cfg ServerConfig) (*Server, error) { return serving.NewEngine(cfg) }
 
 // Device is the GPU hardware model; L40 is the paper's evaluation GPU.
 type Device = gpusim.Device
@@ -433,15 +431,16 @@ const (
 	InstanceDown     = cluster.Down
 )
 
-// Loop is the always-on driver of the serving API: it owns a Server's
-// (or ClusterServer's) step cadence in a background goroutine, makes
-// Open safe from many goroutines, paces steps against simulated time
-// (LoopConfig.TimeScale) and drains gracefully through Shutdown — the
-// concurrency boundary the HTTP gateway, and any other network
-// front-end, builds on. Construct with NewLoop or Stack.StartLoop.
+// Loop is the always-on driver of the serving API: it owns a
+// ClusterServer's (or a bare Server's) step cadence in a background
+// goroutine, makes Open safe from many goroutines, paces steps against
+// simulated time (LoopConfig.TimeScale) and drains gracefully through
+// Shutdown — the concurrency boundary the HTTP gateway, and any other
+// network front-end, builds on. Construct with NewLoop or
+// Stack.StartLoop.
 type Loop = serving.Loop
 
-// LoopConfig parameterizes a Loop (time pacing, idle poll interval).
+// LoopConfig parameterizes a Loop (simulated-to-wall time pacing).
 type LoopConfig = serving.LoopConfig
 
 // LoopDriver is the steppable surface a Loop drives; *Server and
@@ -471,9 +470,9 @@ func NewLoop(d LoopDriver, cfg LoopConfig) *Loop { return serving.NewLoop(d, cfg
 // TelemetryCenter is the cluster-level observability core: per-instance
 // time-series rings sampled on a sim-time cadence, mergeable latency
 // histograms, a saturation analyzer with hysteretic scale advisories,
-// and multi-window SLO burn-rate alerts. Attach one to
-// LoopConfig.Telemetry (always-on serving) or
-// ClusterServerConfig.Telemetry (batch runs) — exactly one of the two.
+// and multi-window SLO burn-rate alerts. It attaches only at the cluster
+// (ClusterServerConfig.Telemetry), whose event loop samples it whether
+// Run, Step or a Loop drives the cluster.
 type TelemetryCenter = telemetry.Center
 
 // TelemetryConfig parameterizes a TelemetryCenter (cadence, ring

@@ -72,19 +72,15 @@ func vllmTraits(t *testing.T) ServingTraits {
 	return m.ServingTraits(0)
 }
 
+// TestPublicServerSmoke runs the one engine of a scenario without a
+// cluster section by hand, through the Stack.Server view.
 func TestPublicServerSmoke(t *testing.T) {
-	traits := vllmTraits(t)
-	srv, err := NewServer(ServerConfig{
-		Model:   Llama3_8B,
-		Cluster: NewCluster(L40(), 1),
-		Traits:  traits,
-		Seed:    3,
-	})
+	st, err := Scenario{Model: "Llama3-8B", Method: "vLLM", MaxGenLen: 256,
+		Workload: WorkloadSpec{Bench: "GSM8K", Requests: 4}, Seed: 3}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := NewRequestGen(BenchGSM8K, 256, 3).Batch(4)
-	res, err := srv.Run(reqs)
+	res, err := st.Server.Run(st.Requests())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("methods:  %v\nrouting:  %v\n\n", diffkv.Methods(), diffkv.RoutingPolicies())
 
 	// 3: one declarative spec for the whole stack. This struct is what
-	// `diffkv-serve -scenario file.json` loads; print it to see the wire
+	// `diffkv-cluster -scenario file.json` loads; print it to see the wire
 	// format.
 	sc := diffkv.Scenario{
 		Name:      "turbokv-idhash-cluster",

@@ -79,11 +79,9 @@ type Config struct {
 	Tracer trace.Tracer
 	// Telemetry, when set, is sampled on its sim-time cadence inside the
 	// single-threaded event loop (Run / Step) and fed every dispatch
-	// and completion — this is what makes a seeded batch run's alert
-	// timeline bit-identical across runs. Attach a Center to exactly one
-	// layer: here for batch runs, or serving.LoopConfig.Telemetry when a
-	// Loop drives the cluster (attaching to both double-counts
-	// completions).
+	// and completion — this is what makes a seeded run's alert timeline
+	// bit-identical across runs. It is the only layer that samples: a
+	// serving.Loop driving the cluster reaches the center through Step.
 	Telemetry *telemetry.Center
 	Seed      uint64
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"diffkv/internal/serving"
+	"diffkv/internal/telemetry"
 )
 
 // eventClass names an event source. Declaration order is the tie-break
@@ -102,13 +103,27 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 		for _, cp := range comps {
 			c.acc.complete(ev.inst, cp)
 		}
-		// fed inside the event loop, so a seeded batch run's sampling is
+		// fed inside the event loop, so a seeded run's sampling is
 		// deterministic; the guard spares a run without telemetry the
 		// per-step Clock scan
 		if tc := c.cfg.Telemetry; tc != nil {
-			serving.FeedTelemetry(tc, c, comps, float64(c.Clock()))
+			c.feedTelemetry(tc, comps)
 		}
 		return comps, nil
 	}
 	return nil, nil
+}
+
+// feedTelemetry is the one event-loop → telemetry feed: record the
+// step's completion latencies, then take a cadence sample of the fleet
+// when one is due at the cluster clock (only a due tick pays for the
+// Stats walk).
+func (c *Cluster) feedTelemetry(tc *telemetry.Center, comps []serving.Completion) {
+	for _, cp := range comps {
+		ttft, tpot, e2e := cp.LatencySec()
+		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen)
+	}
+	if tc.Due(float64(c.Clock())) {
+		tc.Sample(serving.ObservationFromStats(c.Stats()))
+	}
 }

@@ -53,8 +53,8 @@ type Config struct {
 	// it enables the /debug routes (per-request span trees, Perfetto
 	// trace download, live event tail) and the trace health metrics.
 	Trace *trace.Collector
-	// Telemetry, when non-nil, is the telemetry center sampled by the
-	// serving loop; it enables GET /debug/telemetry (JSON snapshot),
+	// Telemetry, when non-nil, is the telemetry center the served
+	// cluster samples; it enables GET /debug/telemetry (JSON snapshot),
 	// GET /debug/telemetry/stream (SSE), and the histogram/saturation/
 	// SLO series on /metrics.
 	Telemetry *telemetry.Center

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"diffkv/internal/baselines"
 	"diffkv/internal/gpusim"
@@ -442,6 +443,14 @@ func (e *Engine) Device() *gpusim.Device { return e.dev }
 // QueueDepth returns how many submitted requests await admission.
 func (e *Engine) QueueDepth() int { return len(e.pending) }
 
+// arrivedPending counts the queued requests that have arrived by now: a
+// batch Submit also queues future arrivals, which are no queue pressure
+// yet. pending is sorted by arrival, so this is a binary search.
+func (e *Engine) arrivedPending() int {
+	now := float64(e.clock)
+	return sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.ArrivalUs > now })
+}
+
 // RunningCount returns the number of admitted, in-flight requests.
 func (e *Engine) RunningCount() int { return len(e.running) }
 
@@ -529,7 +538,7 @@ func (e *Engine) admit() error {
 		st.req.GenLen = min(st.req.GenLen, e.cfg.MaxGenLen)
 		// brownout: with the queue this deep (the popped request
 		// included), admit at the all-low tier for memory headroom
-		st.brownout = e.cfg.BrownoutQueueDepth > 0 && len(e.pending) >= e.cfg.BrownoutQueueDepth
+		st.brownout = e.cfg.BrownoutQueueDepth > 0 && e.arrivedPending() >= e.cfg.BrownoutQueueDepth
 		if e.prefix != nil && r.PrefixGroup != 0 {
 			ent, ok := e.prefix[r.PrefixGroup]
 			if !ok && e.tiered != nil && e.tiered.HostPrefixTokens(r.PrefixGroup) > 0 && e.xferFault() {

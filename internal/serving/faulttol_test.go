@@ -202,6 +202,30 @@ func TestBrownoutAdmitsAtLowTier(t *testing.T) {
 	}
 }
 
+// Brownout counts queue pressure, not the future: requests submitted in
+// one batch but arriving ten simulated minutes apart never queue more
+// than one deep, so a depth-4 brownout must never trigger — however many
+// later arrivals wait in the engine's pending list.
+func TestBrownoutIgnoresFutureArrivals(t *testing.T) {
+	cfg := oversubCfg(offload.PolicyRecompute, 0, 31)
+	cfg.BrownoutQueueDepth = 4
+	e := newEngine(t, cfg)
+	reqs := cotReqs(16, 31)
+	for i := range reqs {
+		reqs[i].ArrivalUs = float64(i) * 600e6
+	}
+	res, err := e.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(reqs) {
+		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
+	}
+	if n := e.BrownoutAdmits(); n != 0 {
+		t.Fatalf("%d brownout admissions with at most one request ever queued", n)
+	}
+}
+
 // A PCIe fault on every D2H transfer forces the swap policy to fall
 // back to recompute: the run still completes everything, with zero
 // host-tier traffic.

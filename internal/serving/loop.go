@@ -8,7 +8,6 @@ import (
 
 	"diffkv/internal/gpusim"
 	"diffkv/internal/stats"
-	"diffkv/internal/telemetry"
 	"diffkv/internal/workload"
 )
 
@@ -159,11 +158,6 @@ type LoopConfig struct {
 	// runs it 10x faster than real time, and 0 (the default) runs flat
 	// out — steps execute as fast as the host allows.
 	TimeScale float64
-	// Telemetry, when set, receives opens, completion latencies and
-	// sim-time cadence samples from the loop. Attach a Center to exactly
-	// one layer — the Loop here, or cluster.Config.Telemetry for batch
-	// runs driven without a Loop — or completions are double-counted.
-	Telemetry *telemetry.Center
 }
 
 // LatencyStats summarizes a latency distribution in seconds. Mean is
@@ -326,9 +320,6 @@ func (l *Loop) Open(ctx context.Context, r workload.Request, onToken func(TokenU
 	if onToken != nil {
 		s.OnToken(onToken)
 	}
-	if l.cfg.Telemetry != nil {
-		l.cfg.Telemetry.RecordOpen(s.Request().PromptLen)
-	}
 	l.opened++
 	l.wakeup()
 	return s, nil
@@ -440,8 +431,6 @@ func (l *Loop) run() {
 		comps, err := l.d.Step()
 		l.steps++
 		l.record(comps)
-		// telemetry sampling rides the step cadence at sim time
-		FeedTelemetry(l.cfg.Telemetry, l.d, comps, float64(t))
 		if err != nil {
 			l.failed = err
 			l.stopped = true

@@ -1,103 +1,9 @@
 package serving
 
-import (
-	"context"
-	"sync"
-	"testing"
-	"time"
-
-	"diffkv/internal/telemetry"
-	"diffkv/internal/workload"
-)
-
-// TestLoopTelemetrySampling is the concurrency contract of the
-// telemetry attachment: the loop samples the center between steps and
-// records every completion while the gateway-side surface (Snapshot,
-// LatencyHists) is polled from other goroutines. Under -race this
-// proves the center's lock covers both sides; functionally it proves
-// no completion is lost and occupancy is sampled.
-func TestLoopTelemetrySampling(t *testing.T) {
-	tc := telemetry.New(telemetry.Config{
-		// sample every simulated 10ms so a short run still collects
-		// plenty of ticks
-		SampleIntervalUs: 1e4,
-		SLOs:             []telemetry.SLOSpec{{Metric: "ttft", TargetSec: 10}},
-	})
-	l := NewLoop(newLoopEngine(t, 11), LoopConfig{Telemetry: tc})
-
-	stop := make(chan struct{})
-	var poll sync.WaitGroup
-	poll.Add(1)
-	go func() {
-		defer poll.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := tc.Snapshot()
-			_ = snap.Cluster.Headroom
-			tc.LatencyHists()
-			tc.SLOStatuses()
-		}
-	}()
-
-	const n = 16
-	var wg sync.WaitGroup
-	sessions := make([]*Session, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s, err := l.Open(context.Background(),
-				workload.Request{PromptLen: 128 + 16*i, GenLen: 8 + i}, nil)
-			if err != nil {
-				t.Errorf("open %d: %v", i, err)
-				return
-			}
-			sessions[i] = s
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i, s := range sessions {
-		select {
-		case <-s.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("session %d never completed", i)
-		}
-	}
-	if err := l.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	poll.Wait()
-
-	snap := tc.Snapshot()
-	if snap.Samples == 0 {
-		t.Fatal("loop never sampled the center")
-	}
-	if got := snap.Latency["e2e"].Count; got != n {
-		t.Fatalf("e2e completions recorded = %d, want %d", got, n)
-	}
-	if got := snap.Latency["ttft"].Count; got != n {
-		t.Fatalf("ttft completions recorded = %d, want %d", got, n)
-	}
-	if len(snap.Instances) != 1 || snap.Instances[0].Inst != 1 {
-		t.Fatalf("instances: %+v", snap.Instances)
-	}
-	// a bare engine has a KV manager, so capacity must be known and
-	// headroom computable
-	if snap.Instances[0].CapacityTokens <= 0 {
-		t.Fatalf("capacity = %g, want > 0", snap.Instances[0].CapacityTokens)
-	}
-}
+import "testing"
 
 // TestObservationFromStats pins the DriverStats -> Observation mapping
-// the loop and cluster both rely on.
+// the cluster's telemetry feed relies on.
 func TestObservationFromStats(t *testing.T) {
 	ds := DriverStats{
 		ClockUs:                5e6,

@@ -194,8 +194,8 @@ func TestScenarioSessionAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cluster == nil || st.Server != nil {
-		t.Fatal("cluster spec must build a cluster stack")
+	if len(st.Cluster.Engines()) != 2 || st.Server != nil {
+		t.Fatal("cluster spec must build a two-instance cluster with no Server view")
 	}
 	if st.Cluster.Policy() != "arrival-hash" {
 		t.Fatalf("cluster policy = %s", st.Cluster.Policy())

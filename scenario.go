@@ -4,7 +4,7 @@ package diffkv
 // serving setup: model, compression method, precision tiers, workload,
 // device count, and optionally a multi-instance cluster with routing,
 // preemption and host-memory offload. Build translates it into a ready
-// Server or ClusterServer stack; the CLIs are thin flag-to-Scenario
+// ClusterServer stack; the CLIs are thin flag-to-Scenario
 // translations, and a spec checked into a file reproduces a run exactly
 // (sampling is seeded, so Requests is deterministic too).
 
@@ -188,7 +188,7 @@ type ObservabilitySpec struct {
 	// under /debug/pprof/.
 	Debug bool `json:"debug,omitempty"`
 	// SampleIntervalMs is the telemetry sampling cadence in simulated
-	// milliseconds (default 1000). Samples ride the driver's step loop
+	// milliseconds (default 1000). Samples ride the cluster's event loop
 	// at sim time, so a seeded run's telemetry timeline is
 	// deterministic.
 	SampleIntervalMs float64 `json:"sample_interval_ms,omitempty"`
@@ -268,8 +268,9 @@ type Scenario struct {
 	// new sequences are admitted at the deepest compression tier
 	// (all-low) instead of waiting for headroom (0 disables).
 	BrownoutQueueDepth int `json:"brownout_queue_depth,omitempty"`
-	// Cluster, when present, builds a multi-instance cluster instead of a
-	// single server.
+	// Cluster sizes and routes the instances; absent, Build makes one
+	// instance with round-robin routing, no queue bound and no prefix
+	// index.
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	// Disaggregation, when present, splits the cluster into prefill and
 	// decode pools joined by compressed cross-instance KV transfers
@@ -289,13 +290,14 @@ type Scenario struct {
 	// collector construction to the caller (set Tracer directly).
 	Observability *ObservabilitySpec `json:"observability,omitempty"`
 	Seed          uint64             `json:"seed,omitempty"`
-	// Tracer, when non-nil, receives the built stack's engine (and
-	// cluster) events. It is runtime-only state, not part of the spec.
+	// Tracer, when non-nil, receives the built stack's cluster and engine
+	// events, tagged with 1-based instance IDs. It is runtime-only state,
+	// not part of the spec.
 	Tracer Tracer `json:"-"`
 }
 
-// Stack is a scenario translated into live objects: exactly one of
-// Server (single instance) or Cluster (ClusterSpec present) is non-nil,
+// Stack is a scenario translated into live objects. Cluster is always
+// set — a spec without a cluster section is a one-instance cluster —
 // ready for Run, Open-driven sessions, manual stepping, or an always-on
 // Loop (StartLoop). Benchmark is nil for trace workloads, which carry
 // their own request shapes.
@@ -304,31 +306,24 @@ type Stack struct {
 	Model     *Model
 	Benchmark *Benchmark
 	Method    Method
-	Server    *Server
 	Cluster   *ClusterServer
+	// Server is a view of the one engine of a spec without a cluster
+	// section (Cluster.Engines()[0]), nil otherwise, for callers that
+	// step a single engine by hand. Driving it and Cluster both on one
+	// stack is undefined.
+	Server *Server
 	// Telemetry is the telemetry center Build created when the
 	// observability section asked for one (SLOs, saturation tuning, or an
-	// explicit cadence). Cluster builds attach it at the cluster layer;
-	// single-instance builds leave it for StartLoop to attach to the Loop
-	// — exactly one layer ever samples into it.
+	// explicit cadence), attached at the cluster: the one layer that
+	// samples into it.
 	Telemetry *TelemetryCenter
 }
 
-// StartLoop starts the always-on driver over the stack's server or
-// cluster: the returned Loop owns the step cadence in a background
-// goroutine, accepts Open from any goroutine, and drains through
-// Shutdown. The caller must eventually call Shutdown.
-func (st *Stack) StartLoop(cfg LoopConfig) *Loop {
-	if st.Cluster != nil {
-		// a cluster build's telemetry center is already attached at the
-		// cluster layer — attaching it to the Loop too would double-count
-		return NewLoop(st.Cluster, cfg)
-	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = st.Telemetry
-	}
-	return NewLoop(st.Server, cfg)
-}
+// StartLoop starts the always-on driver over the stack's cluster: the
+// returned Loop owns the step cadence in a background goroutine,
+// accepts Open from any goroutine, and drains through Shutdown. The
+// caller must eventually call Shutdown.
+func (st *Stack) StartLoop(cfg LoopConfig) *Loop { return NewLoop(st.Cluster, cfg) }
 
 // LoadScenario reads and parses a scenario JSON file. Unknown fields are
 // an error, so typos in specs fail loudly instead of silently selecting
@@ -374,21 +369,21 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // Validate resolves every name in the spec against its registry and
-// checks cross-field constraints, returning the first error.
+// checks cross-field constraints, returning the first error. Building
+// the stack is also how the remaining names (routing, preemption)
+// resolve against their registries, so Validate builds one and lets it
+// be collected.
 func (s Scenario) Validate() error {
-	_, err := s.build(false)
+	_, err := s.Build()
 	return err
 }
 
 // Build translates the scenario into a ready stack: the model, benchmark
-// and method are resolved from their registries, and a Server (or, with
-// a ClusterSpec, a ClusterServer) is constructed. Each Build returns a
-// fresh stack — servers serve one run.
+// and method are resolved from their registries, and a ClusterServer is
+// constructed — a spec without a cluster section becomes one instance
+// with round-robin routing, no queue bound and no prefix index. Each
+// Build returns a fresh stack — servers serve one run.
 func (s Scenario) Build() (*Stack, error) {
-	return s.build(true)
-}
-
-func (s Scenario) build(construct bool) (*Stack, error) {
 	s = s.withDefaults()
 	st := &Stack{Scenario: s}
 
@@ -417,14 +412,14 @@ func (s Scenario) build(construct bool) (*Stack, error) {
 		return nil, fmt.Errorf("diffkv: scenario: workload cot only applies to plain closed-loop sampling (drop rate_per_sec/prefix)")
 	}
 	if s.Faults != nil && s.Cluster == nil {
-		// fault injection lives in the cluster event loop (health, routing,
-		// re-dispatch); a single server has no survivors to re-dispatch to
+		// fault injection needs survivors to re-dispatch to, which only a
+		// cluster section can ask for
 		return nil, fmt.Errorf("diffkv: scenario: faults require a cluster section")
 	}
 	if d := s.Disaggregation; d != nil {
 		if s.Cluster == nil {
-			// the prefill and decode pools are cluster instances; a single
-			// server has nothing to ship KV between
+			// the prefill and decode pools are cluster instances; one
+			// instance has nothing to ship KV between
 			return nil, fmt.Errorf("diffkv: scenario: disaggregation requires a cluster section")
 		}
 		if s.Faults != nil {
@@ -450,12 +445,6 @@ func (s Scenario) build(construct bool) (*Stack, error) {
 		BrownoutQueueDepth: s.BrownoutQueueDepth,
 		Seed:               s.Seed,
 	}
-	if s.Cluster == nil {
-		// single-instance: the tracer attaches to the engine directly;
-		// cluster builds attach it at the cluster level instead, which
-		// instance-tags every engine's events
-		ec.Tracer = s.Tracer
-	}
 	if hook, ok := st.Method.(CompressionHook); ok {
 		setup := hook.Compression()
 		ec.UseManager = setup.UseManager
@@ -476,60 +465,35 @@ func (s Scenario) build(construct bool) (*Stack, error) {
 			}
 		}
 	}
-	if !construct {
-		// Validate path: constructing the stack is also how the remaining
-		// names (routing, preemption) resolve against their registries,
-		// so build it and let it be collected
-		if s.Cluster != nil {
-			_, err = NewClusterServer(clusterConfig(s, ec))
-		} else {
-			_, err = NewServer(withCluster(ec, s.GPUs))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
 
+	cc := clusterConfig(s, ec)
 	if o := s.Observability; o.Telemetry() {
 		st.Telemetry = NewTelemetryCenter(o.TelemetryConfig(s.Tracer))
-	}
-
-	if s.Cluster != nil {
-		cc := clusterConfig(s, ec)
 		cc.Telemetry = st.Telemetry
-		if st.Cluster, err = NewClusterServer(cc); err != nil {
-			return nil, err
-		}
-	} else {
-		if st.Server, err = NewServer(withCluster(ec, s.GPUs)); err != nil {
-			return nil, err
-		}
+	}
+	if st.Cluster, err = NewClusterServer(cc); err != nil {
+		return nil, err
+	}
+	if s.Cluster == nil {
+		st.Server = st.Cluster.Engines()[0]
 	}
 	return st, nil
 }
 
-// withCluster attaches the GPU cluster (engines cannot share one).
-func withCluster(ec ServerConfig, gpus int) ServerConfig {
-	ec.Cluster = NewCluster(L40(), gpus)
-	return ec
-}
-
 // clusterConfig translates spec + engine config into a cluster Config.
+// Every instance gets its own GPU cluster (engines cannot share one).
 func clusterConfig(s Scenario, ec ServerConfig) ClusterServerConfig {
-	c := s.Cluster
-	cc := ClusterServerConfig{
-		Instances:          c.Instances,
-		Engine:             withCluster(ec, s.GPUs),
-		Policy:             c.Routing,
-		MaxQueueDepth:      c.MaxQueueDepth,
-		BlockTokens:        c.BlockTokens,
-		IndexCapacity:      c.IndexCapacity,
-		AffinityQueueBound: c.AffinityQueueBound,
-		TTFTSLOUs:          c.TTFTSLOSec * 1e6,
-		TPOTSLOUs:          c.TPOTSLOSec * 1e6,
-		Tracer:             s.Tracer,
-		Seed:               s.Seed,
+	ec.Cluster = NewCluster(L40(), s.GPUs)
+	cc := ClusterServerConfig{Instances: 1, Engine: ec, Tracer: s.Tracer, Seed: s.Seed}
+	if c := s.Cluster; c != nil {
+		cc.Instances = c.Instances
+		cc.Policy = c.Routing
+		cc.MaxQueueDepth = c.MaxQueueDepth
+		cc.BlockTokens = c.BlockTokens
+		cc.IndexCapacity = c.IndexCapacity
+		cc.AffinityQueueBound = c.AffinityQueueBound
+		cc.TTFTSLOUs = c.TTFTSLOSec * 1e6
+		cc.TPOTSLOUs = c.TPOTSLOSec * 1e6
 	}
 	if s.Faults != nil {
 		cc.Faults = faultPlan(s)

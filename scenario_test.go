@@ -323,8 +323,10 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestScenarioBuildShapes checks the single-instance / cluster split and
-// deterministic workload sampling.
+// TestScenarioBuildShapes checks that a spec without a cluster section
+// builds a one-engine cluster whose Server view is that engine, that
+// each Build returns a fresh stack, and that workload sampling is
+// deterministic.
 func TestScenarioBuildShapes(t *testing.T) {
 	single := Scenario{Model: "Llama3-8B", Method: "vLLM", MaxGenLen: 64,
 		Workload: WorkloadSpec{Bench: "GSM8K", Requests: 4}, Seed: 5}
@@ -332,19 +334,22 @@ func TestScenarioBuildShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server == nil || st.Cluster != nil {
-		t.Fatal("single-instance spec must build a Server")
+	if st.Cluster == nil || len(st.Cluster.Engines()) != 1 {
+		t.Fatal("a spec without a cluster section must build a one-engine cluster")
+	}
+	if st.Server != st.Cluster.Engines()[0] {
+		t.Fatal("Server must be the one-engine cluster's engine")
 	}
 	r1, r2 := st.Requests(), st.Requests()
 	if len(r1) != 4 || !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("workload sampling not deterministic: %v vs %v", r1, r2)
 	}
-	res, err := st.Server.Run(r1)
+	m, err := st.Cluster.Run(r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 4 {
-		t.Fatalf("completed %d", res.Completed)
+	if m.Completed != 4 {
+		t.Fatalf("completed %d", m.Completed)
 	}
 
 	// a second Build is a fresh stack (servers serve one run)
@@ -352,7 +357,7 @@ func TestScenarioBuildShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Server == st.Server {
+	if st2.Cluster == st.Cluster || st2.Server == st.Server {
 		t.Fatal("Build must return fresh stacks")
 	}
 
