@@ -41,7 +41,7 @@ func main() {
 		maxGen       = flag.Int("maxgen", 4096, "generation limit (flag mode)")
 		timeScale    = flag.Float64("timescale", -1, "simulated-to-wall time pacing: 1 = real time, 0 = flat out (-1 keeps the scenario's value)")
 		seed         = flag.Uint64("seed", 42, "random seed (flag mode)")
-		debugFlag    = flag.Bool("debug", false, "enable request tracing and the /debug routes even without an observability spec")
+		debugFlag    = flag.Bool("debug", false, "enable request tracing, the /debug trace routes and pprof even without an observability spec")
 		perfettoOut  = flag.String("perfetto", "", "write the retained trace as a Perfetto file here on shutdown (overrides the scenario's observability.perfetto_path)")
 		instances    = flag.Int("instances", 0, "flag mode: serve N instances behind least-loaded routing (0 = one instance)")
 		chaosRate    = flag.Float64("chaos", 0, "flag mode: inject random instance crashes at this rate per instance per minute (implies a 2-instance cluster)")
@@ -110,12 +110,6 @@ func main() {
 	if sc.Observability != nil || obs.Debug || obs.PerfettoPath != "" {
 		col = diffkv.NewTraceCollector(obs.TraceEvents)
 		sc.Tracer = col
-	}
-	// -debug enables the telemetry center even without an explicit
-	// observability.slos/saturation/sample_interval_ms section, so the
-	// /debug/telemetry routes and diffkv-top always have data to show
-	if obs.Debug && !obs.Telemetry() {
-		obs.SampleIntervalMs = 1000
 	}
 	sc.Observability = &obs
 

@@ -432,23 +432,24 @@ const (
 )
 
 // Loop is the always-on driver of the serving API: it owns a
-// ClusterServer's (or a bare Server's) step cadence in a background
-// goroutine, makes Open safe from many goroutines, paces steps against
-// simulated time (LoopConfig.TimeScale) and drains gracefully through
-// Shutdown — the concurrency boundary the HTTP gateway, and any other
-// network front-end, builds on. Construct with NewLoop or
-// Stack.StartLoop.
+// ClusterServer's step cadence in a background goroutine (a spec without
+// a cluster section is a one-instance ClusterServer), makes Open safe
+// from many goroutines, paces steps against simulated time
+// (LoopConfig.TimeScale) and drains gracefully through Shutdown — the
+// concurrency boundary the HTTP gateway, and any other network
+// front-end, builds on. Construct with Stack.StartLoop or NewLoop.
 type Loop = serving.Loop
 
 // LoopConfig parameterizes a Loop (simulated-to-wall time pacing).
 type LoopConfig = serving.LoopConfig
 
-// LoopDriver is the steppable surface a Loop drives; *Server and
-// *ClusterServer both implement it.
+// LoopDriver is the steppable surface a Loop drives: a *ClusterServer
+// in every stack Build makes (*Server implements it too).
 type LoopDriver = serving.Driver
 
-// LoopMetrics snapshots a running Loop: loop-level TTFT/TPOT/E2E
-// latency distributions plus the driver's counters (LoopDriverStats).
+// LoopMetrics snapshots a running Loop: its open/complete/step counters
+// plus the driver's (LoopDriverStats). Latency distributions live in the
+// stack's TelemetryCenter.
 type LoopMetrics = serving.LoopMetrics
 
 // LoopDriverStats is the driver-level counter snapshot inside
@@ -456,22 +457,20 @@ type LoopMetrics = serving.LoopMetrics
 // traffic, throughput/goodput).
 type LoopDriverStats = serving.DriverStats
 
-// LoopLatencyStats summarizes one latency distribution in seconds.
-type LoopLatencyStats = serving.LatencyStats
-
 // ErrLoopShutdown is returned by Loop.Open once Shutdown has begun.
 var ErrLoopShutdown = serving.ErrLoopShutdown
 
-// NewLoop starts an always-on driving loop over a Server or
-// ClusterServer. The caller must eventually call Shutdown to stop the
+// NewLoop starts an always-on driving loop over a ClusterServer (or any
+// other LoopDriver). The caller must eventually call Shutdown to stop the
 // background goroutine.
 func NewLoop(d LoopDriver, cfg LoopConfig) *Loop { return serving.NewLoop(d, cfg) }
 
 // TelemetryCenter is the cluster-level observability core: per-instance
 // time-series rings sampled on a sim-time cadence, mergeable latency
 // histograms, a saturation analyzer with hysteretic scale advisories,
-// and multi-window SLO burn-rate alerts. It attaches only at the cluster
-// (ClusterServerConfig.Telemetry), whose event loop samples it whether
+// and multi-window SLO burn-rate alerts. Every Scenario.Build stack owns
+// one (Stack.Telemetry); it attaches only at the cluster
+// (ClusterServerConfig.Telemetry), whose event loop feeds it whether
 // Run, Step or a Loop drives the cluster.
 type TelemetryCenter = telemetry.Center
 

@@ -78,10 +78,13 @@ type Config struct {
 	// instance's engine events, tagged with 1-based instance IDs.
 	Tracer trace.Tracer
 	// Telemetry, when set, is sampled on its sim-time cadence inside the
-	// single-threaded event loop (Run / Step) and fed every dispatch
-	// and completion — this is what makes a seeded run's alert timeline
-	// bit-identical across runs. It is the only layer that samples: a
-	// serving.Loop driving the cluster reaches the center through Step.
+	// single-threaded event loop (Run / Step) and fed every dispatch and
+	// completion, with its latencies and phase breakdown — this is what
+	// makes a seeded run's alert timeline bit-identical across runs. It
+	// is the one live latency store: a serving.Loop driving the cluster
+	// reaches the center through Step and keeps no latency of its own.
+	// Every stack a scenario builds sets it; harnesses that build a
+	// cluster directly may leave it nil.
 	Telemetry *telemetry.Center
 	Seed      uint64
 }
@@ -132,7 +135,6 @@ type Cluster struct {
 	crashes       int
 	restarts      int
 	swapRecovered int
-	lostKV        int64
 }
 
 // clusterAutoIDBase keeps cluster-assigned session request IDs clear of
@@ -398,10 +400,9 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 // Step fires the earliest pending event (after reaping cancelled
 // sessions) and returns the requests it completed — only an instance
 // step completes any. With no pending event it is a cheap no-op returning
-// (nil, nil) — the same contract as serving.Engine.Step, which is what
-// lets a serving.Loop drive a cluster and a single engine
-// interchangeably. One call is one event, so interleaved Open calls
-// between steps model online arrivals.
+// (nil, nil), the serving.Driver contract a serving.Loop steps every
+// stack through, one instance or many. One call is one event, so
+// interleaved Open calls between steps model online arrivals.
 func (c *Cluster) Step() ([]serving.Completion, error) {
 	c.ReapSessions()
 	return c.fire(c.next())
@@ -519,8 +520,9 @@ func (c *Cluster) Stats() serving.DriverStats {
 	return ds
 }
 
-// finishMetrics finalizes the accumulator and overlays the cluster's
-// fault-recovery counters.
+// finishMetrics finalizes the accumulator and overlays the fault-recovery
+// counters: the cluster's own, plus the per-engine ones summed as Stats
+// sums them.
 func (c *Cluster) finishMetrics() Metrics {
 	m := c.acc.finish(c.engines)
 	m.Failed = c.failedN
@@ -528,8 +530,8 @@ func (c *Cluster) finishMetrics() Metrics {
 	m.Crashes = c.crashes
 	m.Restarts = c.restarts
 	m.SwapRecovered = c.swapRecovered
-	m.LostKVBytes = c.lostKV
 	for i, e := range c.engines {
+		m.LostKVBytes += e.LostKVBytes()
 		m.BrownoutAdmits += e.BrownoutAdmits()
 		if c.perInstRedisp != nil {
 			m.PerInstance[i].Redispatched = c.perInstRedisp[i]

@@ -115,13 +115,13 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 }
 
 // feedTelemetry is the one event-loop → telemetry feed: record the
-// step's completion latencies, then take a cadence sample of the fleet
-// when one is due at the cluster clock (only a due tick pays for the
-// Stats walk).
+// step's completion latencies and phase breakdowns, then take a cadence
+// sample of the fleet when one is due at the cluster clock (only a due
+// tick pays for the Stats walk).
 func (c *Cluster) feedTelemetry(tc *telemetry.Center, comps []serving.Completion) {
 	for _, cp := range comps {
 		ttft, tpot, e2e := cp.LatencySec()
-		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen)
+		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen, cp.Phases)
 	}
 	if tc.Due(float64(c.Clock())) {
 		tc.Sample(serving.ObservationFromStats(c.Stats()))

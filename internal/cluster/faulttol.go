@@ -149,7 +149,6 @@ func (c *Cluster) processCrash(ev faults.Event) error {
 	}
 	c.health[i] = Down
 	c.crashes++
-	c.lostKV += rep.LostKVBytes
 	c.emit(trace.Event{Kind: trace.KindHealth, TimeUs: ev.AtUs, Inst: i + 1, Note: string(Down)})
 	budget := c.inj.RetryBudget()
 	for _, o := range rep.Orphans {

@@ -114,6 +114,19 @@ func TestChaosLivenessUnderChurn(t *testing.T) {
 	}
 }
 
+// Lost KV bytes have one counter, the engines': the run's Metrics and the
+// live Stats both sum it, so they agree after a chaos run.
+func TestChaosLostKVMetricsMatchStats(t *testing.T) {
+	c := chaosCluster(t, churnPlan(99), nil)
+	m, err := c.Run(chaosReqs(36, 6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().LostKVBytes; m.LostKVBytes != got || got <= 0 {
+		t.Fatalf("lost KV bytes: Metrics %d, Stats %d; want equal and > 0", m.LostKVBytes, got)
+	}
+}
+
 // The same plan and seed must reproduce the identical event stream —
 // the fault-injection determinism contract (completion and failure
 // sets included, since those are trace events).

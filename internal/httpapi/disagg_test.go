@@ -1,14 +1,11 @@
 package httpapi
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"diffkv/internal/cluster"
 	"diffkv/internal/disagg"
@@ -17,28 +14,19 @@ import (
 )
 
 // disaggLoop runs a 2+2 prefill/decode cluster behind a serving loop —
-// the gateway-visible half of disaggregation.
-func disaggLoop(t *testing.T) *serving.Loop {
+// the gateway-visible half of disaggregation — with the telemetry center
+// it feeds.
+func disaggLoop(t *testing.T) (*serving.Loop, *telemetry.Center) {
 	t.Helper()
 	cfg := managerCfg(31)
 	cfg.MaxGenLen = 64
-	c, err := cluster.New(cluster.Config{
+	return clusterLoop(t, cluster.Config{
 		Instances: 4,
 		Engine:    cfg,
 		Policy:    cluster.PolicyDisaggAware,
 		Seed:      31,
 		Disagg:    &disagg.Config{PrefillInstances: 2, DecodeInstances: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := serving.NewLoop(c, serving.LoopConfig{})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		l.Shutdown(ctx)
-	})
-	return l
 }
 
 // A gateway completion against a disaggregated cluster splits into a
@@ -46,7 +34,7 @@ func disaggLoop(t *testing.T) *serving.Loop {
 // the shipment counters reach /metrics: the lane-labeled counter
 // families plus the per-pool load gauges.
 func TestMetricsExportDisaggSeries(t *testing.T) {
-	l := disaggLoop(t)
+	l, _ := disaggLoop(t)
 	srv := newTestServer(t, l)
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
@@ -99,14 +87,8 @@ func TestMetricsExportDisaggSeries(t *testing.T) {
 // shipment totals, per-lane traffic and the pool census — without
 // disturbing the snapshot's own keys.
 func TestDebugTelemetryDisaggSection(t *testing.T) {
-	l := disaggLoop(t)
-	tc := telemetry.New(telemetry.Config{SampleIntervalUs: 1e6})
-	g, err := New(Config{Loop: l, ModelName: "Llama3-8B", Telemetry: tc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g.Handler())
-	t.Cleanup(srv.Close)
+	l, tc := disaggLoop(t)
+	srv := newCenterServer(t, l, tc)
 
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 128, "max_tokens": 8}`))

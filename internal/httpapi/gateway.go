@@ -3,11 +3,12 @@
 // opens a Session on the loop and streams token progress back as
 // server-sent events (or returns one JSON body when stream is false);
 // client disconnects cancel the session, freeing its KV pages; /healthz
-// reports liveness and /metrics exports the serving counters in
-// Prometheus text format. The gateway holds no serving state of its own
-// — everything observable comes from Loop.Metrics, everything mutable
-// goes through Loop.Open, so the same handler fronts a single engine or
-// a whole cluster.
+// reports liveness and /metrics exports the serving counters and latency
+// histograms in Prometheus text format. The gateway holds no serving
+// state of its own — counters come from Loop.Metrics, latency from the
+// telemetry center the cluster feeds, and everything mutable goes
+// through Loop.Open — so the same handler fronts a one-instance cluster
+// or a whole fleet.
 package httpapi
 
 import (
@@ -54,9 +55,10 @@ type Config struct {
 	// trace download, live event tail) and the trace health metrics.
 	Trace *trace.Collector
 	// Telemetry, when non-nil, is the telemetry center the served
-	// cluster samples; it enables GET /debug/telemetry (JSON snapshot),
-	// GET /debug/telemetry/stream (SSE), and the histogram/saturation/
-	// SLO series on /metrics.
+	// cluster feeds (every Scenario.Build stack has one); it enables GET
+	// /debug/telemetry (JSON snapshot), GET /debug/telemetry/stream
+	// (SSE), the latency histogram, saturation and SLO series on
+	// /metrics, and the adaptive Retry-After hint.
 	Telemetry *telemetry.Center
 	// Pprof mounts net/http/pprof under /debug/pprof/ so CPU and heap
 	// profiles can be pulled while a load scenario runs. Gate it behind
@@ -182,10 +184,17 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // retryAfterHeader sizes the Retry-After hint from the live queue: a
 // client told to come back should not return while the backlog it was
-// shed over is still draining.
+// shed over is still draining. The mean end-to-end latency is the
+// telemetry center's (lifetime-exact: Sum/Count of its E2E histogram);
+// without a center the hint is the floor.
 func (g *Gateway) retryAfterHeader(m serving.LoopMetrics) string {
+	var meanE2E float64
+	if tc := g.cfg.Telemetry; tc != nil {
+		l := tc.LatencyHists()
+		meanE2E = l.E2E.Mean()
+	}
 	d := m.Driver
-	return strconv.Itoa(retryAfterHint(retryAfter, m.E2E.Mean, d.QueueDepth, d.InstancesUp))
+	return strconv.Itoa(retryAfterHint(retryAfter, meanE2E, d.QueueDepth, d.InstancesUp))
 }
 
 // retryAfterHint estimates queue-drain time in whole seconds: the mean

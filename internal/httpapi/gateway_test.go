@@ -18,6 +18,7 @@ import (
 	"diffkv/internal/serving"
 	"diffkv/internal/synth"
 	"diffkv/internal/telemetry"
+	"diffkv/internal/trace"
 	"diffkv/internal/workload"
 )
 
@@ -243,16 +244,19 @@ func TestDisconnectFreesPages(t *testing.T) {
 }
 
 // TestSaturated503: cluster admission shedding maps to HTTP 503 with a
-// Retry-After hint. The queue is pre-filled through the loop with
-// far-future requests the paced loop never admits, so the HTTP request
+// Retry-After hint sized from the telemetry center's mean end-to-end
+// latency. The queue is pre-filled through the loop with far-future
+// requests the paced loop never admits, so the HTTP request
 // deterministically finds every instance saturated.
 func TestSaturated503(t *testing.T) {
+	tc := telemetry.New(telemetry.Config{})
 	cfg := cluster.Config{
 		Instances: 1,
 		Engine:    traitsCfg(9),
 		Policy:    cluster.PolicyRoundRobin,
 		// admission bound of 1: a single queued request saturates
 		MaxQueueDepth: 1,
+		Telemetry:     tc,
 		Seed:          9,
 	}
 	c, err := cluster.New(cfg)
@@ -269,7 +273,11 @@ func TestSaturated503(t *testing.T) {
 		workload.Request{ArrivalUs: 600e6, PromptLen: 128, GenLen: 8}, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := newTestServer(t, l)
+	// two earlier completions with a mean end-to-end latency of 2.5 s:
+	// one queued request on one instance drains in ceil(2.5) = 3 s
+	tc.RecordCompletion(1, 0, 0.1, 0.01, 2, 8, trace.PhaseBreakdown{DecodeUs: 2e6})
+	tc.RecordCompletion(1, 0, 0.1, 0.01, 3, 8, trace.PhaseBreakdown{DecodeUs: 3e6})
+	srv := newCenterServer(t, l, tc)
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 64, "max_tokens": 8}`))
 	if err != nil {
@@ -279,8 +287,8 @@ func TestSaturated503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After %q, want \"1\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "3" {
+		t.Fatalf("Retry-After %q, want \"3\"", ra)
 	}
 	var eb errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
@@ -327,32 +335,33 @@ func TestNegativePrefixLen400(t *testing.T) {
 	}
 }
 
-// TestMetricsAndHealthz: /metrics exposes the TTFT/TPOT/goodput series
-// after a completion; /healthz flips to 503 once the loop drains.
+// TestMetricsAndHealthz: /metrics exposes the TTFT/TPOT histograms from
+// the telemetry center and the goodput series after a completion, and no
+// summary family; /healthz flips to 503 once the loop drains.
 func TestMetricsAndHealthz(t *testing.T) {
-	l := engineLoop(t, traitsCfg(11), serving.LoopConfig{})
-	srv := newTestServer(t, l)
+	l, tc := clusterLoop(t, cluster.Config{Engine: traitsCfg(11), Seed: 11})
+	srv := newCenterServer(t, l, tc)
 	if _, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 64, "max_tokens": 4}`)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := scrape(t, srv)
 	for _, want := range []string{
-		`diffkv_ttft_seconds{quantile="0.5"}`,
-		`diffkv_tpot_seconds{quantile="0.95"}`,
+		"# TYPE diffkv_ttft_seconds histogram",
+		`diffkv_ttft_seconds_bucket{le="+Inf"} 1`,
+		"diffkv_tpot_seconds_count 1",
+		"diffkv_phase_decode_seconds_count 1",
 		"diffkv_goodput_tokens_per_sec",
 		"diffkv_requests_completed_total 1",
 		"diffkv_preemptions_total",
 		"diffkv_up 1",
 	} {
-		if !strings.Contains(string(body), want) {
+		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, " summary\n") {
+		t.Fatalf("/metrics still carries a summary family:\n%s", body)
 	}
 
 	hz, err := http.Get(srv.URL + "/healthz")

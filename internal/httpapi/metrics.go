@@ -11,11 +11,14 @@ import (
 )
 
 // handleMetrics exports the loop and driver counters in Prometheus text
-// exposition format: the TTFT/TPOT/E2E latency distributions as
-// summaries, goodput/throughput as gauges, and the lifetime
-// request/preemption/offload counters. Everything derives from one
-// locked Loop.Metrics snapshot, so a scrape is consistent.
+// exposition format: goodput/throughput as gauges and the lifetime
+// request/preemption/offload counters, from one locked Loop.Metrics
+// snapshot, plus — when the gateway has a telemetry center — the
+// TTFT/TPOT/E2E and per-phase latency histograms and the saturation and
+// SLO gauges.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// Loop.Metrics first: it waits out a step in flight, so a completion
+	// any client has already seen is in the center before it is read
 	m := g.cfg.Loop.Metrics()
 	var b strings.Builder
 
@@ -39,14 +42,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	instCounter := func(name, help string, total float64, per func(serving.InstanceStats) float64) {
 		instMetric(name, help, "counter", total, per)
-	}
-	summary := func(name, help string, s serving.LatencyStats, count int) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s summary\n", name, help, name)
-		fmt.Fprintf(&b, "%s{quantile=\"0.5\"} %g\n", name, s.P50)
-		fmt.Fprintf(&b, "%s{quantile=\"0.95\"} %g\n", name, s.P95)
-		fmt.Fprintf(&b, "%s{quantile=\"0.99\"} %g\n", name, s.P99)
-		fmt.Fprintf(&b, "%s_sum %g\n", name, s.Mean*float64(count))
-		fmt.Fprintf(&b, "%s_count %d\n", name, count)
 	}
 
 	d := m.Driver
@@ -91,14 +86,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauge("diffkv_throughput_tokens_per_sec", "Generated tokens per simulated second.", d.ThroughputTokensPerSec)
 	gauge("diffkv_goodput_tokens_per_sec", "Completed requests' tokens per simulated second.", d.GoodputTokensPerSec)
-	summary("diffkv_ttft_seconds", "Time to first token (simulated seconds).", m.TTFT, m.Completed)
-	summary("diffkv_tpot_seconds", "Time per output token after the first (simulated seconds).", m.TPOT, m.Completed)
-	summary("diffkv_e2e_seconds", "Arrival-to-completion latency (simulated seconds).", m.E2E, m.Completed)
-	summary("diffkv_phase_queue_seconds", "Per-completion time spent queued before admission (simulated seconds).", m.Phases.Queue, m.Completed)
-	summary("diffkv_phase_prefill_seconds", "Per-completion time spent in the prompt phase (simulated seconds).", m.Phases.Prefill, m.Completed)
-	summary("diffkv_phase_decode_seconds", "Per-completion time spent generating tokens (simulated seconds).", m.Phases.Decode, m.Completed)
-	summary("diffkv_phase_stall_seconds", "Per-completion time lost to recompute preemptions, over preempted completions only (simulated seconds).", m.Phases.Stall, m.Phases.StallCount)
-	summary("diffkv_phase_swapped_seconds", "Per-completion time spent swapped out to the host tier, over swapped completions only (simulated seconds).", m.Phases.Swapped, m.Phases.SwappedCount)
 	if g.cfg.Trace != nil {
 		gauge("diffkv_trace_events_retained", "Trace events currently held in the collector ring.", float64(g.cfg.Trace.Retained()))
 		counter("diffkv_trace_dropped_total", "Trace events evicted by the collector ring.", float64(g.cfg.Trace.Dropped()))
@@ -175,13 +162,12 @@ func writeDisaggMetrics(b *strings.Builder, d serving.DriverStats) {
 // without inflating every scrape.
 const histStride = 5
 
-// writeTelemetryMetrics appends the telemetry-backed series: proper
-// cumulative latency histograms (the _hist suffix keeps them clear of
-// the summary families of the same base name, which Prometheus forbids
-// sharing; the summaries stay one release for compatibility), the
-// per-instance saturation headroom gauge, and the SLO burn-rate gauges.
+// writeTelemetryMetrics appends the telemetry-backed series: cumulative
+// latency histograms — request-level TTFT/TPOT/E2E and one per lifecycle
+// phase, whose six sums add up to the E2E sum — the per-instance
+// saturation headroom gauge, and the SLO burn-rate gauges.
 func (g *Gateway) writeTelemetryMetrics(b *strings.Builder, tc *telemetry.Center) {
-	hist := func(name, help string, h telemetry.Hist) {
+	hist := func(name, help string, h *telemetry.Hist) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 		for _, bc := range h.CumulativeBuckets(histStride) {
 			fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, bc.UpperSec, bc.Cumulative)
@@ -190,10 +176,16 @@ func (g *Gateway) writeTelemetryMetrics(b *strings.Builder, tc *telemetry.Center
 		fmt.Fprintf(b, "%s_sum %g\n", name, h.Sum())
 		fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
 	}
-	ttft, tpot, e2e := tc.LatencyHists()
-	hist("diffkv_ttft_seconds_hist", "Time to first token, cumulative histogram (simulated seconds; supersedes the diffkv_ttft_seconds summary).", ttft)
-	hist("diffkv_tpot_seconds_hist", "Time per output token after the first, cumulative histogram (simulated seconds; supersedes the diffkv_tpot_seconds summary).", tpot)
-	hist("diffkv_e2e_seconds_hist", "Arrival-to-completion latency, cumulative histogram (simulated seconds; supersedes the diffkv_e2e_seconds summary).", e2e)
+	l := tc.LatencyHists()
+	hist("diffkv_ttft_seconds", "Time to first token (simulated seconds).", &l.TTFT)
+	hist("diffkv_tpot_seconds", "Time per output token after the first, over multi-token completions (simulated seconds).", &l.TPOT)
+	hist("diffkv_e2e_seconds", "Arrival-to-completion latency (simulated seconds).", &l.E2E)
+	hist("diffkv_phase_queue_seconds", "Per-completion time spent queued before admission (simulated seconds).", &l.Queue)
+	hist("diffkv_phase_prefill_seconds", "Per-completion time spent in the prompt phase (simulated seconds).", &l.Prefill)
+	hist("diffkv_phase_xfer_seconds", "Per-completion time spent shipping KV prefill-to-decode, over shipped completions only (simulated seconds).", &l.Xfer)
+	hist("diffkv_phase_decode_seconds", "Per-completion time spent generating tokens (simulated seconds).", &l.Decode)
+	hist("diffkv_phase_stall_seconds", "Per-completion time lost to recompute preemptions, over preempted completions only (simulated seconds).", &l.Stall)
+	hist("diffkv_phase_swapped_seconds", "Per-completion time spent swapped out to the host tier, over swapped completions only (simulated seconds).", &l.Swapped)
 
 	snap := tc.Snapshot()
 	fmt.Fprintf(b, "# HELP diffkv_saturation_headroom Saturation headroom fraction, (capacity-demand)/capacity (unlabeled: cluster-wide; inst label: per instance).\n# TYPE diffkv_saturation_headroom gauge\n")

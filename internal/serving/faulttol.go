@@ -128,6 +128,9 @@ func (e *Engine) SwappedIDs() []int {
 // BrownoutAdmits counts admissions made at the all-low tier.
 func (e *Engine) BrownoutAdmits() int { return e.brownoutN }
 
+// LostKVBytes is the GPU KV footprint this engine's crashes destroyed.
+func (e *Engine) LostKVBytes() int64 { return e.lostKVBytes }
+
 // Readmit lands a crash orphan on this engine: the request joins the
 // pending queue with its original arrival time (honest latency), its
 // lifecycle half carries over whole — the open phase is queueing since

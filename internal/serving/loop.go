@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"diffkv/internal/gpusim"
-	"diffkv/internal/stats"
 	"diffkv/internal/workload"
 )
 
@@ -15,11 +14,12 @@ import (
 // loop finishes in-flight sessions but accepts no new work.
 var ErrLoopShutdown = errors.New("serving: loop shutting down")
 
-// Driver is the steppable surface Loop drives: a single Engine or a
-// cluster.Cluster (which embeds N engines behind a router). A Driver is
-// single-goroutine like the engines themselves — the Loop serializes all
-// access behind its own mutex, which is what makes Open safe to call from
-// many goroutines at once.
+// Driver is the steppable surface Loop drives. Every stack a scenario
+// builds drives a cluster.Cluster (one instance when the spec has no
+// cluster section); a bare Engine implements it too, for tests of the
+// Loop itself. A Driver is single-goroutine like the engines themselves —
+// the Loop serializes all access behind its own mutex, which is what
+// makes Open safe to call from many goroutines at once.
 type Driver interface {
 	// Open submits a request and returns its session handle (engine
 	// semantics; cluster drivers may return ErrAllSaturated-style
@@ -160,46 +160,9 @@ type LoopConfig struct {
 	TimeScale float64
 }
 
-// LatencyStats summarizes a latency distribution in seconds. Mean is
-// exact over the loop's lifetime; the quantiles are computed over the
-// most recent loopLatencyWindow completions, so an always-on server's
-// memory and scrape cost stay bounded.
-type LatencyStats = stats.LatencySummary
-
-// loopLatencyWindow bounds the per-distribution sample retention.
-const loopLatencyWindow = 16384
-
-// latencyAcc accumulates one latency distribution: an exact running
-// mean plus a ring of recent samples for quantiles.
-type latencyAcc struct {
-	ring  []float64
-	next  int
-	count int
-	sum   float64
-}
-
-func (a *latencyAcc) add(v float64) {
-	a.sum += v
-	a.count++
-	if len(a.ring) < loopLatencyWindow {
-		a.ring = append(a.ring, v)
-		return
-	}
-	a.ring[a.next] = v
-	a.next = (a.next + 1) % loopLatencyWindow
-}
-
-func (a *latencyAcc) stats() LatencyStats {
-	s := stats.SummarizeLatency(a.ring)
-	if a.count > 0 {
-		s.Mean = a.sum / float64(a.count) // lifetime-exact, not windowed
-	}
-	return s
-}
-
-// LoopMetrics snapshots a running loop for observability: loop-level
-// request latency distributions (accumulated from the completions the
-// loop observed) plus the driver's own counters.
+// LoopMetrics snapshots a running loop for observability: the loop's
+// own counters plus the driver's. Latency distributions live in the
+// telemetry center the cluster feeds, not here.
 type LoopMetrics struct {
 	// Opened / Completed count sessions through this loop. Steps counts
 	// executed scheduler iterations.
@@ -215,35 +178,17 @@ type LoopMetrics struct {
 	// driver error — see Err).
 	Draining bool
 	Stopped  bool
-	// TTFT / TPOT / E2E are per-completion latency distributions in
-	// seconds (TPOT per output token after the first).
-	TTFT, TPOT, E2E LatencyStats
-	// Phases breaks completed requests' end-to-end latency down by
-	// lifecycle phase (Completion.Phases aggregated across completions).
-	Phases PhaseLatencyStats
 	// Driver is the wrapped driver's counter snapshot.
 	Driver DriverStats
 }
 
-// PhaseLatencyStats aggregates the per-completion phase breakdowns into
-// one latency distribution per lifecycle phase, in seconds. Queue /
-// Prefill / Decode cover every completion; Stall / Swapped cover only
-// completions that were preempted into those phases (the counts say how
-// many), so their quantiles are not diluted by the zero time of
-// never-preempted requests.
-type PhaseLatencyStats struct {
-	Queue, Prefill, Decode LatencyStats
-	Stall, Swapped         LatencyStats
-	StallCount             int
-	SwappedCount           int
-}
-
-// Loop is the always-on driver of the serving API: it owns a Driver (an
-// Engine or a cluster) and its Step cadence in a background goroutine,
-// so callers interact only through goroutine-safe entry points — Open to
-// submit, Metrics to observe, Shutdown to drain and stop. Steps are
-// paced against simulated time when TimeScale is set; otherwise the loop
-// runs the simulation flat out and sleeps only when idle.
+// Loop is the always-on driver of the serving API: it owns a Driver (a
+// cluster, or a bare Engine in tests) and its Step cadence in a
+// background goroutine, so callers interact only through goroutine-safe
+// entry points — Open to submit, Metrics to observe, Shutdown to drain
+// and stop. Steps are paced against simulated time when TimeScale is set;
+// otherwise the loop runs the simulation flat out and sleeps only when
+// idle.
 //
 // Token callbacks attached via Open run on the loop goroutine while the
 // loop lock is held: they must not call back into the Loop (hand updates
@@ -260,14 +205,6 @@ type Loop struct {
 	opened    int
 	completed int
 	steps     int
-	ttft      latencyAcc
-	tpot      latencyAcc
-	e2e       latencyAcc
-	phQueue   latencyAcc
-	phPrefill latencyAcc
-	phDecode  latencyAcc
-	phStall   latencyAcc
-	phSwapped latencyAcc
 
 	start time.Time
 	// paceOrigin anchors TimeScale pacing: simulated time 0 maps to this
@@ -378,26 +315,14 @@ func (l *Loop) Metrics() LoopMetrics {
 		UptimeSeconds: time.Since(l.start).Seconds(),
 		Draining:      l.draining,
 		Stopped:       l.stopped,
-		TTFT:          l.ttft.stats(),
-		TPOT:          l.tpot.stats(),
-		E2E:           l.e2e.stats(),
-		Phases: PhaseLatencyStats{
-			Queue:        l.phQueue.stats(),
-			Prefill:      l.phPrefill.stats(),
-			Decode:       l.phDecode.stats(),
-			Stall:        l.phStall.stats(),
-			Swapped:      l.phSwapped.stats(),
-			StallCount:   l.phStall.count,
-			SwappedCount: l.phSwapped.count,
-		},
-		Driver: l.d.Stats(),
+		Driver:        l.d.Stats(),
 	}
 	m.SimSeconds = m.Driver.ClockUs / 1e6
 	return m
 }
 
 // run is the loop goroutine: wait for work, pace the next step against
-// simulated time, step, record completions. Step reaps cancelled
+// simulated time, step, count completions. Step reaps cancelled
 // sessions itself; the loop reaps explicitly only on the two paths that
 // execute no step (idle, pacing), so context cancellations are still
 // observed promptly there.
@@ -430,7 +355,7 @@ func (l *Loop) run() {
 		}
 		comps, err := l.d.Step()
 		l.steps++
-		l.record(comps)
+		l.completed += len(comps)
 		if err != nil {
 			l.failed = err
 			l.stopped = true
@@ -460,30 +385,6 @@ func (l *Loop) paceWait(t gpusim.Micros) time.Duration {
 		return 0
 	}
 	return wait
-}
-
-// record accumulates completion latencies (called with the lock held).
-func (l *Loop) record(comps []Completion) {
-	for _, cp := range comps {
-		l.completed++
-		ttft, tpot, e2e := cp.LatencySec()
-		l.ttft.add(ttft)
-		if cp.Req.GenLen > 0 {
-			l.tpot.add(tpot)
-		}
-		l.e2e.add(e2e)
-		l.phQueue.add(cp.Phases.QueueUs / 1e6)
-		l.phPrefill.add(cp.Phases.PrefillUs / 1e6)
-		l.phDecode.add(cp.Phases.DecodeUs / 1e6)
-		// preemption phases only for requests that hit them, so the
-		// distributions are not diluted by zeros
-		if cp.Phases.StallUs > 0 {
-			l.phStall.add(cp.Phases.StallUs / 1e6)
-		}
-		if cp.Phases.SwappedUs > 0 {
-			l.phSwapped.add(cp.Phases.SwappedUs / 1e6)
-		}
-	}
 }
 
 // sleep blocks for d or until the next wakeup, whichever is first.

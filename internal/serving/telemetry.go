@@ -14,6 +14,7 @@ func ObservationFromStats(ds DriverStats) telemetry.Observation {
 		InstancesUp:            ds.InstancesUp,
 		Completed:              int64(ds.Completed),
 		Rejected:               int64(ds.Rejected),
+		PerInstance:            make([]telemetry.InstanceObservation, 0, len(ds.PerInstance)),
 	}
 	for _, is := range ds.PerInstance {
 		// outstanding host-tier footprint: bytes swapped out minus bytes

@@ -10,10 +10,9 @@ import (
 // 100µs to 1000s — so histograms from different instances (or different
 // runs) merge by adding counts, and a merged quantile equals the
 // quantile of the merged stream up to one bucket of resolution (~12%
-// relative width). Compare with loop.latencyAcc, which keeps raw recent
-// samples: a Hist never forgets (counts are lifetime), costs O(1) per
-// observation, and its quantile error is bounded by layout, not by
-// window luck.
+// relative width). A Hist never forgets (counts are lifetime), costs
+// O(1) per observation, and its quantile error is bounded by layout, not
+// by which samples a window happened to keep.
 const (
 	// histMinSec is the lower edge of the first bucket; smaller
 	// observations land in the underflow bucket.

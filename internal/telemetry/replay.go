@@ -25,7 +25,7 @@ type replayInst struct {
 	swapInBytes  int64
 	preemptions  int64
 	health       string
-	lat          latencySet
+	lat          LatencySet
 }
 
 // reqState tracks one in-flight request keyed by (inst, seq).
@@ -105,9 +105,9 @@ func Replay(events []trace.Event) Snapshot {
 			completed++
 			if r := reqs[key]; r != nil {
 				e2e := (e.TimeUs - r.openUs) / 1e6
-				ri.lat.e2e.Add(e2e)
+				ri.lat.E2E.Add(e2e)
 				if r.hasTTFT {
-					ri.lat.ttft.Add((r.ttftUs - r.openUs) / 1e6)
+					ri.lat.TTFT.Add((r.ttftUs - r.openUs) / 1e6)
 				}
 				delete(reqs, key)
 			}
@@ -136,14 +136,15 @@ func Replay(events []trace.Event) Snapshot {
 	}
 	sort.Ints(keys)
 
-	var merged latencySet
+	var merged LatencySet
 	var queueTotal, runningTotal, up int
 	for _, k := range keys {
 		ri := insts[k]
-		// instance 0 rows come from single-engine runs (no WithInstance
-		// tag); keep them but skip empty bookkeeping-only entries
+		// instance 0 collects the cluster's own untagged events (rejects,
+		// cluster-wide alerts), which move no occupancy: skip every row
+		// with nothing to show
 		if ri.queue == 0 && ri.running == 0 && ri.swapped == 0 &&
-			ri.lat.e2e.Count() == 0 && ri.swapOutBytes == 0 && ri.preemptions == 0 {
+			ri.lat.E2E.Count() == 0 && ri.swapOutBytes == 0 && ri.preemptions == 0 {
 			continue
 		}
 		queueTotal += ri.queue
@@ -163,8 +164,8 @@ func Replay(events []trace.Event) Snapshot {
 			SwapInBytes:   ri.swapInBytes,
 			SwappedTokens: 0,
 			Latency: map[string]LatencySnapshot{
-				"ttft": ri.lat.ttft.snapshot(),
-				"e2e":  ri.lat.e2e.snapshot(),
+				"ttft": ri.lat.TTFT.snapshot(),
+				"e2e":  ri.lat.E2E.snapshot(),
 			},
 		}
 		merged.merge(&ri.lat)
@@ -179,8 +180,8 @@ func Replay(events []trace.Event) Snapshot {
 		Rejected:    rejected,
 	}
 	snap.Latency = map[string]LatencySnapshot{
-		"ttft": merged.ttft.snapshot(),
-		"e2e":  merged.e2e.snapshot(),
+		"ttft": merged.TTFT.snapshot(),
+		"e2e":  merged.E2E.snapshot(),
 	}
 	return snap
 }

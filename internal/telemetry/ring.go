@@ -72,17 +72,22 @@ func (s *Series) Slope(window int) float64 {
 	if n < 2 {
 		return 0
 	}
-	first := s.n - n
-	// shift times to the window start for numerical stability
-	t0, _ := s.At(first)
+	// walk the window oldest first, wrapping once instead of taking a
+	// modulus per sample; times shift to the window start for numerical
+	// stability
+	idx := (s.next - n + len(s.t)) % len(s.t)
+	t0 := s.t[idx]
 	var sumT, sumV, sumTT, sumTV float64
 	for i := 0; i < n; i++ {
-		t, v := s.At(first + i)
-		ts := (t - t0) / 1e6
+		ts := (s.t[idx] - t0) / 1e6
+		v := s.v[idx]
 		sumT += ts
 		sumV += v
 		sumTT += ts * ts
 		sumTV += ts * v
+		if idx++; idx == len(s.t) {
+			idx = 0
+		}
 	}
 	den := float64(n)*sumTT - sumT*sumT
 	if den == 0 {

@@ -132,11 +132,7 @@ func (c *Center) Snapshot() Snapshot {
 			row.HeadroomSpark = hs.Tail(sparkLen)
 		}
 		if ls := c.perInstLat[k]; ls != nil {
-			row.Latency = map[string]LatencySnapshot{
-				"ttft": ls.ttft.snapshot(),
-				"tpot": ls.tpot.snapshot(),
-				"e2e":  ls.e2e.snapshot(),
-			}
+			row.Latency = ls.snapshot()
 		}
 		snap.Instances = append(snap.Instances, row)
 	}
@@ -162,18 +158,8 @@ func (c *Center) Snapshot() Snapshot {
 		snap.Cluster.HeadroomSpark = hs.Tail(sparkLen)
 	}
 
-	// Merge in sorted instance order: Hist.Merge accumulates a float64
-	// sum, and float addition is not associative — a raw map walk would
-	// make the merged mean drift in the last bits between identical runs.
-	var merged latencySet
-	for _, k := range sortedLatKeys(c.perInstLat) {
-		merged.merge(c.perInstLat[k])
-	}
-	snap.Latency = map[string]LatencySnapshot{
-		"ttft": merged.ttft.snapshot(),
-		"tpot": merged.tpot.snapshot(),
-		"e2e":  merged.e2e.snapshot(),
-	}
+	merged := c.mergedLatencyLocked()
+	snap.Latency = merged.snapshot()
 
 	snap.SLOs = c.sloStatusesLocked()
 

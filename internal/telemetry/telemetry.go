@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"diffkv/internal/trace"
 )
@@ -122,15 +123,37 @@ type instSeries struct {
 	last          InstanceObservation
 }
 
-// latencySet groups the three latency histograms for one scope.
-type latencySet struct {
-	ttft, tpot, e2e Hist
+// LatencySet is one scope's completion latency histograms, in simulated
+// seconds: the request-level TTFT/TPOT/E2E distributions and one per
+// lifecycle phase (trace.PhaseBreakdown). TPOT skips single-token
+// generations; Xfer, Stall and Swapped hold only completions that spent
+// time in that phase, so their quantiles are not diluted by zeros. Every
+// completion lands in E2E and in each phase it spent time in, so the six
+// phase sums add up to the E2E sum.
+type LatencySet struct {
+	TTFT, TPOT, E2E                              Hist
+	Queue, Prefill, Xfer, Decode, Stall, Swapped Hist
 }
 
-func (l *latencySet) merge(o *latencySet) {
-	l.ttft.Merge(&o.ttft)
-	l.tpot.Merge(&o.tpot)
-	l.e2e.Merge(&o.e2e)
+func (l *LatencySet) merge(o *LatencySet) {
+	l.TTFT.Merge(&o.TTFT)
+	l.TPOT.Merge(&o.TPOT)
+	l.E2E.Merge(&o.E2E)
+	l.Queue.Merge(&o.Queue)
+	l.Prefill.Merge(&o.Prefill)
+	l.Xfer.Merge(&o.Xfer)
+	l.Decode.Merge(&o.Decode)
+	l.Stall.Merge(&o.Stall)
+	l.Swapped.Merge(&o.Swapped)
+}
+
+// snapshot summarizes the request-level histograms for JSON exposition.
+func (l *LatencySet) snapshot() map[string]LatencySnapshot {
+	return map[string]LatencySnapshot{
+		"ttft": l.TTFT.snapshot(),
+		"tpot": l.TPOT.snapshot(),
+		"e2e":  l.E2E.snapshot(),
+	}
 }
 
 // Center is the telemetry aggregation point. One Center serves one run;
@@ -140,7 +163,10 @@ type Center struct {
 	mu  sync.Mutex
 	cfg Config
 
-	nextSampleUs float64
+	// nextSampleUs holds the float64 bits of the next due sample time,
+	// stored by Sample. Due loads it without taking mu, because the
+	// cluster asks on every step and almost every answer is no.
+	nextSampleUs atomic.Uint64
 	lastObs      Observation
 
 	inst    map[int]*instSeries
@@ -150,7 +176,7 @@ type Center struct {
 	analyzer *Analyzer
 	slo      *sloEval
 
-	perInstLat map[int]*latencySet
+	perInstLat map[int]*LatencySet
 
 	avgPrompt ewma
 	avgGen    ewma
@@ -179,7 +205,7 @@ func New(cfg Config) *Center {
 		tput:       NewSeries(cfg.SeriesCapacity),
 		analyzer:   NewAnalyzer(cfg.Saturation, cfg.SeriesCapacity),
 		slo:        newSLOEval(cfg.SLOs),
-		perInstLat: map[int]*latencySet{},
+		perInstLat: map[int]*LatencySet{},
 		satByKey:   map[int]SatSample{},
 	}
 }
@@ -188,9 +214,7 @@ func New(cfg Config) *Center {
 // this between steps and, when true, build an Observation and Sample it
 // — keeping the expensive stats walk off the common path.
 func (c *Center) Due(nowUs float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return nowUs >= c.nextSampleUs
+	return nowUs >= math.Float64frombits(c.nextSampleUs.Load())
 }
 
 // RecordOpen notes an accepted request's prompt length; the EWMA feeds
@@ -202,24 +226,36 @@ func (c *Center) RecordOpen(promptTokens int) {
 	c.avgPrompt.add(float64(promptTokens))
 }
 
-// RecordCompletion folds one finished request's latencies into the
-// per-instance histograms and the SLO completion window. tpotSec may be
-// 0 for single-token generations.
-func (c *Center) RecordCompletion(inst int, nowUs, ttftSec, tpotSec, e2eSec float64, genTokens int) {
+// RecordCompletion folds one finished request's latencies and its
+// lifecycle phase breakdown into the per-instance histograms and the SLO
+// completion window. tpotSec may be 0 for single-token generations.
+func (c *Center) RecordCompletion(inst int, nowUs, ttftSec, tpotSec, e2eSec float64, genTokens int, ph trace.PhaseBreakdown) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.completions++
 	c.avgGen.add(float64(genTokens))
 	ls := c.perInstLat[inst]
 	if ls == nil {
-		ls = &latencySet{}
+		ls = &LatencySet{}
 		c.perInstLat[inst] = ls
 	}
-	ls.ttft.Add(ttftSec)
+	ls.TTFT.Add(ttftSec)
 	if tpotSec > 0 {
-		ls.tpot.Add(tpotSec)
+		ls.TPOT.Add(tpotSec)
 	}
-	ls.e2e.Add(e2eSec)
+	ls.E2E.Add(e2eSec)
+	ls.Queue.Add(ph.QueueUs / 1e6)
+	ls.Prefill.Add(ph.PrefillUs / 1e6)
+	ls.Decode.Add(ph.DecodeUs / 1e6)
+	if ph.XferUs > 0 {
+		ls.Xfer.Add(ph.XferUs / 1e6)
+	}
+	if ph.StallUs > 0 {
+		ls.Stall.Add(ph.StallUs / 1e6)
+	}
+	if ph.SwappedUs > 0 {
+		ls.Swapped.Add(ph.SwappedUs / 1e6)
+	}
 	c.slo.recordCompletion(nowUs, ttftSec, tpotSec, e2eSec)
 }
 
@@ -233,7 +269,7 @@ func (c *Center) Sample(obs Observation) {
 
 	c.samples++
 	c.lastObs = obs
-	c.nextSampleUs = obs.TimeUs + c.cfg.SampleIntervalUs
+	c.nextSampleUs.Store(math.Float64bits(obs.TimeUs + c.cfg.SampleIntervalUs))
 
 	c.goodput.Add(obs.TimeUs, obs.GoodputTokensPerSec)
 	c.tput.Add(obs.TimeUs, obs.ThroughputTokensPerSec)
@@ -317,30 +353,31 @@ func (c *Center) pushAlert(a Alert) {
 	c.alertsStart = (c.alertsStart + 1) % alertRingCap
 }
 
-// LatencyHists returns merged cluster-wide copies of the TTFT/TPOT/E2E
+// LatencyHists returns a merged cluster-wide copy of the latency
 // histograms — merge-of-per-instance, which is exact because every Hist
-// shares the bucket layout. The metrics endpoint exposes these.
-func (c *Center) LatencyHists() (ttft, tpot, e2e Hist) {
+// shares the bucket layout. The metrics endpoint exposes these, and the
+// gateway's Retry-After hint reads its mean E2E from them.
+func (c *Center) LatencyHists() LatencySet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Sorted instance order keeps the merged float sums bit-identical
-	// between runs (same reason as Center.Snapshot's merge).
-	var m latencySet
-	for _, k := range sortedLatKeys(c.perInstLat) {
-		m.merge(c.perInstLat[k])
-	}
-	return m.ttft, m.tpot, m.e2e
+	return c.mergedLatencyLocked()
 }
 
-// sortedLatKeys returns the per-instance latency map's keys in
-// ascending order, pinning every merge walk to one order.
-func sortedLatKeys(m map[int]*latencySet) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
+// mergedLatencyLocked merges the per-instance sets in ascending instance
+// order: Hist.Merge accumulates a float64 sum, and float addition is not
+// associative — a raw map walk would make the merged sums drift in the
+// last bits between identical runs. Caller holds mu.
+func (c *Center) mergedLatencyLocked() LatencySet {
+	keys := make([]int, 0, len(c.perInstLat))
+	for k := range c.perInstLat {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	return keys
+	var m LatencySet
+	for _, k := range keys {
+		m.merge(c.perInstLat[k])
+	}
+	return m
 }
 
 // SLOStatuses re-evaluates the objectives at the last sample instant

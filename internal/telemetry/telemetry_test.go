@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -109,15 +110,32 @@ func TestCenterQueuedDemand(t *testing.T) {
 // into the cluster-wide histograms.
 func TestCenterCompletionLatency(t *testing.T) {
 	c := New(Config{})
-	c.RecordCompletion(1, 1e6, 0.1, 0.01, 1.0, 64)
-	c.RecordCompletion(2, 2e6, 0.3, 0.02, 2.0, 64)
-	c.RecordCompletion(2, 3e6, 0.2, 0, 1.5, 1) // single-token: no TPOT
-	ttft, tpot, e2e := c.LatencyHists()
-	if ttft.Count() != 3 || e2e.Count() != 3 {
-		t.Fatalf("ttft/e2e counts = %d/%d, want 3/3", ttft.Count(), e2e.Count())
+	c.RecordCompletion(1, 1e6, 0.1, 0.01, 1.0, 64, trace.PhaseBreakdown{QueueUs: 2e5, PrefillUs: 1e5, DecodeUs: 7e5})
+	c.RecordCompletion(2, 2e6, 0.3, 0.02, 2.0, 64, trace.PhaseBreakdown{PrefillUs: 3e5, DecodeUs: 1.2e6, StallUs: 5e5})
+	c.RecordCompletion(2, 3e6, 0.2, 0, 1.5, 1, trace.PhaseBreakdown{PrefillUs: 2e5, XferUs: 3e5, DecodeUs: 1e6}) // single-token: no TPOT
+	l := c.LatencyHists()
+	if l.TTFT.Count() != 3 || l.E2E.Count() != 3 {
+		t.Fatalf("ttft/e2e counts = %d/%d, want 3/3", l.TTFT.Count(), l.E2E.Count())
 	}
-	if tpot.Count() != 2 {
-		t.Fatalf("tpot count = %d, want 2 (zero TPOT skipped)", tpot.Count())
+	if l.TPOT.Count() != 2 {
+		t.Fatalf("tpot count = %d, want 2 (zero TPOT skipped)", l.TPOT.Count())
+	}
+	// queue/prefill/decode hold every completion; the other phases only
+	// the completions that spent time in them
+	for name, want := range map[string]struct {
+		h *Hist
+		n int64
+	}{
+		"queue": {&l.Queue, 3}, "prefill": {&l.Prefill, 3}, "decode": {&l.Decode, 3},
+		"xfer": {&l.Xfer, 1}, "stall": {&l.Stall, 1}, "swapped": {&l.Swapped, 0},
+	} {
+		if got := want.h.Count(); got != want.n {
+			t.Fatalf("%s count = %d, want %d", name, got, want.n)
+		}
+	}
+	phases := l.Queue.Sum() + l.Prefill.Sum() + l.Xfer.Sum() + l.Decode.Sum() + l.Stall.Sum() + l.Swapped.Sum()
+	if math.Abs(phases-l.E2E.Sum()) > 1e-9 {
+		t.Fatalf("phase sums %g != e2e sum %g", phases, l.E2E.Sum())
 	}
 	snap := c.Snapshot()
 	if snap.Latency["ttft"].Count != 3 {
@@ -135,7 +153,7 @@ func TestCenterSLOAlert(t *testing.T) {
 	})
 	for i := 0; i < 20; i++ {
 		now := float64(i) * 1e6
-		c.RecordCompletion(1, now, 0.9, 0.01, 1.2, 32)
+		c.RecordCompletion(1, now, 0.9, 0.01, 1.2, 32, trace.PhaseBreakdown{})
 		c.Sample(obsAt(now, 0, 100))
 	}
 	var burn bool

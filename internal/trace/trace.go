@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -117,8 +118,7 @@ type Collector struct {
 	start   int
 	dropped int
 	cap     int
-	subs    map[int]chan Event
-	subNext int
+	subs    []chan Event // live taps in subscription order
 }
 
 // NewCollector creates a collector holding at most capacity events
@@ -134,7 +134,6 @@ func NewCollector(capacity int) *Collector {
 func (c *Collector) Emit(e Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//diffkv:allow maprange -- best-effort fan-out: every subscriber gets the same event; inter-subscriber order is unobservable
 	for _, ch := range c.subs {
 		select {
 		case ch <- e:
@@ -162,18 +161,13 @@ func (c *Collector) Subscribe(buf int) (<-chan Event, func()) {
 	}
 	ch := make(chan Event, buf)
 	c.mu.Lock()
-	if c.subs == nil {
-		c.subs = make(map[int]chan Event)
-	}
-	id := c.subNext
-	c.subNext++
-	c.subs[id] = ch
+	c.subs = append(c.subs, ch)
 	c.mu.Unlock()
 	return ch, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if _, ok := c.subs[id]; ok {
-			delete(c.subs, id)
+		if i := slices.Index(c.subs, ch); i >= 0 {
+			c.subs = slices.Delete(c.subs, i, i+1)
 			close(ch)
 		}
 	}

@@ -131,6 +131,37 @@ func TestCollectorSubscribe(t *testing.T) {
 	cancel() // idempotent
 }
 
+// Cancelling one of three taps leaves the other two receiving every
+// later event, in emission order, while another goroutine emits.
+func TestCollectorCancelMiddleTap(t *testing.T) {
+	const n = 200
+	c := NewCollector(0)
+	first, cancelFirst := c.Subscribe(n)
+	defer cancelFirst()
+	middle, cancelMiddle := c.Subscribe(n)
+	last, cancelLast := c.Subscribe(n)
+	defer cancelLast()
+	cancelMiddle()
+	if _, ok := <-middle; ok {
+		t.Fatal("cancelled tap still open")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			c.Emit(Event{Kind: KindGenStep, Seq: i})
+		}
+	}()
+	for name, ch := range map[string]<-chan Event{"first": first, "last": last} {
+		for i := 0; i < n; i++ {
+			if e := <-ch; e.Seq != i {
+				t.Fatalf("%s tap: event %d has seq %d", name, i, e.Seq)
+			}
+		}
+	}
+	<-done
+}
+
 // A subscriber that never drains must not block Emit.
 func TestCollectorSubscribeSlowConsumer(t *testing.T) {
 	c := NewCollector(100)

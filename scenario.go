@@ -171,10 +171,11 @@ type GatewaySpec struct {
 	DrainTimeoutSec float64 `json:"drain_timeout_sec,omitempty"`
 }
 
-// ObservabilitySpec turns on the trace pipeline for a scenario: the
+// ObservabilitySpec turns on the trace pipeline for a scenario — the
 // serving stack emits lifecycle events into a bounded collector, from
 // which the gateway's /debug routes serve span trees and Perfetto
-// downloads and the trace CLI computes phase-attributed latency.
+// downloads and the trace CLI computes phase-attributed latency — and
+// tunes the telemetry center every stack owns.
 type ObservabilitySpec struct {
 	// TraceEvents caps the collector ring (default 65536; the oldest
 	// events are dropped beyond it and counted in
@@ -204,15 +205,10 @@ type ObservabilitySpec struct {
 	Saturation *SaturationConfig `json:"saturation,omitempty"`
 }
 
-// Telemetry reports whether the spec asks for the telemetry center (an
-// SLO section, a saturation section, or an explicit cadence).
-func (o *ObservabilitySpec) Telemetry() bool {
-	return o != nil && (len(o.SLOs) > 0 || o.Saturation != nil || o.SampleIntervalMs > 0)
-}
-
 // TelemetryConfig translates the observability section into a telemetry
-// center configuration. tr (usually the scenario's trace collector)
-// receives the alert events; nil keeps alerts snapshot-only.
+// center configuration; a nil section takes every default. tr (usually
+// the scenario's trace collector) receives the alert events; nil keeps
+// alerts snapshot-only.
 func (o *ObservabilitySpec) TelemetryConfig(tr Tracer) TelemetryConfig {
 	cfg := TelemetryConfig{Tracer: tr}
 	if o == nil {
@@ -284,10 +280,11 @@ type Scenario struct {
 	// gateway binary falls back to its flag defaults; the library Build
 	// path ignores it.
 	Gateway *GatewaySpec `json:"gateway,omitempty"`
-	// Observability enables request-lifecycle tracing: diffkv-gateway
-	// builds a collector sized by it, wires it as the Tracer, and serves
-	// the /debug routes when Debug is set. The library Build path leaves
-	// collector construction to the caller (set Tracer directly).
+	// Observability enables request-lifecycle tracing and tunes the
+	// stack's telemetry center: diffkv-gateway builds a collector sized
+	// by it, wires it as the Tracer, and serves the /debug routes when
+	// Debug is set. The library Build path leaves collector construction
+	// to the caller (set Tracer directly).
 	Observability *ObservabilitySpec `json:"observability,omitempty"`
 	Seed          uint64             `json:"seed,omitempty"`
 	// Tracer, when non-nil, receives the built stack's cluster and engine
@@ -312,10 +309,9 @@ type Stack struct {
 	// step a single engine by hand. Driving it and Cluster both on one
 	// stack is undefined.
 	Server *Server
-	// Telemetry is the telemetry center Build created when the
-	// observability section asked for one (SLOs, saturation tuning, or an
-	// explicit cadence), attached at the cluster: the one layer that
-	// samples into it.
+	// Telemetry is the stack's telemetry center, never nil: Build always
+	// creates one, tuned by the observability section when there is one,
+	// and attaches it at the cluster — the one layer that feeds it.
 	Telemetry *TelemetryCenter
 }
 
@@ -467,10 +463,8 @@ func (s Scenario) Build() (*Stack, error) {
 	}
 
 	cc := clusterConfig(s, ec)
-	if o := s.Observability; o.Telemetry() {
-		st.Telemetry = NewTelemetryCenter(o.TelemetryConfig(s.Tracer))
-		cc.Telemetry = st.Telemetry
-	}
+	st.Telemetry = NewTelemetryCenter(s.Observability.TelemetryConfig(s.Tracer))
+	cc.Telemetry = st.Telemetry
 	if st.Cluster, err = NewClusterServer(cc); err != nil {
 		return nil, err
 	}

@@ -351,6 +351,14 @@ func TestScenarioBuildShapes(t *testing.T) {
 	if m.Completed != 4 {
 		t.Fatalf("completed %d", m.Completed)
 	}
+	// a spec without an observability section still owns a telemetry
+	// center, fed by the cluster
+	if st.Telemetry == nil {
+		t.Fatal("Build must always attach a telemetry center")
+	}
+	if l := st.Telemetry.LatencyHists(); l.E2E.Count() != 4 || l.Decode.Count() != 4 {
+		t.Fatalf("telemetry center recorded %d e2e / %d decode latencies, want 4", l.E2E.Count(), l.Decode.Count())
+	}
 
 	// a second Build is a fresh stack (servers serve one run)
 	st2, err := single.Build()

@@ -3,8 +3,10 @@
 # spec, stream one completion over SSE, walk the /debug trace pipeline
 # (span tree, Perfetto download, offline diffkv-trace analysis), scrape
 # /metrics for the serving series, then shut down cleanly via SIGINT
-# (graceful drain). Run from the repository root; CI runs this after
-# the unit tests.
+# (graceful drain); then boot once more in flag mode with no
+# observability section and check the latency histograms and the
+# telemetry snapshot are still served. Run from the repository root; CI
+# runs this after the unit tests.
 set -euo pipefail
 
 ADDR="${GATEWAY_ADDR:-127.0.0.1:8178}"
@@ -56,18 +58,22 @@ grep -q 'completed' "$TMP/trace_report.txt"
 
 # the serving series an operator scrapes
 METRICS="$(curl -fsS "http://$ADDR/metrics")"
-printf '%s\n' "$METRICS" | grep 'diffkv_ttft_seconds{quantile="0.5"}'
-printf '%s\n' "$METRICS" | grep 'diffkv_tpot_seconds{quantile="0.95"}'
+printf '%s\n' "$METRICS" | grep 'diffkv_ttft_seconds_bucket{le="+Inf"} 2'
+printf '%s\n' "$METRICS" | grep '^diffkv_tpot_seconds_count '
 printf '%s\n' "$METRICS" | grep 'diffkv_goodput_tokens_per_sec'
 printf '%s\n' "$METRICS" | grep -q '^diffkv_requests_completed_total 2'
 # trace health and per-instance labeled gauges
 printf '%s\n' "$METRICS" | grep '^diffkv_trace_events_retained '
 printf '%s\n' "$METRICS" | grep '^diffkv_trace_dropped_total '
 printf '%s\n' "$METRICS" | grep 'diffkv_queue_depth{inst="1"}'
-printf '%s\n' "$METRICS" | grep 'diffkv_phase_decode_seconds{quantile="0.5"}'
-# telemetry exposition: cumulative histograms, saturation and SLO gauges
-printf '%s\n' "$METRICS" | grep 'diffkv_ttft_seconds_hist_bucket{le="+Inf"}'
-printf '%s\n' "$METRICS" | grep '^diffkv_ttft_seconds_hist_count '
+printf '%s\n' "$METRICS" | grep '^diffkv_phase_decode_seconds_count 2'
+printf '%s\n' "$METRICS" | grep '^diffkv_phase_xfer_seconds_count '
+# latency is histograms only: no summary family remains
+if printf '%s\n' "$METRICS" | grep -q '^# TYPE .* summary$'; then
+  echo "gateway smoke: /metrics still carries a summary family" >&2
+  exit 1
+fi
+# telemetry exposition: saturation and SLO gauges
 printf '%s\n' "$METRICS" | grep '^diffkv_saturation_headroom '
 printf '%s\n' "$METRICS" | grep 'diffkv_saturation_headroom{inst="1"}'
 printf '%s\n' "$METRICS" | grep 'diffkv_slo_burn_rate{metric="ttft",window="fast"}'
@@ -101,6 +107,25 @@ grep -q 'slo' "$TMP/top.txt"
 grep -q 'offline replay' "$TMP/top_offline.txt"
 
 # clean shutdown: SIGINT drains and the process exits 0
+kill -INT "$PID"
+wait "$PID"
+
+# flag mode, no observability section and no -debug: every stack owns a
+# telemetry center, so /metrics still carries the latency histograms
+# and /debug/telemetry still answers
+"$TMP/diffkv-gateway" -method vLLM -maxgen 64 -listen "$ADDR" &
+PID=$!
+for _ in $(seq 1 50); do
+  curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
+  sleep 0.2
+done
+curl -fsS --max-time 60 -d '{"prompt": "flag mode", "max_tokens": 4}' \
+  "http://$ADDR/v1/completions" >/dev/null
+METRICS="$(curl -fsS "http://$ADDR/metrics")"
+printf '%s\n' "$METRICS" | grep 'diffkv_ttft_seconds_bucket{le="+Inf"} 1'
+printf '%s\n' "$METRICS" | grep '^diffkv_e2e_seconds_count 1'
+TEL="$(curl -fsS "http://$ADDR/debug/telemetry")"
+printf '%s\n' "$TEL" | grep -q '"cluster"'
 kill -INT "$PID"
 wait "$PID"
 trap 'rm -rf "$TMP"' EXIT
