@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"diffkv"
+	"diffkv/internal/offload"
 )
 
 // parseDisagg parses the -disagg value "P:D" into pool sizes.
@@ -60,7 +61,7 @@ func main() {
 		maxQueue     = flag.Int("maxqueue", 128, "admission bound: per-instance queue depth (0 = never shed)")
 		maxGen       = flag.Int("maxgen", 256, "generation limit")
 		memFrac      = flag.Float64("memfrac", 0.3, "DiffKV resident memory fraction")
-		preempt      = flag.String("preempt", "recompute", "preemption recovery policy")
+		preempt      = flag.String("preempt", "recompute", "preemption recovery policy: "+strings.Join(offload.Policies(), ", "))
 		hostGB       = flag.Float64("hostmem", 0, "per-instance host offload tier in GiB (0 disables)")
 		reserve      = flag.Float64("reserve", 0, "memory reserve fraction (0 = default; raise to oversubscribe KV)")
 		ttftSLO      = flag.Float64("ttft-slo", 2.0, "TTFT SLO (seconds) for goodput")

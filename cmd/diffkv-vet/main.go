@@ -6,9 +6,9 @@
 //	diffkv-vet -list          # describe the checks
 //
 // Besides the per-package checks, ./... runs deadcode: every top-level
-// func, method, type and var under internal/ must be reachable from a
-// declaration outside it (the root package, cmd/, examples/scenario,
-// benchmark/), from main or init, or from a package-level var
+// func, method, type and var in the root package or under internal/ must
+// be reachable from a declaration in cmd/, examples/scenario or
+// benchmark/, from main or init, or from a package-level var
 // initialiser; test files are not callers. Constants, struct fields and
 // the methods a live type uses to implement an interface (by method
 // set) are never reported. It needs the whole module typed, so

@@ -33,7 +33,6 @@ import (
 	"diffkv/internal/experiments"
 	"diffkv/internal/faults"
 	"diffkv/internal/gpusim"
-	"diffkv/internal/offload"
 	"diffkv/internal/policy"
 	"diffkv/internal/quant"
 	"diffkv/internal/serving"
@@ -65,9 +64,6 @@ var Models = synth.Models
 // ModelByName looks a model up by display name (e.g. "Llama3-8B").
 func ModelByName(name string) (*Model, error) { return synth.ModelByName(name) }
 
-// Precision is a differentiated key/value bit-width configuration.
-type Precision = quant.Precision
-
 // Standard precision tiers.
 var (
 	FP16 = quant.FP16
@@ -93,10 +89,6 @@ type EngineConfig = core.Config
 // RunSequence runs a sequence's sampled heads on up to GOMAXPROCS
 // goroutines; its result is the same for every GOMAXPROCS.
 type Engine = core.Engine
-
-// SequenceResult reports one sequence's fidelity, memory fraction and
-// tier breakdown.
-type SequenceResult = core.SequenceResult
 
 // NewEngine builds a compression engine.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return core.NewEngine(cfg) }
@@ -145,11 +137,6 @@ func NewCluster(d *Device, n int) *gpusim.Cluster { return gpusim.NewCluster(d, 
 // Request is one serving request.
 type Request = workload.Request
 
-// NewRequestGen samples serving requests from a benchmark profile.
-func NewRequestGen(b *Benchmark, maxGenLen int, seed uint64) *workload.RequestGen {
-	return workload.NewRequestGen(b, maxGenLen, seed)
-}
-
 // ServingTraits describe how a compression method behaves inside the
 // serving engine (resident memory, attention bytes, host overheads).
 type ServingTraits = baselines.ServingTraits
@@ -194,9 +181,6 @@ func RunExperiment(id string, o ExperimentOpts) ([]*ResultTable, error) {
 	return experiments.Run(id, o)
 }
 
-// ExperimentIDs lists the available experiment IDs.
-func ExperimentIDs() []string { return experiments.IDs() }
-
 // ClusterServerConfig parameterizes the multi-instance cluster simulator:
 // N serving engines behind a router with a pluggable routing policy,
 // admission control and SLO accounting.
@@ -205,29 +189,11 @@ type ClusterServerConfig = cluster.Config
 // ClusterServer runs N serving instances behind a router.
 type ClusterServer = cluster.Cluster
 
-// ClusterMetrics aggregates one cluster run: TTFT/TPOT/E2E percentiles,
-// goodput, per-instance utilization and load imbalance.
-type ClusterMetrics = cluster.Metrics
-
 // DisaggPools sizes the prefill and decode pools of a disaggregated
 // cluster (ClusterServerConfig.Disagg): instances [0, Prefill) run
 // prompt passes, the next Decode instances adopt shipped prefills, any
 // remainder serves mixed.
 type DisaggPools = disagg.Config
-
-// DisaggMetrics summarizes a disaggregated run's cross-instance KV
-// shipments (ClusterMetrics.Disagg; nil without disaggregation).
-type DisaggMetrics = cluster.DisaggMetrics
-
-// InstanceRole tags a serving instance's disaggregation pool.
-type InstanceRole = disagg.Role
-
-// Instance pool roles of a disaggregated cluster.
-const (
-	RolePrefill = disagg.RolePrefill
-	RoleDecode  = disagg.RoleDecode
-	RoleMixed   = disagg.RoleMixed
-)
 
 // RoutingPolicy picks a target instance for each request from routable
 // instance snapshots. Implementations must be deterministic.
@@ -262,44 +228,6 @@ func NewClusterServer(cfg ClusterServerConfig) (*ClusterServer, error) {
 // returned by the steppable Server API (Server.Step).
 type ServingCompletion = serving.Completion
 
-// PreemptRecoveryPolicy picks the victim and recovery action when a
-// serving step runs out of KV pages. Implementations must be
-// deterministic.
-type PreemptRecoveryPolicy = offload.RecoveryPolicy
-
-// PreemptVictim describes one preemption candidate to a recovery policy.
-type PreemptVictim = offload.Victim
-
-// PreemptRecovery is the recovery action of a preemption policy.
-type PreemptRecovery = offload.Recovery
-
-// Recovery actions a custom PreemptRecoveryPolicy can return.
-const (
-	RecoverRecompute    = offload.RecoverRecompute
-	RecoverSwap         = offload.RecoverSwap
-	RecoverCompressSwap = offload.RecoverCompressSwap
-)
-
-// PreemptPolicyFactory builds a fresh recovery policy instance per
-// serving engine.
-type PreemptPolicyFactory = offload.PolicyFactory
-
-// RegisterPreemptPolicy adds a preemption recovery policy factory under
-// name; the name becomes valid in ServerConfig.PreemptPolicy and
-// Scenario specs.
-func RegisterPreemptPolicy(name string, f PreemptPolicyFactory) error {
-	return offload.RegisterPolicy(name, f)
-}
-
-// PreemptPolicies lists registered preemption recovery policy names —
-// builtins followed by third-party registrations, derived from the
-// registry.
-func PreemptPolicies() []string { return offload.Policies() }
-
-// OffloadMetrics snapshots host-tier activity (swap bytes each way,
-// thrashing, prefix spillover hits), reported in ServingResult.Offload.
-type OffloadMetrics = offload.Metrics
-
 // PrefixConfig parameterizes shared-prompt-prefix sampling
 // (RequestGen.NextShared / PoissonShared): production traffic concentrates
 // on a few system prompts, which prefix-affinity routing exploits.
@@ -317,68 +245,6 @@ type TraceCollector = trace.Collector
 // NewTraceCollector creates a collector holding at most capacity events
 // (<=0 selects the default, 65536).
 func NewTraceCollector(capacity int) *TraceCollector { return trace.NewCollector(capacity) }
-
-// TraceEvent is one traced occurrence (see the trace package's Kind
-// constants for the event vocabulary).
-type TraceEvent = trace.Event
-
-// TraceKind classifies a TraceEvent.
-type TraceKind = trace.Kind
-
-// The trace event vocabulary, re-exported so event streams can be
-// filtered without importing the internal trace package.
-const (
-	TraceKindOpen          = trace.KindOpen
-	TraceKindAdmit         = trace.KindAdmit
-	TraceKindFirstToken    = trace.KindFirstToken
-	TraceKindPromptStep    = trace.KindPromptStep
-	TraceKindGenStep       = trace.KindGenStep
-	TraceKindPreempt       = trace.KindPreempt
-	TraceKindSwapOut       = trace.KindSwapOut
-	TraceKindSwapIn        = trace.KindSwapIn
-	TraceKindHostPrefixHit = trace.KindHostPrefixHit
-	TraceKindComplete      = trace.KindComplete
-	TraceKindCancel        = trace.KindCancel
-	TraceKindDispatch      = trace.KindDispatch
-	TraceKindReject        = trace.KindReject
-	TraceKindHealth        = trace.KindHealth
-	TraceKindRetry         = trace.KindRetry
-	TraceKindRecover       = trace.KindRecover
-	TraceKindFail          = trace.KindFail
-	TraceKindAlert         = trace.KindAlert
-)
-
-// TracePhase classifies where a request's lifecycle time is spent; the
-// phase constants cover queue, prefill, decode and the preemption
-// phases stall / swapped.
-type TracePhase = trace.Phase
-
-// Lifecycle phases of PhaseBreakdown (exactly one is active at any
-// instant of a request's life).
-const (
-	PhaseQueue   = trace.PhaseQueue
-	PhasePrefill = trace.PhasePrefill
-	PhaseDecode  = trace.PhaseDecode
-	PhaseStall   = trace.PhaseStall
-	PhaseSwapped = trace.PhaseSwapped
-)
-
-// PhaseBreakdown attributes a request's end-to-end latency across
-// lifecycle phases; its buckets sum to completion minus arrival.
-type PhaseBreakdown = trace.PhaseBreakdown
-
-// TraceSpan is one node of a request's reconstructed span tree.
-type TraceSpan = trace.Span
-
-// TraceRequestSpans is the reconstructed lifecycle of one request: its
-// root span plus the phase-attributed latency breakdown.
-type TraceRequestSpans = trace.RequestSpans
-
-// BuildRequestSpans regroups a trace event stream into one span tree
-// per request (see trace.BuildRequestSpans).
-func BuildRequestSpans(events []TraceEvent) []*TraceRequestSpans {
-	return trace.BuildRequestSpans(events)
-}
 
 // Session is a per-request streaming handle over the serving engine:
 // Server.Open (or ClusterServer.Open) submits the request and returns
@@ -420,17 +286,6 @@ type FaultCrash = faults.Crash
 // the instance keeps serving with its step time multiplied by Factor.
 type FaultSlowdown = faults.Slowdown
 
-// InstanceHealthState is an instance's fault-injection health as
-// reported by cluster metrics and the gateway's /healthz.
-type InstanceHealthState = cluster.Health
-
-// Instance health states under fault injection.
-const (
-	InstanceHealthy  = cluster.Healthy
-	InstanceDegraded = cluster.Degraded
-	InstanceDown     = cluster.Down
-)
-
 // Loop is the always-on driver of the serving API: it owns a
 // ClusterServer's step cadence in a background goroutine (a spec without
 // a cluster section is a one-instance ClusterServer), makes Open safe
@@ -446,16 +301,6 @@ type LoopConfig = serving.LoopConfig
 // LoopDriver is the steppable surface a Loop drives: a *ClusterServer
 // in every stack Build makes (*Server implements it too).
 type LoopDriver = serving.Driver
-
-// LoopMetrics snapshots a running Loop: its open/complete/step counters
-// plus the driver's (LoopDriverStats). Latency distributions live in the
-// stack's TelemetryCenter.
-type LoopMetrics = serving.LoopMetrics
-
-// LoopDriverStats is the driver-level counter snapshot inside
-// LoopMetrics (queue depth, KV page occupancy, preemptions, offload
-// traffic, throughput/goodput).
-type LoopDriverStats = serving.DriverStats
 
 // ErrLoopShutdown is returned by Loop.Open once Shutdown has begun.
 var ErrLoopShutdown = serving.ErrLoopShutdown
@@ -481,29 +326,11 @@ type TelemetryConfig = telemetry.Config
 // NewTelemetryCenter builds a telemetry center.
 func NewTelemetryCenter(cfg TelemetryConfig) *TelemetryCenter { return telemetry.New(cfg) }
 
-// TelemetrySnapshot is the full telemetry state at one instant — the
-// payload of the gateway's /debug/telemetry route and diffkv-top's
-// input.
-type TelemetrySnapshot = telemetry.Snapshot
-
-// TelemetryAlert is one emitted saturation advisory or SLO burn-rate
-// transition (also mirrored as an "alert" trace event).
-type TelemetryAlert = telemetry.Alert
-
 // SLOSpec declares one service-level objective for the telemetry
 // center: a latency percentile target (ttft/tpot/e2e) or a goodput
 // floor, evaluated as multi-window burn rates over sim time.
 type SLOSpec = telemetry.SLOSpec
 
-// SLOStatus is one objective's evaluated burn-rate state.
-type SLOStatus = telemetry.SLOStatus
-
 // SaturationConfig tunes the saturation analyzer: headroom waterlines,
 // hysteresis hold counts, advisory cooldown and the trend window.
 type SaturationConfig = telemetry.SatConfig
-
-// ReplayTelemetry reconstructs an offline telemetry snapshot from a
-// recorded trace event stream (queue/running occupancy, latency
-// histograms, swap totals and the alert timeline; capacity-derived
-// fields are unavailable offline).
-func ReplayTelemetry(events []TraceEvent) TelemetrySnapshot { return telemetry.Replay(events) }

@@ -2,6 +2,9 @@ package diffkv
 
 import (
 	"testing"
+
+	"diffkv/internal/experiments"
+	"diffkv/internal/workload"
 )
 
 func TestPublicEngineQuickstart(t *testing.T) {
@@ -43,7 +46,7 @@ func TestPublicBenchmarkLookup(t *testing.T) {
 }
 
 func TestPublicExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
+	ids := experiments.IDs()
 	want := map[string]bool{}
 	for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
@@ -116,7 +119,7 @@ func TestPublicClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := NewRequestGen(BenchMMLU, 128, 5).
+	reqs := workload.NewRequestGen(BenchMMLU, 128, 5).
 		PoissonShared(4, 10, PrefixConfig{Groups: 3, PrefixLen: 512, SharedFrac: 0.8})
 	if len(reqs) == 0 {
 		t.Skip("no arrivals drawn")

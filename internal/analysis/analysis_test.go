@@ -36,6 +36,12 @@ func TestSeverityFor(t *testing.T) {
 		{"timeunits", "diffkv/internal/core", Error},
 		// allowaudit everywhere.
 		{AllowAuditName, "diffkv/cmd/diffkv-vet", Error},
+		// deadcode checks the root package and internal/; the exact root
+		// rule leaves cmd/ and examples/ as roots.
+		{"deadcode", "diffkv", Error},
+		{"deadcode", "diffkv/cmd/diffkv-cluster", Off},
+		{"deadcode", "diffkv/examples/scenario", Off},
+		{"deadcode", "diffkv/internal/serving", Error},
 	}
 	for _, c := range cases {
 		if got := cfg.SeverityFor(c.check, c.path); got != c.want {

@@ -126,6 +126,8 @@ var stepPathPackages = []string{
 //   - timeunits: error in deterministic packages, warn elsewhere (unit
 //     mixing in a CLI printf is ugly; in the scheduler it corrupts the
 //     clock).
+//   - deadcode: error in the root package (exact) and under internal/;
+//     cmd/, examples/scenario and benchmark/ are its roots.
 //   - allowaudit: error module-wide — a stale suppression is a lie.
 func DefaultConfig() *Config {
 	c := &Config{
@@ -145,6 +147,7 @@ func DefaultConfig() *Config {
 	for _, p := range stepPathPackages {
 		c.addRule(p, "goroutine", Error)
 	}
+	c.addRule("diffkv", Deadcode.Name, Error)
 	c.addRule("diffkv/internal", Deadcode.Name, Error)
 	return c
 }

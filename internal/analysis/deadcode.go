@@ -10,13 +10,14 @@ import (
 // Deadcode flags top-level funcs, methods, types and vars that no
 // non-test code can reach. It is a runner-level pass over the typed
 // module (Run is nil; see deadcode below): packages where the check is
-// Off — the root package, cmd/, examples/scenario, benchmark/ — are roots
-// together with main, init and package-level var initialisers, and
-// every unreached declaration in a package where the check is on is a
-// finding. Constants and struct fields are never reported.
+// Off — cmd/, examples/scenario, benchmark/ — are roots together with
+// main, init and package-level var initialisers, and every unreached
+// declaration in a package where the check is on (the root package and
+// internal/) is a finding. Constants and struct fields are never
+// reported.
 var Deadcode = register(&Analyzer{
 	Name: "deadcode",
-	Doc:  "declarations under internal/ that only tests (or nothing) can reach",
+	Doc:  "declarations in the root package or under internal/ that only tests (or nothing) can reach",
 })
 
 // runtimeMethods are found by type assertion inside fmt and

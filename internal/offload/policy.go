@@ -1,12 +1,10 @@
 package offload
 
-import (
-	"fmt"
+import "fmt"
 
-	"diffkv/internal/registry"
-)
-
-// Recovery is the action a preemption policy applies to its victim.
+// Recovery is the action the serving engine applies to a preemption
+// victim. Every policy picks the same victim (the youngest running
+// sequence); they differ only in how it comes back.
 type Recovery int
 
 const (
@@ -21,114 +19,30 @@ const (
 	RecoverCompressSwap
 )
 
-// Recovery policy names accepted by PolicyFor.
+// Preemption policy names accepted by RecoveryFor.
 const (
 	PolicyRecompute    = "recompute"
 	PolicySwap         = "swap"
 	PolicyCompressSwap = "compress-swap"
 )
 
-// PolicyFactory builds a fresh recovery policy instance for one serving
-// engine. The registry holds factories, not instances, so a policy that
-// keeps per-engine state never leaks it across the parallel experiment
-// workers that build engines concurrently.
-type PolicyFactory func() RecoveryPolicy
+// policies names each Recovery at its own index.
+var policies = [...]string{PolicyRecompute, PolicySwap, PolicyCompressSwap}
 
-// recoveries is the preemption-recovery registry; registration order
-// defines the order Policies reports (builtins first, then third-party).
-var recoveries = registry.New[PolicyFactory]("offload", "preemption policy")
+// Policies lists the preemption policy names in Recovery order. The
+// caller owns the returned slice.
+func Policies() []string { return append([]string(nil), policies[:]...) }
 
-// RegisterPolicy adds a recovery policy factory under name. Names must
-// be non-empty and unique.
-func RegisterPolicy(name string, f PolicyFactory) error {
-	if f == nil {
-		return fmt.Errorf("offload: nil PolicyFactory for %q", name)
+// RecoveryFor maps a preemption policy name to its recovery action (""
+// selects recompute).
+func RecoveryFor(name string) (Recovery, error) {
+	if name == "" {
+		return RecoverRecompute, nil
 	}
-	return recoveries.Register(name, f)
-}
-
-func mustRegisterPolicy(name string, f PolicyFactory) {
-	if err := RegisterPolicy(name, f); err != nil {
-		panic(err)
-	}
-}
-
-// Policies lists registered preemption policy names in registration
-// order — derived from the registry, never hard-coded.
-func Policies() []string { return recoveries.Names() }
-
-func init() {
-	mustRegisterPolicy(PolicyRecompute, func() RecoveryPolicy { return recomputePolicy{} })
-	mustRegisterPolicy(PolicySwap, func() RecoveryPolicy { return swapPolicy{} })
-	mustRegisterPolicy(PolicyCompressSwap, func() RecoveryPolicy { return compressSwapPolicy{} })
-}
-
-// Victim describes one preemption candidate to a policy.
-type Victim struct {
-	SeqID     int
-	ArrivalUs float64
-	// Tokens is the candidate's resident KV tokens (prompt + generated).
-	Tokens int
-	// Generated counts output tokens produced so far — the work recompute
-	// would throw away.
-	Generated int
-}
-
-// RecoveryPolicy is the pluggable victim/recovery policy the serving
-// engine consults when a step runs out of KV pages. PickVictim must be
-// deterministic: equal inputs yield equal picks.
-type RecoveryPolicy interface {
-	Name() string
-	// PickVictim returns the index (into cands) of the sequence to
-	// preempt. cands is never empty.
-	PickVictim(cands []Victim) int
-	// Recovery returns the recovery action attempted for the victim; the
-	// engine falls back to recompute when a swap cannot proceed (host
-	// tier full or disabled).
-	Recovery() Recovery
-}
-
-// youngestVictim picks the latest arrival (ties: highest SeqID) — the
-// vLLM ordering: the request that joined last has the least sunk work and
-// the best chance of re-admission soon.
-func youngestVictim(cands []Victim) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		c, b := cands[i], cands[best]
-		if c.ArrivalUs > b.ArrivalUs || (c.ArrivalUs == b.ArrivalUs && c.SeqID > b.SeqID) {
-			best = i
+	for i, n := range policies {
+		if n == name {
+			return Recovery(i), nil
 		}
 	}
-	return best
-}
-
-type recomputePolicy struct{}
-
-func (recomputePolicy) Name() string              { return PolicyRecompute }
-func (recomputePolicy) PickVictim(c []Victim) int { return youngestVictim(c) }
-func (recomputePolicy) Recovery() Recovery        { return RecoverRecompute }
-
-type swapPolicy struct{}
-
-func (swapPolicy) Name() string              { return PolicySwap }
-func (swapPolicy) PickVictim(c []Victim) int { return youngestVictim(c) }
-func (swapPolicy) Recovery() Recovery        { return RecoverSwap }
-
-type compressSwapPolicy struct{}
-
-func (compressSwapPolicy) Name() string              { return PolicyCompressSwap }
-func (compressSwapPolicy) PickVictim(c []Victim) int { return youngestVictim(c) }
-func (compressSwapPolicy) Recovery() Recovery        { return RecoverCompressSwap }
-
-// PolicyFor returns a fresh instance of the named recovery policy via
-// the registry ("" selects recompute).
-func PolicyFor(name string) (RecoveryPolicy, error) {
-	if name == "" {
-		name = PolicyRecompute
-	}
-	f, err := recoveries.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(), nil
+	return 0, fmt.Errorf("offload: unknown preemption policy %q (want one of %v)", name, policies)
 }

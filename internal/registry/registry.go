@@ -1,10 +1,10 @@
 // Package registry is the one name→value registry implementation behind
-// the public extension points (serving methods, routing policies,
-// preemption-recovery policies). Each instance keeps registration order
-// — builtins register at init, third parties after, and derived name
-// lists report exactly that order deterministically. Registration
-// normally happens in init functions, but lookups run from parallel
-// experiment workers, so all access is guarded.
+// the public extension points (serving methods, routing policies). Each
+// instance keeps registration order — builtins register at init, third
+// parties after, and derived name lists report exactly that order
+// deterministically. Registration normally happens in init functions,
+// but lookups run from parallel experiment workers, so all access is
+// guarded.
 package registry
 
 import (

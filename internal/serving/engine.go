@@ -63,13 +63,14 @@ type Config struct {
 	// compressor work). Memory sharing of the cached prefix is not
 	// modeled — only the compute saving. 0 disables.
 	PrefixCacheGroups int
-	// PreemptPolicy selects the victim/recovery policy applied when a
-	// step runs out of KV pages: "recompute" (restart from scratch, the
-	// default), "swap" (offload the victim's pages to the host tier over
-	// PCIe and resume where it stopped), or "compress-swap" (re-quantize
-	// the victim entirely into the low-precision tier, then swap the
-	// smaller payload). Swap policies require UseManager and
-	// HostMemoryBytes > 0.
+	// PreemptPolicy selects how the preemption victim (always the
+	// youngest sequence) comes back when a step runs out of KV pages:
+	// one of recompute, swap, compress-swap. "recompute" (restart from
+	// scratch) is the default, "swap" offloads the victim's pages to the
+	// host tier over PCIe and resumes where it stopped, and
+	// "compress-swap" re-quantizes the victim entirely into the
+	// low-precision tier, then swaps the smaller payload. Swap policies
+	// require UseManager and HostMemoryBytes > 0.
 	PreemptPolicy string
 	// HostMemoryBytes sizes the host-memory offload tier (0 disables it;
 	// requires UseManager). With PrefixCacheGroups enabled, prefix groups
@@ -249,11 +250,11 @@ var _ Driver = (*Engine)(nil)
 
 // Engine is the serving simulator.
 type Engine struct {
-	cfg     Config
-	dev     *gpusim.Device
-	kv      kvStore              // the KV seam (store.go)
-	tiered  *offload.TieredStore // non-nil when the host tier is enabled
-	rpolicy offload.RecoveryPolicy
+	cfg      Config
+	dev      *gpusim.Device
+	kv       kvStore              // the KV seam (store.go)
+	tiered   *offload.TieredStore // non-nil when the host tier is enabled
+	recovery offload.Recovery     // how a preemption victim comes back
 	// capTok is the whole-pool token capacity — the page pool at the
 	// configured tier mix on a pageStore, the analytic budget on a
 	// countStore; promptCompress says whether prompt steps run the KV
@@ -313,7 +314,6 @@ type Engine struct {
 	// steady state allocates nothing (an Engine is single-goroutine)
 	promptBuf []*seqState
 	genBuf    []*seqState
-	victimBuf []offload.Victim
 }
 
 // NewEngine builds a serving engine.
@@ -326,19 +326,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.PrefixCacheGroups > 0 {
 		e.prefix = make(map[int]*prefixEntry)
 	}
-	rpolicy, err := offload.PolicyFor(cfg.PreemptPolicy)
+	recovery, err := offload.RecoveryFor(cfg.PreemptPolicy)
 	if err != nil {
 		return nil, err
 	}
-	// the requirement is a property of the resolved policy's recovery
-	// action, not of its name, so registered third-party recompute-style
-	// policies work without a host tier
-	if rpolicy.Recovery() != offload.RecoverRecompute &&
-		(cfg.HostMemoryBytes <= 0 || !cfg.UseManager) {
+	if recovery != offload.RecoverRecompute && (cfg.HostMemoryBytes <= 0 || !cfg.UseManager) {
 		return nil, fmt.Errorf("serving: preempt policy %q requires UseManager and HostMemoryBytes > 0",
 			cfg.PreemptPolicy)
 	}
-	e.rpolicy = rpolicy
+	e.recovery = recovery
 
 	weights := cfg.Model.ParamsB * 2e9
 	budget := float64(cfg.Cluster.TotalMemory()) - weights
@@ -983,8 +979,9 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 // genStep runs one batched generation step. It returns the sequences
 // preempted for lack of pages, split by recovery: recompute victims
 // (restart from scratch) and swap victims (offloaded to the host tier,
-// resumable). The split is decided by the configured RecoveryPolicy, with
-// recompute as the fallback when the host tier refuses a swap.
+// resumable). The victim is always the youngest sequence; the configured
+// recovery decides the split, with recompute as the fallback when the host
+// tier refuses a swap.
 func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqState, error) {
 	cfg := e.cfg
 	dev := e.dev
@@ -1039,30 +1036,21 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 			seqs = active
 			break
 		}
-		// out of pages: the recovery policy picks a victim and how it
-		// comes back (recompute from scratch vs swap to the host tier).
+		// out of pages: the youngest sequence leaves the batch and the
+		// recovery decides how it comes back (recompute from scratch vs
+		// swap to the host tier).
 		// Error returns carry the victims already processed so Step can
 		// book them even when the step itself fails.
 		if len(active) <= 1 {
 			return bd, preempted, swapped, err
 		}
-		cands := e.victimBuf[:0]
-		for _, st := range active {
-			cands = append(cands, offload.Victim{
-				SeqID:     st.req.ID,
-				ArrivalUs: st.req.ArrivalUs,
-				Tokens:    st.tokens(),
-				Generated: st.generated,
-			})
-		}
-		e.victimBuf = cands
-		vi := e.rpolicy.PickVictim(cands)
+		vi := youngestVictim(active)
 		victim := active[vi]
 		active = slices.Delete(slices.Clone(active), vi, vi+1)
 		recovered := false
-		if e.tiered != nil && e.rpolicy.Recovery() != offload.RecoverRecompute &&
+		if e.tiered != nil && e.recovery != offload.RecoverRecompute &&
 			!e.xferFault() { // a faulted D2H falls back to recompute
-			compress := e.rpolicy.Recovery() == offload.RecoverCompressSwap
+			compress := e.recovery == offload.RecoverCompressSwap
 			res, serr := e.tiered.SwapOut(victim.req.ID, compress, float64(e.clock))
 			if serr == nil {
 				if compress {
@@ -1103,4 +1091,19 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	}
 	e.residentTok += len(seqs)
 	return bd, preempted, swapped, nil
+}
+
+// youngestVictim returns the index of the preemption victim among seqs:
+// the latest arrival (ties: highest request ID), the vLLM ordering. The
+// request that joined last has the least sunk work and the best chance
+// of re-admission soon.
+func youngestVictim(seqs []*seqState) int {
+	best := 0
+	for i := 1; i < len(seqs); i++ {
+		c, b := &seqs[i].req, &seqs[best].req
+		if c.ArrivalUs > b.ArrivalUs || (c.ArrivalUs == b.ArrivalUs && c.ID > b.ID) {
+			best = i
+		}
+	}
+	return best
 }

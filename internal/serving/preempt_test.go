@@ -212,3 +212,26 @@ func TestOverlongPromptDrains(t *testing.T) {
 		t.Fatalf("%d request records left after drain", n)
 	}
 }
+
+// TestYoungestVictim pins the one victim rule every preemption policy
+// shares: the latest arrival leaves, and equal arrivals give up the
+// highest request ID.
+func TestYoungestVictim(t *testing.T) {
+	seq := func(id int, arrivalUs float64) *seqState {
+		return &seqState{req: workload.Request{ID: id, ArrivalUs: arrivalUs}}
+	}
+	cases := []struct {
+		name string
+		seqs []*seqState
+		want int
+	}{
+		{"later arrival beats higher ID", []*seqState{seq(9, 100), seq(1, 200), seq(5, 150)}, 1},
+		{"equal arrivals pick highest ID", []*seqState{seq(3, 100), seq(7, 100), seq(4, 100)}, 1},
+		{"single candidate", []*seqState{seq(2, 50)}, 0},
+	}
+	for _, c := range cases {
+		if got := youngestVictim(c.seqs); got != c.want {
+			t.Errorf("%s: youngestVictim = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -3,16 +3,18 @@ package diffkv
 import (
 	"reflect"
 	"testing"
+
+	"diffkv/internal/trace"
 )
 
 // eventMultiset is a tracer that counts the events two drivers of one
 // engine must both produce: dispatch events (the router's) and alert
 // events (the telemetry center's, which only the cluster feeds) are
 // dropped, and the instance tag is cleared.
-type eventMultiset map[TraceEvent]int
+type eventMultiset map[trace.Event]int
 
-func (m eventMultiset) Emit(ev TraceEvent) {
-	if ev.Kind == TraceKindDispatch || ev.Kind == TraceKindAlert {
+func (m eventMultiset) Emit(ev trace.Event) {
+	if ev.Kind == trace.KindDispatch || ev.Kind == trace.KindAlert {
 		return
 	}
 	ev.Inst = 0

@@ -64,21 +64,15 @@ func registerAcceptanceExtensions(t *testing.T) {
 }
 
 // TestDerivedListsNoDrift is the no-hard-coded-list-survives check: a
-// runtime registration must surface in Methods, RoutingPolicies and
-// PreemptPolicies, and the builtin prefixes must match the paper's
-// reporting order — both properties only hold if every list is derived
-// from its registry.
+// runtime registration must surface in Methods and RoutingPolicies, and
+// the builtin prefixes must match the paper's reporting order — both
+// properties only hold if each list is derived from its registry.
 func TestDerivedListsNoDrift(t *testing.T) {
 	if err := RegisterMethod(probeMethod{"probe-method"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := RegisterRoutingPolicy("probe-route", func(ClusterServerConfig) (RoutingPolicy, error) {
 		return arrivalHash{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterPreemptPolicy("probe-preempt", func() PreemptRecoveryPolicy {
-		return probePreempt{}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +93,6 @@ func TestDerivedListsNoDrift(t *testing.T) {
 	}
 	wantPrefix(Methods(), []string{"vLLM", "Quest", "SnapKV", "Atom", "KIVI", "DiffKV"}, "probe-method")
 	wantPrefix(RoutingPolicies(), []string{"round-robin", "least-loaded", "prefix-affinity"}, "probe-route")
-	wantPrefix(PreemptPolicies(), []string{"recompute", "swap", "compress-swap"}, "probe-preempt")
 }
 
 type probeMethod struct{ name string }
@@ -108,14 +101,6 @@ func (p probeMethod) Name() string { return p.name }
 func (p probeMethod) ServingTraits(float64) ServingTraits {
 	return ServingTraits{Name: p.name, ResidentMemFrac: 1, AttnBytesFrac: 1, FrameworkOverhead: 1}
 }
-
-type probePreempt struct{}
-
-func (probePreempt) Name() string { return "probe-preempt" }
-func (probePreempt) PickVictim(c []PreemptVictim) int {
-	return len(c) - 1
-}
-func (probePreempt) Recovery() PreemptRecovery { return RecoverRecompute }
 
 // TestRegistryEdgeCases pins duplicate-registration errors, unknown-name
 // error text (it must name the registry and list known entries), and
@@ -160,9 +145,6 @@ func TestRegistryEdgeCases(t *testing.T) {
 		return arrivalHash{}, nil
 	}); err == nil {
 		t.Fatal("duplicate routing policy must error")
-	}
-	if err := RegisterPreemptPolicy("swap", func() PreemptRecoveryPolicy { return probePreempt{} }); err == nil {
-		t.Fatal("duplicate preemption policy must error")
 	}
 	if _, err := NewClusterServer(ClusterServerConfig{Instances: 1, Policy: "no-such-route"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown routing policy") {

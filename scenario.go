@@ -252,8 +252,9 @@ type Scenario struct {
 	MemoryReserve float64 `json:"memory_reserve,omitempty"`
 	// PrefixCacheGroups enables per-instance prefix caching (0 disables).
 	PrefixCacheGroups int `json:"prefix_cache_groups,omitempty"`
-	// Preemption is a registered preemption recovery policy name
-	// (default "recompute"; swap policies need HostMemoryGB > 0).
+	// Preemption is the preemption recovery policy: one of recompute,
+	// swap, compress-swap (default "recompute"; swap policies need
+	// HostMemoryGB > 0).
 	Preemption string `json:"preemption,omitempty"`
 	// HostMemoryGB sizes the host offload tier per instance (0 disables).
 	HostMemoryGB float64 `json:"host_memory_gb,omitempty"`

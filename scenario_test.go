@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"diffkv/internal/cluster"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -391,7 +393,7 @@ func TestScenarioFaultsDeterministic(t *testing.T) {
 		},
 		Seed: 9,
 	}
-	run := func() ClusterMetrics {
+	run := func() cluster.Metrics {
 		st, err := sc.Build()
 		if err != nil {
 			t.Fatal(err)

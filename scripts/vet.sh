@@ -10,10 +10,10 @@
 #      globalrand, maprange, goroutine, timeunits, allowaudit — and
 #      deadcode) must exit 0 — every finding either fixed or carrying a
 #      reasoned //diffkv:allow directive. deadcode reports every func,
-#      method, type and var under internal/ unreachable from its roots:
-#      declarations outside internal/ (root package, cmd/,
-#      examples/scenario, benchmark/), main, init and package-level var
-#      initialisers. It never reports constants, struct fields or the
+#      method, type and var in the root package or under internal/
+#      unreachable from its roots: declarations in cmd/,
+#      examples/scenario and benchmark/, main, init and package-level
+#      var initialisers. It never reports constants, struct fields or the
 #      methods a live type uses to implement an interface (matched by
 #      method set), and test files are not callers. Its only
 #      allow is an accessor a test of live behaviour reads (an

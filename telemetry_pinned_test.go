@@ -4,14 +4,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"diffkv/internal/trace"
 )
 
 // alertTimeline extracts the KindAlert events from a collector in
 // emission order as (time, inst, note) triples.
-func alertTimeline(col *TraceCollector) []TraceEvent {
-	var out []TraceEvent
+func alertTimeline(col *TraceCollector) []trace.Event {
+	var out []trace.Event
 	for _, e := range col.Events() {
-		if e.Kind == TraceKindAlert {
+		if e.Kind == trace.KindAlert {
 			out = append(out, e)
 		}
 	}
@@ -74,7 +76,7 @@ func TestOverloadScaleUpBeforeGoodputDegrades(t *testing.T) {
 	}
 	firstReject := -1.0
 	for _, e := range col.Events() {
-		if e.Kind == TraceKindReject {
+		if e.Kind == trace.KindReject {
 			firstReject = e.TimeUs
 			break
 		}
@@ -103,7 +105,7 @@ func TestOverloadScaleUpBeforeGoodputDegrades(t *testing.T) {
 // the simulated clock, so observation can never perturb or race the
 // thing it observes.
 func TestOverloadAlertTimelineDeterministic(t *testing.T) {
-	run := func() []TraceEvent {
+	run := func() []trace.Event {
 		sc := overloadScenario()
 		col := NewTraceCollector(1 << 18)
 		sc.Tracer = col
@@ -173,7 +175,7 @@ func TestChaosSLOBurnBeforeBrownout(t *testing.T) {
 	}
 	firstBrownout := -1.0
 	for _, e := range col.Events() {
-		if e.Kind == TraceKindAdmit && e.Note == "brownout" {
+		if e.Kind == trace.KindAdmit && e.Note == "brownout" {
 			firstBrownout = e.TimeUs
 			break
 		}
