@@ -73,8 +73,9 @@ func BenchmarkFreeListAllocBatch(b *testing.B) {
 
 // BenchmarkGenCompactSteady is one generation step of the page manager at
 // the decode_heavy probe's shape: 78 sequences × 256 heads, counts-only,
-// 64 KB pages. Every head's candidate displaces a victim of its tier, so
-// token counts hold still and the cost is the plan and apply walks alone.
+// 64 KB pages, so the plan fans out on GOMAXPROCS workers. Every head's
+// candidate displaces a victim of its tier, so token counts hold still
+// and the cost is the plan walk alone.
 func BenchmarkGenCompactSteady(b *testing.B) {
 	const seqs, heads, promptLen = 78, 256, 512
 	mgr, err := kvcache.NewManager(kvcache.Config{

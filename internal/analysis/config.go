@@ -99,9 +99,10 @@ var deterministicPackages = append([]string{
 }, simPackages...)
 
 // stepPathPackages are the event-loop step path: code reached from
-// Engine.Step / Cluster.Step, which must stay single-goroutine so a
-// step is a pure function of (state, nowUs). serving carries the Loop
-// goroutine machinery behind allow directives.
+// Engine.Step / Cluster.Step, which spawns no goroutine itself so a
+// step is a pure function of (state, nowUs); its fan-out goes through
+// mathx.ForEach (see Goroutine). serving carries the Loop goroutine
+// machinery behind allow directives.
 var stepPathPackages = []string{
 	"diffkv/internal/core",
 	"diffkv/internal/serving",

@@ -1,8 +1,11 @@
 package kvcache
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"diffkv/internal/mathx"
@@ -482,5 +485,233 @@ func TestTakeGiveMatchSingleOps(t *testing.T) {
 	}
 	if !wrapped {
 		t.Fatal("no take crossed the wrap")
+	}
+}
+
+// A GenCompact call that names a sequence twice is refused before anything
+// moves, and the stamps it left do not refuse the next call.
+func TestGenCompactRejectsRepeatedID(t *testing.T) {
+	const capHi = 37
+	m := compactManager(t, 64, 4096)
+	for id := 1; id <= 3; id++ {
+		if _, err := m.AddSequence(id, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.PromptCompact(id, capHi, []HeadDemand{{HiTokens: capHi}, {HiTokens: capHi}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow := func() []GenDemand { return []GenDemand{{HiDelta: 1}, {HiDelta: 1, LoDelta: 1}} } // every head takes a page
+	before := captureState(m)
+	_, err := m.GenCompact([]int{1, 2, 1}, [][]GenDemand{grow(), grow(), grow()})
+	if err == nil || err.Error() != "kvcache: sequence 1 repeated in one generation step" {
+		t.Fatalf("repeated ID: error %v", err)
+	}
+	if after := captureState(m); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused call changed the manager:\nbefore %+v\nafter  %+v", before, after)
+	}
+	cs, err := m.GenCompact([]int{1, 2, 3}, [][]GenDemand{grow(), grow(), grow()})
+	if err != nil || cs.PagesAllocated != 9 {
+		t.Fatalf("next call: %+v, %v; want 9 pages", cs, err)
+	}
+	checkConservation(t, m, "gen after a refused repeat")
+}
+
+// The fanned-out GenCompact is bit-identical to planning every sequence
+// on its own, whatever GOMAXPROCS is: decode_heavy's shape (96 sequences ×
+// 256 heads, several chunks), a script of grows with evictions, an
+// out-of-pages call, a table overflow in the last sequence — so in the
+// last chunk — a repeated ID, and partial batches on both sides of the
+// fan-out threshold. Not skipped under -short, so the race detector runs
+// the fan-out.
+func TestGenCompactFanOutBitIdentical(t *testing.T) {
+	const seqs, heads, capHi, slots = 96, 256, 37, 20
+	if 50*heads < parallelHeads || 8*heads >= parallelHeads || 50*heads <= genChunkHeads {
+		t.Fatal("the partial batches of 50 and 8 sequences do not sit on both sides of the fan-out")
+	}
+	type call struct {
+		ids     []int
+		demands [][]GenDemand
+		fails   string // the error the call must return, "" for none
+	}
+	all := make([]int, seqs)
+	for i := range all {
+		all[i] = i + 1
+	}
+	rng := mathx.NewRNG(35)
+	demandsFor := func(n int, big int) [][]GenDemand {
+		ds := make([][]GenDemand, n)
+		for i := range ds {
+			ds[i] = make([]GenDemand, heads)
+			for h := range ds[i] {
+				d := GenDemand{HiDelta: rng.Intn(2), LoDelta: rng.Intn(2)}
+				if rng.Intn(16) == 0 {
+					d.HiDelta += rng.Intn(big + 1) // crosses page boundaries
+				}
+				d.HiRemoved = min(d.HiDelta, rng.Intn(2))
+				d.LoRemoved = min(d.LoDelta, rng.Intn(2))
+				ds[i][h] = d
+			}
+		}
+		return ds
+	}
+	var script []call
+	for step := 0; step < 4; step++ {
+		script = append(script, call{ids: all, demands: demandsFor(seqs, 2*capHi)})
+	}
+	// every head asks for four pages: more than the pool holds
+	hungry := demandsFor(seqs, 0)
+	for i := range hungry {
+		for h := range hungry[i] {
+			hungry[i][h].HiDelta += 4 * capHi
+		}
+	}
+	script = append(script, call{ids: all, demands: hungry, fails: "kvcache: out of pages"})
+	overflow := demandsFor(seqs, 2*capHi)
+	overflow[seqs-1][heads-1].HiDelta = slots * capHi
+	script = append(script, call{ids: all, demands: overflow,
+		fails: fmt.Sprintf("kvcache: seq %d head %d: kvcache: bidirectional table overflow (%d slots)", seqs, heads-1, slots)})
+	repeat := append([]int(nil), all...)
+	repeat[70] = repeat[20]
+	script = append(script, call{ids: repeat, demands: demandsFor(seqs, capHi),
+		fails: fmt.Sprintf("kvcache: sequence %d repeated in one generation step", repeat[20])})
+	script = append(script,
+		call{ids: all[20:70], demands: demandsFor(50, 2*capHi)}, // fanned out
+		call{ids: all[5:13], demands: demandsFor(8, 2*capHi)},   // serial
+		call{ids: all, demands: demandsFor(seqs, 2*capHi)})
+
+	// setup prompt-compacts every sequence to the same shape in each run
+	prompt := make([]HeadDemand, heads)
+	for h := range prompt {
+		prompt[h] = HeadDemand{HiTokens: 40 + rng.Intn(120), LoTokens: rng.Intn(150)}
+	}
+	setup := func() *Manager {
+		m := compactManager(t, seqs*heads*9, slots*capHi)
+		for _, id := range all {
+			if _, err := m.AddSequence(id, heads); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.PromptCompact(id, 320, prompt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	errs := map[int]string{} // the failed steps' error text under the first GOMAXPROCS
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			// ref takes each successful call as one call per sequence, in
+			// batch order, every one under the fan-out threshold
+			m, ref := setup(), setup()
+			pages := 0
+			for step, c := range script {
+				if c.fails != "" {
+					before := captureState(m)
+					cs, err := m.GenCompact(c.ids, c.demands)
+					if err == nil || !strings.HasPrefix(err.Error(), c.fails) {
+						t.Fatalf("step %d: error %v, want %q", step, err, c.fails)
+					}
+					if first, ok := errs[step]; ok && err.Error() != first {
+						t.Fatalf("step %d: error %q, under GOMAXPROCS 1 %q", step, err, first)
+					}
+					errs[step] = err.Error()
+					if !reflect.DeepEqual(captureState(m), before) || cs != (CompactStats{}) {
+						t.Fatalf("step %d: the failed call moved something (stats %+v)", step, cs)
+					}
+					continue
+				}
+				cs, err := m.GenCompact(c.ids, c.demands)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				var want CompactStats
+				for i, id := range c.ids {
+					one, err := ref.GenCompact([]int{id}, c.demands[i:i+1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Add(one)
+				}
+				if cs != want {
+					t.Fatalf("step %d: stats %+v, per-sequence calls %+v", step, cs, want)
+				}
+				if !reflect.DeepEqual(captureState(m), captureState(ref)) {
+					t.Fatalf("step %d: pages, tables or counts differ from per-sequence calls", step)
+				}
+				pages += cs.PagesAllocated
+			}
+			if pages == 0 {
+				t.Fatal("the script never took a page")
+			}
+			checkConservation(t, m, "the script")
+		})
+	}
+}
+
+// At the fan-out's shape a call allocates only the plan closure it hands
+// mathx.ForEach and ForEach's own state: 1 at GOMAXPROCS 1, where ForEach
+// plans the chunks inline, and 3 at GOMAXPROCS 2 (the closure, ForEach's
+// shared state, the spawned worker's closure). The chunk scratch is reused.
+func TestGenCompactFanOutAllocs(t *testing.T) {
+	const seqs, heads, promptLen = 48, 256, 500
+	m := compactManager(t, 1<<18, 8192)
+	ids := make([]int, seqs)
+	demands := make([][]GenDemand, seqs)
+	prompt := make([]HeadDemand, heads)
+	for h := range prompt {
+		prompt[h] = HeadDemand{HiTokens: 100 + h%100, LoTokens: 200}
+	}
+	for i := range ids {
+		ids[i] = i + 1
+		if _, err := m.AddSequence(ids[i], heads); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.PromptCompact(ids[i], promptLen, prompt); err != nil {
+			t.Fatal(err)
+		}
+		demands[i] = make([]GenDemand, heads)
+		for h := range demands[i] {
+			// one head in eight grows and takes a page now and then; the
+			// rest displace a victim and hold still
+			demands[i][h] = GenDemand{HiDelta: 1, HiRemoved: 1}
+			if h%8 == 0 {
+				demands[i][h].HiRemoved = 0
+			}
+		}
+	}
+	if seqs*heads < parallelHeads {
+		t.Fatal("the batch does not reach the fan-out")
+	}
+	var err error
+	pages := 0
+	gen := func() {
+		cs, e := m.GenCompact(ids, demands)
+		if e != nil && err == nil {
+			err = e
+		}
+		pages += cs.PagesAllocated
+	}
+	for _, tc := range []struct{ procs, want int }{{1, 1}, {2, 3}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			const runs = 200
+			gen() // warm up the scratch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				gen()
+			}
+			runtime.ReadMemStats(&after)
+			if got := int(after.Mallocs-before.Mallocs) / runs; got != tc.want {
+				t.Errorf("GOMAXPROCS %d: %d allocs per GenCompact, want %d", tc.procs, got, tc.want)
+			}
+		}()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages == 0 {
+		t.Fatal("the loop never took a page")
 	}
 }

@@ -7,16 +7,18 @@ import (
 )
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
-// (workers <= 0 means runtime.GOMAXPROCS(0)) and returns when all calls
-// have. It is the one worker pool of the module: the experiment harness
-// fans independent reps/configs out through it, and core.Engine fans out a
-// sequence's sampled (layer, head) pairs.
+// (workers <= 0 means runtime.GOMAXPROCS(0)), the calling one among them,
+// and returns when all calls have. It is the one worker pool of the module:
+// the experiment harness fans independent reps/configs out through it,
+// core.Engine fans out a sequence's sampled (layer, head) pairs, and a
+// serving generation step fans out its tier draws and its page plan.
 //
 // The determinism contract: each item derives its own RNG stream from a
-// root seed (RNG.SplitAt(i) — the parent is read, never advanced) and
-// writes only to its own result index. The caller reduces the results
-// sequentially in index order. Under that contract scheduling cannot
-// change any output bit, so workers only moves wall-clock time.
+// root seed (RNG.SplitAt(i) or RNG.Ahead(offset) — the parent is read,
+// never advanced) and writes only to its own result index. The caller
+// reduces the results sequentially in index order. Under that contract
+// scheduling cannot change any output bit, so workers only moves
+// wall-clock time.
 func ForEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -30,21 +32,33 @@ func ForEach(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	p := &pool{n: n, fn: fn}
+	p.wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			defer p.wg.Done()
+			p.drain()
 		}()
 	}
-	wg.Wait()
+	p.drain()
+	p.wg.Wait()
+}
+
+// pool is one ForEach call's shared state, a single allocation.
+type pool struct {
+	next atomic.Int64 // items handed out so far
+	wg   sync.WaitGroup
+	n    int
+	fn   func(i int)
+}
+
+// drain runs items until none is left.
+func (p *pool) drain() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
+		}
+		p.fn(i)
+	}
 }

@@ -28,15 +28,33 @@ func (r *RNG) SplitAt(i uint64) *RNG {
 }
 
 func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+	z += weyl
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// weyl is SplitMix64's per-draw state increment: draw k of a stream
+// depends only on its start state and k, so a stream can jump ahead.
+const weyl = 0x9e3779b97f4a7c15
+
+// Ahead returns a copy of r positioned n draws on — its next Uint64 is the
+// one r would return after n calls — and leaves r where it is. The copy
+// carries no spare normal variate. Workers that each own a disjoint range
+// of one stream draw their ranges in parallel this way.
+func (r *RNG) Ahead(n uint64) RNG {
+	return RNG{state: r.state + n*weyl}
+}
+
+// Advance moves r n draws on, as n Uint64 calls would; a spare normal
+// variate survives, as it does those calls.
+func (r *RNG) Advance(n uint64) {
+	r.state += n * weyl
+}
+
 // Uint64 returns the next pseudorandom 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += weyl
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

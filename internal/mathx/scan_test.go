@@ -141,6 +141,49 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
+// Ahead(k) starts at draw k of the stream without moving it, Advance(n)
+// is n Uint64 calls, and a pending Box-Muller spare survives Advance.
+func TestRNGAheadMatchesSequential(t *testing.T) {
+	const n = 1000
+	seq := NewRNG(77)
+	draws := make([]uint64, n)
+	for k := range draws {
+		draws[k] = seq.Uint64()
+	}
+	r := NewRNG(77)
+	for _, k := range []int{0, 1, 2, 255, 256, 511, n - 1} {
+		a := r.Ahead(uint64(k))
+		if got := a.Uint64(); got != draws[k] {
+			t.Fatalf("Ahead(%d) drew %x, draw %d is %x", k, got, k, draws[k])
+		}
+		if k+1 < n && a.Uint64() != draws[k+1] {
+			t.Fatalf("Ahead(%d): second draw is not draw %d", k, k+1)
+		}
+	}
+	if got := r.Uint64(); got != draws[0] {
+		t.Fatal("Ahead moved the receiver")
+	}
+	r.Advance(299)
+	if got := r.Uint64(); got != draws[300] {
+		t.Fatalf("Advance(299) after one draw: next is %x, draw 300 is %x", got, draws[300])
+	}
+
+	// a spare normal survives Advance, and the stream behind it moves
+	want, adv := NewRNG(5), NewRNG(5)
+	want.Norm()
+	adv.Norm()
+	for i := 0; i < 37; i++ {
+		want.Uint64()
+	}
+	adv.Advance(37)
+	if w, g := want.Norm(), adv.Norm(); w != g {
+		t.Fatalf("spare after Advance: %v, after 37 draws: %v", g, w)
+	}
+	if w, g := want.Norm(), adv.Norm(); w != g {
+		t.Fatalf("first fresh normal after Advance: %v, after 37 draws: %v", g, w)
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10_000; i++ {

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -85,7 +87,10 @@ func handoffPair(t *testing.T, h hash.Hash, pre, dec Config, reqs []workload.Req
 // float evaluation order, preemption, swap, prefix or handoff accounting
 // moves a digest. The constants were recorded before the engine was
 // split behind the kvStore seam and must only change with a PR that
-// means to change simulated behaviour.
+// means to change simulated behaviour. The manager-mode rows run under
+// GOMAXPROCS 1 and 2 against the same constants; manager-fanout's batch
+// is large enough for a step to fan out its tier draws and page plan,
+// and its constant was recorded from the serial code before the fan-out.
 func TestEngineDigestPinned(t *testing.T) {
 	vllm := Config{Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM,
 		MemoryReserve: 0.97, Seed: 8}
@@ -96,6 +101,11 @@ func TestEngineDigestPinned(t *testing.T) {
 		cfg.PrefixCacheGroups = 2
 		return cfg
 	}
+	// a pool that holds 52 of 64 requests at once: steps fan out while
+	// the batch holds 48 or more, and out-of-pages preemptions retry a
+	// step whose draws have already moved the stream
+	fanOut := oversubCfg(offload.PolicyRecompute, 0, 31)
+	fanOut.MemoryReserve, fanOut.MaxGenLen = 0.95, 512
 	brown := oversubCfg(offload.PolicyRecompute, 0, 19)
 	brown.BrownoutQueueDepth = 4
 	single := func(cfg Config, reqs []workload.Request, check func(*Engine, Result) bool) func(*testing.T, hash.Hash) {
@@ -134,6 +144,11 @@ func TestEngineDigestPinned(t *testing.T) {
 			single(hostCfg(offload.PolicyCompressSwap), sharedCoT(20, 11), func(_ *Engine, r Result) bool {
 				return r.Offload.SwapIns > 0 && r.Offload.PrefixSpills > 0 && r.Offload.PrefixHits > 0
 			})},
+		{"manager-fanout", "a41b4608b60556412f6bc837ee26dacd0a2437e7d22a114272c8d4c1363c51fb",
+			single(fanOut, cotReqs(64, 31), func(e *Engine, r Result) bool {
+				ps := e.kv.(*pageStore) // its scratch is sized by the largest generation batch
+				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= parallelDraws
+			})},
 		{"manager-brownout", "16147b8cc92418bf24c6f3943263fbc3d4f3c08aa3d62a27ccbcfbbbf35cf95c",
 			single(brown, cotReqs(16, 19), func(e *Engine, _ Result) bool { return e.BrownoutAdmits() > 0 })},
 		{"handoff-traits", "034e0e38932c1bd041dbd3f302ca1e29b771ecada6d2b6a7d42afcaa7b28d5b6", func(t *testing.T, h hash.Hash) {
@@ -144,11 +159,25 @@ func TestEngineDigestPinned(t *testing.T) {
 				oversubCfg(offload.PolicyRecompute, 0, 24), cotReqs(16, 23))
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		check := func(t *testing.T) {
 			h := sha256.New()
 			tc.run(t, h)
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
 				t.Fatalf("digest %s, pinned %s", got, tc.want)
+			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			if !strings.Contains(tc.name, "manager") {
+				check(t)
+				return
+			}
+			// a large manager-mode step fans its tier draws and page plan
+			// out on mathx.ForEach; the worker count must not move a bit
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					check(t)
+				})
 			}
 		})
 	}

@@ -77,9 +77,12 @@ func (s countStore) estBytes(tokens int) int64  { return int64(float64(tokens) *
 // pageStore is DiffKV's KV memory: the counts-mode page manager does the
 // real compaction work, and the store turns a record's per-head tier
 // fractions into the manager's demands. It owns the engine's only RNG.
-// Draw order is part of the simulated behaviour: register draws hi then
-// lo per head in head order; gen draws one Float64 per head per sequence
-// in batch order, and only for sequences whose window has filled.
+// Which draw of the stream feeds which decision is part of the simulated
+// behaviour: register draws hi then lo per head in head order; gen gives
+// each sequence whose window has filled one Float64 per head, and indexes
+// them by stream position — sequence i's head h takes draw
+// (heads × drawing sequences before i) + h of the step — not by the time
+// a worker happens to draw them.
 type pageStore struct {
 	mgr            *kvcache.Manager
 	dev            *gpusim.Device
@@ -94,6 +97,7 @@ type pageStore struct {
 	genIDs     []int
 	genDemands [][]kvcache.GenDemand
 	genFlat    []kvcache.GenDemand
+	genAt      []int // each sequence's first draw of the step
 }
 
 func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
@@ -156,36 +160,38 @@ func (s *pageStore) memMgmtTime(work kvcache.CompactStats, _ int) gpusim.Micros 
 	return s.dev.GPUCompaction(work.TokenOps, work.Regions)
 }
 
+// parallelDraws is the draw count from which gen fills its demands on
+// mathx.ForEach; fewer stay on the calling goroutine and allocate
+// nothing. It matches kvcache's GenCompact threshold, 48 sequences of
+// 256 heads, where the fan-out starts to pay on a 2-vCPU host.
+const parallelDraws = 12288
+
 func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	n := len(seqs)
 	if cap(s.genIDs) < n {
 		s.genIDs = make([]int, n)
 		s.genDemands = make([][]kvcache.GenDemand, n)
 		s.genFlat = make([]kvcache.GenDemand, n*s.heads)
+		s.genAt = make([]int, n)
 	}
-	ids, demands := s.genIDs[:n], s.genDemands[:n]
+	ids, demands, at := s.genIDs[:n], s.genDemands[:n], s.genAt[:n]
+	draws := 0
 	for i, st := range seqs {
 		ids[i] = st.req.ID
-		d := s.genFlat[i*s.heads : (i+1)*s.heads]
-		if st.winFill < 64 {
-			clear(d)
-		} else {
-			for h := range d {
-				// steady state: the candidate lands by tier probability;
-				// victims keep counts roughly stable
-				u := s.rng.Float64()
-				switch {
-				case u < st.hiF[h]:
-					d[h] = kvcache.GenDemand{HiDelta: 1}
-				case u < st.hiF[h]+st.loF[h]:
-					d[h] = kvcache.GenDemand{LoDelta: 1}
-				default:
-					d[h] = kvcache.GenDemand{}
-				}
-			}
+		demands[i] = s.genFlat[i*s.heads : (i+1)*s.heads]
+		at[i] = draws
+		if st.winFill >= 64 {
+			draws += s.heads
 		}
-		demands[i] = d
 	}
+	if draws >= parallelDraws {
+		mathx.ForEach(n, 0, func(i int) { s.fill(seqs[i], demands[i], at[i]) })
+	} else {
+		for i, st := range seqs {
+			s.fill(st, demands[i], at[i])
+		}
+	}
+	s.rng.Advance(uint64(draws))
 	work, err := s.mgr.GenCompact(ids, demands)
 	if err != nil {
 		return 0, err
@@ -196,6 +202,33 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 		}
 	}
 	return s.memMgmtTime(work, n), nil
+}
+
+// fill writes one sequence's generation demands. A sequence whose window
+// has filled draws one Float64 per head from the store's stream, starting
+// at draw at of this step; the store's stream itself does not move.
+func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) {
+	if st.winFill < 64 {
+		clear(d)
+		return
+	}
+	rng := s.rng.Ahead(uint64(at))
+	hiF, loF := st.hiF[:len(d)], st.loF[:len(d)]
+	for h := range d {
+		// steady state: the candidate lands in the high tier when
+		// u < hiF, else in the low tier when u < hiF+loF; victims keep
+		// counts roughly stable. The tests are flags, not branches: u
+		// is uniform, so a branch would mispredict once a head or so.
+		u := rng.Float64()
+		hi, lo := 0, 0
+		if u < hiF[h] {
+			hi = 1
+		}
+		if u < hiF[h]+loF[h] {
+			lo = 1
+		}
+		d[h] = kvcache.GenDemand{HiDelta: hi, LoDelta: lo &^ hi}
+	}
 }
 
 func (s *pageStore) release(st *seqState) error { return s.mgr.ReleaseSequence(st.req.ID) }
