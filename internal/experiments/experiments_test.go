@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,25 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Run("bogus", Opts{}); err == nil {
 		t.Fatal("expected unknown-id error")
 	}
+	// one checked-in table per ID (TestParallelMatchesSequential), and
+	// no file without an ID
+	files, err := filepath.Glob(filepath.Join("testdata", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, f := range files {
+		id, ok := strings.CutSuffix(filepath.Base(f), ".md")
+		if _, registered := Registry[id]; !ok || !registered {
+			t.Errorf("stray file %s: no experiment ID %q", f, id)
+		}
+		have[id] = true
+	}
+	for _, id := range ids {
+		if !have[id] {
+			t.Errorf("%s has no testdata/%s.md", id, id)
+		}
+	}
 }
 
 func TestSeedOfDistinct(t *testing.T) {
@@ -58,35 +78,6 @@ func TestSeedOfDistinct(t *testing.T) {
 	b := seedOf("model-b", "bench")
 	if a == b {
 		t.Fatal("seed collision")
-	}
-}
-
-// Fast-mode smoke tests: every cheap harness must produce non-empty tables
-// with consistent row widths. The expensive harnesses are covered by
-// TestParallelMatchesSequential, which runs every ID.
-func TestCheapHarnessesSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig5", "fig13", "fig15",
-		"abl-tables", "abl-levels", "abl-pagesize", "cluster-routing", "chaos"} {
-		tables, err := Run(id, Opts{Fast: true, Reps: 1, Seed: 7})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", id)
-		}
-		for _, tbl := range tables {
-			if len(tbl.Rows) == 0 {
-				t.Fatalf("%s: empty table %q", id, tbl.Title)
-			}
-			for _, row := range tbl.Rows {
-				if len(row) != len(tbl.Header) {
-					t.Fatalf("%s: ragged row in %q: %v", id, tbl.Title, row)
-				}
-			}
-		}
 	}
 }
 
