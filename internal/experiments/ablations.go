@@ -88,6 +88,18 @@ func AblationTables(o Opts) []*Table {
 	return []*Table{t}
 }
 
+// meanTerms is the ablations' mean output error and memory fraction over
+// rs. Each term is divided before it is summed, and that order is what
+// their tables pin.
+func meanTerms(rs []core.SequenceResult) (errMean, memMean float64) {
+	n := float64(len(rs))
+	for _, r := range rs {
+		errMean += r.OutputErr / n
+		memMean += r.MemFrac / n
+	}
+	return errMean, memMean
+}
+
 // AblationWindow sweeps the recent-window size W: too small compresses
 // prematurely (error up), too large wastes memory on uncompressed tokens.
 func AblationWindow(o Opts) []*Table {
@@ -109,29 +121,9 @@ func AblationWindow(o Opts) []*Table {
 	for _, w := range windows {
 		params := policy.ParamsLlama3
 		params.Window = w
-		eng, err := core.NewEngine(core.Config{
-			Model: synth.Llama3_8B, Params: params,
-			DensityScale: bench.DensityScale, Seed: o.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		errs := make([]float64, o.Reps)
-		mems := make([]float64, o.Reps)
-		o.forEach(o.Reps, func(s int) {
-			r, err := eng.RunSequence(promptLen, genLen, uint64(s))
-			if err != nil {
-				panic(err)
-			}
-			errs[s] = r.OutputErr / float64(o.Reps)
-			mems[s] = r.MemFrac / float64(o.Reps)
-		})
-		var errSum, memSum float64
-		for s := 0; s < o.Reps; s++ {
-			errSum += errs[s]
-			memSum += mems[s]
-		}
-		t.AddRow(fmt.Sprintf("%d", w), f3(errSum), pct(memSum))
+		cfg := core.Config{Model: synth.Llama3_8B, Params: params, DensityScale: bench.DensityScale, Seed: o.Seed}
+		errMean, memMean := meanTerms(o.sequences(cfg, promptLen, genLen, o.Reps, 0))
+		t.AddRow(fmt.Sprintf("%d", w), f3(errMean), pct(memMean))
 	}
 	return []*Table{t}
 }
@@ -300,35 +292,17 @@ func AblationPerHead(o Opts) []*Table {
 		promptLen, genLen = 192, 160
 	}
 	for _, perHead := range []bool{false, true} {
-		eng, err := core.NewEngine(core.Config{
+		errMean, memMean := meanTerms(o.sequences(core.Config{
 			Model: synth.Llama3_8B, Params: policy.ParamsLlama3,
 			DensityScale: bench.DensityScale, Seed: o.Seed,
 			PerHeadThresholds: perHead,
 			SampleLayers:      3, SampleHeads: 3,
-		})
-		if err != nil {
-			panic(err)
-		}
-		errs := make([]float64, o.Reps)
-		mems := make([]float64, o.Reps)
-		o.forEach(o.Reps, func(s int) {
-			r, err := eng.RunSequence(promptLen, genLen, uint64(s))
-			if err != nil {
-				panic(err)
-			}
-			errs[s] = r.OutputErr / float64(o.Reps)
-			mems[s] = r.MemFrac / float64(o.Reps)
-		})
-		var errSum, memSum float64
-		for s := 0; s < o.Reps; s++ {
-			errSum += errs[s]
-			memSum += mems[s]
-		}
+		}, promptLen, genLen, o.Reps, 0))
 		name := "shared (paper)"
 		if perHead {
 			name = "per-head αh"
 		}
-		t.AddRow(name, f3(errSum), pct(memSum))
+		t.AddRow(name, f3(errMean), pct(memMean))
 	}
 	return []*Table{t}
 }

@@ -56,22 +56,9 @@ func evalBaseline(m baselines.Method, model *synth.ModelConfig, bench *workload.
 // order.
 func evalDiffKV(model *synth.ModelConfig, bench *workload.Benchmark, params policy.Params, seqs int, seed uint64, o Opts) (acc, mem float64, bd policy.Breakdown) {
 	promptLen, genLen := bench.EvalLen()
-	eng, err := core.NewEngine(core.Config{
-		Model: model, Params: params, DensityScale: bench.DensityScale, Seed: seed,
-	})
-	if err != nil {
-		panic(err)
-	}
-	results := make([]core.SequenceResult, seqs)
-	o.forEach(seqs, func(s int) {
-		r, err := eng.RunSequence(promptLen, genLen, uint64(s)+1)
-		if err != nil {
-			panic(err)
-		}
-		results[s] = r
-	})
+	cfg := core.Config{Model: model, Params: params, DensityScale: bench.DensityScale, Seed: seed}
 	var errSum, memSum float64
-	for _, r := range results {
+	for _, r := range o.sequences(cfg, promptLen, genLen, seqs, 1) {
 		errSum += r.OutputErr
 		memSum += r.MemFrac
 		bd.High += r.Breakdown.High

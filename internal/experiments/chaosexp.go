@@ -66,10 +66,6 @@ func ChaosRun(crashRate float64, policy string, n int, seed uint64) cluster.Metr
 	cfg.Engine.PreemptPolicy = policy
 	cfg.Engine.HostMemoryBytes = host
 
-	c, err := cluster.New(cfg)
-	if err != nil {
-		panic(err)
-	}
 	// same seed across policies at a given rate: identical request sets
 	// and crash timelines, fair comparison
 	gen := workload.NewRequestGen(workload.MATH, 2048, seed+seedOf("chaos-load"))
@@ -79,15 +75,7 @@ func ChaosRun(crashRate float64, policy string, n int, seed uint64) cluster.Metr
 		t += 1e6 / 6.0 // 6 req/s paced arrivals
 		reqs[i].ArrivalUs = t
 	}
-	m, err := c.Run(reqs)
-	if err != nil {
-		panic(err)
-	}
-	if stuck := m.Stuck(); stuck != 0 {
-		panic(fmt.Sprintf("chaos: %s at %.1f crashes/min left %d requests stuck",
-			policy, crashRate, stuck))
-	}
-	return m
+	return runCluster(cfg, reqs, fmt.Sprintf("chaos: %s at %.1f crashes/min", policy, crashRate))
 }
 
 // chaosEngine is the shared oversubscribed engine shape for the chaos

@@ -60,17 +60,9 @@ func ClusterRouting(o Opts) []*Table {
 			cfg.Engine.Traits = method.traits
 			cfg.Engine.MaxGenLen = 256
 			cfg.Engine.PrefixCacheGroups = 8
-			c, err := cluster.New(cfg)
-			if err != nil {
-				panic(err)
-			}
 			reqs := workload.NewRequestGen(workload.MMLU, 256, o.Seed+seedOf(method.name)+uint64(rate*10)).
 				PoissonShared(rate, horizon, pc)
-			m, err := c.Run(reqs)
-			if err != nil {
-				panic(err)
-			}
-			metrics[i] = m
+			metrics[i] = runCluster(cfg, reqs, fmt.Sprintf("cluster-routing: %s %s at %.1f req/s", method.name, policy, rate))
 		})
 		for i, m := range metrics {
 			t.AddRow(f1(rates[i/len(policies)]), policies[i%len(policies)],

@@ -50,10 +50,6 @@ func DisaggRun(split [2]int, tier quant.Precision, n int, seed uint64) cluster.M
 	cfg.Engine = disaggEngine()
 	cfg.Engine.HiPrec, cfg.Engine.LoPrec = tier, tier
 
-	c, err := cluster.New(cfg)
-	if err != nil {
-		panic(err)
-	}
 	// same seed across splits and tiers: identical request sets, fair
 	// comparison
 	gen := workload.NewRequestGen(workload.MMLU, 256, seed+seedOf("disagg-load"))
@@ -63,15 +59,7 @@ func DisaggRun(split [2]int, tier quant.Precision, n int, seed uint64) cluster.M
 		t += 1e6 / 14.0 // 14 req/s paced arrivals
 		reqs[i] = gen.Next(t)
 	}
-	m, err := c.Run(reqs)
-	if err != nil {
-		panic(err)
-	}
-	if stuck := m.Stuck(); stuck != 0 {
-		panic(fmt.Sprintf("disagg: split %d:%d tier %s left %d requests stuck",
-			split[0], split[1], tier, stuck))
-	}
-	return m
+	return runCluster(cfg, reqs, fmt.Sprintf("disagg: split %d:%d tier %s", split[0], split[1], tier))
 }
 
 // disaggEngine is the shared engine shape for the disaggregation grid

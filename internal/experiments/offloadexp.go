@@ -42,18 +42,11 @@ func OffloadRun(reserve float64, policy string, batch, maxGen int, seed uint64) 
 		MaxGenLen:       maxGen,
 		Seed:            seed,
 	}
-	eng, err := serving.NewEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
 	// same seed across policies at a given level: identical request sets,
 	// fair comparison
 	reqs := workload.NewRequestGen(workload.MATH, maxGen,
 		seed+seedOf("offload", fmt.Sprintf("%.3f", reserve))).CoTBatch(batch)
-	res, err := eng.Run(reqs)
-	if err != nil {
-		panic(err)
-	}
+	res := serve(cfg, reqs)
 	if res.Completed != len(reqs) {
 		panic(fmt.Sprintf("offload: %s at reserve %.3f completed %d of %d",
 			policy, reserve, res.Completed, len(reqs)))

@@ -1,6 +1,14 @@
 package experiments
 
-import "diffkv/internal/mathx"
+import (
+	"fmt"
+
+	"diffkv/internal/cluster"
+	"diffkv/internal/core"
+	"diffkv/internal/mathx"
+	"diffkv/internal/serving"
+	"diffkv/internal/workload"
+)
 
 // forEach runs fn(i) for every i in [0, n) on the harness's worker pool
 // (Opts.Workers goroutines; 0 means runtime.GOMAXPROCS(0)). Independent
@@ -16,4 +24,57 @@ func meanOf(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// The harnesses reach each layer one way: the compression engine through
+// sequences, one serving engine through serve, a fleet through runCluster.
+
+// sequences runs n sequences of one DiffKV core engine, seeded first,
+// first+1, …; they fan out across the worker pool and come back in
+// sequence order, so a caller's reduction is the same for every Workers.
+func (o Opts) sequences(cfg core.Config, promptLen, genLen, n int, first uint64) []core.SequenceResult {
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]core.SequenceResult, n)
+	o.forEach(n, func(s int) {
+		r, err := eng.RunSequence(promptLen, genLen, first+uint64(s))
+		if err != nil {
+			panic(err)
+		}
+		out[s] = r
+	})
+	return out
+}
+
+// serve runs reqs to completion on one serving engine built from cfg.
+func serve(cfg serving.Config, reqs []workload.Request) serving.Result {
+	eng, err := serving.NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Run(reqs)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// runCluster runs reqs on a cluster built from cfg. A request left
+// neither completed, cancelled nor failed is a liveness bug, so it
+// panics, naming the cell by what.
+func runCluster(cfg cluster.Config, reqs []workload.Request, what string) cluster.Metrics {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	m, err := c.Run(reqs)
+	if err != nil {
+		panic(err)
+	}
+	if stuck := m.Stuck(); stuck != 0 {
+		panic(fmt.Sprintf("%s left %d requests stuck", what, stuck))
+	}
+	return m
 }

@@ -337,23 +337,11 @@ func Fig10(o Opts) []*Table {
 // maps the measured error through the benchmark's accuracy model. Sequences
 // fan out across the worker pool (the engine is stateless across runs).
 func diffKVAccuracy(model *synth.ModelConfig, bench *workload.Benchmark, params policy.Params, promptLen, genLen, seqs int, seed uint64, o Opts) (acc, mem float64) {
-	eng, err := core.NewEngine(core.Config{
-		Model: model, Params: params,
-		DensityScale: bench.DensityScale,
-		Seed:         seed,
-	})
-	if err != nil {
-		panic(err)
+	cfg := core.Config{Model: model, Params: params, DensityScale: bench.DensityScale, Seed: seed}
+	var errSum, memSum float64
+	for _, r := range o.sequences(cfg, promptLen, genLen, seqs, 1) {
+		errSum += r.OutputErr
+		memSum += r.MemFrac
 	}
-	errs := make([]float64, seqs)
-	mems := make([]float64, seqs)
-	o.forEach(seqs, func(s int) {
-		r, err := eng.RunSequence(promptLen, genLen, uint64(s)+1)
-		if err != nil {
-			panic(err)
-		}
-		errs[s] = r.OutputErr
-		mems[s] = r.MemFrac
-	})
-	return bench.Accuracy(model.Name, meanOf(errs)), meanOf(mems)
+	return bench.Accuracy(model.Name, errSum/float64(seqs)), memSum / float64(seqs)
 }

@@ -47,18 +47,11 @@ func Fig14(o Opts) []*Table {
 	}
 	for _, batch := range []int{8, 32} {
 		reqs := workload.NewRequestGen(workload.MATH, 1024, o.Seed+uint64(batch)).Batch(batch)
-		eng, err := serving.NewEngine(serving.Config{
+		res := serve(serving.Config{
 			Model: model, Cluster: gpusim.NewCluster(gpusim.L40(), 1),
 			Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
 			HiFrac: 0.2, LoFrac: 0.25, Seed: o.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := eng.Run(reqs)
-		if err != nil {
-			panic(err)
-		}
+		}, reqs)
 		addPhase := func(phase string, bd serving.StepBreakdown) {
 			tot := float64(bd.Total())
 			if tot == 0 {
@@ -121,15 +114,7 @@ func Fig16(o Opts) []*Table {
 				// measures.
 				cfg.Traits = baselines.TraitsDiffKV(0.3)
 			}
-			eng, err := serving.NewEngine(cfg)
-			if err != nil {
-				panic(err)
-			}
-			res, err := eng.Run(reqs)
-			if err != nil {
-				panic(err)
-			}
-			if res.Completed == 0 {
+			if res := serve(cfg, reqs); res.Completed == 0 {
 				cells[i] = "-"
 			} else {
 				cells[i] = f3(res.AvgPerTokenLatency)
@@ -199,15 +184,7 @@ func Fig17(o Opts) []*Table {
 				cfg.UseManager = true
 				cfg.HiFrac, cfg.LoFrac = 0.18, 0.22
 			}
-			eng, err := serving.NewEngine(cfg)
-			if err != nil {
-				panic(err)
-			}
-			res, err := eng.Run(reqs)
-			if err != nil {
-				panic(err)
-			}
-			return res
+			return serve(cfg, reqs)
 		}
 		// the six systems are independent simulations: fan out, fixed slots
 		systems := []struct {
