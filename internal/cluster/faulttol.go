@@ -152,9 +152,11 @@ func (c *Cluster) processCrash(ev faults.Event) error {
 	c.emit(trace.Event{Kind: trace.KindHealth, TimeUs: ev.AtUs, Inst: i + 1, Note: string(Down)})
 	budget := c.inj.RetryBudget()
 	for _, o := range rep.Orphans {
-		c.emit(trace.Event{Kind: trace.KindRetry, TimeUs: ev.AtUs, Seq: o.Req.ID, Inst: i + 1, Note: "crash"})
+		// stamped at o.AsOfUs, where the orphan's phases left off: a crash
+		// that lands mid-step orphans at the engine's clock, past ev.AtUs
+		c.emit(trace.Event{Kind: trace.KindRetry, TimeUs: o.AsOfUs, Seq: o.Req.ID, Inst: i + 1, Note: "crash"})
 		if o.Attempts > budget {
-			c.fail(o, ev.AtUs, i+1, "retry budget exhausted")
+			c.fail(o, o.AsOfUs, i+1, "retry budget exhausted")
 			continue
 		}
 		c.enqueueRedispatch(redispatch{

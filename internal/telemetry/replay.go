@@ -14,7 +14,7 @@ import (
 // queue/running occupancy, latency histograms, swap byte totals and the
 // KindAlert timeline are reconstructed exactly.
 
-// replayInst is the per-instance state machine during replay.
+// replayInst is the per-instance state during replay.
 type replayInst struct {
 	inst         int
 	queue        int
@@ -28,19 +28,17 @@ type replayInst struct {
 	lat          LatencySet
 }
 
-// reqState tracks one in-flight request keyed by (inst, seq).
-type reqState struct {
-	openUs  float64
-	ttftUs  float64
-	hasTTFT bool
-}
-
 // Replay folds a trace event stream (emission order) into an offline
-// Snapshot. Events with unknown kinds are ignored, so replay stays
-// forward-compatible with new event types.
+// Snapshot. Requests come from trace.BuildRequestSpans, one tree per
+// request however many instances it crossed: a completed tree counts
+// once, with its E2E and TTFT (arrival to the end of its last prefill,
+// the engine's rule) on the instance that completed it, and an in-flight
+// tree occupies the instance it was last seen on, by the phase it ended
+// in. Swap traffic, preemptions, health, rejects and alerts come from
+// the events themselves. Events with unknown kinds are ignored, so
+// replay stays forward-compatible with new event types.
 func Replay(events []trace.Event) Snapshot {
 	insts := map[int]*replayInst{}
-	reqs := map[trace.InstSeq]*reqState{}
 	var alerts []Alert
 	var lastUs float64
 	var completed, rejected int64
@@ -59,72 +57,44 @@ func Replay(events []trace.Event) Snapshot {
 			lastUs = e.TimeUs
 		}
 		ri := get(e.Inst)
-		key := trace.InstSeq{Inst: e.Inst, Seq: e.Seq}
 		switch e.Kind {
-		case trace.KindOpen:
-			ri.queue++
-			reqs[key] = &reqState{openUs: e.TimeUs}
-		case trace.KindAdmit:
-			if ri.queue > 0 {
-				ri.queue--
-			}
-			ri.running++
-		case trace.KindFirstToken:
-			if r := reqs[key]; r != nil && !r.hasTTFT {
-				r.ttftUs = e.TimeUs
-				r.hasTTFT = true
-			}
 		case trace.KindPreempt:
-			if ri.running > 0 {
-				ri.running--
-			}
-			ri.queue++
 			ri.preemptions++
 		case trace.KindSwapOut:
-			if ri.running > 0 {
-				ri.running--
-			}
-			ri.swapped++
 			ri.hostBytes += e.Bytes
 			ri.swapOutBytes += e.Bytes
 			ri.preemptions++
 		case trace.KindSwapIn:
-			if ri.swapped > 0 {
-				ri.swapped--
-			}
-			ri.running++
 			ri.hostBytes -= e.Bytes
 			if ri.hostBytes < 0 {
 				ri.hostBytes = 0
 			}
 			ri.swapInBytes += e.Bytes
-		case trace.KindComplete:
-			if ri.running > 0 {
-				ri.running--
-			}
-			completed++
-			if r := reqs[key]; r != nil {
-				e2e := (e.TimeUs - r.openUs) / 1e6
-				ri.lat.E2E.Add(e2e)
-				if r.hasTTFT {
-					ri.lat.TTFT.Add((r.ttftUs - r.openUs) / 1e6)
-				}
-				delete(reqs, key)
-			}
-		case trace.KindCancel, trace.KindFail:
-			// mid-flight exit: release whichever occupancy slot it held
-			if ri.running > 0 {
-				ri.running--
-			} else if ri.queue > 0 {
-				ri.queue--
-			}
-			delete(reqs, key)
 		case trace.KindReject:
 			rejected++
 		case trace.KindHealth:
 			ri.health = e.Note
 		case trace.KindAlert:
 			alerts = append(alerts, Alert{TimeUs: e.TimeUs, Inst: e.Inst, Note: e.Note})
+		}
+	}
+
+	for _, rt := range trace.BuildRequestSpans(events) {
+		ri := get(rt.Inst)
+		if rt.Completed {
+			completed++
+			ri.lat.E2E.Add(rt.E2EUs() / 1e6)
+			if ttft, ok := rt.TTFTUs(); ok {
+				ri.lat.TTFT.Add(ttft / 1e6)
+			}
+		}
+		switch rt.Phase {
+		case trace.PhaseQueue, trace.PhaseStall:
+			ri.queue++
+		case trace.PhasePrefill, trace.PhaseDecode:
+			ri.running++
+		case trace.PhaseSwapped:
+			ri.swapped++
 		}
 	}
 
@@ -141,9 +111,10 @@ func Replay(events []trace.Event) Snapshot {
 	for _, k := range keys {
 		ri := insts[k]
 		// instance 0 collects the cluster's own untagged events (rejects,
-		// cluster-wide alerts), which move no occupancy: skip every row
-		// with nothing to show
-		if ri.queue == 0 && ri.running == 0 && ri.swapped == 0 &&
+		// cluster-wide alerts), which move no occupancy: skip its row when
+		// it has nothing to show. A tagged instance always has a row, a
+		// prefill-pool one with no completion of its own included.
+		if ri.inst == 0 && ri.queue == 0 && ri.running == 0 && ri.swapped == 0 &&
 			ri.lat.E2E.Count() == 0 && ri.swapOutBytes == 0 && ri.preemptions == 0 {
 			continue
 		}

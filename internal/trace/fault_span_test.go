@@ -45,10 +45,10 @@ func TestSpanTreeFailTerminal(t *testing.T) {
 	}
 }
 
-// A crash-orphaned request re-dispatched to a second instance produces
-// two trees keyed by instance: the first keeps the pre-crash history
-// and a retry marker, the second carries the request to completion.
-func TestSpanTreeSplitsAcrossRedispatch(t *testing.T) {
+// A crash-orphaned request re-dispatched to a second instance stays one
+// tree: the retry keeps it in queue until the re-dispatch readmits it,
+// the second prompt pass moves its TTFT, and the phases sum to e2e.
+func TestSpanTreeSpansRedispatch(t *testing.T) {
 	events := []Event{
 		{Kind: KindOpen, TimeUs: 0, Seq: 7, Inst: 1},
 		{Kind: KindAdmit, TimeUs: 50, Seq: 7, Inst: 1},
@@ -59,18 +59,28 @@ func TestSpanTreeSplitsAcrossRedispatch(t *testing.T) {
 		{Kind: KindComplete, TimeUs: 1000, Seq: 7, Inst: 2},
 	}
 	trees := BuildRequestSpans(events)
-	if len(trees) != 2 {
-		t.Fatalf("got %d trees, want 2 (one per instance residency)", len(trees))
+	if len(trees) != 1 {
+		t.Fatalf("got %d trees, want 1 (one per request)", len(trees))
 	}
-	first, second := trees[0], trees[1]
-	if first.Inst != 1 || second.Inst != 2 {
-		t.Fatalf("tree instances %d, %d", first.Inst, second.Inst)
+	rt := trees[0]
+	if !rt.Completed || rt.Retries != 1 || rt.Inst != 2 || rt.StartUs != 0 || rt.EndUs != 1000 {
+		t.Fatalf("tree should complete on instance 2 at 1000 after one retry: %+v", rt)
 	}
-	if first.Completed || first.Retries != 1 {
-		t.Fatalf("first residency should be an uncompleted retry: %+v", first)
+	want := PhaseBreakdown{QueueUs: 50 + 250, PrefillUs: 350 + 150, DecodeUs: 200}
+	if rt.Phases != want {
+		t.Fatalf("phases = %+v, want %+v", rt.Phases, want)
 	}
-	if !second.Completed || second.EndUs != 1000 {
-		t.Fatalf("second residency should complete at 1000: %+v", second)
+	if ttft, ok := rt.TTFTUs(); !ok || ttft != 800 {
+		t.Fatalf("ttft = %g (%v), want 800: the last prompt pass", ttft, ok)
+	}
+	var markers []string
+	for _, c := range rt.Root.Children {
+		if c.StartUs == c.EndUs {
+			markers = append(markers, c.Name)
+		}
+	}
+	if len(markers) != 2 || markers[0] != SpanRetry || markers[1] != SpanDispatch {
+		t.Fatalf("markers %v, want [retry dispatch]", markers)
 	}
 }
 

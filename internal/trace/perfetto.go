@@ -100,7 +100,8 @@ func WritePerfettoEvents(w io.Writer, events []Event) error {
 		}
 	}
 
-	// request span groups: async nestable slices keyed by (inst, seq)
+	// request span groups: async nestable slices, one group per request
+	// on the instance it ended on
 	for _, rt := range BuildRequestSpans(events) {
 		id := fmt.Sprintf("%d/%d", rt.Inst, rt.Seq)
 		name := fmt.Sprintf("req %d", rt.Seq)

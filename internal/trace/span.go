@@ -3,12 +3,14 @@ package trace
 // Request-lifecycle spans: the flat event stream regrouped into one span
 // tree per request, so the full latency budget of any request — where
 // did its 800ms go? — sums from its parts. The root span covers open →
-// complete/cancel; its children are the lifecycle phases (queue,
-// prefill, decode, and the preemption phases stall / swapped), with
-// transfer sub-spans carrying the PCIe byte counts of swap traffic and
-// instantaneous markers for dispatch and host-prefix hits. The builder
-// is a pure function of the event stream, so it works identically over
-// the live collector, a JSONL file, or a re-read Perfetto export.
+// complete/cancel/fail; its children are the lifecycle phases (queue,
+// prefill, decode, the preemption phases stall / swapped, and xfer:inst),
+// with transfer sub-spans carrying the byte counts of swap and KV-ship
+// traffic and instantaneous markers for dispatch, retry, recover and
+// host-prefix hits. A request that crosses instances — a crash
+// re-dispatch, a prefill/decode handoff — stays one tree. The builder is
+// a pure function of the event stream, so it works identically over the
+// live collector, a JSONL file, or a re-read Perfetto export.
 
 import "sort"
 
@@ -103,7 +105,9 @@ const (
 // span (phase spans as children, in time order) plus the phase
 // breakdown derived from them.
 type RequestSpans struct {
-	Seq  int `json:"seq"`
+	Seq int `json:"seq"`
+	// Inst is the instance of the request's latest event: where it
+	// completed, or where it was last seen (0 outside a cluster).
 	Inst int `json:"inst,omitempty"`
 	// StartUs is arrival (the open event, or the earliest retained event
 	// when the ring dropped the open); EndUs is completion, cancellation,
@@ -111,7 +115,8 @@ type RequestSpans struct {
 	StartUs float64 `json:"start_us"`
 	EndUs   float64 `json:"end_us"`
 	// Completed / Cancelled / Failed mark how the request ended; all
-	// false means it was still in flight at the end of the event stream.
+	// false means it was still in flight at the end of the event stream,
+	// in phase Phase.
 	// Failed is the terminal fault-injection outcome: the request
 	// exhausted its re-dispatch budget after instance crashes.
 	Completed bool `json:"completed,omitempty"`
@@ -119,6 +124,9 @@ type RequestSpans struct {
 	Failed    bool `json:"failed,omitempty"`
 	// FailReason carries the Note of the fail event (Failed only).
 	FailReason string `json:"fail_reason,omitempty"`
+	// Phase is the phase an in-flight request was in when the stream
+	// ended; empty once it ended.
+	Phase Phase `json:"phase,omitempty"`
 	// Preemptions counts preempt + swap_out events.
 	Preemptions int `json:"preemptions,omitempty"`
 	// Retries counts crash-orphaning retry events: each is one lost
@@ -132,6 +140,18 @@ type RequestSpans struct {
 
 // E2EUs returns the request's end-to-end latency.
 func (r *RequestSpans) E2EUs() float64 { return r.EndUs - r.StartUs }
+
+// TTFTUs returns arrival to the end of the request's last prefill span —
+// the engine's rule, since a recompute preemption or a crash re-dispatch
+// runs the prompt again. ok is false when the tree holds no prefill.
+func (r *RequestSpans) TTFTUs() (us float64, ok bool) {
+	for i := len(r.Root.Children) - 1; i >= 0; i-- {
+		if sp := r.Root.Children[i]; sp.Name == string(PhasePrefill) {
+			return sp.EndUs - r.StartUs, true
+		}
+	}
+	return 0, false
+}
 
 // spanBuilder is the per-request state machine of BuildRequestSpans.
 type spanBuilder struct {
@@ -186,6 +206,7 @@ func (b *spanBuilder) xfer(name string, t, durUs float64, bytes int64) {
 func (b *spanBuilder) feed(e Event) {
 	t := e.TimeUs
 	b.lastUs = t
+	b.rt.Inst = e.Inst
 	switch e.Kind {
 	case KindOpen, KindDispatch:
 		if b.started && b.cur == PhaseXferInst {
@@ -231,8 +252,13 @@ func (b *spanBuilder) feed(e Event) {
 		b.xfer(SpanXferH2D, t, e.DurUs, e.Bytes)
 	case KindKVShip:
 		// disaggregated handoff, emitted against the destination
-		// instance: the decode side's tree opens in the xfer:inst phase,
-		// with the wire transfer recorded as a byte-carrying child span
+		// instance: the prefill child's completion was not the request's,
+		// so the tree reopens in the xfer:inst phase, with the wire
+		// transfer recorded as a byte-carrying child span
+		if b.rt.Completed {
+			b.rt.Completed = false
+			b.cur, b.sinceUs = PhaseXferInst, t
+		}
 		b.begin(t, PhaseXferInst)
 		b.xfer(SpanXferInst, t, e.DurUs, e.Bytes)
 	case KindComplete:
@@ -245,9 +271,8 @@ func (b *spanBuilder) feed(e Event) {
 		b.rt.Cancelled = true
 	case KindRetry:
 		// the request's residency on this instance ended with a crash;
-		// it re-enters queue state while awaiting re-dispatch. A
-		// re-dispatch lands on another instance and so starts a fresh
-		// tree there — this tree keeps the pre-crash history.
+		// it stays in queue state until a re-dispatch readmits it on
+		// another instance, in this same tree
 		b.begin(t, PhaseQueue)
 		b.rt.Retries++
 		b.marker(SpanRetry, t, 0)
@@ -273,22 +298,23 @@ func (b *spanBuilder) finish(t float64) {
 }
 
 // BuildRequestSpans regroups an event stream into one span tree per
-// request, keyed on (instance, sequence). Step events (Seq 0) are
+// request, keyed on its sequence ID, which is unique fleet-wide: every
+// instance a request crossed contributes to the one tree, and retry,
+// dispatch and kv_ship are spans inside it. Step events (Seq 0) are
 // skipped. Requests still in flight at the end of the stream get an
-// open-ended tree truncated at their last event. The result is ordered
-// by start time (ties by instance, then sequence).
+// open-ended tree truncated at their last event, with Phase set. The
+// result is ordered by start time (ties by sequence).
 func BuildRequestSpans(events []Event) []*RequestSpans {
-	builders := make(map[InstSeq]*spanBuilder)
+	builders := make(map[int]*spanBuilder)
 	var order []*spanBuilder
 	for _, e := range events {
 		if e.Seq == 0 {
 			continue
 		}
-		key := InstSeq{Inst: e.Inst, Seq: e.Seq}
-		b, ok := builders[key]
+		b, ok := builders[e.Seq]
 		if !ok {
-			b = &spanBuilder{rt: &RequestSpans{Seq: e.Seq, Inst: e.Inst}}
-			builders[key] = b
+			b = &spanBuilder{rt: &RequestSpans{Seq: e.Seq}}
+			builders[e.Seq] = b
 			order = append(order, b)
 		}
 		b.feed(e)
@@ -299,6 +325,7 @@ func BuildRequestSpans(events []Event) []*RequestSpans {
 			continue
 		}
 		if !b.rt.Completed && !b.rt.Cancelled && !b.rt.Failed {
+			b.rt.Phase = b.cur
 			b.finish(b.lastUs)
 		}
 		out = append(out, b.rt)
@@ -308,9 +335,6 @@ func BuildRequestSpans(events []Event) []*RequestSpans {
 		if a.StartUs != b.StartUs {
 			return a.StartUs < b.StartUs
 		}
-		if a.Inst != b.Inst {
-			return a.Inst < b.Inst
-		}
 		return a.Seq < b.Seq
 	})
 	return out
@@ -319,7 +343,7 @@ func BuildRequestSpans(events []Event) []*RequestSpans {
 // FindRequestSpans returns the span tree of the request with the given
 // sequence ID (nil when absent). Sequence IDs are unique fleet-wide on
 // every online path (sessions, cluster dispatch), so no instance is
-// needed.
+// needed, and the tree covers every instance the request crossed.
 func FindRequestSpans(trees []*RequestSpans, seq int) *RequestSpans {
 	for _, rt := range trees {
 		if rt.Seq == seq {

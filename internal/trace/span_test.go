@@ -103,24 +103,50 @@ func TestBuildRequestSpansRecomputeStall(t *testing.T) {
 	}
 }
 
-// Requests on different instances with the same Seq stay separate, and
-// in-flight requests get open-ended trees truncated at their last event.
+// A disaggregated request is one tree across its prefill and decode
+// instances: kv_ship reopens the tree its prefill child's completion
+// closed. An in-flight request gets an open-ended tree truncated at its
+// last event, in the phase it was in.
 func TestBuildRequestSpansCrossInstance(t *testing.T) {
 	events := []Event{
 		{Kind: KindOpen, TimeUs: 0, Seq: 1, Inst: 1},
-		{Kind: KindOpen, TimeUs: 10, Seq: 1, Inst: 2},
+		{Kind: KindDispatch, TimeUs: 0, Seq: 1, Inst: 1},
 		{Kind: KindAdmit, TimeUs: 20, Seq: 1, Inst: 1},
-		{Kind: KindComplete, TimeUs: 500, Seq: 1, Inst: 1},
+		{Kind: KindOpen, TimeUs: 100, Seq: 2, Inst: 2},
+		{Kind: KindAdmit, TimeUs: 150, Seq: 2, Inst: 2},
+		{Kind: KindFirstToken, TimeUs: 300, Seq: 1, Inst: 1},
+		{Kind: KindComplete, TimeUs: 400, Seq: 1, Inst: 1}, // the prefill child
+		{Kind: KindKVShip, TimeUs: 400, Seq: 1, Inst: 3, DurUs: 50, Bytes: 1 << 20},
+		{Kind: KindOpen, TimeUs: 450, Seq: 1, Inst: 3},
+		{Kind: KindAdmit, TimeUs: 470, Seq: 1, Inst: 3, Note: "adopt"},
+		{Kind: KindComplete, TimeUs: 900, Seq: 1, Inst: 3},
 	}
 	trees := BuildRequestSpans(events)
 	if len(trees) != 2 {
-		t.Fatalf("trees = %d, want 2", len(trees))
+		t.Fatalf("trees = %d, want 2 (one per request)", len(trees))
 	}
-	if !trees[0].Completed || trees[0].Inst != 1 {
-		t.Fatalf("inst 1 tree wrong: %+v", trees[0])
+	if rt := trees[1]; rt.Seq != 2 || rt.Completed || rt.Phase != PhasePrefill || rt.EndUs != 150 {
+		t.Fatalf("in-flight tree wrong: %+v", rt)
 	}
-	if trees[1].Completed || trees[1].Inst != 2 || trees[1].EndUs != 10 {
-		t.Fatalf("inst 2 tree wrong: %+v", trees[1])
+	rt := trees[0]
+	if rt.Phase != "" || !rt.Completed || rt.Inst != 3 || rt.StartUs != 0 || rt.EndUs != 900 {
+		t.Fatalf("tree should complete on the decode instance at 900: %+v", rt)
+	}
+	want := PhaseBreakdown{QueueUs: 20 + 20, PrefillUs: 280, DecodeUs: 100 + 430, XferUs: 50}
+	if rt.Phases != want {
+		t.Fatalf("phases = %+v, want %+v", rt.Phases, want)
+	}
+	if ttft, ok := rt.TTFTUs(); !ok || ttft != 300 {
+		t.Fatalf("ttft = %g (%v), want 300", ttft, ok)
+	}
+	var ship *Span
+	for _, c := range rt.Root.Children {
+		if c.Name == SpanXferInst && c.Bytes > 0 {
+			ship = c
+		}
+	}
+	if ship == nil || ship.Bytes != 1<<20 || ship.EndUs != 450 {
+		t.Fatalf("xfer:inst child %+v, want 1 MiB ending at 450", ship)
 	}
 }
 

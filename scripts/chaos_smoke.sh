@@ -39,6 +39,14 @@ fi
 grep -q 'fault injection:' "$TMP/report.txt"
 grep -q 'down ' "$TMP/report.txt"
 
+# one span tree per request, however many instances it crossed: the
+# analyzer counts exactly the requests the run finished, all completed
+DONE="$(awk '$2 ~ /^[0-9]+\/[0-9]+$/ {split($2, d, "/"); print d[1]; exit}' "$TMP/run1.txt")"
+if [ -z "$DONE" ] || ! grep -q "events, $DONE requests ($DONE completed," "$TMP/report.txt"; then
+  echo "chaos smoke: diffkv-trace does not count the run's ${DONE:-?} done requests once each" >&2
+  exit 1
+fi
+
 # live gateway: instance 1 crashes at t=0 and stays down; the survivor
 # serves, /healthz degrades, /metrics counts the crash
 "$TMP/diffkv-gateway" -scenario testdata/scenario_chaos_gateway.json -listen "$ADDR" &

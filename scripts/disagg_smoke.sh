@@ -43,6 +43,14 @@ grep -q 'transfer traffic:' "$TMP/report.txt"
 grep -q 'prefill>decode' "$TMP/report.txt"
 grep -q 'xfer:inst' "$TMP/report.txt"
 
+# one span tree per request, however many instances it crossed: the
+# analyzer counts exactly the requests the run finished, all completed
+DONE="$(awk '$2 ~ /^[0-9]+\/[0-9]+$/ {split($2, d, "/"); print d[1]; exit}' "$TMP/run1.txt")"
+if [ -z "$DONE" ] || ! grep -q "events, $DONE requests ($DONE completed," "$TMP/report.txt"; then
+  echo "disagg smoke: diffkv-trace does not count the run's ${DONE:-?} done requests once each" >&2
+  exit 1
+fi
+
 # live gateway over the same pool split: a completion crosses both
 # pools, the shipment counters reach /metrics, and /debug/telemetry
 # carries the disagg section
