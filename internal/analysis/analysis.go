@@ -17,17 +17,17 @@
 //	             event-loop step path.
 //	timeunits  — no arithmetic/comparisons directly mixing identifiers
 //	             with different time-unit suffixes (Us/Ms/Sec).
-//	deadcode   — no top-level func, method, type or var under internal/
-//	             that non-test code cannot reach. Roots: every
-//	             declaration outside internal/ (the root package, cmd/,
-//	             examples/scenario, benchmark/), main, init and
-//	             package-level var initialisers. Never reported:
-//	             constants, struct fields, and the methods a live type
-//	             uses to implement an interface (matched by method set,
-//	             by name only where a generic is uninstantiated). Needs
-//	             the whole module typed; an accessor a test of live
-//	             behaviour reads as its observation point stays under
-//	             an allow naming the invariant seen through it.
+//	deadcode   — no top-level func, method, type or var in the root
+//	             package or under internal/ that non-test code cannot
+//	             reach, and no struct field there that it never reads
+//	             or never sets. Roots: cmd/, examples/scenario,
+//	             benchmark/, main, init and package-level var
+//	             initialisers. Never reported: constants, fields
+//	             reflection may touch, and the methods a live type uses
+//	             to implement an interface (matched by method set, by
+//	             name only where a generic is uninstantiated). Needs the
+//	             whole module typed; an accessor or field a test of live
+//	             behaviour reads stays under an allow naming it.
 //	allowaudit — every //diffkv:allow directive must carry a reason and
 //	             suppress at least one live diagnostic, so suppressions
 //	             self-clean as the code they excuse disappears.
@@ -137,10 +137,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Package struct {
 	// ImportPath is the slash-separated import path ("diffkv/internal/core").
 	ImportPath string
-	// Dir is the package directory on disk.
-	Dir string
-	// Name is the package clause name.
-	Name string
 	// Files are the parsed non-test source files, sorted by filename.
 	Files []*ast.File
 	// Filenames[i] is the path Files[i] was parsed from.

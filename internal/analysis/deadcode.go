@@ -5,19 +5,22 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // Deadcode flags top-level funcs, methods, types and vars that no
-// non-test code can reach. It is a runner-level pass over the typed
-// module (Run is nil; see deadcode below): packages where the check is
-// Off — cmd/, examples/scenario, benchmark/ — are roots together with
-// main, init and package-level var initialisers, and every unreached
-// declaration in a package where the check is on (the root package and
-// internal/) is a finding. Constants and struct fields are never
+// non-test code can reach, and struct fields that no non-test code reads
+// or sets. It is a runner-level pass over the typed module (Run is nil;
+// see deadcode below): packages where the check is Off — cmd/,
+// examples/scenario, benchmark/ — are roots together with main, init
+// and package-level var initialisers, and every unreached declaration
+// in a package where the check is on (the root package and internal/) is
+// a finding, as is every field of a reached declaration there that is
+// never read or never set (see deadFields). Constants are never
 // reported.
 var Deadcode = register(&Analyzer{
 	Name: "deadcode",
-	Doc:  "declarations in the root package or under internal/ that only tests (or nothing) can reach",
+	Doc:  "declarations in the root package or under internal/ that only tests (or nothing) can reach, and fields nothing reads or sets",
 })
 
 // runtimeMethods are found by type assertion inside fmt and
@@ -104,10 +107,13 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 			scanInterfaces(imp)
 		}
 	}
+	fields := &fieldUses{read: map[*types.Var]bool{}, written: map[*types.Var]bool{}, lhs: map[*ast.Ident]bool{}, seen: map[types.Type]bool{}}
 	for _, pkg := range m.Packages {
 		scanInterfaces(pkg.Types)
 		root := cfg.SeverityFor(Deadcode.Name, pkg.ImportPath) == Off
+		fields.info = pkg.TypesInfo
 		for _, file := range pkg.Files {
+			fields.walk(file, nil)
 			for _, gd := range file.Decls {
 				switch gd := gd.(type) {
 				case *ast.FuncDecl:
@@ -200,6 +206,7 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 		}
 		mark()
 	}
+	deadFields(m, cfg, order, fields, report)
 	return true
 }
 
@@ -245,4 +252,217 @@ func origin(obj types.Object) types.Object {
 		return fn.Origin()
 	}
 	return obj
+}
+
+// deadFields reports each field of a reached named struct type in a
+// checked package that no non-test code reads, or that none sets (so it
+// always holds its zero value). Reflection reads and sets what it
+// reaches: a tagged field, and the fields of a struct compared whole,
+// used as a map key or converted to an interface with no methods, are
+// never reported, nor are embedded and blank fields. A generic
+// instantiation's fields are its origin's.
+func deadFields(m *Module, cfg *Config, decls []*decl, u *fieldUses, report func(*Package, Diagnostic)) {
+	for _, d := range decls {
+		sev := cfg.SeverityFor(Deadcode.Name, d.pkg.ImportPath)
+		tn, ok := d.obj.(*types.TypeName)
+		if !ok || tn.IsAlias() || !d.live || sev == Off {
+			continue
+		}
+		st, _ := tn.Type().Underlying().(*types.Struct)
+		for i := 0; st != nil && i < st.NumFields(); i++ {
+			f, msg := st.Field(i), ""
+			switch {
+			case f.Embedded() || f.Name() == "_" || st.Tag(i) != "":
+			case !u.read[f]:
+				msg = "is never read outside tests: delete it and what computes it, or keep a test's observation point under //diffkv:allow deadcode -- <reason>"
+			case !u.written[f]:
+				msg = "is never set outside tests, so it always holds its zero value: make it a constant"
+			}
+			if msg != "" {
+				report(d.pkg, Diagnostic{Check: Deadcode.Name, Severity: sev, Pos: m.Fset.Position(f.Pos()),
+					Message: "field " + f.Name() + " of " + tn.Name() + " " + msg})
+			}
+		}
+	}
+}
+
+// fieldUses collects which fields non-test code reads and which it sets.
+type fieldUses struct {
+	info          *types.Info // of the package being walked
+	read, written map[*types.Var]bool
+	lhs           map[*ast.Ident]bool // field names in write-only position
+	seen          map[types.Type]bool // types reflect followed deep
+}
+
+// walk records the field uses in n, inside a function of signature sig.
+// Pre-order visiting marks an assignment's targets and a literal's keys
+// before their identifiers are seen.
+func (u *fieldUses) walk(n ast.Node, sig *types.Signature) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				u.walk(n.Body, u.info.Defs[n.Name].Type().(*types.Signature))
+			}
+			return false
+		case *ast.FuncLit:
+			u.walk(n.Body, u.info.TypeOf(n).(*types.Signature))
+			return false
+		case *ast.Ident:
+			if v := field(u.info.Uses[n]); v != nil && !u.lhs[n] {
+				u.read[v] = true
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				u.set(lhs, true)
+				if to := u.info.TypeOf(lhs); n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) && to != nil { // nil: the blank identifier
+					u.convert(to, n.Rhs[i])
+				}
+			}
+		case *ast.IncDecStmt:
+			u.set(n.X, true)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				u.set(n.X, false)
+			}
+		case *ast.SelectorExpr: // x.f.M for a pointer method M takes &x.f
+			if fn, ok := u.info.Uses[n.Sel].(*types.Func); ok && fn.Signature().Recv() != nil && isPointer(fn.Signature().Recv().Type()) && !isPointer(u.info.TypeOf(n.X)) {
+				u.set(n.X, false)
+			}
+		case *ast.CompositeLit:
+			u.literal(n)
+		case *ast.CallExpr:
+			tv := u.info.Types[n.Fun]
+			fs, ok := tv.Type.Underlying().(*types.Signature)
+			switch {
+			case tv.IsType():
+				u.convert(tv.Type, n.Args[0])
+			case ok && !strings.HasPrefix(types.ExprString(n.Fun), "sort.Slice"): // which only moves whole elements
+				last := fs.Params().Len() - 1
+				for i, arg := range n.Args {
+					to := fs.Params().At(min(i, last)).Type()
+					if fs.Variadic() && i >= last && !n.Ellipsis.IsValid() {
+						to = to.(*types.Slice).Elem()
+					}
+					u.convert(to, arg)
+				}
+			}
+		case *ast.ReturnStmt:
+			for i := 0; sig.Results().Len() == len(n.Results) && i < len(n.Results); i++ {
+				u.convert(sig.Results().At(i).Type(), n.Results[i])
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				u.reflect(u.info.TypeOf(n.X), false)
+				u.reflect(u.info.TypeOf(n.Y), false)
+			}
+		case *ast.IndexExpr:
+			if mt, ok := u.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				u.reflect(mt.Key(), false)
+			}
+		}
+		return true
+	})
+}
+
+// set records the field e selects as written: the outermost selector of
+// an assignment's target (lhs), which is not also a read, or of an
+// address taken. Setting x.a.f or x.a[i] sets the value field a with it.
+func (u *fieldUses) set(e ast.Expr, lhs bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if v := field(u.info.Uses[x.Sel]); v != nil {
+				u.written[v], u.lhs[x.Sel] = true, lhs
+				if e = x.X; !isPointer(u.info.TypeOf(e)) {
+					continue
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ok := u.info.TypeOf(x.X).Underlying().(*types.Array); ok {
+				e = x.X
+				continue
+			}
+		}
+		return
+	}
+}
+
+// literal records a composite literal's fields as written, and converts
+// its elements to their element types.
+func (u *fieldUses) literal(lit *ast.CompositeLit) {
+	t := u.info.TypeOf(lit).Underlying()
+	if p, ok := t.(*types.Pointer); ok { // an elided &T{...}
+		t = p.Elem().Underlying()
+	}
+	for i, el := range lit.Elts {
+		kv, keyed := el.(*ast.KeyValueExpr)
+		if keyed {
+			el = kv.Value
+		}
+		switch t := t.(type) {
+		case *types.Struct:
+			f := t.Field(i)
+			if keyed {
+				f = u.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+				u.lhs[kv.Key.(*ast.Ident)] = true
+			}
+			u.written[f.Origin()] = true
+			u.convert(f.Type(), el)
+		case *types.Map:
+			u.reflect(t.Key(), false)
+			u.convert(t.Elem(), el)
+		case interface{ Elem() types.Type }: // slice or array
+			u.convert(t.Elem(), el)
+		}
+	}
+}
+
+// convert marks the fields of e's type used when e becomes an interface
+// with no methods.
+func (u *fieldUses) convert(to types.Type, e ast.Expr) {
+	if it, ok := to.Underlying().(*types.Interface); ok && it.NumMethods() == 0 && !types.IsInterface(u.info.TypeOf(e)) {
+		u.reflect(u.info.TypeOf(e), true)
+	}
+}
+
+// reflect marks every field of t read and written, through arrays and
+// struct fields and, when deep, through pointers, slices and maps.
+func (u *fieldUses) reflect(t types.Type, deep bool) {
+	if t == nil || deep && u.seen[t] {
+		return
+	}
+	u.seen[t] = u.seen[t] || deep
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		u.reflect(t.Underlying(), deep)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			f := t.Field(i).Origin()
+			u.read[f], u.written[f] = true, true
+			u.reflect(t.Field(i).Type(), deep)
+		}
+	case *types.Map:
+		if deep {
+			u.reflect(t.Key(), deep)
+			u.reflect(t.Elem(), deep)
+		}
+	case interface{ Elem() types.Type }: // an array, or when deep a pointer, slice or channel
+		if _, array := t.(*types.Array); array || deep {
+			u.reflect(t.Elem(), deep)
+		}
+	}
+}
+
+// field returns obj's declaration when it is a struct field.
+func field(obj types.Object) *types.Var {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }

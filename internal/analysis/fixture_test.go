@@ -114,12 +114,16 @@ func loadDeadcodeFixture(t *testing.T, types bool) *Module {
 // TestDeadcodeFixture pins what the check reports (a func only a _test.go
 // calls, the helper only it calls, a type whose every method is dead, an
 // unused method or var of a live package, a method that only shares a
-// name with an interface method) and what it never does (interface
+// name with an interface method, a field only set, a field only tests
+// read, a field only tests set) and what it never does (interface
 // satisfaction by method set, through a pointer receiver or a promoted
-// method, var initialisers, iota enumerators, generic
-// instantiations, method values, allowed observation points, anything
-// outside internal/), and that a stale allow reaches allowaudit. Every
-// finding is an error, so diffkv-vet exits 1 on such a tree.
+// method, var initialisers, iota enumerators, generic instantiations and
+// their fields, method values, a tagged field, the fields of a struct
+// fmt reads or that is compared, a value field set through a pointer
+// method or &x.f, positional elements of an elided-type literal, the
+// fields of a dead type, allowed observation points, anything outside
+// internal/), and that a stale allow reaches allowaudit. Every finding
+// is an error, so diffkv-vet exits 1 on such a tree.
 func TestDeadcodeFixture(t *testing.T) {
 	m := loadDeadcodeFixture(t, true)
 	res := Run(m, DefaultConfig())
@@ -129,8 +133,8 @@ func TestDeadcodeFixture(t *testing.T) {
 			t.Errorf("%s: severity %s, want error", d, d.Severity)
 		}
 	}
-	if res.Suppressions != 1 {
-		t.Errorf("Suppressions = %d, want 1 (the observation point)", res.Suppressions)
+	if res.Suppressions != 2 {
+		t.Errorf("Suppressions = %d, want 2 (the observation points)", res.Suppressions)
 	}
 }
 

@@ -36,9 +36,6 @@ type LoadOptions struct {
 	// ones). When it fails for a package the package is still analyzed
 	// syntactically — Package.TypeErr records why.
 	Types bool
-	// Dirs restricts loading to these directories (absolute or
-	// root-relative). Empty means the whole module.
-	Dirs []string
 }
 
 // LoadModule walks root (a directory inside a Go module), parses every
@@ -52,17 +49,9 @@ func LoadModule(root string, opts LoadOptions) (*Module, error) {
 	}
 	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet(), Typed: opts.Types}
 
-	dirs := opts.Dirs
-	if len(dirs) == 0 {
-		if dirs, err = packageDirs(root); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, d := range dirs {
-			if !filepath.IsAbs(d) {
-				dirs[i] = filepath.Join(root, d)
-			}
-		}
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return nil, err
 	}
 	for _, dir := range dirs {
 		pkg, err := m.parseDir(dir)
@@ -163,7 +152,7 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Dir: dir, ImportPath: m.importPathFor(dir)}
+	pkg := &Package{ImportPath: m.importPathFor(dir)}
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -180,7 +169,6 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, file)
 		pkg.Filenames = append(pkg.Filenames, filename)
-		pkg.Name = file.Name.Name
 		pkg.Directives = append(pkg.Directives, parseDirectives(m.Fset, file, src)...)
 	}
 	if len(pkg.Files) == 0 {

@@ -10,11 +10,13 @@ func main() {
 	bump()
 	var b lib.Box[string]
 	b.Stash("x")
-	_ = b.Unstash()
+	b.Label = "y"
+	_ = b.Unstash() + b.Labelled()
 	var s lib.Stack
 	s.Push(1)
 	_ = lib.Used() + int(lib.NewShape().Area()) + len(lib.Sorted(nil))
 	lib.AlsoUsed()
+	_ = lib.Use(&lib.Fields{})
 }
 
 // notInternal has no caller, and is outside internal/: a root, not a finding.

@@ -2,7 +2,10 @@
 // mini-module whose only non-test root is cmd/tool.
 package lib
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Used is called from cmd/tool, and keeps its unexported helper alive.
 func Used() int { return helper() + int(KindB) + len(registry) }
@@ -93,8 +96,14 @@ const (
 	KindB
 )
 
-// Box is generic: cmd/tool reaches Stash and Unstash through Box[string].
-type Box[T any] struct{ v T }
+// Box is generic: cmd/tool reaches Stash and Unstash through Box[string],
+// and sets Label through it too, which sets the origin's field.
+type Box[T any] struct {
+	v     T
+	Label string
+}
+
+func (b *Box[T]) Labelled() string { return b.Label }
 
 func (b *Box[T]) Stash(v T) { b.v = v }
 
@@ -107,6 +116,8 @@ type Counter struct{ n int }
 
 func (c *Counter) Bump() { c.n++ }
 
+func (c Counter) Count() int { return c.n }
+
 // Observed is an observation point: kept for tests under an allow, and what
 // it uses stays live with it.
 //
@@ -117,3 +128,41 @@ func observedHelper() int { return 3 }
 
 //diffkv:allow deadcode -- stale: cmd/tool calls AlsoUsed // want "allow directive for deadcode suppresses nothing"
 func AlsoUsed() {}
+
+// Fields: every field of a reached declaration here must be read and set
+// by non-test code.
+type Fields struct {
+	written  int // want "field written of Fields is never read outside tests"
+	testRead int // want "field testRead of Fields is never read outside tests"
+	testSet  int // want "field testSet of Fields is never set outside tests, so it always holds its zero value"
+	Tagged   int `json:"tagged"`
+	tally    Counter
+	level    int
+	pairs    []pair
+	//diffkv:allow deadcode -- tests read the fixture's invariant through it
+	observed int
+	//diffkv:allow deadcode -- stale: Use reads and sets it // want "allow directive for deadcode suppresses nothing"
+	plain int
+}
+
+// pair is only built positionally, in a literal whose element type is elided.
+type pair struct{ k, v int }
+
+// printed reaches fmt, which reads (and could set) every field by reflection.
+type printed struct{ a, b int }
+
+// compared is compared whole, which reads every field.
+type compared struct{ x, y int }
+
+// Use is called from cmd/tool.
+func Use(f *Fields) string {
+	f.written = 1
+	f.testRead = 2
+	f.observed = 3
+	f.plain = f.plain + 1
+	f.tally.Bump() // a pointer method sets the value field tally
+	fmt.Sscan("4", &f.level)
+	f.pairs = []pair{{1, 2}}
+	same := compared{} == compared{}
+	return fmt.Sprintf("%v %d %d %d %d %v", printed{}, f.testSet, f.tally.Count(), f.level, f.pairs[0].k+f.pairs[0].v, same)
+}

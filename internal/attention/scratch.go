@@ -10,18 +10,16 @@ import (
 )
 
 // Scratch is the reusable kernel context of the attention path. A Scratch
-// owns every buffer the kernels need (logits, positions, output, token
-// weights, quantization arenas), so the steady-state hot path performs zero
-// allocations: buffers grow on the first calls and are reused afterwards.
+// owns every buffer the kernels need (logits, output, quantization arenas),
+// so the steady-state hot path performs zero allocations: buffers grow on
+// the first calls and are reused afterwards.
 //
-// Results returned by Scratch methods alias Scratch storage and stay valid
-// only until the next call on the same Scratch. A Scratch is not safe for
+// The output a Scratch method returns aliases Scratch storage and stays
+// valid only until the next call on the same Scratch. A Scratch is not safe for
 // concurrent use; each worker keeps its own.
 type Scratch struct {
-	logits    []float32
-	positions []int32
-	out       []float32
-	tw        []TokenWeight
+	logits []float32
+	out    []float32
 
 	// uniform-path arenas: per-call key buffer, one value arena sliced per
 	// token, and per-token value metadata
@@ -36,24 +34,11 @@ type Scratch struct {
 // grow readies the shared buffers for n tokens at dimension dim.
 func (s *Scratch) grow(n, dim int) {
 	if cap(s.logits) < n {
-		s.logits = make([]float32, 0, growCap(cap(s.logits), n))
-	}
-	if cap(s.positions) < n {
-		s.positions = make([]int32, 0, growCap(cap(s.positions), n))
-	}
-	if cap(s.tw) < n {
-		s.tw = make([]TokenWeight, 0, growCap(cap(s.tw), n))
+		s.logits = make([]float32, 0, max(2*cap(s.logits), n))
 	}
 	if cap(s.out) < dim {
 		s.out = make([]float32, dim)
 	}
-}
-
-func growCap(cur, need int) int {
-	if c := 2 * cur; c > need {
-		return c
-	}
-	return need
 }
 
 // Compressed computes attention over a DiffKV head cache plus the
@@ -61,15 +46,13 @@ func growCap(cur, need int) int {
 // fused-dot call per page for the keys and one batched fused-axpy call per
 // page for the values (high-precision pages first, then low-precision, then
 // the window — the warp iteration order of the paper's kernel, §6.2).
-func (s *Scratch) Compressed(q []float32, hc *kvcache.HeadCache, window []policy.WindowToken) Result {
+func (s *Scratch) Compressed(q []float32, hc *kvcache.HeadCache, window []policy.WindowToken) []float32 {
 	dim := len(q)
 	invSqrt := float32(1 / math.Sqrt(float64(dim)))
 	total := hc.TotalTokens() + len(window)
 	s.grow(total, dim)
 
 	logits := s.logits[:0]
-	positions := s.positions[:0]
-	bytes := 0
 
 	// ---- key pass: page-granular fused dequantize-dot ----
 	for _, level := range [2]kvcache.Level{kvcache.LevelHi, kvcache.LevelLo} {
@@ -85,14 +68,10 @@ func (s *Scratch) Compressed(q []float32, hc *kvcache.HeadCache, window []policy
 			for j := off; j < len(logits); j++ {
 				logits[j] *= invSqrt
 			}
-			positions = append(positions, p.Positions()...)
-			bytes += p.N * p.Prec.TokenBytes(dim)
 		}
 	}
 	for _, w := range window {
 		logits = append(logits, mathx.Dot(q, w.Key)*invSqrt)
-		positions = append(positions, w.Pos)
-		bytes += quant.FP16.TokenBytes(dim)
 	}
 
 	weights := mathx.Softmax(logits, logits)
@@ -118,18 +97,13 @@ func (s *Scratch) Compressed(q []float32, hc *kvcache.HeadCache, window []policy
 		mathx.Axpy(weights[idx], w.Val, out)
 		idx++
 	}
-
-	tw := s.tw[:total]
-	for j := range tw {
-		tw[j] = TokenWeight{Pos: positions[j], Weight: weights[j]}
-	}
-	return Result{Output: out, Weights: tw, BytesRead: bytes}
+	return out
 }
 
 // Uniform computes attention with every key/value quantized at one
 // precision, quantizing values into a single preallocated arena sliced per
 // token instead of one fresh buffer per token.
-func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precision) Result {
+func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precision) []float32 {
 	n := len(keys)
 	dim := len(q)
 	s.grow(n, dim)
@@ -164,17 +138,12 @@ func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precis
 		out[i] = 0
 	}
 	quant.DequantAxpySlots(weights, varena, prec.ValBits, dim, vmeta, out)
-
-	tw := s.tw[:n]
-	for j := range tw {
-		tw[j] = TokenWeight{Pos: int32(j), Weight: weights[j]}
-	}
-	return Result{Output: out, Weights: tw, BytesRead: n * prec.TokenBytes(dim)}
+	return out
 }
 
 // Reference computes exact attention of query q over uncompressed keys and
 // values — the FP16 baseline — into Scratch-owned buffers.
-func (s *Scratch) Reference(q []float32, keys, vals [][]float32) Result {
+func (s *Scratch) Reference(q []float32, keys, vals [][]float32) []float32 {
 	n := len(keys)
 	dim := len(q)
 	s.grow(n, dim)
@@ -189,18 +158,13 @@ func (s *Scratch) Reference(q []float32, keys, vals [][]float32) Result {
 		out[i] = 0
 	}
 	mathx.AxpyRows(weights, vals[:n], out)
-	tw := s.tw[:n]
-	for j := range tw {
-		tw[j] = TokenWeight{Pos: int32(j), Weight: weights[j]}
-	}
-	return Result{Output: out, Weights: tw, BytesRead: n * quant.FP16.TokenBytes(dim)}
+	return out
 }
 
 // Subset is Reference restricted to the rows of keys and vals listed in
-// idx, taken in idx order (so Weights' positions count within idx). It
-// gathers the row headers into Scratch storage, so the steady state
+// idx, taken in idx order. It gathers the row headers into Scratch storage, so the steady state
 // allocates nothing.
-func (s *Scratch) Subset(q []float32, keys, vals [][]float32, idx []int) Result {
+func (s *Scratch) Subset(q []float32, keys, vals [][]float32, idx []int) []float32 {
 	s.subKeys, s.subVals = s.subKeys[:0], s.subVals[:0]
 	for _, j := range idx {
 		s.subKeys = append(s.subKeys, keys[j])

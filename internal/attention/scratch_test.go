@@ -64,21 +64,9 @@ func TestScratchCompressedMatchesWrapper(t *testing.T) {
 	// run twice so the second call exercises fully warmed buffers
 	s.Compressed(q, hc, window)
 	got := s.Compressed(q, hc, window)
-	want := Compressed(q, hc, window)
-
-	if got.BytesRead != want.BytesRead {
-		t.Fatalf("bytes: %d vs %d", got.BytesRead, want.BytesRead)
-	}
-	if len(got.Weights) != len(want.Weights) {
-		t.Fatalf("weights: %d vs %d", len(got.Weights), len(want.Weights))
-	}
-	for j := range got.Weights {
-		if got.Weights[j] != want.Weights[j] {
-			t.Fatalf("weight %d: %+v vs %+v", j, got.Weights[j], want.Weights[j])
-		}
-	}
-	if e := mathx.RelErr(got.Output, want.Output); e != 0 {
-		t.Fatalf("scratch output differs from wrapper: %v", e)
+	want := new(Scratch).Compressed(q, hc, window)
+	if e := mathx.RelErr(got, want); e != 0 {
+		t.Fatalf("warmed scratch output differs from a fresh one: %v", e)
 	}
 }
 
@@ -89,11 +77,8 @@ func TestScratchUniformMatchesWrapper(t *testing.T) {
 	s.Uniform(q, keys, vals, quant.K4V2)
 	got := s.Uniform(q, keys, vals, quant.K4V2)
 	want := new(Scratch).Uniform(q, keys, vals, quant.K4V2)
-	if e := mathx.RelErr(got.Output, want.Output); e != 0 {
+	if e := mathx.RelErr(got, want); e != 0 {
 		t.Fatalf("scratch uniform differs: %v", e)
-	}
-	if got.BytesRead != want.BytesRead {
-		t.Fatalf("bytes: %d vs %d", got.BytesRead, want.BytesRead)
 	}
 }
 
@@ -101,9 +86,10 @@ func TestScratchReferenceMatchesWrapper(t *testing.T) {
 	rng := mathx.NewRNG(23)
 	q, keys, vals := genKV(rng, 60, 32)
 	var s Scratch
+	s.Reference(q, keys, vals)
 	got := s.Reference(q, keys, vals)
-	want := Reference(q, keys, vals)
-	if e := mathx.RelErr(got.Output, want.Output); e != 0 {
+	want := new(Scratch).Reference(q, keys, vals)
+	if e := mathx.RelErr(got, want); e != 0 {
 		t.Fatalf("scratch reference differs: %v", e)
 	}
 }
@@ -119,12 +105,9 @@ func TestScratchBuffersReusedAcrossSizes(t *testing.T) {
 	var s Scratch
 	s.Compressed(q, hcBig, winBig)
 	got := s.Compressed(q, hcSmall, winSmall)
-	want := Compressed(q, hcSmall, winSmall)
-	if e := mathx.RelErr(got.Output, want.Output); e != 0 {
+	want := new(Scratch).Compressed(q, hcSmall, winSmall)
+	if e := mathx.RelErr(got, want); e != 0 {
 		t.Fatalf("reuse across sizes broke output: %v", e)
-	}
-	if len(got.Weights) != len(want.Weights) {
-		t.Fatalf("stale weights: %d vs %d", len(got.Weights), len(want.Weights))
 	}
 }
 

@@ -67,8 +67,7 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 	for p := 0; p < probes; p++ {
 		q := data.Query(rng)
 		ref := sc.Reference(q, data.Keys, data.Vals)
-		out := attnFn(q)
-		samples[p] = attention.OutputError(out, ref.Output)
+		samples[p] = attention.OutputError(attnFn(q), ref)
 		sum += samples[p]
 	}
 	mean := sum / float64(probes)
@@ -81,7 +80,7 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 func subsetErr(data *synth.HeadData, idx []int, probes int, rng *mathx.RNG) float64 {
 	var sc attention.Scratch
 	return probeErr(data, probes, rng, func(q []float32) []float32 {
-		return sc.Subset(q, data.Keys, data.Vals, idx).Output
+		return sc.Subset(q, data.Keys, data.Vals, idx)
 	})
 }
 
@@ -91,7 +90,7 @@ func subsetErr(data *synth.HeadData, idx []int, probes int, rng *mathx.RNG) floa
 func reconErr(data *synth.HeadData, keys, vals [][]float32, probes int, rng *mathx.RNG) float64 {
 	var sc attention.Scratch
 	return probeErr(data, probes, rng, func(q []float32) []float32 {
-		return sc.Reference(q, keys, vals).Output
+		return sc.Reference(q, keys, vals)
 	})
 }
 

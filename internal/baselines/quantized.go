@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"sort"
+
 	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
 	"diffkv/internal/synth"
@@ -9,33 +11,24 @@ import (
 // INT4Atom is the Atom/QServe-style uniform 4-bit baseline: every key and
 // value quantized at 4 bits with group-wise scales (group size 32), which
 // contains outlier channels within their group.
-type INT4Atom struct {
-	// GroupSize defaults to 32.
-	GroupSize int
-}
+type INT4Atom struct{}
+
+const atomGroupSize = 32
 
 // Name implements Method.
 func (INT4Atom) Name() string { return "INT4" }
 
-func (m INT4Atom) groupSize() int {
-	if m.GroupSize > 0 {
-		return m.GroupSize
-	}
-	return 32
-}
-
 // Evaluate implements Method.
-func (m INT4Atom) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
-	g := m.groupSize()
+func (INT4Atom) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
 	n := data.Len()
 	keys := make([][]float32, n)
 	vals := make([][]float32, n)
 	for j := 0; j < n; j++ {
-		keys[j] = quant.RoundTripGrouped(data.Keys[j], 4, g)
-		vals[j] = quant.RoundTripGrouped(data.Vals[j], 4, g)
+		keys[j] = quant.RoundTripGrouped(data.Keys[j], 4, atomGroupSize)
+		vals[j] = quant.RoundTripGrouped(data.Vals[j], 4, atomGroupSize)
 	}
 	e := reconErr(data, keys, vals, probes, rng)
-	perToken := quant.GroupedTokenBytes(data.Dim, quant.K4V4, g)
+	perToken := quant.GroupedTokenBytes(data.Dim, quant.K4V4, atomGroupSize)
 	return EvalResult{
 		OutputErr: e,
 		MemFrac:   float64(perToken) / float64(fp16PayloadBytes(data.Dim)),
@@ -43,32 +36,24 @@ func (m INT4Atom) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig [
 }
 
 // KIVI is the 2-bit asymmetric quantization baseline: all but the most
-// recent ResidualLen tokens are stored at 2 bits — keys quantized
-// per-channel (so persistent outlier channels get their own scale, KIVI's
-// central design point), values per-token — while the residual window
-// stays FP16.
-type KIVI struct {
-	// ResidualLen defaults to 128.
-	ResidualLen int
-	// GroupSize defaults to 64 (KIVI groups along larger spans than Atom).
-	GroupSize int
-}
+// recent 128 tokens are stored at 2 bits — keys quantized per-channel (so
+// persistent outlier channels get their own scale, KIVI's central design
+// point), values per-token in groups of 64 (KIVI groups along larger spans
+// than Atom) — while the residual window stays FP16.
+type KIVI struct{}
+
+const (
+	kiviResidualLen = 128
+	kiviGroupSize   = 64
+)
 
 // Name implements Method.
 func (KIVI) Name() string { return "KIVI" }
 
 // Evaluate implements Method.
-func (m KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
-	res := m.ResidualLen
-	if res <= 0 {
-		res = 128
-	}
-	g := m.GroupSize
-	if g <= 0 {
-		g = 64
-	}
+func (KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
 	n := data.Len()
-	cut := n - res
+	cut := n - kiviResidualLen
 	if cut < 0 {
 		cut = 0
 	}
@@ -81,14 +66,14 @@ func (m KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []flo
 	for j := 0; j < n; j++ {
 		if j < cut {
 			keys[j] = recKeys[j]
-			vals[j] = quant.RoundTripGrouped(data.Vals[j], 2, g)
+			vals[j] = quant.RoundTripGrouped(data.Vals[j], 2, kiviGroupSize)
 		} else {
 			keys[j] = data.Keys[j]
 			vals[j] = data.Vals[j]
 		}
 	}
 	e := reconErr(data, keys, vals, probes, rng)
-	qBytes := cut * quant.GroupedTokenBytes(data.Dim, quant.K2V2, g)
+	qBytes := cut * quant.GroupedTokenBytes(data.Dim, quant.K2V2, kiviGroupSize)
 	fpBytes := (n - cut) * fp16PayloadBytes(data.Dim)
 	return EvalResult{
 		OutputErr: e,
@@ -150,5 +135,5 @@ func sortBySigDesc(idx []int, sig []float32) {
 		}
 		return idx[a] < idx[b]
 	}
-	sortSlice(idx, lessFn)
+	sort.Slice(idx, lessFn)
 }

@@ -9,18 +9,12 @@ import (
 	"diffkv/internal/synth"
 )
 
-// mathInfNeg is the float32 negative-infinity seed for max reductions.
-var mathInfNeg = float32(math.Inf(-1))
-
 // Quest is the query-aware partial-loading baseline: the full FP16 cache
 // stays resident (no memory saving for batching), but each query loads
 // only the most promising pages, estimated from per-page min/max key
 // envelopes. Its speedup comes from reading fewer bytes; its accuracy cost
-// comes from pages the estimate misses.
+// comes from pages the estimate misses. It selects pages of 16 tokens.
 type Quest struct {
-	// PageSize is the tokens-per-page granularity of selection
-	// (default 16).
-	PageSize int
 	// Budget is the fraction of pages loaded per query (default 0.5, the
 	// Table 1 setting).
 	Budget float64
@@ -31,10 +25,7 @@ func (Quest) Name() string { return "Quest" }
 
 // Evaluate implements Method.
 func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
-	ps := m.PageSize
-	if ps <= 0 {
-		ps = 16
-	}
+	const ps = 16
 	budget := m.Budget
 	if budget <= 0 {
 		budget = 0.5
@@ -68,7 +59,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			if hi > n {
 				hi = n
 			}
-			best := float32(mathInfNeg)
+			best := float32(math.Inf(-1))
 			for _, s := range dots[lo:hi] {
 				if s > best {
 					best = s
@@ -88,7 +79,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			}
 		}
 		sort.Ints(idx)
-		return sc.Subset(q, data.Keys, data.Vals, idx).Output
+		return sc.Subset(q, data.Keys, data.Vals, idx)
 	})
 
 	// Reported per the paper's convention: the loading budget. The

@@ -116,13 +116,14 @@ func cache1K(b *testing.B) (*kvcache.HeadCache, []float32) {
 }
 
 // CompressedAttention1K runs compressed attention over the 1024-token cache
-// through the convenience wrapper (fresh Scratch per call).
+// with a fresh Scratch per call, so every call grows its buffers.
 func CompressedAttention1K(b *testing.B) {
 	hc, q := cache1K(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		attention.Compressed(q, hc, nil)
+		var sc attention.Scratch
+		sc.Compressed(q, hc, nil)
 	}
 }
 
@@ -163,7 +164,7 @@ func GenPolicyStep(b *testing.B) {
 		rng.NormVec(k, 1)
 		rng.NormVec(v, 1)
 		gp.Sig.Seed(i, float32(rng.Float64()*2))
-		if _, err := gp.Step(hc, k, v, int32(i)); err != nil {
+		if err := gp.Step(hc, k, v, int32(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

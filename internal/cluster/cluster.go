@@ -263,7 +263,7 @@ func (c *Cluster) dispatch(r workload.Request) {
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)
 	}
-	c.observe(r, idx)
+	c.observe(r, idx, r.ArrivalUs)
 	c.acc.dispatch(idx, r)
 	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: r.ArrivalUs, Seq: r.ID, Inst: idx + 1})
 }
@@ -313,16 +313,17 @@ func (c *Cluster) snapshot(i int) Snapshot {
 		Running:        e.RunningCount(),
 		ResidentTokens: e.ResidentTokens(),
 		SwappedTokens:  e.SwappedTokens(),
-		ClockUs:        float64(e.Clock()),
 		Degraded:       c.InstanceHealth(i) == Degraded,
 		Role:           c.Role(i),
 	}
 }
 
-// observe lets learning policies record the dispatch decision.
-func (c *Cluster) observe(r workload.Request, idx int) {
+// observe lets learning policies record the dispatch decision made at
+// sim time nowUs: the arrival for a first dispatch, the re-dispatch time
+// for a crash orphan.
+func (c *Cluster) observe(r workload.Request, idx int, nowUs float64) {
 	if obs, ok := c.policy.(observer); ok {
-		obs.Observe(r, idx, r.ArrivalUs)
+		obs.Observe(r, idx, nowUs)
 	}
 }
 
@@ -391,7 +392,7 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)
 	}
-	c.observe(r, idx)
+	c.observe(r, idx, r.ArrivalUs)
 	c.acc.dispatch(idx, r)
 	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: r.ArrivalUs, Seq: r.ID, Inst: idx + 1})
 	return s, nil

@@ -130,10 +130,7 @@ func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
 	to := c.pickDecode(exp.Req)
 	xfer := float64(c.engines[to].Device().NICTransfer(float64(exp.Bytes)))
 	exp.XferUs = xfer
-	c.dg.xq.Push(disagg.Transfer{
-		SeqID: id, From: from, To: to,
-		Bytes: exp.Bytes, DueUs: doneUs + xfer,
-	})
+	c.dg.xq.Push(disagg.Transfer{SeqID: id, To: to, DueUs: doneUs + xfer})
 	c.dg.inflight[id] = exp
 	c.dg.ledger.Record(from, to, exp.Bytes)
 	c.dg.transfers++

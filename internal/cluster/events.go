@@ -121,7 +121,7 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 func (c *Cluster) feedTelemetry(tc *telemetry.Center, comps []serving.Completion) {
 	for _, cp := range comps {
 		ttft, tpot, e2e := cp.LatencySec()
-		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Req.GenLen, cp.Phases)
+		tc.RecordCompletion(cp.Inst, cp.DoneUs, ttft, tpot, e2e, cp.Phases)
 	}
 	if tc.Due(float64(c.Clock())) {
 		tc.Sample(serving.ObservationFromStats(c.Stats()))

@@ -202,7 +202,7 @@ func (c *Cluster) processRedispatch() error {
 	}
 	c.redispatchN++
 	c.perInstRedisp[idx]++
-	c.observe(rd.o.Req, idx)
+	c.observe(rd.o.Req, idx, rd.dueUs)
 	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: rd.dueUs, Seq: rd.o.Req.ID, Inst: idx + 1, Note: "redispatch"})
 	return nil
 }

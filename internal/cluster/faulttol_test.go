@@ -288,6 +288,53 @@ func TestChaosSessionsSurviveRedispatch(t *testing.T) {
 	}
 }
 
+// lruProbe checks, at every crash re-dispatch, that each shared-prefix
+// block of the orphan carries a prefix-index LRU stamp no older than the
+// re-dispatch: stamping the orphan's original arrival would make blocks
+// other requests touched since then the next eviction victims.
+type lruProbe struct {
+	t       *testing.T
+	c       *Cluster
+	reqs    map[int]workload.Request
+	checked int
+}
+
+func (p *lruProbe) Emit(ev trace.Event) {
+	if ev.Kind != trace.KindDispatch || ev.Note != "redispatch" {
+		return
+	}
+	pa := p.c.policy.(*prefixAffinity)
+	r := p.reqs[ev.Seq]
+	for i, h := range r.BlockHashes(pa.blockTok)[:r.PrefixLen/pa.blockTok] {
+		if e := pa.index.entries[h]; e == nil || e.lastUse < ev.TimeUs {
+			p.t.Errorf("req %d re-dispatched at %.0f us: prefix block %d stamped %v", r.ID, ev.TimeUs, i, e)
+		}
+	}
+	p.checked++
+}
+
+// A crash re-dispatch under prefix-affinity refreshes the orphan's prefix
+// blocks in the index at the re-dispatch time.
+func TestRedispatchRefreshesPrefixLRU(t *testing.T) {
+	probe := &lruProbe{t: t, reqs: map[int]workload.Request{}}
+	c := chaosCluster(t, churnPlan(41), func(cfg *Config) {
+		cfg.Policy = PolicyPrefixAffinity
+		cfg.Tracer = probe
+	})
+	probe.c = c
+	reqs := chaosReqs(24, 8, 7)
+	for i := range reqs {
+		reqs[i].PrefixGroup, reqs[i].PrefixLen = 1+i%3, min(256, reqs[i].PromptLen)
+		probe.reqs[reqs[i].ID] = reqs[i]
+	}
+	if _, err := c.Run(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if probe.checked == 0 {
+		t.Fatal("no crash re-dispatch happened; the probe checked nothing")
+	}
+}
+
 // Stuck must treat terminally-failed requests as accounted for — the
 // regression the Failed field fixes.
 func TestStuckCountsFailedAsAccounted(t *testing.T) {

@@ -21,8 +21,6 @@ type Snapshot struct {
 	// swapped out to its host tier — latent load that will reclaim GPU
 	// pages before new admissions, which offload-aware policies weigh.
 	SwappedTokens int
-	// ClockUs is the instance's simulated clock.
-	ClockUs float64
 	// Degraded marks an instance in a transient fault-injection
 	// slowdown: routable, but load-aware policies down-weight it.
 	// Crashed (down) instances never appear in a snapshot at all.

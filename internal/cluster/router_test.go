@@ -69,6 +69,6 @@ func BenchmarkRoute64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := reqs[i%len(reqs)]
 		idx, _ := c.route(r)
-		c.observe(r, idx)
+		c.observe(r, idx, r.ArrivalUs)
 	}
 }

@@ -29,8 +29,6 @@ const (
 type Config struct {
 	Model  *synth.ModelConfig
 	Params policy.Params
-	// HiPrec / LoPrec are the two storage tiers (defaults K8V4 / K4V2).
-	HiPrec, LoPrec quant.Precision
 	// SampleLayers / SampleHeads bound the (layer, head) pairs simulated
 	// for fidelity measurement — attention statistics are i.i.d. across
 	// pairs given the per-layer profile, so a sample estimates the full
@@ -56,12 +54,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Params.Validate(); err != nil {
 		return err
-	}
-	if c.HiPrec == (quant.Precision{}) {
-		c.HiPrec = quant.K8V4
-	}
-	if c.LoPrec == (quant.Precision{}) {
-		c.LoPrec = quant.K4V2
 	}
 	if c.SampleLayers <= 0 {
 		c.SampleLayers = 2
@@ -190,8 +182,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 	pages := 4 * (total/e.tokensPerHiPage(dim) + 2)
 	mgr, err := kvcache.NewManager(kvcache.Config{
 		Dim: dim, PageBytes: pageBytes, NumPages: pages,
-		HiPrec: cfg.HiPrec, LoPrec: cfg.LoPrec,
-		MaxSeqLen: total + 1, Materialize: true,
+		MaxSeqLen: total + 1, Materialize: true, // the default K8V4 / K4V2 tiers
 	})
 	if err != nil {
 		return headRun{}, err
@@ -253,7 +244,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 			run.probes++
 		}
 
-		if _, err := gp.Step(hc, data.Keys[t], data.Vals[t], int32(t)); err != nil {
+		if err := gp.Step(hc, data.Keys[t], data.Vals[t], int32(t)); err != nil {
 			return headRun{}, err
 		}
 	}
@@ -280,7 +271,7 @@ func (e *Engine) probe(data *synth.HeadData, hc *kvcache.HeadCache, gp *policy.G
 		data.QueryInto(rng, q)
 		comp := scComp.Compressed(q, hc, gp.Window())
 		ref := scRef.Reference(q, data.Keys[:t], data.Vals[:t])
-		outErr += attention.OutputError(comp.Output, ref.Output)
+		outErr += attention.OutputError(comp, ref)
 	}
 	outErr /= float64(group)
 
@@ -348,5 +339,5 @@ func samplePoints(n, k int) []int {
 }
 
 func (e *Engine) tokensPerHiPage(dim int) int {
-	return kvcache.TokensPerPage(pageBytes, dim, e.cfg.HiPrec)
+	return kvcache.TokensPerPage(pageBytes, dim, quant.K8V4)
 }

@@ -7,7 +7,6 @@ import (
 
 	"diffkv/internal/mathx"
 	"diffkv/internal/policy"
-	"diffkv/internal/quant"
 	"diffkv/internal/synth"
 )
 
@@ -35,9 +34,6 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := e.cfg
-	if cfg.HiPrec != quant.K8V4 || cfg.LoPrec != quant.K4V2 {
-		t.Fatal("precision defaults wrong")
-	}
 	if cfg.SampleLayers != 2 || cfg.SampleHeads != 2 {
 		t.Fatal("sampling defaults wrong")
 	}

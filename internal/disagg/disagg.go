@@ -99,11 +99,9 @@ func Split(r workload.Request) (prefill workload.Request, handoff bool) {
 type Transfer struct {
 	// SeqID is the parent request ID whose KV is in flight.
 	SeqID int
-	// From / To are 0-based instance indices.
-	From, To int
-	// Bytes is the packed payload crossing the wire; DueUs the delivery
-	// time (prefill completion + NICTransfer).
-	Bytes int64
+	// To is the 0-based decode instance index.
+	To int
+	// DueUs is the delivery time (prefill completion + NICTransfer).
 	DueUs float64
 }
 

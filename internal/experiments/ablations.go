@@ -249,9 +249,9 @@ func AblationThreeLevels(o Opts) []*Table {
 				bytes += p.TokenBytes(model.HeadDim)
 			}
 			q := data.Query(rng.SplitAt(3))
-			ref := attention.Reference(q, data.Keys, data.Vals)
-			recon := attention.Reference(q, keys, vals)
-			errs[rep] = attention.OutputError(recon.Output, ref.Output) / float64(reps)
+			var scRef, scRecon attention.Scratch
+			ref := scRef.Reference(q, data.Keys, data.Vals)
+			errs[rep] = attention.OutputError(scRecon.Reference(q, keys, vals), ref) / float64(reps)
 			mems[rep] = float64(bytes) / float64(n*4*model.HeadDim) / float64(reps)
 		})
 		var errSum, memSum float64

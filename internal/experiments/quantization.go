@@ -25,10 +25,9 @@ func uniformErr(model *synth.ModelConfig, bench *workload.Benchmark, prec quant.
 		prof := synth.Profile(model, (rep*7)%model.Layers, rep%model.KVHeads, bench.DensityScale, rng)
 		h := synth.GenHead(model, prof, n, rng.SplitAt(1))
 		q := h.Query(rng)
-		var sc attention.Scratch
-		ref := attention.Reference(q, h.Keys, h.Vals)
-		res := sc.Uniform(q, h.Keys, h.Vals, prec)
-		errs[rep] = attention.OutputError(res.Output, ref.Output)
+		var scRef, sc attention.Scratch
+		ref := scRef.Reference(q, h.Keys, h.Vals)
+		errs[rep] = attention.OutputError(sc.Uniform(q, h.Keys, h.Vals, prec), ref)
 	})
 	return meanOf(errs)
 }
@@ -133,6 +132,7 @@ func Fig9(o Opts) []*Table {
 				// one request: heads spanning sparse to dense profiles, each
 				// with its probe queries and their full-cache outputs
 				hs := make([]headEval, heads)
+				var sc attention.Scratch
 				for i := range hs {
 					prof := synth.Profile(model, (i*3)%model.Layers, i%model.KVHeads, bench.DensityScale, rng.SplitAt(uint64(i)))
 					data := synth.GenHead(model, prof, n, rng.SplitAt(uint64(100+i)))
@@ -140,11 +140,10 @@ func Fig9(o Opts) []*Table {
 					for pr := 0; pr < probes; pr++ {
 						q := data.Query(rng.SplitAt(uint64(300 + i*100 + pr)))
 						hs[i].queries = append(hs[i].queries, q)
-						hs[i].refs = append(hs[i].refs, attention.Reference(q, data.Keys, data.Vals).Output)
+						hs[i].refs = append(hs[i].refs, slices.Clone(sc.Reference(q, data.Keys, data.Vals)))
 					}
 				}
 				sorted := sortedSig(hs)
-				var sc attention.Scratch
 				for f, frac := range fracs {
 					// dynamic: one global threshold hits the aggregate target
 					keepDyn := dynamicKeepSets(hs, sorted, frac)
@@ -158,8 +157,8 @@ func Fig9(o Opts) []*Table {
 						k := int(float64(n) * (1 - frac))
 						sIdx := topK(h.sig, k)
 						for pr, q := range h.queries {
-							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, keepDyn[i]).Output, h.refs[pr])
-							sSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, sIdx).Output, h.refs[pr])
+							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, keepDyn[i]), h.refs[pr])
+							sSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, sIdx), h.refs[pr])
 							dSum += dSamples[pr]
 							sSum += sSamples[pr]
 						}

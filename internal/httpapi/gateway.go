@@ -69,8 +69,7 @@ type Config struct {
 
 // Gateway is the HTTP front-end. Construct with New, mount Handler.
 type Gateway struct {
-	cfg   Config
-	start time.Time
+	cfg Config
 }
 
 // New builds a gateway over a running loop.
@@ -84,7 +83,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ModelName == "" {
 		cfg.ModelName = "diffkv"
 	}
-	return &Gateway{cfg: cfg, start: time.Now()}, nil
+	return &Gateway{cfg: cfg}, nil
 }
 
 // Handler returns the gateway's route table.

@@ -275,8 +275,8 @@ func TestSaturated503(t *testing.T) {
 	}
 	// two earlier completions with a mean end-to-end latency of 2.5 s:
 	// one queued request on one instance drains in ceil(2.5) = 3 s
-	tc.RecordCompletion(1, 0, 0.1, 0.01, 2, 8, trace.PhaseBreakdown{DecodeUs: 2e6})
-	tc.RecordCompletion(1, 0, 0.1, 0.01, 3, 8, trace.PhaseBreakdown{DecodeUs: 3e6})
+	tc.RecordCompletion(1, 0, 0.1, 0.01, 2, trace.PhaseBreakdown{DecodeUs: 2e6})
+	tc.RecordCompletion(1, 0, 0.1, 0.01, 3, trace.PhaseBreakdown{DecodeUs: 3e6})
 	srv := newCenterServer(t, l, tc)
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 64, "max_tokens": 8}`))

@@ -159,7 +159,7 @@ func TestCompactFailureLeavesNothingBehind(t *testing.T) {
 				return m
 			},
 			fail: func(m *Manager) error {
-				_, err := m.AdoptCounts(1, []HeadDemand{{HiTokens: capHi, LoTokens: capLo}, {HiTokens: capHi, LoTokens: capLo}})
+				err := m.AdoptCounts(1, []HeadDemand{{HiTokens: capHi, LoTokens: capLo}, {HiTokens: capHi, LoTokens: capLo}})
 				return err
 			},
 		},
@@ -170,7 +170,7 @@ func TestCompactFailureLeavesNothingBehind(t *testing.T) {
 				return m
 			},
 			fail: func(m *Manager) error {
-				_, err := m.AdoptCounts(1, []HeadDemand{{HiTokens: capHi}, {HiTokens: 2 * capHi, LoTokens: 1}})
+				err := m.AdoptCounts(1, []HeadDemand{{HiTokens: capHi}, {HiTokens: 2 * capHi, LoTokens: 1}})
 				return err
 			},
 		},
@@ -288,9 +288,7 @@ func TestManagerConservationProperty(t *testing.T) {
 				for i := range demands {
 					demands[i] = make([]GenDemand, heads)
 					for h := range demands[i] {
-						d := GenDemand{HiDelta: rng.Intn(3) * rng.Intn(40), LoDelta: rng.Intn(2)}
-						d.HiRemoved = min(d.HiDelta, rng.Intn(2)) // a victim leaves only when a candidate lands
-						demands[i][h] = d
+						demands[i][h] = GenDemand{HiDelta: rng.Intn(3) * rng.Intn(40), LoDelta: rng.Intn(2)}
 					}
 				}
 				_, err = m.GenCompact(live, demands)
@@ -310,7 +308,7 @@ func TestManagerConservationProperty(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					counts[rng.Intn(heads)].LoTokens += rng.Intn(40) * 68
 				}
-				if _, err = m.AdoptCounts(nextID, counts); err == nil {
+				if err = m.AdoptCounts(nextID, counts); err == nil {
 					live = append(live, nextID)
 				}
 				nextID++
@@ -548,8 +546,6 @@ func TestGenCompactFanOutBitIdentical(t *testing.T) {
 				if rng.Intn(16) == 0 {
 					d.HiDelta += rng.Intn(big + 1) // crosses page boundaries
 				}
-				d.HiRemoved = min(d.HiDelta, rng.Intn(2))
-				d.LoRemoved = min(d.LoDelta, rng.Intn(2))
 				ds[i][h] = d
 			}
 		}
@@ -673,10 +669,9 @@ func TestGenCompactFanOutAllocs(t *testing.T) {
 		demands[i] = make([]GenDemand, heads)
 		for h := range demands[i] {
 			// one head in eight grows and takes a page now and then; the
-			// rest displace a victim and hold still
-			demands[i][h] = GenDemand{HiDelta: 1, HiRemoved: 1}
+			// rest hold still
 			if h%8 == 0 {
-				demands[i][h].HiRemoved = 0
+				demands[i][h] = GenDemand{HiDelta: 1}
 			}
 		}
 	}

@@ -332,20 +332,17 @@ func (m *Manager) PromptCompact(seqID, promptLen int, demands []HeadDemand) (Com
 // GenDemand is one head's generation-step memory demand: how many
 // additional tokens land in each tier this step (0 or 1 each under
 // Algorithm 1; the candidate goes to one tier and a victim may be
-// downgraded into the other).
+// downgraded into the other). Evictions free no pages during generation
+// (paper §5.3: recycling happens only when the request finishes), so a
+// demand only grows a tier.
 type GenDemand struct {
 	HiDelta int
 	LoDelta int
-	// HiRemoved / LoRemoved report evictions (pruned or downgraded away);
-	// they free no pages during generation (paper §5.3: recycling happens
-	// only when the request finishes), but keep token counts correct.
-	HiRemoved int
-	LoRemoved int
 }
 
 // after returns hc's per-tier token counts once d has landed.
 func (d *GenDemand) after(hc *HeadCache) (hi, lo int) {
-	return hc.tokens[LevelHi] + d.HiDelta - d.HiRemoved, hc.tokens[LevelLo] + d.LoDelta - d.LoRemoved
+	return hc.tokens[LevelHi] + d.HiDelta, hc.tokens[LevelLo] + d.LoDelta
 }
 
 // shortfall is the planning step of one tier of one head during generation:
@@ -537,8 +534,8 @@ func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, demands [][]GenDem
 			n := min(left, len(scs[s].heads))
 			for h, d := range demands[s][:n] {
 				hc := &scs[s].heads[h]
-				hc.tokens[LevelHi] -= d.HiDelta - d.HiRemoved
-				hc.tokens[LevelLo] -= d.LoDelta - d.LoRemoved
+				hc.tokens[LevelHi] -= d.HiDelta
+				hc.tokens[LevelLo] -= d.LoDelta
 			}
 			left -= n
 		}
@@ -585,33 +582,33 @@ func (m *Manager) SeqKVBytes(seqID int) (int64, error) {
 // sequence whose counts were captured by HeadCounts before release is
 // re-admitted with an identical page-table shape. Counts-only mode.
 // Nothing is registered until the pages have been taken.
-func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) (CompactStats, error) {
+func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) error {
 	if m.cfg.Materialize {
-		return CompactStats{}, fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager")
+		return fmt.Errorf("kvcache: AdoptCounts requires a counts-only manager")
 	}
 	if err := m.checkNew(seqID, len(demands)); err != nil {
-		return CompactStats{}, err
+		return err
 	}
 	cnt := sized(&m.cnt, len(demands))
 	for i, d := range demands {
 		if d.HiTokens < 0 || d.LoTokens < 0 {
-			return CompactStats{}, fmt.Errorf("kvcache: negative adopt demand (%d,%d)", d.HiTokens, d.LoTokens)
+			return fmt.Errorf("kvcache: negative adopt demand (%d,%d)", d.HiTokens, d.LoTokens)
 		}
 		need := m.pages(d)
 		if need > m.slots {
-			return CompactStats{}, fmt.Errorf("kvcache: head %d: %w", i, tableOverflow(m.slots))
+			return fmt.Errorf("kvcache: head %d: %w", i, tableOverflow(m.slots))
 		}
 		cnt[i] = int32(need)
 	}
 	off, flat, err := m.scanTake(cnt)
 	if err != nil {
-		return CompactStats{}, err
+		return err
 	}
 	sc := m.register(seqID, len(demands))
 	for i, d := range demands {
 		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
 	}
-	return CompactStats{Regions: len(demands), PagesAllocated: len(flat)}, nil
+	return nil
 }
 
 func pagesNeeded(tokens, perPage int) int {

@@ -205,7 +205,7 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 	}
 	// a step with no growth allocates nothing
 	stats, err = m.GenCompact([]int{1}, [][]GenDemand{{
-		{HiDelta: 1, HiRemoved: 1}, {},
+		{}, {},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,8 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 }
 
 func TestGenCompactDowngradePath(t *testing.T) {
-	// candidate to hi + victim downgraded to lo: hi count steady, lo +1
+	// candidate to hi + victim downgraded to lo: hi count steady, lo +1,
+	// which is a demand of one lo token
 	m := testManager(t, false, 256)
 	m.AddSequence(1, 1)
 	if _, err := m.PromptCompact(1, 30, []HeadDemand{{HiTokens: 30}}); err != nil {
@@ -225,7 +226,7 @@ func TestGenCompactDowngradePath(t *testing.T) {
 	sc := m.seqs[1]
 	hc := sc.Heads[0]
 	_, err := m.GenCompact([]int{1}, [][]GenDemand{{
-		{HiDelta: 1, HiRemoved: 1, LoDelta: 1},
+		{LoDelta: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)

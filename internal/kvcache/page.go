@@ -26,7 +26,6 @@ import (
 // quantization metadata, quantized values, value metadata, token scores and
 // token positions.
 type Page struct {
-	ID   int32
 	Prec quant.Precision
 	N    int // tokens stored
 	Cap  int // token capacity at the configured precision
@@ -182,7 +181,6 @@ func (p *Page) RemoveSwap(slot int) int {
 // PagePool owns every page of one memory manager.
 type PagePool struct {
 	pages       []Page
-	pageBytes   int
 	dim         int
 	materialize bool
 }
@@ -192,16 +190,11 @@ func NewPagePool(n, pageBytes, dim int, materialize bool) *PagePool {
 	if n <= 0 || pageBytes <= 0 || dim <= 0 {
 		panic("kvcache: invalid page pool parameters")
 	}
-	pool := &PagePool{
+	return &PagePool{
 		pages:       make([]Page, n),
-		pageBytes:   pageBytes,
 		dim:         dim,
 		materialize: materialize,
 	}
-	for i := range pool.pages {
-		pool.pages[i].ID = int32(i)
-	}
-	return pool
 }
 
 // Get returns the page with the given ID.

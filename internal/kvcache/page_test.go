@@ -30,9 +30,9 @@ func TestTokensPerPagePanicsWhenTooSmall(t *testing.T) {
 }
 
 // configurePage prepares the pool's page 0 for prec at the capacity the
-// Manager would compute for it.
+// Manager would compute for it; every pool it is given has 8 KiB pages.
 func configurePage(pool *PagePool, prec quant.Precision) *Page {
-	return pool.configure(0, prec, TokensPerPage(pool.pageBytes, pool.dim, prec))
+	return pool.configure(0, prec, TokensPerPage(8192, pool.dim, prec))
 }
 
 func TestPageConfigureResets(t *testing.T) {
@@ -154,10 +154,10 @@ func TestPagePoolInvalid(t *testing.T) {
 
 func TestPagePoolAccessors(t *testing.T) {
 	pool := NewPagePool(3, 4096, 64, false)
-	if len(pool.pages) != 3 || pool.pageBytes != 4096 || pool.dim != 64 {
+	if len(pool.pages) != 3 || pool.dim != 64 {
 		t.Fatal("accessors wrong")
 	}
-	if pool.Get(2).ID != 2 {
+	if pool.Get(2) != &pool.pages[2] {
 		t.Fatal("page ID wrong")
 	}
 }

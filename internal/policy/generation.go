@@ -59,42 +59,6 @@ type WindowToken struct {
 	Pos int32
 }
 
-// VictimAction describes what Algorithm 1 did to the victim token.
-type VictimAction int
-
-const (
-	// VictimNone: no victim touched (tier empty or victim still
-	// significant).
-	VictimNone VictimAction = iota
-	// VictimDowngraded: re-quantized from the high tier into the low tier.
-	VictimDowngraded
-	// VictimPruned: removed entirely.
-	VictimPruned
-)
-
-func (v VictimAction) String() string {
-	switch v {
-	case VictimDowngraded:
-		return "downgraded"
-	case VictimPruned:
-		return "pruned"
-	default:
-		return "none"
-	}
-}
-
-// GenStepResult reports one generation-step compression outcome.
-type GenStepResult struct {
-	// Compressed is false while the window is still filling.
-	Compressed bool
-	// CandidateLevel is the tier the departing window token landed in.
-	CandidateLevel Level
-	// Victim reports the downgrade-path action.
-	Victim VictimAction
-	// Demand is the memory-accounting delta for kvcache.GenCompact.
-	Demand kvcache.GenDemand
-}
-
 // GenPolicy drives generation-phase compression for one (sequence, KV-head)
 // pair: it owns the recent window and the significance tracker and applies
 // Algorithm 1 each step.
@@ -177,62 +141,42 @@ func (g *GenPolicy) refreshScores(hc *kvcache.HeadCache) {
 //	                   or pruned
 //	else if Score(tc) ≥ αl: tc → KVl; victim of KVl may be pruned
 //	else: tc pruned
-func (g *GenPolicy) Step(hc *kvcache.HeadCache, key, val []float32, pos int32) (GenStepResult, error) {
+func (g *GenPolicy) Step(hc *kvcache.HeadCache, key, val []float32, pos int32) error {
 	g.pushWindow(WindowToken{Key: key, Val: val, Pos: pos})
 	if len(g.Window()) <= g.P.Window {
-		return GenStepResult{}, nil
+		return nil
 	}
 	tc := g.popWindow()
 	g.refreshScores(hc)
 
 	score := g.Sig.Avg(int(tc.Pos))
-	res := GenStepResult{Compressed: true, CandidateLevel: classify(float64(score), g.P)}
-
-	switch res.CandidateLevel {
+	switch classify(float64(score), g.P) {
 	case LevelHigh:
 		if err := hc.AppendToken(kvcache.LevelHi, tc.Key, tc.Val, score, tc.Pos); err != nil {
-			return res, err
+			return err
 		}
-		res.Demand.HiDelta = 1
 		ref, vScore, ok := hc.MinScore(kvcache.LevelHi)
 		if !ok {
 			break
 		}
-		switch vLevel := classify(float64(vScore), g.P); vLevel {
+		switch classify(float64(vScore), g.P) {
 		case LevelHigh:
 			// still significant: stays
 		case LevelLow:
-			if err := hc.Downgrade(ref, g.keyBuf, g.valBuf); err != nil {
-				return res, err
-			}
-			res.Victim = VictimDowngraded
-			res.Demand.HiRemoved = 1
-			res.Demand.LoDelta = 1
+			return hc.Downgrade(ref, g.keyBuf, g.valBuf)
 		default:
-			if err := hc.RemoveToken(ref); err != nil {
-				return res, err
-			}
-			res.Victim = VictimPruned
-			res.Demand.HiRemoved = 1
+			return hc.RemoveToken(ref)
 		}
 	case LevelLow:
 		if err := hc.AppendToken(kvcache.LevelLo, tc.Key, tc.Val, score, tc.Pos); err != nil {
-			return res, err
+			return err
 		}
-		res.Demand.LoDelta = 1
 		ref, vScore, ok := hc.MinScore(kvcache.LevelLo)
-		if !ok {
-			break
-		}
-		if classify(float64(vScore), g.P) == LevelPruned {
-			if err := hc.RemoveToken(ref); err != nil {
-				return res, err
-			}
-			res.Victim = VictimPruned
-			res.Demand.LoRemoved = 1
+		if ok && classify(float64(vScore), g.P) == LevelPruned {
+			return hc.RemoveToken(ref)
 		}
 	case LevelPruned:
 		// dropped outright
 	}
-	return res, nil
+	return nil
 }

@@ -76,17 +76,6 @@ const (
 	LevelPruned
 )
 
-func (l Level) String() string {
-	switch l {
-	case LevelHigh:
-		return "high"
-	case LevelLow:
-		return "low"
-	default:
-		return "pruned"
-	}
-}
-
 // Significance scores throughout this package are *normalized*: each
 // observed attention score is multiplied by the length of the prefix the
 // scoring query attended over, so 1.0 means "exactly the theoretical

@@ -203,6 +203,7 @@ type Completion struct {
 	// RetryUs records the clock of each recovery re-admission — a
 	// recompute re-admission or a swap-in — so TTFT/TPOT under preemption
 	// are honestly attributable (nil when never preempted).
+	//diffkv:allow deadcode -- TestEngineDigestPinned hashes every completion's re-admission clocks
 	RetryUs []float64
 	// Phases attributes the request's end-to-end latency
 	// (DoneUs - Req.ArrivalUs) across lifecycle phases — queue, prefill,

@@ -38,9 +38,6 @@ type CrashReport struct {
 	// crash (running sequences; swapped sequences live in host memory
 	// and lose nothing).
 	LostKVBytes int64
-	// KeptSwapped counts sequences preserved in the host tier — they
-	// resume after Restart instead of recomputing.
-	KeptSwapped int
 }
 
 // xferFault consults the configured transfer-fault hook.
@@ -63,9 +60,7 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 	var rep CrashReport
 	stranded := [][]*seqState{e.running, e.pending}
 	e.running, e.pending, e.residentTok = nil, nil, 0
-	if keepSwapped {
-		rep.KeptSwapped = len(e.swappedQ)
-	} else {
+	if !keepSwapped {
 		stranded = append(stranded, e.swappedQ)
 		e.swappedQ, e.swappedTok = nil, 0
 	}

@@ -136,8 +136,8 @@ func TestCrashKeepsSwappedThroughRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.KeptSwapped != kept {
-		t.Fatalf("kept %d swapped, want %d", rep.KeptSwapped, kept)
+	if len(e.swappedQ) != kept {
+		t.Fatalf("kept %d swapped, want %d", len(e.swappedQ), kept)
 	}
 	for _, o := range rep.Orphans {
 		for _, id := range ids {

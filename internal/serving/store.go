@@ -238,7 +238,7 @@ func (s *pageStore) shape(st *seqState) ([]kvcache.HeadDemand, error) {
 }
 
 func (s *pageStore) adopt(st *seqState, counts []kvcache.HeadDemand) error {
-	_, err := s.mgr.AdoptCounts(st.req.ID, counts)
+	err := s.mgr.AdoptCounts(st.req.ID, counts)
 	return err
 }
 

@@ -25,13 +25,8 @@ type ModelConfig struct {
 	KVHeads      int     // KV heads per layer
 	QueriesPerKV int     // GQA group size
 	HeadDim      int     // per-head feature dimension
-	HiddenDim    int     // model hidden dimension
 	ParamsB      float64 // parameter count in billions
 	MaxSeqLen    int
-	// Thinking marks models that generate extended chains of thought
-	// (QwQ, R1-Distill-*): compression error accumulates over much longer
-	// autoregressive generations (paper §7.2, Table 3 discussion).
-	Thinking bool
 	// KeyOutlierAmp is the amplitude of the persistent per-head key
 	// outlier channels. Real LLM keys carry a few large-magnitude channels
 	// that inflate the per-vector quantization scale, which is what makes
@@ -56,45 +51,42 @@ func (m *ModelConfig) String() string { return m.Name }
 var (
 	Llama3_8B = &ModelConfig{
 		Name: "Llama3-8B", Layers: 32, KVHeads: 8, QueriesPerKV: 4,
-		HeadDim: 128, HiddenDim: 4096, ParamsB: 8, MaxSeqLen: 8192,
+		HeadDim: 128, ParamsB: 8, MaxSeqLen: 8192,
 		KeyOutlierAmp: 6,
 	}
 	Llama31_8B = &ModelConfig{
 		Name: "Llama3.1-8B", Layers: 32, KVHeads: 8, QueriesPerKV: 4,
-		HeadDim: 128, HiddenDim: 4096, ParamsB: 8, MaxSeqLen: 32768,
+		HeadDim: 128, ParamsB: 8, MaxSeqLen: 32768,
 		KeyOutlierAmp: 6,
 	}
 	Llama3_70B = &ModelConfig{
 		Name: "Llama3-70B", Layers: 80, KVHeads: 8, QueriesPerKV: 8,
-		HeadDim: 128, HiddenDim: 8192, ParamsB: 70, MaxSeqLen: 8192,
+		HeadDim: 128, ParamsB: 70, MaxSeqLen: 8192,
 		KeyOutlierAmp: 6,
 	}
 	Qwen25_7B = &ModelConfig{
 		Name: "Qwen2.5-7B", Layers: 28, KVHeads: 4, QueriesPerKV: 7,
-		HeadDim: 128, HiddenDim: 3584, ParamsB: 7, MaxSeqLen: 32768,
+		HeadDim: 128, ParamsB: 7, MaxSeqLen: 32768,
 		KeyOutlierAmp: 22,
 	}
 	Qwen25_32B = &ModelConfig{
 		Name: "Qwen2.5-32B", Layers: 64, KVHeads: 8, QueriesPerKV: 5,
-		HeadDim: 128, HiddenDim: 5120, ParamsB: 32, MaxSeqLen: 32768,
+		HeadDim: 128, ParamsB: 32, MaxSeqLen: 32768,
 		KeyOutlierAmp: 5,
 	}
 	QwQ_32B = &ModelConfig{
 		Name: "QwQ-32B", Layers: 64, KVHeads: 8, QueriesPerKV: 5,
-		HeadDim: 128, HiddenDim: 5120, ParamsB: 32, MaxSeqLen: 32768,
-		Thinking:      true,
+		HeadDim: 128, ParamsB: 32, MaxSeqLen: 32768,
 		KeyOutlierAmp: 5,
 	}
 	R1Qwen_14B = &ModelConfig{
 		Name: "R1-Distill-Qwen-14B", Layers: 48, KVHeads: 8, QueriesPerKV: 5,
-		HeadDim: 128, HiddenDim: 5120, ParamsB: 14, MaxSeqLen: 32768,
-		Thinking:      true,
+		HeadDim: 128, ParamsB: 14, MaxSeqLen: 32768,
 		KeyOutlierAmp: 5,
 	}
 	R1Llama_8B = &ModelConfig{
 		Name: "R1-Distill-Llama-8B", Layers: 32, KVHeads: 8, QueriesPerKV: 4,
-		HeadDim: 128, HiddenDim: 4096, ParamsB: 8, MaxSeqLen: 32768,
-		Thinking:      true,
+		HeadDim: 128, ParamsB: 8, MaxSeqLen: 32768,
 		KeyOutlierAmp: 6,
 	}
 )

@@ -195,19 +195,20 @@ func goodputBurn(spec SLOSpec, goodput *Series, nowUs, windowS float64) float64 
 	return (float64(below) / float64(total)) / spec.BudgetFrac
 }
 
-// evaluate runs every spec at sim time nowUs and returns statuses plus
-// deterministic alert notes for specs that transitioned
-// (firing/cleared) this tick.
-func (e *sloEval) evaluate(nowUs float64, goodput *Series) (statuses []SLOStatus, fired []string) {
+// burns returns spec's fast- and slow-window burn rates at sim time
+// nowUs.
+func (e *sloEval) burns(spec SLOSpec, goodput *Series, nowUs float64) (fast, slow float64) {
+	if spec.Metric == "goodput" {
+		return goodputBurn(spec, goodput, nowUs, spec.FastWindowS), goodputBurn(spec, goodput, nowUs, spec.SlowWindowS)
+	}
+	return e.latencyBurn(spec, nowUs, spec.FastWindowS), e.latencyBurn(spec, nowUs, spec.SlowWindowS)
+}
+
+// evaluate runs every spec at sim time nowUs and returns deterministic
+// alert notes for specs that transitioned (firing/cleared) this tick.
+func (e *sloEval) evaluate(nowUs float64, goodput *Series) (fired []string) {
 	for _, st := range e.states {
-		var fast, slow float64
-		if st.spec.Metric == "goodput" {
-			fast = goodputBurn(st.spec, goodput, nowUs, st.spec.FastWindowS)
-			slow = goodputBurn(st.spec, goodput, nowUs, st.spec.SlowWindowS)
-		} else {
-			fast = e.latencyBurn(st.spec, nowUs, st.spec.FastWindowS)
-			slow = e.latencyBurn(st.spec, nowUs, st.spec.SlowWindowS)
-		}
+		fast, slow := e.burns(st.spec, goodput, nowUs)
 		thr := st.spec.BurnThreshold
 		if !st.firing && fast >= thr && slow >= thr {
 			st.firing = true
@@ -216,15 +217,6 @@ func (e *sloEval) evaluate(nowUs float64, goodput *Series) (statuses []SLOStatus
 			st.firing = false
 			fired = append(fired, fmt.Sprintf("slo_clear %s fast=%.2f slow=%.2f", st.spec.Metric, fast, slow))
 		}
-		statuses = append(statuses, SLOStatus{
-			Metric:            st.spec.Metric,
-			Pctl:              st.spec.Pctl,
-			TargetSec:         st.spec.TargetSec,
-			FloorTokensPerSec: st.spec.FloorTokensPerSec,
-			FastBurn:          fast,
-			SlowBurn:          slow,
-			Firing:            st.firing,
-		})
 	}
-	return statuses, fired
+	return fired
 }

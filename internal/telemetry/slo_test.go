@@ -79,26 +79,26 @@ func TestSLOFireAndClear(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		e.recordCompletion(float64(i)*1e6, 0.1, 0.01, 0.5)
 	}
-	statuses, fired := e.evaluate(30e6, nil)
-	if len(fired) != 0 || statuses[0].Firing {
-		t.Fatalf("healthy traffic fired %v (status %+v)", fired, statuses[0])
+	st := e.states[0]
+	if fired := e.evaluate(30e6, nil); len(fired) != 0 || st.firing {
+		t.Fatalf("healthy traffic fired %v (firing %v)", fired, st.firing)
 	}
 
 	// every completion violating: both windows saturate immediately
 	for i := 30; i < 65; i++ {
 		e.recordCompletion(float64(i)*1e6, 0.9, 0.01, 1.5)
 	}
-	statuses, fired = e.evaluate(65e6, nil)
+	fired := e.evaluate(65e6, nil)
 	if len(fired) != 1 || !strings.HasPrefix(fired[0], "slo_burn ttft") {
 		t.Fatalf("violations fired %v, want one slo_burn ttft", fired)
 	}
-	if !statuses[0].Firing || statuses[0].FastBurn < 2 || statuses[0].SlowBurn < 2 {
-		t.Fatalf("status after fire: %+v", statuses[0])
+	if fast, slow := e.burns(st.spec, nil, 65e6); !st.firing || fast < 2 || slow < 2 {
+		t.Fatalf("after fire: firing %v fast %g slow %g", st.firing, fast, slow)
 	}
 
 	// still burning: no duplicate alert
 	e.recordCompletion(66e6, 0.9, 0.01, 1.5)
-	if _, fired = e.evaluate(66e6, nil); len(fired) != 0 {
+	if fired = e.evaluate(66e6, nil); len(fired) != 0 {
 		t.Fatalf("re-fired while already firing: %v", fired)
 	}
 
@@ -106,12 +106,12 @@ func TestSLOFireAndClear(t *testing.T) {
 	for i := 70; i < 120; i++ {
 		e.recordCompletion(float64(i)*1e6, 0.1, 0.01, 0.5)
 	}
-	statuses, fired = e.evaluate(120e6, nil)
+	fired = e.evaluate(120e6, nil)
 	if len(fired) != 1 || !strings.HasPrefix(fired[0], "slo_clear ttft") {
 		t.Fatalf("recovery fired %v, want one slo_clear ttft", fired)
 	}
-	if statuses[0].Firing {
-		t.Fatalf("still firing after clear: %+v", statuses[0])
+	if st.firing {
+		t.Fatal("still firing after clear")
 	}
 }
 
@@ -131,10 +131,10 @@ func TestSLOClearHysteresis(t *testing.T) {
 		}
 		e.recordCompletion(float64(i)*1e6, v, 0.01, 1)
 	}
-	statuses, fired := e.evaluate(40e6, nil)
-	if len(fired) != 0 || !statuses[0].Firing {
+	fired := e.evaluate(40e6, nil)
+	if fast, _ := e.burns(spec, nil, 40e6); len(fired) != 0 || !e.states[0].firing {
 		t.Fatalf("hovering burn %.2f flapped: fired=%v firing=%v",
-			statuses[0].FastBurn, fired, statuses[0].Firing)
+			fast, fired, e.states[0].firing)
 	}
 }
 

@@ -99,7 +99,7 @@ func (c *Center) Snapshot() Snapshot {
 	for _, k := range insts {
 		s := c.inst[k]
 		io := s.last
-		capTok := io.Capacity()
+		capTok := io.MemoryTokens
 		demand := float64(io.ResidentTokens+io.SwappedTokens) + float64(io.QueueDepth)*avgPrompt
 		clusterCap += capTok
 		clusterDemand += demand

@@ -47,10 +47,8 @@ type InstanceObservation struct {
 	UsedKVPages    int64
 	ResidentTokens int64
 	SwappedTokens  int64
-	// MemoryTokens / ComputeTokens are the two capacity axes; capacity
-	// is min of the non-zero ones (0 = unknown/unbounded axis).
-	MemoryTokens  float64
-	ComputeTokens float64
+	// MemoryTokens is the instance's KV token capacity.
+	MemoryTokens float64
 	// HostBytes is the KV footprint currently parked on the host tier.
 	HostBytes int64
 	Health    string
@@ -69,19 +67,6 @@ type Observation struct {
 	Completed              int64
 	Rejected               int64
 	PerInstance            []InstanceObservation
-}
-
-// Capacity resolves the instance's token capacity:
-// min(memory, compute) over the known axes.
-func (o InstanceObservation) Capacity() float64 {
-	switch {
-	case o.MemoryTokens > 0 && o.ComputeTokens > 0:
-		return math.Min(o.MemoryTokens, o.ComputeTokens)
-	case o.MemoryTokens > 0:
-		return o.MemoryTokens
-	default:
-		return o.ComputeTokens
-	}
 }
 
 // Alert is one emitted advisory or SLO transition, kept in a bounded
@@ -112,15 +97,11 @@ func (e *ewma) add(x float64) {
 	e.v += 0.2 * (x - e.v)
 }
 
-// instSeries is the ring set kept per instance (and once cluster-wide).
+// instSeries is what a Center keeps per instance: its queue-depth ring
+// and its latest observation.
 type instSeries struct {
-	queueDepth    *Series
-	running       *Series
-	usedKVPages   *Series
-	hostBytes     *Series
-	swappedTokens *Series
-	tokensPerSec  *Series
-	last          InstanceObservation
+	queueDepth *Series
+	last       InstanceObservation
 }
 
 // LatencySet is one scope's completion latency histograms, in simulated
@@ -171,7 +152,6 @@ type Center struct {
 
 	inst    map[int]*instSeries
 	goodput *Series
-	tput    *Series
 
 	analyzer *Analyzer
 	slo      *sloEval
@@ -179,15 +159,12 @@ type Center struct {
 	perInstLat map[int]*LatencySet
 
 	avgPrompt ewma
-	avgGen    ewma
 
 	satByKey map[int]SatSample
 
 	alerts      []Alert
 	alertsStart int
 	samples     int64
-	completions int64
-	opens       int64
 }
 
 // New creates a Center.
@@ -202,7 +179,6 @@ func New(cfg Config) *Center {
 		cfg:        cfg,
 		inst:       map[int]*instSeries{},
 		goodput:    NewSeries(cfg.SeriesCapacity),
-		tput:       NewSeries(cfg.SeriesCapacity),
 		analyzer:   NewAnalyzer(cfg.Saturation, cfg.SeriesCapacity),
 		slo:        newSLOEval(cfg.SLOs),
 		perInstLat: map[int]*LatencySet{},
@@ -222,18 +198,15 @@ func (c *Center) Due(nowUs float64) bool {
 func (c *Center) RecordOpen(promptTokens int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.opens++
 	c.avgPrompt.add(float64(promptTokens))
 }
 
 // RecordCompletion folds one finished request's latencies and its
 // lifecycle phase breakdown into the per-instance histograms and the SLO
 // completion window. tpotSec may be 0 for single-token generations.
-func (c *Center) RecordCompletion(inst int, nowUs, ttftSec, tpotSec, e2eSec float64, genTokens int, ph trace.PhaseBreakdown) {
+func (c *Center) RecordCompletion(inst int, nowUs, ttftSec, tpotSec, e2eSec float64, ph trace.PhaseBreakdown) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.completions++
-	c.avgGen.add(float64(genTokens))
 	ls := c.perInstLat[inst]
 	if ls == nil {
 		ls = &LatencySet{}
@@ -272,7 +245,6 @@ func (c *Center) Sample(obs Observation) {
 	c.nextSampleUs.Store(math.Float64bits(obs.TimeUs + c.cfg.SampleIntervalUs))
 
 	c.goodput.Add(obs.TimeUs, obs.GoodputTokensPerSec)
-	c.tput.Add(obs.TimeUs, obs.ThroughputTokensPerSec)
 
 	avgPrompt := c.avgPrompt.v
 	if !c.avgPrompt.set {
@@ -284,31 +256,13 @@ func (c *Center) Sample(obs Observation) {
 	for _, io := range obs.PerInstance {
 		s := c.inst[io.Inst]
 		if s == nil {
-			s = &instSeries{
-				queueDepth:    NewSeries(c.cfg.SeriesCapacity),
-				running:       NewSeries(c.cfg.SeriesCapacity),
-				usedKVPages:   NewSeries(c.cfg.SeriesCapacity),
-				hostBytes:     NewSeries(c.cfg.SeriesCapacity),
-				swappedTokens: NewSeries(c.cfg.SeriesCapacity),
-				tokensPerSec:  NewSeries(c.cfg.SeriesCapacity),
-			}
+			s = &instSeries{queueDepth: NewSeries(c.cfg.SeriesCapacity)}
 			c.inst[io.Inst] = s
 		}
 		s.last = io
 		s.queueDepth.Add(obs.TimeUs, float64(io.QueueDepth))
-		s.running.Add(obs.TimeUs, float64(io.Running))
-		s.usedKVPages.Add(obs.TimeUs, float64(io.UsedKVPages))
-		s.hostBytes.Add(obs.TimeUs, float64(io.HostBytes))
-		s.swappedTokens.Add(obs.TimeUs, float64(io.SwappedTokens))
-		// attribute fleet throughput evenly when per-instance rate is
-		// unavailable; the dashboard labels it as a fleet share
-		perShare := 0.0
-		if n := len(obs.PerInstance); n > 0 {
-			perShare = obs.ThroughputTokensPerSec / float64(n)
-		}
-		s.tokensPerSec.Add(obs.TimeUs, perShare)
 
-		capTok := io.Capacity()
+		capTok := io.MemoryTokens
 		demand := float64(io.ResidentTokens+io.SwappedTokens) + float64(io.QueueDepth)*avgPrompt
 		clusterCap += capTok
 		clusterDemand += demand
@@ -325,8 +279,7 @@ func (c *Center) Sample(obs Observation) {
 		alerts = append(alerts, Alert{TimeUs: obs.TimeUs, Inst: 0, Note: renderAdvisory(clusterSat)})
 	}
 
-	_, fired := c.slo.evaluate(obs.TimeUs, c.goodput)
-	for _, note := range fired {
+	for _, note := range c.slo.evaluate(obs.TimeUs, c.goodput) {
 		alerts = append(alerts, Alert{TimeUs: obs.TimeUs, Inst: 0, Note: note})
 	}
 
@@ -393,14 +346,7 @@ func (c *Center) sloStatusesLocked() []SLOStatus {
 	var out []SLOStatus
 	now := c.lastObs.TimeUs
 	for _, st := range c.slo.states {
-		var fast, slow float64
-		if st.spec.Metric == "goodput" {
-			fast = goodputBurn(st.spec, c.goodput, now, st.spec.FastWindowS)
-			slow = goodputBurn(st.spec, c.goodput, now, st.spec.SlowWindowS)
-		} else {
-			fast = c.slo.latencyBurn(st.spec, now, st.spec.FastWindowS)
-			slow = c.slo.latencyBurn(st.spec, now, st.spec.SlowWindowS)
-		}
+		fast, slow := c.slo.burns(st.spec, c.goodput, now)
 		out = append(out, SLOStatus{
 			Metric:            st.spec.Metric,
 			Pctl:              st.spec.Pctl,

@@ -110,9 +110,9 @@ func TestCenterQueuedDemand(t *testing.T) {
 // into the cluster-wide histograms.
 func TestCenterCompletionLatency(t *testing.T) {
 	c := New(Config{})
-	c.RecordCompletion(1, 1e6, 0.1, 0.01, 1.0, 64, trace.PhaseBreakdown{QueueUs: 2e5, PrefillUs: 1e5, DecodeUs: 7e5})
-	c.RecordCompletion(2, 2e6, 0.3, 0.02, 2.0, 64, trace.PhaseBreakdown{PrefillUs: 3e5, DecodeUs: 1.2e6, StallUs: 5e5})
-	c.RecordCompletion(2, 3e6, 0.2, 0, 1.5, 1, trace.PhaseBreakdown{PrefillUs: 2e5, XferUs: 3e5, DecodeUs: 1e6}) // single-token: no TPOT
+	c.RecordCompletion(1, 1e6, 0.1, 0.01, 1.0, trace.PhaseBreakdown{QueueUs: 2e5, PrefillUs: 1e5, DecodeUs: 7e5})
+	c.RecordCompletion(2, 2e6, 0.3, 0.02, 2.0, trace.PhaseBreakdown{PrefillUs: 3e5, DecodeUs: 1.2e6, StallUs: 5e5})
+	c.RecordCompletion(2, 3e6, 0.2, 0, 1.5, trace.PhaseBreakdown{PrefillUs: 2e5, XferUs: 3e5, DecodeUs: 1e6}) // single-token: no TPOT
 	l := c.LatencyHists()
 	if l.TTFT.Count() != 3 || l.E2E.Count() != 3 {
 		t.Fatalf("ttft/e2e counts = %d/%d, want 3/3", l.TTFT.Count(), l.E2E.Count())
@@ -153,7 +153,7 @@ func TestCenterSLOAlert(t *testing.T) {
 	})
 	for i := 0; i < 20; i++ {
 		now := float64(i) * 1e6
-		c.RecordCompletion(1, now, 0.9, 0.01, 1.2, 32, trace.PhaseBreakdown{})
+		c.RecordCompletion(1, now, 0.9, 0.01, 1.2, trace.PhaseBreakdown{})
 		c.Sample(obsAt(now, 0, 100))
 	}
 	var burn bool

@@ -13,11 +13,15 @@
 #      method, type and var in the root package or under internal/
 #      unreachable from its roots: declarations in cmd/,
 #      examples/scenario and benchmark/, main, init and package-level
-#      var initialisers. It never reports constants, struct fields or the
-#      methods a live type uses to implement an interface (matched by
-#      method set), and test files are not callers. Its only
-#      allow is an accessor a test of live behaviour reads (an
-#      observation point), the reason naming that behaviour.
+#      var initialisers. It also reports every struct field declared
+#      there that non-test code never reads, or never sets (so it
+#      always holds its zero value). It never reports constants,
+#      embedded, blank or tagged fields, fields reflection may touch,
+#      or the methods a live type uses to implement an interface
+#      (matched by method set), and test files are not callers or
+#      readers. Its only allow is an accessor or field a test of live
+#      behaviour reads (an observation point), the reason naming that
+#      behaviour or pinned test.
 #
 # Before trusting layer 3, the script proves the gate can actually fail:
 # diffkv-vet is run over the injected-violation fixture
