@@ -13,7 +13,7 @@
 //	diffkv-cluster -instances 4 -rate 10 -seconds 60
 //	diffkv-cluster -instances 1 -rate 0 -requests 64 -method DiffKV -bench MATH
 //	diffkv-cluster -model QwQ-32B -gpus 2 -instances 1 -rate 0 -requests 4
-//	diffkv-cluster -policy prefix-affinity -method DiffKV -trace events.jsonl
+//	diffkv-cluster -policy prefix-affinity -method DiffKV -trace trace.json
 //	diffkv-cluster -policy all -bench MMLU -groups 16 -prefixlen 768
 //	diffkv-cluster -chaos 2 -hostmem 4 -preempt swap     # fault injection
 //	diffkv-cluster -disagg 2:2 -method DiffKV            # prefill/decode pools
@@ -66,7 +66,7 @@ func main() {
 		reserve      = flag.Float64("reserve", 0, "memory reserve fraction (0 = default; raise to oversubscribe KV)")
 		ttftSLO      = flag.Float64("ttft-slo", 2.0, "TTFT SLO (seconds) for goodput")
 		tpotSLO      = flag.Float64("tpot-slo", 0.1, "TPOT SLO (seconds/token) for goodput")
-		tracePath    = flag.String("trace", "", "write trace events as JSON lines to this file")
+		tracePath    = flag.String("trace", "", "write the trace to this file as Perfetto trace-event JSON (raw events embedded, for diffkv-trace)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		chaosRate    = flag.Float64("chaos", 0, "fault injection: random crashes per instance per minute (0 disables)")
 		chaosDown    = flag.Float64("chaos-down", 5, "mean crash downtime in seconds (with -chaos)")
@@ -231,7 +231,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := collector.WriteJSONL(f); err != nil {
+			if err := collector.WritePerfetto(f); err != nil {
 				log.Fatal(err)
 			}
 			if err := f.Close(); err != nil {

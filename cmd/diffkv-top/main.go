@@ -10,7 +10,7 @@
 //	diffkv-top                              # poll http://127.0.0.1:8080
 //	diffkv-top -url http://host:8080 -interval 500ms
 //	diffkv-top -once                        # one frame, no screen control
-//	diffkv-top -trace trace.jsonl           # offline replay (implies -once)
+//	diffkv-top -trace trace.json            # offline replay (implies -once)
 package main
 
 import (

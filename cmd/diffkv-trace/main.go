@@ -1,6 +1,6 @@
-// Command diffkv-trace analyzes a diffkv trace offline: it reads an
-// event stream (JSONL from TraceCollector.WriteJSONL, or a Perfetto
-// export from /debug/trace — both round-trip), rebuilds every request's
+// Command diffkv-trace analyzes a diffkv trace offline: it reads the
+// Perfetto trace-event file that diffkv-cluster -trace, the gateway and
+// /debug/trace all write (raw events embedded), rebuilds every request's
 // lifecycle span tree, and reports where the latency went — per-phase
 // P50/P95/P99 across requests, the queueing onset (when admission wait
 // starts climbing), and preemption-storm windows (bursts of
@@ -9,10 +9,11 @@
 //
 // Usage:
 //
-//	diffkv-trace trace.jsonl
-//	diffkv-trace -json trace.jsonl
-//	diffkv-trace -req 17 trace.jsonl          # one request's span tree
-//	diffkv-trace -perfetto out.json trace.jsonl   # convert for ui.perfetto.dev
+//	diffkv-trace trace.json
+//	diffkv-trace -json trace.json
+//	diffkv-trace -req 17 trace.json          # one request's span tree
+//
+// The same file opens directly in ui.perfetto.dev.
 package main
 
 import (
@@ -31,15 +32,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("diffkv-trace: ")
 	var (
-		jsonOut      = flag.Bool("json", false, "emit the full report as JSON instead of text")
-		reqID        = flag.Int("req", 0, "print one request's span tree (by sequence ID) and exit")
-		perfettoPath = flag.String("perfetto", "", "convert the trace to a Perfetto trace-event file and exit")
-		stormWindow  = flag.Float64("storm-window", 100, "preemption-storm detection window in simulated ms")
-		stormMin     = flag.Int("storm-min", 4, "minimum preemptions within the window to flag a storm")
+		jsonOut     = flag.Bool("json", false, "emit the full report as JSON instead of text")
+		reqID       = flag.Int("req", 0, "print one request's span tree (by sequence ID) and exit")
+		stormWindow = flag.Float64("storm-window", 100, "preemption-storm detection window in simulated ms")
+		stormMin    = flag.Int("storm-min", 4, "minimum preemptions within the window to flag a storm")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: diffkv-trace [flags] <trace.jsonl | perfetto.json>")
+		fmt.Fprintln(os.Stderr, "usage: diffkv-trace [flags] <trace.json>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -55,22 +55,6 @@ func main() {
 	}
 	if len(events) == 0 {
 		log.Fatal("no events in trace")
-	}
-
-	if *perfettoPath != "" {
-		out, err := os.Create(*perfettoPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WritePerfettoEvents(out, events); err != nil {
-			out.Close()
-			log.Fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %d events to %s — open in ui.perfetto.dev\n", len(events), *perfettoPath)
-		return
 	}
 
 	trees := trace.BuildRequestSpans(events)
@@ -349,9 +333,9 @@ func analyze(events []trace.Event, trees []*trace.RequestSpans, windowUs float64
 			j++
 		}
 		if j-i >= stormMin {
-			seqs := map[trace.InstSeq]bool{}
+			seqs := map[int]bool{} // a request keeps its seq across instances
 			for _, e := range preempts[i:j] {
-				seqs[trace.InstSeq{Inst: e.Inst, Seq: e.Seq}] = true
+				seqs[e.Seq] = true
 			}
 			rep.Storms = append(rep.Storms, storm{
 				StartMs:     preempts[i].TimeUs / 1e3,

@@ -12,11 +12,14 @@
 // initialiser; test files are not callers. Every struct field declared
 // there must also be read and set by non-test code. Constants, fields
 // reflection may touch and the methods a live type uses to implement an
-// interface (by method set) are never reported. It needs the whole
-// module typed, so -no-types and explicit directories skip it. An
-// accessor or field a test of live behaviour reads as its observation
+// interface (by method set) are never reported. An explicit directory
+// has no roots, so it skips deadcode. An accessor or field a test of live behaviour reads as its observation
 // point stays under an allow whose reason names what tests see through
 // it; everything else is deleted with the tests that test only it.
+//
+// Every load is typechecked (the source importer resolves the standard
+// library); a package that does not typecheck is a load failure, named
+// with its first type error.
 //
 // Exit status: 0 when no error-severity diagnostics remain
 // unsuppressed, 1 when at least one does (or, with -strict, a warning),
@@ -42,8 +45,7 @@ func main() {
 	var (
 		listFlag   = flag.Bool("list", false, "list checks and exit")
 		jsonFlag   = flag.Bool("json", false, "emit diagnostics as JSON")
-		verbose    = flag.Bool("v", false, "report typecheck fallbacks, suppressions and timing")
-		noTypes    = flag.Bool("no-types", false, "skip the go/types pass (pure syntactic analysis)")
+		verbose    = flag.Bool("v", false, "report suppressions and timing")
 		strictFlag = flag.Bool("strict", false, "treat warnings as errors")
 	)
 	flag.Parse()
@@ -74,11 +76,11 @@ func main() {
 			if cwdErr != nil {
 				fatal(cwdErr)
 			}
-			mod, err = analysis.LoadModule(cwd, analysis.LoadOptions{Types: !*noTypes})
+			mod, err = analysis.LoadModule(cwd)
 			cfg = analysis.DefaultConfig()
 		} else {
-			// An explicit directory loads standalone with every check at
-			// error severity — the mode scripts/vet.sh uses to prove the
+			// An explicit directory loads standalone with every
+			// per-package check at error severity — the mode scripts/vet.sh uses to prove the
 			// gate fails on an injected-violation fixture.
 			mod, _, err = analysis.LoadDir(arg)
 			cfg = analysis.FixtureConfig()
@@ -89,14 +91,9 @@ func main() {
 		res := analysis.Run(mod, cfg)
 		printResult(res, *jsonFlag, *verbose)
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "diffkv-vet: %s: %d packages (%d typed), %d files, %d diagnostics, %d live suppressions, %.1fs\n",
-				arg, res.Packages, res.TypedPackages, res.Files,
+			fmt.Fprintf(os.Stderr, "diffkv-vet: %s: %d packages, %d files, %d diagnostics, %d live suppressions, %.1fs\n",
+				arg, res.Packages, res.Files,
 				len(res.Diagnostics), res.Suppressions, time.Since(start).Seconds())
-			for _, pkg := range mod.Packages {
-				if pkg.TypeErr != nil {
-					fmt.Fprintf(os.Stderr, "diffkv-vet: %s: syntactic fallback: %v\n", pkg.ImportPath, pkg.TypeErr)
-				}
-			}
 		}
 		if len(res.Errors()) > 0 || (*strictFlag && len(res.Warnings()) > 0) {
 			failed = true

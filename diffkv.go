@@ -239,7 +239,7 @@ type PrefixConfig = workload.PrefixConfig
 type Tracer = trace.Tracer
 
 // TraceCollector is a bounded in-memory tracer with summarization and
-// JSONL export.
+// Perfetto export.
 type TraceCollector = trace.Collector
 
 // NewTraceCollector creates a collector holding at most capacity events

@@ -25,17 +25,18 @@
 //	             initialisers. Never reported: constants, fields
 //	             reflection may touch, and the methods a live type uses
 //	             to implement an interface (matched by method set, by
-//	             name only where a generic is uninstantiated). Needs the
-//	             whole module typed; an accessor or field a test of live
-//	             behaviour reads stays under an allow naming it.
+//	             name only where a generic is uninstantiated). An
+//	             accessor or field a test of live behaviour reads stays
+//	             under an allow naming it.
 //	allowaudit — every //diffkv:allow directive must carry a reason and
 //	             suppress at least one live diagnostic, so suppressions
 //	             self-clean as the code they excuse disappears.
 //
-// The framework is stdlib-only: go/ast + go/parser + go/token, with
-// go/types via the source importer where available and a syntactic
-// fallback otherwise (fixture packages and broken trees still get
-// checked). Suppression is per line via
+// The framework is stdlib-only: go/ast + go/parser + go/token, and
+// go/types with the source importer for standard-library imports. Every
+// load is typechecked, fixtures included; a package that does not
+// typecheck is a load error, never a weaker syntactic pass. Suppression
+// is per line via
 //
 //	//diffkv:allow <check> -- <reason>
 //
@@ -131,9 +132,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Package is a parsed (and, when the typechecker succeeded, typed)
-// package plus everything analyzers need to resolve names syntactically
-// when it did not.
+// Package is a parsed and typechecked package.
 type Package struct {
 	// ImportPath is the slash-separated import path ("diffkv/internal/core").
 	ImportPath string
@@ -141,47 +140,12 @@ type Package struct {
 	Files []*ast.File
 	// Filenames[i] is the path Files[i] was parsed from.
 	Filenames []string
-	// Types / TypesInfo are non-nil when the source-importer typecheck
-	// succeeded; analyzers must tolerate nil and fall back to syntax.
+	// Types / TypesInfo are the go/types view of Files; a load that
+	// could not fill them failed.
 	Types     *types.Package
 	TypesInfo *types.Info
-	// TypeErr records why typechecking was skipped or failed (nil on
-	// success); surfaced by diffkv-vet -v so fallback mode is visible.
-	TypeErr error
 	// Directives are the //diffkv:allow comments found in the package.
 	Directives []*Directive
-}
-
-// ImportName returns the local name under which file imports path
-// ("" when the file does not import it). A dot import returns ".".
-func ImportName(file *ast.File, path string) string {
-	for _, imp := range file.Imports {
-		p := importPath(imp)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		// Default name: last path element.
-		name := p
-		for i := len(p) - 1; i >= 0; i-- {
-			if p[i] == '/' {
-				name = p[i+1:]
-				break
-			}
-		}
-		return name
-	}
-	return ""
-}
-
-func importPath(imp *ast.ImportSpec) string {
-	s := imp.Path.Value
-	if len(s) >= 2 && s[0] == '"' {
-		s = s[1 : len(s)-1]
-	}
-	return s
 }
 
 // registry of built-in analyzers, ordered for stable output.

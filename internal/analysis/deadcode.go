@@ -47,22 +47,8 @@ type decl struct {
 // promoted, that T or *T uses to implement an interface declared in the
 // tree or in a (transitively) imported package. Where either side is an
 // uninstantiated generic the check falls back to the method's name:
-// false negatives are acceptable, a false positive is a bug. Without
-// types for every package there is no verdict, and deadcode returns
-// false: an untyped load skips the check, a partly typed one is an
-// error.
-func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
-	if !m.Typed {
-		return false
-	}
-	for _, pkg := range m.Packages {
-		if pkg.TypesInfo == nil {
-			report(pkg, Diagnostic{Check: Deadcode.Name, Severity: Error, Pos: m.Fset.Position(pkg.Files[0].Package),
-				Message: "package " + pkg.ImportPath + " did not typecheck (" + pkg.TypeErr.Error() + "); no reachability verdict on a partial graph"})
-			return false
-		}
-	}
-
+// false negatives are acceptable, a false positive is a bug.
+func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) {
 	nodes := map[types.Object]*decl{}
 	var order, work []*decl
 	add := func(pkg *Package, id *ast.Ident, kind string, within ast.Node, root bool) *decl {
@@ -207,7 +193,6 @@ func deadcode(m *Module, cfg *Config, report func(*Package, Diagnostic)) bool {
 		mark()
 	}
 	deadFields(m, cfg, order, fields, report)
-	return true
 }
 
 // satisfying returns the methods in *T's method set that implement some

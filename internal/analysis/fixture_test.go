@@ -102,9 +102,9 @@ func TestFixtures(t *testing.T) {
 // loadDeadcodeFixture loads testdata/deadcode: a typed mini-module named
 // diffkv, so DefaultConfig's diffkv/internal rule applies to it as it
 // does to the real tree.
-func loadDeadcodeFixture(t *testing.T, types bool) *Module {
+func loadDeadcodeFixture(t *testing.T) *Module {
 	t.Helper()
-	m, err := LoadModule(filepath.Join("testdata", "deadcode"), LoadOptions{Types: types})
+	m, err := LoadModule(filepath.Join("testdata", "deadcode"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func loadDeadcodeFixture(t *testing.T, types bool) *Module {
 // internal/), and that a stale allow reaches allowaudit. Every finding
 // is an error, so diffkv-vet exits 1 on such a tree.
 func TestDeadcodeFixture(t *testing.T) {
-	m := loadDeadcodeFixture(t, true)
+	m := loadDeadcodeFixture(t)
 	res := Run(m, DefaultConfig())
 	checkWants(t, m, res)
 	for _, d := range res.Diagnostics {
@@ -138,19 +138,21 @@ func TestDeadcodeFixture(t *testing.T) {
 	}
 }
 
-// TestDeadcodeNoTypesNoVerdict: an untyped load skips the check, and
-// reports no allow of it as stale; a load that asked for types and left
-// one package without them is one error naming that package, not a
-// verdict on a partial graph.
-func TestDeadcodeNoTypesNoVerdict(t *testing.T) {
-	if errs := Run(loadDeadcodeFixture(t, false), DefaultConfig()).Errors(); len(errs) != 0 {
-		t.Errorf("untyped load reported %v", errs)
+// TestTypeErrorFailsLoad: a package that does not typecheck is a load
+// error naming the package and its first type error, never a weaker
+// syntactic pass.
+func TestTypeErrorFailsLoad(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "broken")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	m := loadDeadcodeFixture(t, true)
-	m.Packages[0].TypesInfo, m.Packages[0].TypeErr = nil, fmt.Errorf("boom")
-	got := Run(m, DefaultConfig()).Errors()
-	if len(got) != 1 || got[0].Check != Deadcode.Name || !strings.Contains(got[0].Message, m.Packages[0].ImportPath) || !strings.Contains(got[0].Message, "boom") {
-		t.Fatalf("partly typed load: got %v, want one error naming %s", got, m.Packages[0].ImportPath)
+	src := "package broken\n\nfunc f(m map[int]int) int { return m }\n"
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "package broken does not typecheck") || !strings.Contains(err.Error(), "broken.go:3:") {
+		t.Fatalf("LoadDir = %v, want a load error naming package broken and its type error", err)
 	}
 }
 
@@ -161,7 +163,7 @@ func TestTreeHasNoFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module")
 	}
-	m, err := LoadModule(filepath.Join("..", ".."), LoadOptions{Types: true})
+	m, err := LoadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +206,8 @@ func TestNegativeFixtureSuppressesExactlyOne(t *testing.T) {
 }
 
 // TestCIViolationFixtureFails pins the scripts/vet.sh self-test: the
-// injected-violation fixture must trip every AST check at Error
-// severity, so a diffkv-vet run over it can never exit 0.
+// injected-violation fixture typechecks, and trips every per-package
+// check at Error severity, so a diffkv-vet run over it exits 1.
 func TestCIViolationFixtureFails(t *testing.T) {
 	m, _, err := LoadDir(filepath.Join("testdata", "ci_violation"))
 	if err != nil {

@@ -32,28 +32,14 @@ var GlobalRand = register(&Analyzer{
 	Doc:  "top-level math/rand draws (global generator) instead of a seeded *rand.Rand",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Pkg.Files {
-			for _, path := range []string{"math/rand", "math/rand/v2"} {
-				local := ImportName(file, path)
-				if local == "" || local == "_" || local == "." {
-					continue
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := pkgCallee(pass.Pkg.TypesInfo, call, "math/rand", "math/rand/v2"); fn != nil && globalRandFuncs[fn.Name()] {
+						pass.Reportf(call.Fun.Pos(), "rand.%s draws from math/rand's global generator; seed an explicit *rand.Rand (rand.New(rand.NewSource(seed))) and thread it through", fn.Name())
+					}
 				}
-				ast.Inspect(file, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || !globalRandFuncs[sel.Sel.Name] {
-						return true
-					}
-					id, ok := sel.X.(*ast.Ident)
-					if !ok || id.Name != local || !isPackageRef(pass.Pkg, id) {
-						return true
-					}
-					pass.Reportf(sel.Pos(), "rand.%s draws from math/rand's global generator; seed an explicit *rand.Rand (rand.New(rand.NewSource(seed))) and thread it through", sel.Sel.Name)
-					return true
-				})
-			}
+				return true
+			})
 		}
 	},
 })

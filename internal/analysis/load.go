@@ -14,7 +14,7 @@ import (
 )
 
 // Module is a loaded source tree: every non-test package under a module
-// root, parsed and (optionally) typechecked.
+// root, parsed and typechecked.
 type Module struct {
 	// Root is the directory containing go.mod.
 	Root string
@@ -24,30 +24,18 @@ type Module struct {
 	Fset *token.FileSet
 	// Packages are sorted by import path.
 	Packages []*Package
-	// Typed records that the go/types pass was asked for, which tells a
-	// package that failed to typecheck from a load that never tried.
-	Typed bool
-}
-
-// LoadOptions configures LoadModule.
-type LoadOptions struct {
-	// Types enables the go/types pass (source importer for stdlib
-	// dependencies, the loaded packages themselves for module-internal
-	// ones). When it fails for a package the package is still analyzed
-	// syntactically — Package.TypeErr records why.
-	Types bool
 }
 
 // LoadModule walks root (a directory inside a Go module), parses every
 // non-test package outside testdata/hidden directories, attaches
-// //diffkv:allow directives, and typechecks in dependency order when
-// opts.Types is set.
-func LoadModule(root string, opts LoadOptions) (*Module, error) {
+// //diffkv:allow directives, and typechecks in dependency order. A
+// package that does not typecheck fails the load.
+func LoadModule(root string) (*Module, error) {
 	root, modPath, err := findModule(root)
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet(), Typed: opts.Types}
+	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet()}
 
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -63,21 +51,21 @@ func LoadModule(root string, opts LoadOptions) (*Module, error) {
 		}
 	}
 	sort.Slice(m.Packages, func(i, j int) bool { return m.Packages[i].ImportPath < m.Packages[j].ImportPath })
-	if opts.Types {
-		m.typecheck()
+	if err := m.typecheck(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// LoadDir parses a single directory as a standalone package with no
-// typechecking — the mode fixture tests and explicit-path vet runs use,
-// and the mode that keeps the syntactic fallback honest.
+// LoadDir parses and typechecks a single directory as a standalone
+// package named after it — the load fixture tests and explicit-path vet
+// runs use. Its imports may name the standard library only.
 func LoadDir(dir string) (*Module, *Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Module{Root: abs, Path: "", Fset: token.NewFileSet()}
+	m := &Module{Root: abs, Path: filepath.Base(abs), Fset: token.NewFileSet()}
 	pkg, err := m.parseDir(abs)
 	if err != nil {
 		return nil, nil, err
@@ -85,8 +73,10 @@ func LoadDir(dir string) (*Module, *Package, error) {
 	if pkg == nil {
 		return nil, nil, fmt.Errorf("no non-test Go files in %s", dir)
 	}
-	pkg.TypeErr = fmt.Errorf("standalone directory load: syntactic analysis only")
 	m.Packages = []*Package{pkg}
+	if err := m.typecheck(); err != nil {
+		return nil, nil, err
+	}
 	return m, pkg, nil
 }
 
@@ -191,10 +181,9 @@ func (m *Module) importPathFor(dir string) string {
 
 // typecheck runs go/types over the module in dependency order:
 // module-internal imports resolve to the packages just checked, stdlib
-// imports go through the source importer. Failures are per-package and
-// non-fatal — the package keeps TypesInfo == nil and analyzers fall
-// back to syntax.
-func (m *Module) typecheck() {
+// imports go through the source importer. The first package that does
+// not typecheck fails the load, named with its first type error.
+func (m *Module) typecheck() error {
 	byPath := make(map[string]*Package, len(m.Packages))
 	for _, p := range m.Packages {
 		byPath[p.ImportPath] = p
@@ -232,22 +221,24 @@ func (m *Module) typecheck() {
 		return srcImp.Import(path)
 	})
 	for _, p := range order {
-		p.Types, p.TypesInfo, p.TypeErr = checkPackage(m.Fset, p, imp)
-		if p.Types != nil {
-			checked[p.ImportPath] = p.Types
+		if err := checkPackage(m.Fset, p, imp); err != nil {
+			return fmt.Errorf("package %s does not typecheck: %w", p.ImportPath, err)
 		}
+		checked[p.ImportPath] = p.Types
 	}
+	return nil
 }
 
-// checkPackage typechecks one package, recovering from source-importer
-// panics (it parses arbitrary stdlib source) into a TypeErr.
-func checkPackage(fset *token.FileSet, p *Package, imp types.Importer) (tp *types.Package, info *types.Info, err error) {
+// checkPackage typechecks one package into p.Types and p.TypesInfo,
+// recovering from source-importer panics (it parses arbitrary stdlib
+// source) into an error.
+func checkPackage(fset *token.FileSet, p *Package, imp types.Importer) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			tp, info, err = nil, nil, fmt.Errorf("typecheck panic: %v", r)
+			err = fmt.Errorf("typecheck panic: %v", r)
 		}
 	}()
-	info = &types.Info{
+	info := &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Uses:  make(map[*ast.Ident]types.Object),
 		Defs:  make(map[*ast.Ident]types.Object),
@@ -256,13 +247,22 @@ func checkPackage(fset *token.FileSet, p *Package, imp types.Importer) (tp *type
 		Importer: imp,
 		Error:    func(error) {}, // collect-and-continue; first error returned by Check
 	}
-	tp, err = conf.Check(p.ImportPath, fset, p.Files, info)
+	tp, err := conf.Check(p.ImportPath, fset, p.Files, info)
 	if err != nil {
-		return tp, nil, err
+		return err
 	}
-	return tp, info, nil
+	p.Types, p.TypesInfo = tp, info
+	return nil
 }
 
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func importPath(imp *ast.ImportSpec) string {
+	s := imp.Path.Value
+	if len(s) >= 2 && s[0] == '"' {
+		s = s[1 : len(s)-1]
+	}
+	return s
+}

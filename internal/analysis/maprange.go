@@ -25,11 +25,10 @@ var MapRange = register(&Analyzer{
 	Name: "maprange",
 	Doc:  "map iteration in deterministic packages without sorted keys",
 	Run: func(pass *Pass) {
-		mapNames := syntacticMapNames(pass.Pkg)
 		for _, file := range pass.Pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
-				if !ok || !isMapExpr(pass.Pkg, rs.X, mapNames) {
+				if !ok || !isMap(pass.Pkg.TypesInfo.TypeOf(rs.X)) {
 					return true
 				}
 				if collectsKeysForSort(pass, file, rs) || clearsMap(rs) {
@@ -42,126 +41,13 @@ var MapRange = register(&Analyzer{
 	},
 })
 
-// isMapExpr reports whether e has map type: exactly via go/types when
-// available, else via a package-level symbol table of names declared
-// with explicit map types plus the obvious literal forms.
-func isMapExpr(pkg *Package, e ast.Expr, mapNames map[string]bool) bool {
-	if pkg.TypesInfo != nil {
-		if tv, ok := pkg.TypesInfo.Types[e]; ok && tv.Type != nil {
-			_, isMap := tv.Type.Underlying().(*types.Map)
-			return isMap
-		}
+// isMap reports whether t's underlying type is a map.
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
 	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		return mapNames[x.Name]
-	case *ast.SelectorExpr:
-		return mapNames[x.Sel.Name]
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "make" && len(x.Args) > 0 {
-			_, isMap := x.Args[0].(*ast.MapType)
-			return isMap
-		}
-		if fn, ok := x.Fun.(*ast.Ident); ok {
-			return mapNames[fn.Name]
-		}
-		if fn, ok := x.Fun.(*ast.SelectorExpr); ok {
-			return mapNames[fn.Sel.Name]
-		}
-	case *ast.CompositeLit:
-		_, isMap := x.Type.(*ast.MapType)
-		return isMap
-	case *ast.ParenExpr:
-		return isMapExpr(pkg, x.X, mapNames)
-	}
-	return false
-}
-
-// syntacticMapNames builds the fallback symbol table: every identifier
-// the package declares with an explicit map type — struct fields, vars,
-// parameters, results, and functions returning maps. Name collisions
-// make this conservative-by-majority rather than exact; it only runs
-// when go/types is unavailable.
-func syntacticMapNames(pkg *Package) map[string]bool {
-	if pkg.TypesInfo != nil {
-		return nil
-	}
-	names := map[string]bool{}
-	addField := func(f *ast.Field) {
-		if isMapTypeExpr(f.Type) {
-			for _, name := range f.Names {
-				names[name.Name] = true
-			}
-		}
-	}
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.StructType:
-				for _, f := range x.Fields.List {
-					addField(f)
-				}
-			case *ast.FuncType:
-				if x.Params != nil {
-					for _, f := range x.Params.List {
-						addField(f)
-					}
-				}
-				if x.Results != nil {
-					for _, f := range x.Results.List {
-						addField(f)
-					}
-				}
-			case *ast.FuncDecl:
-				// A niladic-result function whose single result is a map
-				// marks the function name itself (covers `range f()`).
-				if x.Type.Results != nil && len(x.Type.Results.List) == 1 &&
-					isMapTypeExpr(x.Type.Results.List[0].Type) {
-					names[x.Name.Name] = true
-				}
-			case *ast.ValueSpec:
-				if isMapTypeExpr(x.Type) {
-					for _, name := range x.Names {
-						names[name.Name] = true
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range x.Rhs {
-					if i >= len(x.Lhs) {
-						break
-					}
-					id, ok := x.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					switch r := rhs.(type) {
-					case *ast.CallExpr:
-						if fn, isIdent := r.Fun.(*ast.Ident); isIdent && fn.Name == "make" && len(r.Args) > 0 {
-							if _, isMap := r.Args[0].(*ast.MapType); isMap {
-								names[id.Name] = true
-							}
-						}
-					case *ast.CompositeLit:
-						if _, isMap := r.Type.(*ast.MapType); isMap {
-							names[id.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return names
-}
-
-func isMapTypeExpr(t ast.Expr) bool {
-	switch x := t.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.ParenExpr:
-		return isMapTypeExpr(x.X)
-	}
-	return false
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // collectsKeysForSort recognizes the sorted-keys idiom: the range body

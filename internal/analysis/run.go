@@ -12,9 +12,6 @@ type Result struct {
 	// Packages / Files count what was analyzed.
 	Packages int
 	Files    int
-	// TypedPackages counts packages where the go/types pass succeeded
-	// (the rest were analyzed syntactically).
-	TypedPackages int
 	// Suppressions counts live allow directives (each suppressed ≥ 1
 	// diagnostic).
 	Suppressions int
@@ -62,9 +59,6 @@ func Run(m *Module, cfg *Config) *Result {
 	for _, pkg := range m.Packages {
 		res.Packages++
 		res.Files += len(pkg.Files)
-		if pkg.TypesInfo != nil {
-			res.TypedPackages++
-		}
 		for _, a := range Analyzers() {
 			sev := cfg.SeverityFor(a.Name, pkg.ImportPath)
 			if sev == Off || a.Run == nil {
@@ -83,9 +77,8 @@ func Run(m *Module, cfg *Config) *Result {
 		}
 	}
 	// deadcode sees the whole module at once, and must mark the allows it
-	// honours before allowaudit counts the unused ones; when it reached no
-	// verdict its allows are not stale either.
-	deadcodeRan := deadcode(m, cfg, report)
+	// honours before allowaudit counts the unused ones.
+	deadcode(m, cfg, report)
 	for _, pkg := range m.Packages {
 		// allowaudit: malformed directives always fire; well-formed but
 		// unused ones fire unless the check is Off for this package (a
@@ -104,7 +97,6 @@ func Run(m *Module, cfg *Config) *Result {
 					Pos:      dir.Pos,
 					Message:  dir.parseErr,
 				})
-			case !dir.Used && dir.Check == Deadcode.Name && !deadcodeRan:
 			case !dir.Used:
 				msg := "allow directive for " + dir.Check + " suppresses nothing — remove it"
 				if cfg.SeverityFor(dir.Check, pkg.ImportPath) == Off {

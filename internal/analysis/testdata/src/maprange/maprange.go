@@ -24,6 +24,21 @@ func badField(t *table) float64 {
 	return sum
 }
 
+// M is a named map type: ranging over it is still map iteration.
+type M map[int]int
+
+type hist struct{ m M }
+
+func (h *hist) snapshot() M { return h.m }
+
+func badNamedMapResult(h *hist) int {
+	n := 0
+	for _, v := range h.snapshot() { // want "map iteration order is randomized"
+		n += v
+	}
+	return n
+}
+
 func badCollectNoSort(m map[int]bool) []int {
 	var keys []int
 	for k := range m { // want "map iteration order is randomized"
@@ -63,6 +78,20 @@ func goodClear(m map[int]bool) {
 	for k := range m {
 		delete(m, k)
 	}
+}
+
+// series shares its field name with table.rows, but its rows are a
+// slice.
+type series struct {
+	rows []float64
+}
+
+func goodSliceField(s *series) float64 {
+	var sum float64
+	for _, v := range s.rows { // a slice field, whatever other structs call theirs
+		sum += v
+	}
+	return sum
 }
 
 func goodSlice(s []int) int {

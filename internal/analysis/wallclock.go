@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // wallclockFuncs are the time-package functions that read or wait on
@@ -32,41 +33,39 @@ var Wallclock = register(&Analyzer{
 	Doc:  "wall-clock reads (time.Now/Sleep/Since/...) in simulated-time packages",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Pkg.Files {
-			local := ImportName(file, "time")
-			if local == "" || local == "_" {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || !wallclockFuncs[sel.Sel.Name] {
-					return true
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := pkgCallee(pass.Pkg.TypesInfo, call, "time"); fn != nil && wallclockFuncs[fn.Name()] {
+						pass.Reportf(call.Fun.Pos(), "time.%s reads the wall clock in a simulated-time package (use the nowUs sim clock, or annotate: //diffkv:allow wallclock -- <reason>)", fn.Name())
+					}
 				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok || id.Name != local {
-					return true
-				}
-				if !isPackageRef(pass.Pkg, id) {
-					return true
-				}
-				pass.Reportf(sel.Pos(), "time.%s reads the wall clock in a simulated-time package (use the nowUs sim clock, or annotate: //diffkv:allow wallclock -- <reason>)", sel.Sel.Name)
 				return true
 			})
 		}
 	},
 })
 
-// isPackageRef reports whether id refers to an imported package. With
-// types info it is exact; syntactically we accept any identifier that
-// matches the import's local name (shadowing a package name with a
-// variable is its own code smell).
-func isPackageRef(pkg *Package, id *ast.Ident) bool {
-	if pkg.TypesInfo == nil {
-		return true
+// pkgCallee returns the package-level function of one of paths that
+// call invokes, however the file imports it (named, renamed or dot), and
+// nil for anything else: a method, a func value, or a local that shadows
+// the package name.
+func pkgCallee(info *types.Info, call *ast.CallExpr, paths ...string) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation: rand.N[int64](n)
+		fun = ix.X
 	}
-	obj := pkg.TypesInfo.Uses[id]
-	if obj == nil {
-		return true // partial type info: fall back to syntax
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
 	}
-	_, isPkg := obj.(*types.PkgName)
-	return isPkg
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil || !slices.Contains(paths, fn.Pkg().Path()) {
+		return nil
+	}
+	return fn
 }

@@ -512,11 +512,7 @@ func (c *Cluster) Stats() serving.DriverStats {
 		ds.Completed -= c.dg.transfers
 		ds.KVTransfers = c.dg.transfers
 		ds.KVBytesShipped = c.dg.bytes
-		for _, lb := range c.dg.ledger.Links() {
-			ds.KVShipLinks = append(ds.KVShipLinks, serving.KVLink{
-				From: lb.From, To: lb.To, Bytes: lb.Bytes, Transfers: lb.Transfers,
-			})
-		}
+		ds.KVShipLinks = c.dg.ledger.Links()
 	}
 	return ds
 }

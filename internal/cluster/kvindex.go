@@ -1,6 +1,10 @@
 package cluster
 
-import "slices"
+import (
+	"slices"
+
+	"diffkv/internal/mathx"
+)
 
 // KVIndex is a prefix-hash index in the style of llm-d's prefixhashtable:
 // it maps chained prompt-block hashes to the serving instances believed to
@@ -37,7 +41,8 @@ func NewKVIndex(capacity int) *KVIndex {
 func (x *KVIndex) Len() int { return len(x.entries) }
 
 // Add records that inst now holds the KV of every block in hashes,
-// evicting least-recently-used blocks beyond capacity.
+// evicting least-recently-used blocks (ties to the lowest hash) beyond
+// capacity.
 func (x *KVIndex) Add(hashes []uint64, inst int, nowUs float64) {
 	for _, h := range hashes {
 		e := x.entries[h]
@@ -54,24 +59,7 @@ func (x *KVIndex) Add(hashes []uint64, inst int, nowUs float64) {
 		x.counts = make([]int, inst+1)
 	}
 	for len(x.entries) > x.capacity {
-		x.evictOldest()
-	}
-}
-
-// evictOldest removes the least-recently-used block (ties broken by lowest
-// hash for determinism).
-func (x *KVIndex) evictOldest() {
-	var victim uint64
-	first := true
-	var victimT float64
-	//diffkv:allow maprange -- min-scan with total-order tie-break (lastUse, then lowest hash): same victim whatever the walk order
-	for h, e := range x.entries {
-		if first || e.lastUse < victimT || (e.lastUse == victimT && h < victim) {
-			victim, victimT = h, e.lastUse
-			first = false
-		}
-	}
-	if !first {
+		victim, _ := mathx.OldestKey(x.entries, func(e *indexEntry) float64 { return e.lastUse })
 		delete(x.entries, victim)
 	}
 }

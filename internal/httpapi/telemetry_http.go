@@ -15,7 +15,7 @@ import (
 	"strconv"
 	"time"
 
-	"diffkv/internal/serving"
+	"diffkv/internal/disagg"
 )
 
 // handleTelemetry serves GET /debug/telemetry: one snapshot, rendered
@@ -38,10 +38,10 @@ func (g *Gateway) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // disaggSection is the /debug/telemetry "disagg" key: pool-split KV
 // shipping state derived from the driver, not the telemetry center.
 type disaggSection struct {
-	Transfers      int              `json:"transfers"`
-	KVBytesShipped int64            `json:"kv_bytes_shipped"`
-	Links          []serving.KVLink `json:"links,omitempty"`
-	Pools          map[string]int   `json:"pools"`
+	Transfers      int                `json:"transfers"`
+	KVBytesShipped int64              `json:"kv_bytes_shipped"`
+	Links          []disagg.LinkBytes `json:"links,omitempty"`
+	Pools          map[string]int     `json:"pools"`
 }
 
 // telemetryDoc renders the telemetry snapshot, augmented with a

@@ -18,9 +18,9 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"diffkv/internal/kvcache"
+	"diffkv/internal/mathx"
 )
 
 // ErrHostFull is returned when a swap-out cannot fit the host tier even
@@ -144,14 +144,8 @@ func (t *TieredStore) reserve(need int64) bool {
 		return false
 	}
 	for t.hostUsed+need > t.hostBytes {
-		victim, victimT := -1, math.Inf(1)
-		//diffkv:allow maprange -- min-scan with total-order tie-break (lastUse, then lowest group): same victim whatever the walk order
-		for g, p := range t.prefixes {
-			if p.lastUse < victimT || (p.lastUse == victimT && (victim == -1 || g < victim)) {
-				victim, victimT = g, p.lastUse
-			}
-		}
-		if victim < 0 {
+		victim, ok := mathx.OldestKey(t.prefixes, func(p *hostPrefix) float64 { return p.lastUse })
+		if !ok {
 			return false
 		}
 		t.hostUsed -= t.prefixes[victim].bytes

@@ -17,13 +17,13 @@ package serving
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"diffkv/internal/baselines"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/kvcache"
+	"diffkv/internal/mathx"
 	"diffkv/internal/offload"
 	"diffkv/internal/quant"
 	"diffkv/internal/synth"
@@ -611,25 +611,14 @@ func (e *Engine) touchPrefix(st *seqState) {
 	ent.lastUse = e.clock
 }
 
-// insertPrefix adds a GPU prefix-cache entry for group, evicting the
-// least-recently-used groups beyond capacity (ties broken by lowest group
-// ID for determinism). When the host tier is enabled, evicted entries
-// spill there with their compressed byte footprint instead of vanishing.
+// insertPrefix adds a GPU prefix-cache entry for group, first evicting
+// the least-recently-used groups (ties broken by lowest group ID) until
+// it fits. When the host tier is enabled, evicted entries spill there
+// with their compressed byte footprint instead of vanishing.
 func (e *Engine) insertPrefix(group int) *prefixEntry {
-	ent := &prefixEntry{}
-	e.prefix[group] = ent
-	for len(e.prefix) > e.cfg.PrefixCacheGroups {
-		victim, victimT := -1, gpusim.Micros(math.MaxInt64)
-		//diffkv:allow maprange -- min-scan with total-order tie-break (lastUse, then lowest group): same victim whatever the walk order
-		for g, en := range e.prefix {
-			if g == group {
-				continue
-			}
-			if en.lastUse < victimT || (en.lastUse == victimT && (victim == -1 || g < victim)) {
-				victim, victimT = g, en.lastUse
-			}
-		}
-		if victim < 0 {
+	for len(e.prefix) >= e.cfg.PrefixCacheGroups {
+		victim, ok := mathx.OldestKey(e.prefix, func(en *prefixEntry) gpusim.Micros { return en.lastUse })
+		if !ok {
 			break
 		}
 		if e.tiered != nil {
@@ -638,6 +627,8 @@ func (e *Engine) insertPrefix(group int) *prefixEntry {
 		}
 		delete(e.prefix, victim)
 	}
+	ent := &prefixEntry{}
+	e.prefix[group] = ent
 	return ent
 }
 

@@ -80,9 +80,7 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 	}
 	// GPU prefix-cache entries vanish with the GPU memory; host-tier
 	// spills made at earlier evictions are the only copies that survive
-	for g := range e.prefix {
-		delete(e.prefix, g)
-	}
+	clear(e.prefix)
 	e.admitBlocked = false
 	e.pendingXfer = 0
 	e.lostKVBytes += rep.LostKVBytes

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"diffkv/internal/disagg"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/workload"
 )
@@ -96,7 +97,7 @@ type DriverStats struct {
 	// KVShipLinks the per-(from,to) instance-pair breakdown.
 	KVTransfers    int
 	KVBytesShipped int64
-	KVShipLinks    []KVLink
+	KVShipLinks    []disagg.LinkBytes
 	// PerInstance breaks the load gauges down per serving instance (one
 	// entry for an engine, N for a cluster) so a scrape can tell a hot
 	// instance from a balanced fleet.
@@ -134,14 +135,6 @@ type InstanceStats struct {
 	// Role is the instance's disaggregation pool ("prefill", "decode" or
 	// "mixed"); empty without disaggregation.
 	Role string
-}
-
-// KVLink is one directed instance pair's lifetime disaggregated KV
-// shipment traffic (instance tags are 1-based, matching trace events).
-type KVLink struct {
-	From, To  int
-	Bytes     int64
-	Transfers int
 }
 
 // loopPoll is the idle wakeup interval: how often an idle (or pacing) loop

@@ -12,7 +12,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -50,15 +49,10 @@ const (
 )
 
 // WritePerfetto writes the retained events as Chrome/Perfetto
-// trace-event JSON (see the package-level WritePerfettoEvents).
-func (c *Collector) WritePerfetto(w io.Writer) error {
-	return WritePerfettoEvents(w, c.Events())
-}
-
-// WritePerfettoEvents renders an event stream as Chrome/Perfetto
 // trace-event JSON: one process track per serving instance, step slices
-// and per-request async span groups.
-func WritePerfettoEvents(w io.Writer, events []Event) error {
+// and per-request async span groups, with the raw events embedded.
+func (c *Collector) WritePerfetto(w io.Writer) error {
+	events := c.Events()
 	var out []perfettoEvent
 
 	// process/thread metadata: one pid per instance tag seen
@@ -160,31 +154,17 @@ func WritePerfettoEvents(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// ReadEvents parses an event stream from either of the formats diffkv
-// writes: a Perfetto trace-event file carrying embedded "diffkvEvents"
-// (WritePerfetto), or plain JSON lines (WriteJSONL).
+// ReadEvents parses the raw events embedded in a trace-event file
+// WritePerfetto wrote.
 func ReadEvents(r io.Reader) ([]Event, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
 	var pf struct {
 		DiffKVEvents []Event `json:"diffkvEvents"`
 	}
-	if err := json.Unmarshal(data, &pf); err == nil && pf.DiffKVEvents != nil {
-		return pf.DiffKVEvents, nil
+	if err := json.NewDecoder(r).Decode(&pf); err != nil {
+		return nil, fmt.Errorf("trace: read: %w", err)
 	}
-	var events []Event
-	for i, line := range bytes.Split(data, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", i+1, err)
-		}
-		events = append(events, e)
+	if pf.DiffKVEvents == nil {
+		return nil, fmt.Errorf("trace: read: no diffkvEvents (not a diffkv trace file)")
 	}
-	return events, nil
+	return pf.DiffKVEvents, nil
 }

@@ -10,7 +10,7 @@ package trace
 // host-prefix hits. A request that crosses instances — a crash
 // re-dispatch, a prefill/decode handoff — stays one tree. The builder is
 // a pure function of the event stream, so it works identically over the
-// live collector, a JSONL file, or a re-read Perfetto export.
+// live collector or a re-read Perfetto export.
 
 import "sort"
 

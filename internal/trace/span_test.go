@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -154,8 +155,12 @@ func TestBuildRequestSpansCrossInstance(t *testing.T) {
 // async request slices and step slices the viewer renders.
 func TestPerfettoRoundTrip(t *testing.T) {
 	events := preemptLifecycle()
+	c := NewCollector(len(events))
+	for _, e := range events {
+		c.Emit(e)
+	}
 	var buf bytes.Buffer
-	if err := WritePerfettoEvents(&buf, events); err != nil {
+	if err := c.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -173,24 +178,19 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	}
 }
 
-// ReadEvents accepts plain JSONL too (WriteJSONL's output).
+// Perfetto files are the one trace format: ReadEvents rejects JSON
+// lines, and anything else without embedded diffkvEvents.
 func TestReadEventsJSONL(t *testing.T) {
-	c := NewCollector(10)
-	for _, e := range preemptLifecycle() {
-		c.Emit(e)
-	}
 	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range preemptLifecycle() {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	events, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events, preemptLifecycle()) {
-		t.Fatalf("jsonl round trip changed events: %+v", events)
-	}
-	if _, err := ReadEvents(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage input should error")
+	for _, in := range []string{buf.String(), "not json\n", `{"traceEvents":[]}`} {
+		if _, err := ReadEvents(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadEvents(%.40q) succeeded, want an error", in)
+		}
 	}
 }

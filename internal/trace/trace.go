@@ -1,15 +1,12 @@
 // Package trace provides structured event tracing for the serving engine:
 // admissions, preemptions, completions and per-step timings are emitted as
 // typed events into a bounded collector, which can summarize them or write
-// JSON lines for offline analysis. This is the observability surface an
+// a Perfetto trace-event file for offline analysis. This is the observability surface an
 // operator uses to understand scheduler behaviour (queueing onset,
 // preemption storms, batch dynamics) without instrumenting the engine.
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"slices"
 	"sync"
 )
@@ -197,28 +194,6 @@ func (c *Collector) Retained() int {
 	return len(c.events)
 }
 
-// InstSeq identifies a request by (instance, sequence): in cluster runs
-// every engine assigns auto IDs independently, so a bare Seq can collide
-// across instances and must not key per-request aggregates alone. It
-// marshals as "inst/seq" so it can key JSON maps.
-type InstSeq struct {
-	Inst int
-	Seq  int
-}
-
-// MarshalText implements encoding.TextMarshaler (JSON map keys).
-func (k InstSeq) MarshalText() ([]byte, error) {
-	return []byte(fmt.Sprintf("%d/%d", k.Inst, k.Seq)), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (k *InstSeq) UnmarshalText(b []byte) error {
-	if _, err := fmt.Sscanf(string(b), "%d/%d", &k.Inst, &k.Seq); err != nil {
-		return fmt.Errorf("trace: bad InstSeq %q: %w", b, err)
-	}
-	return nil
-}
-
 // Summary aggregates the retained events.
 type Summary struct {
 	Counts map[Kind]int `json:"counts"`
@@ -226,10 +201,11 @@ type Summary struct {
 	StepTimeUs map[Kind]float64 `json:"step_time_us"`
 	// MaxBatch is the largest batch observed in step events.
 	MaxBatch int `json:"max_batch"`
-	// Preemptions per (instance, sequence) — swap-outs included; requests
-	// preempted more than once are scheduler red flags. Keyed on InstSeq
-	// because sequence IDs alone collide across cluster instances.
-	PreemptedSeqs map[InstSeq]int `json:"preempted_seqs,omitempty"`
+	// Preemptions per sequence — swap-outs included, summed over every
+	// instance the request ran on (the cluster assigns sequence IDs
+	// before routing, so they are unique fleet-wide); requests preempted
+	// more than once are scheduler red flags.
+	PreemptedSeqs map[int]int `json:"preempted_seqs,omitempty"`
 }
 
 // Summarize builds a Summary of the retained events.
@@ -239,7 +215,7 @@ func (c *Collector) Summarize() Summary {
 	s := Summary{
 		Counts:        map[Kind]int{},
 		StepTimeUs:    map[Kind]float64{},
-		PreemptedSeqs: map[InstSeq]int{},
+		PreemptedSeqs: map[int]int{},
 	}
 	for _, e := range c.Events() {
 		s.Counts[e.Kind]++
@@ -250,7 +226,7 @@ func (c *Collector) Summarize() Summary {
 				s.MaxBatch = e.Batch
 			}
 		case KindPreempt, KindSwapOut:
-			s.PreemptedSeqs[InstSeq{Inst: e.Inst, Seq: e.Seq}]++
+			s.PreemptedSeqs[e.Seq]++
 		}
 	}
 	return s
@@ -273,15 +249,4 @@ func (t instanceTracer) Emit(e Event) {
 // once per serving instance so interleaved events stay attributable.
 func WithInstance(t Tracer, inst int) Tracer {
 	return instanceTracer{inner: t, inst: inst}
-}
-
-// WriteJSONL writes retained events as JSON lines.
-func (c *Collector) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range c.Events() {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-	}
-	return nil
 }

@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCollectorBasics(t *testing.T) {
 	c := NewCollector(10)
@@ -67,47 +62,26 @@ func TestSummarize(t *testing.T) {
 	if s.MaxBatch != 8 {
 		t.Fatalf("max batch = %d", s.MaxBatch)
 	}
-	if s.PreemptedSeqs[InstSeq{Seq: 2}] != 2 {
-		t.Fatalf("preemption count = %d", s.PreemptedSeqs[InstSeq{Seq: 2}])
+	if s.PreemptedSeqs[2] != 2 {
+		t.Fatalf("preemption count = %d", s.PreemptedSeqs[2])
 	}
 }
 
-// Equal sequence IDs on different instances must not collide in the
-// preemption aggregate (cluster engines assign auto IDs independently),
-// and swap-outs count as preemptions alongside recompute evictions.
-func TestSummarizePreemptionsKeyedPerInstance(t *testing.T) {
+// A request keeps its sequence ID on every instance it runs on (the
+// cluster assigns it before routing), so its preemptions sum under one
+// key across instances, and swap-outs count as preemptions alongside
+// recompute evictions.
+func TestSummarizePreemptionsKeyedBySeq(t *testing.T) {
 	c := NewCollector(100)
 	c.Emit(Event{Kind: KindPreempt, Seq: 7, Inst: 1})
 	c.Emit(Event{Kind: KindPreempt, Seq: 7, Inst: 2})
 	c.Emit(Event{Kind: KindSwapOut, Seq: 7, Inst: 2})
 	s := c.Summarize()
-	if n := s.PreemptedSeqs[InstSeq{Inst: 1, Seq: 7}]; n != 1 {
-		t.Fatalf("inst 1 preemptions = %d, want 1", n)
+	if n := s.PreemptedSeqs[7]; n != 3 {
+		t.Fatalf("seq 7 preemptions = %d, want 3 (preempt on inst 1, preempt + swap_out on inst 2)", n)
 	}
-	if n := s.PreemptedSeqs[InstSeq{Inst: 2, Seq: 7}]; n != 2 {
-		t.Fatalf("inst 2 preemptions = %d, want 2 (preempt + swap_out)", n)
-	}
-	if len(s.PreemptedSeqs) != 2 {
-		t.Fatalf("preempted keys = %d, want 2: %+v", len(s.PreemptedSeqs), s.PreemptedSeqs)
-	}
-}
-
-// InstSeq must survive a JSON map-key round trip ("inst/seq" text form).
-func TestInstSeqJSONRoundTrip(t *testing.T) {
-	in := map[InstSeq]int{{Inst: 3, Seq: 41}: 2, {Seq: 5}: 1}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"3/41"`) {
-		t.Fatalf("marshaled form %s lacks inst/seq key", data)
-	}
-	var out map[InstSeq]int
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out[InstSeq{Inst: 3, Seq: 41}] != 2 || out[InstSeq{Seq: 5}] != 1 {
-		t.Fatalf("round trip lost data: %+v", out)
+	if len(s.PreemptedSeqs) != 1 {
+		t.Fatalf("preempted keys = %d, want 1: %+v", len(s.PreemptedSeqs), s.PreemptedSeqs)
 	}
 }
 
@@ -172,27 +146,6 @@ func TestCollectorSubscribeSlowConsumer(t *testing.T) {
 	}
 	if got := c.Retained(); got != 50 {
 		t.Fatalf("retained = %d, want 50", got)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	c := NewCollector(10)
-	c.Emit(Event{Kind: KindAdmit, TimeUs: 1.5, Seq: 9})
-	c.Emit(Event{Kind: KindGenStep, TimeUs: 3, Batch: 2, DurUs: 42})
-	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Kind != KindAdmit || e.Seq != 9 {
-		t.Fatalf("decoded %+v", e)
 	}
 }
 

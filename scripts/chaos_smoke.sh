@@ -19,13 +19,15 @@ go build -o "$TMP/diffkv-gateway" ./cmd/diffkv-gateway
 
 # same scenario + seed twice: the failure timeline, completion set and
 # metrics must be bit-identical
-"$TMP/diffkv-cluster" -scenario testdata/scenario_chaos.json -trace "$TMP/events.jsonl" \
+"$TMP/diffkv-cluster" -scenario testdata/scenario_chaos.json -trace "$TMP/trace.json" \
     | tee "$TMP/run1.txt"
-"$TMP/diffkv-cluster" -scenario testdata/scenario_chaos.json -trace "$TMP/events2.jsonl" \
+"$TMP/diffkv-cluster" -scenario testdata/scenario_chaos.json -trace "$TMP/trace2.json" \
     > "$TMP/run2.txt"
 # the trace line names its output file; everything else must match
 diff <(grep -v '^  trace:' "$TMP/run1.txt") <(grep -v '^  trace:' "$TMP/run2.txt")
-cmp "$TMP/events.jsonl" "$TMP/events2.jsonl"
+cmp "$TMP/trace.json" "$TMP/trace2.json"
+# one trace format: the Perfetto file the gateway writes too
+grep -q '"traceEvents"' "$TMP/trace.json"
 
 # the fault machinery visibly ran and liveness held
 grep -q 'faults: .* crashes' "$TMP/run1.txt"
@@ -35,7 +37,7 @@ if grep -q 'WARNING' "$TMP/run1.txt"; then
 fi
 
 # the offline analyzer reconstructs downtime windows and the retry ledger
-"$TMP/diffkv-trace" "$TMP/events.jsonl" | tee "$TMP/report.txt"
+"$TMP/diffkv-trace" "$TMP/trace.json" | tee "$TMP/report.txt"
 grep -q 'fault injection:' "$TMP/report.txt"
 grep -q 'down ' "$TMP/report.txt"
 

@@ -20,13 +20,15 @@ go build -o "$TMP/diffkv-gateway" ./cmd/diffkv-gateway
 
 # same scenario + seed twice: the shipment timeline, completion set and
 # metrics must be bit-identical
-"$TMP/diffkv-cluster" -scenario testdata/scenario_disagg.json -trace "$TMP/events.jsonl" \
+"$TMP/diffkv-cluster" -scenario testdata/scenario_disagg.json -trace "$TMP/trace.json" \
     | tee "$TMP/run1.txt"
-"$TMP/diffkv-cluster" -scenario testdata/scenario_disagg.json -trace "$TMP/events2.jsonl" \
+"$TMP/diffkv-cluster" -scenario testdata/scenario_disagg.json -trace "$TMP/trace2.json" \
     > "$TMP/run2.txt"
 # the trace line names its output file; everything else must match
 diff <(grep -v '^  trace:' "$TMP/run1.txt") <(grep -v '^  trace:' "$TMP/run2.txt")
-cmp "$TMP/events.jsonl" "$TMP/events2.jsonl"
+cmp "$TMP/trace.json" "$TMP/trace2.json"
+# one trace format: the Perfetto file the gateway writes too
+grep -q '"traceEvents"' "$TMP/trace.json"
 
 # the transfer machinery visibly ran and liveness held
 grep -q 'disagg: 2 prefill + 2 decode instances' "$TMP/run1.txt"
@@ -38,7 +40,7 @@ fi
 
 # the offline analyzer reconstructs per-lane transfer traffic and the
 # xfer:inst phase
-"$TMP/diffkv-trace" "$TMP/events.jsonl" | tee "$TMP/report.txt"
+"$TMP/diffkv-trace" "$TMP/trace.json" | tee "$TMP/report.txt"
 grep -q 'transfer traffic:' "$TMP/report.txt"
 grep -q 'prefill>decode' "$TMP/report.txt"
 grep -q 'xfer:inst' "$TMP/report.txt"

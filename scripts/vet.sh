@@ -25,9 +25,12 @@
 #
 # Before trusting layer 3, the script proves the gate can actually fail:
 # diffkv-vet is run over the injected-violation fixture
-# internal/analysis/testdata/ci_violation and MUST exit non-zero there.
-# A vet binary that waves the fixture through is broken, and the build
-# fails rather than green-lighting silently.
+# internal/analysis/testdata/ci_violation, which it loads typechecked as
+# it loads the tree, and MUST exit 1 there (findings; 2 would be a load
+# failure) with a finding from each of wallclock, globalrand, maprange,
+# goroutine and timeunits. A vet binary that waves the fixture through,
+# or fails it for any other reason, is broken, and the build fails
+# rather than green-lighting silently.
 #
 # Usage: scripts/vet.sh
 
@@ -58,11 +61,22 @@ if ! go build -o "${bindir}/diffkv-vet" ./cmd/diffkv-vet; then
 fi
 
 echo "vet: self-test (injected violations must fail the gate)"
-if "${bindir}/diffkv-vet" internal/analysis/testdata/ci_violation >/dev/null 2>&1; then
-    echo "vet: SELF-TEST FAILED — diffkv-vet exited 0 on the injected-violation fixture" >&2
+selftest="$("${bindir}/diffkv-vet" internal/analysis/testdata/ci_violation 2>&1)"
+code=$?
+if [[ "${code}" -ne 1 ]]; then
+    echo "${selftest}" >&2
+    echo "vet: SELF-TEST FAILED — diffkv-vet exited ${code} on the injected-violation fixture, want 1" >&2
     echo "vet: the gate cannot be trusted; failing the build" >&2
     exit 1
 fi
+for check in wallclock globalrand maprange goroutine timeunits; do
+    if ! grep -q ": ${check}: " <<<"${selftest}"; then
+        echo "${selftest}" >&2
+        echo "vet: SELF-TEST FAILED — no ${check} finding on the injected-violation fixture" >&2
+        echo "vet: the gate cannot be trusted; failing the build" >&2
+        exit 1
+    fi
+done
 
 echo "vet: diffkv-vet ./..."
 if ! "${bindir}/diffkv-vet" ./...; then
