@@ -196,7 +196,9 @@ type ClusterServer = cluster.Cluster
 type DisaggPools = disagg.Config
 
 // RoutingPolicy picks a target instance for each request from routable
-// instance snapshots. Implementations must be deterministic.
+// instance snapshots. The slice Pick receives is the cluster's live
+// routable view: implementations must not modify it, must not keep it
+// past the call, and must be deterministic.
 type RoutingPolicy = cluster.Policy
 
 // RoutingSnapshot is the router's view of one serving instance at

@@ -117,9 +117,8 @@ type Cluster struct {
 	// pending holds Run's not-yet-dispatched arrivals in arrival order
 	// (always empty in session mode, where Open dispatches immediately)
 	pending []workload.Request
-	// snaps is the one snapshot buffer every routing decision refills
-	// (snapshots), so dispatch allocates no per-arrival fleet view
-	snaps []Snapshot
+	// the engines as last read back by touch (touch.go)
+	fleetView
 
 	// disaggregation coordinator state (disagg.go); nil without
 	// Config.Disagg
@@ -194,14 +193,16 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.engines = append(c.engines, eng)
 	}
+	c.initView(cfg.Instances)
 	return c, nil
 }
 
 // Policy returns the active routing policy's name.
 func (c *Cluster) Policy() string { return c.policy.Name() }
 
-// Engines exposes the underlying serving engines (read-mostly: for
-// inspection and tests).
+// Engines exposes the underlying serving engines for inspection. The
+// cluster caches what it reads from them (touch), so callers must not
+// change them.
 func (c *Cluster) Engines() []*serving.Engine { return c.engines }
 
 func (c *Cluster) emit(ev trace.Event) {
@@ -260,6 +261,7 @@ func (c *Cluster) dispatch(r workload.Request) {
 	} else {
 		c.engines[idx].Submit(r)
 	}
+	c.touch(idx)
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)
 	}
@@ -268,54 +270,34 @@ func (c *Cluster) dispatch(r workload.Request) {
 	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: r.ArrivalUs, Seq: r.ID, Inst: idx + 1})
 }
 
-// route snapshots the fleet, filters saturated instances and lets the
-// policy pick. Reports false when every instance is saturated. Under
-// disaggregation decode-pool instances never take fresh prompts (they
-// only adopt shipped prefills), so they are filtered here regardless of
-// the policy in use.
+// route lets the policy pick from the routable view touch keeps: live
+// instances below the admission bound, saturated ones filtered out.
+// Reports false when every instance is saturated. Under disaggregation
+// decode-pool instances never take fresh prompts (they only adopt
+// shipped prefills), so the view leaves them out regardless of the
+// policy in use.
 func (c *Cluster) route(r workload.Request) (int, bool) {
-	snaps := c.snapshots(func(s Snapshot) bool {
-		// decode pool: adopts shipped prefills only; a full queue is
-		// saturated, so unroutable
-		return s.Role != disagg.RoleDecode &&
-			(c.cfg.MaxQueueDepth <= 0 || s.QueueDepth < c.cfg.MaxQueueDepth)
-	})
-	if len(snaps) == 0 {
+	if len(c.view) == 0 {
 		return 0, false
 	}
-	return c.policy.Pick(r, snaps), true
+	return c.policy.Pick(r, c.view), true
 }
 
-// snapshots refills the cluster's snapshot buffer with the live instances
-// keep accepts, in ascending ID order — the one fleet view behind first
-// dispatch, crash re-dispatch and decode-side placement. Crashed instances
-// are never routable. The slice is valid until the next call.
+// snapshots filters the cached snapshots of the live instances through
+// keep, in ascending ID order — the fleet view of the two rare decisions,
+// crash re-dispatch and decode-side placement. Crashed instances are never
+// routable. Both run inside an event, where a token callback may have
+// cancelled a session on another instance, so the cache is resynced
+// first. The slice is valid until the next call.
 func (c *Cluster) snapshots(keep func(s Snapshot) bool) []Snapshot {
-	c.snaps = c.snaps[:0]
-	for i := range c.engines {
-		if c.down(i) {
-			continue
-		}
-		if s := c.snapshot(i); keep(s) {
-			c.snaps = append(c.snaps, s)
+	c.resync()
+	c.filtered = c.filtered[:0]
+	for i, s := range c.snap {
+		if !c.down(i) && keep(s) {
+			c.filtered = append(c.filtered, s)
 		}
 	}
-	return c.snaps
-}
-
-// snapshot is the router's view of instance i (0-based) right now: every
-// field is an O(1) read, the token counts included.
-func (c *Cluster) snapshot(i int) Snapshot {
-	e := c.engines[i]
-	return Snapshot{
-		ID:             i,
-		QueueDepth:     e.QueueDepth(),
-		Running:        e.RunningCount(),
-		ResidentTokens: e.ResidentTokens(),
-		SwappedTokens:  e.SwappedTokens(),
-		Degraded:       c.InstanceHealth(i) == Degraded,
-		Role:           c.Role(i),
-	}
+	return c.filtered
 }
 
 // observe lets learning policies record the dispatch decision made at
@@ -343,16 +325,12 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 		c.autoID++
 		r.ID = clusterAutoIDBase + c.autoID
 	}
-	// bring instance health up to date before routing: a crash due by now
-	// must exclude its instance from this decision
+	// read back engines a direct Session.Cancel changed since the last
+	// event, then bring instance health up to date before routing: a
+	// crash due by now must exclude its instance from this decision
+	c.resync()
 	if c.inj != nil {
-		t := r.ArrivalUs
-		for _, e := range c.engines {
-			if ct := float64(e.Clock()); ct > t {
-				t = ct
-			}
-		}
-		if err := c.advanceFaults(t); err != nil {
+		if err := c.advanceFaults(max(r.ArrivalUs, float64(c.Clock()))); err != nil {
 			return nil, err
 		}
 	}
@@ -389,6 +367,7 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 		r.GenLen = genLen
 		c.engines[idx].MarkHandoff(r.ID, genLen)
 	}
+	c.touch(idx)
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)
 	}
@@ -409,19 +388,13 @@ func (c *Cluster) Step() ([]serving.Completion, error) {
 	return c.fire(c.next())
 }
 
-// Clock returns the latest simulated clock across instances.
-func (c *Cluster) Clock() gpusim.Micros {
-	var best gpusim.Micros
-	for _, e := range c.engines {
-		if t := e.Clock(); t > best {
-			best = t
-		}
-	}
-	return best
-}
+// Clock returns the latest simulated clock across instances: the running
+// max touch keeps, engine clocks being monotone.
+func (c *Cluster) Clock() gpusim.Micros { return c.clock }
 
 // ReapSessions frees the state of context-cancelled sessions on every
-// instance — cancellations free capacity and may idle an engine.
+// instance — cancellations free capacity and may idle an engine — and
+// touches the engines a cancellation changed.
 func (c *Cluster) ReapSessions() {
 	if !c.sessionMode {
 		return // no Open yet, so no session to reap
@@ -429,24 +402,21 @@ func (c *Cluster) ReapSessions() {
 	for _, e := range c.engines {
 		e.ReapSessions()
 	}
+	c.resync()
 }
 
 // HasWork reports whether any instance has queued, running or swapped
 // requests, a crash orphan awaits re-dispatch, or a KV transfer is on
 // the wire.
 func (c *Cluster) HasWork() bool {
-	if len(c.redispatchQ) > 0 {
-		return true
-	}
-	if c.dg != nil && c.dg.xq.Len() > 0 {
-		return true
-	}
-	return c.engineWork()
+	c.resync()
+	return len(c.redispatchQ) > 0 || (c.dg != nil && c.dg.xq.Len() > 0) || c.working > 0
 }
 
 // NextTime returns the simulated time of the earliest pending event and
 // false when the cluster is idle.
 func (c *Cluster) NextTime() (gpusim.Micros, bool) {
+	c.resync()
 	ev := c.next()
 	return gpusim.Micros(ev.atUs), ev.class != evNone
 }

@@ -98,7 +98,7 @@ func (c *Cluster) pickDecode(r workload.Request) int {
 	if dp, ok := c.policy.(decodePicker); ok {
 		return dp.PickDecode(r, snaps)
 	}
-	return leastLoaded{}.Pick(r, snaps)
+	return pickLeast(snaps)
 }
 
 // settle filters one step's completions through the coordinator:
@@ -161,5 +161,6 @@ func (c *Cluster) processTransfer() error {
 	if err := c.engines[t.To].SubmitPrefilled(exp, t.DueUs); err != nil {
 		return fmt.Errorf("cluster: adopt request %d on instance %d: %w", t.SeqID, t.To+1, err)
 	}
+	c.touch(t.To)
 	return nil
 }

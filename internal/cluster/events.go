@@ -3,10 +3,10 @@ package cluster
 // The cluster event core. Five sources hold pending simulated work, each
 // owning the due time of its own head: the fault timeline, the KV
 // transfer wire, the crash re-dispatch queue, batch arrivals not yet
-// dispatched, and every live instance's next scheduler step. next picks
-// the earliest head and fire runs it; Run, Step, NextTime and
-// DrainContext only drive that pair, so event order is defined here and
-// nowhere else.
+// dispatched, and every live instance's next scheduler step — the top of
+// the step heap touch keeps (touch.go). next picks the earliest head and
+// fire runs it; Run, Step, NextTime and DrainContext only drive that
+// pair, so event order is defined here and nowhere else.
 
 import (
 	"fmt"
@@ -63,13 +63,8 @@ func (c *Cluster) next() event {
 	if len(c.pending) > 0 {
 		offer(evArrival, c.pending[0].ArrivalUs, 0)
 	}
-	for i, e := range c.engines {
-		if c.down(i) {
-			continue // a down instance does not execute until its restart
-		}
-		if t, ok := e.NextTime(); ok {
-			offer(evStep, float64(t), i)
-		}
+	if i, ok := c.stepQ.Top(); ok {
+		offer(evStep, c.stepAt[i], i)
 	}
 	return best
 }
@@ -96,6 +91,9 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", ev.inst, err)
 		}
+		// before settle, whose decode placement reads this instance too;
+		// settle itself only collects exports, which touch does not read
+		c.touch(ev.inst)
 		for i := range comps {
 			comps[i].Inst = ev.inst + 1
 		}
@@ -104,8 +102,7 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 			c.acc.complete(ev.inst, cp)
 		}
 		// fed inside the event loop, so a seeded run's sampling is
-		// deterministic; the guard spares a run without telemetry the
-		// per-step Clock scan
+		// deterministic
 		if tc := c.cfg.Telemetry; tc != nil {
 			c.feedTelemetry(tc, comps)
 		}

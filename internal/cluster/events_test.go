@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"diffkv/internal/disagg"
@@ -33,9 +34,14 @@ func TestNextTieBreakOrder(t *testing.T) {
 	c.dg.xq.Push(disagg.Transfer{SeqID: 1, DueUs: atUs})
 	c.redispatchQ = []redispatch{{dueUs: atUs}}
 	c.pending = []workload.Request{req(2)}
-	c.engines[1].Submit(req(3)) // instance 0 stays idle: the scan must skip it
+	// every poke behind the cluster's back is followed by the touch the
+	// cluster's own paths make after changing an engine
+	c.engines[1].Submit(req(3)) // instance 0 stays idle: the step heap must not hold it
+	c.touch(1)
 	c.engines[2].Submit(req(4))
+	c.touch(2)
 	c.engines[3].Submit(req(5))
+	c.touch(3)
 
 	peel := []struct {
 		want   eventClass
@@ -46,7 +52,7 @@ func TestNextTieBreakOrder(t *testing.T) {
 		{evTransfer, 0, func() { c.dg.xq.Pop() }},
 		{evRedispatch, 0, func() { c.redispatchQ = nil }},
 		{evArrival, 0, func() { c.pending = nil }},
-		{evStep, 1, func() { c.health[1] = Down }}, // a down instance does not step
+		{evStep, 1, func() { c.health[1] = Down; c.touch(1) }}, // a down instance does not step
 		{evStep, 2, nil},
 	}
 	for _, p := range peel {
@@ -64,6 +70,7 @@ func TestNextTieBreakOrder(t *testing.T) {
 
 	// time beats class: the lowest-priority class wins when it is earlier
 	c.engines[0].Submit(workload.Request{ID: 6, ArrivalUs: atUs - 1, PromptLen: 64, GenLen: 4})
+	c.touch(0)
 	c.pending = []workload.Request{req(7)}
 	if ev := c.next(); ev.class != evStep || ev.inst != 0 || ev.atUs != atUs-1 {
 		t.Fatalf("earlier step vs arrival: next = %+v, want instance 0 step at %v", ev, float64(atUs-1))
@@ -174,6 +181,36 @@ func TestEventClockMonotone(t *testing.T) {
 				m.ElapsedSeconds != want.ElapsedSeconds || m.E2E != want.E2E {
 				t.Fatalf("hand drain diverged from Run:\n got %+v\nwant %+v", m, want)
 			}
+		})
+	}
+}
+
+// BenchmarkClusterRun times one batch Run of the fleet-scaling command,
+// `diffkv-cluster -method vLLM -policy least-loaded -maxgen 256 -seconds
+// 60 -rate 6N -instances N`, at three fleet widths, and reports host µs
+// per completion: the load per instance is fixed, so the figure stays
+// near flat across N only while a cluster event costs O(log N), not O(N).
+func BenchmarkClusterRun(b *testing.B) {
+	for _, n := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			reqs := workload.NewRequestGen(workload.MMLU, 256, 42).PoissonShared(float64(6*n), 60,
+				workload.PrefixConfig{Groups: 16, PrefixLen: 768, SharedFrac: 0.9})
+			completed := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := newTestCluster(b, PolicyLeastLoaded, func(cfg *Config) {
+					cfg.Instances = n
+					cfg.MaxQueueDepth = 128
+					cfg.Seed = 42
+				})
+				b.StartTimer()
+				m, err := c.Run(reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				completed += m.Completed
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(completed), "µs/completion")
 		})
 	}
 }

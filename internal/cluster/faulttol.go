@@ -17,7 +17,6 @@ import (
 	"diffkv/internal/faults"
 	"diffkv/internal/serving"
 	"diffkv/internal/trace"
-	"diffkv/internal/workload"
 )
 
 // Health is an instance's fault-injection state.
@@ -68,21 +67,12 @@ func (c *Cluster) faultDue() (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if len(c.pending) == 0 && len(c.redispatchQ) == 0 && !c.engineWork() {
+	// working counts down instances too: their kept swapped sequences
+	// only drain after a restart
+	if len(c.pending) == 0 && len(c.redispatchQ) == 0 && c.working == 0 {
 		return 0, false
 	}
 	return at, true
-}
-
-// engineWork reports whether any instance — down ones included, whose
-// kept swapped sequences only drain after a restart — holds work.
-func (c *Cluster) engineWork() bool {
-	for _, e := range c.engines {
-		if e.HasWork() {
-			return true
-		}
-	}
-	return false
 }
 
 // advanceFaults processes every fault event due at or before tUs, so a
@@ -101,13 +91,15 @@ func (c *Cluster) advanceFaults(tUs float64) error {
 }
 
 // processFault applies the injector's next event (fault-event instance
-// tags are 1-based, engine indexes 0-based).
+// tags are 1-based, engine indexes 0-based) and touches its instance.
 func (c *Cluster) processFault() error {
 	ev := c.inj.Pop()
 	i := ev.Inst - 1
 	switch ev.Op {
 	case faults.OpCrash:
-		return c.processCrash(ev)
+		if err := c.processCrash(ev); err != nil {
+			return err
+		}
 	case faults.OpRestart:
 		c.engines[i].Restart(ev.AtUs)
 		c.health[i] = Healthy
@@ -132,6 +124,7 @@ func (c *Cluster) processFault() error {
 	default:
 		return fmt.Errorf("cluster: unknown fault op %q", ev.Op)
 	}
+	c.touch(i)
 	return nil
 }
 
@@ -186,7 +179,7 @@ func (c *Cluster) enqueueRedispatch(rd redispatch) {
 func (c *Cluster) processRedispatch() error {
 	rd := c.redispatchQ[0]
 	c.redispatchQ = c.redispatchQ[1:]
-	idx, ok := c.routeRedispatch(rd.o.Req)
+	idx, ok := c.routeRedispatch()
 	if !ok {
 		rd.waits++
 		if rd.o.Attempts+rd.waits > c.inj.RetryBudget() {
@@ -200,6 +193,7 @@ func (c *Cluster) processRedispatch() error {
 	if err := c.engines[idx].Readmit(rd.o, rd.dueUs); err != nil {
 		return fmt.Errorf("cluster: redispatch request %d to instance %d: %w", rd.o.Req.ID, idx+1, err)
 	}
+	c.touch(idx)
 	c.redispatchN++
 	c.perInstRedisp[idx]++
 	c.observe(rd.o.Req, idx, rd.dueUs)
@@ -211,12 +205,12 @@ func (c *Cluster) processRedispatch() error {
 // orphan. Unlike first-dispatch routing it ignores MaxQueueDepth — an
 // already-admitted request is never shed by saturation, only by its
 // retry budget.
-func (c *Cluster) routeRedispatch(r workload.Request) (int, bool) {
+func (c *Cluster) routeRedispatch() (int, bool) {
 	snaps := c.snapshots(func(Snapshot) bool { return true })
 	if len(snaps) == 0 {
 		return 0, false
 	}
-	return leastLoaded{}.Pick(r, snaps), true
+	return pickLeast(snaps), true
 }
 
 // fail terminally accounts a crash orphan that ran out of retries: the

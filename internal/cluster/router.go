@@ -34,12 +34,23 @@ type Snapshot struct {
 
 // Policy picks a target instance for each request. Pick receives only
 // routable snapshots (admission control filters saturated instances first)
-// and the slice is never empty; it returns the chosen Snapshot.ID. The
-// slice is the cluster's reusable buffer, valid only during the call.
-// Policies must be deterministic: equal inputs yield equal picks.
+// in ascending ID order, and the slice is never empty; it returns the
+// chosen Snapshot.ID. The slice is the cluster's live routable view: Pick
+// must not modify it, and must not keep it past the call. Policies must
+// be deterministic: equal inputs yield equal picks.
 type Policy interface {
 	Name() string
 	Pick(req workload.Request, snaps []Snapshot) int
+}
+
+// loadRanked is implemented by the builtin least-loaded policy. New
+// hands it the cluster's leastOfView, which answers for the routable view
+// from a heap touch keeps, so a pick over that view reads the heap's top
+// instead of scanning it. Prefix-affinity's fallback scans: that policy
+// walks the whole view for matches anyway, and keeping the heap for it
+// measured no faster.
+type loadRanked interface {
+	rankLoads(least func(snaps []Snapshot) (int, bool))
 }
 
 // observer is implemented by policies that learn from dispatch decisions
@@ -127,11 +138,13 @@ func (disaggAware) PickDecode(_ workload.Request, snaps []Snapshot) int {
 // wanted pool is absent from the snapshot set (saturated or not
 // configured).
 func pickByRole(snaps []Snapshot, want disagg.Role) int {
-	best, bestWant, has := Snapshot{}, false, false
-	for _, s := range snaps {
+	var best *Snapshot
+	bestWant := false
+	for k := range snaps {
+		s := &snaps[k]
 		w := s.Role == want
-		if !has || (w && !bestWant) || (w == bestWant && less(s, best)) {
-			best, bestWant, has = s, w, true
+		if best == nil || (w && !bestWant) || (w == bestWant && less(s, best)) {
+			best, bestWant = s, w
 		}
 	}
 	return best.ID
@@ -170,17 +183,34 @@ func (p *roundRobin) Pick(_ workload.Request, snaps []Snapshot) int {
 // leastLoaded routes to the instance with the fewest in-flight requests,
 // breaking ties by resident KV tokens, then by lowest instance ID — the
 // last rule makes tie-breaking deterministic.
-type leastLoaded struct{}
+type leastLoaded struct {
+	// least is the cluster's leastOfView once New has bound it
+	// (loadRanked). It answers only when snaps is the cluster's routable
+	// view itself; unbound, or for any other slice, Pick scans.
+	least func(snaps []Snapshot) (int, bool)
+}
 
 // NewLeastLoaded returns the least-loaded routing policy.
-func NewLeastLoaded() Policy { return leastLoaded{} }
+func NewLeastLoaded() Policy { return &leastLoaded{} }
 
-func (leastLoaded) Name() string { return PolicyLeastLoaded }
+func (*leastLoaded) Name() string { return PolicyLeastLoaded }
 
-func (leastLoaded) Pick(_ workload.Request, snaps []Snapshot) int {
-	best := snaps[0]
-	for _, s := range snaps[1:] {
-		if less(s, best) {
+func (p *leastLoaded) rankLoads(least func([]Snapshot) (int, bool)) { p.least = least }
+
+func (p *leastLoaded) Pick(_ workload.Request, snaps []Snapshot) int {
+	if p.least != nil {
+		if id, ok := p.least(snaps); ok {
+			return id
+		}
+	}
+	return pickLeast(snaps)
+}
+
+// pickLeast scans snaps for the least-loaded instance under less.
+func pickLeast(snaps []Snapshot) int {
+	best := &snaps[0]
+	for k := range snaps[1:] {
+		if s := &snaps[k+1]; less(s, best) {
 			best = s
 		}
 	}
@@ -193,7 +223,7 @@ func (leastLoaded) Pick(_ workload.Request, snaps []Snapshot) int {
 // without a separate mode. A degraded instance's load is inflated (4x+2),
 // so it only wins against healthy instances carrying several times its
 // queue: graceful degradation rather than exclusion.
-func less(a, b Snapshot) bool {
+func less(a, b *Snapshot) bool {
 	la, lb := loadOf(a), loadOf(b)
 	if la != lb {
 		return la < lb
@@ -207,7 +237,7 @@ func less(a, b Snapshot) bool {
 
 // loadOf is the in-flight load a snapshot contributes to routing, with
 // the degraded penalty applied.
-func loadOf(s Snapshot) int {
+func loadOf(s *Snapshot) int {
 	l := s.QueueDepth + s.Running
 	if s.Degraded {
 		l = l*4 + 2

@@ -41,7 +41,7 @@ func TestPrefixAffinityHashMemoKey(t *testing.T) {
 	}
 }
 
-// TestRouteZeroAllocs pins the reusable snapshot buffer: once warm, a
+// TestRouteZeroAllocs pins the cached routable view: once warm, a
 // least-loaded routing decision over the whole fleet allocates nothing.
 func TestRouteZeroAllocs(t *testing.T) {
 	c := newTestCluster(t, PolicyLeastLoaded, func(cfg *Config) {
@@ -58,9 +58,9 @@ func TestRouteZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkRoute64 routes and records one arrival per iteration through
-// prefix-affinity over 64 live traits-mode engines: the snapshot refill,
-// the block hashing and KVIndex.Matches, without the event loop around
-// them.
+// prefix-affinity over 64 live traits-mode engines: the scan of the
+// routable view, the block hashing and KVIndex.Matches, without the
+// event loop around them.
 func BenchmarkRoute64(b *testing.B) {
 	c := newTestCluster(b, PolicyPrefixAffinity, func(cfg *Config) { cfg.Instances = 64 })
 	reqs := sharedReqs(1024, 100, 5)
