@@ -33,6 +33,7 @@ import (
 	"diffkv/internal/experiments"
 	"diffkv/internal/faults"
 	"diffkv/internal/gpusim"
+	"diffkv/internal/httpapi"
 	"diffkv/internal/policy"
 	"diffkv/internal/quant"
 	"diffkv/internal/serving"
@@ -294,23 +295,16 @@ type FaultSlowdown = faults.Slowdown
 // from many goroutines, paces steps against simulated time
 // (LoopConfig.TimeScale) and drains gracefully through Shutdown — the
 // concurrency boundary the HTTP gateway, and any other network
-// front-end, builds on. Construct with Stack.StartLoop or NewLoop.
-type Loop = serving.Loop
+// front-end, builds on. It lives with the gateway, at the real-time
+// edge; the simulated-time packages never read the wall clock.
+// Construct with Stack.StartLoop.
+type Loop = httpapi.Loop
 
 // LoopConfig parameterizes a Loop (simulated-to-wall time pacing).
-type LoopConfig = serving.LoopConfig
-
-// LoopDriver is the steppable surface a Loop drives: a *ClusterServer
-// in every stack Build makes (*Server implements it too).
-type LoopDriver = serving.Driver
+type LoopConfig = httpapi.LoopConfig
 
 // ErrLoopShutdown is returned by Loop.Open once Shutdown has begun.
-var ErrLoopShutdown = serving.ErrLoopShutdown
-
-// NewLoop starts an always-on driving loop over a ClusterServer (or any
-// other LoopDriver). The caller must eventually call Shutdown to stop the
-// background goroutine.
-func NewLoop(d LoopDriver, cfg LoopConfig) *Loop { return serving.NewLoop(d, cfg) }
+var ErrLoopShutdown = httpapi.ErrLoopShutdown
 
 // TelemetryCenter is the cluster-level observability core: per-instance
 // time-series rings sampled on a sim-time cadence, mergeable latency

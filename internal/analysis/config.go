@@ -58,10 +58,9 @@ func matchPrefix(path, prefix string) bool {
 // simPackages are the simulated-time packages: everything inside them
 // runs on the nowUs clock, so wall-clock reads, unseeded randomness,
 // unordered map iteration and step-path concurrency are determinism
-// bugs, not style nits. serving is included even though its Loop pacing
-// path legitimately touches the wall clock — those few sites carry
-// //diffkv:allow directives so each exemption is visible in the code it
-// excuses.
+// bugs, not style nits. The one real-time driver, the Loop, lives in
+// httpapi, so none of these packages carries an exception
+// (TestNoDeterminismExceptions).
 var simPackages = []string{
 	"diffkv/internal/core",
 	"diffkv/internal/serving",
@@ -101,8 +100,7 @@ var deterministicPackages = append([]string{
 // stepPathPackages are the event-loop step path: code reached from
 // Engine.Step / Cluster.Step, which spawns no goroutine itself so a
 // step is a pure function of (state, nowUs); its fan-out goes through
-// mathx.ForEach (see Goroutine). serving carries the Loop goroutine
-// machinery behind allow directives.
+// mathx.ForEach (see Goroutine).
 var stepPathPackages = []string{
 	"diffkv/internal/core",
 	"diffkv/internal/serving",
@@ -117,13 +115,14 @@ var stepPathPackages = []string{
 
 // DefaultConfig encodes the project's determinism contract:
 //
-//   - wallclock: error in sim-time packages; off in cmd/,
-//     examples/scenario, httpapi (network edge runs on real time by
-//     design).
+//   - wallclock: error in sim-time packages, with no allow directive
+//     in any of them; off in cmd/, examples/scenario, httpapi (the
+//     network edge and its Loop run on real time by design).
 //   - globalrand: error module-wide — even host-side tools must thread
 //     an explicit *rand.Rand so reruns reproduce.
 //   - maprange: error in deterministic packages.
-//   - goroutine: error on the event-loop step path.
+//   - goroutine: error on the event-loop step path, again with no
+//     allow directive.
 //   - timeunits: error in deterministic packages, warn elsewhere (unit
 //     mixing in a CLI printf is ugly; in the scheduler it corrupts the
 //     clock).

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -163,12 +164,51 @@ func TestTreeHasNoFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks the whole module")
 	}
-	m, err := LoadModule(filepath.Join("..", ".."))
+	m, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range Run(m, DefaultConfig()).Errors() {
 		t.Errorf("%s", d)
+	}
+}
+
+// loadTree loads the real module once for the tests that inspect it.
+var loadTree = sync.OnceValues(func() (*Module, error) {
+	return LoadModule(filepath.Join("..", ".."))
+})
+
+// TestNoDeterminismExceptions pins the exception-free determinism
+// contract: no package where wallclock or goroutine is an error carries
+// an allow directive for that check. The one real-time driver, the
+// Loop, lives in httpapi, so a wall-clock read or a goroutine in a
+// simulated-time package is always a finding, never a suppression.
+func TestNoDeterminismExceptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole module")
+	}
+	m, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	strict := map[string]int{}
+	for _, pkg := range m.Packages {
+		for _, check := range []string{"wallclock", "goroutine"} {
+			if cfg.SeverityFor(check, pkg.ImportPath) == Error {
+				strict[pkg.ImportPath]++
+			}
+		}
+		for _, d := range pkg.Directives {
+			if (d.Check == "wallclock" || d.Check == "goroutine") && cfg.SeverityFor(d.Check, pkg.ImportPath) == Error {
+				t.Errorf("%s: //diffkv:allow %s in %s, where %s is an error", d.Pos, d.Check, pkg.ImportPath, d.Check)
+			}
+		}
+	}
+	for _, p := range []string{"diffkv/internal/serving", "diffkv/internal/cluster"} {
+		if strict[p] != 2 {
+			t.Errorf("%s: wallclock and goroutine must both be errors there (%d of 2 are)", p, strict[p])
+		}
 	}
 }
 

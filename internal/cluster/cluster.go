@@ -25,9 +25,6 @@ import (
 	"diffkv/internal/workload"
 )
 
-// A cluster is drivable by a serving.Loop exactly like a single engine.
-var _ serving.Driver = (*Cluster)(nil)
-
 // ErrAllSaturated is returned by Open when every instance is at the
 // admission bound — the request is shed, mirroring Run's reject path.
 var ErrAllSaturated = errors.New("cluster: all instances saturated")
@@ -81,10 +78,10 @@ type Config struct {
 	// single-threaded event loop (Run / Step) and fed every dispatch and
 	// completion, with its latencies and phase breakdown — this is what
 	// makes a seeded run's alert timeline bit-identical across runs. It
-	// is the one live latency store: a serving.Loop driving the cluster
-	// reaches the center through Step and keeps no latency of its own.
-	// Every stack a scenario builds sets it; harnesses that build a
-	// cluster directly may leave it nil.
+	// is the one live latency store: the gateway's Loop driving the
+	// cluster reaches the center through Step and keeps no latency of
+	// its own. Every stack a scenario builds sets it; harnesses that
+	// build a cluster directly may leave it nil.
 	Telemetry *telemetry.Center
 	Seed      uint64
 }
@@ -380,9 +377,9 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 // Step fires the earliest pending event (after reaping cancelled
 // sessions) and returns the requests it completed — only an instance
 // step completes any. With no pending event it is a cheap no-op returning
-// (nil, nil), the serving.Driver contract a serving.Loop steps every
-// stack through, one instance or many. One call is one event, so
-// interleaved Open calls between steps model online arrivals.
+// (nil, nil), so the gateway's Loop can step every stack through it,
+// one instance or many. One call is one event, so interleaved Open
+// calls between steps model online arrivals.
 func (c *Cluster) Step() ([]serving.Completion, error) {
 	c.ReapSessions()
 	return c.fire(c.next())
@@ -405,14 +402,6 @@ func (c *Cluster) ReapSessions() {
 	c.resync()
 }
 
-// HasWork reports whether any instance has queued, running or swapped
-// requests, a crash orphan awaits re-dispatch, or a KV transfer is on
-// the wire.
-func (c *Cluster) HasWork() bool {
-	c.resync()
-	return len(c.redispatchQ) > 0 || (c.dg != nil && c.dg.xq.Len() > 0) || c.working > 0
-}
-
 // NextTime returns the simulated time of the earliest pending event and
 // false when the cluster is idle.
 func (c *Cluster) NextTime() (gpusim.Micros, bool) {
@@ -421,8 +410,9 @@ func (c *Cluster) NextTime() (gpusim.Micros, bool) {
 	return gpusim.Micros(ev.atUs), ev.class != evNone
 }
 
-// Stats implements serving.Driver: fleet-wide counters summed over
-// instances, plus the cluster's own admission-shed count.
+// Stats snapshots the fleet's counters: the cluster's own admission,
+// fault and handoff counts, each engine's Stats row tagged with its
+// instance, and the engines' counters summed.
 func (c *Cluster) Stats() serving.DriverStats {
 	ds := serving.DriverStats{
 		Instances:    len(c.engines),
@@ -435,9 +425,8 @@ func (c *Cluster) Stats() serving.DriverStats {
 	var genTok, doneTok float64
 	ds.PerInstance = make([]serving.InstanceStats, 0, len(c.engines))
 	for i, e := range c.engines {
-		es := e.Stats()
-		inst := es.PerInstance[0]
-		inst.Inst = i + 1 // retag with the fleet-wide instance number
+		inst := e.Stats()
+		inst.Inst = i + 1
 		inst.Health = string(c.InstanceHealth(i))
 		if c.dg != nil {
 			inst.Role = string(c.dg.roles[i])
@@ -449,27 +438,27 @@ func (c *Cluster) Stats() serving.DriverStats {
 			ds.InstancesUp++
 		}
 		ds.PerInstance = append(ds.PerInstance, inst)
-		ds.QueueDepth += es.QueueDepth
-		ds.Running += es.Running
-		ds.Swapped += es.Swapped
-		ds.OpenSessions += es.OpenSessions
-		ds.Completed += es.Completed
-		ds.Cancelled += es.Cancelled
-		ds.Preemptions += es.Preemptions
-		ds.FreeKVPages += es.FreeKVPages
-		ds.UsedKVPages += es.UsedKVPages
-		ds.SwapOutBytes += es.SwapOutBytes
-		ds.SwapInBytes += es.SwapInBytes
-		ds.HostPrefixHits += es.HostPrefixHits
-		ds.LostKVBytes += es.LostKVBytes
-		ds.BrownoutAdmits += es.BrownoutAdmits
-		if es.ClockUs > ds.ClockUs {
-			ds.ClockUs = es.ClockUs
-		}
+		ds.QueueDepth += inst.QueueDepth
+		ds.Running += inst.Running
+		ds.Swapped += inst.Swapped
+		ds.Preemptions += inst.Preemptions
+		ds.FreeKVPages += inst.FreeKVPages
+		ds.UsedKVPages += inst.UsedKVPages
+		ds.SwapOutBytes += inst.SwapOutBytes
+		ds.SwapInBytes += inst.SwapInBytes
+		r := e.Result()
+		ds.OpenSessions += e.OpenSessions()
+		ds.Completed += r.Completed
+		ds.Cancelled += e.CancelledSessions()
+		ds.HostPrefixHits += r.Offload.PrefixHits
+		ds.LostKVBytes += e.LostKVBytes()
+		ds.BrownoutAdmits += e.BrownoutAdmits()
+		clockUs := float64(e.Clock())
+		ds.ClockUs = max(ds.ClockUs, clockUs)
 		// per-instance rates are over each instance's own clock; recover
 		// token counts and re-rate them over the cluster makespan
-		genTok += es.ThroughputTokensPerSec * es.ClockUs / 1e6
-		doneTok += es.GoodputTokensPerSec * es.ClockUs / 1e6
+		genTok += r.Throughput * clockUs / 1e6
+		doneTok += r.GoodputTokensPerSec * clockUs / 1e6
 	}
 	if ds.ClockUs > 0 {
 		ds.ThroughputTokensPerSec = genTok / (ds.ClockUs / 1e6)

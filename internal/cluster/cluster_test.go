@@ -34,17 +34,27 @@ func newTestCluster(t testing.TB, policy string, mutate func(*Config)) *Cluster 
 
 // liveRecords counts the per-request state left anywhere in the cluster:
 // request records on any engine (serving.Engine.LiveRecords), crash
-// orphans awaiting re-dispatch and KV shipments on the wire. Zero after a
-// drained run.
+// orphans awaiting re-dispatch and KV shipments on the wire (plus one
+// for a transfer queue that is not empty). Zero after a drained run.
 func liveRecords(c *Cluster) int {
 	n := len(c.redispatchQ)
 	for _, e := range c.engines {
 		n += e.LiveRecords()
 	}
 	if c.dg != nil {
-		n += len(c.dg.inflight) + c.dg.xq.Len()
+		n += len(c.dg.inflight)
+		if _, ok := c.dg.xq.NextDue(); ok {
+			n++
+		}
 	}
 	return n
+}
+
+// hasWork reports whether c has an event pending, the condition the
+// gateway's Loop steps on.
+func hasWork(c *Cluster) bool {
+	_, ok := c.NextTime()
+	return ok
 }
 
 func sharedReqs(n int, rate float64, seed uint64) []workload.Request {

@@ -258,7 +258,7 @@ func TestDisaggPhaseTelescoping(t *testing.T) {
 					cp.Req.ID, cp.FirstTokenUs, cp.Req.ArrivalUs, cp.DoneUs)
 			}
 		}
-		if !c.HasWork() {
+		if !hasWork(c) {
 			break
 		}
 	}
@@ -353,7 +353,7 @@ func TestCancelAcrossHandoff(t *testing.T) {
 					t.Fatal(err)
 				}
 				for !pt.reached(c) {
-					if !c.HasWork() {
+					if !hasWork(c) {
 						t.Fatalf("drained before reaching %q", pt.name)
 					}
 					if _, err := c.Step(); err != nil {

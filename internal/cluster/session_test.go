@@ -174,3 +174,59 @@ func TestClusterRunAndOpenExclusive(t *testing.T) {
 		t.Fatal("Open after Run must error")
 	}
 }
+
+// TestStatsHostBytesIsHostTierOccupancy: the host bytes the cluster
+// feeds telemetry (/debug/telemetry, diffkv-top) are the host tier's
+// occupancy, so cancelling every session, swapped ones included, brings
+// them to zero at once — unlike the swap traffic counters, which a
+// cancel never lowers.
+func TestStatsHostBytesIsHostTierOccupancy(t *testing.T) {
+	c, err := New(Config{
+		Instances: 1,
+		Engine: serving.Config{
+			Model: synth.Llama3_8B, Cluster: gpusim.NewCluster(gpusim.L40(), 1),
+			Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
+			HiFrac: 0.25, LoFrac: 0.3, MemoryReserve: 0.985, MaxGenLen: 2048,
+			PreemptPolicy: "swap", HostMemoryBytes: 2 << 30,
+		},
+		Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []*serving.Session
+	for i, r := range workload.NewRequestGen(workload.MATH, 2048, 11).CoTBatch(20) {
+		r.ID = 300 + i
+		s, err := c.Open(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	hostBytes := func() int64 {
+		return serving.ObservationFromStats(c.Stats()).PerInstance[0].HostBytes
+	}
+	for c.Stats().Swapped == 0 {
+		if !hasWork(c) {
+			t.Fatal("run drained without any swap-out; oversubscription recipe broken")
+		}
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hostBytes(); got <= 0 {
+		t.Fatalf("host bytes = %d with a sequence swapped out", got)
+	}
+	for _, s := range sessions {
+		s.Cancel()
+	}
+	if got := hostBytes(); got != 0 {
+		t.Fatalf("host bytes = %d after cancelling every session", got)
+	}
+	if err := c.DrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := hostBytes(); got != 0 {
+		t.Fatalf("host bytes = %d after the drain", got)
+	}
+}

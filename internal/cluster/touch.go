@@ -156,8 +156,8 @@ func (c *Cluster) viewAt(i int) (int, bool) {
 // engine's step, or the engine's own reap of a done context — changes
 // its engine behind the cluster's back, and between touches that count
 // can only fall. Every read of the cache that may follow such a cancel
-// resyncs first: Open, Step (through ReapSessions), HasWork, NextTime
-// and the filtered views of crash re-dispatch and decode placement.
+// resyncs first: Open, Step (through ReapSessions), NextTime and the
+// filtered views of crash re-dispatch and decode placement.
 func (c *Cluster) resync() {
 	if !c.sessionMode {
 		return

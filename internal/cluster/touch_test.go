@@ -293,8 +293,8 @@ func driveBatch(t *testing.T, c *Cluster, reqs []workload.Request) map[eventClas
 // driveSessions runs ops random session operations: opens at Poisson
 // arrival times (or the cluster clock, when that is later), steps, direct
 // cancels and context cancels. A direct Cancel changes its engine
-// behind the cluster's back, so it is followed either by HasWork or
-// NextTime, which must see it, before the view is checked, or straight
+// behind the cluster's back, so it is followed either by NextTime,
+// which must see it, before the view is checked, or straight
 // away by an Open, whose routing decision must see it (checkedPolicy).
 // With callbackCancels, a session's token callback sometimes cancels
 // another open session, which may live on another instance: such a
@@ -314,7 +314,7 @@ func driveSessions(t *testing.T, c *Cluster, rng *mathx.RNG, ops int, callbackCa
 			t.Fatal(err)
 		}
 		if callbackCancels {
-			c.HasWork()
+			c.NextTime()
 		}
 		checkTouched(t, c, at)
 	}
@@ -353,12 +353,8 @@ func driveSessions(t *testing.T, c *Cluster, rng *mathx.RNG, ops int, callbackCa
 		case k < 5 && len(live) > 0:
 			live[rng.Intn(len(live))].s.Cancel()
 			cancelled++
-			// the queries see the cancel before any reap
-			if rng.Intn(2) == 0 {
-				c.HasWork()
-			} else {
-				c.NextTime()
-			}
+			// the query sees the cancel before any reap
+			c.NextTime()
 			checkTouched(t, c, at+" (cancel, query)")
 			step(at + " (cancel, query, step)")
 		case k < 6 && len(live) > 0:
@@ -373,7 +369,7 @@ func driveSessions(t *testing.T, c *Cluster, rng *mathx.RNG, ops int, callbackCa
 			step(at + " (step)")
 		}
 	}
-	for c.HasWork() {
+	for hasWork(c) {
 		step("drain")
 	}
 	for _, o := range live {

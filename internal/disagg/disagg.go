@@ -125,9 +125,6 @@ func (q *Queue) Push(t Transfer) {
 	q.pending[i] = t
 }
 
-// Len reports how many transfers are in flight.
-func (q *Queue) Len() int { return len(q.pending) }
-
 // NextDue returns the earliest delivery time, false when empty.
 func (q *Queue) NextDue() (float64, bool) {
 	if len(q.pending) == 0 {

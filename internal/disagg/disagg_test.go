@@ -37,8 +37,8 @@ func TestQueuePopsByDueThenSeqID(t *testing.T) {
 		for _, i := range order {
 			q.Push(want[i])
 		}
-		if due, ok := q.NextDue(); !ok || due != 10 || q.Len() != len(want) {
-			t.Fatalf("push order %v: next due %v (%v), len %d", order, due, ok, q.Len())
+		if due, ok := q.NextDue(); !ok || due != 10 || len(q.pending) != len(want) {
+			t.Fatalf("push order %v: next due %v (%v), len %d", order, due, ok, len(q.pending))
 		}
 		var got []Transfer
 		for {

@@ -20,7 +20,7 @@ func newDebugServer(t *testing.T, cfg serving.Config) (*httptest.Server, *trace.
 	t.Helper()
 	col := trace.NewCollector(0)
 	cfg.Tracer = col
-	l := engineLoop(t, cfg, serving.LoopConfig{})
+	l := engineLoop(t, cfg, LoopConfig{})
 	g, err := New(Config{Loop: l, ModelName: "Llama3-8B", Trace: col})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestDebugEventsSSE(t *testing.T) {
 
 // TestDebugRoutesAbsentWithoutTrace: no collector, no /debug surface.
 func TestDebugRoutesAbsentWithoutTrace(t *testing.T) {
-	srv := newTestServer(t, engineLoop(t, traitsCfg(8), serving.LoopConfig{}))
+	srv := newTestServer(t, engineLoop(t, traitsCfg(8), LoopConfig{}))
 	resp, err := http.Get(srv.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)

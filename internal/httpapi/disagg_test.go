@@ -9,14 +9,13 @@ import (
 
 	"diffkv/internal/cluster"
 	"diffkv/internal/disagg"
-	"diffkv/internal/serving"
 	"diffkv/internal/telemetry"
 )
 
 // disaggLoop runs a 2+2 prefill/decode cluster behind a serving loop —
 // the gateway-visible half of disaggregation — with the telemetry center
 // it feeds.
-func disaggLoop(t *testing.T) (*serving.Loop, *telemetry.Center) {
+func disaggLoop(t *testing.T) (*Loop, *telemetry.Center) {
 	t.Helper()
 	cfg := managerCfg(31)
 	cfg.MaxGenLen = 64

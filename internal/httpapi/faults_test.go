@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 
 	"diffkv/internal/cluster"
 	"diffkv/internal/faults"
-	"diffkv/internal/serving"
 )
 
 func TestRetryAfterHint(t *testing.T) {
@@ -40,7 +38,7 @@ func TestRetryAfterHint(t *testing.T) {
 // chaosLoop runs a 2-instance cluster whose first instance crashes
 // permanently the moment work arrives — the gateway-visible half of
 // fault injection.
-func chaosLoop(t *testing.T, instances int, plan *faults.Plan) *serving.Loop {
+func chaosLoop(t *testing.T, instances int, plan *faults.Plan) *Loop {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Instances: instances,
@@ -52,13 +50,7 @@ func chaosLoop(t *testing.T, instances int, plan *faults.Plan) *serving.Loop {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serving.NewLoop(c, serving.LoopConfig{})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		l.Shutdown(ctx)
-	})
-	return l
+	return startLoop(t, c, LoopConfig{})
 }
 
 // A crashed instance shows up in /healthz: overall status "degraded"

@@ -1,10 +1,13 @@
-// Package httpapi is the network-facing serving API: an OpenAI-style
-// HTTP gateway over the Loop-driven session layer. POST /v1/completions
-// opens a Session on the loop and streams token progress back as
-// server-sent events (or returns one JSON body when stream is false);
-// client disconnects cancel the session, freeing its KV pages; /healthz
-// reports liveness and /metrics exports the serving counters and latency
-// histograms in Prometheus text format. The gateway holds no serving
+// Package httpapi is the network-facing serving API and the real-time
+// edge of the simulator. Its Loop (loop.go) owns a cluster's step
+// cadence in a background goroutine and paces simulated time against
+// the wall clock; the gateway is an OpenAI-style HTTP front-end over
+// the Loop's sessions. POST /v1/completions opens a Session on the loop
+// and streams token progress back as server-sent events (or returns one
+// JSON body when stream is false); client disconnects cancel the
+// session, freeing its KV pages; /healthz reports liveness and /metrics
+// exports the serving counters and latency histograms in Prometheus
+// text format. The gateway holds no serving
 // state of its own — counters come from Loop.Metrics, latency from the
 // telemetry center the cluster feeds, and everything mutable goes
 // through Loop.Open — so the same handler fronts a one-instance cluster
@@ -21,7 +24,6 @@ import (
 	"time"
 
 	"diffkv/internal/cluster"
-	"diffkv/internal/serving"
 	"diffkv/internal/telemetry"
 	"diffkv/internal/trace"
 )
@@ -43,7 +45,7 @@ const (
 // Config parameterizes a Gateway.
 type Config struct {
 	// Loop is the always-on driver the gateway opens sessions on.
-	Loop *serving.Loop
+	Loop *Loop
 	// ModelName is echoed in completion responses (the simulator serves
 	// one model per stack).
 	ModelName string
@@ -186,7 +188,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shed over is still draining. The mean end-to-end latency is the
 // telemetry center's (lifetime-exact: Sum/Count of its E2E histogram);
 // without a center the hint is the floor.
-func (g *Gateway) retryAfterHeader(m serving.LoopMetrics) string {
+func (g *Gateway) retryAfterHeader(m LoopMetrics) string {
 	var meanE2E float64
 	if tc := g.cfg.Telemetry; tc != nil {
 		l := tc.LatencyHists()
@@ -244,7 +246,7 @@ func (g *Gateway) writeOpenError(w http.ResponseWriter, err error) {
 	case errors.Is(err, cluster.ErrAllSaturated):
 		w.Header().Set("Retry-After", g.retryAfterHeader(g.cfg.Loop.Metrics()))
 		writeError(w, http.StatusServiceUnavailable, "overloaded", err.Error())
-	case errors.Is(err, serving.ErrLoopShutdown):
+	case errors.Is(err, ErrLoopShutdown):
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
 	default:

@@ -22,13 +22,24 @@ import (
 	"diffkv/internal/workload"
 )
 
-func engineLoop(t *testing.T, cfg serving.Config, lc serving.LoopConfig) *serving.Loop {
+// engineLoop serves one engine configuration the way every product
+// stack does, as a one-instance cluster (a tracer set on cfg moves to
+// the cluster, which tags the engine's events and adds its own).
+func engineLoop(t *testing.T, cfg serving.Config, lc LoopConfig) *Loop {
 	t.Helper()
-	e, err := serving.NewEngine(cfg)
+	tr := cfg.Tracer
+	cfg.Tracer = nil
+	c, err := cluster.New(cluster.Config{Instances: 1, Engine: cfg, Tracer: tr, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serving.NewLoop(e, lc)
+	return startLoop(t, c, lc)
+}
+
+// startLoop runs c behind a loop that is shut down when the test ends.
+func startLoop(t *testing.T, c *cluster.Cluster, lc LoopConfig) *Loop {
+	t.Helper()
+	l := NewLoop(c, lc)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -52,7 +63,7 @@ func managerCfg(seed uint64) serving.Config {
 	}
 }
 
-func newTestServer(t *testing.T, l *serving.Loop) *httptest.Server {
+func newTestServer(t *testing.T, l *Loop) *httptest.Server {
 	t.Helper()
 	g, err := New(Config{Loop: l, ModelName: "Llama3-8B"})
 	if err != nil {
@@ -87,7 +98,7 @@ func readSSE(t *testing.T, body io.Reader) []string {
 // per generated token, a final chunk with finish_reason "stop" and
 // usage, then [DONE].
 func TestCompletionsStream(t *testing.T) {
-	srv := newTestServer(t, engineLoop(t, traitsCfg(3), serving.LoopConfig{}))
+	srv := newTestServer(t, engineLoop(t, traitsCfg(3), LoopConfig{}))
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 128, "max_tokens": 12, "stream": true}`))
 	if err != nil {
@@ -137,7 +148,7 @@ func TestCompletionsStream(t *testing.T) {
 // TestCompletionsBlocking: stream=false returns one JSON body with
 // usage and simulated-latency extensions.
 func TestCompletionsBlocking(t *testing.T) {
-	srv := newTestServer(t, engineLoop(t, traitsCfg(5), serving.LoopConfig{}))
+	srv := newTestServer(t, engineLoop(t, traitsCfg(5), LoopConfig{}))
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt": "what is a KV cache?", "max_tokens": 8}`))
 	if err != nil {
@@ -172,7 +183,7 @@ func TestCompletionsBlocking(t *testing.T) {
 // of exactly the bound, carrying the longest prompt the token limit
 // admits, is served.
 func TestCompletionsBodyLimit(t *testing.T) {
-	srv := newTestServer(t, engineLoop(t, traitsCfg(6), serving.LoopConfig{}))
+	srv := newTestServer(t, engineLoop(t, traitsCfg(6), LoopConfig{}))
 	const limit = maxBodyBytes
 	body := func(size int) string {
 		head := `{"prompt": "` + strings.Repeat("x", 4*maxPromptTokens) + `",`
@@ -204,7 +215,7 @@ func TestCompletionsBodyLimit(t *testing.T) {
 // hangs up.
 func TestDisconnectFreesPages(t *testing.T) {
 	// ~1 sim-second of generation stretched to ~2 wall-seconds
-	l := engineLoop(t, managerCfg(7), serving.LoopConfig{TimeScale: 2})
+	l := engineLoop(t, managerCfg(7), LoopConfig{TimeScale: 2})
 	srv := newTestServer(t, l)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -263,7 +274,7 @@ func TestSaturated503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serving.NewLoop(c, serving.LoopConfig{TimeScale: 10})
+	l := NewLoop(c, LoopConfig{TimeScale: 10})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
@@ -313,7 +324,7 @@ func TestNegativePrefixLen400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serving.NewLoop(c, serving.LoopConfig{})
+	l := NewLoop(c, LoopConfig{})
 	srv := newTestServer(t, l)
 	resp, err := http.Post(srv.URL+"/v1/completions", "application/json",
 		strings.NewReader(`{"prompt_tokens": 256, "max_tokens": 4, "prefix_group": 1, "prefix_len": -128}`))
@@ -396,7 +407,7 @@ func TestMetricsSaturationHeadroomLines(t *testing.T) {
 		{Inst: 2, ResidentTokens: 500, MemoryTokens: 1000},
 		{Inst: 1, ResidentTokens: 900, MemoryTokens: 1000},
 	}})
-	g, err := New(Config{Loop: engineLoop(t, traitsCfg(12), serving.LoopConfig{}), Telemetry: tc})
+	g, err := New(Config{Loop: engineLoop(t, traitsCfg(12), LoopConfig{}), Telemetry: tc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"diffkv/internal/cluster"
 	"diffkv/internal/offload"
@@ -21,7 +20,7 @@ import (
 // clusterLoop runs cc (one instance unless it says otherwise) behind a
 // serving loop, feeding a fresh telemetry center the way every
 // Scenario.Build stack does.
-func clusterLoop(t *testing.T, cc cluster.Config) (*serving.Loop, *telemetry.Center) {
+func clusterLoop(t *testing.T, cc cluster.Config) (*Loop, *telemetry.Center) {
 	t.Helper()
 	if cc.Instances == 0 {
 		cc.Instances = 1
@@ -32,17 +31,11 @@ func clusterLoop(t *testing.T, cc cluster.Config) (*serving.Loop, *telemetry.Cen
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serving.NewLoop(c, serving.LoopConfig{})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		l.Shutdown(ctx)
-	})
-	return l, tc
+	return startLoop(t, c, LoopConfig{}), tc
 }
 
 // newCenterServer fronts l with a gateway that exposes tc.
-func newCenterServer(t *testing.T, l *serving.Loop, tc *telemetry.Center) *httptest.Server {
+func newCenterServer(t *testing.T, l *Loop, tc *telemetry.Center) *httptest.Server {
 	t.Helper()
 	g, err := New(Config{Loop: l, ModelName: "Llama3-8B", Telemetry: tc})
 	if err != nil {

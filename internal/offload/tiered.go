@@ -125,9 +125,8 @@ func NewTieredStore(mgr *kvcache.Manager, hostBytes int64) (*TieredStore, error)
 // Metrics snapshots the accumulated host-tier counters.
 func (t *TieredStore) Metrics() Metrics { return t.m }
 
-// HostUsedBytes returns current host-tier occupancy.
-//
-//diffkv:allow deadcode -- tests see host-tier byte conservation through it: occupancy equals the bytes swapped out and returns to zero once every sequence is back, cancelled or crashed
+// HostUsedBytes returns current host-tier occupancy: swapped sequences
+// and spilled prefixes.
 func (t *TieredStore) HostUsedBytes() int64 { return t.hostUsed }
 
 // Swapped reports whether seqID is resident in the host tier.

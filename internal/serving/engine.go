@@ -245,10 +245,6 @@ type prefixEntry struct {
 	lastUse gpusim.Micros
 }
 
-// An engine is drivable by a Loop (the always-on driver that owns the
-// Step cadence; see loop.go).
-var _ Driver = (*Engine)(nil)
-
 // Engine is the serving simulator.
 type Engine struct {
 	cfg      Config

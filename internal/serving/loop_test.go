@@ -1,35 +1,42 @@
-package serving
+package serving_test
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/cluster"
+	"diffkv/internal/gpusim"
+	"diffkv/internal/httpapi"
+	"diffkv/internal/serving"
 	"diffkv/internal/synth"
 	"diffkv/internal/workload"
 )
 
-func newLoopEngine(t *testing.T, seed uint64) *Engine {
-	t.Helper()
-	return newEngine(t, Config{
-		Model: synth.Llama3_8B, Cluster: cluster(1),
-		Traits: baselines.TraitsVLLM, Seed: seed,
-	})
-}
-
-// TestLoopConcurrentOpen is the concurrency contract of the redesigned
-// driving API: many goroutines call Open against one loop at once (the
-// engine itself is single-goroutine), every session completes, and the
-// engine leaks nothing. Run under -race this also proves the loop's
-// lock actually covers the engine.
+// TestLoopConcurrentOpen is the concurrency contract of the session
+// API under the real-time driver: many goroutines call Open against one
+// Loop serving a single engine (the engine itself is single-goroutine),
+// every session completes with its own request, and the engine leaks
+// nothing. Run under -race this also proves the loop's lock actually
+// covers the engine.
 func TestLoopConcurrentOpen(t *testing.T) {
-	l := NewLoop(newLoopEngine(t, 7), LoopConfig{})
+	c, err := cluster.New(cluster.Config{
+		Instances: 1,
+		Engine: serving.Config{
+			Model: synth.Llama3_8B, Cluster: gpusim.NewCluster(gpusim.L40(), 1),
+			Traits: baselines.TraitsVLLM, Seed: 7,
+		},
+		Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := httpapi.NewLoop(c, httpapi.LoopConfig{})
 	const n = 24
 	var wg sync.WaitGroup
-	sessions := make([]*Session, n)
+	sessions := make([]*serving.Session, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -66,182 +73,5 @@ func TestLoopConcurrentOpen(t *testing.T) {
 	m := l.Metrics()
 	if m.Opened != n || m.Completed != n || m.Driver.OpenSessions != 0 {
 		t.Fatalf("metrics: %+v", m)
-	}
-}
-
-// TestLoopMatchesStepDriven pins loop determinism: the same request
-// stream produces bit-identical completion timestamps whether the
-// engine is driven by the caller-owned Step/Drain shims or by a paced
-// background Loop. Arrivals sit far enough in simulated future (with
-// TimeScale pacing holding the first step back) that every Open lands
-// before the loop executes anything — the exact setup a batch Submit
-// models.
-func TestLoopMatchesStepDriven(t *testing.T) {
-	reqs := make([]workload.Request, 8)
-	for i := range reqs {
-		reqs[i] = workload.Request{
-			ID: 300 + i, ArrivalUs: 1e5 + float64(i)*1e4,
-			PromptLen: 256 + 32*i, GenLen: 16 + 2*i,
-		}
-	}
-
-	// reference: the caller-driven Submit/Step shims
-	ref := newLoopEngine(t, 9)
-	want := map[int]Completion{}
-	for _, r := range reqs {
-		ref.Submit(r)
-	}
-	for ref.HasWork() {
-		comps, err := ref.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cp := range comps {
-			want[cp.Req.ID] = cp
-		}
-	}
-	if len(want) != len(reqs) {
-		t.Fatalf("reference run completed %d of %d", len(want), len(reqs))
-	}
-
-	// loop-driven: first simulated step is at 1e5 us; TimeScale 1e-3
-	// holds it back ~100ms of wall time, so all Opens land first
-	l := NewLoop(newLoopEngine(t, 9), LoopConfig{TimeScale: 1e-3})
-	var sessions []*Session
-	for _, r := range reqs {
-		s, err := l.Open(context.Background(), r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, s)
-	}
-	for _, s := range sessions {
-		select {
-		case <-s.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("session %d never completed", s.ID())
-		}
-	}
-	if err := l.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sessions {
-		cp, err := s.Completion()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := want[s.ID()]
-		if cp.FirstTokenUs != w.FirstTokenUs || cp.DoneUs != w.DoneUs {
-			t.Fatalf("request %d: loop-driven timestamps diverge: got (%v, %v) want (%v, %v)",
-				s.ID(), cp.FirstTokenUs, cp.DoneUs, w.FirstTokenUs, w.DoneUs)
-		}
-	}
-}
-
-// TestLoopShutdownDrains: Shutdown finishes in-flight sessions, then
-// rejects new Opens with ErrLoopShutdown.
-func TestLoopShutdownDrains(t *testing.T) {
-	l := NewLoop(newLoopEngine(t, 11), LoopConfig{})
-	s, err := l.Open(context.Background(), workload.Request{PromptLen: 512, GenLen: 64}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-s.Done():
-	default:
-		t.Fatal("Shutdown returned before the in-flight session drained")
-	}
-	if _, err := s.Completion(); err != nil {
-		t.Fatalf("session should have completed: %v", err)
-	}
-	if _, err := l.Open(context.Background(), workload.Request{PromptLen: 64, GenLen: 8}, nil); !errors.Is(err, ErrLoopShutdown) {
-		t.Fatalf("Open after Shutdown: got %v, want ErrLoopShutdown", err)
-	}
-	// idempotent, and the terminated loop reports itself stopped
-	if err := l.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if m := l.Metrics(); !m.Stopped || !m.Draining {
-		t.Fatalf("drained loop must report Draining and Stopped: %+v", m)
-	}
-}
-
-// TestLoopShutdownDeadline: an expired context stops the loop between
-// steps with work still queued, returning the context's error.
-func TestLoopShutdownDeadline(t *testing.T) {
-	// paced far in the future so the queued request cannot complete
-	l := NewLoop(newLoopEngine(t, 13), LoopConfig{TimeScale: 10})
-	if _, err := l.Open(context.Background(),
-		workload.Request{ArrivalUs: 60e6, PromptLen: 256, GenLen: 512}, nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := l.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("forced shutdown: got %v, want deadline exceeded", err)
-	}
-	select {
-	case <-l.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("loop goroutine did not exit after forced shutdown")
-	}
-}
-
-// TestLoopCancelViaContext: cancelling an Open context reaps the
-// session from the loop (even while the engine is otherwise idle) and
-// frees its state.
-func TestLoopCancelViaContext(t *testing.T) {
-	l := NewLoop(newLoopEngine(t, 15), LoopConfig{TimeScale: 10})
-	ctx, cancel := context.WithCancel(context.Background())
-	// arrival far in the future: the paced loop holds the request queued
-	s, err := l.Open(ctx, workload.Request{ArrivalUs: 60e6, PromptLen: 256, GenLen: 32}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	select {
-	case <-s.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("context cancellation never reaped the session")
-	}
-	if _, err := s.Completion(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("got %v, want ErrCancelled", err)
-	}
-	if err := l.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if m := l.Metrics(); m.Driver.Cancelled != 1 || m.Driver.OpenSessions != 0 {
-		t.Fatalf("metrics after cancel: %+v", m.Driver)
-	}
-}
-
-// TestLoopPaceWait pins the pacing arithmetic: with TimeScale s, a step
-// at simulated time T is not due before paceOrigin + T*s wall time, and
-// a loop that has fallen behind slides its origin forward instead of
-// banking the deficit.
-func TestLoopPaceWait(t *testing.T) {
-	now := time.Now()
-	l := &Loop{cfg: LoopConfig{TimeScale: 2}, start: now, paceOrigin: now}
-	// 50_000 simulated us at 2x wall = 100ms after the origin
-	if w := l.paceWait(50_000); w < 80*time.Millisecond || w > 100*time.Millisecond {
-		t.Fatalf("paceWait = %v, want ~100ms", w)
-	}
-	l.cfg.TimeScale = 0
-	if w := l.paceWait(50_000); w != 0 {
-		t.Fatalf("unpaced loop must never wait, got %v", w)
-	}
-
-	// behind schedule (an idle hour the simulated clock never consumed):
-	// the origin slides forward so the due step runs now and the NEXT
-	// simulated interval still paces — no flat-out burst from banked time
-	l = &Loop{cfg: LoopConfig{TimeScale: 1}, start: now, paceOrigin: now.Add(-time.Hour)}
-	if w := l.paceWait(1_000); w != 0 {
-		t.Fatalf("overdue step must be due now, got %v", w)
-	}
-	if w := l.paceWait(101_000); w < 80*time.Millisecond || w > 100*time.Millisecond {
-		t.Fatalf("post-slide pacing broken: next step 100ms of simulated time out waits %v", w)
 	}
 }

@@ -183,6 +183,9 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 	if hostBefore == 0 {
 		t.Fatal("swap-out left no host bytes")
 	}
+	if got := e.Stats().HostBytes; got != hostBefore {
+		t.Fatalf("Stats().HostBytes = %d, host tier holds %d", got, hostBefore)
+	}
 	var victim *Session
 	for _, s := range sessions {
 		if s.ID() == victimID {
@@ -195,6 +198,9 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 	}
 	if e.tiered.HostUsedBytes() >= hostBefore {
 		t.Fatalf("cancel freed no host bytes: %d -> %d", hostBefore, e.tiered.HostUsedBytes())
+	}
+	if got, want := e.Stats().HostBytes, e.tiered.HostUsedBytes(); got != want {
+		t.Fatalf("Stats().HostBytes = %d after the cancel, host tier holds %d", got, want)
 	}
 	if err := e.DrainContext(context.Background()); err != nil {
 		t.Fatal(err)

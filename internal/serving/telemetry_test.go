@@ -15,7 +15,7 @@ func TestObservationFromStats(t *testing.T) {
 		PerInstance: []InstanceStats{
 			{Inst: 1, QueueDepth: 3, Running: 2, Swapped: 1,
 				ResidentTokens: 400, SwappedTokens: 50, TokenCapacity: 1000,
-				Preemptions: 2, SwapOutBytes: 8192, SwapInBytes: 4096,
+				Preemptions: 2, SwapOutBytes: 8192, SwapInBytes: 4096, HostBytes: 6144,
 				FreeKVPages: 10, UsedKVPages: 20, Health: "healthy"},
 		},
 	}
@@ -33,8 +33,9 @@ func TestObservationFromStats(t *testing.T) {
 	if io.MemoryTokens != 1000 {
 		t.Fatalf("capacity: %+v", io)
 	}
-	// host bytes = net swap traffic still parked on the host
-	if io.HostBytes != 8192-4096 {
+	// host bytes are the tier's occupancy as the engine reports it, not
+	// net swap traffic
+	if io.HostBytes != 6144 {
 		t.Fatalf("HostBytes = %d", io.HostBytes)
 	}
 	if io.ResidentTokens != 400 || io.SwappedTokens != 50 {

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"diffkv/internal/cluster"
+	"diffkv/internal/httpapi"
 	"diffkv/internal/quant"
 	"diffkv/internal/workload"
 )
@@ -320,7 +321,7 @@ type Stack struct {
 // returned Loop owns the step cadence in a background goroutine,
 // accepts Open from any goroutine, and drains through Shutdown. The
 // caller must eventually call Shutdown.
-func (st *Stack) StartLoop(cfg LoopConfig) *Loop { return NewLoop(st.Cluster, cfg) }
+func (st *Stack) StartLoop(cfg LoopConfig) *Loop { return httpapi.NewLoop(st.Cluster, cfg) }
 
 // LoadScenario reads and parses a scenario JSON file. Unknown fields are
 // an error, so typos in specs fail loudly instead of silently selecting
