@@ -1,7 +1,9 @@
 package serving
 
 import (
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"hash"
 	"runtime"
@@ -82,6 +84,100 @@ func handoffPair(t *testing.T, h hash.Hash, pre, dec Config, reqs []workload.Req
 	}
 }
 
+// sessionStream opens one session per request on a swap-policy manager
+// engine and hashes every TokenUpdate as it streams. Two sessions end
+// early: one by Session.Cancel between steps once it is mid-generation,
+// one by its context, cancelled from another session's token callback
+// and reaped at the next step.
+func sessionStream(t *testing.T, h hash.Hash) {
+	e := newEngine(t, oversubCfg(offload.PolicySwap, 2<<30, 41))
+	reqs := cotReqs(12, 41)
+	sess := make([]*Session, len(reqs))
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	for i, r := range reqs {
+		c := context.Background()
+		if i == 7 {
+			c = ctx
+		}
+		s, err := e.Open(c, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.OnToken(func(u TokenUpdate) {
+			fmt.Fprintf(h, "tok %+v\n", u)
+			if i == 2 && u.Generated == 90 {
+				stop()
+			}
+		})
+		sess[i] = s
+	}
+	var comps []Completion
+	for e.HasWork() {
+		done, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps = append(comps, done...)
+		if s := sess[4]; !s.Finished() && s.Generated() >= 60 {
+			s.Cancel()
+		}
+	}
+	cancelled := 0
+	for _, s := range sess {
+		_, err := s.Completion()
+		if errors.Is(err, ErrCancelled) {
+			cancelled++
+		}
+		fmt.Fprintf(h, "sess %d %d %v\n", s.ID(), s.Generated(), err)
+	}
+	res := e.Result()
+	if cancelled != 2 || e.CancelledSessions() != 2 || res.Preemptions == 0 || len(comps) != len(reqs)-2 {
+		t.Fatalf("run does not exercise what it pins: %d cancelled, %d done, %+v", cancelled, len(comps), res)
+	}
+	digestRun(h, comps, res)
+}
+
+// crashReadmit crashes a swap-policy manager engine twice mid-run, once
+// keeping its swapped sequences and once dropping them, restarts it and
+// readmits each crash's orphans onto it, then drains.
+func crashReadmit(t *testing.T, h hash.Hash) {
+	cfg := oversubCfg(offload.PolicySwap, 2<<30, 43)
+	cfg.PrefixCacheGroups = 2
+	e := newEngine(t, cfg)
+	reqs := sharedCoT(20, 43)
+	for _, r := range reqs {
+		e.Submit(r)
+	}
+	var comps []Completion
+	for _, keepSwapped := range []bool{true, false} {
+		comps = append(comps, stepUntil(t, e, func() bool { return len(e.swappedQ) >= 1 && len(e.running) >= 2 })...)
+		if len(e.swappedQ) == 0 {
+			t.Fatalf("run swapped nothing before crash (keepSwapped %v)", keepSwapped)
+		}
+		crashUs := float64(e.Clock()) + 700
+		rep, err := e.Crash(crashUs, keepSwapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "crash %v %d %d %v\n", keepSwapped, len(rep.Orphans), rep.LostKVBytes, e.SwappedIDs())
+		restartUs := crashUs + 40_000
+		e.Restart(restartUs)
+		for _, o := range rep.Orphans {
+			fmt.Fprintf(h, "orphan %d %+v %v\n", o.Req.ID, o.Phases, o.RetryUs)
+			if err := e.Readmit(o, restartUs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	comps = append(comps, drainCompletions(t, e)...)
+	res := e.Result()
+	if len(comps) != len(reqs) || res.Offload.SwapIns == 0 || e.LostKVBytes() == 0 {
+		t.Fatalf("run does not exercise what it pins: %d of %d done, %+v", len(comps), len(reqs), res)
+	}
+	digestRun(h, comps, res)
+}
+
 // TestEngineDigestPinned pins the engine's simulated behaviour bit for
 // bit on both KV stores: any change to admission order, RNG draw order,
 // float evaluation order, preemption, swap, prefix or handoff accounting
@@ -91,6 +187,9 @@ func handoffPair(t *testing.T, h hash.Hash, pre, dec Config, reqs []workload.Req
 // GOMAXPROCS 1 and 2 against the same constants; manager-fanout's batch
 // is large enough for a step to fan out its tier draws and page plan,
 // and its constant was recorded from the serial code before the fan-out.
+// session-stream and crash-readmit pin the session, cancel and crash
+// paths; their constants were recorded from the engine that still split
+// and swept its whole batch every step.
 func TestEngineDigestPinned(t *testing.T) {
 	vllm := Config{Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM,
 		MemoryReserve: 0.97, Seed: 8}
@@ -158,6 +257,8 @@ func TestEngineDigestPinned(t *testing.T) {
 			handoffPair(t, h, oversubCfg(offload.PolicyRecompute, 0, 23),
 				oversubCfg(offload.PolicyRecompute, 0, 24), cotReqs(16, 23))
 		}},
+		{"session-stream", "9d6ec7a22aac9a1d4df1d563e5ab129062dc8ad15ec4a8b338704b3236806c5d", sessionStream},
+		{"crash-readmit", "7b72b26f49bd2444be88eff286edbc8e4e3e5a398f1a2ec6718556b7801f9422", crashReadmit},
 	} {
 		check := func(t *testing.T) {
 			h := sha256.New()
