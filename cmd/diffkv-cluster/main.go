@@ -18,6 +18,7 @@
 //	diffkv-cluster -chaos 2 -hostmem 4 -preempt swap     # fault injection
 //	diffkv-cluster -disagg 2:2 -method DiffKV            # prefill/decode pools
 //	diffkv-cluster -scenario scenario.json
+//	diffkv-cluster -cpuprofile cpu.pprof    # then: go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"diffkv"
@@ -73,6 +75,7 @@ func main() {
 		pcieErr      = flag.Float64("pcie-err", 0, "fault injection: per-transfer PCIe host<->device error probability")
 		retryBudget  = flag.Int("retry-budget", 0, "re-dispatch retries per request after crashes (0 = default 3, negative = none)")
 		disaggSplit  = flag.String("disagg", "", "prefill/decode disaggregation pools as prefill:decode (e.g. 2:2; excludes -chaos)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run (every policy row, setup included) to this file")
 	)
 	flag.Parse()
 
@@ -143,6 +146,14 @@ func main() {
 		}
 		os.Stdout.Write(append(data, '\n'))
 		return
+	}
+
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
 	}
 
 	fleet := 1
@@ -240,6 +251,25 @@ func main() {
 			fmt.Printf("  trace: %d events -> %s\n", len(collector.Events()), name)
 		}
 	}
+}
+
+// startCPUProfile starts a CPU profile into a new file at path and
+// returns the call that ends it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}, nil
 }
 
 // printHeader describes the run: fleet shape, model, method and the

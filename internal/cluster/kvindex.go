@@ -71,24 +71,37 @@ func (x *KVIndex) Add(hashes []uint64, inst int, nowUs float64) {
 // per instance up to the largest Add has seen; it is a buffer the index
 // owns, valid until the next call.
 func (x *KVIndex) Matches(hashes []uint64) []int {
-	counts := x.counts
-	clear(counts)
+	counts := x.startMatch()
 	for i, h := range hashes {
-		e := x.entries[h]
-		if e == nil {
-			break
-		}
-		// an instance is still matching at block i iff it held blocks 0..i-1
-		advanced := false
-		for _, inst := range e.insts {
-			if counts[inst] == i {
-				counts[inst]++
-				advanced = true
-			}
-		}
-		if !advanced {
+		if !x.matchBlock(i, h) {
 			break
 		}
 	}
 	return counts
+}
+
+// startMatch zeroes and returns the scores of a new Matches scan, which
+// matchBlock then advances one block at a time.
+func (x *KVIndex) startMatch() []int {
+	clear(x.counts)
+	return x.counts
+}
+
+// matchBlock scores block i of the scan, hash h, and reports whether the
+// scan goes on: false at a block no instance holds or no instance still
+// matching holds.
+func (x *KVIndex) matchBlock(i int, h uint64) bool {
+	e := x.entries[h]
+	if e == nil {
+		return false
+	}
+	// an instance is still matching at block i iff it held blocks 0..i-1
+	advanced := false
+	for _, inst := range e.insts {
+		if x.counts[inst] == i {
+			x.counts[inst]++
+			advanced = true
+		}
+	}
+	return advanced
 }

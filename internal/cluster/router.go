@@ -254,15 +254,16 @@ type prefixAffinity struct {
 	blockTok   int
 	queueBound int
 	fallback   Policy
-	// memo holds the block hashes of the last request hashed, under every
-	// input of the hash, so Observe reuses what Pick computed for the same
+	// chains memoizes each prefix group's shared-block hash chain, extended
+	// on demand: a shared block's chained hash depends only on the group
+	// and the block index, so each is hashed once per policy, not once per
 	// dispatch
-	memoKey hashKey
-	memo    []uint64
+	chains map[int][]uint64
 }
 
-// hashKey is every Request field workload.Request.BlockHashes reads.
-type hashKey struct{ id, promptLen, prefixGroup, prefixLen int }
+// chainGroups bounds the groups chains holds: past it the memo starts
+// over (the hashes are the same either way; only work is redone).
+const chainGroups = 4096
 
 // NewPrefixAffinity returns the prefix-affinity policy: blockTokens is the
 // index granularity (<=0 selects 64), queueBound is the affine instance's
@@ -280,23 +281,66 @@ func NewPrefixAffinity(blockTokens, queueBound, indexCapacity int) Policy {
 		blockTok:   blockTokens,
 		queueBound: queueBound,
 		fallback:   NewLeastLoaded(),
+		chains:     make(map[int][]uint64),
 	}
 }
 
 func (p *prefixAffinity) Name() string { return PolicyPrefixAffinity }
 
-// blockHashes returns req's block hashes, hashing only when req differs
-// from the last request hashed in an input of the hash.
-func (p *prefixAffinity) blockHashes(req workload.Request) []uint64 {
-	k := hashKey{req.ID, req.PromptLen, req.PrefixGroup, req.PrefixLen}
-	if p.memo == nil || k != p.memoKey {
-		p.memoKey, p.memo = k, req.BlockHashes(p.blockTok)
+// shared returns the hashes of req's shared blocks, the leading part of
+// req.BlockHashes(p.blockTok), from its group's memoized chain.
+func (p *prefixAffinity) shared(req workload.Request) []uint64 {
+	n := req.SharedBlocks(p.blockTok)
+	if n == 0 {
+		return nil
 	}
-	return p.memo
+	chain, ok := p.chains[req.PrefixGroup]
+	if len(chain) >= n {
+		return chain[:n]
+	}
+	if !ok && len(p.chains) >= chainGroups {
+		clear(p.chains)
+	}
+	h := workload.BlockHashBasis
+	if len(chain) > 0 {
+		h = chain[len(chain)-1]
+	}
+	for b := len(chain); b < n; b++ {
+		h = req.BlockHash(h, b, p.blockTok)
+		chain = append(chain, h)
+	}
+	p.chains[req.PrefixGroup] = chain
+	return chain
+}
+
+// matches is p.index.Matches(req.BlockHashes(p.blockTok)), hashing only
+// the blocks the scan reaches: the shared blocks come from the memo, and
+// the unique tail, which Observe never indexes, is hashed block by block
+// until the scan ends, in practice at its first block.
+func (p *prefixAffinity) matches(req workload.Request) []int {
+	x := p.index
+	counts := x.startMatch()
+	shared := p.shared(req)
+	for i, h := range shared {
+		if !x.matchBlock(i, h) {
+			return counts
+		}
+	}
+	h := workload.BlockHashBasis
+	if len(shared) > 0 {
+		h = shared[len(shared)-1]
+	}
+	for b, n := len(shared), (req.PromptLen+p.blockTok-1)/p.blockTok; b < n; b++ {
+		h = req.BlockHash(h, b, p.blockTok)
+		if !x.matchBlock(b, h) {
+			break
+		}
+	}
+	return counts
 }
 
 func (p *prefixAffinity) Pick(req workload.Request, snaps []Snapshot) int {
-	matches := p.index.Matches(p.blockHashes(req))
+	matches := p.matches(req)
 	best, bestScore := -1, 0
 	for _, s := range snaps {
 		if s.ID >= len(matches) || s.QueueDepth >= p.queueBound {
@@ -318,18 +362,9 @@ func (p *prefixAffinity) Observe(req workload.Request, inst int, nowUs float64) 
 	// Only shared-prefix blocks are worth indexing: unique-tail block
 	// hashes chain the request ID, so no future request can ever match
 	// them — indexing them would only churn the LRU.
-	if req.PrefixGroup == 0 {
-		return
+	if shared := p.shared(req); len(shared) > 0 {
+		p.index.Add(shared, inst, nowUs)
 	}
-	n := req.PrefixLen / p.blockTok
-	if n == 0 {
-		return
-	}
-	hashes := p.blockHashes(req)
-	if n > len(hashes) {
-		n = len(hashes)
-	}
-	p.index.Add(hashes[:n], inst, nowUs)
 }
 
 // newPolicy builds a routing policy from a cluster Config via the

@@ -4,39 +4,50 @@ import (
 	"slices"
 	"testing"
 
+	"diffkv/internal/mathx"
 	"diffkv/internal/workload"
 )
 
-// TestPrefixAffinityHashMemoKey pins the hash memo's key: a request that
-// differs from the last one hashed only outside the hash inputs reuses
-// the memo, and one that differs in any single input is hashed afresh.
-func TestPrefixAffinityHashMemoKey(t *testing.T) {
-	p := NewPrefixAffinity(64, 8, 0).(*prefixAffinity)
-	base := workload.Request{ID: 7, PromptLen: 512, PrefixGroup: 3, PrefixLen: 256}
-	memo := p.blockHashes(base)
-	same := base
-	same.ArrivalUs, same.GenLen = 99, 5
-	if got := p.blockHashes(same); &got[0] != &memo[0] {
-		t.Fatal("a request with the same hash inputs was hashed again")
-	}
-	for _, v := range []struct {
-		field  string
-		mutate func(*workload.Request)
-	}{
-		{"ID", func(r *workload.Request) { r.ID++ }},
-		{"PromptLen", func(r *workload.Request) { r.PromptLen += 64 }},
-		{"PrefixGroup", func(r *workload.Request) { r.PrefixGroup++ }},
-		{"PrefixLen", func(r *workload.Request) { r.PrefixLen += 64 }},
-	} {
-		r := base
-		v.mutate(&r)
-		want := r.BlockHashes(64)
-		if slices.Equal(want, base.BlockHashes(64)) {
-			t.Fatalf("%s: the variant does not change the hashes, so it tests nothing", v.field)
-		}
-		p.blockHashes(base)
-		if got := p.blockHashes(r); !slices.Equal(got, want) {
-			t.Fatalf("%s differs from the memo's request but its stale hashes came back", v.field)
+// TestPrefixChainMatchesBlockHashes checks prefix-affinity's hashing
+// against workload.Request.BlockHashes, the definition: across random
+// requests sharing one policy (so group chains are memoized by one
+// request and extended by the next), the shared hashes Observe indexes
+// are BlockHashes' shared prefix, and the lazy scan scores exactly what
+// KVIndex.Matches scores over the whole chain. Each request's own chain,
+// unique tail included, is first indexed up to a random block on a random
+// instance, so the scan must read, and hash right, every block up to
+// there; a fully indexed chain is read to its end.
+func TestPrefixChainMatchesBlockHashes(t *testing.T) {
+	for _, bt := range []int{1, 16, 64, 100} {
+		p := NewPrefixAffinity(bt, 8, 1<<20).(*prefixAffinity)
+		rng := mathx.NewRNG(uint64(bt))
+		for i := 0; i < 400; i++ {
+			r := workload.Request{ID: 1 + rng.Intn(500), PromptLen: rng.Intn(40*bt + 1), PrefixGroup: rng.Intn(4)}
+			switch rng.Intn(4) {
+			case 0: // above the prompt
+				r.PrefixLen = r.PromptLen + rng.Intn(3*bt+1)
+			case 1: // below one block
+				r.PrefixLen = rng.Intn(bt)
+			default:
+				r.PrefixLen = rng.Intn(r.PromptLen + 1)
+			}
+			want := r.BlockHashes(bt)
+			shared := p.shared(r)
+			if len(shared) != r.SharedBlocks(bt) || !slices.Equal(shared, want[:len(shared)]) {
+				t.Fatalf("bt %d, %+v: memoized shared chain %x, BlockHashes %x", bt, r, shared, want)
+			}
+			if r.PrefixGroup == 0 && len(shared) != 0 {
+				t.Fatalf("bt %d, %+v: a request with no group has shared blocks", bt, r)
+			}
+			k, inst := rng.Intn(len(want)+1), rng.Intn(4)
+			p.index.Add(want[:k], inst, float64(i))
+			got := slices.Clone(p.matches(r))
+			if exp := p.index.Matches(want); !slices.Equal(got, exp) {
+				t.Fatalf("bt %d, %+v: lazy scan scores %v, Matches over BlockHashes %v", bt, r, got, exp)
+			}
+			if k > 0 && got[inst] < k {
+				t.Fatalf("bt %d, %+v: scan stopped at block %d of %d indexed", bt, r, got[inst], k)
+			}
 		}
 	}
 }

@@ -28,6 +28,22 @@ func NewIndexedHeap(n int, less func(a, b int) bool) *IndexedHeap {
 	return &IndexedHeap{less: less, n: n, win: win}
 }
 
+// Grow widens the heap to the IDs [0, n), keeping every ID present; an n
+// no larger than the current width is a no-op. It rebuilds the tree in
+// O(n log n), so a caller that grows on demand doubles the width.
+func (h *IndexedHeap) Grow(n int) {
+	if n <= h.n {
+		return
+	}
+	leaves := h.win[h.n:] // leaves[id] == id while id is present
+	*h = *NewIndexedHeap(n, h.less)
+	for id, w := range leaves {
+		if w >= 0 {
+			h.Set(id)
+		}
+	}
+}
+
 // Set inserts id, or fixes its place when it is present and its key has
 // changed.
 func (h *IndexedHeap) Set(id int) { h.replay(id, id) }

@@ -6,15 +6,24 @@ import "testing"
 // and remove operations and, after each one, compares Top with a linear
 // scan for the least present ID under the same order. Keys come from a
 // small range, so ties are common and the ID tie-break is exercised.
+// Halfway through, the heap grows to more than twice its width with its
+// IDs in place, and the new IDs join the draws.
 func TestIndexedHeapMatchesLinearMin(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64} {
 		rng := NewRNG(uint64(n))
-		key := make([]int, n)
-		present := make([]bool, n)
+		wide := 2*n + 3
+		key := make([]int, wide)
+		present := make([]bool, wide)
 		less := func(a, b int) bool { return key[a] < key[b] || (key[a] == key[b] && a < b) }
 		h := NewIndexedHeap(n, less)
-		for op := 0; op < 20*n+200; op++ {
-			id := rng.Intn(n)
+		ops, width := 20*n+200, n
+		for op := 0; op < ops; op++ {
+			if op == ops/2 {
+				h.Grow(n) // no-op
+				h.Grow(wide)
+				width = wide
+			}
+			id := rng.Intn(width)
 			if rng.Intn(3) == 0 {
 				h.Remove(id)
 				present[id] = false

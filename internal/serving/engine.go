@@ -15,6 +15,7 @@
 package serving
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -267,6 +268,7 @@ type Engine struct {
 	running  []*seqState
 	swappedQ []*seqState // swapped-out sequences awaiting swap-in
 	live     map[int]*seqState
+	batch    batchView // running's phases, longest member and finishers (batch.go)
 	// residentTok and swappedTok are the summed tokens() of running and
 	// swappedQ, kept where a record joins or leaves either queue or grows
 	// while running, so the router's per-arrival view of the fleet does
@@ -306,11 +308,6 @@ type Engine struct {
 	autoID         int
 	inStep         bool // a scheduler iteration is executing
 	deferredCancel bool // Cancel() arrived mid-step; reap when it ends
-
-	// step scratch: buffers reused across Step calls so the scheduler's
-	// steady state allocates nothing (an Engine is single-goroutine)
-	promptBuf []*seqState
-	genBuf    []*seqState
 }
 
 // NewEngine builds a serving engine.
@@ -467,6 +464,7 @@ func (e *Engine) run(st *seqState, ph trace.Phase) {
 	e.residentTok += st.tokens()
 	st.at = atRunning
 	st.phaseTo(ph, float64(e.clock))
+	e.batch.join(st)
 }
 
 // admit moves due work into the running batch while capacity allows.
@@ -666,26 +664,18 @@ func (e *Engine) step() ([]Completion, error) {
 		return nil, nil
 	}
 
-	// split phase: prompts first (vLLM-style prioritized prompt steps);
-	// the phase slices reuse step-scratch backing arrays
-	promptSeqs, genSeqs := e.promptBuf[:0], e.genBuf[:0]
-	for _, st := range e.running {
-		if !st.promptDone {
-			promptSeqs = append(promptSeqs, st)
-		} else {
-			genSeqs = append(genSeqs, st)
-		}
-	}
-	e.promptBuf, e.genBuf = promptSeqs, genSeqs
-
+	// prompts first (vLLM-style prioritized prompt steps): a step runs the
+	// prompt-phase members while there are any, else one generation step
+	// over the whole running batch
 	var bd StepBreakdown
 	var preempted, swapped []*seqState
 	var err error
-	isPrompt := len(promptSeqs) > 0
+	isPrompt := len(e.batch.prompting) > 0
+	batch := len(e.running)
 	if isPrompt {
-		bd, preempted, err = e.promptStep(promptSeqs)
+		bd, preempted, err = e.promptStep(e.batch.prompting)
 	} else {
-		bd, preempted, swapped, err = e.genStep(genSeqs)
+		bd, preempted, swapped, err = e.genStep(e.running)
 	}
 	if err != nil {
 		// even on a fatal step error the victims already processed must be
@@ -694,6 +684,7 @@ func (e *Engine) step() ([]Completion, error) {
 		// state: nothing both host-resident and running, no pinned host
 		// bytes without a swappedQ entry
 		e.recordPreemptions(preempted, swapped)
+		e.batch.promptsRan()
 		return nil, err
 	}
 	// H2D prefetch stall from swap-ins and host prefix promotions admitted
@@ -713,7 +704,7 @@ func (e *Engine) step() ([]Completion, error) {
 	} else {
 		e.agg.Gen.Add(bd)
 		e.agg.GenSteps++
-		e.genTokens += int64(len(genSeqs) - len(preempted) - len(swapped))
+		e.genTokens += int64(batch - len(preempted) - len(swapped))
 	}
 	e.recordPreemptions(preempted, swapped)
 	stepTime := bd.Total()
@@ -734,42 +725,59 @@ func (e *Engine) step() ([]Completion, error) {
 
 	// first-token timestamps, prefix-cache residency and session progress
 	// for prompts that finished in this step; then per-token session
-	// updates for the generation batch
-	for _, st := range promptSeqs {
-		if st.promptDone && st.firstTokUs == 0 {
-			st.firstTokUs = float64(e.clock)
-			st.phaseTo(trace.PhaseDecode, float64(e.clock))
-			e.emit(trace.Event{Kind: trace.KindFirstToken, TimeUs: float64(e.clock), Seq: st.req.ID})
-			e.touchPrefix(st)
-			e.notifyFirstToken(st)
+	// updates (only members that generated this step have news)
+	if isPrompt {
+		for _, st := range e.batch.prompting {
+			if st.promptDone && st.firstTokUs == 0 {
+				st.firstTokUs = float64(e.clock)
+				st.phaseTo(trace.PhaseDecode, float64(e.clock))
+				e.emit(trace.Event{Kind: trace.KindFirstToken, TimeUs: float64(e.clock), Seq: st.req.ID})
+				e.touchPrefix(st)
+				e.notifyFirstToken(st)
+			}
 		}
+		e.batch.promptsRan()
 	}
-	e.notifyGenProgress(genSeqs)
+	e.notifyGenProgress(e.running)
+	done, err := e.sweep()
+	return done, err
+}
 
-	// release seqState references from the step scratch so completed
-	// sequences are collectable once they leave e.running (the backing
-	// arrays persist across Steps)
-	clear(e.promptBuf)
-	clear(e.genBuf)
-	e.promptBuf = e.promptBuf[:0]
-	e.genBuf = e.genBuf[:0]
-
-	// completions: finishers leave through complete, the rest stay, and
-	// e.running is filtered in place. After a teardown error the remaining
-	// records are kept as they are so the slice stays whole.
+// sweep completes this step's finishers: they come off the finisher heap
+// in running order, leave through complete, and e.running is compacted
+// in place from the first of them. After a teardown error the remaining
+// records are kept as they are so the slice stays whole.
+func (e *Engine) sweep() ([]Completion, error) {
+	fin := e.batch.finishers()
+	if len(fin) == 0 {
+		return nil, nil
+	}
+	first, _ := slices.BinarySearchFunc(e.running, fin[0].stamp, func(st *seqState, stamp uint64) int {
+		return cmp.Compare(st.stamp, stamp)
+	})
 	var done []Completion
-	kept := e.running[:0]
-	for _, st := range e.running {
-		if err != nil || !st.promptDone || st.generated < st.req.GenLen {
+	var err error
+	kept := e.running[:first]
+	k := 0
+	for _, st := range e.running[first:] {
+		if k == len(fin) || st != fin[k] {
+			kept = append(kept, st)
+			continue
+		}
+		k++
+		if err != nil {
+			e.batch.refile(st)
 			kept = append(kept, st)
 			continue
 		}
 		e.residentTok -= st.tokens()
+		e.batch.leave(st)
 		var cp Completion
 		if cp, err = e.complete(st); err == nil {
 			done = append(done, cp)
 		}
 	}
+	clear(fin)
 	clear(e.running[len(kept):])
 	e.running = kept
 	return done, err
@@ -830,6 +838,7 @@ func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 	now := float64(e.clock)
 	for _, st := range preempted {
 		e.residentTok -= st.tokens() // before the reset drops generated
+		e.batch.leave(st)
 		st.progress = progress{}
 		e.evict(st, atQueue, trace.PhaseStall)
 		e.emit(trace.Event{Kind: trace.KindPreempt, TimeUs: now, Seq: st.req.ID})
@@ -837,6 +846,7 @@ func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 	for _, st := range swapped {
 		n := st.tokens()
 		e.residentTok -= n
+		e.batch.leave(st)
 		e.swappedTok += n
 		e.evict(st, atSwapped, trace.PhaseSwapped)
 		e.emit(trace.Event{Kind: trace.KindSwapOut, TimeUs: now, Seq: st.req.ID,
@@ -894,7 +904,7 @@ func (e *Engine) Run(reqs []workload.Request) (Result, error) {
 // the high watermark (85%), accounting for the tokens running sequences
 // will still generate, and that the store has room for its prompt.
 func (e *Engine) hasCapacityFor(cand *seqState) bool {
-	return e.fitsTokens(cand.projected()) && e.kv.promptFits(cand, e.running)
+	return e.fitsTokens(cand.projected()) && e.kv.promptFits(cand, e.batch.prompting)
 }
 
 // fitsTokens checks whether needed more tokens keep usage under the high
@@ -952,6 +962,7 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 			continue
 		}
 		st.promptDone = true
+		e.batch.generate(st)
 		work.Add(w)
 	}
 	bd.MemMgmt = e.kv.memMgmtTime(work, batch)
@@ -964,7 +975,9 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 	return bd, preempted, nil
 }
 
-// genStep runs one batched generation step. It returns the sequences
+// genStep runs one batched generation step over seqs, which is e.running
+// itself: a generation step runs only when no member is in the prompt
+// phase. It returns the sequences
 // preempted for lack of pages, split by recovery: recompute victims
 // (restart from scratch) and swap victims (offloaded to the host tier,
 // resumable). The victim is always the youngest sequence; the configured
@@ -983,16 +996,11 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 		exec += gpusim.Micros(float64(cfg.Model.Layers) * 15)
 	}
 
-	// attention over cached tokens
-	var cachedTokens float64
-	longest := 0
-	for _, st := range seqs {
-		n := st.tokens()
-		cachedTokens += float64(n)
-		if n > longest {
-			longest = n
-		}
-	}
+	// attention over cached tokens: seqs is the whole running batch, so
+	// its summed tokens are residentTok (a float64 sum of ints below 2^53
+	// is exact in any order, so the conversion has the same bits)
+	cachedTokens := float64(e.residentTok)
+	longest := e.batch.longest()
 	attnBytes := cachedTokens * float64(cfg.Model.KVBytesPerTokenFP16()) *
 		cfg.Traits.AttnBytesFrac / float64(cfg.Cluster.GPUs)
 	seqSplits := 1
@@ -1078,6 +1086,7 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 		st.generated++
 	}
 	e.residentTok += len(seqs)
+	e.batch.round++
 	return bd, preempted, swapped, nil
 }
 

@@ -60,6 +60,7 @@ func (e *Engine) Crash(nowUs float64, keepSwapped bool) (CrashReport, error) {
 	var rep CrashReport
 	stranded := [][]*seqState{e.running, e.pending}
 	e.running, e.pending, e.residentTok = nil, nil, 0
+	e.batch = batchView{}
 	if !keepSwapped {
 		stranded = append(stranded, e.swappedQ)
 		e.swappedQ, e.swappedTok = nil, 0

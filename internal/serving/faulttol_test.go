@@ -10,17 +10,22 @@ import (
 )
 
 // stepUntil drives the engine until cond holds (or work runs out),
-// returning the completions produced along the way. The kept token counts
-// must equal a recount after every Step.
+// returning the completions produced along the way. After every Step the
+// kept token counts must equal a recount, the maintained batch view a
+// scan of the running batch, and the step's completions the finished
+// records in running order.
 func stepUntil(t *testing.T, e *Engine, cond func() bool) []Completion {
 	t.Helper()
 	var comps []Completion
 	for e.HasWork() && !cond() {
+		before := liveByID(e)
 		done, err := e.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkTokenCounts(t, e)
+		checkBatchView(t, e)
+		checkCompletions(t, before, done)
 		comps = append(comps, done...)
 	}
 	return comps

@@ -104,6 +104,10 @@ type seqState struct {
 	at        residency
 	swapBytes int64     // D2H bytes of the latest swap-out (trace payload)
 	adopt     *KVExport // shipped KV awaiting decode-side admission
+	// stamp orders e.running (batchView.join); gen is 1 + the record's ID
+	// in the generation heaps, 0 outside the generation phase
+	stamp uint64
+	gen   int
 }
 
 // tokens is the sequence's cached KV length.

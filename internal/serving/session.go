@@ -188,6 +188,7 @@ func (e *Engine) cancel(st *seqState) {
 	case atRunning:
 		q = &e.running
 		e.residentTok -= st.tokens()
+		e.batch.leave(st)
 	case atSwapped:
 		q = &e.swappedQ
 		e.swappedTok -= st.tokens()

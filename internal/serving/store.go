@@ -21,8 +21,9 @@ type kvStore interface {
 	// register gives an admitted record its KV identity.
 	register(st *seqState) error
 	// promptFits is the page-granular half of admission: cand's prompt
-	// must fit beside the prompts in running that have not run yet.
-	promptFits(cand *seqState, running []*seqState) bool
+	// must fit beside the prompts of the running members that have not
+	// run yet, prompting.
+	promptFits(cand *seqState, prompting []*seqState) bool
 	// prompt runs one sequence's prompt-phase compaction; a failed call
 	// (out of pages) leaves the store as it was. memMgmtTime prices the
 	// summed work of a prompt batch.
@@ -134,12 +135,10 @@ func (s *pageStore) register(st *seqState) error {
 // ceil(prompt/capHi) pages) against the free pool: a prompt that cannot
 // get it would only bounce off a prompt preemption, and queueing the
 // request is strictly better than admitting and restarting it.
-func (s *pageStore) promptFits(cand *seqState, running []*seqState) bool {
+func (s *pageStore) promptFits(cand *seqState, prompting []*seqState) bool {
 	reserved := s.promptPages(cand.req.PromptLen)
-	for _, st := range running {
-		if !st.promptDone {
-			reserved += s.promptPages(st.req.PromptLen)
-		}
+	for _, st := range prompting {
+		reserved += s.promptPages(st.req.PromptLen)
 	}
 	return reserved <= s.mgr.FreePages()*9/10
 }

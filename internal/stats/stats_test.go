@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +94,65 @@ func TestSummarizeLatencyMatchesQuantile(t *testing.T) {
 		for i := range xs {
 			if xs[i] != orig[i] {
 				t.Fatalf("n=%d: input mutated at %d", n, i)
+			}
+		}
+	}
+}
+
+// TestSummarizeLatencySelectsSortedRanks compares the selection-based
+// quantiles with the sort-based definition, Quantile's sortedQuantile
+// over a sort.Float64s copy, bit for bit: random samples of random size,
+// heavy duplicates, n = 1, 2 and 3, all-equal input, sorted and reversed
+// input, and zeros of both signs. Where a sample holds both zero signs
+// the sort leaves their order open too, so there the values only need to
+// compare equal.
+func TestSummarizeLatencySelectsSortedRanks(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	type sample struct {
+		name string
+		xs   []float64
+	}
+	var samples []sample
+	draw := func(name string, n int, x func(i int) float64) {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = x(i)
+		}
+		samples = append(samples, sample{name, xs})
+	}
+	for rep := 0; rep < 60; rep++ {
+		n := 1 + rng.IntN(3000)
+		draw("random", n, func(int) float64 { return rng.ExpFloat64() })
+		draw("duplicates", n, func(int) float64 { return float64(rng.IntN(4)) * 0.25 })
+		draw("signed zeros", n, func(int) float64 {
+			return [...]float64{math.Copysign(0, -1), 0, 1, -1}[rng.IntN(4)]
+		})
+		draw("one zero sign", n, func(int) float64 {
+			return [...]float64{math.Copysign(0, -1), 2, -3}[rng.IntN(3)]
+		})
+	}
+	for n := 1; n <= 3; n++ {
+		draw("small", n, func(int) float64 { return rng.NormFloat64() })
+		draw("small signed zeros", n, func(int) float64 { return math.Copysign(0, float64(rng.IntN(2))-0.5) })
+	}
+	draw("all equal", 999, func(int) float64 { return 0.125 })
+	draw("sorted", 1000, func(i int) float64 { return float64(i) })
+	draw("reversed", 1000, func(i int) float64 { return float64(-i) })
+	for _, smp := range samples {
+		sorted := append([]float64(nil), smp.xs...)
+		sort.Float64s(sorted)
+		got := SummarizeLatency(smp.xs)
+		gots := []float64{got.P50, got.P95, got.P99}
+		bothZeros := slices.ContainsFunc(smp.xs, func(x float64) bool { return x == 0 && math.Signbit(x) }) &&
+			slices.ContainsFunc(smp.xs, func(x float64) bool { return x == 0 && !math.Signbit(x) })
+		for i, q := range []float64{0.50, 0.95, 0.99} {
+			want := sortedQuantile(sorted, q)
+			same := math.Float64bits(gots[i]) == math.Float64bits(want)
+			if bothZeros {
+				same = gots[i] == want
+			}
+			if !same {
+				t.Fatalf("%s, n=%d: q%v selected %v, sorted %v", smp.name, len(smp.xs), q, gots[i], want)
 			}
 		}
 	}

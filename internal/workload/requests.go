@@ -31,18 +31,38 @@ func (r Request) BlockHashes(blockSize int) []uint64 {
 	}
 	n := (r.PromptLen + blockSize - 1) / blockSize
 	out := make([]uint64, 0, n)
-	h := uint64(14695981039346656037) // FNV-64 offset basis
+	h := BlockHashBasis
 	for b := 0; b < n; b++ {
-		var ident uint64
-		if r.PrefixGroup != 0 && (b+1)*blockSize <= r.PrefixLen {
-			ident = uint64(r.PrefixGroup)<<1 | 1
-		} else {
-			ident = uint64(r.ID) << 1
-		}
-		h = fnvFold(fnvFold(h, ident), uint64(b))
+		h = r.BlockHash(h, b, blockSize)
 		out = append(out, h)
 	}
 	return out
+}
+
+// BlockHashBasis is a block-hash chain's value before block 0, the FNV-64
+// offset basis.
+const BlockHashBasis uint64 = 14695981039346656037
+
+// BlockHash extends a block-hash chain by block b: given prev, block
+// b-1's hash (BlockHashBasis for block 0), it returns
+// BlockHashes(blockSize)[b]. blockSize must be positive.
+func (r Request) BlockHash(prev uint64, b, blockSize int) uint64 {
+	ident := uint64(r.ID) << 1
+	if r.PrefixGroup != 0 && (b+1)*blockSize <= r.PrefixLen {
+		ident = uint64(r.PrefixGroup)<<1 | 1
+	}
+	return fnvFold(fnvFold(prev, ident), uint64(b))
+}
+
+// SharedBlocks counts the leading blocks of BlockHashes(blockSize) that
+// hash the prefix group instead of the request: the blocks wholly inside
+// the shared prefix. Their hashes depend only on (PrefixGroup, block
+// index, blockSize). blockSize must be positive.
+func (r Request) SharedBlocks(blockSize int) int {
+	if r.PrefixGroup == 0 || r.PrefixLen < blockSize {
+		return 0
+	}
+	return min(r.PrefixLen/blockSize, (r.PromptLen+blockSize-1)/blockSize)
 }
 
 // fnvFold mixes one 64-bit word into a running FNV-1a style hash.
