@@ -725,22 +725,19 @@ func (e *Engine) step() ([]Completion, error) {
 
 	// first-token timestamps, prefix-cache residency and session progress
 	// for prompts that finished in this step; then per-token session
-	// updates (only members that generated this step have news)
-	if isPrompt {
-		for _, st := range e.batch.prompting {
-			if st.promptDone && st.firstTokUs == 0 {
-				st.firstTokUs = float64(e.clock)
-				st.phaseTo(trace.PhaseDecode, float64(e.clock))
-				e.emit(trace.Event{Kind: trace.KindFirstToken, TimeUs: float64(e.clock), Seq: st.req.ID})
-				e.touchPrefix(st)
-				e.notifyFirstToken(st)
-			}
+	// updates (only the members that generated this step have news)
+	for _, st := range e.batch.prompting {
+		if st.promptDone && st.firstTokUs == 0 {
+			st.firstTokUs = float64(e.clock)
+			st.phaseTo(trace.PhaseDecode, float64(e.clock))
+			e.emit(trace.Event{Kind: trace.KindFirstToken, TimeUs: float64(e.clock), Seq: st.req.ID})
+			e.touchPrefix(st)
+			e.notifyFirstToken(st)
 		}
-		e.batch.promptsRan()
 	}
+	e.batch.promptsRan()
 	e.notifyGenProgress(e.running)
-	done, err := e.sweep()
-	return done, err
+	return e.sweep()
 }
 
 // sweep completes this step's finishers: they come off the finisher heap
@@ -977,12 +974,11 @@ func (e *Engine) promptStep(seqs []*seqState) (StepBreakdown, []*seqState, error
 
 // genStep runs one batched generation step over seqs, which is e.running
 // itself: a generation step runs only when no member is in the prompt
-// phase. It returns the sequences
-// preempted for lack of pages, split by recovery: recompute victims
-// (restart from scratch) and swap victims (offloaded to the host tier,
-// resumable). The victim is always the youngest sequence; the configured
-// recovery decides the split, with recompute as the fallback when the host
-// tier refuses a swap.
+// phase. It returns the sequences preempted for lack of pages, split by
+// recovery: recompute victims (restart from scratch) and swap victims
+// (offloaded to the host tier, resumable). The victim is always the
+// youngest sequence; the configured recovery decides the split, with
+// recompute as the fallback when the host tier refuses a swap.
 func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqState, error) {
 	cfg := e.cfg
 	dev := e.dev
