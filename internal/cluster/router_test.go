@@ -12,7 +12,8 @@ import (
 // against workload.Request.BlockHashes, the definition: across random
 // requests sharing one policy (so group chains are memoized by one
 // request and extended by the next), the shared hashes Observe indexes
-// are BlockHashes' shared prefix, and the lazy scan scores exactly what
+// are BlockHashes' shared prefix, every block another request of the
+// group hashes alike, and the lazy scan scores exactly what
 // KVIndex.Matches scores over the whole chain. Each request's own chain,
 // unique tail included, is first indexed up to a random block on a random
 // instance, so the scan must read, and hash right, every block up to
@@ -36,8 +37,12 @@ func TestPrefixChainMatchesBlockHashes(t *testing.T) {
 			if len(shared) != r.SharedBlocks(bt) || !slices.Equal(shared, want[:len(shared)]) {
 				t.Fatalf("bt %d, %+v: memoized shared chain %x, BlockHashes %x", bt, r, shared, want)
 			}
-			if r.PrefixGroup == 0 && len(shared) != 0 {
-				t.Fatalf("bt %d, %+v: a request with no group has shared blocks", bt, r)
+			// the memoized blocks are exactly those another request of the
+			// group hashes the same
+			other := r
+			other.ID += 1000
+			if n, alike := len(shared), other.BlockHashes(bt); n < len(want) && alike[n] == want[n] {
+				t.Fatalf("bt %d, %+v: block %d is shared with the group but not memoized", bt, r, n)
 			}
 			k, inst := rng.Intn(len(want)+1), rng.Intn(4)
 			p.index.Add(want[:k], inst, float64(i))

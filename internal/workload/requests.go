@@ -31,9 +31,15 @@ func (r Request) BlockHashes(blockSize int) []uint64 {
 	}
 	n := (r.PromptLen + blockSize - 1) / blockSize
 	out := make([]uint64, 0, n)
-	h := BlockHashBasis
+	h := uint64(14695981039346656037) // FNV-64 offset basis
 	for b := 0; b < n; b++ {
-		h = r.BlockHash(h, b, blockSize)
+		var ident uint64
+		if r.PrefixGroup != 0 && (b+1)*blockSize <= r.PrefixLen {
+			ident = uint64(r.PrefixGroup)<<1 | 1
+		} else {
+			ident = uint64(r.ID) << 1
+		}
+		h = fnvFold(fnvFold(h, ident), uint64(b))
 		out = append(out, h)
 	}
 	return out
@@ -45,7 +51,8 @@ const BlockHashBasis uint64 = 14695981039346656037
 
 // BlockHash extends a block-hash chain by block b: given prev, block
 // b-1's hash (BlockHashBasis for block 0), it returns
-// BlockHashes(blockSize)[b]. blockSize must be positive.
+// BlockHashes(blockSize)[b], one block at a time for callers that hash
+// only what they read. blockSize must be positive.
 func (r Request) BlockHash(prev uint64, b, blockSize int) uint64 {
 	ident := uint64(r.ID) << 1
 	if r.PrefixGroup != 0 && (b+1)*blockSize <= r.PrefixLen {
