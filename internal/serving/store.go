@@ -21,8 +21,8 @@ type kvStore interface {
 	// register gives an admitted record its KV identity.
 	register(st *seqState) error
 	// promptFits is the page-granular half of admission: cand's prompt
-	// must fit beside the prompts of the running members that have not
-	// run yet, prompting.
+	// must fit beside those of prompting, the running members whose
+	// prompt has not run yet.
 	promptFits(cand *seqState, prompting []*seqState) bool
 	// prompt runs one sequence's prompt-phase compaction; a failed call
 	// (out of pages) leaves the store as it was. memMgmtTime prices the
