@@ -250,9 +250,9 @@ type TraceCollector = trace.Collector
 func NewTraceCollector(capacity int) *TraceCollector { return trace.NewCollector(capacity) }
 
 // Session is a per-request streaming handle over the serving engine:
-// Server.Open (or ClusterServer.Open) submits the request and returns
-// the handle; token progress streams through its OnToken callback while
-// the engine is driven (Step / DrainContext); cancelling it —
+// ClusterServer.Open routes the request, submits it and returns the
+// handle; token progress streams through its OnToken callback while the
+// cluster is driven (Step / DrainContext); cancelling it —
 // explicitly or via the Open context — frees the request's KV pages and
 // host-tier state immediately instead of finishing the generation.
 type Session = serving.Session

@@ -75,6 +75,21 @@ func vllmTraits(t *testing.T) ServingTraits {
 	return m.ServingTraits(0)
 }
 
+// serveAll drives one engine by hand: it submits every request, then
+// steps until no work is left, and returns the engine's Result.
+func serveAll(t *testing.T, s *Server, reqs []Request) ServingResult {
+	t.Helper()
+	for _, r := range reqs {
+		s.Submit(r)
+	}
+	for s.HasWork() {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Result()
+}
+
 // TestPublicServerSmoke runs the one engine of a scenario without a
 // cluster section by hand, through the Stack.Server view.
 func TestPublicServerSmoke(t *testing.T) {
@@ -83,10 +98,7 @@ func TestPublicServerSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Server.Run(st.Requests())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, st.Server, st.Requests())
 	if res.Completed != 4 {
 		t.Fatalf("completed %d", res.Completed)
 	}

@@ -133,12 +133,11 @@ type Cluster struct {
 	swapRecovered int
 }
 
-// clusterAutoIDBase keeps cluster-assigned session request IDs clear of
-// workload-generator IDs (counting up from 1) and of the per-engine
-// auto-ID range (starting at 1<<30): engines assign IDs independently,
-// so a two-instance cluster would hand the same engine-assigned ID to
-// two different clients — the cluster assigns before routing instead.
-// 3<<29 (= 1<<30 + 1<<29) still fits a 32-bit int.
+// clusterAutoIDBase keeps the session request IDs Open assigns clear of
+// workload-generator IDs (counting up from 1). Open assigns before it
+// routes, so every ID is fleet-unique. 3<<29 still fits a 32-bit int,
+// and the gateway's completion IDs (cmpl-1610612737, … in README.md)
+// are built on it.
 const clusterAutoIDBase = 3 << 29
 
 // New builds a cluster of cfg.Instances engines behind the configured
@@ -208,11 +207,11 @@ func (c *Cluster) emit(ev trace.Event) {
 	}
 }
 
-// maxClusterSteps bounds the event loop like Engine.DrainContext bounds
-// a single-engine run: an unservable request (e.g. a prompt that can never
-// fit one instance's pages) recompute-preempts forever, and without a
-// step bound the cluster would never return. Breaking leaves the request
-// visible as Metrics.Stuck() > 0.
+// maxClusterSteps bounds the event loop against runaway simulations: an
+// unservable request (e.g. a prompt that can never fit one instance's
+// pages) recompute-preempts forever, and without a step bound the cluster
+// would never return. Breaking leaves the request visible as
+// Metrics.Stuck() > 0.
 const maxClusterSteps = 20_000_000
 
 // Run routes the request list through the cluster and drains every
@@ -245,8 +244,7 @@ func (c *Cluster) Run(reqs []workload.Request) (Metrics, error) {
 func (c *Cluster) dispatch(r workload.Request) {
 	idx, ok := c.route(r)
 	if !ok {
-		c.acc.reject()
-		c.emit(trace.Event{Kind: trace.KindReject, TimeUs: r.ArrivalUs, Seq: r.ID})
+		c.shed(r)
 		return
 	}
 	if c.dg != nil {
@@ -258,6 +256,13 @@ func (c *Cluster) dispatch(r workload.Request) {
 	} else {
 		c.engines[idx].Submit(r)
 	}
+	c.accept(r, idx)
+}
+
+// accept records a request placed on instance idx, batch or session: the
+// cached view reads the engine back, then telemetry, the routing policy,
+// the accumulator and the tracer see the dispatch at its arrival time.
+func (c *Cluster) accept(r workload.Request, idx int) {
 	c.touch(idx)
 	if c.cfg.Telemetry != nil {
 		c.cfg.Telemetry.RecordOpen(r.PromptLen)
@@ -265,6 +270,13 @@ func (c *Cluster) dispatch(r workload.Request) {
 	c.observe(r, idx, r.ArrivalUs)
 	c.acc.dispatch(idx, r)
 	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: r.ArrivalUs, Seq: r.ID, Inst: idx + 1})
+}
+
+// shed records a request admission control turned away: every instance
+// was at the queue-depth bound at its arrival.
+func (c *Cluster) shed(r workload.Request) {
+	c.acc.reject()
+	c.emit(trace.Event{Kind: trace.KindReject, TimeUs: r.ArrivalUs, Seq: r.ID})
 }
 
 // route lets the policy pick from the routable view touch keeps: live
@@ -317,17 +329,21 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 		return nil, fmt.Errorf("cluster: Open after Run (pick batch or session driving, not both)")
 	}
 	if r.ID == 0 {
-		// assign fleet-unique IDs here: per-engine auto-assignment would
-		// collide across instances
+		// IDs are assigned here, before routing, so they are fleet-unique
 		c.autoID++
 		r.ID = clusterAutoIDBase + c.autoID
 	}
 	// read back engines a direct Session.Cancel changed since the last
-	// event, then bring instance health up to date before routing: a
-	// crash due by now must exclude its instance from this decision
+	// event
 	c.resync()
+	// an online request cannot arrive in the simulated past: clamp it to
+	// the fleet clock, so routing, fault state and the recorded arrival
+	// all see the moment it was opened, whichever instance it lands on
+	r.ArrivalUs = max(r.ArrivalUs, float64(c.Clock()))
+	// bring instance health up to date before routing: a crash due by now
+	// must exclude its instance from this decision
 	if c.inj != nil {
-		if err := c.advanceFaults(max(r.ArrivalUs, float64(c.Clock()))); err != nil {
+		if err := c.advanceFaults(r.ArrivalUs); err != nil {
 			return nil, err
 		}
 	}
@@ -337,8 +353,7 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 		// latches session mode, unlike an invalid request below
 		c.sessionMode = true
 		c.acc.m.Submitted++
-		c.acc.reject()
-		c.emit(trace.Event{Kind: trace.KindReject, TimeUs: r.ArrivalUs, Seq: r.ID})
+		c.shed(r)
 		return nil, ErrAllSaturated
 	}
 	sub, handoff := r, false
@@ -353,24 +368,13 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	}
 	c.sessionMode = true
 	c.acc.m.Submitted++
-	// the engine may have auto-assigned the request ID and clamped the
-	// arrival time; observe and account the request as actually submitted
-	// (under disaggregation that is the parent: the session handle follows
-	// the KV across the handoff, the request completes once on its decode
-	// instance)
-	genLen := r.GenLen
-	r = s.Request()
+	// under disaggregation the parent is accounted: the session handle
+	// follows the KV across the handoff, and the request completes once,
+	// on its decode instance
 	if handoff {
-		r.GenLen = genLen
-		c.engines[idx].MarkHandoff(r.ID, genLen)
+		c.engines[idx].MarkHandoff(r.ID, r.GenLen)
 	}
-	c.touch(idx)
-	if c.cfg.Telemetry != nil {
-		c.cfg.Telemetry.RecordOpen(r.PromptLen)
-	}
-	c.observe(r, idx, r.ArrivalUs)
-	c.acc.dispatch(idx, r)
-	c.emit(trace.Event{Kind: trace.KindDispatch, TimeUs: r.ArrivalUs, Seq: r.ID, Inst: idx + 1})
+	c.accept(r, idx)
 	return s, nil
 }
 

@@ -26,9 +26,10 @@ func sessionCfg(instances int) Config {
 }
 
 // TestClusterSessions drives a cluster through the session API: requests
-// opened online, one cancelled mid-flight, the rest draining, with the
-// metrics accounting exactly — Cancelled tracked, liveness (Stuck == 0)
-// preserved.
+// opened online with IDs the cluster assigns from its own range before
+// routing (fleet-unique across instances), one cancelled mid-flight, the
+// rest draining, with the metrics accounting exactly — Cancelled
+// tracked, liveness (Stuck == 0) preserved.
 func TestClusterSessions(t *testing.T) {
 	c, err := New(sessionCfg(2))
 	if err != nil {
@@ -40,6 +41,9 @@ func TestClusterSessions(t *testing.T) {
 			workload.Request{PromptLen: 256, GenLen: 32})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := clusterAutoIDBase + 1 + i; s.ID() != want {
+			t.Fatalf("session %d got ID %d, want %d", i, s.ID(), want)
 		}
 		sessions = append(sessions, s)
 	}
@@ -228,5 +232,68 @@ func TestStatsHostBytesIsHostTierOccupancy(t *testing.T) {
 	}
 	if got := hostBytes(); got != 0 {
 		t.Fatalf("host bytes = %d after the drain", got)
+	}
+}
+
+// TestClusterOpenArrivesAtFleetClock opens a session on an idle instance
+// after another instance has run ahead: its arrival is the fleet clock
+// at Open, not the lagging instance's, so it cannot run in the simulated
+// past.
+func TestClusterOpenArrivesAtFleetClock(t *testing.T) {
+	c, err := New(sessionCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Open(context.Background(), workload.Request{ID: 1, PromptLen: 256, GenLen: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	openedUs := float64(c.Clock())
+	if openedUs <= 0 {
+		t.Fatal("the first session advanced no clock")
+	}
+	// round-robin places the second session on instance 1, still at 0
+	s, err := c.Open(context.Background(), workload.Request{ID: 2, PromptLen: 256, GenLen: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Engines()[1].OpenSessions() != 1 {
+		t.Fatal("the second session did not land on the idle instance")
+	}
+	if err := c.DrainContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Completion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Req.ArrivalUs < openedUs {
+		t.Fatalf("session opened at fleet clock %.0f µs arrives at %.0f µs", openedUs, cp.Req.ArrivalUs)
+	}
+	if cp.FirstTokenUs <= openedUs {
+		t.Fatalf("session opened at %.0f µs had its first token at %.0f µs", openedUs, cp.FirstTokenUs)
+	}
+}
+
+// TestClusterDrainContextStopsOnDeadContext: a drain whose own context is
+// already done returns the context's error between events and leaves the
+// work pending.
+func TestClusterDrainContextStopsOnDeadContext(t *testing.T) {
+	c, err := New(sessionCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Open(context.Background(), workload.Request{PromptLen: 128, GenLen: 64}); err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.DrainContext(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DrainContext with dead context = %v", err)
+	}
+	if !hasWork(c) {
+		t.Fatal("a drain with a dead context should leave work pending")
 	}
 }

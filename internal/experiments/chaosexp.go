@@ -75,7 +75,8 @@ func ChaosRun(crashRate float64, policy string, n int, seed uint64) cluster.Metr
 		t += 1e6 / 6.0 // 6 req/s paced arrivals
 		reqs[i].ArrivalUs = t
 	}
-	return runCluster(cfg, reqs, fmt.Sprintf("chaos: %s at %.1f crashes/min", policy, crashRate))
+	_, m := runCluster(cfg, reqs, fmt.Sprintf("chaos: %s at %.1f crashes/min", policy, crashRate))
+	return m
 }
 
 // chaosEngine is the shared oversubscribed engine shape for the chaos

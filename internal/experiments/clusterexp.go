@@ -62,7 +62,7 @@ func ClusterRouting(o Opts) []*Table {
 			cfg.Engine.PrefixCacheGroups = 8
 			reqs := workload.NewRequestGen(workload.MMLU, 256, o.Seed+seedOf(method.name)+uint64(rate*10)).
 				PoissonShared(rate, horizon, pc)
-			metrics[i] = runCluster(cfg, reqs, fmt.Sprintf("cluster-routing: %s %s at %.1f req/s", method.name, policy, rate))
+			_, metrics[i] = runCluster(cfg, reqs, fmt.Sprintf("cluster-routing: %s %s at %.1f req/s", method.name, policy, rate))
 		})
 		for i, m := range metrics {
 			t.AddRow(f1(rates[i/len(policies)]), policies[i%len(policies)],

@@ -59,7 +59,8 @@ func DisaggRun(split [2]int, tier quant.Precision, n int, seed uint64) cluster.M
 		t += 1e6 / 14.0 // 14 req/s paced arrivals
 		reqs[i] = gen.Next(t)
 	}
-	return runCluster(cfg, reqs, fmt.Sprintf("disagg: split %d:%d tier %s", split[0], split[1], tier))
+	_, m := runCluster(cfg, reqs, fmt.Sprintf("disagg: split %d:%d tier %s", split[0], split[1], tier))
+	return m
 }
 
 // disaggEngine is the shared engine shape for the disaggregation grid

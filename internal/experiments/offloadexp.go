@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/cluster"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/offload"
 	"diffkv/internal/quant"
@@ -46,7 +47,9 @@ func OffloadRun(reserve float64, policy string, batch, maxGen int, seed uint64) 
 	// fair comparison
 	reqs := workload.NewRequestGen(workload.MATH, maxGen,
 		seed+seedOf("offload", fmt.Sprintf("%.3f", reserve))).CoTBatch(batch)
-	res := serve(cfg, reqs)
+	c, _ := runCluster(cluster.Config{Instances: 1, Engine: cfg, Seed: cfg.Seed}, reqs,
+		fmt.Sprintf("offload: %s at reserve %.3f", policy, reserve))
+	res := c.Engines()[0].Result()
 	if res.Completed != len(reqs) {
 		panic(fmt.Sprintf("offload: %s at reserve %.3f completed %d of %d",
 			policy, reserve, res.Completed, len(reqs)))

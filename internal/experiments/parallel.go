@@ -6,7 +6,6 @@ import (
 	"diffkv/internal/cluster"
 	"diffkv/internal/core"
 	"diffkv/internal/mathx"
-	"diffkv/internal/serving"
 	"diffkv/internal/workload"
 )
 
@@ -27,7 +26,8 @@ func meanOf(xs []float64) float64 {
 }
 
 // The harnesses reach each layer one way: the compression engine through
-// sequences, one serving engine through serve, a fleet through runCluster.
+// sequences, serving engines through runCluster (one instance for a
+// single-engine cell).
 
 // sequences runs n sequences of one DiffKV core engine, seeded first,
 // first+1, …; they fan out across the worker pool and come back in
@@ -48,23 +48,12 @@ func (o Opts) sequences(cfg core.Config, promptLen, genLen, n int, first uint64)
 	return out
 }
 
-// serve runs reqs to completion on one serving engine built from cfg.
-func serve(cfg serving.Config, reqs []workload.Request) serving.Result {
-	eng, err := serving.NewEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
-	res, err := eng.Run(reqs)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// runCluster runs reqs on a cluster built from cfg. A request left
-// neither completed, cancelled nor failed is a liveness bug, so it
-// panics, naming the cell by what.
-func runCluster(cfg cluster.Config, reqs []workload.Request, what string) cluster.Metrics {
+// runCluster runs reqs on a cluster built from cfg and returns it with
+// its metrics; a single-engine cell builds a one-instance cluster and
+// reads c.Engines()[0].Result(). A request left neither completed,
+// cancelled nor failed is a liveness bug, so it panics, naming the cell
+// by what.
+func runCluster(cfg cluster.Config, reqs []workload.Request, what string) (*cluster.Cluster, cluster.Metrics) {
 	c, err := cluster.New(cfg)
 	if err != nil {
 		panic(err)
@@ -76,5 +65,5 @@ func runCluster(cfg cluster.Config, reqs []workload.Request, what string) cluste
 	if stuck := m.Stuck(); stuck != 0 {
 		panic(fmt.Sprintf("%s left %d requests stuck", what, stuck))
 	}
-	return m
+	return c, m
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/cluster"
 	"diffkv/internal/gpusim"
 	"diffkv/internal/serving"
 	"diffkv/internal/synth"
@@ -47,11 +48,12 @@ func Fig14(o Opts) []*Table {
 	}
 	for _, batch := range []int{8, 32} {
 		reqs := workload.NewRequestGen(workload.MATH, 1024, o.Seed+uint64(batch)).Batch(batch)
-		res := serve(serving.Config{
+		c, _ := runCluster(cluster.Config{Instances: 1, Seed: o.Seed, Engine: serving.Config{
 			Model: model, Cluster: gpusim.NewCluster(gpusim.L40(), 1),
 			Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
 			HiFrac: 0.2, LoFrac: 0.25, Seed: o.Seed,
-		}, reqs)
+		}}, reqs, fmt.Sprintf("fig14: batch %d", batch))
+		res := c.Engines()[0].Result()
 		addPhase := func(phase string, bd serving.StepBreakdown) {
 			tot := float64(bd.Total())
 			if tot == 0 {
@@ -114,7 +116,9 @@ func Fig16(o Opts) []*Table {
 				// measures.
 				cfg.Traits = baselines.TraitsDiffKV(0.3)
 			}
-			if res := serve(cfg, reqs); res.Completed == 0 {
+			c, _ := runCluster(cluster.Config{Instances: 1, Engine: cfg, Seed: cfg.Seed}, reqs,
+				fmt.Sprintf("fig16: %s %s at %.2f req/s", p.model.Name, cfg.Traits.Name, rate))
+			if res := c.Engines()[0].Result(); res.Completed == 0 {
 				cells[i] = "-"
 			} else {
 				cells[i] = f3(res.AvgPerTokenLatency)
@@ -184,7 +188,9 @@ func Fig17(o Opts) []*Table {
 				cfg.UseManager = true
 				cfg.HiFrac, cfg.LoFrac = 0.18, 0.22
 			}
-			return serve(cfg, reqs)
+			c, _ := runCluster(cluster.Config{Instances: 1, Engine: cfg, Seed: cfg.Seed}, reqs,
+				fmt.Sprintf("fig17: %s %s", model.Name, traits.Name))
+			return c.Engines()[0].Result()
 		}
 		// the six systems are independent simulations: fan out, fixed slots
 		systems := []struct {

@@ -9,14 +9,13 @@
 // The engine is incrementally steppable: Submit queues requests, Step runs
 // one batched prompt or generation step and returns the requests it
 // completed, and NextTime exposes the clock at which the next step would
-// execute. Run wraps Submit+DrainContext for single-instance use; the
-// cluster package interleaves Step calls across many engines behind a
-// router.
+// execute. The engine has no driver of its own: the cluster package's
+// event loop interleaves Step calls across one or many engines behind a
+// router, and is the only product code that builds and drives one.
 package serving
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -261,7 +260,7 @@ type Engine struct {
 	capTok         float64
 	promptCompress bool
 
-	// incremental run state (Submit / Step / DrainContext). Every in-flight
+	// incremental run state (Submit / Step). Every in-flight
 	// request is one record (record.go) held by exactly one of the three
 	// queues and indexed by request ID in live.
 	pending  []*seqState
@@ -277,7 +276,6 @@ type Engine struct {
 	swappedTok   int
 	clock        gpusim.Micros
 	admitBlocked bool
-	steps        int
 	genTokens    int64
 	doneTokens   int64 // generated tokens of completed requests only
 	preemptTotal int
@@ -301,11 +299,10 @@ type Engine struct {
 	exports    map[int]*KVExport
 	pendingNIC gpusim.Micros
 
-	// session state (Open / DrainContext): sessN counts the live records
+	// session state (Open): sessN counts the live records
 	// that carry a session handle (see session.go)
 	sessN          int
 	cancelledN     int
-	autoID         int
 	inStep         bool // a scheduler iteration is executing
 	deferredCancel bool // Cancel() arrived mid-step; reap when it ends
 }
@@ -384,9 +381,6 @@ func (e *Engine) emit(ev trace.Event) {
 		e.cfg.Tracer.Emit(ev)
 	}
 }
-
-// maxTotalSteps bounds a drain loop against runaway simulations.
-const maxTotalSteps = 20_000_000
 
 // Submit queues a request for admission at its arrival time. Submit is
 // the accept point of a request's lifecycle: its record is created here,
@@ -647,7 +641,6 @@ func (e *Engine) Step() ([]Completion, error) {
 
 // step is the scheduler iteration body (sessions already reaped).
 func (e *Engine) step() ([]Completion, error) {
-	e.steps++
 	if len(e.running) == 0 && len(e.swappedQ) == 0 {
 		if len(e.pending) == 0 {
 			return nil, nil
@@ -884,17 +877,6 @@ func (e *Engine) Result() Result {
 		res.Offload = e.tiered.Metrics()
 	}
 	return res
-}
-
-// Run processes the request list to completion (or admission starvation)
-// and returns aggregate metrics. It is a convenience wrapper over
-// Submit/DrainContext/Result; an engine is meant to serve one run.
-func (e *Engine) Run(reqs []workload.Request) (Result, error) {
-	for _, r := range reqs {
-		e.Submit(r)
-	}
-	err := e.DrainContext(context.Background())
-	return e.Result(), err
 }
 
 // hasCapacityFor conservatively checks that admitting cand keeps usage under

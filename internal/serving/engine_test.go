@@ -92,10 +92,7 @@ func TestVLLMRunCompletes(t *testing.T) {
 		Model: synth.Llama3_8B, Cluster: cluster(1),
 		Traits: baselines.TraitsVLLM, Seed: 1,
 	})
-	res, err := e.Run(batchReqs(workload.MATH, 16, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, batchReqs(workload.MATH, 16, 1))
 	if res.Completed != 16 {
 		t.Fatalf("completed %d of 16", res.Completed)
 	}
@@ -117,11 +114,7 @@ func TestCompressionIncreasesBatchAndThroughput(t *testing.T) {
 			HiFrac: 0.2, LoFrac: 0.25, Seed: 2,
 			MemoryReserve: 0.97,
 		})
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return serveAll(t, e, reqs)
 	}
 	vllm := run(baselines.TraitsVLLM, false)
 	diff := run(baselines.TraitsDiffKV(0.3), true)
@@ -139,11 +132,7 @@ func TestHFOverheadReducesThroughput(t *testing.T) {
 		e := newEngine(t, Config{
 			Model: synth.Llama3_8B, Cluster: cluster(1), Traits: traits, Seed: 3,
 		})
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return serveAll(t, e, reqs)
 	}
 	kiviLike := baselines.TraitsKIVI
 	noOverhead := kiviLike
@@ -164,11 +153,7 @@ func TestQuestSameBatchAsVLLM(t *testing.T) {
 		e := newEngine(t, Config{
 			Model: synth.Llama3_8B, Cluster: cluster(1), Traits: traits, Seed: 4,
 		})
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return serveAll(t, e, reqs)
 	}
 	vllm := run(baselines.TraitsVLLM)
 	quest := run(baselines.TraitsQuest)
@@ -188,9 +173,7 @@ func TestManagerConservation(t *testing.T) {
 		Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
 		HiFrac: 0.2, LoFrac: 0.25, Seed: 5,
 	})
-	if _, err := e.Run(batchReqs(workload.GSM8K, 24, 5)); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, e, batchReqs(workload.GSM8K, 24, 5))
 	if e.Stats().UsedKVPages != 0 {
 		t.Fatalf("pages leaked after run: %d", e.Stats().UsedKVPages)
 	}
@@ -207,10 +190,7 @@ func TestMemMgmtBreakdownSmallOnGPU(t *testing.T) {
 		Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
 		HiFrac: 0.2, LoFrac: 0.25, Seed: 6,
 	})
-	res, err := e.Run(batchReqs(workload.MATH, 32, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, batchReqs(workload.MATH, 32, 6))
 	frac := float64(res.Gen.MemMgmt) / float64(res.Gen.Total())
 	if frac > 0.05 {
 		t.Fatalf("generation mem-mgmt fraction = %v, want < 5%%", frac)
@@ -227,11 +207,7 @@ func TestPoissonLatencyGrowsWithRate(t *testing.T) {
 			Model: synth.Llama3_8B, Cluster: cluster(1),
 			Traits: baselines.TraitsVLLM, Seed: 8,
 		})
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return serveAll(t, e, reqs)
 	}
 	slow := run(0.2)
 	fast := run(5)
@@ -270,13 +246,10 @@ func TestZeroGenLenKeepsLatencyFinite(t *testing.T) {
 		managerCfg(9),
 	} {
 		e := newEngine(t, cfg)
-		res, err := e.Run([]workload.Request{
+		res := serveAll(t, e, []workload.Request{
 			{ID: 1, PromptLen: 256, GenLen: 0},
 			{ID: 2, PromptLen: 256, GenLen: 32},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if res.Completed != 2 || res.AvgPerTokenLatency <= 0 || math.IsInf(res.AvgPerTokenLatency, 0) {
 			t.Fatalf("UseManager=%v: completed %d, avg per-token latency %v",
 				cfg.UseManager, res.Completed, res.AvgPerTokenLatency)

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -187,9 +186,7 @@ func TestBrownoutAdmitsAtLowTier(t *testing.T) {
 		reqs[i].ArrivalUs = 0 // an instantaneous burst: deep queue guaranteed
 		e.Submit(reqs[i])
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if res := e.Result(); res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
 	}
@@ -219,10 +216,7 @@ func TestBrownoutIgnoresFutureArrivals(t *testing.T) {
 	for i := range reqs {
 		reqs[i].ArrivalUs = float64(i) * 600e6
 	}
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
 	}
@@ -239,10 +233,7 @@ func TestXferFaultFallsBackToRecompute(t *testing.T) {
 	cfg.XferFault = func() bool { return true }
 	e := newEngine(t, cfg)
 	reqs := cotReqs(20, 11)
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d with faulty PCIe", res.Completed, len(reqs))
 	}

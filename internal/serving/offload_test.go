@@ -42,10 +42,7 @@ func TestSwapPreemptionCompletesAll(t *testing.T) {
 	cfg.Tracer = col
 	e := newEngine(t, cfg)
 	reqs := cotReqs(20, 11)
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d under swap preemption", res.Completed, len(reqs))
 	}
@@ -91,10 +88,7 @@ func TestSwapBeatsRecomputeGoodput(t *testing.T) {
 	reqs := cotReqs(20, 11)
 	run := func(policy string, host int64) Result {
 		e := newEngine(t, oversubCfg(policy, host, 11))
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := serveAll(t, e, reqs)
 		if res.Completed != len(reqs) {
 			t.Fatalf("%s: completed %d of %d", policy, res.Completed, len(reqs))
 		}
@@ -164,10 +158,7 @@ func TestCompressSwapFewerBytesServing(t *testing.T) {
 	reqs := cotReqs(16, 17)
 	run := func(policy string) Result {
 		e := newEngine(t, oversubCfg(policy, 2<<30, 17))
-		res, err := e.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := serveAll(t, e, reqs)
 		if res.Offload.SwapOuts == 0 {
 			t.Fatalf("%s: no swaps on oversubscribed run", policy)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"diffkv/internal/offload"
 	"diffkv/internal/trace"
+	"diffkv/internal/workload"
 )
 
 // drainCompletions drives the engine to completion, returning every
@@ -13,6 +14,17 @@ import (
 func drainCompletions(t *testing.T, e *Engine) []Completion {
 	t.Helper()
 	return stepUntil(t, e, func() bool { return false })
+}
+
+// serveAll submits reqs, drains the engine through drainCompletions and
+// returns its Result.
+func serveAll(t *testing.T, e *Engine, reqs []workload.Request) Result {
+	t.Helper()
+	for _, r := range reqs {
+		e.Submit(r)
+	}
+	drainCompletions(t, e)
+	return e.Result()
 }
 
 // The phase buckets are maintained at every scheduler transition, so

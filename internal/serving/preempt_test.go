@@ -21,10 +21,7 @@ func TestPreemptionUnderTightMemory(t *testing.T) {
 		MemoryReserve: 0.985, // ~430 MB of KV: forces constant pressure
 	})
 	reqs := batchReqs(workload.GSM8K, 24, 11)
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d under pressure", res.Completed, len(reqs))
 	}
@@ -51,10 +48,7 @@ func TestPreemptionPoisson(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Skip("no arrivals drawn")
 	}
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	if res.Completed != len(reqs) {
 		t.Fatalf("completed %d of %d", res.Completed, len(reqs))
 	}
@@ -73,10 +67,7 @@ func TestGenLimitClamp(t *testing.T) {
 		Traits: baselines.TraitsVLLM, MaxGenLen: 64, Seed: 17,
 	})
 	reqs := workload.NewRequestGen(workload.MATH, 4096, 17).Batch(4)
-	res, err := e.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, reqs)
 	// 4 requests x at most 64 generated tokens each
 	if res.GenSteps > 4*64 {
 		t.Fatalf("generation ran past the limit: %d steps", res.GenSteps)
@@ -94,10 +85,7 @@ func TestBreakdownAccumulates(t *testing.T) {
 		Traits: baselines.TraitsDiffKV(0.3), UseManager: true,
 		HiFrac: 0.2, LoFrac: 0.25, Seed: 19,
 	})
-	res, err := e.Run(batchReqs(workload.GSM8K, 8, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, e, batchReqs(workload.GSM8K, 8, 19))
 	for phase, bd := range map[string]StepBreakdown{"prompt": res.Prompt, "gen": res.Gen} {
 		total := bd.Scheduler + bd.MemMgmt + bd.Compressor + bd.ModelExec
 		if total != bd.Total() {
@@ -124,9 +112,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 		Tracer:        col,
 	})
 	reqs := batchReqs(workload.GSM8K, 16, 23)
-	if _, err := e.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, e, reqs)
 	s := col.Summarize()
 	if s.Counts[trace.KindAdmit] < len(reqs) {
 		t.Fatalf("admits = %d, want >= %d (re-admissions count too)",

@@ -36,12 +36,12 @@ type TokenUpdate struct {
 
 // Session is a per-request handle over the steppable engine: Open
 // submits the request and returns the handle, token progress streams
-// through the OnToken callback while the engine is driven (Step /
-// DrainContext), and cancellation — explicit Cancel or the Open context
-// expiring — frees the request's KV pages and host-tier state instead of
-// finishing the generation. A Session is owned by the engine's driving
-// goroutine, like the engine itself; Done is the only member safe to use
-// from other goroutines.
+// through the OnToken callback while the engine is stepped, and
+// cancellation — explicit Cancel or the Open context expiring — frees
+// the request's KV pages and host-tier state instead of finishing the
+// generation. A Session is owned by the engine's driving goroutine, like
+// the engine itself; Done is the only member safe to use from other
+// goroutines.
 type Session struct {
 	// eng is the engine whose record carries the session; nil while the
 	// request is in transit between engines (on an Orphan or a KVExport)
@@ -61,9 +61,6 @@ type Session struct {
 
 // ID returns the request ID the session serves.
 func (s *Session) ID() int { return s.req.ID }
-
-// Request returns the submitted request (with any auto-assigned ID).
-func (s *Session) Request() workload.Request { return s.req }
 
 // OnToken sets the token-progress callback and returns the session for
 // chaining. Set it before driving the engine; callbacks run synchronously
@@ -140,17 +137,14 @@ func (s *Session) finish(cp Completion, err error) {
 // Open submits a request and returns its session handle. The context
 // governs the request's lifetime: once it is cancelled or its deadline
 // passes, the next engine step reaps the session and frees its KV state.
-// A zero request ID is auto-assigned from a private range so hand-built
-// requests need no ID bookkeeping. The engine must still be driven (Step
-// or DrainContext) for the session to make progress — Open itself
-// performs no work, matching a real online server's accept path.
+// The request is taken as given: its caller (cluster.Cluster.Open)
+// assigns a fleet-unique ID and clamps the arrival to the fleet clock
+// before it routes. The engine must still be stepped for the session to
+// make progress — Open itself performs no work, matching a real online
+// server's accept path.
 func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if r.ID == 0 {
-		e.autoID++
-		r.ID = sessionAutoIDBase + e.autoID
 	}
 	if e.live[r.ID] != nil {
 		return nil, fmt.Errorf("serving: session for request %d already open", r.ID)
@@ -158,18 +152,10 @@ func (e *Engine) Open(ctx context.Context, r workload.Request) (*Session, error)
 	if r.GenLen <= 0 {
 		return nil, fmt.Errorf("serving: request %d has no generation budget", r.ID)
 	}
-	if r.ArrivalUs < float64(e.clock) {
-		// an online request cannot arrive in the simulated past
-		r.ArrivalUs = float64(e.clock)
-	}
 	s := &Session{ctx: ctx, req: r, done: make(chan struct{})}
 	e.submit(r, s)
 	return s, nil
 }
-
-// sessionAutoIDBase keeps auto-assigned session request IDs clear of
-// workload-generator IDs (which count up from 1).
-const sessionAutoIDBase = 1 << 30
 
 // OpenSessions returns the number of unfinished sessions.
 func (e *Engine) OpenSessions() int { return e.sessN }
@@ -260,27 +246,4 @@ func (e *Engine) notifyGenProgress(genSeqs []*seqState) {
 			s.onToken(TokenUpdate{Seq: st.req.ID, Generated: st.generated, TimeUs: now})
 		}
 	}
-}
-
-// DrainContext steps the engine until all submitted work completes, the
-// context is done, or the step bound is hit. On context expiry it stops
-// between steps and returns the context's error with unfinished work
-// still queued.
-func (e *Engine) DrainContext(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for e.steps < maxTotalSteps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.ReapSessions() // cancellations may empty the remaining work
-		if !e.HasWork() {
-			return nil
-		}
-		if _, err := e.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

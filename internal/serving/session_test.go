@@ -63,9 +63,7 @@ func TestSessionStreamsTokens(t *testing.T) {
 	if e.OpenSessions() != 2 {
 		t.Fatalf("open sessions = %d", e.OpenSessions())
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	for _, s := range sessions {
 		select {
 		case <-s.Done():
@@ -131,9 +129,7 @@ func TestSessionCancelFreesPages(t *testing.T) {
 	if _, err := sessions[0].Completion(); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("cancelled session error = %v", err)
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if e.Stats().UsedKVPages != 0 {
 		t.Fatalf("pages leaked after drain: %d", e.Stats().UsedKVPages)
 	}
@@ -202,9 +198,7 @@ func TestSessionCancelSwappedFreesHostBytes(t *testing.T) {
 	if got, want := e.Stats().HostBytes, e.tiered.HostUsedBytes(); got != want {
 		t.Fatalf("Stats().HostBytes = %d after the cancel, host tier holds %d", got, want)
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if e.Stats().UsedKVPages != 0 || e.tiered.HostUsedBytes() != 0 {
 		t.Fatalf("leak after drain: %d pages, %d host bytes",
 			e.Stats().UsedKVPages, e.tiered.HostUsedBytes())
@@ -284,29 +278,23 @@ func TestReapCancelsInIDOrder(t *testing.T) {
 }
 
 // TestSessionContextCancellation covers the ctx path: a session whose
-// context dies is reaped at the next step with its queue slot freed, and
-// DrainContext itself respects its own context's deadline.
+// context dies is reaped at the next step with its queue slot freed.
 func TestSessionContextCancellation(t *testing.T) {
 	e := newEngine(t, Config{
 		Model: synth.Llama3_8B, Cluster: cluster(1),
 		Traits: baselines.TraitsVLLM, Seed: 7,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := e.Open(ctx, workload.Request{PromptLen: 128, GenLen: 512})
+	doomed, err := e.Open(ctx, workload.Request{ID: 1, PromptLen: 128, GenLen: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doomed.ID() < sessionAutoIDBase {
-		t.Fatalf("auto-assigned ID %d not in session range", doomed.ID())
-	}
-	alive, err := e.Open(context.Background(), workload.Request{PromptLen: 128, GenLen: 16})
+	alive, err := e.Open(context.Background(), workload.Request{ID: 2, PromptLen: 128, GenLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if _, err := doomed.Completion(); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("ctx-cancelled session error = %v", err)
 	}
@@ -316,23 +304,6 @@ func TestSessionContextCancellation(t *testing.T) {
 	if n := liveRecords(t, e); n != 0 {
 		t.Fatalf("%d request records left after drain", n)
 	}
-
-	// deadline on the drain itself: expired context stops stepping
-	e2 := newEngine(t, Config{
-		Model: synth.Llama3_8B, Cluster: cluster(1),
-		Traits: baselines.TraitsVLLM, Seed: 8,
-	})
-	if _, err := e2.Open(context.Background(), workload.Request{PromptLen: 128, GenLen: 64}); err != nil {
-		t.Fatal(err)
-	}
-	expired, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if err := e2.DrainContext(expired); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DrainContext with dead context = %v", err)
-	}
-	if !e2.HasWork() {
-		t.Fatal("deadline drain should leave work pending")
-	}
 }
 
 // TestSessionCancelFromCallback cancels a session from inside its own
@@ -340,11 +311,11 @@ func TestSessionContextCancellation(t *testing.T) {
 // boundary, then free state exactly like an idle-time cancel.
 func TestSessionCancelFromCallback(t *testing.T) {
 	e := newEngine(t, managerCfg(13))
-	s, err := e.Open(context.Background(), workload.Request{PromptLen: 512, GenLen: 128})
+	s, err := e.Open(context.Background(), workload.Request{ID: 1, PromptLen: 512, GenLen: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := e.Open(context.Background(), workload.Request{PromptLen: 512, GenLen: 32})
+	other, err := e.Open(context.Background(), workload.Request{ID: 2, PromptLen: 512, GenLen: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +324,7 @@ func TestSessionCancelFromCallback(t *testing.T) {
 			s.Cancel()
 		}
 	})
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if _, err := s.Completion(); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("callback-cancelled session error = %v", err)
 	}
@@ -404,9 +373,7 @@ func TestSessionSingleFirstUnderPreemption(t *testing.T) {
 		})
 		sessions = append(sessions, s)
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if e.preemptTotal == 0 {
 		t.Fatal("workload not preemption-heavy; test proves nothing")
 	}

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"context"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -9,28 +8,28 @@ import (
 	"diffkv/internal/workload"
 )
 
-// TestSteppableMatchesRun verifies the incremental
-// Submit/Step/DrainContext API produces exactly the metrics the one-shot
-// Run wrapper reports — Run is a thin wrapper, so any divergence means
-// hidden state.
-func TestSteppableMatchesRun(t *testing.T) {
+// TestOnlineSubmitMatchesUpFront verifies that submitting each request
+// only once the engine's clock reaches its arrival — the way the cluster's
+// event loop dispatches — produces exactly the metrics of submitting the
+// whole list up front: admission must read arrival times, not submission
+// order, so any divergence means hidden state.
+func TestOnlineSubmitMatchesUpFront(t *testing.T) {
 	reqs := workload.NewRequestGen(workload.GSM8K, 512, 77).Poisson(2, 60)
 	cfg := Config{
 		Model: synth.Llama3_8B, Cluster: cluster(1),
 		Traits: baselines.TraitsVLLM, Seed: 77,
 	}
 	whole := newEngine(t, cfg)
-	wantRes, err := whole.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantRes := serveAll(t, whole, reqs)
 
 	stepped := newEngine(t, cfg)
-	for _, r := range reqs {
-		stepped.Submit(r)
-	}
 	var comps []Completion
-	for stepped.HasWork() {
+	for next := 0; next < len(reqs) || stepped.HasWork(); {
+		if at, ok := stepped.NextTime(); next < len(reqs) && (!ok || reqs[next].ArrivalUs <= float64(at)) {
+			stepped.Submit(reqs[next])
+			next++
+			continue
+		}
 		cs, err := stepped.Step()
 		if err != nil {
 			t.Fatal(err)
@@ -156,9 +155,7 @@ func TestPrefixCacheLRUEviction(t *testing.T) {
 			PromptLen: 512, GenLen: 16, PrefixGroup: g, PrefixLen: 384,
 		})
 	}
-	if err := e.DrainContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainCompletions(t, e)
 	if e.prefix[1] != nil {
 		t.Fatal("group 1 should have been LRU-evicted")
 	}

@@ -85,10 +85,7 @@ func TestOneInstanceClusterMatchesServer(t *testing.T) {
 			batch, clustered := build(batchEvents), build(clusterEvents)
 			reqs := batch.Requests()
 
-			want, err := batch.Server.Run(reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := serveAll(t, batch.Server, reqs)
 			m, err := clustered.Cluster.Run(reqs)
 			if err != nil {
 				t.Fatal(err)

@@ -240,10 +240,7 @@ func TestScenarioTraceWorkload(t *testing.T) {
 	if reqs[1].ArrivalUs != 0.5e6 || reqs[0].PromptLen != 256 {
 		t.Fatalf("trace fields mangled: %+v", reqs)
 	}
-	res, err := st.Server.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serveAll(t, st.Server, reqs)
 	if res.Completed != 2 {
 		t.Fatalf("completed %d", res.Completed)
 	}
