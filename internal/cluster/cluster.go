@@ -480,34 +480,19 @@ func (c *Cluster) Stats() serving.DriverStats {
 	return ds
 }
 
-// finishMetrics finalizes the accumulator and overlays the fault-recovery
-// counters: the cluster's own, plus the per-engine ones summed as Stats
-// sums them.
+// finishMetrics finalizes the accumulator over one fleet snapshot, so
+// Metrics and Stats agree on every counter they share.
 func (c *Cluster) finishMetrics() Metrics {
-	m := c.acc.finish(c.engines)
-	m.Failed = c.failedN
-	m.Redispatches = c.redispatchN
-	m.Crashes = c.crashes
-	m.Restarts = c.restarts
-	m.SwapRecovered = c.swapRecovered
-	for i, e := range c.engines {
-		m.LostKVBytes += e.LostKVBytes()
-		m.BrownoutAdmits += e.BrownoutAdmits()
-		if c.perInstRedisp != nil {
-			m.PerInstance[i].Redispatched = c.perInstRedisp[i]
-		}
-	}
+	ds := c.Stats()
+	m := c.acc.finish(c.engines, ds)
 	if c.dg != nil {
 		m.Disagg = &DisaggMetrics{
 			PrefillInstances: c.dg.cfg.PrefillInstances,
 			DecodeInstances:  c.dg.cfg.DecodeInstances,
-			Transfers:        c.dg.transfers,
-			KVBytesShipped:   c.dg.bytes,
+			Transfers:        ds.KVTransfers,
+			KVBytesShipped:   ds.KVBytesShipped,
 			XferSeconds:      c.dg.xferUs / 1e6,
-			Links:            c.dg.ledger.Links(),
-		}
-		for i := range m.PerInstance {
-			m.PerInstance[i].Role = string(c.dg.roles[i])
+			Links:            ds.KVShipLinks,
 		}
 	}
 	return m

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -114,17 +115,97 @@ func TestChaosLivenessUnderChurn(t *testing.T) {
 	}
 }
 
-// Lost KV bytes have one counter, the engines': the run's Metrics and the
-// live Stats both sum it, so they agree after a chaos run.
+// Metrics and Stats agree on every counter they share — the fault and
+// host-tier counters after a churn run and a swap-recovery run, and the
+// transfer counters after a disaggregated run — and the churn run lost
+// GPU KV to its crashes.
 func TestChaosLostKVMetricsMatchStats(t *testing.T) {
-	c := chaosCluster(t, churnPlan(99), nil)
-	m, err := c.Run(chaosReqs(36, 6, 5))
-	if err != nil {
-		t.Fatal(err)
+	// agree requires Metrics and Stats to report the same value for
+	// every counter they share.
+	agree := func(t *testing.T, m Metrics, ds serving.DriverStats) {
+		t.Helper()
+		for _, c := range []struct {
+			name     string
+			got, ref int64
+		}{
+			{"Completed", int64(m.Completed), int64(ds.Completed)},
+			{"Rejected", int64(m.Rejected), int64(ds.Rejected)},
+			{"Cancelled", int64(m.Cancelled), int64(ds.Cancelled)},
+			{"Failed", int64(m.Failed), int64(ds.Failed)},
+			{"Preemptions", int64(m.Preemptions), int64(ds.Preemptions)},
+			{"SwapOutBytes", m.SwapOutBytes, ds.SwapOutBytes},
+			{"SwapInBytes", m.SwapInBytes, ds.SwapInBytes},
+			{"HostPrefixHits", int64(m.HostPrefixHits), int64(ds.HostPrefixHits)},
+			{"Crashes", int64(m.Crashes), int64(ds.Crashes)},
+			{"Restarts", int64(m.Restarts), int64(ds.Restarts)},
+			{"Redispatches", int64(m.Redispatches), int64(ds.Redispatches)},
+			{"SwapRecovered", int64(m.SwapRecovered), int64(ds.SwapRecovered)},
+			{"LostKVBytes", m.LostKVBytes, ds.LostKVBytes},
+			{"BrownoutAdmits", int64(m.BrownoutAdmits), int64(ds.BrownoutAdmits)},
+		} {
+			if c.got != c.ref {
+				t.Errorf("%s: Metrics %d, Stats %d", c.name, c.got, c.ref)
+			}
+		}
+		if m.ElapsedSeconds != ds.ClockUs/1e6 {
+			t.Errorf("elapsed: Metrics %v s, Stats clock %v us", m.ElapsedSeconds, ds.ClockUs)
+		}
+		for i, is := range ds.PerInstance {
+			if m.PerInstance[i].Redispatched != is.Redispatched || m.PerInstance[i].Role != is.Role {
+				t.Errorf("instance %d: Metrics %+v, Stats %+v", i+1, m.PerInstance[i], is)
+			}
+		}
+		if ds.KVTransfers == 0 {
+			if m.Disagg != nil {
+				t.Errorf("disagg metrics %+v without transfers", m.Disagg)
+			}
+			return
+		}
+		if m.Disagg == nil || m.Disagg.Transfers != ds.KVTransfers || m.Disagg.KVBytesShipped != ds.KVBytesShipped ||
+			!slices.Equal(m.Disagg.Links, ds.KVShipLinks) {
+			t.Errorf("disagg: Metrics %+v, Stats transfers %d bytes %d links %v",
+				m.Disagg, ds.KVTransfers, ds.KVBytesShipped, ds.KVShipLinks)
+		}
 	}
-	if got := c.Stats().LostKVBytes; m.LostKVBytes != got || got <= 0 {
-		t.Fatalf("lost KV bytes: Metrics %d, Stats %d; want equal and > 0", m.LostKVBytes, got)
-	}
+
+	t.Run("churn", func(t *testing.T) {
+		c := chaosCluster(t, churnPlan(99), nil)
+		m, err := c.Run(chaosReqs(36, 6, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := c.Stats()
+		if ds.LostKVBytes <= 0 || ds.Redispatches == 0 {
+			t.Fatalf("churn lost no KV or re-dispatched nothing: %+v", ds)
+		}
+		agree(t, m, ds)
+		agree(t, c.Metrics(), ds)
+	})
+	t.Run("swap-recovery", func(t *testing.T) {
+		plan := &faults.Plan{Seed: 7, Crashes: []faults.Crash{{Inst: 1, AtSec: 20, DownSec: 5}}}
+		c := chaosCluster(t, plan, func(cfg *Config) { cfg.Instances = 2 })
+		m, err := c.Run(workload.NewRequestGen(workload.MATH, 2048, 11).CoTBatch(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := c.Stats()
+		if ds.SwapRecovered == 0 || ds.SwapOutBytes == 0 || ds.SwapInBytes == 0 {
+			t.Fatalf("no swap recovery: %+v", ds)
+		}
+		agree(t, m, ds)
+	})
+	t.Run("disagg", func(t *testing.T) {
+		c := newDisaggCluster(t, nil)
+		m, err := c.Run(disaggReqs(32, 12, 33))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := c.Stats()
+		if ds.KVTransfers == 0 || len(ds.KVShipLinks) == 0 {
+			t.Fatalf("disagg run shipped nothing: %+v", ds)
+		}
+		agree(t, m, ds)
+	})
 }
 
 // The same plan and seed must reproduce the identical event stream —

@@ -12,8 +12,8 @@ import (
 // Quantiles summarizes a latency distribution in seconds.
 type Quantiles = stats.LatencySummary
 
-// InstanceStats reports one instance's share of the run.
-type InstanceStats struct {
+// InstanceShare reports one instance's share of the run.
+type InstanceShare struct {
 	Dispatched       int
 	Completed        int
 	DispatchedTokens int
@@ -64,7 +64,7 @@ type Metrics struct {
 	GoodputReqPerSec float64
 	GoodputFrac      float64
 
-	PerInstance     []InstanceStats
+	PerInstance     []InstanceShare
 	MeanUtilization float64
 	// LoadImbalanceCV is the coefficient of variation (std/mean) of
 	// per-instance busy time: 0 = perfectly balanced.
@@ -137,7 +137,7 @@ func newAccumulator(cfg Config, policy string) *accumulator {
 		m: Metrics{
 			Policy:      policy,
 			Instances:   cfg.Instances,
-			PerInstance: make([]InstanceStats, cfg.Instances),
+			PerInstance: make([]InstanceShare, cfg.Instances),
 		},
 	}
 }
@@ -168,36 +168,41 @@ func (a *accumulator) complete(inst int, cp serving.Completion) {
 	a.cached += int64(cp.CachedPrefixTokens)
 }
 
-// finish returns the Metrics accumulated so far. PerInstance is a copy, so
-// the overlays written here and by finishMetrics never reach a Metrics
-// returned earlier.
-func (a *accumulator) finish(engines []*serving.Engine) Metrics {
+// finish returns the Metrics accumulated so far, taking every counter
+// the fleet snapshot ds already sums (Cluster.Stats) from it. PerInstance
+// is a copy, so the overlays written here and by finishMetrics never
+// reach a Metrics returned earlier.
+func (a *accumulator) finish(engines []*serving.Engine, ds serving.DriverStats) Metrics {
 	m := a.m
 	m.PerInstance = slices.Clone(a.m.PerInstance)
-	var makespanUs float64
+	m.Cancelled = ds.Cancelled
+	m.Failed = ds.Failed
+	m.Preemptions = ds.Preemptions
+	m.SwapOutBytes = ds.SwapOutBytes
+	m.SwapInBytes = ds.SwapInBytes
+	m.HostPrefixHits = ds.HostPrefixHits
+	m.Crashes = ds.Crashes
+	m.Restarts = ds.Restarts
+	m.Redispatches = ds.Redispatches
+	m.SwapRecovered = ds.SwapRecovered
+	m.LostKVBytes = ds.LostKVBytes
+	m.BrownoutAdmits = ds.BrownoutAdmits
 	var thrash, swapIns int
 	busy := make([]float64, len(engines))
-	m.Cancelled = 0
 	for i, e := range engines {
-		m.Cancelled += e.CancelledSessions()
-		if t := float64(e.Clock()); t > makespanUs {
-			makespanUs = t
-		}
 		busy[i] = e.BusyTime().Seconds()
 		m.PerInstance[i].BusySeconds = busy[i]
+		m.PerInstance[i].Redispatched = ds.PerInstance[i].Redispatched
+		m.PerInstance[i].Role = ds.PerInstance[i].Role
 		r := e.Result()
-		m.Preemptions += r.Preemptions
-		m.SwapOutBytes += r.Offload.SwapOutBytes
-		m.SwapInBytes += r.Offload.SwapInBytes
 		m.SwapStallSeconds += r.OffloadStallSeconds
-		m.HostPrefixHits += r.Offload.PrefixHits
 		thrash += r.Offload.ThrashEvents
 		swapIns += r.Offload.SwapIns
 	}
 	if swapIns > 0 {
 		m.ThrashRate = float64(thrash) / float64(swapIns)
 	}
-	m.ElapsedSeconds = makespanUs / 1e6
+	m.ElapsedSeconds = ds.ClockUs / 1e6
 	if m.ElapsedSeconds > 0 {
 		m.ThroughputTokensPerSec = float64(a.genTok) / m.ElapsedSeconds
 		m.GoodputReqPerSec = float64(a.good) / m.ElapsedSeconds
@@ -227,7 +232,7 @@ func (a *accumulator) finish(engines []*serving.Engine) Metrics {
 	return m
 }
 
-func meanOf(insts []InstanceStats) float64 {
+func meanOf(insts []InstanceShare) float64 {
 	if len(insts) == 0 {
 		return 0
 	}

@@ -402,10 +402,10 @@ func TestMetricsAndHealthz(t *testing.T) {
 // listed them in.
 func TestMetricsSaturationHeadroomLines(t *testing.T) {
 	tc := telemetry.New(telemetry.Config{})
-	tc.Sample(telemetry.Observation{PerInstance: []telemetry.InstanceObservation{
-		{Inst: 10, ResidentTokens: 250, MemoryTokens: 1000},
-		{Inst: 2, ResidentTokens: 500, MemoryTokens: 1000},
-		{Inst: 1, ResidentTokens: 900, MemoryTokens: 1000},
+	tc.Sample(telemetry.Observation{PerInstance: []telemetry.InstanceStats{
+		{Inst: 10, ResidentTokens: 250, TokenCapacity: 1000},
+		{Inst: 2, ResidentTokens: 500, TokenCapacity: 1000},
+		{Inst: 1, ResidentTokens: 900, TokenCapacity: 1000},
 	}})
 	g, err := New(Config{Loop: engineLoop(t, traitsCfg(12), LoopConfig{}), Telemetry: tc})
 	if err != nil {

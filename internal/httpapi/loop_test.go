@@ -294,8 +294,8 @@ func TestLoopTelemetrySampling(t *testing.T) {
 	}
 	// the engine has a token budget, so capacity must be known and
 	// headroom computable
-	if snap.Instances[0].CapacityTokens <= 0 {
-		t.Fatalf("capacity = %g, want > 0", snap.Instances[0].CapacityTokens)
+	if snap.Instances[0].TokenCapacity <= 0 {
+		t.Fatalf("capacity = %g, want > 0", snap.Instances[0].TokenCapacity)
 	}
 }
 

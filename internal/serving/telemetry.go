@@ -67,43 +67,10 @@ type DriverStats struct {
 	PerInstance []InstanceStats
 }
 
-// InstanceStats is one serving instance's share of the load gauges.
-// Engine.Stats fills the engine's own fields; the cluster tags the row
-// with Inst, Health, Redispatched and Role.
-type InstanceStats struct {
-	// Inst is the 1-based instance tag (matching trace.Event.Inst in
-	// cluster runs).
-	Inst        int
-	QueueDepth  int
-	Running     int
-	Swapped     int
-	FreeKVPages int
-	UsedKVPages int
-	// Health is the instance's fault-injection state: "healthy",
-	// "degraded" (transient slowdown) or "down" (crashed, awaiting
-	// restart). Always "healthy" without fault injection.
-	Health string
-	// Redispatched counts crash orphans this instance accepted.
-	Redispatched int
-	// ResidentTokens / SwappedTokens are the GPU-resident and host-tier
-	// KV token footprints; TokenCapacity is the whole-pool token budget
-	// (Engine.TotalTokenCapacity). Together they feed the saturation
-	// analyzer: demand = resident + swapped + queued×avg-prompt against
-	// capacity.
-	ResidentTokens int
-	SwappedTokens  int
-	TokenCapacity  float64
-	// HostBytes is the host tier's current occupancy — swapped
-	// sequences and spilled prefixes (0 without a host tier).
-	HostBytes int64
-	// Per-instance lifetime counters for {inst}-labelled exposition.
-	Preemptions  int
-	SwapOutBytes int64
-	SwapInBytes  int64
-	// Role is the instance's disaggregation pool ("prefill", "decode" or
-	// "mixed"); empty without disaggregation.
-	Role string
-}
+// InstanceStats is one serving instance's load row (telemetry's one
+// per-instance shape). Engine.Stats fills the engine's own fields; the
+// cluster tags the row with Inst, Health, Redispatched and Role.
+type InstanceStats = telemetry.InstanceStats
 
 // Stats returns the engine's load row: occupancy gauges and per-instance
 // counters. Inst, Health, Redispatched and Role are the cluster's to
@@ -128,36 +95,18 @@ func (e *Engine) Stats() InstanceStats {
 }
 
 // ObservationFromStats converts a driver counter snapshot into the
-// telemetry package's fleet observation. The conversion lives here (not
-// in telemetry) so telemetry never imports serving — the dependency
-// runs one way, serving → telemetry, with no cycle.
+// telemetry package's fleet observation, sharing the per-instance rows.
+// The conversion lives here (not in telemetry) so telemetry never
+// imports serving — the dependency runs one way, serving → telemetry,
+// with no cycle.
 func ObservationFromStats(ds DriverStats) telemetry.Observation {
-	obs := telemetry.Observation{
+	return telemetry.Observation{
 		TimeUs:                 ds.ClockUs,
 		ThroughputTokensPerSec: ds.ThroughputTokensPerSec,
 		GoodputTokensPerSec:    ds.GoodputTokensPerSec,
 		InstancesUp:            ds.InstancesUp,
 		Completed:              int64(ds.Completed),
 		Rejected:               int64(ds.Rejected),
-		PerInstance:            make([]telemetry.InstanceObservation, 0, len(ds.PerInstance)),
+		PerInstance:            ds.PerInstance,
 	}
-	for _, is := range ds.PerInstance {
-		obs.PerInstance = append(obs.PerInstance, telemetry.InstanceObservation{
-			Inst:           is.Inst,
-			QueueDepth:     is.QueueDepth,
-			Running:        is.Running,
-			Swapped:        is.Swapped,
-			FreeKVPages:    int64(is.FreeKVPages),
-			UsedKVPages:    int64(is.UsedKVPages),
-			ResidentTokens: int64(is.ResidentTokens),
-			SwappedTokens:  int64(is.SwappedTokens),
-			MemoryTokens:   is.TokenCapacity,
-			HostBytes:      is.HostBytes,
-			Health:         is.Health,
-			Preemptions:    int64(is.Preemptions),
-			SwapOutBytes:   is.SwapOutBytes,
-			SwapInBytes:    is.SwapInBytes,
-		})
-	}
-	return obs
 }

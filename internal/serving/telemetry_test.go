@@ -3,7 +3,8 @@ package serving
 import "testing"
 
 // TestObservationFromStats pins the DriverStats -> Observation mapping
-// the cluster's telemetry feed relies on.
+// the cluster's telemetry feed relies on: the six fleet fields are
+// copied and the per-instance load rows are shared, not copied.
 func TestObservationFromStats(t *testing.T) {
 	ds := DriverStats{
 		ClockUs:                5e6,
@@ -23,14 +24,17 @@ func TestObservationFromStats(t *testing.T) {
 	if obs.TimeUs != 5e6 || obs.InstancesUp != 2 || obs.Completed != 7 || obs.Rejected != 1 {
 		t.Fatalf("fleet fields: %+v", obs)
 	}
-	if len(obs.PerInstance) != 1 {
-		t.Fatalf("per-instance: %+v", obs.PerInstance)
+	if obs.ThroughputTokensPerSec != 123 || obs.GoodputTokensPerSec != 100 {
+		t.Fatalf("fleet rates: %+v", obs)
+	}
+	if len(obs.PerInstance) != 1 || &obs.PerInstance[0] != &ds.PerInstance[0] {
+		t.Fatalf("per-instance rows are not the snapshot's own: %+v", obs.PerInstance)
 	}
 	io := obs.PerInstance[0]
 	if io.Inst != 1 || io.QueueDepth != 3 || io.Running != 2 || io.Swapped != 1 {
 		t.Fatalf("occupancy: %+v", io)
 	}
-	if io.MemoryTokens != 1000 {
+	if io.TokenCapacity != 1000 {
 		t.Fatalf("capacity: %+v", io)
 	}
 	// host bytes are the tier's occupancy as the engine reports it, not

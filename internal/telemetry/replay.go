@@ -14,18 +14,19 @@ import (
 // queue/running occupancy, latency histograms, swap byte totals and the
 // KindAlert timeline are reconstructed exactly.
 
-// replayInst is the per-instance state during replay.
+// replayInst is the per-instance state during replay: the load row the
+// event stream can fill, its latency histograms, and the host bytes
+// each swapped-out sequence holds until it leaves the host tier.
 type replayInst struct {
-	inst         int
-	queue        int
-	running      int
-	swapped      int
-	hostBytes    int64
-	swapOutBytes int64
-	swapInBytes  int64
-	preemptions  int64
-	health       string
-	lat          LatencySet
+	row      InstanceStats
+	lat      LatencySet
+	swapHeld map[int]int64
+}
+
+// release drops seq's swapped bytes from the host tier, if it holds any.
+func (ri *replayInst) release(seq int) {
+	ri.row.HostBytes -= ri.swapHeld[seq]
+	delete(ri.swapHeld, seq)
 }
 
 // Replay folds a trace event stream (emission order) into an offline
@@ -35,8 +36,11 @@ type replayInst struct {
 // the engine's rule) on the instance that completed it, and an in-flight
 // tree occupies the instance it was last seen on, by the phase it ended
 // in. Swap traffic, preemptions, health, rejects and alerts come from
-// the events themselves. Events with unknown kinds are ignored, so
-// replay stays forward-compatible with new event types.
+// the events themselves; a swapped sequence's host bytes are released by
+// its swap-in, its cancel or a crash's retry of it (a crash with a
+// restart keeps its swapped sequences and emits no retry for them).
+// Events with unknown kinds are ignored, so replay stays
+// forward-compatible with new event types.
 func Replay(events []trace.Event) Snapshot {
 	insts := map[int]*replayInst{}
 	var alerts []Alert
@@ -46,7 +50,7 @@ func Replay(events []trace.Event) Snapshot {
 	get := func(inst int) *replayInst {
 		ri := insts[inst]
 		if ri == nil {
-			ri = &replayInst{inst: inst, health: "healthy"}
+			ri = &replayInst{row: InstanceStats{Inst: inst, Health: "healthy"}, swapHeld: map[int]int64{}}
 			insts[inst] = ri
 		}
 		return ri
@@ -59,21 +63,21 @@ func Replay(events []trace.Event) Snapshot {
 		ri := get(e.Inst)
 		switch e.Kind {
 		case trace.KindPreempt:
-			ri.preemptions++
+			ri.row.Preemptions++
 		case trace.KindSwapOut:
-			ri.hostBytes += e.Bytes
-			ri.swapOutBytes += e.Bytes
-			ri.preemptions++
+			ri.row.HostBytes += e.Bytes
+			ri.swapHeld[e.Seq] += e.Bytes
+			ri.row.SwapOutBytes += e.Bytes
+			ri.row.Preemptions++
 		case trace.KindSwapIn:
-			ri.hostBytes -= e.Bytes
-			if ri.hostBytes < 0 {
-				ri.hostBytes = 0
-			}
-			ri.swapInBytes += e.Bytes
+			ri.release(e.Seq)
+			ri.row.SwapInBytes += e.Bytes
+		case trace.KindCancel, trace.KindRetry:
+			ri.release(e.Seq)
 		case trace.KindReject:
 			rejected++
 		case trace.KindHealth:
-			ri.health = e.Note
+			ri.row.Health = e.Note
 		case trace.KindAlert:
 			alerts = append(alerts, Alert{TimeUs: e.TimeUs, Inst: e.Inst, Note: e.Note})
 		}
@@ -90,11 +94,11 @@ func Replay(events []trace.Event) Snapshot {
 		}
 		switch rt.Phase {
 		case trace.PhaseQueue, trace.PhaseStall:
-			ri.queue++
+			ri.row.QueueDepth++
 		case trace.PhasePrefill, trace.PhaseDecode:
-			ri.running++
+			ri.row.Running++
 		case trace.PhaseSwapped:
-			ri.swapped++
+			ri.row.Swapped++
 		}
 	}
 
@@ -114,26 +118,17 @@ func Replay(events []trace.Event) Snapshot {
 		// cluster-wide alerts), which move no occupancy: skip its row when
 		// it has nothing to show. A tagged instance always has a row, a
 		// prefill-pool one with no completion of its own included.
-		if ri.inst == 0 && ri.queue == 0 && ri.running == 0 && ri.swapped == 0 &&
-			ri.lat.E2E.Count() == 0 && ri.swapOutBytes == 0 && ri.preemptions == 0 {
+		if ri.row.Inst == 0 && ri.row.QueueDepth == 0 && ri.row.Running == 0 && ri.row.Swapped == 0 &&
+			ri.lat.E2E.Count() == 0 && ri.row.SwapOutBytes == 0 && ri.row.Preemptions == 0 {
 			continue
 		}
-		queueTotal += ri.queue
-		runningTotal += ri.running
-		if ri.health != "down" {
+		queueTotal += ri.row.QueueDepth
+		runningTotal += ri.row.Running
+		if ri.row.Health != "down" {
 			up++
 		}
 		row := InstanceSnapshot{
-			Inst:          ri.inst,
-			Health:        ri.health,
-			QueueDepth:    ri.queue,
-			Running:       ri.running,
-			Swapped:       ri.swapped,
-			HostBytes:     ri.hostBytes,
-			Preemptions:   ri.preemptions,
-			SwapOutBytes:  ri.swapOutBytes,
-			SwapInBytes:   ri.swapInBytes,
-			SwappedTokens: 0,
+			InstanceStats: ri.row,
 			Latency: map[string]LatencySnapshot{
 				"ttft": ri.lat.TTFT.snapshot(),
 				"e2e":  ri.lat.E2E.snapshot(),

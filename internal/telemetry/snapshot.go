@@ -6,29 +6,16 @@ import "sort"
 // a terminal-width trend without bloating the JSON.
 const sparkLen = 32
 
-// InstanceSnapshot is one instance's row in a Snapshot.
+// InstanceSnapshot is one instance's row in a Snapshot: its load row as
+// last sampled, plus what the Center derives from it.
 type InstanceSnapshot struct {
-	Inst           int     `json:"inst"`
-	Health         string  `json:"health,omitempty"`
-	QueueDepth     int     `json:"queue_depth"`
-	Running        int     `json:"running"`
-	Swapped        int     `json:"swapped"`
-	FreeKVPages    int64   `json:"free_kv_pages"`
-	UsedKVPages    int64   `json:"used_kv_pages"`
-	ResidentTokens int64   `json:"resident_tokens"`
-	SwappedTokens  int64   `json:"swapped_tokens"`
-	HostBytes      int64   `json:"host_bytes"`
-	CapacityTokens float64 `json:"capacity_tokens"`
-	DemandTokens   float64 `json:"demand_tokens"`
+	InstanceStats
+	DemandTokens float64 `json:"demand_tokens"`
 
 	Headroom            float64 `json:"headroom"`
 	HeadroomSlopePerSec float64 `json:"headroom_slope_per_sec"`
 	TimeToSaturationSec float64 `json:"time_to_saturation_sec,omitempty"`
 	Advisory            string  `json:"advisory,omitempty"`
-
-	Preemptions  int64 `json:"preemptions"`
-	SwapOutBytes int64 `json:"swap_out_bytes"`
-	SwapInBytes  int64 `json:"swap_in_bytes"`
 
 	// Sparkline tails (oldest first) for the dashboard.
 	QueueSpark    []float64 `json:"queue_spark,omitempty"`
@@ -99,33 +86,19 @@ func (c *Center) Snapshot() Snapshot {
 	for _, k := range insts {
 		s := c.inst[k]
 		io := s.last
-		capTok := io.MemoryTokens
 		demand := float64(io.ResidentTokens+io.SwappedTokens) + float64(io.QueueDepth)*avgPrompt
-		clusterCap += capTok
+		clusterCap += io.TokenCapacity
 		clusterDemand += demand
 		queueTotal += io.QueueDepth
 		runningTotal += io.Running
 		sat := c.satByKey[k]
 		row := InstanceSnapshot{
-			Inst:                io.Inst,
-			Health:              io.Health,
-			QueueDepth:          io.QueueDepth,
-			Running:             io.Running,
-			Swapped:             io.Swapped,
-			FreeKVPages:         io.FreeKVPages,
-			UsedKVPages:         io.UsedKVPages,
-			ResidentTokens:      io.ResidentTokens,
-			SwappedTokens:       io.SwappedTokens,
-			HostBytes:           io.HostBytes,
-			CapacityTokens:      capTok,
+			InstanceStats:       io,
 			DemandTokens:        demand,
 			Headroom:            sat.Headroom,
 			HeadroomSlopePerSec: sat.SlopePerSec,
 			TimeToSaturationSec: sat.TimeToSaturationSec,
 			Advisory:            sat.Standing,
-			Preemptions:         io.Preemptions,
-			SwapOutBytes:        io.SwapOutBytes,
-			SwapInBytes:         io.SwapInBytes,
 			QueueSpark:          s.queueDepth.Tail(sparkLen),
 		}
 		if hs := c.analyzer.HeadroomSeries(k); hs != nil {

@@ -35,27 +35,46 @@ type Config struct {
 	SLOs []SLOSpec
 }
 
-// InstanceObservation is one instance's occupancy at a sample tick.
-// serving.ObservationFromStats builds these from DriverStats so
-// telemetry never imports the serving package (no cycle).
-type InstanceObservation struct {
-	Inst           int
-	QueueDepth     int
-	Running        int
-	Swapped        int
-	FreeKVPages    int64
-	UsedKVPages    int64
-	ResidentTokens int64
-	SwappedTokens  int64
-	// MemoryTokens is the instance's KV token capacity.
-	MemoryTokens float64
-	// HostBytes is the KV footprint currently parked on the host tier.
-	HostBytes int64
-	Health    string
-	// Cumulative counters for {inst}-labelled exposition.
-	Preemptions  int64
-	SwapOutBytes int64
-	SwapInBytes  int64
+// InstanceStats is one serving instance's load row: its occupancy
+// gauges and per-instance counters at one instant. It is the one
+// per-instance shape of the stack: serving.Engine.Stats fills the
+// engine's fields, the cluster tags the row with Inst, Health,
+// Redispatched and Role, a Center keeps the latest row per instance and
+// a Snapshot embeds it. serving.InstanceStats is an alias of this type,
+// so telemetry never imports serving (the dependency runs one way).
+type InstanceStats struct {
+	// Inst is the 1-based instance tag (matching trace.Event.Inst in
+	// cluster runs).
+	Inst int `json:"inst"`
+	// Health is the instance's fault-injection state: "healthy",
+	// "degraded" (transient slowdown) or "down" (crashed, awaiting
+	// restart). Always "healthy" in a cluster without fault injection.
+	Health      string `json:"health,omitempty"`
+	QueueDepth  int    `json:"queue_depth"`
+	Running     int    `json:"running"`
+	Swapped     int    `json:"swapped"`
+	FreeKVPages int    `json:"free_kv_pages"`
+	UsedKVPages int    `json:"used_kv_pages"`
+	// ResidentTokens / SwappedTokens are the GPU-resident and host-tier
+	// KV token footprints; TokenCapacity is the whole-pool token budget
+	// (Engine.TotalTokenCapacity). Together they feed the saturation
+	// analyzer: demand = resident + swapped + queued×avg-prompt against
+	// capacity.
+	ResidentTokens int `json:"resident_tokens"`
+	SwappedTokens  int `json:"swapped_tokens"`
+	// HostBytes is the host tier's current occupancy — swapped
+	// sequences and spilled prefixes (0 without a host tier).
+	HostBytes     int64   `json:"host_bytes"`
+	TokenCapacity float64 `json:"capacity_tokens"`
+	// Per-instance lifetime counters for {inst}-labelled exposition.
+	Preemptions  int   `json:"preemptions"`
+	SwapOutBytes int64 `json:"swap_out_bytes"`
+	SwapInBytes  int64 `json:"swap_in_bytes"`
+	// Redispatched counts crash orphans this instance accepted.
+	Redispatched int `json:"-"`
+	// Role is the instance's disaggregation pool ("prefill", "decode" or
+	// "mixed"); empty without disaggregation.
+	Role string `json:"-"`
 }
 
 // Observation is a whole-fleet sample at one sim instant.
@@ -66,7 +85,7 @@ type Observation struct {
 	InstancesUp            int
 	Completed              int64
 	Rejected               int64
-	PerInstance            []InstanceObservation
+	PerInstance            []InstanceStats
 }
 
 // Alert is one emitted advisory or SLO transition, kept in a bounded
@@ -98,10 +117,10 @@ func (e *ewma) add(x float64) {
 }
 
 // instSeries is what a Center keeps per instance: its queue-depth ring
-// and its latest observation.
+// and its latest row.
 type instSeries struct {
 	queueDepth *Series
-	last       InstanceObservation
+	last       InstanceStats
 }
 
 // LatencySet is one scope's completion latency histograms, in simulated
@@ -262,11 +281,10 @@ func (c *Center) Sample(obs Observation) {
 		s.last = io
 		s.queueDepth.Add(obs.TimeUs, float64(io.QueueDepth))
 
-		capTok := io.MemoryTokens
 		demand := float64(io.ResidentTokens+io.SwappedTokens) + float64(io.QueueDepth)*avgPrompt
-		clusterCap += capTok
+		clusterCap += io.TokenCapacity
 		clusterDemand += demand
-		sat := c.analyzer.Observe(obs.TimeUs, io.Inst, Headroom(capTok, demand))
+		sat := c.analyzer.Observe(obs.TimeUs, io.Inst, Headroom(io.TokenCapacity, demand))
 		c.satByKey[io.Inst] = sat
 		if sat.Advisory != "" {
 			alerts = append(alerts, Alert{TimeUs: obs.TimeUs, Inst: io.Inst, Note: renderAdvisory(sat)})

@@ -10,13 +10,13 @@ import (
 
 // obsAt builds a one-instance fleet observation with the given queue
 // depth and resident tokens against a 1000-token capacity.
-func obsAt(timeUs float64, queue int, resident int64) Observation {
+func obsAt(timeUs float64, queue, resident int) Observation {
 	return Observation{
 		TimeUs:      timeUs,
 		InstancesUp: 1,
-		PerInstance: []InstanceObservation{{
+		PerInstance: []InstanceStats{{
 			Inst: 1, QueueDepth: queue, Running: 2,
-			ResidentTokens: resident, MemoryTokens: 1000,
+			ResidentTokens: resident, TokenCapacity: 1000,
 		}},
 	}
 }
@@ -50,7 +50,7 @@ func TestCenterSampleToAlert(t *testing.T) {
 	})
 	// demand ramps from 0 to 990 of a 1000-token capacity
 	for i := 0; i <= 30; i++ {
-		c.Sample(obsAt(float64(i)*1e6, 0, int64(i*33)))
+		c.Sample(obsAt(float64(i)*1e6, 0, i*33))
 	}
 	alerts := c.Snapshot().Alerts
 	if len(alerts) == 0 {
@@ -229,5 +229,33 @@ func TestReplayLifecycle(t *testing.T) {
 	}
 	if len(snap.Alerts) != 1 || snap.Alerts[0].Note != "scale_up headroom=0.050" {
 		t.Fatalf("alerts: %+v", snap.Alerts)
+	}
+}
+
+// TestReplayReleasesSwappedBytes: a swapped sequence's host bytes leave
+// the replayed row when the sequence does — by swap-in, by cancel, or by
+// a crash's retry that orphans it — not only on swap-in.
+func TestReplayReleasesSwappedBytes(t *testing.T) {
+	ev := []trace.Event{
+		{Kind: trace.KindOpen, TimeUs: 0, Inst: 1, Seq: 1},
+		{Kind: trace.KindOpen, TimeUs: 0, Inst: 1, Seq: 2},
+		{Kind: trace.KindAdmit, TimeUs: 1000, Inst: 1, Seq: 1},
+		{Kind: trace.KindAdmit, TimeUs: 1000, Inst: 1, Seq: 2},
+		{Kind: trace.KindSwapOut, TimeUs: 2000, Inst: 1, Seq: 1, Bytes: 100},
+		{Kind: trace.KindSwapOut, TimeUs: 2000, Inst: 1, Seq: 2, Bytes: 50},
+		{Kind: trace.KindCancel, TimeUs: 3000, Inst: 1, Seq: 1},
+		{Kind: trace.KindHealth, TimeUs: 4000, Inst: 1, Note: "down"},
+		{Kind: trace.KindRetry, TimeUs: 4000, Inst: 1, Seq: 2, Note: "crash"},
+	}
+	snap := Replay(ev)
+	if len(snap.Instances) != 1 {
+		t.Fatalf("instances: %+v", snap.Instances)
+	}
+	in := snap.Instances[0]
+	if in.HostBytes != 0 {
+		t.Fatalf("host_bytes = %d after cancel and retry, want 0", in.HostBytes)
+	}
+	if in.SwapOutBytes != 150 || in.SwapInBytes != 0 || in.Preemptions != 2 {
+		t.Fatalf("swap accounting: %+v", in)
 	}
 }
