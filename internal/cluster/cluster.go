@@ -114,6 +114,9 @@ type Cluster struct {
 	// pending holds Run's not-yet-dispatched arrivals in arrival order
 	// (always empty in session mode, where Open dispatches immediately)
 	pending []workload.Request
+	// dueQ is the scheduled work — KV shipments on the wire and crash
+	// orphans waiting out their backoff — in firing order (events.go)
+	dueQ []dueItem
 	// the engines as last read back by touch (touch.go)
 	fleetView
 
@@ -124,7 +127,6 @@ type Cluster struct {
 	// fault-injection state (faulttol.go); inj nil without a fault plan
 	inj           *faults.Injector
 	health        []Health
-	redispatchQ   []redispatch
 	perInstRedisp []int
 	failedN       int
 	redispatchN   int
@@ -451,7 +453,6 @@ func (c *Cluster) Stats() serving.DriverStats {
 		ds.SwapOutBytes += inst.SwapOutBytes
 		ds.SwapInBytes += inst.SwapInBytes
 		r := e.Result()
-		ds.OpenSessions += e.OpenSessions()
 		ds.Completed += r.Completed
 		ds.Cancelled += e.CancelledSessions()
 		ds.HostPrefixHits += r.Offload.PrefixHits
@@ -476,6 +477,11 @@ func (c *Cluster) Stats() serving.DriverStats {
 		ds.KVTransfers = c.dg.transfers
 		ds.KVBytesShipped = c.dg.bytes
 		ds.KVShipLinks = c.dg.ledger.Links()
+	}
+	if c.sessionMode {
+		// a session with its KV on the wire or its crash orphan in backoff
+		// is on no engine: count every dispatched request not yet finished
+		ds.OpenSessions = c.acc.m.Dispatched - ds.Completed - ds.Cancelled - ds.Failed
 	}
 	return ds
 }

@@ -33,19 +33,13 @@ func newTestCluster(t testing.TB, policy string, mutate func(*Config)) *Cluster 
 }
 
 // liveRecords counts the per-request state left anywhere in the cluster:
-// request records on any engine (serving.Engine.LiveRecords), crash
-// orphans awaiting re-dispatch and KV shipments on the wire (plus one
-// for a transfer queue that is not empty). Zero after a drained run.
+// request records on any engine (serving.Engine.LiveRecords) and the
+// scheduled work, crash orphans awaiting re-dispatch and KV shipments on
+// the wire. Zero after a drained run.
 func liveRecords(c *Cluster) int {
-	n := len(c.redispatchQ)
+	n := len(c.dueQ)
 	for _, e := range c.engines {
 		n += e.LiveRecords()
-	}
-	if c.dg != nil {
-		n += len(c.dg.inflight)
-		if _, ok := c.dg.xq.NextDue(); ok {
-			n++
-		}
 	}
 	return n
 }

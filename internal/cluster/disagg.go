@@ -10,16 +10,16 @@ package cluster
 // compressed KV pages cross the NIC:
 //
 //	dispatch ── prefill pool ── completion intercepted (settle)
-//	    └─ TakeExport ─ pickDecode ─ NICTransfer ─ transfer queue
+//	    └─ TakeExport ─ pickDecode ─ NICTransfer ─ schedule(deliver)
 //	        └─ due: SubmitPrefilled on the decode instance ─ final
 //	           completion passes through to metrics/telemetry
 //
-// Transfer deliveries are cluster events interleaved with faults,
-// re-dispatches, arrivals and steps in global timestamp order, so a
-// disaggregated run is as deterministic as a colocated one. The
-// intercepted prefill completion never reaches the accumulator: a
-// request is dispatched once and completed once (by its decode child,
-// which carries the composed phase breakdown), keeping Stuck() == 0.
+// Deliveries are scheduled work (events.go), interleaved with faults,
+// arrivals and steps in global timestamp order, so a disaggregated run
+// is as deterministic as a colocated one. The intercepted prefill
+// completion never reaches the accumulator: a request is dispatched once
+// and completed once (by its decode child, which carries the composed
+// phase breakdown), keeping Stuck() == 0.
 
 import (
 	"fmt"
@@ -49,15 +49,9 @@ type DisaggMetrics struct {
 // disaggState is the cluster's coordinator state (nil without
 // Config.Disagg).
 type disaggState struct {
-	cfg   disagg.Config
-	roles []disagg.Role
-	// inflight maps request ID → exported sequence while its KV is on the
-	// wire. A prefill child still on its instance needs no entry here: the
-	// engine's own record marks it, and its export names the decode
-	// sub-request.
-	inflight map[int]*serving.KVExport
-	xq       disagg.Queue
-	ledger   disagg.Ledger
+	cfg    disagg.Config
+	roles  []disagg.Role
+	ledger disagg.Ledger
 
 	transfers int
 	bytes     int64
@@ -65,11 +59,7 @@ type disaggState struct {
 }
 
 func newDisaggState(cfg disagg.Config, instances int) *disaggState {
-	return &disaggState{
-		cfg:      cfg,
-		roles:    cfg.Roles(instances),
-		inflight: make(map[int]*serving.KVExport),
-	}
+	return &disaggState{cfg: cfg, roles: cfg.Roles(instances)}
 }
 
 // Role returns instance i's (0-based) disaggregation pool role;
@@ -121,8 +111,9 @@ func (c *Cluster) settle(inst int, comps []serving.Completion) []serving.Complet
 
 // shipPrefill turns a finished prefill child's export into a scheduled KV
 // transfer: pick the decode instance, price the wire time on the
-// receiver's NIC and enqueue delivery. The export already carries the
-// child's whole request record (phase breakdown, honest TTFT, retry
+// receiver's NIC and schedule delivery, keyed by request ID; the closure
+// holds the export while it is on the wire. The export already carries
+// the child's whole request record (phase breakdown, honest TTFT, retry
 // history), closed at its completion clock AsOfUs. The kv_ship trace
 // event opens the decode side's span tree with an xfer:inst span.
 func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
@@ -130,8 +121,8 @@ func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
 	to := c.pickDecode(exp.Req)
 	xfer := float64(c.engines[to].Device().NICTransfer(float64(exp.Bytes)))
 	exp.XferUs = xfer
-	c.dg.xq.Push(disagg.Transfer{SeqID: id, To: to, DueUs: doneUs + xfer})
-	c.dg.inflight[id] = exp
+	at := doneUs + xfer
+	c.schedule(at, id, func() error { return c.deliver(exp, to, at) })
 	c.dg.ledger.Record(from, to, exp.Bytes)
 	c.dg.transfers++
 	c.dg.bytes += exp.Bytes
@@ -143,24 +134,15 @@ func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
 	})
 }
 
-// processTransfer delivers the earliest due shipment: the decode
-// instance queues the decode sub-request for adoption at the delivery
-// time, resuming the parent's phase accounting across the wire. A
-// session cancelled while on the wire is delivered like any other; the
-// decode engine reaps it before admitting anything.
-func (c *Cluster) processTransfer() error {
-	t, ok := c.dg.xq.Pop()
-	if !ok {
-		return fmt.Errorf("cluster: processTransfer on empty wire")
+// deliver lands a shipment on decode instance to at atUs: the instance
+// queues the decode sub-request for adoption, resuming the parent's phase
+// accounting across the wire. A session cancelled while on the wire is
+// delivered like any other; the decode engine reaps it before admitting
+// anything.
+func (c *Cluster) deliver(exp *serving.KVExport, to int, atUs float64) error {
+	if err := c.engines[to].SubmitPrefilled(exp, atUs); err != nil {
+		return fmt.Errorf("cluster: adopt request %d on instance %d: %w", exp.Req.ID, to+1, err)
 	}
-	exp := c.dg.inflight[t.SeqID]
-	if exp == nil {
-		return fmt.Errorf("cluster: transfer %d has no shipment", t.SeqID)
-	}
-	delete(c.dg.inflight, t.SeqID)
-	if err := c.engines[t.To].SubmitPrefilled(exp, t.DueUs); err != nil {
-		return fmt.Errorf("cluster: adopt request %d on instance %d: %w", t.SeqID, t.To+1, err)
-	}
-	c.touch(t.To)
+	c.touch(to)
 	return nil
 }

@@ -103,25 +103,50 @@ func TestDisaggSplit(t *testing.T) {
 	}
 }
 
+// TestDisaggTransferQueueOrder pins the order of the cluster's scheduled
+// work under every push order: due time first, then the key — a KV
+// shipment's request ID breaks ties among shipments, shipments fire
+// before crash re-dispatches due at the same instant, and re-dispatches
+// keep the order they were scheduled in.
 func TestDisaggTransferQueueOrder(t *testing.T) {
-	var q disagg.Queue
-	q.Push(disagg.Transfer{SeqID: 2, DueUs: 50})
-	q.Push(disagg.Transfer{SeqID: 3, DueUs: 10})
-	q.Push(disagg.Transfer{SeqID: 1, DueUs: 50})
-	if due, ok := q.NextDue(); !ok || due != 10 {
-		t.Fatalf("next due %v %v, want 10", due, ok)
+	items := []struct {
+		name string
+		atUs float64
+		key  int
+	}{
+		{"ship 4", 10, 4}, {"ship 1", 20, 1}, {"ship 3", 20, 3}, {"ship 9", 20, 9}, {"ship 2", 35, 2},
+		{"redispatch a", 20, keyRedispatch}, {"redispatch b", 20, keyRedispatch},
 	}
-	var order []int
-	for {
-		tr, ok := q.Pop()
-		if !ok {
-			break
+	want := []string{"ship 4", "ship 1", "ship 3", "ship 9", "redispatch a", "redispatch b", "ship 2"}
+	// redispatch a is always scheduled before redispatch b
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {5, 4, 3, 2, 6, 1, 0}, {2, 5, 4, 0, 3, 1, 6}} {
+		c := newDisaggCluster(t, nil)
+		var got []string
+		for _, i := range order {
+			it := items[i]
+			c.schedule(it.atUs, it.key, func() error {
+				got = append(got, it.name)
+				return nil
+			})
 		}
-		order = append(order, tr.SeqID)
-	}
-	// due order, sequence ID breaking the 50µs tie
-	if !reflect.DeepEqual(order, []int{3, 1, 2}) {
-		t.Fatalf("drain order %v, want [3 1 2]", order)
+		if at, ok := c.NextTime(); !ok || at != 10 {
+			t.Fatalf("push order %v: next due %v (%v), want 10", order, at, ok)
+		}
+		for {
+			ev := c.next()
+			if ev.class == evNone {
+				break
+			}
+			if ev.class != evDue {
+				t.Fatalf("push order %v: fired %+v, only scheduled work is pending", order, ev)
+			}
+			if _, err := c.fire(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("push order %v: fired %q, want %q", order, got, want)
+		}
 	}
 }
 
@@ -338,7 +363,7 @@ func TestCancelAcrossHandoff(t *testing.T) {
 	}{
 		{"prefill queue", func(c *Cluster) bool { return queued(c, 0, 2) }},
 		{"prefill running", func(c *Cluster) bool { return running(c, 0, 2) }},
-		{"on the wire", func(c *Cluster) bool { return len(c.dg.inflight) > 0 }},
+		{"on the wire", func(c *Cluster) bool { return len(c.dueQ) > 0 }},
 		{"decode queue", func(c *Cluster) bool { return queued(c, 2, 4) }},
 		{"decode running", func(c *Cluster) bool { return running(c, 2, 4) }},
 	}

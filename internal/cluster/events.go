@@ -1,15 +1,19 @@
 package cluster
 
-// The cluster event core. Five sources hold pending simulated work, each
-// owning the due time of its own head: the fault timeline, the KV
-// transfer wire, the crash re-dispatch queue, batch arrivals not yet
-// dispatched, and every live instance's next scheduler step — the top of
-// the step heap touch keeps (touch.go). next picks the earliest head and
-// fire runs it; Run, Step, NextTime and DrainContext only drive that
-// pair, so event order is defined here and nowhere else.
+// The cluster event core. Four sources hold pending simulated work, each
+// owning the due time of its own head: the fault timeline, the queue of
+// scheduled work (KV shipments on the wire and crash orphans waiting out
+// their backoff, dueQ), batch arrivals not yet dispatched, and every live
+// instance's next scheduler step — the top of the step heap touch keeps
+// (touch.go). next picks the earliest head and fire runs it; Run, Step,
+// NextTime and DrainContext only drive that pair, so event order is
+// defined here and nowhere else.
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
 	"diffkv/internal/serving"
 	"diffkv/internal/telemetry"
@@ -24,12 +28,33 @@ const (
 	// a crash at an arrival's instant is visible to its routing
 	evFault
 	// an adoption at an arrival's instant is visible to its routing too
-	evTransfer
-	evRedispatch
+	evDue
 	evArrival
 	// instance steps come last, the lowest instance index first among them
 	evStep
 )
+
+// keyRedispatch orders a crash re-dispatch after every KV shipment due
+// at the same instant (a shipment's key is its request ID); among
+// themselves re-dispatches keep the order they were scheduled in.
+const keyRedispatch = math.MaxInt
+
+// dueItem is one piece of scheduled work: fire runs at atUs.
+type dueItem struct {
+	atUs float64
+	key  int
+	fire func() error
+}
+
+// schedule queues fire to run at atUs. The queue is ordered by (atUs,
+// key); items with equal keys keep their insertion order.
+func (c *Cluster) schedule(atUs float64, key int, fire func() error) {
+	i := sort.Search(len(c.dueQ), func(i int) bool {
+		d := c.dueQ[i]
+		return d.atUs > atUs || d.atUs == atUs && d.key > key
+	})
+	c.dueQ = slices.Insert(c.dueQ, i, dueItem{atUs: atUs, key: key, fire: fire})
+}
 
 // event is the head of one source: what fires next and when.
 type event struct {
@@ -40,8 +65,8 @@ type event struct {
 
 // next returns the earliest pending event, evNone when every source is
 // empty. Sources are offered in class order and a later offer must be
-// strictly earlier to win, which is the whole tie-break: fault <
-// transfer < redispatch < arrival < step, then lowest instance index.
+// strictly earlier to win, which is the whole tie-break: fault < due <
+// arrival < step, then lowest instance index.
 func (c *Cluster) next() event {
 	var best event
 	offer := func(class eventClass, atUs float64, inst int) {
@@ -52,13 +77,8 @@ func (c *Cluster) next() event {
 	if at, ok := c.faultDue(); ok {
 		offer(evFault, at, 0)
 	}
-	if c.dg != nil {
-		if at, ok := c.dg.xq.NextDue(); ok {
-			offer(evTransfer, at, 0)
-		}
-	}
-	if len(c.redispatchQ) > 0 {
-		offer(evRedispatch, c.redispatchQ[0].dueUs, 0)
+	if len(c.dueQ) > 0 {
+		offer(evDue, c.dueQ[0].atUs, 0)
 	}
 	if len(c.pending) > 0 {
 		offer(evArrival, c.pending[0].ArrivalUs, 0)
@@ -77,10 +97,11 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 	switch ev.class {
 	case evFault:
 		return nil, c.processFault()
-	case evTransfer:
-		return nil, c.processTransfer()
-	case evRedispatch:
-		return nil, c.processRedispatch()
+	case evDue:
+		fire := c.dueQ[0].fire
+		c.dueQ[0] = dueItem{}
+		c.dueQ = c.dueQ[1:]
+		return nil, fire()
 	case evArrival:
 		r := c.pending[0]
 		c.pending = c.pending[1:]

@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"testing"
 
-	"diffkv/internal/disagg"
 	"diffkv/internal/faults"
 	"diffkv/internal/workload"
 )
 
-// TestNextTieBreakOrder hand-populates all five event sources at one
-// shared timestamp and peels them off one at a time: next must pick
-// fault, then transfer, then redispatch, then arrival, then the
-// lowest-index live instance step. Peeling covers every adjacent pair of
-// classes, including fault-vs-transfer, which no public Config can build
-// (New rejects faults + disaggregation).
+// TestNextTieBreakOrder hand-populates all four event sources at one
+// shared timestamp, the queue of scheduled work with a KV shipment and a
+// crash re-dispatch, and peels them off one at a time: next must pick
+// fault, then the shipment, then the re-dispatch, then arrival, then the
+// lowest-index live instance step. Peeling covers every adjacent pair,
+// including a shipment beside a fault and a re-dispatch, which no public
+// Config can build (New rejects faults + disaggregation).
 func TestNextTieBreakOrder(t *testing.T) {
 	const atUs = 1e6
 	cfg := sessionCfg(4)
@@ -30,9 +30,8 @@ func TestNextTieBreakOrder(t *testing.T) {
 	req := func(id int) workload.Request {
 		return workload.Request{ID: id, ArrivalUs: atUs, PromptLen: 64, GenLen: 4}
 	}
-	c.dg = newDisaggState(disagg.Config{PrefillInstances: 1, DecodeInstances: 1}, cfg.Instances)
-	c.dg.xq.Push(disagg.Transfer{SeqID: 1, DueUs: atUs})
-	c.redispatchQ = []redispatch{{dueUs: atUs}}
+	c.schedule(atUs, keyRedispatch, nil)
+	c.schedule(atUs, 1, nil) // a shipment of request 1
 	c.pending = []workload.Request{req(2)}
 	// every poke behind the cluster's back is followed by the touch the
 	// cluster's own paths make after changing an engine
@@ -43,22 +42,27 @@ func TestNextTieBreakOrder(t *testing.T) {
 	c.engines[3].Submit(req(5))
 	c.touch(3)
 
+	popDue := func() { c.dueQ = c.dueQ[1:] }
 	peel := []struct {
 		want   eventClass
 		inst   int
+		key    int // the head of the scheduled work (evDue only)
 		remove func()
 	}{
-		{evFault, 0, func() { c.inj.Pop() }},
-		{evTransfer, 0, func() { c.dg.xq.Pop() }},
-		{evRedispatch, 0, func() { c.redispatchQ = nil }},
-		{evArrival, 0, func() { c.pending = nil }},
-		{evStep, 1, func() { c.health[1] = Down; c.touch(1) }}, // a down instance does not step
-		{evStep, 2, nil},
+		{evFault, 0, 0, func() { c.inj.Pop() }},
+		{evDue, 0, 1, popDue},
+		{evDue, 0, keyRedispatch, popDue},
+		{evArrival, 0, 0, func() { c.pending = nil }},
+		{evStep, 1, 0, func() { c.health[1] = Down; c.touch(1) }}, // a down instance does not step
+		{evStep, 2, 0, nil},
 	}
 	for _, p := range peel {
 		ev := c.next()
 		if ev.class != p.want || ev.inst != p.inst || ev.atUs != atUs {
 			t.Fatalf("next = %+v, want class %d inst %d at %v", ev, p.want, p.inst, float64(atUs))
+		}
+		if p.want == evDue && c.dueQ[0].key != p.key {
+			t.Fatalf("scheduled work head has key %d, want %d", c.dueQ[0].key, p.key)
 		}
 		if at, ok := c.NextTime(); !ok || float64(at) != atUs {
 			t.Fatalf("NextTime = %v %v, want %v", at, ok, float64(atUs))
@@ -113,7 +117,7 @@ func TestEventClockMonotone(t *testing.T) {
 		classes []eventClass
 		build   func() (*Cluster, []workload.Request)
 	}{
-		{"golden-class", []eventClass{evFault, evRedispatch, evArrival, evStep}, func() (*Cluster, []workload.Request) {
+		{"golden-class", []eventClass{evFault, evDue, evArrival, evStep}, func() (*Cluster, []workload.Request) {
 			// prefix-affinity over shared prefixes, swap preemption, one
 			// crash-with-restart, one slowdown, PCIe transfer faults
 			c := chaosCluster(t, &faults.Plan{
@@ -136,13 +140,13 @@ func TestEventClockMonotone(t *testing.T) {
 			}
 			return c, reqs
 		}},
-		{"chaos", []eventClass{evFault, evRedispatch, evArrival, evStep}, func() (*Cluster, []workload.Request) {
+		{"chaos", []eventClass{evFault, evDue, evArrival, evStep}, func() (*Cluster, []workload.Request) {
 			plan := churnPlan(17)
 			plan.RetryBudget = 3
 			c := chaosCluster(t, plan, func(cfg *Config) { cfg.MaxQueueDepth = 128 })
 			return c, chaosReqs(36, 6, 17)
 		}},
-		{"disagg", []eventClass{evTransfer, evArrival, evStep}, func() (*Cluster, []workload.Request) {
+		{"disagg", []eventClass{evDue, evArrival, evStep}, func() (*Cluster, []workload.Request) {
 			c := newDisaggCluster(t, func(cfg *Config) {
 				cfg.MaxQueueDepth = 128
 				cfg.Seed = 17

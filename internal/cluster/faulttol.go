@@ -6,13 +6,13 @@ package cluster
 // event loop (events.go) interleaves them with arrivals and instance
 // steps in global timestamp order, faults first at equal times. A
 // crash marks the instance down, loses its GPU KV state and orphans its
-// requests into a re-dispatch queue drained with exponential backoff
-// under a per-request retry budget; sequences swapped to the host tier
-// survive a crash-with-restart and resume when the instance returns.
+// requests: each is scheduled for re-dispatch after an exponential
+// backoff (the cluster's queue of scheduled work, events.go) under a
+// per-request retry budget; sequences swapped to the host tier survive a
+// crash-with-restart and resume when the instance returns.
 
 import (
 	"fmt"
-	"sort"
 
 	"diffkv/internal/faults"
 	"diffkv/internal/serving"
@@ -31,7 +31,7 @@ const (
 	Down     Health = "down"
 )
 
-// redispatch is one crash orphan awaiting re-dispatch at dueUs (its
+// redispatch is one crash orphan scheduled for re-dispatch at dueUs (its
 // backoff deadline). fromInst is the 1-based instance it was lost from,
 // keeping terminal-failure trace events in that residency's span tree.
 // waits counts re-dispatch attempts that found no live instance.
@@ -69,7 +69,7 @@ func (c *Cluster) faultDue() (float64, bool) {
 	}
 	// working counts down instances too: their kept swapped sequences
 	// only drain after a restart
-	if len(c.pending) == 0 && len(c.redispatchQ) == 0 && c.working == 0 {
+	if len(c.pending) == 0 && len(c.dueQ) == 0 && c.working == 0 {
 		return 0, false
 	}
 	return at, true
@@ -129,10 +129,10 @@ func (c *Cluster) processFault() error {
 }
 
 // processCrash takes instance ev.Inst down: its GPU KV state is lost,
-// its queued and in-flight requests are orphaned into the re-dispatch
-// queue (or terminally failed when their retry budget is spent), and —
-// when the timeline holds a restart — its host-tier-swapped sequences
-// are kept as crash insurance.
+// its queued and in-flight requests are scheduled for re-dispatch after
+// their backoff (or terminally failed when their retry budget is spent),
+// and — when the timeline holds a restart — its host-tier-swapped
+// sequences are kept as crash insurance.
 func (c *Cluster) processCrash(ev faults.Event) error {
 	i := ev.Inst - 1
 	keep := c.inj.HasRestart(ev.Inst)
@@ -152,33 +152,17 @@ func (c *Cluster) processCrash(ev faults.Event) error {
 			c.fail(o, o.AsOfUs, i+1, "retry budget exhausted")
 			continue
 		}
-		c.enqueueRedispatch(redispatch{
-			o:        o,
-			dueUs:    ev.AtUs + c.inj.Backoff(o.Attempts),
-			fromInst: i + 1,
-		})
+		rd := redispatch{o: o, dueUs: ev.AtUs + c.inj.Backoff(o.Attempts), fromInst: i + 1}
+		c.schedule(rd.dueUs, keyRedispatch, func() error { return c.redispatch(rd) })
 	}
 	return nil
 }
 
-// enqueueRedispatch inserts rd keeping the queue ordered by deadline
-// (ties keep insertion order, which is itself deterministic).
-func (c *Cluster) enqueueRedispatch(rd redispatch) {
-	i := sort.Search(len(c.redispatchQ), func(i int) bool {
-		return c.redispatchQ[i].dueUs > rd.dueUs
-	})
-	c.redispatchQ = append(c.redispatchQ, redispatch{})
-	copy(c.redispatchQ[i+1:], c.redispatchQ[i:])
-	c.redispatchQ[i] = rd
-}
-
-// processRedispatch re-dispatches the queue head to the least-loaded
-// live instance. When every instance is down the orphan goes back on
-// the queue with another backoff — each such wait consumes retry
-// budget, so requests cannot circulate forever through a dead fleet.
-func (c *Cluster) processRedispatch() error {
-	rd := c.redispatchQ[0]
-	c.redispatchQ = c.redispatchQ[1:]
+// redispatch re-dispatches a crash orphan to the least-loaded live
+// instance. When every instance is down the orphan is scheduled again
+// after another backoff — each such wait consumes retry budget, so
+// requests cannot circulate forever through a dead fleet.
+func (c *Cluster) redispatch(rd redispatch) error {
 	idx, ok := c.routeRedispatch()
 	if !ok {
 		rd.waits++
@@ -187,7 +171,7 @@ func (c *Cluster) processRedispatch() error {
 			return nil
 		}
 		rd.dueUs += c.inj.Backoff(rd.o.Attempts + rd.waits)
-		c.enqueueRedispatch(rd)
+		c.schedule(rd.dueUs, keyRedispatch, func() error { return c.redispatch(rd) })
 		return nil
 	}
 	if err := c.engines[idx].Readmit(rd.o, rd.dueUs); err != nil {

@@ -297,3 +297,63 @@ func TestClusterDrainContextStopsOnDeadContext(t *testing.T) {
 		t.Fatal("a drain with a dead context should leave work pending")
 	}
 }
+
+// TestStatsOpenSessionsCountsSessionsBetweenEngines checks Stats'
+// open-session count against the sessions not yet finished after every
+// event, the count /metrics and /healthz serve. It must include the
+// sessions that are on no engine: KV on the wire from a prefill to a
+// decode instance, and crash orphans waiting out their re-dispatch
+// backoff.
+func TestStatsOpenSessionsCountsSessionsBetweenEngines(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(tr *transit) *Cluster
+		reqs  []workload.Request
+		// between reports whether sessions were ever on no engine
+		between func(tr *transit) bool
+	}{
+		{"wire", func(tr *transit) *Cluster {
+			return newDisaggCluster(t, func(cfg *Config) { cfg.Tracer = tr })
+		}, []workload.Request{
+			{PromptLen: 512, GenLen: 64}, {PromptLen: 512, GenLen: 64},
+			{PromptLen: 384, GenLen: 48}, {PromptLen: 256, GenLen: 32},
+		}, func(tr *transit) bool { return tr.peakWire >= 2 }},
+		{"backoff", func(tr *transit) *Cluster {
+			return chaosCluster(t, churnPlan(41), func(cfg *Config) { cfg.Tracer = tr })
+		}, chaosReqs(24, 8, 7), func(tr *transit) bool { return tr.peakBackoff > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newTransit()
+			c := tc.build(tr)
+			var sessions []*serving.Session
+			for _, r := range tc.reqs {
+				s, err := c.Open(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions = append(sessions, s)
+			}
+			for k := 0; ; k++ {
+				open := 0
+				for _, s := range sessions {
+					if !s.Finished() {
+						open++
+					}
+				}
+				if got := c.Stats().OpenSessions; got != open {
+					t.Fatalf("after event %d: Stats reads %d open sessions, %d are unfinished (%d on the wire, %d in backoff)",
+						k, got, open, len(tr.wire), len(tr.backoff))
+				}
+				if !hasWork(c) {
+					break
+				}
+				if _, err := c.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !tc.between(tr) {
+				t.Fatalf("no session was between engines: peak %d on the wire, %d in backoff", tr.peakWire, tr.peakBackoff)
+			}
+		})
+	}
+}

@@ -175,7 +175,7 @@ func TestTouchMatchesBruteForce(t *testing.T) {
 			checkRouting(t, c)
 			reqs := burstReqs(mathx.NewRNG(uint64(n)), 16*n+40, 3*float64(n), 11)
 			seen := driveBatch(t, c, reqs)
-			for _, class := range []eventClass{evFault, evRedispatch, evArrival, evStep} {
+			for _, class := range []eventClass{evFault, evDue, evArrival, evStep} {
 				if !seen[class] {
 					t.Fatalf("class %d never fired", class)
 				}
@@ -212,7 +212,7 @@ func TestTouchMatchesBruteForce(t *testing.T) {
 			ships.c = c
 			checkRouting(t, c)
 			seen := driveBatch(t, c, burstReqs(mathx.NewRNG(uint64(200+n)), 10*n, 3*float64(n), 17))
-			if !seen[evTransfer] || ships.n == 0 {
+			if !seen[evDue] || ships.n == 0 {
 				t.Fatal("no KV transfer fired")
 			}
 		})

@@ -1,6 +1,6 @@
 // Package disagg implements prefill/decode disaggregation for the
-// cluster simulator: pool roles, the request splitter, the KV-transfer
-// queue, and the per-link shipment ledger.
+// cluster simulator: pool roles, the request splitter and the per-link
+// shipment ledger.
 //
 // Disaggregated serving splits the fleet into a prefill pool (prompt
 // passes only — large, bursty, compute-bound batches) and a decode pool
@@ -17,9 +17,9 @@
 // crossover point (the `disagg` experiment sweeps it).
 //
 // The package is pure bookkeeping: deterministic, no clocks, no RNG.
-// The cluster layer owns the event loop and the serving engines; it
-// asks this package who plays which role, how to split a request, which
-// transfer is due next, and what has been shipped so far.
+// The cluster layer owns the event loop, the serving engines and the
+// shipments on the wire; it asks this package who plays which role, how
+// to split a request, and what has been shipped so far.
 package disagg
 
 import (
@@ -93,54 +93,6 @@ func Split(r workload.Request) (prefill workload.Request, handoff bool) {
 	}
 	prefill.GenLen = 1
 	return prefill, true
-}
-
-// Transfer is one scheduled prefill→decode KV shipment.
-type Transfer struct {
-	// SeqID is the parent request ID whose KV is in flight.
-	SeqID int
-	// To is the 0-based decode instance index.
-	To int
-	// DueUs is the delivery time (prefill completion + NICTransfer).
-	DueUs float64
-}
-
-// Queue orders pending transfers by delivery time (ties by sequence ID,
-// so the drain order is deterministic under equal clocks).
-type Queue struct {
-	pending []Transfer
-}
-
-// Push inserts a transfer in due order.
-func (q *Queue) Push(t Transfer) {
-	i := sort.Search(len(q.pending), func(i int) bool {
-		p := q.pending[i]
-		if p.DueUs != t.DueUs {
-			return p.DueUs > t.DueUs
-		}
-		return p.SeqID > t.SeqID
-	})
-	q.pending = append(q.pending, Transfer{})
-	copy(q.pending[i+1:], q.pending[i:])
-	q.pending[i] = t
-}
-
-// NextDue returns the earliest delivery time, false when empty.
-func (q *Queue) NextDue() (float64, bool) {
-	if len(q.pending) == 0 {
-		return 0, false
-	}
-	return q.pending[0].DueUs, true
-}
-
-// Pop removes and returns the earliest transfer; ok is false when empty.
-func (q *Queue) Pop() (Transfer, bool) {
-	if len(q.pending) == 0 {
-		return Transfer{}, false
-	}
-	t := q.pending[0]
-	q.pending = q.pending[1:]
-	return t, true
 }
 
 // LinkBytes is one (from, to) instance pair's lifetime shipment record.

@@ -24,36 +24,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-func TestQueuePopsByDueThenSeqID(t *testing.T) {
-	want := []Transfer{
-		{SeqID: 4, DueUs: 10}, {SeqID: 1, DueUs: 20}, {SeqID: 3, DueUs: 20},
-		{SeqID: 9, DueUs: 20}, {SeqID: 2, DueUs: 35},
-	}
-	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 4, 0, 3, 1}} {
-		var q Queue
-		if _, ok := q.NextDue(); ok {
-			t.Fatal("empty queue has a due time")
-		}
-		for _, i := range order {
-			q.Push(want[i])
-		}
-		if due, ok := q.NextDue(); !ok || due != 10 || len(q.pending) != len(want) {
-			t.Fatalf("push order %v: next due %v (%v), len %d", order, due, ok, len(q.pending))
-		}
-		var got []Transfer
-		for {
-			tr, ok := q.Pop()
-			if !ok {
-				break
-			}
-			got = append(got, tr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("push order %v: popped %+v, want %+v", order, got, want)
-		}
-	}
-}
-
 func TestLedgerLinksAndTotals(t *testing.T) {
 	var l Ledger
 	if len(l.Links()) != 0 || l.TotalBytes() != 0 {

@@ -428,8 +428,10 @@ func (e *Engine) Device() *gpusim.Device { return e.dev }
 func (e *Engine) QueueDepth() int { return len(e.pending) }
 
 // arrivedPending counts the queued requests that have arrived by now: a
-// batch Submit also queues future arrivals, which are no queue pressure
-// yet. pending is sorted by arrival, so this is a binary search.
+// session Open is clamped to the fleet clock, which can sit ahead of a
+// lagging engine's clock, so a request can be queued before it arrives
+// here; it is no queue pressure yet. pending is sorted by arrival, so
+// this is a binary search.
 func (e *Engine) arrivedPending() int {
 	now := float64(e.clock)
 	return sort.Search(len(e.pending), func(i int) bool { return e.pending[i].req.ArrivalUs > now })

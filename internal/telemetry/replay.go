@@ -39,6 +39,9 @@ func (ri *replayInst) release(seq int) {
 // the events themselves; a swapped sequence's host bytes are released by
 // its swap-in, its cancel or a crash's retry of it (a crash with a
 // restart keeps its swapped sequences and emits no retry for them).
+// Offline host_bytes counts swapped sequences only: a prefix spill to
+// the host tier emits no event, so the spilled prefix bytes the live
+// row counts cannot be replayed.
 // Events with unknown kinds are ignored, so replay stays
 // forward-compatible with new event types.
 func Replay(events []trace.Event) Snapshot {
