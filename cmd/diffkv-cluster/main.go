@@ -35,12 +35,12 @@ import (
 )
 
 // parseDisagg parses the -disagg value "P:D" into pool sizes.
-func parseDisagg(s string) (*diffkv.DisaggSpec, error) {
+func parseDisagg(s string) (*diffkv.DisaggPools, error) {
 	var p, d int
 	if n, err := fmt.Sscanf(s, "%d:%d", &p, &d); n != 2 || err != nil {
 		return nil, fmt.Errorf("bad -disagg %q (want prefill:decode, e.g. 2:2)", s)
 	}
-	return &diffkv.DisaggSpec{PrefillPool: p, DecodePool: d}, nil
+	return &diffkv.DisaggPools{PrefillInstances: p, DecodeInstances: d}, nil
 }
 
 func main() {
@@ -119,7 +119,7 @@ func main() {
 			}
 		}
 		if *chaosRate > 0 || *pcieErr > 0 {
-			base.Faults = &diffkv.FaultsSpec{
+			base.Faults = &diffkv.FaultPlan{
 				CrashRatePerMin: *chaosRate,
 				MeanDownSec:     *chaosDown,
 				HorizonSec:      *seconds, // chaos spans the arrival window

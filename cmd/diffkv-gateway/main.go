@@ -74,7 +74,7 @@ func main() {
 			if sc.Cluster == nil {
 				sc.Cluster = &diffkv.ClusterSpec{Instances: 2, Routing: "least-loaded"}
 			}
-			sc.Faults = &diffkv.FaultsSpec{
+			sc.Faults = &diffkv.FaultPlan{
 				CrashRatePerMin: *chaosRate,
 				MeanDownSec:     *chaosDown,
 			}

@@ -191,8 +191,9 @@ type ClusterServerConfig = cluster.Config
 type ClusterServer = cluster.Cluster
 
 // DisaggPools sizes the prefill and decode pools of a disaggregated
-// cluster (ClusterServerConfig.Disagg): instances [0, Prefill) run
-// prompt passes, the next Decode instances adopt shipped prefills, any
+// cluster (ClusterServerConfig.Disagg, or a Scenario's
+// "disaggregation" section): instances [0, PrefillInstances) run prompt
+// passes, the next DecodeInstances adopt shipped prefills, any
 // remainder serves mixed.
 type DisaggPools = disagg.Config
 
@@ -277,17 +278,9 @@ var ErrRequestFailed = serving.ErrFailed
 // scheduled or rate-sampled instance crashes (with optional restarts),
 // transient slowdowns, a PCIe transfer error rate, and the re-dispatch
 // retry budget. Attach via ClusterServerConfig.Faults or a Scenario's
-// "faults" section; the same plan and seed always reproduce the same
-// timeline.
+// "faults" section, which Build seeds from the scenario seed; the same
+// plan and seed always reproduce the same timeline.
 type FaultPlan = faults.Plan
-
-// FaultCrash schedules one instance crash in a FaultPlan (1-based
-// instance; DownSec <= 0 makes it permanent).
-type FaultCrash = faults.Crash
-
-// FaultSlowdown schedules one transient degraded window in a FaultPlan:
-// the instance keeps serving with its step time multiplied by Factor.
-type FaultSlowdown = faults.Slowdown
 
 // Loop is the always-on driver of the serving API: it owns a
 // ClusterServer's step cadence in a background goroutine (a spec without

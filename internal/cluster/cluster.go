@@ -341,11 +341,14 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	// an online request cannot arrive in the simulated past: clamp it to
 	// the fleet clock, so routing, fault state and the recorded arrival
 	// all see the moment it was opened, whichever instance it lands on
-	r.ArrivalUs = max(r.ArrivalUs, float64(c.Clock()))
-	// bring instance health up to date before routing: a crash due by now
-	// must exclude its instance from this decision
+	now := float64(c.Clock())
+	r.ArrivalUs = max(r.ArrivalUs, now)
+	// bring instance health up to the fleet clock before routing: a crash
+	// due by now must exclude its instance from this decision. Faults due
+	// before a future arrival fire later, in event order, so an Open never
+	// runs them ahead of the engine steps due before them
 	if c.inj != nil {
-		if err := c.advanceFaults(r.ArrivalUs); err != nil {
+		if err := c.advanceFaults(now); err != nil {
 			return nil, err
 		}
 	}

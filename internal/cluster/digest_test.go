@@ -197,10 +197,46 @@ func disaggSessionDigest(t *testing.T, h hash.Hash) {
 	digestCluster(h, m, comps)
 }
 
+// chaosSessionDigest opens 24 sessions with future arrivals on a churn
+// fleet before the first step, then drains it: faults fire in event
+// order between the sessions' engine steps, and crash orphans are
+// re-dispatched in session mode.
+func chaosSessionDigest(t *testing.T, h hash.Hash) {
+	c := chaosCluster(t, churnPlan(3), nil)
+	var sess []*serving.Session
+	for _, r := range chaosReqs(24, 8, 5) {
+		s, err := c.Open(context.Background(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess = append(sess, s)
+	}
+	var comps []serving.Completion
+	for hasWork(c) {
+		done, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps = append(comps, done...)
+	}
+	m := c.Metrics()
+	unfinished := 0
+	for _, s := range sess {
+		if !s.Finished() {
+			unfinished++
+		}
+	}
+	if m.Stuck() != 0 || m.Crashes == 0 || m.Redispatches == 0 || unfinished != 0 {
+		t.Fatalf("run does not exercise what it pins: stuck %d, crashes %d, redispatched %d, %d sessions unfinished",
+			m.Stuck(), m.Crashes, m.Redispatches, unfinished)
+	}
+	digestCluster(h, m, comps)
+}
+
 // TestClusterDigestPinned pins the cluster's simulated behaviour bit for
 // bit on the paths that move a request between engines: crash orphans
 // re-dispatched after a backoff (one row also finds every instance down)
-// and prefill KV shipped to a decode instance, in batch and session
+// and prefill KV shipped to a decode instance, each in batch and session
 // mode. Any change to event order, backoff draws, decode placement or
 // wire timing moves a digest.
 func TestClusterDigestPinned(t *testing.T) {
@@ -211,6 +247,7 @@ func TestClusterDigestPinned(t *testing.T) {
 		{"chaos-swap", "d226997e16f7d8001bdf101efb98f709f821729d625357bbacc602786208487b", chaosSwapDigest},
 		{"disagg-mixed", "6213114b2e0d8344027be25aa79b11b3065a5aec6597bddc768304ceed78a30f", disaggMixedDigest},
 		{"disagg-sessions", "3c52d0bcddc4b13b69ec6a01f3ab30e1bc533e6ac56f90b27e815acc37c21136", disaggSessionDigest},
+		{"chaos-sessions", "191f955c2c849155fc52f28a77f55c8a7e4e96f690f032c78ec6a118c44730e7", chaosSessionDigest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()

@@ -10,7 +10,7 @@ package cluster
 // compressed KV pages cross the NIC:
 //
 //	dispatch ── prefill pool ── completion intercepted (settle)
-//	    └─ TakeExport ─ pickDecode ─ NICTransfer ─ schedule(deliver)
+//	    └─ TakeExport ─ pickDecode ─ NIC.Transfer ─ schedule(deliver)
 //	        └─ due: SubmitPrefilled on the decode instance ─ final
 //	           completion passes through to metrics/telemetry
 //
@@ -119,7 +119,7 @@ func (c *Cluster) settle(inst int, comps []serving.Completion) []serving.Complet
 func (c *Cluster) shipPrefill(from int, exp *serving.KVExport) {
 	id, doneUs := exp.Req.ID, exp.AsOfUs
 	to := c.pickDecode(exp.Req)
-	xfer := float64(c.engines[to].Device().NICTransfer(float64(exp.Bytes)))
+	xfer := float64(c.engines[to].Device().NIC.Transfer(float64(exp.Bytes)))
 	exp.XferUs = xfer
 	at := doneUs + xfer
 	c.schedule(at, id, func() error { return c.deliver(exp, to, at) })

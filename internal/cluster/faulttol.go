@@ -75,8 +75,9 @@ func (c *Cluster) faultDue() (float64, bool) {
 	return at, true
 }
 
-// advanceFaults processes every fault event due at or before tUs, so a
-// session-mode Open at tUs routes against current instance health.
+// advanceFaults processes every fault event due at or before tUs. Open
+// calls it with the fleet clock, so a session routes against current
+// instance health and no fault runs ahead of the events due before it.
 func (c *Cluster) advanceFaults(tUs float64) error {
 	for c.inj != nil {
 		at, ok := c.inj.NextAt()

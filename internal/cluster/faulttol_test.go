@@ -369,6 +369,23 @@ func TestChaosSessionsSurviveRedispatch(t *testing.T) {
 	}
 }
 
+// TestOpenFiresNoFaultPastFleetClock: opening sessions whose arrivals
+// lie ahead of the fleet clock fires no fault due after the clock. The
+// faults before those arrivals fire later, in event order, after the
+// engine steps due earlier; an Open neither crashes an instance nor moves
+// the clock.
+func TestOpenFiresNoFaultPastFleetClock(t *testing.T) {
+	c := chaosCluster(t, churnPlan(3), nil)
+	for _, r := range chaosReqs(24, 8, 5) {
+		if _, err := c.Open(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.Stats().Crashes; n != 0 || c.Clock() != 0 {
+		t.Fatalf("Open fired %d crashes past the fleet clock %g", n, float64(c.Clock()))
+	}
+}
+
 // lruProbe checks, at every crash re-dispatch, that each shared-prefix
 // block of the orphan carries a prefix-index LRU stamp no older than the
 // re-dispatch: stamping the orphan's original arrival would make blocks

@@ -46,10 +46,11 @@ const (
 
 // Config sizes the pools. Instances [0, PrefillInstances) are the
 // prefill pool, the next DecodeInstances the decode pool, and any
-// remainder serves mixed.
+// remainder serves mixed. It is also a scenario spec's
+// "disaggregation" section, keyed by its JSON tags.
 type Config struct {
-	PrefillInstances int
-	DecodeInstances  int
+	PrefillInstances int `json:"prefill_pool"`
+	DecodeInstances  int `json:"decode_pool"`
 }
 
 // Validate checks the pool split against the fleet size.

@@ -126,7 +126,7 @@ func OffloadSwapBytes() []SwapBytesRow {
 			Tier:          name,
 			BytesPerToken: float64(seqBytes) / float64(hiTok+loTok),
 			SeqBytes:      seqBytes,
-			PCIeUs:        float64(dev.PCIeTransfer(float64(seqBytes))),
+			PCIeUs:        float64(dev.PCIe.Transfer(float64(seqBytes))),
 		}
 	}
 	return []SwapBytesRow{

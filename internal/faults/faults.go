@@ -17,8 +17,7 @@ import (
 	"diffkv/internal/mathx"
 )
 
-// Defaults applied by Plan.norm. Exported so the scenario layer and
-// CLIs can report effective values.
+// Defaults applied by Plan.norm in place of unset fields.
 const (
 	DefaultRetryBudget = 3    // re-dispatches per request before terminal failure
 	DefaultRetryBaseMs = 50.0 // first-retry backoff (doubles per attempt)
@@ -31,9 +30,9 @@ const (
 // for the rest of the run (its host-tier state is unrecoverable, so
 // swapped sequences are re-dispatched from scratch).
 type Crash struct {
-	Inst    int     // 1-based instance index
-	AtSec   float64 // crash time (simulated seconds)
-	DownSec float64 // downtime before restart; <= 0 = permanent
+	Inst    int     `json:"instance"`           // 1-based instance index
+	AtSec   float64 `json:"at_sec"`             // crash time (simulated seconds)
+	DownSec float64 `json:"down_sec,omitempty"` // downtime before restart; <= 0 = permanent
 }
 
 // Slowdown is a transient degraded window: the instance keeps serving
@@ -41,46 +40,51 @@ type Crash struct {
 // throttling, noisy neighbor). The router down-weights it while the
 // window is open.
 type Slowdown struct {
-	Inst   int
-	AtSec  float64
-	DurSec float64
-	Factor float64 // step-time multiplier, > 1
+	Inst   int     `json:"instance"` // 1-based instance index
+	AtSec  float64 `json:"at_sec"`
+	DurSec float64 `json:"dur_sec"`
+	Factor float64 `json:"factor"` // step-time multiplier, > 1
 }
 
 // Plan declares a deterministic fault schedule for a cluster of
 // instances. Explicit Crashes/Slowdowns and the rate-driven generator
-// compose: both feed the same sorted event timeline.
+// compose: both feed the same sorted event timeline. It is also a
+// scenario spec's "faults" section, keyed by its JSON tags.
 type Plan struct {
 	// Seed drives schedule expansion, backoff jitter, and PCIe fault
-	// draws. Two runs with the same Plan produce identical timelines.
-	Seed uint64
+	// draws. Two runs with the same Plan produce identical timelines. It
+	// is not part of the spec: a scenario seeds the plan from its own
+	// seed.
+	Seed uint64 `json:"-"`
 
-	Crashes   []Crash
-	Slowdowns []Slowdown
+	Crashes   []Crash    `json:"crashes,omitempty"`
+	Slowdowns []Slowdown `json:"slowdowns,omitempty"`
 
 	// CrashRatePerMin > 0 adds seeded random crashes per instance with
 	// exponentially distributed interarrivals at this rate, each with
-	// exponentially distributed downtime of mean MeanDownSec, out to
-	// HorizonSec.
-	CrashRatePerMin float64
-	MeanDownSec     float64
-	HorizonSec      float64
+	// exponentially distributed downtime of mean MeanDownSec (<= 0 selects
+	// DefaultMeanDownSec, 5 s), out to HorizonSec (<= 0 selects
+	// DefaultHorizonSec, 120 s).
+	CrashRatePerMin float64 `json:"crash_rate_per_min,omitempty"`
+	MeanDownSec     float64 `json:"mean_down_sec,omitempty"`
+	HorizonSec      float64 `json:"horizon_sec,omitempty"`
 
 	// PCIeErrorRate is the probability that any single host<->device KV
 	// transfer (swap-out, swap-in, host-prefix promotion) faults. A
 	// faulted swap-out falls back to recompute; a faulted swap-in stays
 	// queued and retries on a later scheduler pass.
-	PCIeErrorRate float64
+	PCIeErrorRate float64 `json:"pcie_error_rate,omitempty"`
 
 	// RetryBudget caps re-dispatches per request after instance
 	// failures; once exhausted the request fails terminally
-	// (serving.ErrFailed). 0 selects DefaultRetryBudget; negative
+	// (serving.ErrFailed). 0 selects DefaultRetryBudget (3); negative
 	// means no retries at all.
-	RetryBudget int
+	RetryBudget int `json:"retry_budget,omitempty"`
 
-	// RetryBaseMs is the base re-dispatch backoff; attempt k waits
-	// base * 2^(k-1) * jitter, jitter uniform in [0.5, 1.5).
-	RetryBaseMs float64
+	// RetryBaseMs is the base re-dispatch backoff (<= 0 selects
+	// DefaultRetryBaseMs, 50 ms); attempt k waits base * 2^(k-1) *
+	// jitter, jitter uniform in [0.5, 1.5).
+	RetryBaseMs float64 `json:"retry_base_ms,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything at all.

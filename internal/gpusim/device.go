@@ -36,28 +36,23 @@ type Device struct {
 	KernelLaunch Micros
 	// HostSync is the cost of one host-device synchronization, µs.
 	HostSync Micros
-	// PCIeBandwidth is host-device transfer bandwidth in bytes/µs.
-	PCIeBandwidth float64
-	// PCIeLatency is the fixed per-transfer latency, µs.
-	PCIeLatency Micros
-	// PCIeOverlapFrac is the fraction of a host-device transfer that can
-	// be hidden behind concurrent kernel execution (copy engines run
+	// PCIe is the host-device link. Bandwidth is in bytes/µs, Latency the
+	// fixed per-transfer cost, and OverlapFrac the fraction of a transfer
+	// that hides behind concurrent kernel execution (copy engines run
 	// asynchronously; the remainder stalls the stream on synchronization
-	// and page-table updates). Calibrated, not datasheet: transfers
-	// overlap well until they contend with the attention kernels for HBM.
-	PCIeOverlapFrac float64
-	// NICBandwidth is cross-instance network bandwidth in bytes/µs (the
-	// per-GPU share of the node's RDMA-capable fabric), NICLatency the
-	// fixed per-message cost (link + switch traversal + registration),
-	// and NICOverlapFrac the fraction of an incoming transfer's DMA that
-	// hides behind concurrent kernel execution on the receiving device —
-	// the NIC writes GPU memory through the same copy engines as PCIe,
-	// so ingest contends with attention for HBM just like swap-in does.
-	// These parameterize disaggregated prefill→decode KV shipment
-	// (NICTransfer / NICStall).
-	NICBandwidth   float64
-	NICLatency     Micros
-	NICOverlapFrac float64
+	// and page-table updates). OverlapFrac is calibrated, not datasheet:
+	// transfers overlap well until they contend with the attention
+	// kernels for HBM.
+	PCIe Link
+	// NIC is the cross-instance network link that disaggregated serving
+	// ships prefill KV over. Bandwidth is the per-GPU share of the node's
+	// RDMA-capable fabric, Latency the fixed per-message cost (link +
+	// switch traversal + registration), and OverlapFrac the fraction of
+	// an incoming transfer's DMA that hides behind concurrent kernel
+	// execution on the receiving device — the NIC writes GPU memory
+	// through the same copy engines as PCIe, so ingest contends with
+	// attention for HBM just like swap-in does.
+	NIC Link
 	// MemoryBytes is total device memory.
 	MemoryBytes int64
 	// CPUTokenOpMicros is the per-token bookkeeping cost of the on-CPU
@@ -75,20 +70,16 @@ type Device struct {
 // reproduces the paper's orders of magnitude.
 func L40() *Device {
 	return &Device{
-		Name:            "NVIDIA-L40",
-		SMs:             142,
-		LanesPerSM:      128,
-		HBMBandwidth:    864e3, // 864 GB/s
-		TensorTFLOPs:    165e6, // ~165 TFLOPs effective FP16
-		KernelLaunch:    8,
-		HostSync:        18,
-		PCIeBandwidth:   16e3, // 16 GB/s effective PCIe 4.0 x16
-		PCIeLatency:     10,
-		PCIeOverlapFrac: 0.6,
-		NICBandwidth:    12.5e3, // 100 GbE RoCE, ~12.5 GB/s effective
-		NICLatency:      25,
-		NICOverlapFrac:  0.7,
-		MemoryBytes:     48 << 30,
+		Name:         "NVIDIA-L40",
+		SMs:          142,
+		LanesPerSM:   128,
+		HBMBandwidth: 864e3, // 864 GB/s
+		TensorTFLOPs: 165e6, // ~165 TFLOPs effective FP16
+		KernelLaunch: 8,
+		HostSync:     18,
+		PCIe:         Link{Latency: 10, Bandwidth: 16e3, OverlapFrac: 0.6},   // 16 GB/s effective PCIe 4.0 x16
+		NIC:          Link{Latency: 25, Bandwidth: 12.5e3, OverlapFrac: 0.7}, // 100 GbE RoCE, ~12.5 GB/s effective
+		MemoryBytes:  48 << 30,
 		// ~4.4 µs per token-region op on the CPU path, thread pool grows
 		// with batch up to 96 threads (matches the sublinear batch scaling
 		// in Fig. 13).
@@ -131,12 +122,8 @@ func A100() *Device {
 		TensorTFLOPs:     280e6,
 		KernelLaunch:     8,
 		HostSync:         18,
-		PCIeBandwidth:    25e3,
-		PCIeLatency:      10,
-		PCIeOverlapFrac:  0.6,
-		NICBandwidth:     25e3, // 200 Gb/s HDR InfiniBand
-		NICLatency:       15,
-		NICOverlapFrac:   0.75,
+		PCIe:             Link{Latency: 10, Bandwidth: 25e3, OverlapFrac: 0.6},
+		NIC:              Link{Latency: 15, Bandwidth: 25e3, OverlapFrac: 0.75}, // 200 Gb/s HDR InfiniBand
 		MemoryBytes:      80 << 30,
 		CPUTokenOpMicros: 4.4,
 		CPUThreadsMax:    96,
@@ -153,12 +140,8 @@ func H100() *Device {
 		TensorTFLOPs:     850e6,
 		KernelLaunch:     8,
 		HostSync:         18,
-		PCIeBandwidth:    50e3,
-		PCIeLatency:      8,
-		PCIeOverlapFrac:  0.7,
-		NICBandwidth:     50e3, // 400 Gb/s NDR InfiniBand
-		NICLatency:       12,
-		NICOverlapFrac:   0.8,
+		PCIe:             Link{Latency: 8, Bandwidth: 50e3, OverlapFrac: 0.7},
+		NIC:              Link{Latency: 12, Bandwidth: 50e3, OverlapFrac: 0.8}, // 400 Gb/s NDR InfiniBand
 		MemoryBytes:      80 << 30,
 		CPUTokenOpMicros: 4.4,
 		CPUThreadsMax:    96,

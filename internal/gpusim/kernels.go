@@ -98,68 +98,45 @@ func (d *Device) CPUMemoryManagement(tokenOps, regions, batch int) Micros {
 	}
 	scan := Micros(float64(tokenOps) * d.CPUTokenOpMicros / float64(threads))
 	// page-table transfer: 8 bytes per region entry, one round trip
-	xfer := d.PCIeLatency*2 + Micros(float64(regions)*8/d.PCIeBandwidth)
+	xfer := d.PCIe.Latency*2 + Micros(float64(regions)*8/d.PCIe.Bandwidth)
 	return scan + xfer + d.HostSync
 }
 
-// PCIeTransfer returns the duration of one host-device DMA moving `bytes`
-// in either direction: the fixed per-transfer latency (doorbell, descriptor
-// fetch) plus the bandwidth term. The offload tier uses it for KV swap
-// traffic (D2H on swap-out, H2D on swap-in/prefetch).
-func (d *Device) PCIeTransfer(bytes float64) Micros {
+// Link is one data path's transfer model: a fixed per-transfer latency,
+// a bandwidth in bytes/µs, and the fraction of a transfer that can hide
+// behind concurrent kernel execution. A Device has two: PCIe between
+// host and device, NIC between serving instances.
+type Link struct {
+	Latency                Micros
+	Bandwidth, OverlapFrac float64
+}
+
+// Transfer returns the duration of one transfer moving `bytes` over the
+// link: the fixed per-transfer latency (doorbell and descriptor fetch on
+// PCIe; link, switch traversal and memory registration on the NIC) plus
+// the bandwidth term. The offload tier prices KV swap traffic over PCIe
+// (D2H on swap-out, H2D on swap-in/prefetch); disaggregated serving
+// prices shipping a finished prefill's KV pages to its decode instance
+// over the NIC — compressed pages cross the wire at their packed size,
+// so a K4V2 sequence ships several times cheaper than FP16.
+func (l Link) Transfer(bytes float64) Micros {
 	if bytes <= 0 {
 		return 0
 	}
-	return d.PCIeLatency + Micros(bytes/d.PCIeBandwidth)
+	return l.Latency + Micros(bytes/l.Bandwidth)
 }
 
-// TransferStall returns the portion of a host-device transfer that cannot
-// be hidden behind concurrent kernel execution of `compute` duration: copy
-// engines overlap up to PCIeOverlapFrac of the compute window, and whatever
-// exceeds it stalls the stream. This is the transfer time a serving step
-// actually pays.
-func (d *Device) TransferStall(xfer, compute Micros) Micros {
+// Stall returns the portion of a transfer that cannot be hidden behind
+// concurrent kernel execution of `compute` duration: the copy engines
+// overlap up to OverlapFrac of the compute window, and whatever exceeds
+// it stalls the stream. This is the transfer time a serving step
+// actually pays — for swap traffic, and for the ingest of a shipped
+// sequence a decode instance adopts mid-batch.
+func (l Link) Stall(xfer, compute Micros) Micros {
 	if xfer <= 0 {
 		return 0
 	}
-	overlap := d.PCIeOverlapFrac
-	if overlap < 0 {
-		overlap = 0
-	} else if overlap > 1 {
-		overlap = 1
-	}
-	hidden := Micros(overlap * float64(compute))
-	if hidden >= xfer {
-		return 0
-	}
-	return xfer - hidden
-}
-
-// NICTransfer returns the duration of one cross-instance network transfer
-// moving `bytes` between two serving instances: the fixed per-message
-// latency (link + switch traversal + memory registration) plus the
-// bandwidth term. Disaggregated serving uses it to price shipping a
-// finished prefill's KV pages to the chosen decode instance — compressed
-// pages cross the wire at their packed size, so a K4V2 sequence ships
-// several times cheaper than FP16.
-func (d *Device) NICTransfer(bytes float64) Micros {
-	if bytes <= 0 {
-		return 0
-	}
-	return d.NICLatency + Micros(bytes/d.NICBandwidth)
-}
-
-// NICStall returns the portion of an incoming network transfer's device
-// DMA that cannot hide behind concurrent kernel execution of `compute`
-// duration on the receiving instance: the NIC writes GPU memory through
-// the copy engines, overlapping up to NICOverlapFrac of the compute
-// window, and the excess stalls the stream — the ingest tax a decode
-// instance pays when it adopts a shipped sequence mid-batch.
-func (d *Device) NICStall(xfer, compute Micros) Micros {
-	if xfer <= 0 {
-		return 0
-	}
-	overlap := d.NICOverlapFrac
+	overlap := l.OverlapFrac
 	if overlap < 0 {
 		overlap = 0
 	} else if overlap > 1 {

@@ -11,7 +11,7 @@
 // bytes, so its compression directly cuts the PCIe cost of every swap.
 //
 // Timing is never measured here — swap operations return byte counts that
-// the gpusim cost model (Device.PCIeTransfer / TransferStall) converts to
+// the gpusim cost model (Device.PCIe: Link.Transfer / Stall) converts to
 // simulated time, mirroring the kvcache/gpusim split.
 package offload
 

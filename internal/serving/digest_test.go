@@ -61,7 +61,7 @@ func handoffPair(t *testing.T, h hash.Hash, pre, dec Config, reqs []workload.Req
 		if !ok {
 			t.Fatalf("prefill child %d left no export", cp.Req.ID)
 		}
-		exp.XferUs = float64(d.Device().NICTransfer(float64(exp.Bytes)))
+		exp.XferUs = float64(d.Device().NIC.Transfer(float64(exp.Bytes)))
 		wire = append(wire, exp)
 		fmt.Fprintf(h, "ship %d %d %d\n", exp.Req.ID, exp.Bytes, len(exp.Counts))
 	}

@@ -493,7 +493,7 @@ func (e *Engine) admit() error {
 		e.swappedTok -= st.tokens()
 		// H2D prefetch: the transfer stall is charged to the next step,
 		// overlapped against its compute
-		xfer := e.dev.PCIeTransfer(float64(res.Bytes))
+		xfer := e.dev.PCIe.Transfer(float64(res.Bytes))
 		e.pendingXfer += xfer
 		e.xferUs += xfer
 		st.RetryUs = append(st.RetryUs, float64(e.clock))
@@ -537,7 +537,7 @@ func (e *Engine) admit() error {
 				if tok, bytes, hok := e.tiered.TakePrefix(r.PrefixGroup, float64(e.clock)); hok {
 					ent = e.insertPrefix(r.PrefixGroup)
 					ent.tokens = tok
-					xfer := e.dev.PCIeTransfer(float64(bytes))
+					xfer := e.dev.PCIe.Transfer(float64(bytes))
 					e.pendingXfer += xfer
 					e.xferUs += xfer
 					e.emit(trace.Event{Kind: trace.KindHostPrefixHit, TimeUs: float64(e.clock), Seq: r.ID,
@@ -685,12 +685,12 @@ func (e *Engine) step() ([]Completion, error) {
 	// H2D prefetch stall from swap-ins and host prefix promotions admitted
 	// before this step, overlapped against its compute
 	if e.pendingXfer > 0 {
-		bd.Offload += e.dev.TransferStall(e.pendingXfer, bd.ModelExec+bd.Compressor)
+		bd.Offload += e.dev.PCIe.Stall(e.pendingXfer, bd.ModelExec+bd.Compressor)
 		e.pendingXfer = 0
 	}
 	// NIC ingest stall from disagg adoptions admitted before this step
 	if e.pendingNIC > 0 {
-		bd.Offload += e.dev.NICStall(e.pendingNIC, bd.ModelExec+bd.Compressor)
+		bd.Offload += e.dev.NIC.Stall(e.pendingNIC, bd.ModelExec+bd.Compressor)
 		e.pendingNIC = 0
 	}
 	if isPrompt {
@@ -842,7 +842,7 @@ func (e *Engine) recordPreemptions(preempted, swapped []*seqState) {
 		e.swappedTok += n
 		e.evict(st, atSwapped, trace.PhaseSwapped)
 		e.emit(trace.Event{Kind: trace.KindSwapOut, TimeUs: now, Seq: st.req.ID,
-			Bytes: st.swapBytes, DurUs: float64(e.dev.PCIeTransfer(float64(st.swapBytes)))})
+			Bytes: st.swapBytes, DurUs: float64(e.dev.PCIe.Transfer(float64(st.swapBytes)))})
 	}
 	e.pending = slices.Insert(e.pending, 0, preempted...)
 	e.swappedQ = append(e.swappedQ, swapped...)
@@ -1057,9 +1057,9 @@ func (e *Engine) genStep(seqs []*seqState) (StepBreakdown, []*seqState, []*seqSt
 	if swapXferBytes > 0 {
 		// D2H swap traffic: one aggregated transfer, overlapped against
 		// this step's kernels up to the device's calibrated fraction
-		xfer := dev.PCIeTransfer(swapXferBytes)
+		xfer := dev.PCIe.Transfer(swapXferBytes)
 		e.xferUs += xfer
-		bd.Offload += dev.TransferStall(xfer, bd.ModelExec+bd.Compressor)
+		bd.Offload += dev.PCIe.Stall(xfer, bd.ModelExec+bd.Compressor)
 	}
 
 	for _, st := range seqs {

@@ -57,7 +57,7 @@ type KVExport struct {
 	// the decode manager adopts exactly these page demands, so occupancy
 	// transfers page-identically.
 	Counts []kvcache.HeadDemand
-	// XferUs is the modeled NICTransfer wire time, stamped by the cluster;
+	// XferUs is the modeled NIC.Transfer wire time, stamped by the cluster;
 	// adoption charges it to the decode instance's next step as ingest
 	// stall.
 	XferUs float64

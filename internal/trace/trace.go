@@ -62,7 +62,7 @@ const (
 	// instance for the chosen decode instance over the NIC. It is
 	// emitted against the *destination* instance (it opens the decode
 	// side's span tree with an xfer:inst span); Bytes is the packed
-	// payload crossing the wire, DurUs the modeled NICTransfer time, and
+	// payload crossing the wire, DurUs the modeled NIC.Transfer time, and
 	// Note names the source and pool link ("from=2 link=prefill>decode").
 	KindKVShip Kind = "kv_ship"
 	// KindAlert is a telemetry signal (internal/telemetry): a saturation

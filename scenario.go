@@ -71,88 +71,6 @@ type ClusterSpec struct {
 	TPOTSLOSec         float64 `json:"tpot_slo_sec,omitempty"`
 }
 
-// DisaggSpec splits a cluster scenario into prefill/decode pools:
-// instances 1..PrefillPool run prompt passes only, the next DecodePool
-// instances adopt shipped prefills only, and any remainder serves
-// mixed. Each request becomes a prefill sub-request and a decode
-// sub-request joined by a compressed cross-instance KV transfer over
-// the device NIC model. Requires a cluster section with at least
-// PrefillPool+DecodePool instances; cannot be combined with faults.
-// Unless the cluster names a routing policy, disaggregated scenarios
-// default to disagg-aware routing.
-type DisaggSpec struct {
-	PrefillPool int `json:"prefill_pool"`
-	DecodePool  int `json:"decode_pool"`
-}
-
-// FaultsSpec declares the scenario's deterministic fault-injection
-// plan (cluster scenarios only): scheduled or rate-sampled instance
-// crashes, transient slowdowns, a PCIe transfer error rate, and the
-// re-dispatch retry policy. The scenario seed drives schedule
-// expansion, backoff jitter and PCIe fault draws, so a checked-in
-// chaos spec reproduces its failures exactly.
-type FaultsSpec struct {
-	// Crashes and Slowdowns schedule explicit fault events.
-	Crashes   []CrashSpec    `json:"crashes,omitempty"`
-	Slowdowns []SlowdownSpec `json:"slowdowns,omitempty"`
-	// CrashRatePerMin > 0 adds seeded random crashes per instance with
-	// exponential interarrivals, each down for an exponentially
-	// distributed time of mean MeanDownSec (default 5), out to
-	// HorizonSec (default 120).
-	CrashRatePerMin float64 `json:"crash_rate_per_min,omitempty"`
-	MeanDownSec     float64 `json:"mean_down_sec,omitempty"`
-	HorizonSec      float64 `json:"horizon_sec,omitempty"`
-	// PCIeErrorRate is the per-transfer probability that a host<->device
-	// KV copy faults (swap-out falls back to recompute, swap-in retries).
-	PCIeErrorRate float64 `json:"pcie_error_rate,omitempty"`
-	// RetryBudget caps re-dispatches per request after crashes: 0
-	// selects the default (3), negative disables retries entirely.
-	RetryBudget int `json:"retry_budget,omitempty"`
-	// RetryBaseMs is the base exponential re-dispatch backoff
-	// (default 50).
-	RetryBaseMs float64 `json:"retry_base_ms,omitempty"`
-}
-
-// CrashSpec schedules one instance crash: Instance is 1-based,
-// DownSec <= 0 means the instance never restarts.
-type CrashSpec struct {
-	Instance int     `json:"instance"`
-	AtSec    float64 `json:"at_sec"`
-	DownSec  float64 `json:"down_sec,omitempty"`
-}
-
-// SlowdownSpec schedules one transient degraded window: the instance
-// keeps serving with step time multiplied by Factor (> 1) and the
-// router down-weights it.
-type SlowdownSpec struct {
-	Instance int     `json:"instance"`
-	AtSec    float64 `json:"at_sec"`
-	DurSec   float64 `json:"dur_sec"`
-	Factor   float64 `json:"factor"`
-}
-
-// faultPlan translates the spec into the internal fault plan, seeded
-// from the scenario seed.
-func faultPlan(s Scenario) *FaultPlan {
-	f := s.Faults
-	p := &FaultPlan{
-		Seed:            s.Seed,
-		CrashRatePerMin: f.CrashRatePerMin,
-		MeanDownSec:     f.MeanDownSec,
-		HorizonSec:      f.HorizonSec,
-		PCIeErrorRate:   f.PCIeErrorRate,
-		RetryBudget:     f.RetryBudget,
-		RetryBaseMs:     f.RetryBaseMs,
-	}
-	for _, c := range f.Crashes {
-		p.Crashes = append(p.Crashes, FaultCrash{Inst: c.Instance, AtSec: c.AtSec, DownSec: c.DownSec})
-	}
-	for _, sl := range f.Slowdowns {
-		p.Slowdowns = append(p.Slowdowns, FaultSlowdown{Inst: sl.Instance, AtSec: sl.AtSec, DurSec: sl.DurSec, Factor: sl.Factor})
-	}
-	return p
-}
-
 // GatewaySpec configures the network-facing HTTP gateway over a built
 // stack: where to listen, how to pace the simulation against wall time,
 // and per-request defaults. It parameterizes cmd/diffkv-gateway; the
@@ -271,12 +189,23 @@ type Scenario struct {
 	// index.
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	// Disaggregation, when present, splits the cluster into prefill and
-	// decode pools joined by compressed cross-instance KV transfers
-	// (requires Cluster; excludes Faults).
-	Disaggregation *DisaggSpec `json:"disaggregation,omitempty"`
-	// Faults, when present, injects the declared fault plan into the
-	// cluster run (requires Cluster).
-	Faults *FaultsSpec `json:"faults,omitempty"`
+	// decode pools: instances 1..prefill_pool run prompt passes only, the
+	// next decode_pool instances adopt shipped prefills only, and any
+	// remainder serves mixed. Each request becomes a prefill sub-request
+	// and a decode sub-request joined by a compressed cross-instance KV
+	// transfer over the device NIC model. Requires a cluster section with
+	// at least prefill_pool+decode_pool instances and excludes Faults;
+	// unless the cluster names a routing policy, it selects disagg-aware
+	// routing.
+	Disaggregation *DisaggPools `json:"disaggregation,omitempty"`
+	// Faults, when present, injects a deterministic fault plan into the
+	// cluster run (requires Cluster): scheduled or rate-sampled instance
+	// crashes, transient slowdowns, a PCIe transfer error rate and the
+	// re-dispatch retry policy. Build seeds the plan from Seed; the
+	// plan's own Seed is ignored. The scenario seed thus drives schedule
+	// expansion, backoff jitter and PCIe fault draws, so a checked-in
+	// chaos spec reproduces its failures exactly.
+	Faults *FaultPlan `json:"faults,omitempty"`
 	// Gateway configures the HTTP serving front-end (diffkv-gateway):
 	// listen address, time pacing and request defaults. Absent, the
 	// gateway binary falls back to its flag defaults; the library Build
@@ -492,11 +421,12 @@ func clusterConfig(s Scenario, ec ServerConfig) ClusterServerConfig {
 		cc.TPOTSLOUs = c.TPOTSLOSec * 1e6
 	}
 	if s.Faults != nil {
-		cc.Faults = faultPlan(s)
+		// a copy, so the caller's plan keeps its own Seed
+		p := *s.Faults
+		p.Seed = s.Seed
+		cc.Faults = &p
 	}
-	if d := s.Disaggregation; d != nil {
-		cc.Disagg = &DisaggPools{PrefillInstances: d.PrefillPool, DecodeInstances: d.DecodePool}
-	}
+	cc.Disagg = s.Disaggregation
 	return cc
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"diffkv/internal/cluster"
+	"diffkv/internal/faults"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -42,9 +43,9 @@ var goldenScenario = Scenario{
 		TTFTSLOSec:    2,
 		TPOTSLOSec:    0.1,
 	},
-	Faults: &FaultsSpec{
-		Crashes:       []CrashSpec{{Instance: 1, AtSec: 10, DownSec: 5}},
-		Slowdowns:     []SlowdownSpec{{Instance: 2, AtSec: 4, DurSec: 6, Factor: 2.5}},
+	Faults: &FaultPlan{
+		Crashes:       []faults.Crash{{Inst: 1, AtSec: 10, DownSec: 5}},
+		Slowdowns:     []faults.Slowdown{{Inst: 2, AtSec: 4, DurSec: 6, Factor: 2.5}},
 		PCIeErrorRate: 0.01,
 		RetryBudget:   3,
 		RetryBaseMs:   50,
@@ -118,7 +119,7 @@ var goldenDisaggScenario = Scenario{
 		TTFTSLOSec: 2,
 		TPOTSLOSec: 0.1,
 	},
-	Disaggregation: &DisaggSpec{PrefillPool: 2, DecodePool: 2},
+	Disaggregation: &DisaggPools{PrefillInstances: 2, DecodeInstances: 2},
 	Seed:           7,
 }
 
@@ -207,6 +208,18 @@ func TestScenarioErrorFieldPaths(t *testing.T) {
 			  "cluster": {"instances": 4},
 			  "disaggregation": {"prefil_pool": 2, "decode_pool": 2}}`,
 			`"disaggregation.prefil_pool"`},
+		{"faults seed is not a spec key",
+			`{"model": "Llama3-8B", "method": "vLLM",
+			  "workload": {"bench": "MATH"},
+			  "cluster": {"instances": 2},
+			  "faults": {"seed": 5}}`,
+			`"faults.seed"`},
+		{"crash field is named instance",
+			`{"model": "Llama3-8B", "method": "vLLM",
+			  "workload": {"bench": "MATH"},
+			  "cluster": {"instances": 2},
+			  "faults": {"crashes": [{"inst": 1, "at_sec": 1}]}}`,
+			`"faults.crashes[0].inst"`},
 	} {
 		_, err := ParseScenario([]byte(tc.spec))
 		if err == nil || !strings.Contains(err.Error(), tc.wantPath) {
@@ -291,27 +304,27 @@ func TestScenarioValidation(t *testing.T) {
 			s.Workload.Prefix = &PrefixConfig{Groups: 2, PrefixLen: 128, SharedFrac: 0.5}
 		},
 		"faults-no-cluster": func(s *Scenario) {
-			s.Faults = &FaultsSpec{Crashes: []CrashSpec{{Instance: 1, AtSec: 1}}}
+			s.Faults = &FaultPlan{Crashes: []faults.Crash{{Inst: 1, AtSec: 1}}}
 		},
 		"faults-bad-instance": func(s *Scenario) {
 			s.Cluster = &ClusterSpec{Instances: 2}
-			s.Faults = &FaultsSpec{Crashes: []CrashSpec{{Instance: 5, AtSec: 1}}}
+			s.Faults = &FaultPlan{Crashes: []faults.Crash{{Inst: 5, AtSec: 1}}}
 		},
 		"faults-bad-error-rate": func(s *Scenario) {
 			s.Cluster = &ClusterSpec{Instances: 2}
-			s.Faults = &FaultsSpec{PCIeErrorRate: 1.5}
+			s.Faults = &FaultPlan{PCIeErrorRate: 1.5}
 		},
 		"disagg-no-cluster": func(s *Scenario) {
-			s.Disaggregation = &DisaggSpec{PrefillPool: 1, DecodePool: 1}
+			s.Disaggregation = &DisaggPools{PrefillInstances: 1, DecodeInstances: 1}
 		},
 		"disagg-with-faults": func(s *Scenario) {
 			s.Cluster = &ClusterSpec{Instances: 4}
-			s.Disaggregation = &DisaggSpec{PrefillPool: 2, DecodePool: 2}
-			s.Faults = &FaultsSpec{Crashes: []CrashSpec{{Instance: 1, AtSec: 1}}}
+			s.Disaggregation = &DisaggPools{PrefillInstances: 2, DecodeInstances: 2}
+			s.Faults = &FaultPlan{Crashes: []faults.Crash{{Inst: 1, AtSec: 1}}}
 		},
 		"disagg-pool-overflow": func(s *Scenario) {
 			s.Cluster = &ClusterSpec{Instances: 2}
-			s.Disaggregation = &DisaggSpec{PrefillPool: 2, DecodePool: 2}
+			s.Disaggregation = &DisaggPools{PrefillInstances: 2, DecodeInstances: 2}
 		},
 	} {
 		sc := base
@@ -380,20 +393,28 @@ func TestScenarioBuildShapes(t *testing.T) {
 // TestScenarioFaultsDeterministic: a chaos scenario is an experiment
 // like any other — building and running the same spec twice reproduces
 // the identical metrics, crashes included, and every dispatched request
-// reaches a terminal state.
+// reaches a terminal state. The scenario seed governs the plan: a Seed
+// set on the plan itself changes nothing, and Build leaves the caller's
+// plan as it was.
 func TestScenarioFaultsDeterministic(t *testing.T) {
 	sc := Scenario{Model: "Llama3-8B", Method: "vLLM", MaxGenLen: 256,
 		Workload: WorkloadSpec{Bench: "MATH", Requests: 16},
 		Cluster:  &ClusterSpec{Instances: 2, Routing: "least-loaded"},
-		Faults: &FaultsSpec{
-			Crashes: []CrashSpec{{Instance: 1, AtSec: 1, DownSec: 2}},
+		Faults: &FaultPlan{
+			Crashes: []faults.Crash{{Inst: 1, AtSec: 1, DownSec: 2}},
 		},
 		Seed: 9,
 	}
-	run := func() cluster.Metrics {
+	run := func(planSeed uint64) cluster.Metrics {
+		sc, plan := sc, *sc.Faults
+		plan.Seed = planSeed
+		sc.Faults = &plan
 		st, err := sc.Build()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if plan.Seed != planSeed {
+			t.Fatalf("Build rewrote the caller's plan seed %d to %d", planSeed, plan.Seed)
 		}
 		m, err := st.Cluster.Run(st.Requests())
 		if err != nil {
@@ -401,7 +422,7 @@ func TestScenarioFaultsDeterministic(t *testing.T) {
 		}
 		return m
 	}
-	a, b := run(), run()
+	a, b := run(0), run(99)
 	if a.Crashes != 1 || a.Restarts != 1 {
 		t.Fatalf("crashes/restarts %d/%d, want 1/1", a.Crashes, a.Restarts)
 	}

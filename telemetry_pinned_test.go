@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"diffkv/internal/faults"
 	"diffkv/internal/trace"
 )
 
@@ -140,10 +141,10 @@ func TestChaosSLOBurnBeforeBrownout(t *testing.T) {
 		BrownoutQueueDepth: 24,
 		Workload:           WorkloadSpec{Bench: "MATH", RatePerSec: 10, Seconds: 15},
 		Cluster:            &ClusterSpec{Instances: 3, Routing: "least-loaded", MaxQueueDepth: 128},
-		Faults: &FaultsSpec{
-			Crashes: []CrashSpec{
-				{Instance: 1, AtSec: 2, DownSec: 6},
-				{Instance: 2, AtSec: 3, DownSec: 5},
+		Faults: &FaultPlan{
+			Crashes: []faults.Crash{
+				{Inst: 1, AtSec: 2, DownSec: 6},
+				{Inst: 2, AtSec: 3, DownSec: 5},
 			},
 		},
 		Observability: &ObservabilitySpec{
