@@ -112,6 +112,44 @@ func BenchmarkGenCompactSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkPromptChurn is one short request's pass through the page
+// manager at the prefill_churn workload's shape: a counts-only Llama3-8B
+// manager of that workload's 54,229 64 KB pages, and per iteration
+// AddSequence, PromptCompact of a 2.5k-token prompt over 256 heads, and
+// ReleaseSequence. With -cpuprofile it is the admit / prompt / release
+// path's profile.
+func BenchmarkPromptChurn(b *testing.B) {
+	const numPages, promptLen = 54229, 2500
+	model := synth.Llama3_8B
+	heads := model.Layers * model.KVHeads
+	mgr, err := kvcache.NewManager(kvcache.Config{
+		Dim: model.HeadDim, PageBytes: 65536, NumPages: numPages, MaxSeqLen: model.MaxSeqLen,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRNG(42)
+	prompt := make([]kvcache.HeadDemand, heads)
+	for h := range prompt {
+		hiF := mathx.Clamp(0.25*rng.LogNorm(0, 0.3), 0.02, 0.9)
+		loF := mathx.Clamp(0.3*rng.LogNorm(0, 0.3), 0, 0.9-hiF)
+		prompt[h] = kvcache.HeadDemand{HiTokens: int(hiF * promptLen), LoTokens: int(loF * promptLen)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mgr.AddSequence(i, heads); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.PromptCompact(i, promptLen, prompt); err != nil {
+			b.Fatal(err)
+		}
+		if err := mgr.ReleaseSequence(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCompressedAttention1K(b *testing.B) { benchkernels.CompressedAttention1K(b) }
 
 func BenchmarkGenPolicyStep(b *testing.B) { benchkernels.GenPolicyStep(b) }

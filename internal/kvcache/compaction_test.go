@@ -199,7 +199,9 @@ func TestCompactFailureLeavesNothingBehind(t *testing.T) {
 }
 
 // checkConservation asserts that the free ring and the page tables
-// together hold every page ID exactly once.
+// together hold every page ID exactly once, that each registered sequence's
+// tables slice its own block of the manager's table length, and that every
+// table entry no page holds, in a registered or a spare block, is -1.
 func checkConservation(t *testing.T, m *Manager, op string) {
 	t.Helper()
 	n := m.Config().NumPages
@@ -210,21 +212,44 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 		}
 		seen[id] = true
 	}
+	unused := func(entries []int32) bool {
+		for _, id := range entries {
+			if id != -1 {
+				return false
+			}
+		}
+		return true
+	}
 	fl := m.free
 	for i := 0; i < fl.freeCnt; i++ {
 		mark(fl.ring[(fl.start+i)%len(fl.ring)], "ring")
 	}
 	held, meta := 0, 0
-	for _, sc := range m.seqs {
-		for _, hc := range sc.Heads {
-			for _, id := range sideIDs(&hc.table, LevelHi) {
+	for seq, sc := range m.seqs {
+		if len(sc.block) != len(sc.heads)*m.slots {
+			t.Fatalf("after %s: seq %d has a %d-entry block for %d heads of %d slots", op, seq, len(sc.block), len(sc.heads), m.slots)
+		}
+		for h, hc := range sc.Heads {
+			bt := &hc.table
+			if len(bt.slots) != m.slots || &bt.slots[0] != &sc.block[h*m.slots] {
+				t.Fatalf("after %s: seq %d head %d's table is not its block's slice", op, seq, h)
+			}
+			for _, id := range sideIDs(bt, LevelHi) {
 				mark(id, "hi table")
 			}
-			for _, id := range sideIDs(&hc.table, LevelLo) {
+			for _, id := range sideIDs(bt, LevelLo) {
 				mark(id, "lo table")
 			}
-			held += hc.table.count(LevelHi) + hc.table.count(LevelLo)
-			meta += hc.table.MetadataBytes()
+			if !unused(bt.slots[bt.count(LevelHi) : len(bt.slots)-bt.count(LevelLo)]) {
+				t.Fatalf("after %s: seq %d head %d holds a page ID between its two sides", op, seq, h)
+			}
+			held += bt.count(LevelHi) + bt.count(LevelLo)
+			meta += bt.MetadataBytes()
+		}
+	}
+	for i, b := range m.spare {
+		if !unused(b) {
+			t.Fatalf("after %s: spare block %d holds a page ID", op, i)
 		}
 	}
 	if fl.freeCnt+held != n || m.UsedPages() != held {
@@ -235,123 +260,174 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 	}
 }
 
+// churn drives m through steps random add / prompt / gen / adopt / release
+// calls, calls that fail included, and runs check after each; a sequence
+// added at step s gets headsAt(s) heads. It then releases every sequence
+// and requires the whole pool free. At least one call must fail and at
+// least one succeed.
+func churn(t *testing.T, m *Manager, rng *mathx.RNG, steps int, headsAt func(step int) int, check func(op string)) {
+	t.Helper()
+	maxSeqLen := m.Config().MaxSeqLen
+	var fresh, live []int // registered and not yet prompted; prompted
+	nextID := 1
+	pick := func(ids []int) (int, int) {
+		if len(ids) == 0 {
+			return -1, -1 // an unknown sequence: the call must fail
+		}
+		i := rng.Intn(len(ids))
+		return i, ids[i]
+	}
+	drop := func(ids []int, i int) []int { return append(ids[:i], ids[i+1:]...) }
+	failures := 0
+	for step := 0; step < steps; step++ {
+		// headsOf is a registered sequence's head count, or this step's for
+		// an unknown one
+		headsOf := func(id int) int {
+			if sc, ok := m.seqs[id]; ok {
+				return len(sc.heads)
+			}
+			return headsAt(step)
+		}
+		var op string
+		var err error
+		switch rng.Intn(10) {
+		case 0, 1:
+			op = "add"
+			if _, err = m.AddSequence(nextID, headsAt(step)); err == nil {
+				fresh = append(fresh, nextID)
+			}
+			nextID++
+		case 2, 3:
+			op = "prompt"
+			// up to 1.25 × maxSeqLen; one call in eight asks a head for
+			// more than the prompt
+			i, id := pick(fresh)
+			promptLen := 1 + rng.Intn(maxSeqLen*5/4)
+			demands := make([]HeadDemand, headsOf(id))
+			for h := range demands {
+				hi := rng.Intn(promptLen + 1)
+				demands[h] = HeadDemand{HiTokens: hi, LoTokens: rng.Intn(promptLen - hi + 1)}
+			}
+			if rng.Intn(8) == 0 {
+				demands[rng.Intn(len(demands))].LoTokens += promptLen
+			}
+			if _, err = m.PromptCompact(id, promptLen, demands); err == nil {
+				fresh, live = drop(fresh, i), append(live, id)
+			}
+		case 4, 5, 6:
+			op = "gen"
+			// every live sequence grows; large deltas run out of pages or slots
+			demands := make([][]GenDemand, len(live))
+			for i := range demands {
+				demands[i] = make([]GenDemand, headsOf(live[i]))
+				for h := range demands[i] {
+					demands[i][h] = GenDemand{HiDelta: rng.Intn(3) * rng.Intn(40), LoDelta: rng.Intn(2)}
+				}
+			}
+			_, err = m.GenCompact(live, demands)
+		case 7:
+			op = "adopt"
+			// swap out and back in under a new ID; sometimes inflated past the pool
+			i, id := pick(live)
+			counts, herr := m.HeadCounts(id, nil)
+			if herr != nil {
+				err = herr
+				break
+			}
+			if err = m.ReleaseSequence(id); err != nil {
+				t.Fatal(err)
+			}
+			live = drop(live, i)
+			if rng.Intn(3) == 0 {
+				counts[rng.Intn(len(counts))].LoTokens += rng.Intn(40) * 68
+			}
+			if err = m.AdoptCounts(nextID, counts); err == nil {
+				live = append(live, nextID)
+			}
+			nextID++
+		case 8:
+			op = "release"
+			if i, id := pick(live); i >= 0 {
+				live = drop(live, i)
+				err = m.ReleaseSequence(id)
+			} else if i, id := pick(fresh); i >= 0 {
+				fresh = drop(fresh, i)
+				err = m.ReleaseSequence(id)
+			}
+		case 9:
+			op = "duplicate add"
+			if i, id := pick(live); i >= 0 {
+				_, err = m.AddSequence(id, headsAt(step))
+			} else {
+				err = m.ReleaseSequence(id)
+			}
+		}
+		if err != nil {
+			failures++
+		}
+		check(op)
+	}
+	if failures == 0 || failures == steps {
+		t.Fatalf("%d of %d calls failed; the mix should have both outcomes", failures, steps)
+	}
+	for _, id := range append(fresh, live...) {
+		if err := m.ReleaseSequence(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("final release")
+	if m.FreePages() != m.Config().NumPages {
+		t.Fatalf("%d of %d pages free after releasing everything", m.FreePages(), m.Config().NumPages)
+	}
+}
+
 // Property: under any interleaving of add / prompt / gen / adopt / release,
 // calls that fail included, ring ∪ tables stays a permutation of
 // [0, NumPages).
 func TestManagerConservationProperty(t *testing.T) {
 	const heads, numPages, maxSeqLen = 4, 96, 300 // 9-slot tables, a pool a few prompts fill
 	for seed := uint64(1); seed <= 20; seed++ {
-		rng := mathx.NewRNG(seed)
 		m := compactManager(t, numPages, maxSeqLen)
-		var fresh, live []int // registered and not yet prompted; prompted
-		nextID := 1
-		pick := func(ids []int) (int, int) {
-			if len(ids) == 0 {
-				return -1, -1 // an unknown sequence: the call must fail
-			}
-			i := rng.Intn(len(ids))
-			return i, ids[i]
-		}
-		drop := func(ids []int, i int) []int { return append(ids[:i], ids[i+1:]...) }
-		failures := 0
-		for step := 0; step < 400; step++ {
-			var op string
-			var err error
-			switch rng.Intn(10) {
-			case 0, 1:
-				op = "add"
-				if _, err = m.AddSequence(nextID, heads); err == nil {
-					fresh = append(fresh, nextID)
-				}
-				nextID++
-			case 2, 3:
-				op = "prompt"
-				// up to 1.25 × maxSeqLen; one call in eight asks a head for
-				// more than the prompt
-				i, id := pick(fresh)
-				promptLen := 1 + rng.Intn(maxSeqLen*5/4)
-				demands := make([]HeadDemand, heads)
-				for h := range demands {
-					hi := rng.Intn(promptLen + 1)
-					demands[h] = HeadDemand{HiTokens: hi, LoTokens: rng.Intn(promptLen - hi + 1)}
-				}
-				if rng.Intn(8) == 0 {
-					demands[rng.Intn(heads)].LoTokens += promptLen
-				}
-				if _, err = m.PromptCompact(id, promptLen, demands); err == nil {
-					fresh, live = drop(fresh, i), append(live, id)
-				}
-			case 4, 5, 6:
-				op = "gen"
-				// every live sequence grows; large deltas run out of pages or slots
-				demands := make([][]GenDemand, len(live))
-				for i := range demands {
-					demands[i] = make([]GenDemand, heads)
-					for h := range demands[i] {
-						demands[i][h] = GenDemand{HiDelta: rng.Intn(3) * rng.Intn(40), LoDelta: rng.Intn(2)}
+		churn(t, m, mathx.NewRNG(seed), 400, func(int) int { return heads },
+			func(op string) { checkConservation(t, m, fmt.Sprintf("%s (seed %d)", op, seed)) })
+	}
+}
+
+// A released sequence's page-table block goes to the next sequence of the
+// same head count, without a fill. Sequences of 4, then 8, then 4 heads
+// again churn through one manager, so each phase finds spare blocks of the
+// other length it must pass over. After every call checkConservation
+// requires each registered block to be its sequence's length and every
+// entry no page holds to be -1; the test counts the reuses by length.
+func TestBlockReuseProperty(t *testing.T) {
+	const numPages, maxSeqLen, steps = 96, 300, 600
+	for seed := uint64(1); seed <= 10; seed++ {
+		m := compactManager(t, numPages, maxSeqLen)
+		spare := map[*int32]bool{} // the spare blocks before the call, by first entry
+		reused := map[int]int{}    // reuses by head count
+		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{4, 8, 4}[3*step/steps] },
+			func(op string) {
+				checkConservation(t, m, fmt.Sprintf("%s (seed %d)", op, seed))
+				for _, sc := range m.seqs {
+					if spare[&sc.block[0]] {
+						reused[len(sc.heads)]++
 					}
 				}
-				_, err = m.GenCompact(live, demands)
-			case 7:
-				op = "adopt"
-				// swap out and back in under a new ID; sometimes inflated past the pool
-				i, id := pick(live)
-				counts, herr := m.HeadCounts(id, nil)
-				if herr != nil {
-					err = herr
-					break
+				clear(spare)
+				for _, b := range m.spare {
+					spare[&b[0]] = true
 				}
-				if err = m.ReleaseSequence(id); err != nil {
-					t.Fatal(err)
-				}
-				live = drop(live, i)
-				if rng.Intn(3) == 0 {
-					counts[rng.Intn(heads)].LoTokens += rng.Intn(40) * 68
-				}
-				if err = m.AdoptCounts(nextID, counts); err == nil {
-					live = append(live, nextID)
-				}
-				nextID++
-			case 8:
-				op = "release"
-				if i, id := pick(live); i >= 0 {
-					live = drop(live, i)
-					err = m.ReleaseSequence(id)
-				} else if i, id := pick(fresh); i >= 0 {
-					fresh = drop(fresh, i)
-					err = m.ReleaseSequence(id)
-				}
-			case 9:
-				op = "duplicate add"
-				if i, id := pick(live); i >= 0 {
-					_, err = m.AddSequence(id, heads)
-				} else {
-					err = m.ReleaseSequence(id)
-				}
-			}
-			if err != nil {
-				failures++
-			}
-			checkConservation(t, m, op)
-		}
-		if failures == 0 || failures == 400 {
-			t.Fatalf("seed %d: %d of 400 calls failed; the mix should have both outcomes", seed, failures)
-		}
-		for _, id := range append(fresh, live...) {
-			if err := m.ReleaseSequence(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		checkConservation(t, m, "final release")
-		if m.FreePages() != numPages {
-			t.Fatalf("seed %d: %d of %d pages free after releasing everything", seed, m.FreePages(), numPages)
+			})
+		if reused[4] == 0 || reused[8] == 0 {
+			t.Fatalf("seed %d: blocks reused %d times at 4 heads and %d at 8; both lengths should be", seed, reused[4], reused[8])
 		}
 	}
 }
 
 // Steady-state canaries, in the style of the attention scratch pins: once
 // the scratch has grown, compaction allocates nothing, and a sequence costs
-// four allocations whatever its head count.
+// three allocations whatever its head count, since the measured round
+// reuses the page-table blocks the first round released.
 func TestCompactionAllocs(t *testing.T) {
 	const heads, seqs, promptLen, runs = 64, 8, 500, 50
 	m := compactManager(t, 1<<16, 8192)
@@ -393,8 +469,8 @@ func TestCompactionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addAllocs > 4 {
-		t.Errorf("AddSequence: %v allocs, want <= 4", addAllocs)
+	if addAllocs > 3 {
+		t.Errorf("AddSequence: %v allocs, want <= 3", addAllocs)
 	}
 	if promptAllocs != 0 {
 		t.Errorf("PromptCompact: %v allocs, want 0", promptAllocs)
@@ -432,6 +508,22 @@ func TestCompactionAllocs(t *testing.T) {
 	}
 	if genAllocs != 0 {
 		t.Errorf("GenCompact: %v allocs, want 0", genAllocs)
+	}
+}
+
+// A counts-only manager holds no page pool: a million-page manager
+// allocates its free ring of 4 bytes per page and little else.
+func TestCountsOnlyManagerAllocs(t *testing.T) {
+	const numPages = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := compactManager(t, numPages, 8192)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("NewManager of %d pages allocated %d bytes, want < 8 MiB", numPages, got)
+	}
+	if m.pool != nil || m.FreePages() != numPages {
+		t.Fatalf("pool %v, %d pages free", m.pool != nil, m.FreePages())
 	}
 }
 

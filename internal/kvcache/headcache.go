@@ -76,7 +76,7 @@ func (hc *HeadCache) appendPage(level Level) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	hc.mgr.attach(hc, level, []int32{id}, 0)
+	hc.mgr.attach(hc, level, []int32{id})
 	return hc.mgr.pool.Get(id), nil
 }
 
@@ -97,11 +97,14 @@ func (hc *HeadCache) AppendToken(level Level, key, val []float32, score float32,
 }
 
 // PageCount returns the number of pages in the tier (push order indexing
-// for PageAt). Trailing pages may be empty after removals.
+// for PageAt); in counts-only mode, the number of page IDs. Trailing pages
+// may be empty after removals.
 func (hc *HeadCache) PageCount(level Level) int { return hc.table.count(level) }
 
 // PageAt returns the i-th page of the tier in push order — the slot-range
 // accessor the scratch-based attention kernels iterate directly.
+// Materialized mode only: a counts-only manager has no pages, and PageAt
+// panics there.
 func (hc *HeadCache) PageAt(level Level, i int) *Page { return hc.page(level, i) }
 
 // MinScore returns a reference to the tier's least significant token.

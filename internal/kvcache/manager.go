@@ -20,8 +20,10 @@ type Config struct {
 	HiPrec, LoPrec quant.Precision
 	// MaxSeqLen bounds page-table entry length.
 	MaxSeqLen int
-	// Materialize selects payload-carrying pages (accuracy experiments) vs
-	// counts-only pages (serving scale).
+	// Materialize backs every page ID with a payload-carrying page
+	// (accuracy experiments). Without it the manager is counts-only
+	// (serving scale): it holds no page pool, a page is its ID in the free
+	// ring and in a table, and a head's tokens are two counts.
 	Materialize bool
 }
 
@@ -54,9 +56,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Manager is one worker's KV-cache memory manager: a page pool, the
-// circular free page list, and per-(sequence, head) bidirectional page
-// tables.
+// Manager is one worker's KV-cache memory manager: the circular free page
+// list, per-(sequence, head) bidirectional page tables and, when
+// materialized, the page pool the IDs name.
 //
 // Every call that moves pages runs the paper's compaction pipeline (§5.3)
 // over scratch the Manager keeps: plan each head's page count while
@@ -70,13 +72,14 @@ func (c *Config) Validate() error {
 // is priced by gpusim from CompactStats either way.
 type Manager struct {
 	cfg       Config
-	pool      *PagePool
+	pool      *PagePool // nil in counts-only mode
 	free      *FreeList
 	seqs      map[int]*SeqCache
-	capHi     int // tokens per high-precision page
-	capLo     int // tokens per low-precision page
-	slots     int // page-table entry length
-	metaBytes int // page-table footprint of the registered sequences
+	spare     [][]int32 // released sequences' page-table blocks, every slot -1
+	capHi     int       // tokens per high-precision page
+	capLo     int       // tokens per low-precision page
+	slots     int       // page-table entry length
+	metaBytes int       // page-table footprint of the registered sequences
 
 	// pipeline scratch, grown when a larger batch first appears, then reused
 	cnt     []int32 // plan: pages per head
@@ -94,11 +97,13 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:   cfg,
-		pool:  NewPagePool(cfg.NumPages, cfg.PageBytes, cfg.Dim, cfg.Materialize),
 		free:  NewFreeList(cfg.NumPages),
 		seqs:  make(map[int]*SeqCache),
 		capHi: TokensPerPage(cfg.PageBytes, cfg.Dim, cfg.HiPrec),
 		capLo: TokensPerPage(cfg.PageBytes, cfg.Dim, cfg.LoPrec),
+	}
+	if cfg.Materialize {
+		m.pool = NewPagePool(cfg.NumPages, cfg.PageBytes, cfg.Dim)
 	}
 	// The page-table entry length is the max sequence length divided by
 	// tokens per high-precision page (paper §5.2 — low-precision pages hold
@@ -136,6 +141,7 @@ type SeqCache struct {
 	ID    int
 	Heads []*HeadCache // Heads[i] is &heads[i], for callers that hold one head
 	heads []HeadCache  // the slab the Manager's passes scan
+	block []int32      // the page-table entries the heads' tables slice up
 	epoch uint64       // the last GenCompact call that named the sequence
 }
 
@@ -159,15 +165,13 @@ func (m *Manager) checkNew(id, numHeads int) error {
 	return nil
 }
 
-// register builds a sequence in four allocations whatever its head count:
-// the view, the pointer slice, one slab of HeadCaches and one block of
-// page-table entries the tables slice up.
+// register builds a sequence in three allocations whatever its head count:
+// the view, the pointer slice and one slab of HeadCaches. The block of
+// page-table entries the tables slice up is a fourth only when no released
+// sequence left a spare block of the same length.
 func (m *Manager) register(id, numHeads int) *SeqCache {
-	sc := &SeqCache{ID: id, Heads: make([]*HeadCache, numHeads), heads: make([]HeadCache, numHeads)}
-	block := make([]int32, numHeads*m.slots)
-	for i := range block {
-		block[i] = -1
-	}
+	block := m.block(numHeads * m.slots)
+	sc := &SeqCache{ID: id, Heads: make([]*HeadCache, numHeads), heads: make([]HeadCache, numHeads), block: block}
 	for i := range sc.heads {
 		sc.heads[i] = HeadCache{mgr: m, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
 		sc.Heads[i] = &sc.heads[i]
@@ -175,6 +179,25 @@ func (m *Manager) register(id, numHeads int) *SeqCache {
 	m.seqs[id] = sc
 	m.metaBytes += 4 * len(block)
 	return sc
+}
+
+// block returns an n-entry page-table block with every entry -1: a spare
+// block of that length, or a fresh one. A spare needs no fill, since drain
+// wrote -1 back into every entry it had used.
+func (m *Manager) block(n int) []int32 {
+	for i := len(m.spare) - 1; i >= 0; i-- {
+		if b := m.spare[i]; len(b) == n {
+			last := len(m.spare) - 1
+			m.spare[i], m.spare[last] = m.spare[last], nil
+			m.spare = m.spare[:last]
+			return b
+		}
+	}
+	b := make([]int32, n)
+	for i := range b {
+		b[i] = -1
+	}
+	return b
 }
 
 // ReleaseSequence recycles every page of a finished sequence.
@@ -187,10 +210,12 @@ func (m *Manager) ReleaseSequence(id int) error {
 	for i := range sc.heads {
 		hc := &sc.heads[i]
 		flat = hc.table.drain(flat)
+		hc.table.slots = nil // a stale view must not reach the block once it is reused
 		hc.tokens = [2]int{}
 	}
 	m.flat = flat[:0]
 	m.free.give(flat)
+	m.spare = append(m.spare, sc.block)
 	m.metaBytes -= 4 * len(sc.heads) * m.slots
 	delete(m.seqs, id)
 	return nil
@@ -214,17 +239,17 @@ func (m *Manager) scanTake(cnt []int32) (off, flat []int32, err error) {
 	return off, flat, m.free.take(total, flat)
 }
 
-// attach configures pages ids for a tier and pushes them onto hc's table,
-// whose room the caller's plan has checked. In counts-only mode tokens fill
-// the pages in order, so byte accounting works without payloads.
-func (m *Manager) attach(hc *HeadCache, level Level, ids []int32, tokens int) {
-	prec, perPage := m.tier(level)
-	for _, id := range ids {
-		p := m.pool.configure(id, prec, perPage)
-		if !m.cfg.Materialize {
-			p.N = min(tokens, perPage)
-			tokens -= p.N
+// attach pushes pages ids onto a tier of hc's table, whose room the
+// caller's plan has checked. A materialized manager first configures each
+// page, empty, for the tier; a counts-only one has only the IDs.
+func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
+	if m.pool != nil {
+		prec, perPage := m.tier(level)
+		for _, id := range ids {
+			m.pool.configure(id, prec, perPage)
 		}
+	}
+	for _, id := range ids {
 		if err := hc.table.push(level, id); err != nil {
 			panic(err)
 		}
@@ -264,8 +289,8 @@ func (m *Manager) pages(d HeadDemand) int {
 // low tier's — and sets its token counts to d.
 func (m *Manager) place(hc *HeadCache, d HeadDemand, ids []int32) {
 	hi := pagesNeeded(d.HiTokens, m.capHi)
-	m.attach(hc, LevelHi, ids[:hi], d.HiTokens)
-	m.attach(hc, LevelLo, ids[hi:], d.LoTokens)
+	m.attach(hc, LevelHi, ids[:hi])
+	m.attach(hc, LevelLo, ids[hi:])
 	hc.tokens = [2]int{LevelHi: d.HiTokens, LevelLo: d.LoTokens}
 }
 
@@ -360,12 +385,12 @@ func shortfall(tokens, have, perPage int) int {
 // 2-vCPU host a generation step's fan-out (draws and plan) was up to 25 %
 // slower than the serial walk at 8-32 sequences, even at 48, and 12 %
 // faster at decode_heavy's 96, so smaller batches stay on the calling
-// goroutine, where they allocate nothing. genChunkHeads is the heads a
-// chunk gathers before it closes at a sequence boundary.
-const (
-	parallelHeads = 12288
-	genChunkHeads = 2048
-)
+// goroutine, where they allocate nothing. It is a variable only so that
+// tests can force every call onto either path. genChunkHeads is the heads
+// a chunk gathers before it closes at a sequence boundary.
+var parallelHeads = 12288
+
+const genChunkHeads = 2048
 
 // genChunk is one contiguous run of a generation batch's sequences,
 // planned by one worker that writes nothing but its own entry.
@@ -437,8 +462,8 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 		for _, g := range chunks[c].grows {
 			hc := &scs[g.seq].heads[g.head]
 			ids := flat[k : k+int(g.hi+g.lo)]
-			m.attach(hc, LevelHi, ids[:g.hi], 0)
-			m.attach(hc, LevelLo, ids[g.hi:], 0)
+			m.attach(hc, LevelHi, ids[:g.hi])
+			m.attach(hc, LevelLo, ids[g.hi:])
 			k += len(ids)
 		}
 	}

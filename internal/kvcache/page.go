@@ -2,13 +2,16 @@
 // systems contribution (§5): unified pages, the circular free page list,
 // the bidirectional page table, and parallel KV compaction.
 //
-// The package has two operating modes sharing the same data structures:
+// The package has two operating modes. Both run the free ring, the page
+// tables and the compaction pipeline over page IDs:
 //
-//   - materialized: pages carry real quantized payloads; the compression
-//     policy and attention kernels run on them (accuracy experiments);
-//   - counts-only: pages are tracked but carry no payload; the serving
-//     simulator and the Fig. 13 memory-management comparison use this mode
-//     to scale to hundreds of requests.
+//   - materialized: a PagePool backs every ID with a page that carries real
+//     quantized payloads; the compression policy and attention kernels run
+//     on them (accuracy experiments);
+//   - counts-only: a page is only its ID in the ring and in a table, and a
+//     head's tokens are two counts; there is no pool. The serving simulator
+//     and the Fig. 13 memory-management comparison use this mode to scale
+//     to hundreds of requests.
 //
 // Timing is never measured here: compaction operations return operation
 // counts that the gpusim cost model converts to simulated time.
@@ -21,17 +24,17 @@ import (
 )
 
 // Page is a unified page (paper §5.2): a fixed-size block of device memory
-// configured at allocation time to hold tokens at one precision. A
-// materialized page is organized into six segments: quantized keys, key
-// quantization metadata, quantized values, value metadata, token scores and
-// token positions.
+// configured at allocation time to hold tokens at one precision, organized
+// into six segments: quantized keys, key quantization metadata, quantized
+// values, value metadata, token scores and token positions. Only a
+// materialized manager has Page values.
 type Page struct {
 	Prec quant.Precision
 	N    int // tokens stored
 	Cap  int // token capacity at the configured precision
 	Dim  int
 
-	// payload segments (nil in counts-only mode)
+	// payload segments
 	keys    []byte    // Cap * Prec.KeyBytes(Dim)
 	vals    []byte    // Cap * Prec.ValBytes(Dim)
 	keyMeta []float32 // 2 per token: scale, zero
@@ -39,9 +42,6 @@ type Page struct {
 	scores  []float32 // 1 per token
 	pos     []int32   // 1 per token
 }
-
-// Materialized reports whether the page carries payload segments.
-func (p *Page) Materialized() bool { return p.keys != nil }
 
 // TokensPerPage returns how many tokens of dimension dim at precision prec
 // fit in a page of pageBytes. It panics if not even one fits.
@@ -56,16 +56,12 @@ func TokensPerPage(pageBytes, dim int, prec quant.Precision) int {
 }
 
 // configure prepares the page for cap tokens at precision prec, resetting
-// its contents. In materialized mode segments are (re)allocated to exact
-// size; a counts-only pool's pages never carry segments.
-func (p *Page) configure(dim int, prec quant.Precision, cap int, materialize bool) {
+// its contents: its segments are (re)allocated to exact size.
+func (p *Page) configure(dim int, prec quant.Precision, cap int) {
 	p.Prec = prec
 	p.Dim = dim
 	p.N = 0
 	p.Cap = cap
-	if !materialize {
-		return
-	}
 	p.keys = make([]byte, cap*prec.KeyBytes(dim))
 	p.vals = make([]byte, cap*prec.ValBytes(dim))
 	p.keyMeta = make([]float32, 2*cap)
@@ -78,13 +74,10 @@ func (p *Page) configure(dim int, prec quant.Precision, cap int, materialize boo
 func (p *Page) Full() bool { return p.N >= p.Cap }
 
 // Append quantizes (key, val) into the next free slot and returns its index.
-// Panics if the page is full or not materialized.
+// Panics if the page is full.
 func (p *Page) Append(key, val []float32, score float32, position int32) int {
 	if p.Full() {
 		panic("kvcache: Append to full page")
-	}
-	if !p.Materialized() {
-		panic("kvcache: Append to counts-only page")
 	}
 	slot := p.N
 	kb := p.Prec.KeyBytes(p.Dim)
@@ -113,21 +106,15 @@ func (p *Page) ValData(slot int) (data []byte, scale, zero float32) {
 
 // KeySlots returns the packed key codes and (scale, zero) metadata of the
 // page's N live slots — the slot-range view the page-granular batched
-// kernels (quant.DequantDotSlots) consume. Nil in counts-only mode.
+// kernels (quant.DequantDotSlots) consume.
 func (p *Page) KeySlots() (data []byte, meta []float32) {
-	if p.keys == nil {
-		return nil, nil
-	}
 	kb := p.Prec.KeyBytes(p.Dim)
 	return p.keys[:p.N*kb], p.keyMeta[:2*p.N]
 }
 
 // ValSlots returns the packed value codes and (scale, zero) metadata of the
-// page's N live slots. Nil in counts-only mode.
+// page's N live slots.
 func (p *Page) ValSlots() (data []byte, meta []float32) {
-	if p.vals == nil {
-		return nil, nil
-	}
 	vb := p.Prec.ValBytes(p.Dim)
 	return p.vals[:p.N*vb], p.valMeta[:2*p.N]
 }
@@ -164,7 +151,7 @@ func (p *Page) RemoveSwap(slot int) int {
 		panic("kvcache: RemoveSwap slot out of range")
 	}
 	last := p.N - 1
-	if slot != last && p.Materialized() {
+	if slot != last {
 		kb := p.Prec.KeyBytes(p.Dim)
 		vb := p.Prec.ValBytes(p.Dim)
 		copy(p.keys[slot*kb:(slot+1)*kb], p.keys[last*kb:(last+1)*kb])
@@ -178,23 +165,19 @@ func (p *Page) RemoveSwap(slot int) int {
 	return last
 }
 
-// PagePool owns every page of one memory manager.
+// PagePool owns every page of one materialized memory manager; a
+// counts-only manager has none.
 type PagePool struct {
-	pages       []Page
-	dim         int
-	materialize bool
+	pages []Page
+	dim   int
 }
 
 // NewPagePool creates n pages of pageBytes each for dimension dim.
-func NewPagePool(n, pageBytes, dim int, materialize bool) *PagePool {
+func NewPagePool(n, pageBytes, dim int) *PagePool {
 	if n <= 0 || pageBytes <= 0 || dim <= 0 {
 		panic("kvcache: invalid page pool parameters")
 	}
-	return &PagePool{
-		pages:       make([]Page, n),
-		dim:         dim,
-		materialize: materialize,
-	}
+	return &PagePool{pages: make([]Page, n), dim: dim}
 }
 
 // Get returns the page with the given ID.
@@ -206,6 +189,6 @@ func (pp *PagePool) Get(id int32) *Page {
 // caller already knows (the Manager computes its two once), and returns it.
 func (pp *PagePool) configure(id int32, prec quant.Precision, cap int) *Page {
 	p := &pp.pages[id]
-	p.configure(pp.dim, prec, cap, pp.materialize)
+	p.configure(pp.dim, prec, cap)
 	return p
 }

@@ -36,7 +36,7 @@ func configurePage(pool *PagePool, prec quant.Precision) *Page {
 }
 
 func TestPageConfigureResets(t *testing.T) {
-	pool := NewPagePool(2, 8192, 128, true)
+	pool := NewPagePool(2, 8192, 128)
 	p := configurePage(pool, quant.K8V4)
 	k := make([]float32, 128)
 	v := make([]float32, 128)
@@ -58,7 +58,7 @@ func TestPageConfigureResets(t *testing.T) {
 }
 
 func TestPageAppendFullPanics(t *testing.T) {
-	pool := NewPagePool(1, 8192, 128, true)
+	pool := NewPagePool(1, 8192, 128)
 	p := configurePage(pool, quant.FP16)
 	k := make([]float32, 128)
 	for i := 0; i < p.Cap; i++ {
@@ -72,22 +72,35 @@ func TestPageAppendFullPanics(t *testing.T) {
 	p.Append(k, k, 0, 99)
 }
 
+// A counts-only manager holds no page pool: its tables hold page IDs that
+// name no Page, so there is no page to append a token into and reaching
+// one panics.
 func TestPageCountsOnlyAppendPanics(t *testing.T) {
-	pool := NewPagePool(1, 8192, 128, false)
-	p := configurePage(pool, quant.K8V4)
-	if p.Materialized() {
-		t.Fatal("counts-only page should not be materialized")
+	m := testManager(t, false, 16)
+	if m.pool != nil {
+		t.Fatal("counts-only manager built a page pool")
+	}
+	sc, err := m.AddSequence(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PromptCompact(1, 40, []HeadDemand{{HiTokens: 40}}); err != nil {
+		t.Fatal(err)
+	}
+	hc := sc.Heads[0]
+	if hc.PageCount(LevelHi) != 2 || hc.HiTokens() != 40 {
+		t.Fatalf("%d hi page IDs for %d tokens, want 2 for 40", hc.PageCount(LevelHi), hc.HiTokens())
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.Append(make([]float32, 128), make([]float32, 128), 0, 0)
+	hc.PageAt(LevelHi, 1).Append(make([]float32, 128), make([]float32, 128), 0, 0)
 }
 
 func TestPageRemoveSwapWithinPage(t *testing.T) {
-	pool := NewPagePool(1, 8192, 64, true)
+	pool := NewPagePool(1, 8192, 64)
 	p := configurePage(pool, quant.K8V4)
 	rng := mathx.NewRNG(2)
 	for i := 0; i < 5; i++ {
@@ -110,7 +123,7 @@ func TestPageRemoveSwapWithinPage(t *testing.T) {
 }
 
 func TestPageRemoveSwapOutOfRangePanics(t *testing.T) {
-	pool := NewPagePool(1, 8192, 64, true)
+	pool := NewPagePool(1, 8192, 64)
 	p := configurePage(pool, quant.K8V4)
 	defer func() {
 		if recover() == nil {
@@ -121,7 +134,7 @@ func TestPageRemoveSwapOutOfRangePanics(t *testing.T) {
 }
 
 func TestPageDequantRoundTrip(t *testing.T) {
-	pool := NewPagePool(1, 8192, 128, true)
+	pool := NewPagePool(1, 8192, 128)
 	p := configurePage(pool, quant.K8V4)
 	rng := mathx.NewRNG(3)
 	k := make([]float32, 128)
@@ -149,15 +162,21 @@ func TestPagePoolInvalid(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPagePool(0, 8192, 128, true)
+	NewPagePool(0, 8192, 128)
 }
 
 func TestPagePoolAccessors(t *testing.T) {
-	pool := NewPagePool(3, 4096, 64, false)
+	pool := NewPagePool(3, 4096, 64)
 	if len(pool.pages) != 3 || pool.dim != 64 {
 		t.Fatal("accessors wrong")
 	}
 	if pool.Get(2) != &pool.pages[2] {
 		t.Fatal("page ID wrong")
+	}
+	// pages are empty until configured, and configured pages carry segments
+	perPage := TokensPerPage(4096, 64, quant.K4V2)
+	p := pool.configure(2, quant.K4V2, perPage)
+	if p.N != 0 || p.Cap != perPage || p.Dim != 64 || len(p.scores) != p.Cap || len(p.keys) != p.Cap*quant.K4V2.KeyBytes(64) {
+		t.Fatalf("configured page: N %d, Cap %d, Dim %d, %d scores, %d key bytes", p.N, p.Cap, p.Dim, len(p.scores), len(p.keys))
 	}
 }

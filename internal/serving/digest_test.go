@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"diffkv/internal/baselines"
 	"diffkv/internal/offload"
@@ -191,6 +193,87 @@ func crashReadmit(t *testing.T, h hash.Hash) {
 // paths; their constants were recorded from the engine that still split
 // and swept its whole batch every step.
 func TestEngineDigestPinned(t *testing.T) {
+	for _, tc := range engineDigestRows() {
+		t.Run(tc.name, func(t *testing.T) {
+			if !strings.Contains(tc.name, "manager") {
+				tc.check(t)
+				return
+			}
+			// a large manager-mode step fans its tier draws and page plan
+			// out on mathx.ForEach; the worker count must not move a bit
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					tc.check(t)
+				})
+			}
+		})
+	}
+}
+
+// TestEngineDigestAtFanOutBounds runs every TestEngineDigestPinned row with
+// the store's tier draws and the manager's page plan forced onto one path
+// at every generation step: fanned out on mathx.ForEach (threshold 0) or
+// never (math.MaxInt). Each row must still match its pinned constant, so
+// which steps cross the thresholds cannot move a bit. Under -short only
+// the fanned-out half runs: it is the one the race detector has work in.
+func TestEngineDigestAtFanOutBounds(t *testing.T) {
+	rows := engineDigestRows() // before forcing: manager-fanout checks its batch against the default
+	for _, bound := range []struct {
+		name string
+		at   int
+	}{{"all", 0}, {"none", math.MaxInt}} {
+		t.Run("fanout="+bound.name, func(t *testing.T) {
+			if testing.Short() && bound.at != 0 {
+				t.Skip("the serial half starts no goroutine; it runs without -short")
+			}
+			forceFanOut(t, bound.at)
+			for _, tc := range rows {
+				t.Run(tc.name, tc.check)
+			}
+		})
+	}
+}
+
+// kvcacheParallelHeads is kvcache's GenCompact fan-out threshold, an
+// unexported variable reached by its symbol name so that forceFanOut can
+// move the manager's threshold with the store's.
+//
+//go:linkname kvcacheParallelHeads diffkv/internal/kvcache.parallelHeads
+var kvcacheParallelHeads int
+
+// forceFanOut sets the store's draw threshold and the manager's plan
+// threshold to at until t ends. A linkname to a symbol that no longer
+// exists links to a fresh zero variable, so it first checks that the
+// manager's threshold reads the default the store's matches.
+func forceFanOut(t *testing.T, at int) {
+	t.Helper()
+	draws, heads := parallelDraws, kvcacheParallelHeads
+	if heads != draws {
+		t.Fatalf("kvcache.parallelHeads reads %d, the store's threshold is %d: the linkname names no variable", heads, draws)
+	}
+	parallelDraws, kvcacheParallelHeads = at, at
+	t.Cleanup(func() { parallelDraws, kvcacheParallelHeads = draws, heads })
+}
+
+// digestRow is one pinned engine run.
+type digestRow struct {
+	name, want string
+	run        func(*testing.T, hash.Hash)
+}
+
+// check runs the row and compares its digest with the pin.
+func (r digestRow) check(t *testing.T) {
+	h := sha256.New()
+	r.run(t, h)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != r.want {
+		t.Fatalf("digest %s, pinned %s", got, r.want)
+	}
+}
+
+// engineDigestRows builds TestEngineDigestPinned's rows. manager-fanout's
+// check reads the draw threshold in force when the rows are built.
+func engineDigestRows() []digestRow {
 	vllm := Config{Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM,
 		MemoryReserve: 0.97, Seed: 8}
 	kivi, quest := vllm, vllm
@@ -222,10 +305,8 @@ func TestEngineDigestPinned(t *testing.T) {
 		}
 	}
 	poisson := workload.NewRequestGen(workload.GSM8K, 512, 8).Poisson(6, 20)
-	for _, tc := range []struct {
-		name, want string
-		run        func(*testing.T, hash.Hash)
-	}{
+	fanAt := parallelDraws
+	return []digestRow{
 		{"traits-vllm", "40315dc79023d2cc6eb571a1077f222f1f927a8e98936cf6f228452ef3a1f375",
 			single(vllm, poisson, func(_ *Engine, r Result) bool { return r.GenSteps > 0 })},
 		{"traits-kivi", "78c74a32a20b0e0166b7d1bef8df8df33ac9771ebd2ab7fea6aed8d415f0ba19",
@@ -246,7 +327,7 @@ func TestEngineDigestPinned(t *testing.T) {
 		{"manager-fanout", "a41b4608b60556412f6bc837ee26dacd0a2437e7d22a114272c8d4c1363c51fb",
 			single(fanOut, cotReqs(64, 31), func(e *Engine, r Result) bool {
 				ps := e.kv.(*pageStore) // its scratch is sized by the largest generation batch
-				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= parallelDraws
+				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= fanAt
 			})},
 		{"manager-brownout", "16147b8cc92418bf24c6f3943263fbc3d4f3c08aa3d62a27ccbcfbbbf35cf95c",
 			single(brown, cotReqs(16, 19), func(e *Engine, _ Result) bool { return e.BrownoutAdmits() > 0 })},
@@ -259,27 +340,5 @@ func TestEngineDigestPinned(t *testing.T) {
 		}},
 		{"session-stream", "9d6ec7a22aac9a1d4df1d563e5ab129062dc8ad15ec4a8b338704b3236806c5d", sessionStream},
 		{"crash-readmit", "7b72b26f49bd2444be88eff286edbc8e4e3e5a398f1a2ec6718556b7801f9422", crashReadmit},
-	} {
-		check := func(t *testing.T) {
-			h := sha256.New()
-			tc.run(t, h)
-			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
-				t.Fatalf("digest %s, pinned %s", got, tc.want)
-			}
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			if !strings.Contains(tc.name, "manager") {
-				check(t)
-				return
-			}
-			// a large manager-mode step fans its tier draws and page plan
-			// out on mathx.ForEach; the worker count must not move a bit
-			for _, procs := range []int{1, 2} {
-				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					check(t)
-				})
-			}
-		})
 	}
 }

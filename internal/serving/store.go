@@ -162,8 +162,9 @@ func (s *pageStore) memMgmtTime(work kvcache.CompactStats, _ int) gpusim.Micros 
 // parallelDraws is the draw count from which gen fills its demands on
 // mathx.ForEach; fewer stay on the calling goroutine and allocate
 // nothing. It matches kvcache's GenCompact threshold, 48 sequences of
-// 256 heads, where the fan-out starts to pay on a 2-vCPU host.
-const parallelDraws = 12288
+// 256 heads, where the fan-out starts to pay on a 2-vCPU host. It is a
+// variable only so that tests can force every step onto either path.
+var parallelDraws = 12288
 
 func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	n := len(seqs)
