@@ -17,6 +17,7 @@ import (
 	"diffkv/internal/kvcache"
 	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
+	"diffkv/internal/serving"
 	"diffkv/internal/synth"
 	"diffkv/internal/workload"
 )
@@ -73,13 +74,14 @@ func BenchmarkFreeListAllocBatch(b *testing.B) {
 
 // BenchmarkGenCompactSteady is one generation step of the page manager at
 // the decode_heavy probe's shape: 78 sequences × 256 heads, counts-only,
-// 64 KB pages, so the plan fans out on GOMAXPROCS workers. Every head's
+// the serving engine's page size, so the plan fans out on GOMAXPROCS
+// workers. Every head's
 // candidate displaces a victim of its tier, a demand of zero, so token
 // counts hold still and the cost is the plan walk alone.
 func BenchmarkGenCompactSteady(b *testing.B) {
 	const seqs, heads, promptLen = 78, 256, 512
 	mgr, err := kvcache.NewManager(kvcache.Config{
-		Dim: 128, PageBytes: 65536, NumPages: 4 * seqs * heads, MaxSeqLen: 8192,
+		Dim: 128, PageBytes: serving.PageBytes, NumPages: 4 * seqs * heads, MaxSeqLen: 8192,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -114,7 +116,8 @@ func BenchmarkGenCompactSteady(b *testing.B) {
 
 // BenchmarkPromptChurn is one short request's pass through the page
 // manager at the prefill_churn workload's shape: a counts-only Llama3-8B
-// manager of that workload's 54,229 64 KB pages, and per iteration
+// manager of that workload's 54,229 pages of the serving engine's size,
+// and per iteration
 // AddSequence, PromptCompact of a 2.5k-token prompt over 256 heads, and
 // ReleaseSequence. With -cpuprofile it is the admit / prompt / release
 // path's profile.
@@ -123,7 +126,7 @@ func BenchmarkPromptChurn(b *testing.B) {
 	model := synth.Llama3_8B
 	heads := model.Layers * model.KVHeads
 	mgr, err := kvcache.NewManager(kvcache.Config{
-		Dim: model.HeadDim, PageBytes: 65536, NumPages: numPages, MaxSeqLen: model.MaxSeqLen,
+		Dim: model.HeadDim, PageBytes: serving.PageBytes, NumPages: numPages, MaxSeqLen: model.MaxSeqLen,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"diffkv/internal/faults"
+	"diffkv/internal/kvcache/kvcachetest"
 	"diffkv/internal/serving"
 	"diffkv/internal/trace"
 	"diffkv/internal/workload"
@@ -233,6 +234,29 @@ func chaosSessionDigest(t *testing.T, h hash.Hash) {
 	digestCluster(h, m, comps)
 }
 
+// clusterDigestRow is one pinned cluster run.
+type clusterDigestRow struct {
+	name, want string
+	run        func(*testing.T, hash.Hash)
+}
+
+// clusterDigestRows are TestClusterDigestPinned's runs and their pins.
+var clusterDigestRows = []clusterDigestRow{
+	{"chaos-swap", "d226997e16f7d8001bdf101efb98f709f821729d625357bbacc602786208487b", chaosSwapDigest},
+	{"disagg-mixed", "6213114b2e0d8344027be25aa79b11b3065a5aec6597bddc768304ceed78a30f", disaggMixedDigest},
+	{"disagg-sessions", "3c52d0bcddc4b13b69ec6a01f3ab30e1bc533e6ac56f90b27e815acc37c21136", disaggSessionDigest},
+	{"chaos-sessions", "191f955c2c849155fc52f28a77f55c8a7e4e96f690f032c78ec6a118c44730e7", chaosSessionDigest},
+}
+
+// check runs the row and compares its digest with the pin.
+func (r clusterDigestRow) check(t *testing.T) {
+	h := sha256.New()
+	r.run(t, h)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != r.want {
+		t.Fatalf("digest %s, pinned %s", got, r.want)
+	}
+}
+
 // TestClusterDigestPinned pins the cluster's simulated behaviour bit for
 // bit on the paths that move a request between engines: crash orphans
 // re-dispatched after a backoff (one row also finds every instance down)
@@ -240,21 +264,21 @@ func chaosSessionDigest(t *testing.T, h hash.Hash) {
 // mode. Any change to event order, backoff draws, decode placement or
 // wire timing moves a digest.
 func TestClusterDigestPinned(t *testing.T) {
-	for _, tc := range []struct {
-		name, want string
-		run        func(*testing.T, hash.Hash)
-	}{
-		{"chaos-swap", "d226997e16f7d8001bdf101efb98f709f821729d625357bbacc602786208487b", chaosSwapDigest},
-		{"disagg-mixed", "6213114b2e0d8344027be25aa79b11b3065a5aec6597bddc768304ceed78a30f", disaggMixedDigest},
-		{"disagg-sessions", "3c52d0bcddc4b13b69ec6a01f3ab30e1bc533e6ac56f90b27e815acc37c21136", disaggSessionDigest},
-		{"chaos-sessions", "191f955c2c849155fc52f28a77f55c8a7e4e96f690f032c78ec6a118c44730e7", chaosSessionDigest},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := sha256.New()
-			tc.run(t, h)
-			if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
-				t.Fatalf("digest %s, pinned %s", got, tc.want)
-			}
-		})
+	for _, tc := range clusterDigestRows {
+		t.Run(tc.name, tc.check)
 	}
+}
+
+// TestClusterDigestAtFanOutBounds runs every TestClusterDigestPinned row,
+// whose DiffKV instances step the page manager, with every generation step
+// forced onto one path: drawn and planned in chunks on mathx.ForEach
+// (threshold 0) or on the calling goroutine (math.MaxInt). Each row must
+// still match its pinned constant. Under -short only the fanned-out half
+// runs: it is the one the race detector has work in.
+func TestClusterDigestAtFanOutBounds(t *testing.T) {
+	kvcachetest.RunAtBounds(t, func(t *testing.T) {
+		for _, tc := range clusterDigestRows {
+			t.Run(tc.name, tc.check)
+		}
+	})
 }

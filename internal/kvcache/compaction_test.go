@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -260,12 +261,16 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 	}
 }
 
+// genStep runs one generation step of m over ids with the given demands:
+// (*Manager).GenCompact, or the same step through a GenSource.
+type genStep func(m *Manager, ids []int, demands [][]GenDemand) (CompactStats, error)
+
 // churn drives m through steps random add / prompt / gen / adopt / release
 // calls, calls that fail included, and runs check after each; a sequence
-// added at step s gets headsAt(s) heads. It then releases every sequence
-// and requires the whole pool free. At least one call must fail and at
-// least one succeed.
-func churn(t *testing.T, m *Manager, rng *mathx.RNG, steps int, headsAt func(step int) int, check func(op string)) {
+// added at step s gets headsAt(s) heads, and gen runs each generation
+// step. It then releases every sequence and requires the whole pool free.
+// At least one call must fail and at least one succeed.
+func churn(t *testing.T, m *Manager, rng *mathx.RNG, steps int, headsAt func(step int) int, gen genStep, check func(op string)) {
 	t.Helper()
 	maxSeqLen := m.Config().MaxSeqLen
 	var fresh, live []int // registered and not yet prompted; prompted
@@ -324,7 +329,7 @@ func churn(t *testing.T, m *Manager, rng *mathx.RNG, steps int, headsAt func(ste
 					demands[i][h] = GenDemand{HiDelta: rng.Intn(3) * rng.Intn(40), LoDelta: rng.Intn(2)}
 				}
 			}
-			_, err = m.GenCompact(live, demands)
+			_, err = gen(m, live, demands)
 		case 7:
 			op = "adopt"
 			// swap out and back in under a new ID; sometimes inflated past the pool
@@ -388,7 +393,7 @@ func TestManagerConservationProperty(t *testing.T) {
 	const heads, numPages, maxSeqLen = 4, 96, 300 // 9-slot tables, a pool a few prompts fill
 	for seed := uint64(1); seed <= 20; seed++ {
 		m := compactManager(t, numPages, maxSeqLen)
-		churn(t, m, mathx.NewRNG(seed), 400, func(int) int { return heads },
+		churn(t, m, mathx.NewRNG(seed), 400, func(int) int { return heads }, (*Manager).GenCompact,
 			func(op string) { checkConservation(t, m, fmt.Sprintf("%s (seed %d)", op, seed)) })
 	}
 }
@@ -405,7 +410,7 @@ func TestBlockReuseProperty(t *testing.T) {
 		m := compactManager(t, numPages, maxSeqLen)
 		spare := map[*int32]bool{} // the spare blocks before the call, by first entry
 		reused := map[int]int{}    // reuses by head count
-		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{4, 8, 4}[3*step/steps] },
+		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{4, 8, 4}[3*step/steps] }, (*Manager).GenCompact,
 			func(op string) {
 				checkConservation(t, m, fmt.Sprintf("%s (seed %d)", op, seed))
 				for _, sc := range m.seqs {
@@ -800,5 +805,175 @@ func TestGenCompactFanOutAllocs(t *testing.T) {
 	}
 	if pages == 0 {
 		t.Fatal("the loop never took a page")
+	}
+}
+
+// countingSource serves fixed demands as a GenSource and counts the calls
+// for each sequence. A sequence belongs to one chunk, so concurrent calls
+// never touch the same count.
+type countingSource struct {
+	d     [][]GenDemand
+	calls []int
+}
+
+func newCountingSource(d [][]GenDemand) *countingSource {
+	return &countingSource{d: d, calls: make([]int, len(d))}
+}
+
+func (s *countingSource) GenDemands(i int, d []GenDemand) {
+	s.calls[i]++
+	copy(d, s.d[i])
+}
+
+// setParallelHeads sets the fan-out threshold to at until t ends.
+func setParallelHeads(t *testing.T, at int) {
+	old := parallelHeads
+	parallelHeads = at
+	t.Cleanup(func() { parallelHeads = old })
+}
+
+// fanOutBounds are the two thresholds that put every generation step on
+// one path: fanned out on mathx.ForEach, or on the calling goroutine.
+var fanOutBounds = []struct {
+	name string
+	at   int
+}{{"all", 0}, {"none", math.MaxInt}}
+
+// Property: whether a generation step's demands come as slices
+// (GenCompact) or from a source (GenCompactFrom), and whether every step
+// fans out or none does, the churn driver's run is the same: the same page
+// IDs per head, token counts and free ring after every call, the same
+// CompactStats and the same errors from every generation step. Sequences
+// of 3, 4 and 8 heads interleave, so a chunk's demand scratch is regrown
+// and resliced.
+func TestGenSourceMatchesGenCompact(t *testing.T) {
+	const numPages, maxSeqLen, steps = 96, 300, 400
+	type record struct {
+		states []managerState
+		stats  []CompactStats
+		errs   []string
+	}
+	run := func(t *testing.T, seed uint64, fromSource bool) record {
+		var rec record
+		gen := func(m *Manager, ids []int, demands [][]GenDemand) (CompactStats, error) {
+			var cs CompactStats
+			var err error
+			if fromSource {
+				src := newCountingSource(demands)
+				cs, err = m.GenCompactFrom(ids, src)
+			} else {
+				cs, err = m.GenCompact(ids, demands)
+			}
+			rec.stats = append(rec.stats, cs)
+			rec.errs = append(rec.errs, fmt.Sprint(err))
+			return cs, err
+		}
+		m := compactManager(t, numPages, maxSeqLen)
+		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{3, 4, 8}[step%3] }, gen,
+			func(string) { rec.states = append(rec.states, captureState(m)) })
+		return rec
+	}
+	for seed := uint64(1); seed <= 10; seed++ {
+		var want record
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			for _, bound := range fanOutBounds {
+				setParallelHeads(t, bound.at)
+				for _, fromSource := range []bool{false, true} {
+					got := run(t, seed, fromSource)
+					if want.states == nil {
+						want = got // GenCompact with every step fanned out
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("fanout=%s, source %v: the run differs from GenCompact's with every step fanned out", bound.name, fromSource)
+					}
+				}
+			}
+			if len(want.stats) == 0 {
+				t.Fatal("the run made no generation step")
+			}
+		})
+	}
+}
+
+// A generation step that fails on a short pool or on a table overflow asks
+// the source again for the demands of every sequence whose counts it
+// committed, and leaves every count, table and FreePages as they were.
+// Twelve sequences of 256 heads make two chunks when fanned out, [0, 8)
+// and [8, 12), so an overflow in sequence 2 leaves the second chunk
+// planned in full; planned serially, the walk stops at sequence 2.
+func TestGenSourceUndo(t *testing.T) {
+	const seqs, heads, capHi, slots = 12, 256, 37, 4
+	if 8*heads != genChunkHeads {
+		t.Fatal("the chunks are not [0, 8) and [8, 12)")
+	}
+	grow := func(delta int) [][]GenDemand {
+		ds := make([][]GenDemand, seqs)
+		for i := range ds {
+			ds[i] = make([]GenDemand, heads)
+			for h := range ds[i] {
+				ds[i][h] = GenDemand{HiDelta: delta}
+			}
+		}
+		return ds
+	}
+	overflow := grow(1)
+	overflow[2][5].HiDelta = slots * capHi
+	ids := make([]int, seqs)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	cases := []struct {
+		name     string
+		numPages int // every head holds one full page after setup
+		demands  [][]GenDemand
+		fails    string
+		calls    map[string][]int // by bound: the source's calls per sequence
+	}{
+		{"short pool", seqs*heads + 1000, grow(1), "kvcache: out of pages", map[string][]int{
+			"all":  {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+			"none": {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
+		}},
+		{"table overflow", 4 * seqs * heads, overflow, "kvcache: seq 3 head 5: kvcache: bidirectional table overflow", map[string][]int{
+			"all":  {2, 2, 2, 0, 0, 0, 0, 0, 2, 2, 2, 2},
+			"none": {2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		}},
+	}
+	for _, tc := range cases {
+		for _, bound := range fanOutBounds {
+			t.Run(tc.name+"/fanout="+bound.name, func(t *testing.T) {
+				setParallelHeads(t, bound.at)
+				m := compactManager(t, tc.numPages, slots*capHi)
+				prompt := make([]HeadDemand, heads)
+				for h := range prompt {
+					prompt[h] = HeadDemand{HiTokens: capHi}
+				}
+				for _, id := range ids {
+					if _, err := m.AddSequence(id, heads); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := m.PromptCompact(id, capHi, prompt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before, free := captureState(m), m.FreePages()
+				src := newCountingSource(tc.demands)
+				cs, err := m.GenCompactFrom(ids, src)
+				if err == nil || !strings.HasPrefix(err.Error(), tc.fails) {
+					t.Fatalf("error %v, want %q", err, tc.fails)
+				}
+				if !reflect.DeepEqual(captureState(m), before) || m.FreePages() != free || cs != (CompactStats{}) {
+					t.Fatalf("the failed call moved something (stats %+v, %d free, was %d)", cs, m.FreePages(), free)
+				}
+				if want := tc.calls[bound.name]; !reflect.DeepEqual(src.calls, want) {
+					t.Fatalf("source calls per sequence %v, want %v", src.calls, want)
+				}
+				cs, err = m.GenCompactFrom(ids, newCountingSource(grow(0)))
+				if err != nil || cs.PagesAllocated != 0 || cs.Regions != seqs*heads {
+					t.Fatalf("next call: %+v, %v", cs, err)
+				}
+				checkConservation(t, m, "a step after a failed one")
+			})
+		}
 	}
 }

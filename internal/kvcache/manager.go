@@ -66,10 +66,11 @@ func (c *Config) Validate() error {
 // contiguous run of the free ring, apply by walking the heads again with
 // their slice of the run. A call that returns an error has therefore moved
 // no page, table entry or token count. The scratch makes a Manager
-// single-caller: one goroutine at a time may call it. Inside a call only
-// GenCompact fans out, planning a large batch's heads on mathx.ForEach the
-// way the device plans them (§5.2-5.3); what the device's parallelism costs
-// is priced by gpusim from CompactStats either way.
+// single-caller: one goroutine at a time may call it. Inside a call only a
+// generation step (GenCompact, GenCompactFrom) fans out, drawing and
+// planning a large batch's heads on mathx.ForEach the way the device plans
+// them (§5.2-5.3); what the device's parallelism costs is priced by gpusim
+// from CompactStats either way.
 type Manager struct {
 	cfg       Config
 	pool      *PagePool // nil in counts-only mode
@@ -87,7 +88,8 @@ type Manager struct {
 	flat    []int32 // take: the page IDs
 	genSeqs []*SeqCache
 	chunks  []genChunk
-	epoch   uint64 // GenCompact calls so far; stamps each sequence it plans
+	given   demandSlices // GenCompact's demands, for the length of the call
+	epoch   uint64       // generation steps so far; stamps each sequence one plans
 }
 
 // NewManager builds a manager from cfg.
@@ -365,10 +367,23 @@ type GenDemand struct {
 	LoDelta int
 }
 
-// after returns hc's per-tier token counts once d has landed.
-func (d *GenDemand) after(hc *HeadCache) (hi, lo int) {
-	return hc.tokens[LevelHi] + d.HiDelta, hc.tokens[LevelLo] + d.LoDelta
+// GenSource supplies a generation step's demands to the plan walk, one
+// sequence at a time: GenDemands(i, d) writes the demand of each head of
+// the call's sequence i into d, which has one entry per head. The walk
+// calls it for i on the worker that plans i's chunk, so calls for
+// different sequences may run at once, and calls it again on the calling
+// goroutine to undo a failed call. A source therefore writes nothing but
+// d, and writes the same values every time it is called for i within one
+// call.
+type GenSource interface {
+	GenDemands(i int, d []GenDemand)
 }
+
+// demandSlices is the source GenCompact walks: the caller's demands,
+// copied out per sequence.
+type demandSlices [][]GenDemand
+
+func (s *demandSlices) GenDemands(i int, d []GenDemand) { copy(d, (*s)[i]) }
 
 // shortfall is the planning step of one tier of one head during generation:
 // the pages the tier must gain to hold tokens. The comparison settles the
@@ -380,9 +395,9 @@ func shortfall(tokens, have, perPage int) int {
 	return pagesNeeded(tokens, perPage) - have
 }
 
-// parallelHeads is the batch size, in heads, from which GenCompact plans
-// its chunks on mathx.ForEach: 48 Llama3-8B sequences of 256 heads. On a
-// 2-vCPU host a generation step's fan-out (draws and plan) was up to 25 %
+// parallelHeads is the batch size, in heads, from which a generation step
+// draws and plans its chunks on mathx.ForEach: 48 Llama3-8B sequences of
+// 256 heads. On a 2-vCPU host a generation step's fan-out was up to 25 %
 // slower than the serial walk at 8-32 sequences, even at 48, and 12 %
 // faster at decode_heavy's 96, so smaller batches stay on the calling
 // goroutine, where they allocate nothing. It is a variable only so that
@@ -393,11 +408,12 @@ var parallelHeads = 12288
 const genChunkHeads = 2048
 
 // genChunk is one contiguous run of a generation batch's sequences,
-// planned by one worker that writes nothing but its own entry.
+// drawn and planned by one worker that writes nothing but its own entry.
 type genChunk struct {
-	first, end int       // sequence indices [first, end)
-	grows      []genGrow // the heads that need pages, in (sequence, head) order
-	pages      int       // their sum
+	first, end int         // sequence indices [first, end)
+	demand     []GenDemand // the sequence being walked: one entry per head
+	grows      []genGrow   // the heads that need pages, in (sequence, head) order
+	pages      int         // their sum
 	tokenOps   int
 	done       int // heads whose token counts are committed
 	err        error
@@ -411,22 +427,40 @@ type genGrow struct {
 }
 
 // GenCompact runs one generation-step compaction for a set of distinct
-// sequences: each head allocates at most the pages it needs (usually 0, at
-// most one per tier), coordinated by one batch prefix-sum allocation across
-// all heads of all sequences.
-//
-// The plan walks each head once: it computes the head's shortfall, checks
-// its table room, commits its token counts and records it if it needs
-// pages. A batch of parallelHeads or more is planned in chunks on
-// mathx.ForEach. The chunks' page totals are then summed in order, one run
-// is taken from the free ring and the recorded heads get their pages in
-// (sequence, head) order, so every head gets the page IDs a serial walk
-// would give it. A table overflow or a short pool undoes every committed
-// count, so a failed call still moves nothing.
+// sequences, with demands[i] the demand of each head of seqIDs[i]. It
+// checks every demand's length before anything moves, then walks the
+// demands as GenCompactFrom walks a source's.
 func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats, error) {
 	if len(seqIDs) != len(demands) {
 		return CompactStats{}, fmt.Errorf("kvcache: %d seqs vs %d demand sets", len(seqIDs), len(demands))
 	}
+	m.given = demands
+	defer func() { m.given = nil }() // the scratch holds no caller's demands past the call
+	return m.genCompact(seqIDs, demands, &m.given)
+}
+
+// GenCompactFrom runs one generation-step compaction for a set of distinct
+// sequences, whose demands src supplies: each head allocates at most the
+// pages it needs (usually 0, at most one per tier), coordinated by one
+// batch prefix-sum allocation across all heads of all sequences.
+//
+// The walk asks src for one sequence's demands at a time, into its
+// chunk's scratch, then walks that sequence's heads once: it computes each
+// head's shortfall, checks its table room, commits its token counts and
+// records it if it needs pages. A batch of parallelHeads or more is drawn
+// and planned in chunks on mathx.ForEach, one pass. The chunks' page
+// totals are then summed in order, one run is taken from the free ring and
+// the recorded heads get their pages in (sequence, head) order, so every
+// head gets the page IDs a serial walk would give it. A table overflow or
+// a short pool undoes every committed count, asking src again for the
+// demands it subtracts, so a failed call still moves nothing.
+func (m *Manager) GenCompactFrom(seqIDs []int, src GenSource) (CompactStats, error) {
+	return m.genCompact(seqIDs, nil, src)
+}
+
+// genCompact is the walk behind GenCompact and GenCompactFrom; demands,
+// when not nil, are checked against the sequences' head counts first.
+func (m *Manager) genCompact(seqIDs []int, demands [][]GenDemand, src GenSource) (CompactStats, error) {
 	scs, heads, err := m.genBatch(seqIDs, demands)
 	if err != nil {
 		return CompactStats{}, err
@@ -435,10 +469,10 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 	parallel := heads >= parallelHeads
 	chunks := m.genChunks(scs, parallel)
 	if parallel {
-		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, demands) })
+		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, src) })
 	} else {
 		for c := range chunks {
-			m.planGen(&chunks[c], scs, demands)
+			m.planGen(&chunks[c], scs, src)
 		}
 	}
 	stats := CompactStats{Regions: heads}
@@ -454,7 +488,7 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 		err = m.free.take(len(flat), flat)
 	}
 	if err != nil {
-		m.undoGen(chunks, scs, demands)
+		m.undoGen(chunks, scs, src)
 		return CompactStats{}, err
 	}
 	k := 0
@@ -470,10 +504,11 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 	return stats, nil
 }
 
-// genBatch checks a GenCompact call's IDs and demand lengths before
-// anything moves, and returns its sequences and their head total. A
-// sequence named twice would be planned twice from stale counts, so each
-// one is stamped with the call's epoch and a repeat is refused.
+// genBatch checks a generation step's IDs, and the demand lengths when
+// demands is not nil, before anything moves, and returns its sequences and
+// their head total. A sequence named twice would be planned twice from
+// stale counts, so each one is stamped with the call's epoch and a repeat
+// is refused.
 func (m *Manager) genBatch(seqIDs []int, demands [][]GenDemand) ([]*SeqCache, int, error) {
 	m.epoch++
 	scs := m.genSeqs[:0]
@@ -486,7 +521,7 @@ func (m *Manager) genBatch(seqIDs []int, demands [][]GenDemand) ([]*SeqCache, in
 			err = fmt.Errorf("kvcache: unknown sequence %d", id)
 		case sc.epoch == m.epoch:
 			err = fmt.Errorf("kvcache: sequence %d repeated in one generation step", id)
-		case len(demands[si]) != len(sc.heads):
+		case demands != nil && len(demands[si]) != len(sc.heads):
 			err = fmt.Errorf("kvcache: seq %d: %d demands for %d heads", id, len(demands[si]), len(sc.heads))
 		}
 		if err != nil {
@@ -503,7 +538,8 @@ func (m *Manager) genBatch(seqIDs []int, demands [][]GenDemand) ([]*SeqCache, in
 
 // genChunks splits a batch into chunks of about genChunkHeads heads at
 // sequence boundaries, or into one chunk when it is planned serially. The
-// chunk entries, and the capacity of their grows, are reused across calls.
+// chunk entries, and the capacity of their scratch, are reused across
+// calls.
 func (m *Manager) genChunks(scs []*SeqCache, parallel bool) []genChunk {
 	n := 0
 	for first := 0; first < len(scs); n++ {
@@ -521,17 +557,28 @@ func (m *Manager) genChunks(scs []*SeqCache, parallel bool) []genChunk {
 	return m.chunks[:n]
 }
 
-// planGen walks a chunk's heads in order and stops at the first whose
-// table cannot take its shortfall.
-func (m *Manager) planGen(c *genChunk, scs []*SeqCache, demands [][]GenDemand) {
+// demandFor returns c's demand scratch resized to n heads.
+func (c *genChunk) demandFor(n int) []GenDemand {
+	if cap(c.demand) < n {
+		c.demand = make([]GenDemand, n)
+	}
+	return c.demand[:n]
+}
+
+// planGen draws a chunk's demands one sequence at a time and walks their
+// heads in order; it stops at the first head whose table cannot take its
+// shortfall.
+func (m *Manager) planGen(c *genChunk, scs []*SeqCache, src GenSource) {
 	grows, pages, ops, done := c.grows[:0], 0, 0, 0
 	var err error
 walk:
 	for s := c.first; s < c.end; s++ {
-		sc, ds := scs[s], demands[s]
+		sc := scs[s]
+		ds := c.demandFor(len(sc.heads))
+		src.GenDemands(s, ds)
 		for h := range sc.heads {
-			hc := &sc.heads[h]
-			hiTok, loTok := ds[h].after(hc)
+			hc, d := &sc.heads[h], &ds[h]
+			hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
 			hi := shortfall(hiTok, hc.table.count(LevelHi), m.capHi)
 			lo := shortfall(loTok, hc.table.count(LevelLo), m.capLo)
 			if hi+lo > hc.table.room() {
@@ -551,14 +598,19 @@ walk:
 	c.grows, c.pages, c.tokenOps, c.done, c.err = grows, pages, ops, done, err
 }
 
-// undoGen takes back the token counts planGen committed, exactly.
-func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, demands [][]GenDemand) {
+// undoGen takes back the token counts planGen committed, exactly, asking
+// src again for the demands it subtracts.
+func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, src GenSource) {
 	for c := range chunks {
-		left := chunks[c].done
-		for s := chunks[c].first; s < chunks[c].end && left > 0; s++ {
-			n := min(left, len(scs[s].heads))
-			for h, d := range demands[s][:n] {
-				hc := &scs[s].heads[h]
+		ch := &chunks[c]
+		left := ch.done
+		for s := ch.first; s < ch.end && left > 0; s++ {
+			sc := scs[s]
+			ds := ch.demandFor(len(sc.heads))
+			src.GenDemands(s, ds)
+			n := min(left, len(sc.heads))
+			for h, d := range ds[:n] {
+				hc := &sc.heads[h]
 				hc.tokens[LevelHi] -= d.HiDelta
 				hc.tokens[LevelLo] -= d.LoDelta
 			}

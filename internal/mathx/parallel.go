@@ -11,7 +11,8 @@ import (
 // and returns when all calls have. It is the one worker pool of the module:
 // the experiment harness fans independent reps/configs out through it,
 // core.Engine fans out a sequence's sampled (layer, head) pairs, and a
-// serving generation step fans out its tier draws and its page plan.
+// serving generation step fans out once, each worker drawing and planning
+// its own chunk of sequences' heads.
 //
 // The determinism contract: each item derives its own RNG stream from a
 // root seed (RNG.SplitAt(i) or RNG.Ahead(offset) — the parent is read,

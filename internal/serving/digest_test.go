@@ -6,14 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
-	_ "unsafe" // for go:linkname
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/kvcache/kvcachetest"
 	"diffkv/internal/offload"
 	"diffkv/internal/synth"
 	"diffkv/internal/workload"
@@ -187,11 +186,14 @@ func crashReadmit(t *testing.T, h hash.Hash) {
 // split behind the kvStore seam and must only change with a PR that
 // means to change simulated behaviour. The manager-mode rows run under
 // GOMAXPROCS 1 and 2 against the same constants; manager-fanout's batch
-// is large enough for a step to fan out its tier draws and page plan,
-// and its constant was recorded from the serial code before the fan-out.
-// session-stream and crash-readmit pin the session, cancel and crash
-// paths; their constants were recorded from the engine that still split
-// and swept its whole batch every step.
+// is large enough for a generation step to fan out, each worker drawing
+// and planning its own sequences' heads, and its constant was recorded
+// from the serial code before the fan-out. session-stream and
+// crash-readmit pin the session, cancel and crash paths; their constants
+// were recorded from the engine that still split and swept its whole
+// batch every step. Under -short the procs=1 half is skipped: there
+// mathx.ForEach runs inline and starts no goroutine, so the race detector
+// has nothing to check in it, and the -cpu 1,4 CI step runs both halves.
 func TestEngineDigestPinned(t *testing.T) {
 	for _, tc := range engineDigestRows() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,6 +205,9 @@ func TestEngineDigestPinned(t *testing.T) {
 			// out on mathx.ForEach; the worker count must not move a bit
 			for _, procs := range []int{1, 2} {
 				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					if testing.Short() && procs == 1 {
+						t.Skip("one P starts no goroutine; it runs without -short")
+					}
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					tc.check(t)
 				})
@@ -212,48 +217,18 @@ func TestEngineDigestPinned(t *testing.T) {
 }
 
 // TestEngineDigestAtFanOutBounds runs every TestEngineDigestPinned row with
-// the store's tier draws and the manager's page plan forced onto one path
-// at every generation step: fanned out on mathx.ForEach (threshold 0) or
-// never (math.MaxInt). Each row must still match its pinned constant, so
-// which steps cross the thresholds cannot move a bit. Under -short only
-// the fanned-out half runs: it is the one the race detector has work in.
+// every generation step forced onto one path: drawn and planned in chunks
+// on mathx.ForEach (threshold 0) or on the calling goroutine (math.MaxInt).
+// Each row must still match its pinned constant, so which steps cross the
+// threshold cannot move a bit. Under -short only the fanned-out half runs:
+// it is the one the race detector has work in.
 func TestEngineDigestAtFanOutBounds(t *testing.T) {
-	rows := engineDigestRows() // before forcing: manager-fanout checks its batch against the default
-	for _, bound := range []struct {
-		name string
-		at   int
-	}{{"all", 0}, {"none", math.MaxInt}} {
-		t.Run("fanout="+bound.name, func(t *testing.T) {
-			if testing.Short() && bound.at != 0 {
-				t.Skip("the serial half starts no goroutine; it runs without -short")
-			}
-			forceFanOut(t, bound.at)
-			for _, tc := range rows {
-				t.Run(tc.name, tc.check)
-			}
-		})
-	}
-}
-
-// kvcacheParallelHeads is kvcache's GenCompact fan-out threshold, an
-// unexported variable reached by its symbol name so that forceFanOut can
-// move the manager's threshold with the store's.
-//
-//go:linkname kvcacheParallelHeads diffkv/internal/kvcache.parallelHeads
-var kvcacheParallelHeads int
-
-// forceFanOut sets the store's draw threshold and the manager's plan
-// threshold to at until t ends. A linkname to a symbol that no longer
-// exists links to a fresh zero variable, so it first checks that the
-// manager's threshold reads the default the store's matches.
-func forceFanOut(t *testing.T, at int) {
-	t.Helper()
-	draws, heads := parallelDraws, kvcacheParallelHeads
-	if heads != draws {
-		t.Fatalf("kvcache.parallelHeads reads %d, the store's threshold is %d: the linkname names no variable", heads, draws)
-	}
-	parallelDraws, kvcacheParallelHeads = at, at
-	t.Cleanup(func() { parallelDraws, kvcacheParallelHeads = draws, heads })
+	rows := engineDigestRows()
+	kvcachetest.RunAtBounds(t, func(t *testing.T) {
+		for _, tc := range rows {
+			t.Run(tc.name, tc.check)
+		}
+	})
 }
 
 // digestRow is one pinned engine run.
@@ -271,8 +246,7 @@ func (r digestRow) check(t *testing.T) {
 	}
 }
 
-// engineDigestRows builds TestEngineDigestPinned's rows. manager-fanout's
-// check reads the draw threshold in force when the rows are built.
+// engineDigestRows builds TestEngineDigestPinned's rows.
 func engineDigestRows() []digestRow {
 	vllm := Config{Model: synth.Llama3_8B, Cluster: cluster(1), Traits: baselines.TraitsVLLM,
 		MemoryReserve: 0.97, Seed: 8}
@@ -305,7 +279,6 @@ func engineDigestRows() []digestRow {
 		}
 	}
 	poisson := workload.NewRequestGen(workload.GSM8K, 512, 8).Poisson(6, 20)
-	fanAt := parallelDraws
 	return []digestRow{
 		{"traits-vllm", "40315dc79023d2cc6eb571a1077f222f1f927a8e98936cf6f228452ef3a1f375",
 			single(vllm, poisson, func(_ *Engine, r Result) bool { return r.GenSteps > 0 })},
@@ -327,7 +300,7 @@ func engineDigestRows() []digestRow {
 		{"manager-fanout", "a41b4608b60556412f6bc837ee26dacd0a2437e7d22a114272c8d4c1363c51fb",
 			single(fanOut, cotReqs(64, 31), func(e *Engine, r Result) bool {
 				ps := e.kv.(*pageStore) // its scratch is sized by the largest generation batch
-				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= fanAt
+				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= kvcachetest.ParallelHeads
 			})},
 		{"manager-brownout", "16147b8cc92418bf24c6f3943263fbc3d4f3c08aa3d62a27ccbcfbbbf35cf95c",
 			single(brown, cotReqs(16, 19), func(e *Engine, _ Result) bool { return e.BrownoutAdmits() > 0 })},

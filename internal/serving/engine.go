@@ -31,8 +31,8 @@ import (
 	"diffkv/internal/workload"
 )
 
-// pageBytes is the manager's unified-page size at serving scale.
-const pageBytes = 65536
+// PageBytes is the page manager's unified-page size at serving scale.
+const PageBytes = 65536
 
 // Config parameterizes one serving run.
 type Config struct {
@@ -335,13 +335,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	budget *= 1 - cfg.MemoryReserve
 
 	if cfg.UseManager {
-		numPages := int(budget) / pageBytes
+		numPages := int(budget) / PageBytes
 		if numPages < 16 {
 			return nil, fmt.Errorf("serving: KV budget too small (%d pages)", numPages)
 		}
 		mgr, err := kvcache.NewManager(kvcache.Config{
 			Dim:       cfg.Model.HeadDim,
-			PageBytes: pageBytes,
+			PageBytes: PageBytes,
 			NumPages:  numPages,
 			HiPrec:    cfg.HiPrec,
 			LoPrec:    cfg.LoPrec,
@@ -357,7 +357,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		ps := newPageStore(cfg, mgr)
 		// every page of the pool with every head at the blended tier mix
-		e.kv, e.capTok = ps, float64(numPages*pageBytes)/(ps.blendTok*float64(ps.heads))
+		e.kv, e.capTok = ps, float64(numPages*PageBytes)/(ps.blendTok*float64(ps.heads))
 	} else {
 		cs := countStore{kvToken: float64(cfg.Model.KVBytesPerTokenFP16()) * cfg.Traits.ResidentMemFrac}
 		e.kv, e.capTok = cs, float64(int(budget/cs.kvToken))

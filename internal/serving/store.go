@@ -83,7 +83,11 @@ func (s countStore) estBytes(tokens int) int64  { return int64(float64(tokens) *
 // each sequence whose window has filled one Float64 per head, and indexes
 // them by stream position — sequence i's head h takes draw
 // (heads × drawing sequences before i) + h of the step — not by the time
-// a worker happens to draw them.
+// a worker happens to draw them. gen hands the manager the store itself
+// as its kvcache.GenSource, so each sequence's demands are drawn by the
+// worker that plans it, into that worker's scratch, and the stream
+// Advances past the step's draws only once the manager call has returned,
+// failed or not: a failed call draws each sequence again to undo it.
 type pageStore struct {
 	mgr            *kvcache.Manager
 	dev            *gpusim.Device
@@ -96,9 +100,8 @@ type pageStore struct {
 	// step scratch, reused so the steady state allocates nothing
 	headDemand []kvcache.HeadDemand
 	genIDs     []int
-	genDemands [][]kvcache.GenDemand
-	genFlat    []kvcache.GenDemand
-	genAt      []int // each sequence's first draw of the step
+	genSeqs    []*seqState // the step's records, while the manager draws them
+	genAt      []int       // each sequence's first draw of the step
 }
 
 func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
@@ -159,40 +162,25 @@ func (s *pageStore) memMgmtTime(work kvcache.CompactStats, _ int) gpusim.Micros 
 	return s.dev.GPUCompaction(work.TokenOps, work.Regions)
 }
 
-// parallelDraws is the draw count from which gen fills its demands on
-// mathx.ForEach; fewer stay on the calling goroutine and allocate
-// nothing. It matches kvcache's GenCompact threshold, 48 sequences of
-// 256 heads, where the fan-out starts to pay on a 2-vCPU host. It is a
-// variable only so that tests can force every step onto either path.
-var parallelDraws = 12288
-
 func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	n := len(seqs)
 	if cap(s.genIDs) < n {
 		s.genIDs = make([]int, n)
-		s.genDemands = make([][]kvcache.GenDemand, n)
-		s.genFlat = make([]kvcache.GenDemand, n*s.heads)
 		s.genAt = make([]int, n)
 	}
-	ids, demands, at := s.genIDs[:n], s.genDemands[:n], s.genAt[:n]
+	ids, at := s.genIDs[:n], s.genAt[:n]
 	draws := 0
 	for i, st := range seqs {
 		ids[i] = st.req.ID
-		demands[i] = s.genFlat[i*s.heads : (i+1)*s.heads]
 		at[i] = draws
 		if st.winFill >= 64 {
 			draws += s.heads
 		}
 	}
-	if draws >= parallelDraws {
-		mathx.ForEach(n, 0, func(i int) { s.fill(seqs[i], demands[i], at[i]) })
-	} else {
-		for i, st := range seqs {
-			s.fill(st, demands[i], at[i])
-		}
-	}
+	s.genSeqs = seqs
+	work, err := s.mgr.GenCompactFrom(ids, s)
+	s.genSeqs = nil // the scratch holds no record past the step
 	s.rng.Advance(uint64(draws))
-	work, err := s.mgr.GenCompact(ids, demands)
 	if err != nil {
 		return 0, err
 	}
@@ -204,9 +192,14 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	return s.memMgmtTime(work, n), nil
 }
 
+// GenDemands is the manager's source for the step gen runs: it fills the
+// demands of the step's sequence i.
+func (s *pageStore) GenDemands(i int, d []kvcache.GenDemand) { s.fill(s.genSeqs[i], d, s.genAt[i]) }
+
 // fill writes one sequence's generation demands. A sequence whose window
 // has filled draws one Float64 per head from the store's stream, starting
-// at draw at of this step; the store's stream itself does not move.
+// at draw at of this step; the store's stream itself does not move, so a
+// second call for the same sequence writes the same demands.
 func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) {
 	if st.winFill < 64 {
 		clear(d)
