@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -79,5 +80,42 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("public API surface changed.\nIf intentional, regenerate the golden with -update and call the change out in the PR.\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDocsNameExportedIdentifiers holds the prose to the pinned surface:
+// every diffkv.X named in README.md, DESIGN.md or the package doc
+// comment must be a line of api_surface.golden, so removing a name
+// without its snippets fails here.
+func TestDocsNameExportedIdentifiers(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "api_surface.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if _, name, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "//") {
+			exported[name] = true
+		}
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "diffkv.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := [][2]string{{"diffkv.go package doc", f.Doc.Text()}}
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, [2]string{name, string(data)})
+	}
+	ref := regexp.MustCompile(`\bdiffkv\.([A-Z]\w*)`)
+	for _, doc := range docs {
+		for _, m := range ref.FindAllStringSubmatch(doc[1], -1) {
+			if !exported[m[1]] {
+				t.Errorf("%s names diffkv.%s, which package diffkv does not export", doc[0], m[1])
+			}
+		}
 	}
 }

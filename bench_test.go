@@ -198,7 +198,7 @@ func BenchmarkSignificancePrefix(b *testing.B) {
 
 func BenchmarkEngineSequence(b *testing.B) {
 	eng, err := NewEngine(EngineConfig{
-		Model:  Llama3_8B,
+		Model:  synth.Llama3_8B,
 		Params: DefaultParams("Llama3-8B"),
 		Seed:   1,
 	})

@@ -65,7 +65,7 @@ func main() {
 		memFrac      = flag.Float64("memfrac", 0.3, "DiffKV resident memory fraction")
 		preempt      = flag.String("preempt", "recompute", "preemption recovery policy: "+strings.Join(offload.Policies(), ", "))
 		hostGB       = flag.Float64("hostmem", 0, "per-instance host offload tier in GiB (0 disables)")
-		reserve      = flag.Float64("reserve", 0, "memory reserve fraction (0 = default; raise to oversubscribe KV)")
+		reserve      = flag.Float64("reserve", 0, "memory reserve fraction, below 1 (0 = default; raise to oversubscribe KV)")
 		ttftSLO      = flag.Float64("ttft-slo", 2.0, "TTFT SLO (seconds) for goodput")
 		tpotSLO      = flag.Float64("tpot-slo", 0.1, "TPOT SLO (seconds/token) for goodput")
 		tracePath    = flag.String("trace", "", "write the trace to this file as Perfetto trace-event JSON (raw events embedded, for diffkv-trace)")

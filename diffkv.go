@@ -17,8 +17,9 @@
 //
 // Quick start:
 //
+//	model, _ := diffkv.ModelByName("Llama3-8B")
 //	eng, _ := diffkv.NewEngine(diffkv.EngineConfig{
-//	    Model:  diffkv.Llama3_8B,
+//	    Model:  model,
 //	    Params: diffkv.DefaultParams("Llama3-8B"),
 //	})
 //	res, _ := eng.RunSequence(512, 512, 1)
@@ -32,10 +33,8 @@ import (
 	"diffkv/internal/disagg"
 	"diffkv/internal/experiments"
 	"diffkv/internal/faults"
-	"diffkv/internal/gpusim"
 	"diffkv/internal/httpapi"
 	"diffkv/internal/policy"
-	"diffkv/internal/quant"
 	"diffkv/internal/serving"
 	"diffkv/internal/synth"
 	"diffkv/internal/telemetry"
@@ -47,33 +46,8 @@ import (
 // ratio, head dimension).
 type Model = synth.ModelConfig
 
-// The model zoo evaluated in the paper.
-var (
-	Llama3_8B  = synth.Llama3_8B
-	Llama31_8B = synth.Llama31_8B
-	Llama3_70B = synth.Llama3_70B
-	Qwen25_7B  = synth.Qwen25_7B
-	Qwen25_32B = synth.Qwen25_32B
-	QwQ_32B    = synth.QwQ_32B
-	R1Qwen_14B = synth.R1Qwen_14B
-	R1Llama_8B = synth.R1Llama_8B
-)
-
-// Models lists every configured model.
-var Models = synth.Models
-
 // ModelByName looks a model up by display name (e.g. "Llama3-8B").
 func ModelByName(name string) (*Model, error) { return synth.ModelByName(name) }
-
-// Standard precision tiers.
-var (
-	FP16 = quant.FP16
-	K8V8 = quant.K8V8
-	K8V4 = quant.K8V4
-	K4V2 = quant.K4V2
-	K8V2 = quant.K8V2
-	K4V4 = quant.K4V4
-)
 
 // PolicyParams are the calibrated compression-policy thresholds
 // (αh, αl, recent window W).
@@ -97,27 +71,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return core.NewEngine(cfg) }
 // Benchmark is one evaluation workload profile.
 type Benchmark = workload.Benchmark
 
-// The benchmark suites of the paper's evaluation.
-var (
-	BenchGSM8K     = workload.GSM8K
-	BenchMATH      = workload.MATH
-	BenchMMLU      = workload.MMLU
-	BenchMMLUPro   = workload.MMLUPro
-	BenchHumanEval = workload.HumanEvalPlus
-	BenchMBPP      = workload.MBPPPlus
-	BenchGPQA      = workload.GPQA
-	BenchAIME24    = workload.AIME24
-
-	CoreBenchmarks     = workload.CoreBenchmarks
-	ThinkingBenchmarks = workload.ThinkingBenchmarks
-	LongBench          = workload.LongBench
-)
-
 // BenchmarkByName finds a benchmark across all suites.
 func BenchmarkByName(name string) (*Benchmark, error) { return workload.ByName(name) }
-
-// ServerConfig parameterizes the serving simulator.
-type ServerConfig = serving.Config
 
 // Server is the discrete-event serving engine.
 type Server = serving.Engine
@@ -125,15 +80,6 @@ type Server = serving.Engine
 // ServingResult aggregates throughput, batch size, latency and the
 // per-component step breakdown.
 type ServingResult = serving.Result
-
-// Device is the GPU hardware model; L40 is the paper's evaluation GPU.
-type Device = gpusim.Device
-
-// L40 returns the NVIDIA L40 device model (48 GB).
-func L40() *Device { return gpusim.L40() }
-
-// NewCluster groups n identical devices into a tensor-parallel cluster.
-func NewCluster(d *Device, n int) *gpusim.Cluster { return gpusim.NewCluster(d, n) }
 
 // Request is one serving request.
 type Request = workload.Request
@@ -222,11 +168,6 @@ func RegisterRoutingPolicy(name string, f RoutingPolicyFactory) error {
 // followed by third-party registrations, derived from the registry.
 func RoutingPolicies() []string { return cluster.Policies() }
 
-// NewClusterServer builds a multi-instance cluster simulator.
-func NewClusterServer(cfg ClusterServerConfig) (*ClusterServer, error) {
-	return cluster.New(cfg)
-}
-
 // ServingCompletion is one finished request with its TTFT/TPOT-defining
 // timestamps plus per-request preemption count and retry timestamps,
 // returned by the steppable Server API (Server.Step).
@@ -307,13 +248,6 @@ var ErrLoopShutdown = httpapi.ErrLoopShutdown
 // (ClusterServerConfig.Telemetry), whose event loop feeds it whether
 // Run, Step or a Loop drives the cluster.
 type TelemetryCenter = telemetry.Center
-
-// TelemetryConfig parameterizes a TelemetryCenter (cadence, ring
-// capacity, alert tracer, saturation tuning, SLOs).
-type TelemetryConfig = telemetry.Config
-
-// NewTelemetryCenter builds a telemetry center.
-func NewTelemetryCenter(cfg TelemetryConfig) *TelemetryCenter { return telemetry.New(cfg) }
 
 // SLOSpec declares one service-level objective for the telemetry
 // center: a latency percentile target (ttft/tpot/e2e) or a goodput

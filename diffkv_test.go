@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"diffkv/internal/experiments"
+	"diffkv/internal/synth"
 	"diffkv/internal/workload"
 )
 
 func TestPublicEngineQuickstart(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
-		Model:  Llama3_8B,
+		Model:  synth.Llama3_8B,
 		Params: DefaultParams("Llama3-8B"),
 		Seed:   1,
 	})
@@ -28,20 +29,28 @@ func TestPublicEngineQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicModelLookup: every model of the zoo is reachable by its
+// display name, the one way the root package names a model.
 func TestPublicModelLookup(t *testing.T) {
-	m, err := ModelByName("QwQ-32B")
-	if err != nil || m != QwQ_32B {
-		t.Fatal("lookup failed")
+	if len(synth.Models) < 8 {
+		t.Fatalf("model zoo has %d entries", len(synth.Models))
 	}
-	if len(Models) < 8 {
-		t.Fatalf("model zoo has %d entries", len(Models))
+	for _, want := range synth.Models {
+		if m, err := ModelByName(want.Name); err != nil || m != want {
+			t.Fatalf("ModelByName(%q) = %v, %v", want.Name, m, err)
+		}
 	}
 }
 
+// TestPublicBenchmarkLookup: every benchmark of every suite is
+// reachable by its name.
 func TestPublicBenchmarkLookup(t *testing.T) {
-	b, err := BenchmarkByName("AIME24")
-	if err != nil || b != BenchAIME24 {
-		t.Fatal("benchmark lookup failed")
+	for _, suite := range [][]*Benchmark{workload.CoreBenchmarks, workload.ThinkingBenchmarks, workload.LongBench} {
+		for _, want := range suite {
+			if b, err := BenchmarkByName(want.Name); err != nil || b != want {
+				t.Fatalf("BenchmarkByName(%q) = %v, %v", want.Name, b, err)
+			}
+		}
 	}
 }
 
@@ -62,17 +71,6 @@ func TestPublicExperimentRegistry(t *testing.T) {
 	if _, err := RunExperiment("no-such", ExperimentOpts{}); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
-}
-
-// vllmTraits resolves the vLLM baseline's serving traits through the
-// method registry.
-func vllmTraits(t *testing.T) ServingTraits {
-	t.Helper()
-	m, err := MethodByName("vLLM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.ServingTraits(0)
 }
 
 // serveAll drives one engine by hand: it submits every request, then
@@ -115,28 +113,27 @@ func TestMethodByNameRejectsUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestPublicClusterSmoke runs a two-instance prefix-affinity cluster
+// built from a Scenario over its shared-prefix Poisson stream.
 func TestPublicClusterSmoke(t *testing.T) {
-	traits := vllmTraits(t)
-	cfg := ClusterServerConfig{
-		Instances: 2,
-		Policy:    "prefix-affinity",
-		Seed:      5,
-	}
-	cfg.Engine.Model = Llama3_8B
-	cfg.Engine.Cluster = NewCluster(L40(), 1)
-	cfg.Engine.Traits = traits
-	cfg.Engine.MaxGenLen = 128
-	cfg.Engine.PrefixCacheGroups = 4
-	cs, err := NewClusterServer(cfg)
+	st, err := Scenario{
+		Model:             "Llama3-8B",
+		Method:            "vLLM",
+		MaxGenLen:         128,
+		PrefixCacheGroups: 4,
+		Workload: WorkloadSpec{Bench: "MMLU", RatePerSec: 4, Seconds: 10,
+			Prefix: &PrefixConfig{Groups: 3, PrefixLen: 512, SharedFrac: 0.8}},
+		Cluster: &ClusterSpec{Instances: 2, Routing: "prefix-affinity"},
+		Seed:    5,
+	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := workload.NewRequestGen(BenchMMLU, 128, 5).
-		PoissonShared(4, 10, PrefixConfig{Groups: 3, PrefixLen: 512, SharedFrac: 0.8})
+	reqs := st.Requests()
 	if len(reqs) == 0 {
 		t.Skip("no arrivals drawn")
 	}
-	m, err := cs.Run(reqs)
+	m, err := st.Cluster.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,12 @@ import (
 // Compress one sequence with DiffKV and inspect fidelity, memory and the
 // token-tier breakdown.
 func Example() {
+	model, err := diffkv.ModelByName("Llama3-8B")
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng, err := diffkv.NewEngine(diffkv.EngineConfig{
-		Model:  diffkv.Llama3_8B,
+		Model:  model,
 		Params: diffkv.DefaultParams("Llama3-8B"), // αh=1, αl=0.02, W=64
 		Seed:   42,
 	})
@@ -33,9 +37,13 @@ func Example() {
 		100*res.Breakdown.High, 100*res.Breakdown.Low, 100*res.Breakdown.Pruned)
 
 	// task-accuracy view through a benchmark profile
-	acc := diffkv.BenchGSM8K.Accuracy("Llama3-8B", res.OutputErr)
+	gsm8k, err := diffkv.BenchmarkByName("GSM8K")
+	if err != nil {
+		log.Fatal(err)
+	}
+	acc := gsm8k.Accuracy("Llama3-8B", res.OutputErr)
 	fmt.Printf("  modeled GSM8K accuracy: %.1f (FP16 reference %.1f)\n",
-		acc, diffkv.BenchGSM8K.FP16["Llama3-8B"])
+		acc, gsm8k.FP16["Llama3-8B"])
 	// Output:
 	// DiffKV quickstart — Llama3-8B, 512+512 tokens
 	//   attention output error vs FP16: 0.179

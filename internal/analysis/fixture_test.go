@@ -268,24 +268,62 @@ func TestCIViolationFixtureFails(t *testing.T) {
 	}
 }
 
+// renderCIViolation loads the ci_violation fixture and lists its
+// diagnostics, one per line.
+func renderCIViolation() (string, error) {
+	m, _, err := LoadDir(filepath.Join("testdata", "ci_violation"))
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, d := range Run(m, FixtureConfig()).Diagnostics {
+		fmt.Fprintf(&b, "%s [%s]\n", d, d.Severity)
+	}
+	return b.String(), nil
+}
+
 // TestRunDeterminism: two runs over the same fixture tree must produce
 // byte-identical diagnostic listings — the vet tool is subject to its
 // own rules.
 func TestRunDeterminism(t *testing.T) {
-	render := func() string {
-		m, _, err := LoadDir(filepath.Join("testdata", "ci_violation"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Run(m, FixtureConfig())
-		var b strings.Builder
-		for _, d := range res.Diagnostics {
-			fmt.Fprintf(&b, "%s [%s]\n", d, d.Severity)
-		}
-		return b.String()
+	a, err := renderCIViolation()
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := render(), render()
+	b, err := renderCIViolation()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Errorf("two identical runs diverged:\n--- run 1\n%s--- run 2\n%s", a, b)
+	}
+}
+
+// TestConcurrentLoads: every load of a process shares one FileSet and
+// one standard-library importer, so loads running at once must each
+// list what a load alone does. They run first, so that run alone with
+// -race they import the standard library concurrently.
+func TestConcurrentLoads(t *testing.T) {
+	got := make([]string, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = renderCIViolation()
+		}()
+	}
+	wg.Wait()
+	want, err := renderCIViolation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil {
+			t.Errorf("load %d: %v", i, errs[i])
+		} else if got[i] != want {
+			t.Errorf("load %d diverged from a load alone:\n--- alone\n%s--- concurrent\n%s", i, want, got[i])
+		}
 	}
 }

@@ -11,7 +11,26 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// Every load in a process shares one FileSet and one source importer, so
+// the standard library is typechecked from source once per process, not
+// once per load; the importer's positions must live in the FileSet of
+// the files that import it. stdMu serializes the importer, which is not
+// safe for concurrent use.
+var (
+	sharedFset = token.NewFileSet()
+	stdMu      sync.Mutex
+	stdImp     = importer.ForCompiler(sharedFset, "source", nil)
+)
+
+// importStd imports a package from outside the loaded module.
+func importStd(path string) (*types.Package, error) {
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImp.Import(path)
+}
 
 // Module is a loaded source tree: every non-test package under a module
 // root, parsed and typechecked.
@@ -35,7 +54,7 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet()}
+	m := &Module{Root: root, Path: modPath, Fset: sharedFset}
 
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -65,7 +84,7 @@ func LoadDir(dir string) (*Module, *Package, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Module{Root: abs, Path: filepath.Base(abs), Fset: token.NewFileSet()}
+	m := &Module{Root: abs, Path: filepath.Base(abs), Fset: sharedFset}
 	pkg, err := m.parseDir(abs)
 	if err != nil {
 		return nil, nil, err
@@ -181,8 +200,8 @@ func (m *Module) importPathFor(dir string) string {
 
 // typecheck runs go/types over the module in dependency order:
 // module-internal imports resolve to the packages just checked, stdlib
-// imports go through the source importer. The first package that does
-// not typecheck fails the load, named with its first type error.
+// imports go through the shared source importer. The first package that
+// does not typecheck fails the load, named with its first type error.
 func (m *Module) typecheck() error {
 	byPath := make(map[string]*Package, len(m.Packages))
 	for _, p := range m.Packages {
@@ -212,13 +231,12 @@ func (m *Module) typecheck() error {
 		visit(p)
 	}
 
-	srcImp := importer.ForCompiler(m.Fset, "source", nil)
 	checked := make(map[string]*types.Package, len(order))
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if tp, ok := checked[path]; ok {
 			return tp, nil
 		}
-		return srcImp.Import(path)
+		return importStd(path)
 	})
 	for _, p := range order {
 		if err := checkPackage(m.Fset, p, imp); err != nil {

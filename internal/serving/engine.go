@@ -54,7 +54,7 @@ type Config struct {
 	// limits: 16K for QwQ-32B, 8K for Qwen2.5-32B, 4K otherwise).
 	MaxGenLen int
 	// MemoryReserve is the fraction of post-weights device memory held
-	// back for activations (default 0.1).
+	// back for activations (default 0.1; must be below 1).
 	MemoryReserve float64
 	// PrefixCacheGroups enables cross-request prefix-cache modeling: the
 	// engine keeps the KV of up to this many distinct prefix groups
@@ -110,6 +110,11 @@ func (c *Config) validate() error {
 	}
 	if c.MemoryReserve <= 0 {
 		c.MemoryReserve = 0.1
+	}
+	if c.MemoryReserve >= 1 {
+		// a reserve of the whole budget or more leaves a KV capacity of
+		// zero or below, which would serve one request at a time
+		return fmt.Errorf("serving: MemoryReserve must be < 1 (got %g)", c.MemoryReserve)
 	}
 	if c.HiFrac <= 0 {
 		c.HiFrac = 0.25

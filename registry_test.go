@@ -146,7 +146,8 @@ func TestRegistryEdgeCases(t *testing.T) {
 	}); err == nil {
 		t.Fatal("duplicate routing policy must error")
 	}
-	if _, err := NewClusterServer(ClusterServerConfig{Instances: 1, Policy: "no-such-route"}); err == nil ||
+	if _, err := (Scenario{Model: "Llama3-8B", Method: "vLLM", Workload: WorkloadSpec{Bench: "GSM8K"},
+		Cluster: &ClusterSpec{Instances: 1, Routing: "no-such-route"}}).Build(); err == nil ||
 		!strings.Contains(err.Error(), "unknown routing policy") {
 		t.Fatalf("unknown routing policy error = %v", err)
 	}

@@ -14,8 +14,11 @@ import (
 	"sort"
 
 	"diffkv/internal/cluster"
+	"diffkv/internal/gpusim"
 	"diffkv/internal/httpapi"
 	"diffkv/internal/quant"
+	"diffkv/internal/serving"
+	"diffkv/internal/telemetry"
 	"diffkv/internal/workload"
 )
 
@@ -124,12 +127,12 @@ type ObservabilitySpec struct {
 	Saturation *SaturationConfig `json:"saturation,omitempty"`
 }
 
-// TelemetryConfig translates the observability section into a telemetry
+// telemetryConfig translates the observability section into a telemetry
 // center configuration; a nil section takes every default. tr (usually
 // the scenario's trace collector) receives the alert events; nil keeps
 // alerts snapshot-only.
-func (o *ObservabilitySpec) TelemetryConfig(tr Tracer) TelemetryConfig {
-	cfg := TelemetryConfig{Tracer: tr}
+func (o *ObservabilitySpec) telemetryConfig(tr Tracer) telemetry.Config {
+	cfg := telemetry.Config{Tracer: tr}
 	if o == nil {
 		return cfg
 	}
@@ -149,7 +152,7 @@ func (o *ObservabilitySpec) TelemetryConfig(tr Tracer) TelemetryConfig {
 type Scenario struct {
 	// Name labels the scenario in output (optional).
 	Name string `json:"name,omitempty"`
-	// Model is a model-zoo name (see Models / ModelByName).
+	// Model is a model-zoo name (see ModelByName).
 	Model string `json:"model"`
 	// Method is a registered serving method name (see Methods).
 	Method string `json:"method"`
@@ -167,7 +170,8 @@ type Scenario struct {
 	// MaxGenLen truncates generations (default 4096).
 	MaxGenLen int `json:"max_gen_len,omitempty"`
 	// MemoryReserve holds back a fraction of post-weights memory
-	// (default 0.1; raise it to oversubscribe KV and exercise preemption).
+	// (default 0.1, below 1; raise it to oversubscribe KV and exercise
+	// preemption).
 	MemoryReserve float64 `json:"memory_reserve,omitempty"`
 	// PrefixCacheGroups enables per-instance prefix caching (0 disables).
 	PrefixCacheGroups int `json:"prefix_cache_groups,omitempty"`
@@ -361,7 +365,7 @@ func (s Scenario) Build() (*Stack, error) {
 		}
 	}
 
-	ec := ServerConfig{
+	ec := serving.Config{
 		Model:              st.Model,
 		Traits:             st.Method.ServingTraits(s.MemFrac),
 		MaxGenLen:          s.MaxGenLen,
@@ -394,9 +398,9 @@ func (s Scenario) Build() (*Stack, error) {
 	}
 
 	cc := clusterConfig(s, ec)
-	st.Telemetry = NewTelemetryCenter(s.Observability.TelemetryConfig(s.Tracer))
+	st.Telemetry = telemetry.New(s.Observability.telemetryConfig(s.Tracer))
 	cc.Telemetry = st.Telemetry
-	if st.Cluster, err = NewClusterServer(cc); err != nil {
+	if st.Cluster, err = cluster.New(cc); err != nil {
 		return nil, err
 	}
 	if s.Cluster == nil {
@@ -407,8 +411,8 @@ func (s Scenario) Build() (*Stack, error) {
 
 // clusterConfig translates spec + engine config into a cluster Config.
 // Every instance gets its own GPU cluster (engines cannot share one).
-func clusterConfig(s Scenario, ec ServerConfig) ClusterServerConfig {
-	ec.Cluster = NewCluster(L40(), s.GPUs)
+func clusterConfig(s Scenario, ec serving.Config) ClusterServerConfig {
+	ec.Cluster = gpusim.NewCluster(gpusim.L40(), s.GPUs)
 	cc := ClusterServerConfig{Instances: 1, Engine: ec, Tracer: s.Tracer, Seed: s.Seed}
 	if c := s.Cluster; c != nil {
 		cc.Instances = c.Instances

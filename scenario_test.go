@@ -293,8 +293,10 @@ func TestScenarioValidation(t *testing.T) {
 		"routing": func(s *Scenario) {
 			s.Cluster = &ClusterSpec{Instances: 2, Routing: "NoSuch"}
 		},
-		"preempt": func(s *Scenario) { s.Preemption = "NoSuch" },
-		"badprec": func(s *Scenario) { s.Method = "DiffKV"; s.Precision = &PrecisionSpec{Hi: "K7V3"} },
+		"preempt":      func(s *Scenario) { s.Preemption = "NoSuch" },
+		"reserve-one":  func(s *Scenario) { s.MemoryReserve = 1 },
+		"reserve-over": func(s *Scenario) { s.MemoryReserve = 1.5 },
+		"badprec":      func(s *Scenario) { s.Method = "DiffKV"; s.Precision = &PrecisionSpec{Hi: "K7V3"} },
 		"cot-rate": func(s *Scenario) {
 			s.Workload.CoT = true
 			s.Workload.RatePerSec = 4
