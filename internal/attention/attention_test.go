@@ -99,7 +99,7 @@ func newTestCache(t *testing.T, dim int) (*kvcache.Manager, *kvcache.HeadCache) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, sc.Heads[0]
+	return m, sc.Head(0)
 }
 
 func TestCompressedMatchesUniformWhenAllHigh(t *testing.T) {

@@ -25,7 +25,7 @@ func buildMixedCache(t testing.TB, rng *mathx.RNG, dim, nHi, nLo, nWin int) (*kv
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	n := nHi + nLo + nWin
 	var keys, vals [][]float32
 	for j := 0; j < n; j++ {

@@ -96,7 +96,7 @@ func cache1K(b *testing.B) (*kvcache.HeadCache, []float32) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	k := make([]float32, 128)
 	v := make([]float32, 128)
 	for j := 0; j < 1024; j++ {
@@ -144,7 +144,7 @@ func GenPolicyStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	gp, err := policy.NewGenPolicy(policy.ParamsLlama3, 128, 4096)
 	if err != nil {
 		b.Fatal(err)

@@ -187,7 +187,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		eng, err := serving.NewEngine(ec)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: instance %d: %w", i+1, err)
 		}
 		c.engines = append(c.engines, eng)
 	}
@@ -369,7 +369,7 @@ func (c *Cluster) Open(ctx context.Context, r workload.Request) (*serving.Sessio
 	if err != nil {
 		// invalid request (duplicate ID, no GenLen): no state changed, so
 		// the cluster stays usable either way
-		return nil, fmt.Errorf("cluster: instance %d: %w", idx, err)
+		return nil, fmt.Errorf("cluster: instance %d: %w", idx+1, err)
 	}
 	c.sessionMode = true
 	c.acc.m.Submitted++

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -73,6 +75,26 @@ func TestNewClusterValidation(t *testing.T) {
 	cfg.Engine.Traits = baselines.TraitsVLLM
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for unknown policy")
+	}
+}
+
+// Errors name instances from 1, as traces and fault plans do: a
+// one-instance cluster whose engine cannot be built fails with
+// "instance 1", and so does a request its one engine refuses.
+func TestInstanceErrorsCountFromOne(t *testing.T) {
+	cfg := sessionCfg(1)
+	cfg.Engine.Model = synth.QwQ_32B // 64 GB of weights on one 48 GB GPU
+	_, err := New(cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "cluster: instance 1: ") {
+		t.Fatalf("engine config that cannot fit: error %v, want one naming instance 1", err)
+	}
+	c, err := New(sessionCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Open(context.Background(), workload.Request{PromptLen: 16})
+	if err == nil || !strings.HasPrefix(err.Error(), "cluster: instance 1: ") {
+		t.Fatalf("request without GenLen: error %v, want one naming instance 1", err)
 	}
 }
 

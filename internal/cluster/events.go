@@ -110,7 +110,7 @@ func (c *Cluster) fire(ev event) ([]serving.Completion, error) {
 		c.steps++
 		comps, err := c.engines[ev.inst].Step()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: instance %d: %w", ev.inst, err)
+			return nil, fmt.Errorf("cluster: instance %d: %w", ev.inst+1, err)
 		}
 		// before settle, whose decode placement reads this instance too;
 		// settle itself only collects exports, which touch does not read

@@ -191,7 +191,7 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 	if err != nil {
 		return headRun{}, err
 	}
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 
 	gp, err := policy.NewGenPolicy(params, dim, total)
 	if err != nil {

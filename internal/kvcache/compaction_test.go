@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -52,7 +53,9 @@ func captureState(m *Manager) managerState {
 	sort.Ints(st.SeqIDs)
 	for _, id := range st.SeqIDs {
 		var heads []headState
-		for _, hc := range m.seqs[id].Heads {
+		sc := m.seqs[id]
+		for h := range sc.heads {
+			hc := sc.Head(h)
 			heads = append(heads, headState{
 				Hi: sideIDs(&hc.table, LevelHi), Lo: sideIDs(&hc.table, LevelLo),
 				HiTokens: hc.HiTokens(), LoTokens: hc.LoTokens(),
@@ -202,7 +205,9 @@ func TestCompactFailureLeavesNothingBehind(t *testing.T) {
 // checkConservation asserts that the free ring and the page tables
 // together hold every page ID exactly once, that each registered sequence's
 // tables slice its own block of the manager's table length, and that every
-// table entry no page holds, in a registered or a spare block, is -1.
+// table entry no page holds is -1. Every spare record must be one no
+// sequence is registered under, with each table empty, every entry of its
+// block -1 and no tokens.
 func checkConservation(t *testing.T, m *Manager, op string) {
 	t.Helper()
 	n := m.Config().NumPages
@@ -221,20 +226,28 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 		}
 		return true
 	}
+	checkShape := func(sc *SeqCache, what string) {
+		if len(sc.block) != len(sc.heads)*m.slots {
+			t.Fatalf("after %s: %s has a %d-entry block for %d heads of %d slots", op, what, len(sc.block), len(sc.heads), m.slots)
+		}
+		for h := range sc.heads {
+			bt := &sc.heads[h].table
+			if len(bt.slots) != m.slots || &bt.slots[0] != &sc.block[h*m.slots] {
+				t.Fatalf("after %s: %s head %d's table is not its block's slice", op, what, h)
+			}
+		}
+	}
 	fl := m.free
 	for i := 0; i < fl.freeCnt; i++ {
 		mark(fl.ring[(fl.start+i)%len(fl.ring)], "ring")
 	}
 	held, meta := 0, 0
+	registered := map[*SeqCache]bool{}
 	for seq, sc := range m.seqs {
-		if len(sc.block) != len(sc.heads)*m.slots {
-			t.Fatalf("after %s: seq %d has a %d-entry block for %d heads of %d slots", op, seq, len(sc.block), len(sc.heads), m.slots)
-		}
-		for h, hc := range sc.Heads {
-			bt := &hc.table
-			if len(bt.slots) != m.slots || &bt.slots[0] != &sc.block[h*m.slots] {
-				t.Fatalf("after %s: seq %d head %d's table is not its block's slice", op, seq, h)
-			}
+		registered[sc] = true
+		checkShape(sc, fmt.Sprintf("seq %d", seq))
+		for h := range sc.heads {
+			bt := &sc.heads[h].table
 			for _, id := range sideIDs(bt, LevelHi) {
 				mark(id, "hi table")
 			}
@@ -248,9 +261,20 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 			meta += bt.MetadataBytes()
 		}
 	}
-	for i, b := range m.spare {
-		if !unused(b) {
-			t.Fatalf("after %s: spare block %d holds a page ID", op, i)
+	for i, sc := range m.spare {
+		what := fmt.Sprintf("spare record %d", i)
+		if registered[sc] {
+			t.Fatalf("after %s: %s is registered as seq %d", op, what, sc.ID)
+		}
+		registered[sc] = true // a record on the list twice would be handed out twice
+		checkShape(sc, what)
+		if !unused(sc.block) {
+			t.Fatalf("after %s: %s holds a page ID", op, what)
+		}
+		for h := range sc.heads {
+			if hc := &sc.heads[h]; hc.table.n != [2]int{} || hc.tokens != [2]int{} {
+				t.Fatalf("after %s: %s head %d has %v pages and %v tokens", op, what, h, hc.table.n, hc.tokens)
+			}
 		}
 	}
 	if fl.freeCnt+held != n || m.UsedPages() != held {
@@ -398,41 +422,45 @@ func TestManagerConservationProperty(t *testing.T) {
 	}
 }
 
-// A released sequence's page-table block goes to the next sequence of the
-// same head count, without a fill. Sequences of 4, then 8, then 4 heads
-// again churn through one manager, so each phase finds spare blocks of the
-// other length it must pass over. After every call checkConservation
-// requires each registered block to be its sequence's length and every
-// entry no page holds to be -1; the test counts the reuses by length.
+// A released sequence's whole record (its HeadCache slab and page-table
+// block) goes to the next sequence of the same head count, without a fill.
+// Sequences of 4, then 8, then 4 heads again churn through one manager, so
+// each phase finds spare records of the other head count it must pass
+// over. After every call checkConservation requires each registered record
+// to have its sequence's shape, every entry no page holds to be -1 and
+// every spare record to be empty, so a reused record starts empty; the
+// test counts the reuses by head count.
 func TestBlockReuseProperty(t *testing.T) {
 	const numPages, maxSeqLen, steps = 96, 300, 600
 	for seed := uint64(1); seed <= 10; seed++ {
 		m := compactManager(t, numPages, maxSeqLen)
-		spare := map[*int32]bool{} // the spare blocks before the call, by first entry
-		reused := map[int]int{}    // reuses by head count
+		spare := map[*SeqCache]bool{} // the spare records before the call
+		reused := map[int]int{}       // reuses by head count
 		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{4, 8, 4}[3*step/steps] }, (*Manager).GenCompact,
 			func(op string) {
 				checkConservation(t, m, fmt.Sprintf("%s (seed %d)", op, seed))
 				for _, sc := range m.seqs {
-					if spare[&sc.block[0]] {
+					if spare[sc] {
 						reused[len(sc.heads)]++
 					}
 				}
 				clear(spare)
-				for _, b := range m.spare {
-					spare[&b[0]] = true
+				for _, sc := range m.spare {
+					spare[sc] = true
 				}
 			})
 		if reused[4] == 0 || reused[8] == 0 {
-			t.Fatalf("seed %d: blocks reused %d times at 4 heads and %d at 8; both lengths should be", seed, reused[4], reused[8])
+			t.Fatalf("seed %d: records reused %d times at 4 heads and %d at 8; both head counts should be", seed, reused[4], reused[8])
 		}
 	}
 }
 
 // Steady-state canaries, in the style of the attention scratch pins: once
-// the scratch has grown, compaction allocates nothing, and a sequence costs
-// three allocations whatever its head count, since the measured round
-// reuses the page-table blocks the first round released.
+// the scratch has grown, compaction allocates nothing, and neither does
+// AddSequence when a released sequence of the same head count left its
+// record. A sequence of a head count no released record has costs three
+// allocations whatever its head count: the view, the HeadCache slab and
+// the page-table block.
 func TestCompactionAllocs(t *testing.T) {
 	const heads, seqs, promptLen, runs = 64, 8, 500, 50
 	m := compactManager(t, 1<<16, 8192)
@@ -449,8 +477,8 @@ func TestCompactionAllocs(t *testing.T) {
 		}
 	}
 	// each closure walks IDs 1..runs+1 (AllocsPerRun adds a warm-up call);
-	// the first round grows the scratch and the sequence map, the second is
-	// measured
+	// the first round grows the scratch and the sequence map and leaves
+	// runs+1 spare records, the second is measured
 	var addAllocs, promptAllocs, releaseAllocs float64
 	for round := 0; round < 2; round++ {
 		id := 0
@@ -471,17 +499,30 @@ func TestCompactionAllocs(t *testing.T) {
 			keep(m.ReleaseSequence(id))
 		})
 	}
+	// no spare record has heads+1 heads: each add builds a fresh one
+	id := 1000
+	freshAllocs := testing.AllocsPerRun(runs, func() {
+		id++
+		_, e := m.AddSequence(id, heads+1)
+		keep(e)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addAllocs > 3 {
-		t.Errorf("AddSequence: %v allocs, want <= 3", addAllocs)
+	if addAllocs != 0 {
+		t.Errorf("AddSequence after a same-shape release: %v allocs, want 0", addAllocs)
+	}
+	if freshAllocs > 3 {
+		t.Errorf("AddSequence of a fresh shape: %v allocs, want <= 3", freshAllocs)
 	}
 	if promptAllocs != 0 {
 		t.Errorf("PromptCompact: %v allocs, want 0", promptAllocs)
 	}
 	if releaseAllocs != 0 {
 		t.Errorf("ReleaseSequence: %v allocs, want 0", releaseAllocs)
+	}
+	for i := 1001; i <= id; i++ {
+		keep(m.ReleaseSequence(i))
 	}
 
 	ids := make([]int, seqs)
@@ -809,20 +850,28 @@ func TestGenCompactFanOutAllocs(t *testing.T) {
 }
 
 // countingSource serves fixed demands as a GenSource and counts the calls
-// for each sequence. A sequence belongs to one chunk, so concurrent calls
-// never touch the same count.
+// for each sequence. With skipZero it answers false, writing nothing, for
+// a sequence whose every demand is zero, and counts those calls in skips
+// too. A sequence belongs to one chunk, so concurrent calls never touch
+// the same count.
 type countingSource struct {
-	d     [][]GenDemand
-	calls []int
+	d            [][]GenDemand
+	skipZero     bool
+	calls, skips []int
 }
 
-func newCountingSource(d [][]GenDemand) *countingSource {
-	return &countingSource{d: d, calls: make([]int, len(d))}
+func newCountingSource(d [][]GenDemand, skipZero bool) *countingSource {
+	return &countingSource{d: d, skipZero: skipZero, calls: make([]int, len(d)), skips: make([]int, len(d))}
 }
 
-func (s *countingSource) GenDemands(i int, d []GenDemand) {
+func (s *countingSource) GenDemands(i int, d []GenDemand) bool {
 	s.calls[i]++
+	if s.skipZero && !slices.ContainsFunc(s.d[i], func(g GenDemand) bool { return g != GenDemand{} }) {
+		s.skips[i]++
+		return false
+	}
 	copy(d, s.d[i])
+	return true
 }
 
 // setParallelHeads sets the fan-out threshold to at until t ends.
@@ -840,12 +889,14 @@ var fanOutBounds = []struct {
 }{{"all", 0}, {"none", math.MaxInt}}
 
 // Property: whether a generation step's demands come as slices
-// (GenCompact) or from a source (GenCompactFrom), and whether every step
+// (GenCompact), from a source (GenCompactFrom) or from a source that
+// answers false for a sequence that draws nothing, and whether every step
 // fans out or none does, the churn driver's run is the same: the same page
 // IDs per head, token counts and free ring after every call, the same
 // CompactStats and the same errors from every generation step. Sequences
 // of 3, 4 and 8 heads interleave, so a chunk's demand scratch is regrown
-// and resliced.
+// and resliced, and one sequence in three of each step draws nothing, so
+// a skipped sequence finds the scratch holding another's demands.
 func TestGenSourceMatchesGenCompact(t *testing.T) {
 	const numPages, maxSeqLen, steps = 96, 300, 400
 	type record struct {
@@ -853,16 +904,25 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 		stats  []CompactStats
 		errs   []string
 	}
-	run := func(t *testing.T, seed uint64, fromSource bool) record {
-		var rec record
+	sources := []string{"slices", "source", "skipping source"}
+	run := func(t *testing.T, seed uint64, source string) (rec record, skips int) {
+		idle := mathx.NewRNG(seed + 1000) // picks the sequences that draw nothing
 		gen := func(m *Manager, ids []int, demands [][]GenDemand) (CompactStats, error) {
+			for _, d := range demands {
+				if idle.Intn(3) == 0 {
+					clear(d)
+				}
+			}
 			var cs CompactStats
 			var err error
-			if fromSource {
-				src := newCountingSource(demands)
-				cs, err = m.GenCompactFrom(ids, src)
-			} else {
+			if source == "slices" {
 				cs, err = m.GenCompact(ids, demands)
+			} else {
+				src := newCountingSource(demands, source == "skipping source")
+				cs, err = m.GenCompactFrom(ids, src)
+				for _, n := range src.skips {
+					skips += n
+				}
 			}
 			rec.stats = append(rec.stats, cs)
 			rec.errs = append(rec.errs, fmt.Sprint(err))
@@ -871,21 +931,24 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 		m := compactManager(t, numPages, maxSeqLen)
 		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{3, 4, 8}[step%3] }, gen,
 			func(string) { rec.states = append(rec.states, captureState(m)) })
-		return rec
+		return rec, skips
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
 		var want record
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, bound := range fanOutBounds {
 				setParallelHeads(t, bound.at)
-				for _, fromSource := range []bool{false, true} {
-					got := run(t, seed, fromSource)
+				for _, source := range sources {
+					got, skips := run(t, seed, source)
+					if source == "skipping source" && skips == 0 {
+						t.Fatalf("fanout=%s: the skipping source never skipped a sequence", bound.name)
+					}
 					if want.states == nil {
 						want = got // GenCompact with every step fanned out
 						continue
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("fanout=%s, source %v: the run differs from GenCompact's with every step fanned out", bound.name, fromSource)
+						t.Fatalf("fanout=%s, %s: the run differs from GenCompact's with every step fanned out", bound.name, source)
 					}
 				}
 			}
@@ -902,15 +965,22 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 // Twelve sequences of 256 heads make two chunks when fanned out, [0, 8)
 // and [8, 12), so an overflow in sequence 2 leaves the second chunk
 // planned in full; planned serially, the walk stops at sequence 2.
+// Sequences 1, 4 and 9 draw nothing, and the source answers false for
+// them: one before the overflow, one after it in its chunk and one in the
+// next chunk. The undo asks about them too and subtracts nothing.
 func TestGenSourceUndo(t *testing.T) {
 	const seqs, heads, capHi, slots = 12, 256, 37, 4
 	if 8*heads != genChunkHeads {
 		t.Fatal("the chunks are not [0, 8) and [8, 12)")
 	}
+	idle := []int{1, 4, 9}
 	grow := func(delta int) [][]GenDemand {
 		ds := make([][]GenDemand, seqs)
 		for i := range ds {
 			ds[i] = make([]GenDemand, heads)
+			if slices.Contains(idle, i) {
+				continue
+			}
 			for h := range ds[i] {
 				ds[i][h] = GenDemand{HiDelta: delta}
 			}
@@ -957,7 +1027,7 @@ func TestGenSourceUndo(t *testing.T) {
 					}
 				}
 				before, free := captureState(m), m.FreePages()
-				src := newCountingSource(tc.demands)
+				src := newCountingSource(tc.demands, true)
 				cs, err := m.GenCompactFrom(ids, src)
 				if err == nil || !strings.HasPrefix(err.Error(), tc.fails) {
 					t.Fatalf("error %v, want %q", err, tc.fails)
@@ -965,11 +1035,19 @@ func TestGenSourceUndo(t *testing.T) {
 				if !reflect.DeepEqual(captureState(m), before) || m.FreePages() != free || cs != (CompactStats{}) {
 					t.Fatalf("the failed call moved something (stats %+v, %d free, was %d)", cs, m.FreePages(), free)
 				}
-				if want := tc.calls[bound.name]; !reflect.DeepEqual(src.calls, want) {
+				want := tc.calls[bound.name]
+				if !reflect.DeepEqual(src.calls, want) {
 					t.Fatalf("source calls per sequence %v, want %v", src.calls, want)
 				}
-				cs, err = m.GenCompactFrom(ids, newCountingSource(grow(0)))
-				if err != nil || cs.PagesAllocated != 0 || cs.Regions != seqs*heads {
+				wantSkips := make([]int, seqs)
+				for _, i := range idle {
+					wantSkips[i] = want[i]
+				}
+				if !reflect.DeepEqual(src.skips, wantSkips) {
+					t.Fatalf("source skips per sequence %v, want %v", src.skips, wantSkips)
+				}
+				cs, err = m.GenCompactFrom(ids, newCountingSource(grow(0), true))
+				if err != nil || cs.PagesAllocated != 0 || cs.Regions != seqs*heads || cs.TokenOps != seqs*heads*capHi {
 					t.Fatalf("next call: %+v, %v", cs, err)
 				}
 				checkConservation(t, m, "a step after a failed one")

@@ -58,7 +58,8 @@ func (c *Config) Validate() error {
 
 // Manager is one worker's KV-cache memory manager: the circular free page
 // list, per-(sequence, head) bidirectional page tables and, when
-// materialized, the page pool the IDs name.
+// materialized, the page pool the IDs name. It keeps released sequences'
+// records, tables empty, for the next sequences of their head counts.
 //
 // Every call that moves pages runs the paper's compaction pipeline (§5.3)
 // over scratch the Manager keeps: plan each head's page count while
@@ -76,11 +77,11 @@ type Manager struct {
 	pool      *PagePool // nil in counts-only mode
 	free      *FreeList
 	seqs      map[int]*SeqCache
-	spare     [][]int32 // released sequences' page-table blocks, every slot -1
-	capHi     int       // tokens per high-precision page
-	capLo     int       // tokens per low-precision page
-	slots     int       // page-table entry length
-	metaBytes int       // page-table footprint of the registered sequences
+	spare     []*SeqCache // released records: every table empty, every slot -1
+	capHi     int         // tokens per high-precision page
+	capLo     int         // tokens per low-precision page
+	slots     int         // page-table entry length
+	metaBytes int         // page-table footprint of the registered sequences
 
 	// pipeline scratch, grown when a larger batch first appears, then reused
 	cnt     []int32 // plan: pages per head
@@ -138,17 +139,21 @@ func (m *Manager) tier(level Level) (quant.Precision, int) {
 }
 
 // SeqCache is the per-sequence view: one HeadCache per KV head managed by
-// this worker.
+// this worker. The Manager recycles the whole record when the sequence is
+// released, so a view, and every HeadCache taken from it, is dead after
+// ReleaseSequence: the next sequence of the same head count gets it.
 type SeqCache struct {
 	ID    int
-	Heads []*HeadCache // Heads[i] is &heads[i], for callers that hold one head
-	heads []HeadCache  // the slab the Manager's passes scan
-	block []int32      // the page-table entries the heads' tables slice up
-	epoch uint64       // the last GenCompact call that named the sequence
+	heads []HeadCache // the slab the Manager's passes scan
+	block []int32     // the page-table entries the heads' tables slice up
+	epoch uint64      // the last GenCompact call that named the sequence
 }
 
+// Head returns the cache of KV head h.
+func (sc *SeqCache) Head(h int) *HeadCache { return &sc.heads[h] }
+
 // AddSequence registers a sequence with numHeads KV heads and returns its
-// cache view.
+// cache view, which lives until ReleaseSequence(id).
 func (m *Manager) AddSequence(id, numHeads int) (*SeqCache, error) {
 	if err := m.checkNew(id, numHeads); err != nil {
 		return nil, err
@@ -167,42 +172,44 @@ func (m *Manager) checkNew(id, numHeads int) error {
 	return nil
 }
 
-// register builds a sequence in three allocations whatever its head count:
-// the view, the pointer slice and one slab of HeadCaches. The block of
-// page-table entries the tables slice up is a fourth only when no released
-// sequence left a spare block of the same length.
+// register returns a record for a new sequence: a released record of the
+// same head count, whose tables release left empty, or a fresh one built in
+// three allocations whatever its head count — the view, one slab of
+// HeadCaches and one block of page-table entries the tables slice up.
 func (m *Manager) register(id, numHeads int) *SeqCache {
-	block := m.block(numHeads * m.slots)
-	sc := &SeqCache{ID: id, Heads: make([]*HeadCache, numHeads), heads: make([]HeadCache, numHeads), block: block}
-	for i := range sc.heads {
-		sc.heads[i] = HeadCache{mgr: m, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
-		sc.Heads[i] = &sc.heads[i]
+	sc := m.reuse(numHeads)
+	if sc == nil {
+		block := make([]int32, numHeads*m.slots)
+		for i := range block {
+			block[i] = -1
+		}
+		sc = &SeqCache{heads: make([]HeadCache, numHeads), block: block}
+		for i := range sc.heads {
+			sc.heads[i] = HeadCache{mgr: m, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
+		}
 	}
+	sc.ID = id
 	m.seqs[id] = sc
-	m.metaBytes += 4 * len(block)
+	m.metaBytes += 4 * len(sc.block)
 	return sc
 }
 
-// block returns an n-entry page-table block with every entry -1: a spare
-// block of that length, or a fresh one. A spare needs no fill, since drain
-// wrote -1 back into every entry it had used.
-func (m *Manager) block(n int) []int32 {
+// reuse takes a released record of numHeads heads off the spare list, the
+// most recently released first, or returns nil when there is none.
+func (m *Manager) reuse(numHeads int) *SeqCache {
 	for i := len(m.spare) - 1; i >= 0; i-- {
-		if b := m.spare[i]; len(b) == n {
+		if sc := m.spare[i]; len(sc.heads) == numHeads {
 			last := len(m.spare) - 1
 			m.spare[i], m.spare[last] = m.spare[last], nil
 			m.spare = m.spare[:last]
-			return b
+			return sc
 		}
 	}
-	b := make([]int32, n)
-	for i := range b {
-		b[i] = -1
-	}
-	return b
+	return nil
 }
 
-// ReleaseSequence recycles every page of a finished sequence.
+// ReleaseSequence recycles every page of a finished sequence and keeps its
+// record, every table empty, for the next sequence of its head count.
 func (m *Manager) ReleaseSequence(id int) error {
 	sc, ok := m.seqs[id]
 	if !ok {
@@ -212,13 +219,12 @@ func (m *Manager) ReleaseSequence(id int) error {
 	for i := range sc.heads {
 		hc := &sc.heads[i]
 		flat = hc.table.drain(flat)
-		hc.table.slots = nil // a stale view must not reach the block once it is reused
 		hc.tokens = [2]int{}
 	}
 	m.flat = flat[:0]
 	m.free.give(flat)
-	m.spare = append(m.spare, sc.block)
-	m.metaBytes -= 4 * len(sc.heads) * m.slots
+	m.spare = append(m.spare, sc)
+	m.metaBytes -= 4 * len(sc.block)
 	delete(m.seqs, id)
 	return nil
 }
@@ -251,10 +257,8 @@ func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
 			m.pool.configure(id, prec, perPage)
 		}
 	}
-	for _, id := range ids {
-		if err := hc.table.push(level, id); err != nil {
-			panic(err)
-		}
+	if err := hc.table.push(level, ids...); err != nil {
+		panic(err)
 	}
 }
 
@@ -369,21 +373,25 @@ type GenDemand struct {
 
 // GenSource supplies a generation step's demands to the plan walk, one
 // sequence at a time: GenDemands(i, d) writes the demand of each head of
-// the call's sequence i into d, which has one entry per head. The walk
-// calls it for i on the worker that plans i's chunk, so calls for
+// the call's sequence i into d, which has one entry per head, and returns
+// true; or it returns false, leaving d unwritten, when no head of i draws
+// anything this step, and the walk then only prices i's planning scan.
+// The walk calls it for i on the worker that plans i's chunk, so calls for
 // different sequences may run at once, and calls it again on the calling
 // goroutine to undo a failed call. A source therefore writes nothing but
-// d, and writes the same values every time it is called for i within one
-// call.
+// d, and answers the same every time it is called for i within one call.
 type GenSource interface {
-	GenDemands(i int, d []GenDemand)
+	GenDemands(i int, d []GenDemand) bool
 }
 
 // demandSlices is the source GenCompact walks: the caller's demands,
 // copied out per sequence.
 type demandSlices [][]GenDemand
 
-func (s *demandSlices) GenDemands(i int, d []GenDemand) { copy(d, (*s)[i]) }
+func (s *demandSlices) GenDemands(i int, d []GenDemand) bool {
+	copy(d, (*s)[i])
+	return true
+}
 
 // shortfall is the planning step of one tier of one head during generation:
 // the pages the tier must gain to hold tokens. The comparison settles the
@@ -447,13 +455,15 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 // The walk asks src for one sequence's demands at a time, into its
 // chunk's scratch, then walks that sequence's heads once: it computes each
 // head's shortfall, checks its table room, commits its token counts and
-// records it if it needs pages. A batch of parallelHeads or more is drawn
-// and planned in chunks on mathx.ForEach, one pass. The chunks' page
-// totals are then summed in order, one run is taken from the free ring and
-// the recorded heads get their pages in (sequence, head) order, so every
-// head gets the page IDs a serial walk would give it. A table overflow or
-// a short pool undoes every committed count, asking src again for the
-// demands it subtracts, so a failed call still moves nothing.
+// records it if it needs pages. A sequence src reports as drawing nothing
+// is only priced: its cached tokens are added to TokenOps. A batch of
+// parallelHeads or more is drawn and planned in chunks on mathx.ForEach,
+// one pass. The chunks' page totals are then summed in order, one run is
+// taken from the free ring and the recorded heads get their pages in
+// (sequence, head) order, so every head gets the page IDs a serial walk
+// would give it. A table overflow or a short pool undoes every committed
+// count, asking src again for the demands it subtracts, so a failed call
+// still moves nothing.
 func (m *Manager) GenCompactFrom(seqIDs []int, src GenSource) (CompactStats, error) {
 	return m.genCompact(seqIDs, nil, src)
 }
@@ -567,7 +577,8 @@ func (c *genChunk) demandFor(n int) []GenDemand {
 
 // planGen draws a chunk's demands one sequence at a time and walks their
 // heads in order; it stops at the first head whose table cannot take its
-// shortfall.
+// shortfall. A sequence that draws nothing keeps its counts, which its
+// tables already cover, so it costs one sum of its cached tokens.
 func (m *Manager) planGen(c *genChunk, scs []*SeqCache, src GenSource) {
 	grows, pages, ops, done := c.grows[:0], 0, 0, 0
 	var err error
@@ -575,7 +586,13 @@ walk:
 	for s := c.first; s < c.end; s++ {
 		sc := scs[s]
 		ds := c.demandFor(len(sc.heads))
-		src.GenDemands(s, ds)
+		if !src.GenDemands(s, ds) {
+			for h := range sc.heads {
+				ops += sc.heads[h].tokens[LevelHi] + sc.heads[h].tokens[LevelLo]
+			}
+			done += len(sc.heads)
+			continue
+		}
 		for h := range sc.heads {
 			hc, d := &sc.heads[h], &ds[h]
 			hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
@@ -599,7 +616,8 @@ walk:
 }
 
 // undoGen takes back the token counts planGen committed, exactly, asking
-// src again for the demands it subtracts.
+// src again for the demands it subtracts; a sequence that drew nothing
+// committed nothing.
 func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, src GenSource) {
 	for c := range chunks {
 		ch := &chunks[c]
@@ -607,14 +625,16 @@ func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, src GenSource) {
 		for s := ch.first; s < ch.end && left > 0; s++ {
 			sc := scs[s]
 			ds := ch.demandFor(len(sc.heads))
-			src.GenDemands(s, ds)
 			n := min(left, len(sc.heads))
+			left -= n
+			if !src.GenDemands(s, ds) {
+				continue
+			}
 			for h, d := range ds[:n] {
 				hc := &sc.heads[h]
 				hc.tokens[LevelHi] -= d.HiDelta
 				hc.tokens[LevelLo] -= d.LoDelta
 			}
-			left -= n
 		}
 	}
 }

@@ -75,8 +75,8 @@ func TestAddReleaseSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.Heads) != 8 {
-		t.Fatalf("heads = %d", len(sc.Heads))
+	if len(sc.heads) != 8 {
+		t.Fatalf("heads = %d", len(sc.heads))
 	}
 	if _, err := m.AddSequence(1, 8); err == nil {
 		t.Fatal("duplicate registration should fail")
@@ -111,7 +111,8 @@ func TestPromptCompactBasic(t *testing.T) {
 		t.Fatalf("Regions = %d", stats.Regions)
 	}
 	sc := m.seqs[7]
-	for i, hc := range sc.Heads {
+	for i := range sc.heads {
+		hc := sc.Head(i)
 		if hc.HiTokens() != 20+i || hc.LoTokens() != 30 {
 			t.Fatalf("head %d counts: hi=%d lo=%d", i, hc.HiTokens(), hc.LoTokens())
 		}
@@ -124,7 +125,8 @@ func TestPromptCompactBasic(t *testing.T) {
 	}
 	// unused conservative pages must be back on the free list
 	used := 0
-	for _, hc := range sc.Heads {
+	for i := range sc.heads {
+		hc := sc.Head(i)
 		used += hc.table.count(LevelHi) + hc.table.count(LevelLo)
 	}
 	if m.UsedPages() != used {
@@ -145,7 +147,7 @@ func TestPromptCompactConservativeReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := m.seqs[1]
-	if sc.Heads[0].table.count(LevelHi) != 0 || sc.Heads[0].table.count(LevelLo) != 0 {
+	if sc.Head(0).table.count(LevelHi) != 0 || sc.Head(0).table.count(LevelLo) != 0 {
 		t.Fatal("pruned head kept pages")
 	}
 	if stats.PagesFreed == 0 {
@@ -187,8 +189,8 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := m.seqs[1]
-	if sc.Heads[0].table.count(LevelHi) != 1 {
-		t.Fatalf("expected 1 hi page, got %d", sc.Heads[0].table.count(LevelHi))
+	if sc.Head(0).table.count(LevelHi) != 1 {
+		t.Fatalf("expected 1 hi page, got %d", sc.Head(0).table.count(LevelHi))
 	}
 	// next hi token forces a second page on both heads
 	stats, err := m.GenCompact([]int{1}, [][]GenDemand{{
@@ -200,7 +202,7 @@ func TestGenCompactAllocatesOnBoundary(t *testing.T) {
 	if stats.PagesAllocated != 2 {
 		t.Fatalf("PagesAllocated = %d, want 2", stats.PagesAllocated)
 	}
-	if sc.Heads[0].table.count(LevelHi) != 2 {
+	if sc.Head(0).table.count(LevelHi) != 2 {
 		t.Fatal("second hi page not attached")
 	}
 	// a step with no growth allocates nothing
@@ -224,7 +226,7 @@ func TestGenCompactDowngradePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := m.seqs[1]
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	_, err := m.GenCompact([]int{1}, [][]GenDemand{{
 		{LoDelta: 1},
 	}})
@@ -282,7 +284,7 @@ func TestKVBytesTokenExact(t *testing.T) {
 	m.PromptCompact(1, 50, []HeadDemand{{HiTokens: 10, LoTokens: 20}})
 	sc := m.seqs[1]
 	want := 10*quant.K8V4.TokenBytes(128) + 20*quant.K4V2.TokenBytes(128)
-	if got := sc.Heads[0].KVBytes(); got != want {
+	if got := sc.Head(0).KVBytes(); got != want {
 		t.Fatalf("KVBytes = %d, want %d", got, want)
 	}
 }
@@ -300,7 +302,7 @@ func genToken(rng *mathx.RNG, dim int) (k, v []float32) {
 func TestAppendTokenAndRoundTrip(t *testing.T) {
 	m := testManager(t, true, 64)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	rng := mathx.NewRNG(5)
 	dim := 128
 
@@ -343,7 +345,7 @@ func TestAppendTokenCountsOnlyFails(t *testing.T) {
 	m := testManager(t, false, 8)
 	sc, _ := m.AddSequence(1, 1)
 	k := make([]float32, 128)
-	if err := sc.Heads[0].AppendToken(LevelHi, k, k, 0, 0); err == nil {
+	if err := sc.Head(0).AppendToken(LevelHi, k, k, 0, 0); err == nil {
 		t.Fatal("expected materialization error")
 	}
 }
@@ -351,7 +353,7 @@ func TestAppendTokenCountsOnlyFails(t *testing.T) {
 func TestMinScoreAndRemove(t *testing.T) {
 	m := testManager(t, true, 64)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	rng := mathx.NewRNG(9)
 	scores := []float32{5, 1, 3, 0.5, 4, 2}
 	for i, s := range scores {
@@ -388,7 +390,7 @@ func TestMinScoreAndRemove(t *testing.T) {
 func TestMinScoreEmpty(t *testing.T) {
 	m := testManager(t, true, 8)
 	sc, _ := m.AddSequence(1, 1)
-	if _, _, ok := sc.Heads[0].MinScore(LevelLo); ok {
+	if _, _, ok := sc.Head(0).MinScore(LevelLo); ok {
 		t.Fatal("empty tier reported a min")
 	}
 }
@@ -396,7 +398,7 @@ func TestMinScoreEmpty(t *testing.T) {
 func TestRemoveAcrossPages(t *testing.T) {
 	m := testManager(t, true, 64)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	rng := mathx.NewRNG(13)
 	capHi := m.TokensPerHiPage()
 	n := capHi + 5 // two pages
@@ -433,7 +435,7 @@ func TestRemoveAcrossPages(t *testing.T) {
 func TestDowngradeMovesTokenToLowTier(t *testing.T) {
 	m := testManager(t, true, 64)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	rng := mathx.NewRNG(17)
 	orig := make(map[int32][]float32)
 	for i := 0; i < 10; i++ {
@@ -472,7 +474,7 @@ func TestDowngradeRequiresHiRef(t *testing.T) {
 	m := testManager(t, true, 8)
 	sc, _ := m.AddSequence(1, 1)
 	kb := make([]float32, 128)
-	err := sc.Heads[0].Downgrade(TokenRef{Level: LevelLo}, kb, kb)
+	err := sc.Head(0).Downgrade(TokenRef{Level: LevelLo}, kb, kb)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -484,7 +486,7 @@ func TestMaterializedReleaseRecycles(t *testing.T) {
 	rng := mathx.NewRNG(21)
 	for i := 0; i < 100; i++ {
 		k, v := genToken(rng, 128)
-		sc.Heads[i%2].AppendToken(LevelHi, k, v, 1, int32(i))
+		sc.Head(i%2).AppendToken(LevelHi, k, v, 1, int32(i))
 	}
 	if m.UsedPages() == 0 {
 		t.Fatal("no pages used")
@@ -500,7 +502,7 @@ func TestPageFullCycleAfterEviction(t *testing.T) {
 	// must reuse the empty page rather than allocating
 	m := testManager(t, true, 64)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	rng := mathx.NewRNG(23)
 	capHi := m.TokensPerHiPage()
 	for i := 0; i < capHi+1; i++ {

@@ -13,6 +13,12 @@
 //     and the Fig. 13 memory-management comparison use this mode to scale
 //     to hundreds of requests.
 //
+// In both modes a sequence's record (its view, HeadCache slab and
+// page-table block) is recycled whole: ReleaseSequence empties it and the
+// next sequence of the same head count takes it, so admitting and
+// releasing a sequence allocates nothing in the steady state, and a view
+// is dead once its sequence is released.
+//
 // Timing is never measured here: compaction operations return operation
 // counts that the gpusim cost model converts to simulated time.
 package kvcache

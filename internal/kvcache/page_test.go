@@ -87,7 +87,7 @@ func TestPageCountsOnlyAppendPanics(t *testing.T) {
 	if _, err := m.PromptCompact(1, 40, []HeadDemand{{HiTokens: 40}}); err != nil {
 		t.Fatal(err)
 	}
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	if hc.PageCount(LevelHi) != 2 || hc.HiTokens() != 40 {
 		t.Fatalf("%d hi page IDs for %d tokens, want 2 for 40", hc.PageCount(LevelHi), hc.HiTokens())
 	}

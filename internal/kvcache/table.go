@@ -51,25 +51,39 @@ func tableOverflow(slots int) error {
 	return fmt.Errorf("kvcache: bidirectional table overflow (%d slots)", slots)
 }
 
-// push appends a page ID on a side.
-func (t *BiTable) push(level Level, id int32) error {
-	if t.room() <= 0 {
+// push appends page IDs on a side, in order: the high side's run is one
+// copy, the low side's is written right to left. Room is checked once, and
+// a push that does not fit writes nothing.
+func (t *BiTable) push(level Level, ids ...int32) error {
+	if len(ids) > t.room() {
 		return tableOverflow(len(t.slots))
 	}
-	t.slots[t.at(level, t.n[level])] = id
-	t.n[level]++
+	n := t.n[level]
+	if level == LevelHi {
+		copy(t.slots[n:], ids)
+	} else {
+		lo := t.slots[:len(t.slots)-n]
+		for i, id := range ids {
+			lo[len(lo)-1-i] = id
+		}
+	}
+	t.n[level] += len(ids)
 	return nil
 }
 
 // drain removes every page ID from both sides and appends them to dst, the
-// high side then the low side, each in push order.
+// high side then the low side, each in push order, writing -1 back into
+// every slot it empties.
 func (t *BiTable) drain(dst []int32) []int32 {
-	for _, level := range [2]Level{LevelHi, LevelLo} {
-		for i := 0; i < t.n[level]; i++ {
-			s := t.at(level, i)
-			dst = append(dst, t.slots[s])
-			t.slots[s] = -1
-		}
+	hi := t.slots[:t.n[LevelHi]]
+	dst = append(dst, hi...)
+	for i := range hi {
+		hi[i] = -1
+	}
+	lo := t.slots[len(t.slots)-t.n[LevelLo]:]
+	for i := len(lo) - 1; i >= 0; i-- {
+		dst = append(dst, lo[i])
+		lo[i] = -1
 	}
 	t.n = [2]int{}
 	return dst

@@ -1,8 +1,11 @@
 package kvcache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"diffkv/internal/mathx"
 )
 
 // sideIDs returns a side's page IDs in push order.
@@ -133,5 +136,87 @@ func TestBiTableInterleavingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTable is the one-ID-at-a-time model a BiTable's bulk push and drain
+// must match: a push writes each ID into its side's next slot, checking
+// room before each, and a drain empties the high side then the low side,
+// each in push order, slot by slot.
+type refTable struct {
+	slots []int32
+	n     [2]int
+}
+
+func (r *refTable) push(level Level, ids []int32) bool {
+	if len(ids) > len(r.slots)-r.n[LevelHi]-r.n[LevelLo] {
+		return false
+	}
+	for _, id := range ids {
+		s := r.n[level]
+		if level == LevelLo {
+			s = len(r.slots) - 1 - s
+		}
+		r.slots[s] = id
+		r.n[level]++
+	}
+	return true
+}
+
+func (r *refTable) drain(dst []int32) []int32 {
+	for i := 0; i < r.n[LevelHi]; i++ {
+		dst = append(dst, r.slots[i])
+		r.slots[i] = -1
+	}
+	for i := 0; i < r.n[LevelLo]; i++ {
+		s := len(r.slots) - 1 - i
+		dst = append(dst, r.slots[s])
+		r.slots[s] = -1
+	}
+	r.n = [2]int{}
+	return dst
+}
+
+// Property: random runs of bulk pushes (empty, single, several IDs, some
+// past the table's room) and drains leave the same slots and counts as the
+// one-ID-at-a-time model after every call, refuse the same pushes without
+// writing anything, and drain the same IDs in the same order.
+func TestBiTableBulkMatchesSingleProperty(t *testing.T) {
+	refused, drained := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := mathx.NewRNG(seed)
+		n := 1 + rng.Intn(24)
+		bt := NewBiTable(n)
+		ref := &refTable{slots: append([]int32(nil), bt.slots...)}
+		next := int32(0)
+		for step := 0; step < 60; step++ {
+			if rng.Intn(6) == 0 {
+				got, want := bt.drain(nil), ref.drain(nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: drained %v, one at a time %v", seed, step, got, want)
+				}
+				drained += len(got)
+			} else {
+				level := Level(rng.Intn(2))
+				ids := make([]int32, rng.Intn(n/2+2))
+				for i := range ids {
+					ids[i] = next
+					next++
+				}
+				err, ok := bt.push(level, ids...), ref.push(level, ids)
+				if (err == nil) != ok {
+					t.Fatalf("seed %d step %d: push of %d on %s: error %v, model accepts %v", seed, step, len(ids), level, err, ok)
+				}
+				if !ok {
+					refused++
+				}
+			}
+			if !reflect.DeepEqual(bt.slots, ref.slots) || bt.n != ref.n {
+				t.Fatalf("seed %d step %d: slots %v counts %v, one at a time %v %v", seed, step, bt.slots, bt.n, ref.slots, ref.n)
+			}
+		}
+	}
+	if refused == 0 || drained == 0 {
+		t.Fatalf("the runs refused %d pushes and drained %d IDs; both should be > 0", refused, drained)
 	}
 }

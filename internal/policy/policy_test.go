@@ -174,7 +174,7 @@ func cachedPositions(hc *kvcache.HeadCache) []int32 {
 func TestGenPolicyWindowFill(t *testing.T) {
 	m := genManager(t)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	g, err := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0.01, Window: 8}, 64, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestGenPolicyWindowFill(t *testing.T) {
 func TestGenPolicyHighCandidate(t *testing.T) {
 	m := genManager(t)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	g, _ := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0.01, Window: 2}, 64, 128)
 	rng := mathx.NewRNG(2)
 
@@ -228,7 +228,7 @@ func TestGenPolicyHighCandidate(t *testing.T) {
 func TestGenPolicyPruneCandidate(t *testing.T) {
 	m := genManager(t)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	g, _ := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0.5, Window: 2}, 64, 128)
 	rng := mathx.NewRNG(3)
 	// no significance observed -> Avg=0 -> pruned
@@ -249,7 +249,7 @@ func TestGenPolicyDowngradePath(t *testing.T) {
 	// downgrade path of Algorithm 1.
 	m := genManager(t)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	g, _ := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0.001, Window: 1}, 64, 2048)
 	rng := mathx.NewRNG(4)
 
@@ -288,7 +288,7 @@ func TestGenPolicyDowngradePath(t *testing.T) {
 func TestGenPolicyVictimPrunedFromLow(t *testing.T) {
 	m := genManager(t)
 	sc, _ := m.AddSequence(1, 1)
-	hc := sc.Heads[0]
+	hc := sc.Head(0)
 	// αl > 0 so low victims whose score decays below αl/N get pruned
 	g, _ := NewGenPolicy(Params{AlphaH: 10, AlphaL: 0.2, Window: 1}, 64, 2048)
 	rng := mathx.NewRNG(5)
@@ -334,7 +334,7 @@ func TestGenPolicyConservationProperty(t *testing.T) {
 			return false
 		}
 		sc, _ := m.AddSequence(1, 1)
-		hc := sc.Heads[0]
+		hc := sc.Head(0)
 		g, err := NewGenPolicy(Params{AlphaH: 1, AlphaL: 0.05, Window: 4}, 16, 64)
 		if err != nil {
 			return false

@@ -194,16 +194,18 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 
 // GenDemands is the manager's source for the step gen runs: it fills the
 // demands of the step's sequence i.
-func (s *pageStore) GenDemands(i int, d []kvcache.GenDemand) { s.fill(s.genSeqs[i], d, s.genAt[i]) }
+func (s *pageStore) GenDemands(i int, d []kvcache.GenDemand) bool {
+	return s.fill(s.genSeqs[i], d, s.genAt[i])
+}
 
 // fill writes one sequence's generation demands. A sequence whose window
-// has filled draws one Float64 per head from the store's stream, starting
-// at draw at of this step; the store's stream itself does not move, so a
-// second call for the same sequence writes the same demands.
-func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) {
+// has not filled draws nothing: fill leaves d as it is and returns false.
+// One whose window has filled draws one Float64 per head from the store's
+// stream, starting at draw at of this step; the store's stream itself does
+// not move, so a second call for the same sequence writes the same demands.
+func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) bool {
 	if st.winFill < 64 {
-		clear(d)
-		return
+		return false
 	}
 	rng := s.rng.Ahead(uint64(at))
 	hiF, loF := st.hiF[:len(d)], st.loF[:len(d)]
@@ -222,6 +224,7 @@ func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) {
 		}
 		d[h] = kvcache.GenDemand{HiDelta: hi, LoDelta: lo &^ hi}
 	}
+	return true
 }
 
 func (s *pageStore) release(st *seqState) error { return s.mgr.ReleaseSequence(st.req.ID) }
