@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -21,6 +22,82 @@ type Table struct {
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
+}
+
+// Num returns the number in column col of the row whose first cell is
+// row, as rendered and without its unit: "23.1%" reads 23.1 and "5103x"
+// reads 5103. A missing or repeated row, a missing column or a cell that
+// is not a number is an error.
+func (t *Table) Num(row, col string) (float64, error) {
+	c, err := t.cell(row, col)
+	if err != nil {
+		return 0, err
+	}
+	return parseNum(c)
+}
+
+// AccMem reads a composite "acc (mem%)" cell, such as "76.3 (23.1%)",
+// into its accuracy and its memory percentage.
+func (t *Table) AccMem(row, col string) (acc, mem float64, err error) {
+	c, err := t.cell(row, col)
+	if err != nil {
+		return 0, 0, err
+	}
+	a, m, ok := strings.Cut(c, " (")
+	m, closed := strings.CutSuffix(m, ")")
+	if !ok || !closed {
+		return 0, 0, fmt.Errorf("%s: cell %q is not acc (mem%%)", t.Title, c)
+	}
+	if acc, err = parseNum(a); err != nil {
+		return 0, 0, err
+	}
+	mem, err = parseNum(m)
+	return acc, mem, err
+}
+
+// cell returns the text of column col in the one row whose first cell is
+// row.
+func (t *Table) cell(row, col string) (string, error) {
+	j, err := t.column(col)
+	if err != nil {
+		return "", err
+	}
+	var found []string
+	for _, r := range t.Rows {
+		if len(r) > 0 && r[0] == row {
+			if found != nil {
+				return "", fmt.Errorf("%s: row %q is not unique", t.Title, row)
+			}
+			found = r
+		}
+	}
+	if found == nil {
+		return "", fmt.Errorf("%s: no row %q", t.Title, row)
+	}
+	if j >= len(found) {
+		return "", fmt.Errorf("%s: row %q has no column %q", t.Title, row, col)
+	}
+	return found[j], nil
+}
+
+// column returns the index of the column headed col.
+func (t *Table) column(col string) (int, error) {
+	for i, h := range t.Header {
+		if h == col {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("%s: no column %q", t.Title, col)
+}
+
+// parseNum reads a rendered number, dropping a trailing "%" or "x".
+func parseNum(c string) (float64, error) {
+	s := strings.TrimSuffix(strings.TrimSuffix(c, "%"), "x")
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("cell %q is not a number", c)
+	}
+	return v, nil
 }
 
 // String renders the table with aligned columns.

@@ -50,7 +50,8 @@ func firstDiff(got, want string) (int, string, string) {
 // and parallel == sequential. The files hold on amd64, where GOAMD64=v1
 // never fuses a multiply-add (DESIGN.md §8); elsewhere the test compares a
 // 1-worker run with the 8-worker one instead. Every table must also be
-// non-empty and rectangular.
+// non-empty and rectangular, and every claim registered for its ID must
+// hold on it.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -75,6 +76,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 				for _, row := range tbl.Rows {
 					if len(row) != len(tbl.Header) {
 						t.Fatalf("ragged row in %q: %v", tbl.Title, row)
+					}
+				}
+			}
+			if claims := experiments.Registry[id].Claims; claims != nil {
+				verdicts := claims(tables)
+				if len(verdicts) == 0 {
+					t.Error("no claim checked")
+				}
+				for _, v := range verdicts {
+					if !v.Held {
+						t.Errorf("claim failed: %s: margin %+g, err %v", v.Claim, v.Margin, v.Err)
 					}
 				}
 			}
