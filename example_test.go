@@ -46,7 +46,7 @@ func Example() {
 		acc, gsm8k.FP16["Llama3-8B"])
 	// Output:
 	// DiffKV quickstart — Llama3-8B, 512+512 tokens
-	//   attention output error vs FP16: 0.179
+	//   attention output error vs FP16: 0.159
 	//   KV memory vs vLLM FP16:         24.5%
 	//   compression ratio:              4.1x
 	//   token tiers: 32% high (K8V4), 20% low (K4V2), 48% pruned

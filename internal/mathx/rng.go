@@ -6,6 +6,14 @@ import "math"
 // (SplitMix64 core). Experiments seed one root RNG and split independent
 // streams per layer / head / request, so results are reproducible regardless
 // of goroutine scheduling.
+//
+// It has two normal samplers. Norm (and LogNorm on it) is polar
+// Box-Muller: the serving path's scalar draws — request lengths, per-head
+// tier fractions — go through it, and every serving digest records its
+// exact stream. NormVec, the bulk float32 sampler behind the synthetic
+// keys, values and queries, is a ziggurat, about three times as fast per
+// variate; it never touches Norm's spare, so a stream's Norm draws and
+// its NormVec draws interleave as they are called.
 type RNG struct {
 	state uint64
 	// cached spare normal variate for the Box-Muller transform
@@ -110,9 +118,20 @@ func (r *RNG) Exp(rate float64) float64 {
 }
 
 // NormVec fills dst with independent normal variates of the given standard
-// deviation.
+// deviation, drawn by the ziggurat of ziggurat.go. About 99 % of variates
+// cost one Uint64, whose top 32 bits are the attempt, a table lookup and a
+// multiply; the rest go through a wedge or tail test that draws Float64s
+// from the same stream. Norm's polar Box-Muller spends 1.27 Uint64s, a Log
+// and a Sqrt per variate. The draws are not Norm's: switching a caller
+// between the two changes its values.
 func (r *RNG) NormVec(dst []float32, sigma float64) {
 	for i := range dst {
-		dst[i] = float32(sigma * r.Norm())
+		j := int32(r.Uint64() >> 32)
+		k := uint32(j) & 0x7f
+		x := float64(j) * float64(wn[k])
+		if absInt32(j) >= kn[k] {
+			x = r.zigFinish(j)
+		}
+		dst[i] = float32(sigma * x)
 	}
 }

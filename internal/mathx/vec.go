@@ -4,6 +4,13 @@
 // splittable random number generator, and the worker pool (ForEach) whose
 // results do not depend on its worker count.
 //
+// The generator has two normal samplers on purpose. Scalar draws (Norm,
+// LogNorm) stay polar Box-Muller, because the serving path's request
+// lengths and tier fractions come from them and its pinned digests record
+// every one. Bulk float32 tensors (NormVec) use a 128-layer ziggurat, which
+// is what the synthetic KV data spends its time in; its tables are
+// literals, so its fast path draws the same values on every GOARCH.
+//
 // Everything here is pure Go (stdlib only) and allocation-conscious: the hot
 // paths (dot products, axpy, softmax) write into caller-provided buffers.
 package mathx
