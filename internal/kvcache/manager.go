@@ -405,12 +405,16 @@ func shortfall(tokens, have, perPage int) int {
 
 // parallelHeads is the batch size, in heads, from which a generation step
 // draws and plans its chunks on mathx.ForEach: 48 Llama3-8B sequences of
-// 256 heads. On a 2-vCPU host a generation step's fan-out was up to 25 %
-// slower than the serial walk at 8-32 sequences, even at 48, and 12 %
-// faster at decode_heavy's 96, so smaller batches stay on the calling
-// goroutine, where they allocate nothing. It is a variable only so that
-// tests can force every call onto either path. genChunkHeads is the heads
-// a chunk gathers before it closes at a sequence boundary.
+// 256 heads. Measured with genFit's leaf loop on a 2-vCPU host (GOMAXPROCS
+// 2, BenchmarkGenStep's steps at each size, 8 alternating pairs), the
+// fan-out was 17-37 % slower than the serial walk at 16-32 sequences, on
+// no consistent side of it from 48 to 64 (0-6 of 8 pairs won, medians
+// 0.92-1.29× the serial time over two sweeps) and 21 % faster at
+// decode_heavy's 96 (7 of 8). The break-even lies in that band, so the
+// threshold stays at its bottom; smaller batches stay on the calling
+// goroutine, where they allocate nothing. It is a variable only
+// so that tests can force every call onto either path. genChunkHeads is
+// the heads a chunk gathers before it closes at a sequence boundary.
 var parallelHeads = 12288
 
 const genChunkHeads = 2048
@@ -579,6 +583,13 @@ func (c *genChunk) demandFor(n int) []GenDemand {
 // heads in order; it stops at the first head whose table cannot take its
 // shortfall. A sequence that draws nothing keeps its counts, which its
 // tables already cover, so it costs one sum of its cached tokens.
+//
+// The walk is genFit's leaf loop, which commits the heads whose pages
+// already hold their new counts, handing off to the per-head plan below
+// at each head that needs a page (about one head-step in twelve); the
+// walk resumes after that head. The rare paths — shortfall's division,
+// the room check's error, the append to grows — sit outside the leaf, so
+// its per-head state stays in registers.
 func (m *Manager) planGen(c *genChunk, scs []*SeqCache, src GenSource) {
 	grows, pages, ops, done := c.grows[:0], 0, 0, 0
 	var err error
@@ -593,7 +604,13 @@ walk:
 			done += len(sc.heads)
 			continue
 		}
-		for h := range sc.heads {
+		for h := 0; h < len(sc.heads); h++ {
+			n, o := genFit(sc.heads[h:], ds[h:], m.capHi, m.capLo)
+			h, ops, done = h+n, ops+o, done+n
+			if h == len(sc.heads) {
+				break
+			}
+			// head h needs a page in at least one tier
 			hc, d := &sc.heads[h], &ds[h]
 			hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
 			hi := shortfall(hiTok, hc.table.count(LevelHi), m.capHi)
@@ -606,13 +623,34 @@ walk:
 			ops += hc.tokens[LevelHi] + hc.tokens[LevelLo]
 			hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
 			done++
-			if hi+lo > 0 {
-				grows = append(grows, genGrow{seq: int32(s), head: int32(h), hi: int32(hi), lo: int32(lo)})
-				pages += hi + lo
-			}
+			grows = append(grows, genGrow{seq: int32(s), head: int32(h), hi: int32(hi), lo: int32(lo)})
+			pages += hi + lo
 		}
 	}
 	c.grows, c.pages, c.tokenOps, c.done, c.err = grows, pages, ops, done, err
+}
+
+// genFit commits the counts of heads, in order, while each head's pages
+// already hold its new counts in both tiers (tokens ≤ pages·perPage), and
+// returns how many it committed and the cached tokens their planning
+// scans (their counts before the step). It stops at the first head that
+// needs a page and leaves that head as it is. It is a leaf, calling
+// nothing, and its loop keeps every value in a register; it stays out of
+// line so that planGen's rare paths never share that loop.
+//
+//go:noinline
+func genFit(heads []HeadCache, ds []GenDemand, capHi, capLo int) (n, ops int) {
+	ds = ds[:len(heads)]
+	for i := range heads {
+		hc := &heads[i]
+		hiTok, loTok := hc.tokens[LevelHi]+ds[i].HiDelta, hc.tokens[LevelLo]+ds[i].LoDelta
+		if hiTok > hc.table.n[LevelHi]*capHi || loTok > hc.table.n[LevelLo]*capLo {
+			return i, ops
+		}
+		ops += hc.tokens[LevelHi] + hc.tokens[LevelLo]
+		hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+	}
+	return len(heads), ops
 }
 
 // undoGen takes back the token counts planGen committed, exactly, asking

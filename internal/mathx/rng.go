@@ -14,6 +14,11 @@ import "math"
 // keys, values and queries, is a ziggurat, about three times as fast per
 // variate; it never touches Norm's spare, so a stream's Norm draws and
 // its NormVec draws interleave as they are called.
+//
+// Draw k of a stream depends only on its state and k (SplitMix64 adds a
+// Weyl constant per draw), so a stream's draws can also be read by index:
+// Ahead and Advance jump, and Float64At reads draw k without moving the
+// stream.
 type RNG struct {
 	state uint64
 	// cached spare normal variate for the Box-Muller transform
@@ -72,6 +77,15 @@ func (r *RNG) Uint64() uint64 {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Float64At returns draw k of r's stream as a Float64, counting r's next
+// draw as k = 0: what the last of k+1 Float64 calls on a copy of r would
+// return. It takes r by value and never moves it, so a stream's draws can
+// be read by index, in any order, with no state carried from one to the
+// next; a caller's copy of r stays in a register.
+func (r RNG) Float64At(k uint64) float64 {
+	return float64(mix64(r.state+k*weyl)>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0, n). Panics if n <= 0.

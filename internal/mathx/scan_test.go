@@ -184,6 +184,41 @@ func TestRNGAheadMatchesSequential(t *testing.T) {
 	}
 }
 
+// Float64At(k) is the k-th Float64 (from 0) of a copy of the stream, for
+// every k below 10^4, read in an order that is not the stream's, on a
+// fresh stream, on an Ahead copy and after Advance, and it never moves
+// the stream it reads.
+func TestRNGFloat64AtMatchesSequential(t *testing.T) {
+	const n = 10_000
+	r := NewRNG(51)
+	ahead := r.Ahead(1234)
+	adv := NewRNG(51)
+	adv.Advance(1234)
+	for _, tc := range []struct {
+		name string
+		r    *RNG
+	}{{"fresh", r}, {"Ahead", &ahead}, {"Advance", adv}} {
+		before := *tc.r
+		cp := *tc.r
+		want := make([]float64, n)
+		for k := range want {
+			want[k] = cp.Float64()
+		}
+		for i := range n {
+			k := (i * 7919) % n // 7919 is prime to n: every index once, out of order
+			if got := tc.r.Float64At(uint64(k)); got != want[k] {
+				t.Fatalf("%s: Float64At(%d) = %v, Float64 #%d of a copy = %v", tc.name, k, got, k, want[k])
+			}
+		}
+		if *tc.r != before {
+			t.Fatalf("%s: Float64At moved the stream", tc.name)
+		}
+	}
+	if got, want := ahead.Float64At(0), adv.Float64At(0); got != want {
+		t.Fatalf("Ahead(1234) and Advance(1234) read draw 0 as %v and %v", got, want)
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10_000; i++ {

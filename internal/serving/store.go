@@ -162,6 +162,12 @@ func (s *pageStore) memMgmtTime(work kvcache.CompactStats, _ int) gpusim.Micros 
 	return s.dev.GPUCompaction(work.TokenOps, work.Regions)
 }
 
+// genWindow is the recent window of uncompressed tokens a sequence fills
+// before the compression policy places any (the policy's Window, 64 for
+// every model's parameters): until a sequence has generated that many
+// tokens, a step adds its token to the window and draws no tier for it.
+const genWindow = 64
+
 func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	n := len(seqs)
 	if cap(s.genIDs) < n {
@@ -173,7 +179,7 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	for i, st := range seqs {
 		ids[i] = st.req.ID
 		at[i] = draws
-		if st.winFill >= 64 {
+		if st.winFill >= genWindow {
 			draws += s.heads
 		}
 	}
@@ -185,7 +191,7 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 		return 0, err
 	}
 	for _, st := range seqs {
-		if st.winFill < 64 {
+		if st.winFill < genWindow {
 			st.winFill++
 		}
 	}
@@ -200,11 +206,12 @@ func (s *pageStore) GenDemands(i int, d []kvcache.GenDemand) bool {
 
 // fill writes one sequence's generation demands. A sequence whose window
 // has not filled draws nothing: fill leaves d as it is and returns false.
-// One whose window has filled draws one Float64 per head from the store's
-// stream, starting at draw at of this step; the store's stream itself does
+// One whose window has filled takes one Float64 per head from the store's
+// stream: head h reads draw at+h of this step by index (Float64At), so no
+// RNG state is carried from head to head. The store's stream itself does
 // not move, so a second call for the same sequence writes the same demands.
 func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) bool {
-	if st.winFill < 64 {
+	if st.winFill < genWindow {
 		return false
 	}
 	rng := s.rng.Ahead(uint64(at))
@@ -214,7 +221,7 @@ func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) bool {
 		// u < hiF, else in the low tier when u < hiF+loF; victims keep
 		// counts roughly stable. The tests are flags, not branches: u
 		// is uniform, so a branch would mispredict once a head or so.
-		u := rng.Float64()
+		u := rng.Float64At(uint64(h))
 		hi, lo := 0, 0
 		if u < hiF[h] {
 			hi = 1

@@ -127,7 +127,7 @@ func admitGenBatch(tb testing.TB, ps *pageStore, seqs []*seqState) {
 		if _, err := ps.prompt(st); err != nil {
 			tb.Fatal(err)
 		}
-		st.promptDone, st.winFill = true, 64
+		st.promptDone, st.winFill = true, genWindow
 	}
 }
 
