@@ -15,6 +15,10 @@
 //	             reasoned allow directive).
 //	goroutine  — no `go` statements or channel sends inside the
 //	             event-loop step path.
+//	foreach    — a closure handed to mathx.ForEach (or to a wrapper
+//	             that passes its func straight on) writes a variable
+//	             declared outside it only as v[e], e built from the
+//	             closure's own variables, and never into a shared map.
 //	timeunits  — no arithmetic/comparisons directly mixing identifiers
 //	             with different time-unit suffixes (Us/Ms/Sec).
 //	deadcode   — no top-level func, method, type or var in the root

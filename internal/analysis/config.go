@@ -121,6 +121,8 @@ var stepPathPackages = []string{
 //   - globalrand: error module-wide — even host-side tools must thread
 //     an explicit *rand.Rand so reruns reproduce.
 //   - maprange: error in deterministic packages.
+//   - foreach: error in deterministic packages, every ForEach caller
+//     among them.
 //   - goroutine: error on the event-loop step path, again with no
 //     allow directive.
 //   - timeunits: error in deterministic packages, warn elsewhere (unit
@@ -143,6 +145,7 @@ func DefaultConfig() *Config {
 	for _, p := range deterministicPackages {
 		c.addRule(p, "maprange", Error)
 		c.addRule(p, "timeunits", Error)
+		c.addRule(p, ForEach.Name, Error)
 	}
 	for _, p := range stepPathPackages {
 		c.addRule(p, "goroutine", Error)

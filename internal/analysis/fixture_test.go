@@ -258,7 +258,7 @@ func TestCIViolationFixtureFails(t *testing.T) {
 	for _, d := range res.Errors() {
 		hit[d.Check] = true
 	}
-	for _, check := range []string{"wallclock", "globalrand", "maprange", "goroutine", "timeunits"} {
+	for _, check := range []string{"wallclock", "globalrand", "maprange", "goroutine", "timeunits", "foreach"} {
 		if !hit[check] {
 			t.Errorf("ci_violation fixture does not trip %s", check)
 		}

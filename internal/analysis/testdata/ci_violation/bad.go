@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// ForEach stands for mathx.ForEach, which a fixture cannot import.
+func ForEach(n, workers int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
 func violations(m map[int]float64, ch chan int) {
 	_ = time.Now()    // wallclock
 	_ = rand.Intn(10) // globalrand
@@ -21,5 +28,8 @@ func violations(m map[int]float64, ch chan int) {
 	ch <- 1        // goroutine (send)
 	var nowUs, wallMs float64
 	_ = nowUs + wallMs // timeunits
+	ForEach(len(m), 0, func(i int) {
+		sum += float64(i) // foreach
+	})
 	_ = sum
 }

@@ -230,10 +230,21 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 		if len(sc.block) != len(sc.heads)*m.slots {
 			t.Fatalf("after %s: %s has a %d-entry block for %d heads of %d slots", op, what, len(sc.block), len(sc.heads), m.slots)
 		}
+		if len(sc.rows) != len(sc.heads) {
+			t.Fatalf("after %s: %s has %d rows for %d heads", op, what, len(sc.rows), len(sc.heads))
+		}
 		for h := range sc.heads {
-			bt := &sc.heads[h].table
+			hc := &sc.heads[h]
+			bt := &hc.table
 			if len(bt.slots) != m.slots || &bt.slots[0] != &sc.block[h*m.slots] {
 				t.Fatalf("after %s: %s head %d's table is not its block's slice", op, what, h)
+			}
+			if hc.row != &sc.rows[h] || hc.seq != sc {
+				t.Fatalf("after %s: %s head %d's row or sequence is not its record's", op, what, h)
+			}
+			// a row's fit is what its tables' pages hold
+			if hc.row.fit != [2]int32{int32(bt.count(LevelHi) * m.capHi), int32(bt.count(LevelLo) * m.capLo)} {
+				t.Fatalf("after %s: %s head %d fits %v tokens with %v pages", op, what, h, hc.row.fit, bt.n)
 			}
 		}
 	}
@@ -272,16 +283,37 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 			t.Fatalf("after %s: %s holds a page ID", op, what)
 		}
 		for h := range sc.heads {
-			if hc := &sc.heads[h]; hc.table.n != [2]int{} || hc.tokens != [2]int{} {
-				t.Fatalf("after %s: %s head %d has %v pages and %v tokens", op, what, h, hc.table.n, hc.tokens)
+			if hc := &sc.heads[h]; hc.table.n != [2]int32{} || *hc.row != (headRow{}) {
+				t.Fatalf("after %s: %s head %d has %v pages and row %v", op, what, h, hc.table.n, *hc.row)
 			}
 		}
 	}
+	checkTotals(t, m, op)
 	if fl.freeCnt+held != n || m.UsedPages() != held {
 		t.Fatalf("after %s: %d free + %d held != %d pages (UsedPages %d)", op, fl.freeCnt, held, n, m.UsedPages())
 	}
 	if m.MetadataBytes() != meta {
 		t.Fatalf("after %s: MetadataBytes %d, tables hold %d", op, m.MetadataBytes(), meta)
+	}
+}
+
+// checkTotals requires every registered sequence's token total to equal
+// the sum of its heads' counts, and every spare record's to be zero.
+func checkTotals(t *testing.T, m *Manager, op string) {
+	t.Helper()
+	for id, sc := range m.seqs {
+		sum := 0
+		for h := range sc.heads {
+			sum += sc.Head(h).TotalTokens()
+		}
+		if sc.total != sum {
+			t.Fatalf("after %s: seq %d keeps a token total of %d, its heads hold %d", op, id, sc.total, sum)
+		}
+	}
+	for i, sc := range m.spare {
+		if sc.total != 0 {
+			t.Fatalf("after %s: spare record %d keeps a token total of %d", op, i, sc.total)
+		}
 	}
 }
 
@@ -458,9 +490,9 @@ func TestBlockReuseProperty(t *testing.T) {
 // Steady-state canaries, in the style of the attention scratch pins: once
 // the scratch has grown, compaction allocates nothing, and neither does
 // AddSequence when a released sequence of the same head count left its
-// record. A sequence of a head count no released record has costs three
-// allocations whatever its head count: the view, the HeadCache slab and
-// the page-table block.
+// record. A sequence of a head count no released record has costs four
+// allocations whatever its head count: the view, the HeadCache slab, the
+// slab of the heads' rows and the page-table block.
 func TestCompactionAllocs(t *testing.T) {
 	const heads, seqs, promptLen, runs = 64, 8, 500, 50
 	m := compactManager(t, 1<<16, 8192)
@@ -512,8 +544,8 @@ func TestCompactionAllocs(t *testing.T) {
 	if addAllocs != 0 {
 		t.Errorf("AddSequence after a same-shape release: %v allocs, want 0", addAllocs)
 	}
-	if freshAllocs > 3 {
-		t.Errorf("AddSequence of a fresh shape: %v allocs, want <= 3", freshAllocs)
+	if freshAllocs > 4 {
+		t.Errorf("AddSequence of a fresh shape: %v allocs, want <= 4", freshAllocs)
 	}
 	if promptAllocs != 0 {
 		t.Errorf("PromptCompact: %v allocs, want 0", promptAllocs)
@@ -849,29 +881,129 @@ func TestGenCompactFanOutAllocs(t *testing.T) {
 	}
 }
 
-// countingSource serves fixed demands as a GenSource and counts the calls
-// for each sequence. With skipZero it answers false, writing nothing, for
-// a sequence whose every demand is zero, and counts those calls in skips
-// too. A sequence belongs to one chunk, so concurrent calls never touch
-// the same count.
-type countingSource struct {
-	d            [][]GenDemand
-	skipZero     bool
+// drawSource serves a generation step's draws as a GenSource — each
+// sequence's stream and its heads' thresholds, made from tier fractions —
+// and counts the calls for each sequence. It answers false, writing
+// nothing, for an idle sequence, and counts those calls in skips too. A
+// sequence belongs to one chunk, so concurrent calls never touch the same
+// count.
+type drawSource struct {
+	r            []mathx.RNG
+	hiF, loF     [][]float64
+	thr          [][]TierThresholds
+	idle         []bool
 	calls, skips []int
 }
 
-func newCountingSource(d [][]GenDemand, skipZero bool) *countingSource {
-	return &countingSource{d: d, skipZero: skipZero, calls: make([]int, len(d)), skips: make([]int, len(d))}
+func newDrawSource(r []mathx.RNG, hiF, loF [][]float64, idle []bool) *drawSource {
+	s := &drawSource{r: r, hiF: hiF, loF: loF, idle: idle, calls: make([]int, len(r)), skips: make([]int, len(r))}
+	for i := range hiF {
+		s.thr = append(s.thr, make([]TierThresholds, len(hiF[i])))
+		for h := range hiF[i] {
+			s.thr[i][h] = NewTierThresholds(hiF[i][h], loF[i][h])
+		}
+	}
+	return s
 }
 
-func (s *countingSource) GenDemands(i int, d []GenDemand) bool {
+func (s *drawSource) GenDraws(i int) (mathx.RNG, []TierThresholds, bool) {
 	s.calls[i]++
-	if s.skipZero && !slices.ContainsFunc(s.d[i], func(g GenDemand) bool { return g != GenDemand{} }) {
+	if s.idle[i] {
 		s.skips[i]++
-		return false
+		return mathx.RNG{}, nil, false
 	}
-	copy(d, s.d[i])
-	return true
+	return s.r[i], s.thr[i], true
+}
+
+// floatFill is the source's step as demands, placed by the float tier
+// test the serving store made before thresholds replaced it: head h's
+// candidate lands in the high tier when u < hiF, else in the low tier
+// when u < hiF+loF, with u = Float64At(h) of its sequence's stream. An
+// idle sequence demands nothing.
+func (s *drawSource) floatFill() [][]GenDemand {
+	ds := make([][]GenDemand, len(s.r))
+	for i := range ds {
+		ds[i] = make([]GenDemand, len(s.hiF[i]))
+		if s.idle[i] {
+			continue
+		}
+		for h := range ds[i] {
+			u := s.r[i].Float64At(uint64(h))
+			hi, lo := 0, 0
+			if u < s.hiF[i][h] {
+				hi = 1
+			}
+			if u < s.hiF[i][h]+s.loF[i][h] {
+				lo = 1
+			}
+			ds[i][h] = GenDemand{HiDelta: hi, LoDelta: lo &^ hi}
+		}
+	}
+	return ds
+}
+
+// forcedSource serves demands of at most one token per head as draws:
+// fractions of 1 and 0 place every draw in the tier the demand names. It
+// reports ok false for a demand outside that set, and idles a sequence
+// whose every demand is zero.
+func forcedSource(demands [][]GenDemand) (*drawSource, bool) {
+	n := len(demands)
+	r, hiF, loF, idle := make([]mathx.RNG, n), make([][]float64, n), make([][]float64, n), make([]bool, n)
+	for i, ds := range demands {
+		hiF[i], loF[i] = make([]float64, len(ds)), make([]float64, len(ds))
+		idle[i] = true
+		for h, d := range ds {
+			switch d {
+			case GenDemand{HiDelta: 1}:
+				hiF[i][h] = 1
+			case GenDemand{LoDelta: 1}:
+				loF[i][h] = 1
+			case GenDemand{}:
+				continue
+			default:
+				return nil, false
+			}
+			idle[i] = false
+		}
+	}
+	return newDrawSource(r, hiF, loF, idle), true
+}
+
+// randomDraws is one generation step's draws for sequences of the given
+// head counts, from rng: each sequence idles with probability 1/3 and
+// otherwise reads its own stream, and each head's fractions are the
+// serving store's clamped mix, its all-low state, or the extremes 0 and
+// 1. With idleDraws an idle sequence still answers its draws, every
+// fraction 0, so that it is walked and draws nothing.
+func randomDraws(rng *mathx.RNG, heads []int, idleDraws bool) *drawSource {
+	n := len(heads)
+	r, hiF, loF, idle := make([]mathx.RNG, n), make([][]float64, n), make([][]float64, n), make([]bool, n)
+	for i, nh := range heads {
+		r[i] = *mathx.NewRNG(rng.Uint64())
+		hiF[i], loF[i] = make([]float64, nh), make([]float64, nh)
+		idle[i] = rng.Intn(3) == 0
+		for h := range nh {
+			switch rng.Intn(8) {
+			case 0:
+			case 1:
+				hiF[i][h] = 1
+			case 2:
+				loF[i][h] = 1
+			case 3: // all-low
+				loF[i][h] = mathx.Clamp(0.4*rng.LogNorm(0, 0.3), 0, 0.9)
+			default:
+				hiF[i][h] = mathx.Clamp(0.3*rng.LogNorm(0, 0.3), 0.02, 0.9)
+				loF[i][h] = mathx.Clamp(0.4*rng.LogNorm(0, 0.3), 0, 0.9-hiF[i][h])
+			}
+			if idle[i] {
+				hiF[i][h], loF[i][h] = 0, 0
+			}
+		}
+	}
+	if idleDraws {
+		idle = make([]bool, n)
+	}
+	return newDrawSource(r, hiF, loF, idle)
 }
 
 // setParallelHeads sets the fan-out threshold to at until t ends.
@@ -888,15 +1020,15 @@ var fanOutBounds = []struct {
 	at   int
 }{{"all", 0}, {"none", math.MaxInt}}
 
-// Property: whether a generation step's demands come as slices
-// (GenCompact), from a source (GenCompactFrom) or from a source that
-// answers false for a sequence that draws nothing, and whether every step
-// fans out or none does, the churn driver's run is the same: the same page
-// IDs per head, token counts and free ring after every call, the same
-// CompactStats and the same errors from every generation step. Sequences
-// of 3, 4 and 8 heads interleave, so a chunk's demand scratch is regrown
-// and resliced, and one sequence in three of each step draws nothing, so
-// a skipped sequence finds the scratch holding another's demands.
+// Property: whether a generation step's demands come as slices placed by
+// the float tier test (GenCompact), as draws from a source (GenCompactFrom)
+// or from a source that answers false for a sequence that draws nothing,
+// and whether every step fans out or none does, the churn driver's run is
+// the same: the same page IDs per head, token counts and free ring after
+// every call, the same CompactStats and the same errors from every
+// generation step. Sequences of 3, 4 and 8 heads interleave, and one
+// sequence in three of each step draws nothing; the step's draws ignore
+// the driver's demands and come from a stream of their own.
 func TestGenSourceMatchesGenCompact(t *testing.T) {
 	const numPages, maxSeqLen, steps = 96, 300, 400
 	type record struct {
@@ -906,19 +1038,18 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 	}
 	sources := []string{"slices", "source", "skipping source"}
 	run := func(t *testing.T, seed uint64, source string) (rec record, skips int) {
-		idle := mathx.NewRNG(seed + 1000) // picks the sequences that draw nothing
-		gen := func(m *Manager, ids []int, demands [][]GenDemand) (CompactStats, error) {
-			for _, d := range demands {
-				if idle.Intn(3) == 0 {
-					clear(d)
-				}
+		draws := mathx.NewRNG(seed + 1000)
+		gen := func(m *Manager, ids []int, _ [][]GenDemand) (CompactStats, error) {
+			heads := make([]int, len(ids))
+			for i, id := range ids {
+				heads[i] = len(m.seqs[id].heads)
 			}
+			src := randomDraws(draws, heads, source == "source")
 			var cs CompactStats
 			var err error
 			if source == "slices" {
-				cs, err = m.GenCompact(ids, demands)
+				cs, err = m.GenCompact(ids, src.floatFill())
 			} else {
-				src := newCountingSource(demands, source == "skipping source")
 				cs, err = m.GenCompactFrom(ids, src)
 				for _, n := range src.skips {
 					skips += n
@@ -930,7 +1061,10 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 		}
 		m := compactManager(t, numPages, maxSeqLen)
 		churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{3, 4, 8}[step%3] }, gen,
-			func(string) { rec.states = append(rec.states, captureState(m)) })
+			func(op string) {
+				checkTotals(t, m, op)
+				rec.states = append(rec.states, captureState(m))
+			})
 		return rec, skips
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
@@ -952,22 +1086,28 @@ func TestGenSourceMatchesGenCompact(t *testing.T) {
 					}
 				}
 			}
-			if len(want.stats) == 0 {
-				t.Fatal("the run made no generation step")
+			pages := 0
+			for _, cs := range want.stats {
+				pages += cs.PagesAllocated
+			}
+			if pages == 0 {
+				t.Fatal("the run's generation steps never took a page")
 			}
 		})
 	}
 }
 
 // A generation step that fails on a short pool or on a table overflow asks
-// the source again for the demands of every sequence whose counts it
+// the source again for the draws of every sequence whose counts it
 // committed, and leaves every count, table and FreePages as they were.
 // Twelve sequences of 256 heads make two chunks when fanned out, [0, 8)
 // and [8, 12), so an overflow in sequence 2 leaves the second chunk
-// planned in full; planned serially, the walk stops at sequence 2.
-// Sequences 1, 4 and 9 draw nothing, and the source answers false for
-// them: one before the overflow, one after it in its chunk and one in the
-// next chunk. The undo asks about them too and subtracts nothing.
+// planned in full; planned serially, the walk stops at sequence 2. Every
+// head holds one full page, except sequence 2's head 5, whose table is
+// full; it draws a token only in the overflow case. Sequences 1, 4 and 9
+// draw nothing, and the source answers false for them: one before the
+// overflow, one after it in its chunk and one in the next chunk. The undo
+// asks about them too and subtracts nothing.
 func TestGenSourceUndo(t *testing.T) {
 	const seqs, heads, capHi, slots = 12, 256, 37, 4
 	if 8*heads != genChunkHeads {
@@ -987,24 +1127,24 @@ func TestGenSourceUndo(t *testing.T) {
 		}
 		return ds
 	}
-	overflow := grow(1)
-	overflow[2][5].HiDelta = slots * capHi
+	shortPool := grow(1)
+	shortPool[2][5] = GenDemand{}
 	ids := make([]int, seqs)
 	for i := range ids {
 		ids[i] = i + 1
 	}
 	cases := []struct {
 		name     string
-		numPages int // every head holds one full page after setup
+		numPages int // every head holds one full page after setup, one head four
 		demands  [][]GenDemand
 		fails    string
 		calls    map[string][]int // by bound: the source's calls per sequence
 	}{
-		{"short pool", seqs*heads + 1000, grow(1), "kvcache: out of pages", map[string][]int{
+		{"short pool", seqs*heads + 1000, shortPool, "kvcache: out of pages", map[string][]int{
 			"all":  {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
 			"none": {2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
 		}},
-		{"table overflow", 4 * seqs * heads, overflow, "kvcache: seq 3 head 5: kvcache: bidirectional table overflow", map[string][]int{
+		{"table overflow", 4 * seqs * heads, grow(1), "kvcache: seq 3 head 5: kvcache: bidirectional table overflow", map[string][]int{
 			"all":  {2, 2, 2, 0, 0, 0, 0, 0, 2, 2, 2, 2},
 			"none": {2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		}},
@@ -1014,20 +1154,27 @@ func TestGenSourceUndo(t *testing.T) {
 			t.Run(tc.name+"/fanout="+bound.name, func(t *testing.T) {
 				setParallelHeads(t, bound.at)
 				m := compactManager(t, tc.numPages, slots*capHi)
-				prompt := make([]HeadDemand, heads)
-				for h := range prompt {
-					prompt[h] = HeadDemand{HiTokens: capHi}
-				}
-				for _, id := range ids {
+				for i, id := range ids {
+					prompt := make([]HeadDemand, heads)
+					for h := range prompt {
+						prompt[h] = HeadDemand{HiTokens: capHi}
+					}
+					promptLen := capHi
+					if i == 2 {
+						prompt[5].HiTokens, promptLen = slots*capHi, slots*capHi
+					}
 					if _, err := m.AddSequence(id, heads); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := m.PromptCompact(id, capHi, prompt); err != nil {
+					if _, err := m.PromptCompact(id, promptLen, prompt); err != nil {
 						t.Fatal(err)
 					}
 				}
 				before, free := captureState(m), m.FreePages()
-				src := newCountingSource(tc.demands, true)
+				src, ok := forcedSource(tc.demands)
+				if !ok {
+					t.Fatal("the demands are not draws")
+				}
 				cs, err := m.GenCompactFrom(ids, src)
 				if err == nil || !strings.HasPrefix(err.Error(), tc.fails) {
 					t.Fatalf("error %v, want %q", err, tc.fails)
@@ -1035,6 +1182,7 @@ func TestGenSourceUndo(t *testing.T) {
 				if !reflect.DeepEqual(captureState(m), before) || m.FreePages() != free || cs != (CompactStats{}) {
 					t.Fatalf("the failed call moved something (stats %+v, %d free, was %d)", cs, m.FreePages(), free)
 				}
+				checkTotals(t, m, "a failed step")
 				want := tc.calls[bound.name]
 				if !reflect.DeepEqual(src.calls, want) {
 					t.Fatalf("source calls per sequence %v, want %v", src.calls, want)
@@ -1046,12 +1194,116 @@ func TestGenSourceUndo(t *testing.T) {
 				if !reflect.DeepEqual(src.skips, wantSkips) {
 					t.Fatalf("source skips per sequence %v, want %v", src.skips, wantSkips)
 				}
-				cs, err = m.GenCompactFrom(ids, newCountingSource(grow(0), true))
-				if err != nil || cs.PagesAllocated != 0 || cs.Regions != seqs*heads || cs.TokenOps != seqs*heads*capHi {
+				idleAll, _ := forcedSource(grow(0))
+				cs, err = m.GenCompactFrom(ids, idleAll)
+				if err != nil || cs.PagesAllocated != 0 || cs.Regions != seqs*heads || cs.TokenOps != (seqs*heads+slots-1)*capHi {
 					t.Fatalf("next call: %+v, %v", cs, err)
 				}
 				checkConservation(t, m, "a step after a failed one")
 			})
 		}
 	}
+}
+
+// Property: a sequence's token total, which prices a sequence that draws
+// nothing in O(1), equals the sum of its heads' counts after every call of
+// the churn driver — prompts, adoptions, releases and the records they
+// leave for reuse, and generation steps that alternate the driver's
+// multi-token demands (GenCompact) with a source's draws, whose short
+// pools and table overflows undo what they committed — at both fan-out
+// bounds; and after every token a materialized head appends, removes or
+// downgrades.
+func TestSeqTokenTotalMatchesHeads(t *testing.T) {
+	const numPages, maxSeqLen, steps = 96, 300, 400
+	for _, bound := range fanOutBounds {
+		t.Run("fanout="+bound.name, func(t *testing.T) {
+			setParallelHeads(t, bound.at)
+			failed, ops := map[string]int{}, map[string]int{}
+			for seed := uint64(1); seed <= 5; seed++ {
+				draws, n := mathx.NewRNG(seed+2000), 0
+				gen := func(m *Manager, ids []int, demands [][]GenDemand) (CompactStats, error) {
+					n++
+					kind, cs, err := "demands", CompactStats{}, error(nil)
+					if n%2 == 0 {
+						heads := make([]int, len(ids))
+						for i, id := range ids {
+							heads[i] = len(m.seqs[id].heads)
+						}
+						kind = "draws"
+						cs, err = m.GenCompactFrom(ids, randomDraws(draws, heads, false))
+					} else {
+						cs, err = m.GenCompact(ids, demands)
+					}
+					if err != nil {
+						failed[kind]++
+					}
+					return cs, err
+				}
+				m := compactManager(t, numPages, maxSeqLen)
+				churn(t, m, mathx.NewRNG(seed), steps, func(step int) int { return []int{3, 4, 8}[step%3] }, gen,
+					func(op string) {
+						ops[op]++
+						checkTotals(t, m, fmt.Sprintf("%s (seed %d)", op, seed))
+					})
+			}
+			if failed["demands"] == 0 || ops["adopt"] == 0 || ops["release"] == 0 {
+				t.Fatalf("failed steps %v, calls %v: want failed steps, adoptions and releases", failed, ops)
+			}
+		})
+	}
+	m := testManager(t, true, 64)
+	sc, err := m.AddSequence(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mathx.NewRNG(7)
+	k, v := make([]float32, 128), make([]float32, 128)
+	for i := 0; i < 300; i++ {
+		hc := sc.Head(rng.Intn(3))
+		level := Level(rng.Intn(2))
+		var op string
+		switch rng.Intn(4) {
+		case 0, 1:
+			op = "append"
+			rng.NormVec(k, 1)
+			rng.NormVec(v, 1)
+			err = hc.AppendToken(level, k, v, float32(rng.Float64()), int32(i))
+		case 2:
+			op = "remove"
+			if ref, _, ok := hc.MinScore(level); ok {
+				err = hc.RemoveToken(ref)
+			}
+		case 3:
+			op = "downgrade"
+			if ref, _, ok := hc.MinScore(LevelHi); ok {
+				err = hc.Downgrade(ref, k, v)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		checkTotals(t, m, op)
+	}
+	if sc.total == 0 {
+		t.Fatal("the materialized head kept no token")
+	}
+}
+
+// A given demand that would take a count below the rows' int32 range is
+// refused like a table overflow, in the middle of a sequence, and moves
+// nothing: the count would otherwise wrap.
+func TestGenCompactRejectsCountOutOfRange(t *testing.T) {
+	m := compactManager(t, 64, 300)
+	if _, err := m.AddSequence(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	before := captureState(m)
+	_, err := m.GenCompact([]int{1}, [][]GenDemand{{{HiDelta: 1}, {LoDelta: math.MinInt32 - 1}, {}}})
+	if err == nil || !strings.HasPrefix(err.Error(), "kvcache: seq 1 head 1: demand (0,-2147483649) takes a count below") {
+		t.Fatalf("error %v", err)
+	}
+	if !reflect.DeepEqual(captureState(m), before) {
+		t.Fatal("the refused call moved something")
+	}
+	checkConservation(t, m, "a refused demand")
 }

@@ -31,34 +31,56 @@ type TokenRef struct {
 // append / score-update / remove / downgrade operations (the mechanics
 // behind the compression policy); in counts-only mode just the counts.
 //
-// A sequence's HeadCaches are one slab (see Manager.AddSequence), the table
-// is held by value and both per-tier pairs are indexed by Level, so the
-// Manager's planning pass reads one cache line per head.
+// A sequence's HeadCaches are one slab (see Manager.AddSequence) and the
+// table is held by value. The counts a generation step reads and writes
+// for every head live apart from the slab, in the head's row of its
+// sequence's dense rows, so the step's leaf loop reads 16 bytes per head.
 type HeadCache struct {
-	mgr    *Manager
-	table  BiTable
-	tokens [2]int // cached tokens per tier
+	seq   *SeqCache // the record the head belongs to, whose token total its counts add to
+	row   *headRow  // the head's counts, in seq's rows
+	table BiTable
 }
 
+// headRow is one head's counts as a generation step's leaf loop reads and
+// writes them, both indexed by Level: each tier's cached tokens, and the
+// tokens its pages hold (pages·perPage), which attach keeps. A sequence's
+// rows are one dense slab, 16 bytes a head.
+type headRow struct{ tok, fit [2]int32 }
+
+// tokens returns the tier's cached tokens.
+func (hc *HeadCache) tokens(level Level) int { return int(hc.row.tok[level]) }
+
 // HiTokens returns the number of tokens in the high-precision tier.
-func (hc *HeadCache) HiTokens() int { return hc.tokens[LevelHi] }
+func (hc *HeadCache) HiTokens() int { return hc.tokens(LevelHi) }
 
 // LoTokens returns the number of tokens in the low-precision tier.
-func (hc *HeadCache) LoTokens() int { return hc.tokens[LevelLo] }
+func (hc *HeadCache) LoTokens() int { return hc.tokens(LevelLo) }
 
 // TotalTokens returns the number of cached tokens across both tiers.
-func (hc *HeadCache) TotalTokens() int { return hc.tokens[LevelHi] + hc.tokens[LevelLo] }
+func (hc *HeadCache) TotalTokens() int { return hc.tokens(LevelHi) + hc.tokens(LevelLo) }
+
+// setTokens sets both tiers' counts and keeps the sequence's total.
+func (hc *HeadCache) setTokens(hi, lo int) {
+	hc.seq.total += hi + lo - hc.TotalTokens()
+	hc.row.tok = [2]int32{int32(hi), int32(lo)}
+}
+
+// addToken adds n tokens to a tier and to the sequence's total.
+func (hc *HeadCache) addToken(level Level, n int) {
+	hc.row.tok[level] += int32(n)
+	hc.seq.total += n
+}
 
 func (hc *HeadCache) page(level Level, i int) *Page {
-	return hc.mgr.pool.Get(hc.table.id(level, i))
+	return hc.seq.mgr.pool.Get(hc.table.id(level, i))
 }
 
 // KVBytes returns the payload+metadata bytes attention must read for this
 // head (token-exact, not page-rounded).
 func (hc *HeadCache) KVBytes() int {
-	dim := hc.mgr.cfg.Dim
-	return hc.tokens[LevelHi]*hc.mgr.cfg.HiPrec.TokenBytes(dim) +
-		hc.tokens[LevelLo]*hc.mgr.cfg.LoPrec.TokenBytes(dim)
+	dim := hc.seq.mgr.cfg.Dim
+	return hc.tokens(LevelHi)*hc.seq.mgr.cfg.HiPrec.TokenBytes(dim) +
+		hc.tokens(LevelLo)*hc.seq.mgr.cfg.LoPrec.TokenBytes(dim)
 }
 
 // appendPage returns the tier's last page, allocating and configuring a
@@ -72,19 +94,19 @@ func (hc *HeadCache) appendPage(level Level) (*Page, error) {
 	if hc.table.room() == 0 {
 		return nil, tableOverflow(hc.table.Len())
 	}
-	id, err := hc.mgr.free.Alloc()
+	id, err := hc.seq.mgr.free.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	hc.mgr.attach(hc, level, []int32{id})
-	return hc.mgr.pool.Get(id), nil
+	hc.seq.mgr.attach(hc, level, []int32{id})
+	return hc.seq.mgr.pool.Get(id), nil
 }
 
 // AppendToken quantizes (key, val) into the tier, allocating and
 // configuring a fresh unified page when the tier's last page is full.
 // Materialized mode only.
 func (hc *HeadCache) AppendToken(level Level, key, val []float32, score float32, pos int32) error {
-	if !hc.mgr.cfg.Materialize {
+	if !hc.seq.mgr.cfg.Materialize {
 		return fmt.Errorf("kvcache: AppendToken requires a materialized manager")
 	}
 	p, err := hc.appendPage(level)
@@ -92,7 +114,7 @@ func (hc *HeadCache) AppendToken(level Level, key, val []float32, score float32,
 		return err
 	}
 	p.Append(key, val, score, pos)
-	hc.tokens[level]++
+	hc.addToken(level, 1)
 	return nil
 }
 
@@ -165,7 +187,7 @@ func (hc *HeadCache) RemoveToken(ref TokenRef) error {
 		target.copyFrom(last, last.N-1, ref.Slot)
 		last.N--
 	}
-	hc.tokens[ref.Level]--
+	hc.addToken(ref.Level, -1)
 	return nil
 }
 

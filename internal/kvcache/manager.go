@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"fmt"
+	"math"
 
 	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
@@ -89,8 +90,7 @@ type Manager struct {
 	flat    []int32 // take: the page IDs
 	genSeqs []*SeqCache
 	chunks  []genChunk
-	given   demandSlices // GenCompact's demands, for the length of the call
-	epoch   uint64       // generation steps so far; stamps each sequence one plans
+	epoch   uint64 // generation steps so far; stamps each sequence one plans
 }
 
 // NewManager builds a manager from cfg.
@@ -112,6 +112,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	// tokens per high-precision page (paper §5.2 — low-precision pages hold
 	// more tokens, so this side can never overflow first).
 	m.slots = pagesNeeded(cfg.MaxSeqLen, m.capHi)
+	if m.slots > math.MaxInt32/m.capLo {
+		return nil, fmt.Errorf("kvcache: MaxSeqLen %d: a full table's tokens overflow a head's int32 counts", cfg.MaxSeqLen)
+	}
 	return m, nil
 }
 
@@ -144,8 +147,11 @@ func (m *Manager) tier(level Level) (quant.Precision, int) {
 // ReleaseSequence: the next sequence of the same head count gets it.
 type SeqCache struct {
 	ID    int
+	mgr   *Manager
 	heads []HeadCache // the slab the Manager's passes scan
+	rows  []headRow   // each head's counts: the slab a generation step's leaf walks
 	block []int32     // the page-table entries the heads' tables slice up
+	total int         // cached tokens over every head and tier
 	epoch uint64      // the last GenCompact call that named the sequence
 }
 
@@ -173,19 +179,22 @@ func (m *Manager) checkNew(id, numHeads int) error {
 }
 
 // register returns a record for a new sequence: a released record of the
-// same head count, whose tables release left empty, or a fresh one built in
-// three allocations whatever its head count — the view, one slab of
-// HeadCaches and one block of page-table entries the tables slice up.
+// same head count, whose tables and rows release left empty, or a fresh
+// one built in four allocations whatever its head count — the view, one
+// slab of HeadCaches, one slab of their rows and one block of page-table
+// entries the tables slice up.
 func (m *Manager) register(id, numHeads int) *SeqCache {
 	sc := m.reuse(numHeads)
 	if sc == nil {
 		block := make([]int32, numHeads*m.slots)
+		rows := make([]headRow, numHeads)
 		for i := range block {
 			block[i] = -1
 		}
-		sc = &SeqCache{heads: make([]HeadCache, numHeads), block: block}
+		sc = &SeqCache{mgr: m, heads: make([]HeadCache, numHeads), rows: rows, block: block}
 		for i := range sc.heads {
-			sc.heads[i] = HeadCache{mgr: m, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
+			sc.heads[i] = HeadCache{seq: sc, row: &rows[i],
+				table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
 		}
 	}
 	sc.ID = id
@@ -219,8 +228,9 @@ func (m *Manager) ReleaseSequence(id int) error {
 	for i := range sc.heads {
 		hc := &sc.heads[i]
 		flat = hc.table.drain(flat)
-		hc.tokens = [2]int{}
 	}
+	clear(sc.rows)
+	sc.total = 0
 	m.flat = flat[:0]
 	m.free.give(flat)
 	m.spare = append(m.spare, sc)
@@ -248,11 +258,12 @@ func (m *Manager) scanTake(cnt []int32) (off, flat []int32, err error) {
 }
 
 // attach pushes pages ids onto a tier of hc's table, whose room the
-// caller's plan has checked. A materialized manager first configures each
-// page, empty, for the tier; a counts-only one has only the IDs.
+// caller's plan has checked, and adds their tokens to the tier's fit. A
+// materialized manager first configures each page, empty, for the tier; a
+// counts-only one has only the IDs.
 func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
+	prec, perPage := m.tier(level)
 	if m.pool != nil {
-		prec, perPage := m.tier(level)
 		for _, id := range ids {
 			m.pool.configure(id, prec, perPage)
 		}
@@ -260,6 +271,7 @@ func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
 	if err := hc.table.push(level, ids...); err != nil {
 		panic(err)
 	}
+	hc.row.fit[level] += int32(len(ids) * perPage)
 }
 
 // CompactStats counts the work of one compaction pass; the gpusim cost
@@ -291,13 +303,14 @@ func (m *Manager) pages(d HeadDemand) int {
 	return pagesNeeded(d.HiTokens, m.capHi) + pagesNeeded(d.LoTokens, m.capLo)
 }
 
-// place attaches a head's planned pages — the high tier's first, then the
+// place attaches head h's planned pages — the high tier's first, then the
 // low tier's — and sets its token counts to d.
-func (m *Manager) place(hc *HeadCache, d HeadDemand, ids []int32) {
+func (m *Manager) place(sc *SeqCache, h int, d HeadDemand, ids []int32) {
+	hc := &sc.heads[h]
 	hi := pagesNeeded(d.HiTokens, m.capHi)
 	m.attach(hc, LevelHi, ids[:hi])
 	m.attach(hc, LevelLo, ids[hi:])
-	hc.tokens = [2]int{LevelHi: d.HiTokens, LevelLo: d.LoTokens}
+	hc.setTokens(d.HiTokens, d.LoTokens)
 }
 
 // PromptCompact runs the full prompt-phase compaction workflow (paper
@@ -355,7 +368,7 @@ func (m *Manager) PromptCompact(seqID, promptLen int, demands []HeadDemand) (Com
 		return CompactStats{}, err
 	}
 	for i, d := range demands {
-		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
+		m.place(sc, i, d, flat[off[i]:off[i]+cnt[i]])
 	}
 	return stats, nil
 }
@@ -371,26 +384,51 @@ type GenDemand struct {
 	LoDelta int
 }
 
-// GenSource supplies a generation step's demands to the plan walk, one
-// sequence at a time: GenDemands(i, d) writes the demand of each head of
-// the call's sequence i into d, which has one entry per head, and returns
-// true; or it returns false, leaving d unwritten, when no head of i draws
+// TierThresholds place one head's generation candidate from its draw:
+// with m the top 53 bits of the head's Uint64 draw, the candidate lands in
+// the high tier when m < Hi, else in the low tier when m < Any, else in
+// neither. NewTierThresholds makes them from the head's tier fractions.
+type TierThresholds struct {
+	Hi, Any uint64
+}
+
+// NewTierThresholds returns the thresholds of a head whose candidate lands
+// in the high tier with probability hiF and in the low tier with loF: the
+// integer forms (mathx.Threshold53) of the float tests u < hiF and
+// u < hiF+loF on the draw's Float64 u, with the sum rounded to float64
+// first, so that every draw places the candidate where those float tests
+// would.
+func NewTierThresholds(hiF, loF float64) TierThresholds {
+	return TierThresholds{Hi: mathx.Threshold53(hiF), Any: mathx.Threshold53(hiF + loF)}
+}
+
+// demand is the generation demand of a head whose draw is x. The tests
+// are flags, not branches: m is uniform, so a branch would mispredict
+// once a head or so.
+func (t TierThresholds) demand(x uint64) GenDemand {
+	m := x >> 11
+	hi, any := 0, 0
+	if m < t.Hi {
+		hi = 1
+	}
+	if m < t.Any {
+		any = 1
+	}
+	return GenDemand{HiDelta: hi, LoDelta: any &^ hi}
+}
+
+// GenSource supplies the draws of a generation step to the plan walk, one
+// sequence at a time: GenDraws(i) returns the call's sequence i's stream,
+// positioned at its first draw of the step, and one TierThresholds per
+// head, and head h's demand is its thresholds' placement of draw h of that
+// stream (Uint64At(h)); or it returns ok false when no head of i draws
 // anything this step, and the walk then only prices i's planning scan.
 // The walk calls it for i on the worker that plans i's chunk, so calls for
 // different sequences may run at once, and calls it again on the calling
-// goroutine to undo a failed call. A source therefore writes nothing but
-// d, and answers the same every time it is called for i within one call.
+// goroutine to undo a failed call. A source therefore writes nothing, and
+// answers the same every time it is called for i within one call.
 type GenSource interface {
-	GenDemands(i int, d []GenDemand) bool
-}
-
-// demandSlices is the source GenCompact walks: the caller's demands,
-// copied out per sequence.
-type demandSlices [][]GenDemand
-
-func (s *demandSlices) GenDemands(i int, d []GenDemand) bool {
-	copy(d, (*s)[i])
-	return true
+	GenDraws(i int) (r mathx.RNG, thr []TierThresholds, ok bool)
 }
 
 // shortfall is the planning step of one tier of one head during generation:
@@ -405,27 +443,31 @@ func shortfall(tokens, have, perPage int) int {
 
 // parallelHeads is the batch size, in heads, from which a generation step
 // draws and plans its chunks on mathx.ForEach: 48 Llama3-8B sequences of
-// 256 heads. Measured with genFit's leaf loop on a 2-vCPU host (GOMAXPROCS
-// 2, BenchmarkGenStep's steps at each size, 8 alternating pairs), the
-// fan-out was 17-37 % slower than the serial walk at 16-32 sequences, on
-// no consistent side of it from 48 to 64 (0-6 of 8 pairs won, medians
-// 0.92-1.29× the serial time over two sweeps) and 21 % faster at
-// decode_heavy's 96 (7 of 8). The break-even lies in that band, so the
-// threshold stays at its bottom; smaller batches stay on the calling
-// goroutine, where they allocate nothing. It is a variable only
-// so that tests can force every call onto either path. genChunkHeads is
-// the heads a chunk gathers before it closes at a sequence boundary.
+// 256 heads. Measured with the one-pass draw leaf (genDraw over the dense
+// rows) on a 2-vCPU host (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96
+// sequences, fan-out forced on against forced off, alternating pairs),
+// the fan-out lost at 32-56 sequences in a first sweep (2 of 8 pairs won,
+// medians 0.64-0.79× the serial speed) and sat on no consistent side of
+// the serial walk from 48 to 96 in a second (4-7 of 12 won, medians
+// 0.89-1.04×); at decode_heavy's 96 it won 6 of 8 and 6 of 12 (1.16× and
+// 1.04×). The faster leaf moved the break-even up into that band but not
+// past it, so the threshold stays where it was, at the band's bottom,
+// and manager-fanout (up to 52 sequences at once) keeps reaching the
+// fan-out; smaller batches stay on the calling goroutine, where they
+// allocate nothing. It is a variable only so that tests can force every
+// call onto either path. genChunkHeads is the heads a chunk gathers
+// before it closes at a sequence boundary.
 var parallelHeads = 12288
 
 const genChunkHeads = 2048
 
 // genChunk is one contiguous run of a generation batch's sequences,
-// drawn and planned by one worker that writes nothing but its own entry.
+// drawn and planned by one worker that writes nothing but its own entry
+// and its sequences' counts.
 type genChunk struct {
-	first, end int         // sequence indices [first, end)
-	demand     []GenDemand // the sequence being walked: one entry per head
-	grows      []genGrow   // the heads that need pages, in (sequence, head) order
-	pages      int         // their sum
+	first, end int       // sequence indices [first, end)
+	grows      []genGrow // the heads that need pages, in (sequence, head) order
+	pages      int       // their sum
 	tokenOps   int
 	done       int // heads whose token counts are committed
 	err        error
@@ -441,41 +483,43 @@ type genGrow struct {
 // GenCompact runs one generation-step compaction for a set of distinct
 // sequences, with demands[i] the demand of each head of seqIDs[i]. It
 // checks every demand's length before anything moves, then walks the
-// demands as GenCompactFrom walks a source's.
+// demands as GenCompactFrom walks a source's draws, with genFit as the
+// leaf loop and the same hand-off.
 func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats, error) {
 	if len(seqIDs) != len(demands) {
 		return CompactStats{}, fmt.Errorf("kvcache: %d seqs vs %d demand sets", len(seqIDs), len(demands))
 	}
-	m.given = demands
-	defer func() { m.given = nil }() // the scratch holds no caller's demands past the call
-	return m.genCompact(seqIDs, demands, &m.given)
+	return m.genCompact(seqIDs, demands, nil)
 }
 
 // GenCompactFrom runs one generation-step compaction for a set of distinct
-// sequences, whose demands src supplies: each head allocates at most the
+// sequences, whose draws src supplies: each head allocates at most the
 // pages it needs (usually 0, at most one per tier), coordinated by one
 // batch prefix-sum allocation across all heads of all sequences.
 //
-// The walk asks src for one sequence's demands at a time, into its
-// chunk's scratch, then walks that sequence's heads once: it computes each
-// head's shortfall, checks its table room, commits its token counts and
-// records it if it needs pages. A sequence src reports as drawing nothing
-// is only priced: its cached tokens are added to TokenOps. A batch of
-// parallelHeads or more is drawn and planned in chunks on mathx.ForEach,
-// one pass. The chunks' page totals are then summed in order, one run is
-// taken from the free ring and the recorded heads get their pages in
-// (sequence, head) order, so every head gets the page IDs a serial walk
-// would give it. A table overflow or a short pool undoes every committed
-// count, asking src again for the demands it subtracts, so a failed call
-// still moves nothing.
+// The walk asks src for one sequence's stream and thresholds at a time,
+// then walks that sequence's heads once: each head reads its draw by
+// index, places its candidate, and commits its new counts when its pages
+// already hold them; a head that needs a page goes through the per-head
+// plan, which computes its shortfall, checks its table room, commits its
+// counts and records it. A sequence src reports as drawing nothing is
+// only priced: its cached tokens, which the manager keeps as one total,
+// are added to TokenOps. A batch of parallelHeads or more is drawn and
+// planned in chunks on mathx.ForEach, one pass. The chunks' page totals
+// are then summed in order, one run is taken from the free ring and the
+// recorded heads get their pages in (sequence, head) order, so every head
+// gets the page IDs a serial walk would give it. A table overflow or a
+// short pool undoes every committed count, asking src again for the draws
+// it subtracts, so a failed call still moves nothing.
 func (m *Manager) GenCompactFrom(seqIDs []int, src GenSource) (CompactStats, error) {
 	return m.genCompact(seqIDs, nil, src)
 }
 
-// genCompact is the walk behind GenCompact and GenCompactFrom; demands,
-// when not nil, are checked against the sequences' head counts first.
-func (m *Manager) genCompact(seqIDs []int, demands [][]GenDemand, src GenSource) (CompactStats, error) {
-	scs, heads, err := m.genBatch(seqIDs, demands)
+// genCompact is the walk behind GenCompact and GenCompactFrom: the heads'
+// demands are given when given is not nil, checked against the sequences'
+// head counts first, and drawn from src when it is.
+func (m *Manager) genCompact(seqIDs []int, given [][]GenDemand, src GenSource) (CompactStats, error) {
+	scs, heads, err := m.genBatch(seqIDs, given)
 	if err != nil {
 		return CompactStats{}, err
 	}
@@ -483,10 +527,10 @@ func (m *Manager) genCompact(seqIDs []int, demands [][]GenDemand, src GenSource)
 	parallel := heads >= parallelHeads
 	chunks := m.genChunks(scs, parallel)
 	if parallel {
-		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, src) })
+		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, given, src) })
 	} else {
 		for c := range chunks {
-			m.planGen(&chunks[c], scs, src)
+			m.planGen(&chunks[c], scs, given, src)
 		}
 	}
 	stats := CompactStats{Regions: heads}
@@ -502,7 +546,7 @@ func (m *Manager) genCompact(seqIDs []int, demands [][]GenDemand, src GenSource)
 		err = m.free.take(len(flat), flat)
 	}
 	if err != nil {
-		m.undoGen(chunks, scs, src)
+		m.undoGen(chunks, scs, given, src)
 		return CompactStats{}, err
 	}
 	k := 0
@@ -571,107 +615,175 @@ func (m *Manager) genChunks(scs []*SeqCache, parallel bool) []genChunk {
 	return m.chunks[:n]
 }
 
-// demandFor returns c's demand scratch resized to n heads.
-func (c *genChunk) demandFor(n int) []GenDemand {
-	if cap(c.demand) < n {
-		c.demand = make([]GenDemand, n)
-	}
-	return c.demand[:n]
+// genDraws is one sequence's draws for a generation step: the stream at
+// its first draw and a threshold pair per head; ok is false when the
+// sequence draws nothing. When the demands are given, it holds only ok,
+// true.
+type genDraws struct {
+	r   mathx.RNG
+	thr []TierThresholds
+	ok  bool
 }
 
-// planGen draws a chunk's demands one sequence at a time and walks their
-// heads in order; it stops at the first head whose table cannot take its
-// shortfall. A sequence that draws nothing keeps its counts, which its
-// tables already cover, so it costs one sum of its cached tokens.
+// drawsOf returns sequence s's draws, from src when the demands are not
+// given.
+func drawsOf(s int, given [][]GenDemand, src GenSource) genDraws {
+	if given != nil {
+		return genDraws{ok: true}
+	}
+	r, thr, ok := src.GenDraws(s)
+	return genDraws{r, thr, ok}
+}
+
+// demandAt is head h of sequence s's demand: given, or placed from its
+// draw.
+func (g *genDraws) demandAt(s, h int, given [][]GenDemand) GenDemand {
+	if given != nil {
+		return given[s][h]
+	}
+	return g.thr[h].demand(g.r.Uint64At(uint64(h)))
+}
+
+// planGen walks a chunk's sequences one at a time and their heads in
+// order; it stops at the first head whose table cannot take its
+// shortfall. Every head's planning scan reads its cached tokens before
+// the step, so a sequence's scan costs its token total. A sequence that
+// draws nothing keeps its counts, which its tables already cover, so the
+// total is all it costs.
 //
-// The walk is genFit's leaf loop, which commits the heads whose pages
-// already hold their new counts, handing off to the per-head plan below
-// at each head that needs a page (about one head-step in twelve); the
-// walk resumes after that head. The rare paths — shortfall's division,
-// the room check's error, the append to grows — sit outside the leaf, so
-// its per-head state stays in registers.
-func (m *Manager) planGen(c *genChunk, scs []*SeqCache, src GenSource) {
+// The walk is a leaf loop over the sequence's rows — genDraw over a
+// source's draws, genFit over given demands — which commits the heads
+// whose pages already hold their new counts, handing off to the per-head
+// plan below at each head that needs a page (about one head-step in
+// twelve); the walk resumes after that head. The rare paths — shortfall's
+// division, the room check's error, the append to grows — sit outside the
+// leaf, so its per-head state stays in registers. The leaf sums the new
+// counts of the heads it commits, and the sequence's total becomes their
+// sum once the walk has passed every head.
+func (m *Manager) planGen(c *genChunk, scs []*SeqCache, given [][]GenDemand, src GenSource) {
 	grows, pages, ops, done := c.grows[:0], 0, 0, 0
 	var err error
 walk:
 	for s := c.first; s < c.end; s++ {
 		sc := scs[s]
-		ds := c.demandFor(len(sc.heads))
-		if !src.GenDemands(s, ds) {
-			for h := range sc.heads {
-				ops += sc.heads[h].tokens[LevelHi] + sc.heads[h].tokens[LevelLo]
-			}
+		ops += sc.total
+		g := drawsOf(s, given, src)
+		if !g.ok {
 			done += len(sc.heads)
 			continue
 		}
+		if given == nil {
+			g.thr = g.thr[:len(sc.heads)]
+		}
+		total := 0 // the walked heads' counts after the step
 		for h := 0; h < len(sc.heads); h++ {
-			n, o := genFit(sc.heads[h:], ds[h:], m.capHi, m.capLo)
-			h, ops, done = h+n, ops+o, done+n
+			var n, t int
+			if given == nil {
+				n, t = genDraw(sc.rows[h:], g.thr[h:], g.r.Ahead(uint64(h)))
+			} else {
+				n, t = genFit(sc.rows[h:], given[s][h:])
+			}
+			h, done, total = h+n, done+n, total+t
 			if h == len(sc.heads) {
 				break
 			}
 			// head h needs a page in at least one tier
-			hc, d := &sc.heads[h], &ds[h]
-			hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
+			hc, d := &sc.heads[h], g.demandAt(s, h, given)
+			hiTok, loTok := hc.tokens(LevelHi)+d.HiDelta, hc.tokens(LevelLo)+d.LoDelta
 			hi := shortfall(hiTok, hc.table.count(LevelHi), m.capHi)
 			lo := shortfall(loTok, hc.table.count(LevelLo), m.capLo)
-			if hi+lo > hc.table.room() {
+			switch {
+			case min(hiTok, loTok) < math.MinInt32: // a given demand only
+				err = fmt.Errorf("kvcache: seq %d head %d: demand (%d,%d) takes a count below %d", sc.ID, h, d.HiDelta, d.LoDelta, math.MinInt32)
+			case hi+lo > hc.table.room():
 				err = fmt.Errorf("kvcache: seq %d head %d: %w", sc.ID, h, tableOverflow(m.slots))
+			}
+			if err != nil {
+				// the heads from h on keep their counts; the undo
+				// takes back the others' from the total
+				for _, row := range sc.rows[h:] {
+					total += int(row.tok[LevelHi]) + int(row.tok[LevelLo])
+				}
+				sc.total = total
 				break walk
 			}
-			// planning cost: victim search scans the head's cached tokens
-			ops += hc.tokens[LevelHi] + hc.tokens[LevelLo]
-			hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+			hc.row.tok = [2]int32{LevelHi: int32(hiTok), LevelLo: int32(loTok)}
+			total += hiTok + loTok
 			done++
 			grows = append(grows, genGrow{seq: int32(s), head: int32(h), hi: int32(hi), lo: int32(lo)})
 			pages += hi + lo
 		}
+		sc.total = total
 	}
 	c.grows, c.pages, c.tokenOps, c.done, c.err = grows, pages, ops, done, err
 }
 
-// genFit commits the counts of heads, in order, while each head's pages
-// already hold its new counts in both tiers (tokens ≤ pages·perPage), and
-// returns how many it committed and the cached tokens their planning
-// scans (their counts before the step). It stops at the first head that
-// needs a page and leaves that head as it is. It is a leaf, calling
-// nothing, and its loop keeps every value in a register; it stays out of
-// line so that planGen's rare paths never share that loop.
+// genDraw is the leaf of a generation step over a source's draws: rows
+// are the heads' rows from the walk's head on, thr their thresholds and r
+// the stream at that head's draw. Head i reads draw i of r by index and
+// places its candidate by its thresholds; genDraw commits the new counts
+// of heads, in order, while each head's pages already hold them in both
+// tiers (tokens ≤ fit), and returns how many heads it committed and the
+// sum of their new counts. It stops at the first head that needs a page
+// and leaves that head as it is. It is a leaf, calling nothing, and its
+// loop keeps every value in a register (ranging over thr by value, not
+// indexing it, leaves the draw's mix the registers it needs); it stays
+// out of line so that planGen's rare paths never share that loop.
 //
 //go:noinline
-func genFit(heads []HeadCache, ds []GenDemand, capHi, capLo int) (n, ops int) {
-	ds = ds[:len(heads)]
-	for i := range heads {
-		hc := &heads[i]
-		hiTok, loTok := hc.tokens[LevelHi]+ds[i].HiDelta, hc.tokens[LevelLo]+ds[i].LoDelta
-		if hiTok > hc.table.n[LevelHi]*capHi || loTok > hc.table.n[LevelLo]*capLo {
-			return i, ops
+func genDraw(rows []headRow, thr []TierThresholds, r mathx.RNG) (n, tokens int) {
+	rows = rows[:len(thr)]
+	for i, t := range thr {
+		d := t.demand(r.Uint64At(uint64(i)))
+		row := &rows[i]
+		hiTok, loTok := row.tok[LevelHi]+int32(d.HiDelta), row.tok[LevelLo]+int32(d.LoDelta)
+		if hiTok > row.fit[LevelHi] || loTok > row.fit[LevelLo] {
+			return i, tokens
 		}
-		ops += hc.tokens[LevelHi] + hc.tokens[LevelLo]
-		hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+		row.tok = [2]int32{hiTok, loTok}
+		tokens += int(hiTok + loTok)
 	}
-	return len(heads), ops
+	return len(thr), tokens
+}
+
+// genFit is genDraw's leaf over given demands: it commits head i's counts
+// plus ds[i] while its pages hold them, and returns what genDraw returns.
+// A count a demand would take below the rows' int32 range is handed off
+// too, and the per-head plan refuses it.
+//
+//go:noinline
+func genFit(rows []headRow, ds []GenDemand) (n, tokens int) {
+	rows = rows[:len(ds)]
+	for i, d := range ds {
+		row := &rows[i]
+		hiTok, loTok := int(row.tok[LevelHi])+d.HiDelta, int(row.tok[LevelLo])+d.LoDelta
+		if hiTok > int(row.fit[LevelHi]) || loTok > int(row.fit[LevelLo]) || min(hiTok, loTok) < math.MinInt32 {
+			return i, tokens
+		}
+		row.tok = [2]int32{int32(hiTok), int32(loTok)}
+		tokens += hiTok + loTok
+	}
+	return len(ds), tokens
 }
 
 // undoGen takes back the token counts planGen committed, exactly, asking
-// src again for the demands it subtracts; a sequence that drew nothing
+// src again for the draws it subtracts; a sequence that drew nothing
 // committed nothing.
-func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, src GenSource) {
+func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, given [][]GenDemand, src GenSource) {
 	for c := range chunks {
 		ch := &chunks[c]
 		left := ch.done
 		for s := ch.first; s < ch.end && left > 0; s++ {
 			sc := scs[s]
-			ds := ch.demandFor(len(sc.heads))
 			n := min(left, len(sc.heads))
 			left -= n
-			if !src.GenDemands(s, ds) {
+			g := drawsOf(s, given, src)
+			if !g.ok {
 				continue
 			}
-			for h, d := range ds[:n] {
-				hc := &sc.heads[h]
-				hc.tokens[LevelHi] -= d.HiDelta
-				hc.tokens[LevelLo] -= d.LoDelta
+			for h := range n {
+				d, hc := g.demandAt(s, h, given), &sc.heads[h]
+				hc.setTokens(hc.tokens(LevelHi)-d.HiDelta, hc.tokens(LevelLo)-d.LoDelta)
 			}
 		}
 	}
@@ -741,7 +853,7 @@ func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) error {
 	}
 	sc := m.register(seqID, len(demands))
 	for i, d := range demands {
-		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
+		m.place(sc, i, d, flat[off[i]:off[i]+cnt[i]])
 	}
 	return nil
 }

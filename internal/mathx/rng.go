@@ -17,8 +17,8 @@ import "math"
 //
 // Draw k of a stream depends only on its state and k (SplitMix64 adds a
 // Weyl constant per draw), so a stream's draws can also be read by index:
-// Ahead and Advance jump, and Float64At reads draw k without moving the
-// stream.
+// Ahead and Advance jump, and Uint64At and Float64At read draw k without
+// moving the stream.
 type RNG struct {
 	state uint64
 	// cached spare normal variate for the Box-Muller transform
@@ -79,13 +79,38 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64At returns draw k of r's stream as a Float64, counting r's next
-// draw as k = 0: what the last of k+1 Float64 calls on a copy of r would
-// return. It takes r by value and never moves it, so a stream's draws can
-// be read by index, in any order, with no state carried from one to the
-// next; a caller's copy of r stays in a register.
+// Uint64At returns draw k of r's stream, counting r's next draw as k = 0:
+// what the last of k+1 Uint64 calls on a copy of r would return. It takes
+// r by value and never moves it, so a stream's draws can be read by index,
+// in any order, with no state carried from one to the next; a caller's
+// copy of r stays in a register.
+func (r RNG) Uint64At(k uint64) uint64 {
+	return mix64(r.state + k*weyl)
+}
+
+// Float64At returns draw k of r's stream as a Float64, as Uint64At reads
+// it: float64(Uint64At(k)>>11) / 2^53.
+//
+//diffkv:allow deadcode -- the float tier test the generation thresholds replaced reads draws through it: kvcache's TestGenLeafMatchesFloatFill and TestGenSourceMatchesGenCompact hold the integer leaf to it
 func (r RNG) Float64At(k uint64) float64 {
-	return float64(mix64(r.state+k*weyl)>>11) / (1 << 53)
+	return float64(r.Uint64At(k)>>11) / (1 << 53)
+}
+
+// Threshold53 returns the integer form of the test u < f on a Float64 draw u:
+// for every draw x, Float64At(k) < f exactly when Uint64At(k)>>11 <
+// Threshold53(f). It is ⌈f·2^53⌉ on (0, 1), 0 at or below 0 and 2^53 from 1 on.
+// The test is exact: u is m/2^53 for the 53-bit integer m = x>>11, and
+// m/2^53 < f ⇔ m < f·2^53 ⇔ m < ⌈f·2^53⌉, since m is an integer; f·2^53
+// only moves f's exponent, so the product is exact, and so is its
+// ceiling, which is at most 2^53 and converts to an integer exactly.
+func Threshold53(f float64) uint64 {
+	switch {
+	case !(f > 0): // NaN too: no u is below it
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
 }
 
 // Intn returns a uniform value in [0, n). Panics if n <= 0.

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -184,10 +185,10 @@ func TestRNGAheadMatchesSequential(t *testing.T) {
 	}
 }
 
-// Float64At(k) is the k-th Float64 (from 0) of a copy of the stream, for
-// every k below 10^4, read in an order that is not the stream's, on a
-// fresh stream, on an Ahead copy and after Advance, and it never moves
-// the stream it reads.
+// Float64At(k) is the k-th Float64 (from 0) of a copy of the stream and
+// Uint64At(k) its k-th Uint64, for every k below 10^4, read in an order
+// that is not the stream's, on a fresh stream, on an Ahead copy and after
+// Advance, and neither moves the stream it reads.
 func TestRNGFloat64AtMatchesSequential(t *testing.T) {
 	const n = 10_000
 	r := NewRNG(51)
@@ -199,23 +200,71 @@ func TestRNGFloat64AtMatchesSequential(t *testing.T) {
 		r    *RNG
 	}{{"fresh", r}, {"Ahead", &ahead}, {"Advance", adv}} {
 		before := *tc.r
-		cp := *tc.r
+		cp, cpU := *tc.r, *tc.r
 		want := make([]float64, n)
+		wantU := make([]uint64, n)
 		for k := range want {
-			want[k] = cp.Float64()
+			want[k], wantU[k] = cp.Float64(), cpU.Uint64()
 		}
 		for i := range n {
 			k := (i * 7919) % n // 7919 is prime to n: every index once, out of order
 			if got := tc.r.Float64At(uint64(k)); got != want[k] {
 				t.Fatalf("%s: Float64At(%d) = %v, Float64 #%d of a copy = %v", tc.name, k, got, k, want[k])
 			}
+			if got := tc.r.Uint64At(uint64(k)); got != wantU[k] {
+				t.Fatalf("%s: Uint64At(%d) = %#x, Uint64 #%d of a copy = %#x", tc.name, k, got, k, wantU[k])
+			}
 		}
 		if *tc.r != before {
-			t.Fatalf("%s: Float64At moved the stream", tc.name)
+			t.Fatalf("%s: Float64At or Uint64At moved the stream", tc.name)
 		}
 	}
 	if got, want := ahead.Float64At(0), adv.Float64At(0); got != want {
 		t.Fatalf("Ahead(1234) and Advance(1234) read draw 0 as %v and %v", got, want)
+	}
+	if got, want := ahead.Uint64At(0), adv.Uint64At(0); got != want {
+		t.Fatalf("Ahead(1234) and Advance(1234) read draw 0 as %#x and %#x", got, want)
+	}
+}
+
+// Threshold53(f) turns the float test u < f on a Float64 draw u = m/2^53
+// into the integer test m < Threshold53(f), exactly. It is checked at
+// m ∈ {thr−1, thr, thr+1} around each f's threshold thr, for the
+// fractions the serving store clamps to (0, 0.02, 0.9), a dyadic f whose
+// f·2^53 is an integer, 1 and each of their neighbours one ulp either
+// side, then at 10^6 random (f, m) pairs, half of them with m at f·2^53.
+// A threshold that floored f·2^53 would fail the first m below every f
+// that is not dyadic.
+func TestThreshold53MatchesFloatCompare(t *testing.T) {
+	check := func(f float64, m uint64) {
+		t.Helper()
+		if m >= 1<<53 {
+			return // not a 53-bit draw
+		}
+		thr := Threshold53(f)
+		if got, want := m < thr, float64(m)/(1<<53) < f; got != want {
+			t.Fatalf("f = %v (%#x), m = %d: m < Threshold53(f) = %d is %v, float compare %v",
+				f, math.Float64bits(f), m, thr, got, want)
+		}
+	}
+	var fs []float64
+	for _, f := range []float64{0, 0.02, 0.9, 0.375 + 3.0/(1<<53), 1} {
+		fs = append(fs, f, math.Nextafter(f, -1), math.Nextafter(f, 2))
+	}
+	for _, f := range fs {
+		thr := Threshold53(f)
+		for _, m := range []uint64{thr - 1, thr, thr + 1} {
+			check(f, m)
+		}
+	}
+	r := NewRNG(52)
+	for i := 0; i < 1_000_000; i++ {
+		f := r.Float64()
+		m := r.Uint64() >> 11
+		if i%2 == 0 {
+			m = uint64(f*(1<<53)) + uint64(r.Intn(5)) - 2
+		}
+		check(f, m)
 	}
 }
 

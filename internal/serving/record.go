@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"diffkv/internal/gpusim"
+	"diffkv/internal/kvcache"
 	"diffkv/internal/mathx"
 	"diffkv/internal/trace"
 	"diffkv/internal/workload"
@@ -42,7 +43,8 @@ const (
 type progress struct {
 	promptDone bool
 	generated  int
-	hiF, loF   []float64 // per-head tier fractions (pageStore)
+	frac       []float64                // per-head tier fractions (pageStore): see fractions
+	thr        []kvcache.TierThresholds // the fractions as integer tests, made at the first draw (pageStore)
 	winFill    int
 	cached     int     // prompt tokens served from the prefix cache
 	firstTokUs float64 // clock when the prompt phase completed
@@ -50,14 +52,25 @@ type progress struct {
 	adoptedGen int     // tokens generated elsewhere before a disagg adoption
 }
 
+// fractions returns the per-head tier fractions, high then low: one
+// slice holds both halves, so the record carries a single slice header
+// for them.
+func (p *progress) fractions() (hiF, loF []float64) {
+	n := len(p.frac) / 2
+	return p.frac[:n:n], p.frac[n:]
+}
+
 // allLow shifts every head's whole tier budget into the low tier — the
 // state of a brownout admission and of a compress-swap victim after its
-// re-quantize pass.
+// re-quantize pass. The thresholds made from the old fractions go; the
+// next draw makes them again.
 func (p *progress) allLow() {
-	for h := range p.hiF {
-		p.loF[h] = mathx.Clamp(p.hiF[h]+p.loF[h], 0, 0.9)
-		p.hiF[h] = 0
+	hiF, loF := p.fractions()
+	for h := range hiF {
+		loF[h] = mathx.Clamp(hiF[h]+loF[h], 0, 0.9)
+		hiF[h] = 0
 	}
+	p.thr = nil
 }
 
 // Lifecycle is the half of a request record that survives preemption,

@@ -77,17 +77,21 @@ func (s countStore) estBytes(tokens int) int64  { return int64(float64(tokens) *
 
 // pageStore is DiffKV's KV memory: the counts-mode page manager does the
 // real compaction work, and the store turns a record's per-head tier
-// fractions into the manager's demands. It owns the engine's only RNG.
+// fractions into the manager's draws. It owns the engine's only RNG.
 // Which draw of the stream feeds which decision is part of the simulated
 // behaviour: register draws hi then lo per head in head order; gen gives
-// each sequence whose window has filled one Float64 per head, and indexes
+// each sequence whose window has filled one draw per head, and indexes
 // them by stream position — sequence i's head h takes draw
 // (heads × drawing sequences before i) + h of the step — not by the time
 // a worker happens to draw them. gen hands the manager the store itself
-// as its kvcache.GenSource, so each sequence's demands are drawn by the
-// worker that plans it, into that worker's scratch, and the stream
-// Advances past the step's draws only once the manager call has returned,
-// failed or not: a failed call draws each sequence again to undo it.
+// as its kvcache.GenSource: the store names each sequence's first draw
+// and its heads' thresholds, the manager reads the draws by index on the
+// worker that plans the sequence, and the stream Advances past the step's
+// draws only once the manager call has returned, failed or not: a failed
+// call reads each sequence's draws again to undo it. These positions are
+// the ones the float tier test u < hiF, u < hiF+loF read before the
+// thresholds replaced it; a threshold places every draw where that test
+// did (kvcache.NewTierThresholds), so every count and digest stays.
 type pageStore struct {
 	mgr            *kvcache.Manager
 	dev            *gpusim.Device
@@ -122,11 +126,11 @@ func (s *pageStore) register(st *seqState) error {
 	if _, err := s.mgr.AddSequence(st.req.ID, s.heads); err != nil {
 		return err
 	}
-	f := make([]float64, 2*s.heads)
-	st.hiF, st.loF = f[:s.heads:s.heads], f[s.heads:]
-	for h := range st.hiF {
-		st.hiF[h] = mathx.Clamp(s.hiFrac*s.rng.LogNorm(0, 0.3), 0.02, 0.9)
-		st.loF[h] = mathx.Clamp(s.loFrac*s.rng.LogNorm(0, 0.3), 0, 0.9-st.hiF[h])
+	st.frac, st.thr = make([]float64, 2*s.heads), nil
+	hiF, loF := st.fractions()
+	for h := range hiF {
+		hiF[h] = mathx.Clamp(s.hiFrac*s.rng.LogNorm(0, 0.3), 0.02, 0.9)
+		loF[h] = mathx.Clamp(s.loFrac*s.rng.LogNorm(0, 0.3), 0, 0.9-hiF[h])
 	}
 	if st.brownout {
 		st.allLow()
@@ -152,8 +156,9 @@ func (s *pageStore) promptPages(promptLen int) int {
 
 func (s *pageStore) prompt(st *seqState) (kvcache.CompactStats, error) {
 	demands, n := s.headDemand, float64(st.req.PromptLen)
+	hiF, loF := st.fractions()
 	for h := range demands {
-		demands[h] = kvcache.HeadDemand{HiTokens: int(st.hiF[h] * n), LoTokens: int(st.loF[h] * n)}
+		demands[h] = kvcache.HeadDemand{HiTokens: int(hiF[h] * n), LoTokens: int(loF[h] * n)}
 	}
 	return s.mgr.PromptCompact(st.req.ID, st.req.PromptLen, demands)
 }
@@ -181,6 +186,9 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 		at[i] = draws
 		if st.winFill >= genWindow {
 			draws += s.heads
+			if st.thr == nil {
+				st.thr = thresholds(st.fractions())
+			}
 		}
 	}
 	s.genSeqs = seqs
@@ -198,40 +206,33 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 	return s.memMgmtTime(work, n), nil
 }
 
-// GenDemands is the manager's source for the step gen runs: it fills the
-// demands of the step's sequence i.
-func (s *pageStore) GenDemands(i int, d []kvcache.GenDemand) bool {
-	return s.fill(s.genSeqs[i], d, s.genAt[i])
+// thresholds turns a sequence's tier fractions into its heads' integer
+// tier tests. A sequence gets them at its first draw, once: its fractions
+// change only when register draws new ones or allLow moves them, and
+// both drop the old thresholds.
+func thresholds(hiF, loF []float64) []kvcache.TierThresholds {
+	thr := make([]kvcache.TierThresholds, len(hiF))
+	for h := range thr {
+		thr[h] = kvcache.NewTierThresholds(hiF[h], loF[h])
+	}
+	return thr
 }
 
-// fill writes one sequence's generation demands. A sequence whose window
-// has not filled draws nothing: fill leaves d as it is and returns false.
-// One whose window has filled takes one Float64 per head from the store's
-// stream: head h reads draw at+h of this step by index (Float64At), so no
-// RNG state is carried from head to head. The store's stream itself does
-// not move, so a second call for the same sequence writes the same demands.
-func (s *pageStore) fill(st *seqState, d []kvcache.GenDemand, at int) bool {
+// GenDraws is the manager's source for the step gen runs. A sequence
+// whose window has not filled draws nothing. One whose window has filled
+// draws one Uint64 per head from the store's stream: head h reads draw
+// at+h of this step by index, at its first draw of the step, so no RNG
+// state is carried from head to head, and its candidate lands in the high
+// tier when the draw is below its Hi threshold, else in the low tier when
+// below Any; victims keep counts roughly stable. The store's stream
+// itself does not move, so a second call for the same sequence answers
+// the same.
+func (s *pageStore) GenDraws(i int) (mathx.RNG, []kvcache.TierThresholds, bool) {
+	st := s.genSeqs[i]
 	if st.winFill < genWindow {
-		return false
+		return mathx.RNG{}, nil, false
 	}
-	rng := s.rng.Ahead(uint64(at))
-	hiF, loF := st.hiF[:len(d)], st.loF[:len(d)]
-	for h := range d {
-		// steady state: the candidate lands in the high tier when
-		// u < hiF, else in the low tier when u < hiF+loF; victims keep
-		// counts roughly stable. The tests are flags, not branches: u
-		// is uniform, so a branch would mispredict once a head or so.
-		u := rng.Float64At(uint64(h))
-		hi, lo := 0, 0
-		if u < hiF[h] {
-			hi = 1
-		}
-		if u < hiF[h]+loF[h] {
-			lo = 1
-		}
-		d[h] = kvcache.GenDemand{HiDelta: hi, LoDelta: lo &^ hi}
-	}
-	return true
+	return s.rng.Ahead(uint64(s.genAt[i])), st.thr, true
 }
 
 func (s *pageStore) release(st *seqState) error { return s.mgr.ReleaseSequence(st.req.ID) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diffkv/internal/baselines"
+	"diffkv/internal/kvcache"
 	"diffkv/internal/kvcache/kvcachetest"
 	"diffkv/internal/synth"
 	"diffkv/internal/workload"
@@ -92,6 +93,103 @@ func TestKVStoreContract(t *testing.T) {
 			}
 			drained("after release")
 		})
+	}
+}
+
+// Each generation step places every head's candidate where the float
+// tier test the thresholds replaced would: with u the head's Float64
+// draw, high when u < hiF, else low when u < hiF+loF. Every step's
+// counts are checked against that test applied to the counts before it,
+// over 90 steps of 8 sequences × 256 heads, through every state a
+// record's fractions take: fresh, a brownout admission's all-low
+// (hiF = 0), a sequence moved all-low after its thresholds were made,
+// one re-registered with new fractions and one whose window has not
+// filled. A record's thresholds are those of its fractions whenever it
+// draws.
+func TestGenThresholdsMatchFloatFill(t *testing.T) {
+	ps, seqs := genStepStore(t, 8)
+	// seqs[2] is re-admitted as a brownout; seqs[5] is re-admitted with
+	// its window empty
+	for _, i := range []int{2, 5} {
+		if err := ps.release(seqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		seqs[i].brownout = i == 2
+		admitGenBatch(t, ps, seqs[i:i+1])
+	}
+	seqs[5].winFill = 0
+	draws := 0
+	for step := 0; step < 90; step++ {
+		switch step {
+		case 10: // moved all-low after its thresholds were made
+			seqs[3].allLow()
+		case 20: // new fractions under the same record
+			if err := ps.release(seqs[6]); err != nil {
+				t.Fatal(err)
+			}
+			admitGenBatch(t, ps, seqs[6:7])
+		}
+		before := make([][]kvcache.HeadDemand, len(seqs))
+		want := make([][]kvcache.HeadDemand, len(seqs))
+		at := 0
+		for i, st := range seqs {
+			counts, err := ps.shape(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[i], want[i] = counts, append([]kvcache.HeadDemand(nil), counts...)
+			if st.winFill < genWindow {
+				continue
+			}
+			rng := ps.rng.Ahead(uint64(at))
+			hiF, loF := st.fractions()
+			for h := range want[i] {
+				u := rng.Float64At(uint64(h))
+				switch {
+				case u < hiF[h]:
+					want[i][h].HiTokens++
+				case u < hiF[h]+loF[h]:
+					want[i][h].LoTokens++
+				}
+			}
+			at += ps.heads
+		}
+		if _, err := ps.gen(seqs); err != nil {
+			t.Fatal(err)
+		}
+		draws += at
+		for i, st := range seqs {
+			hiF, loF := st.fractions()
+			got, err := ps.shape(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := range got {
+				if got[h] != want[i][h] {
+					t.Fatalf("step %d, seq %d head %d (hiF %v, loF %v): counts %v → %v, the float test gives %v",
+						step, i, h, hiF[h], loF[h], before[i][h], got[h], want[i][h])
+				}
+			}
+			if st.thr == nil {
+				continue
+			}
+			for h := range st.thr {
+				if want := kvcache.NewTierThresholds(hiF[h], loF[h]); st.thr[h] != want {
+					t.Fatalf("step %d, seq %d head %d: thresholds %+v, its fractions give %+v", step, i, h, st.thr[h], want)
+				}
+			}
+		}
+	}
+	for _, i := range []int{2, 3} {
+		hiF, _ := seqs[i].fractions()
+		for h := range hiF {
+			if hiF[h] != 0 || seqs[i].thr[h].Hi != 0 {
+				t.Fatalf("seq %d head %d is not all-low: hiF %v, thresholds %+v", i, h, hiF[h], seqs[i].thr[h])
+			}
+		}
+	}
+	if seqs[5].winFill != genWindow || draws == 0 {
+		t.Fatalf("the unfilled window reached %d of %d; %d draws", seqs[5].winFill, genWindow, draws)
 	}
 }
 

@@ -7,7 +7,7 @@
 #      formatted but exercise deliberately odd code) must print nothing.
 #   2. go vet ./... must exit 0.
 #   3. diffkv-vet ./... (the project's determinism checks: wallclock,
-#      globalrand, maprange, goroutine, timeunits, allowaudit — and
+#      globalrand, maprange, goroutine, timeunits, foreach, allowaudit — and
 #      deadcode) must exit 0 — every finding either fixed or carrying a
 #      reasoned //diffkv:allow directive. deadcode reports every func,
 #      method, type and var in the root package or under internal/
@@ -28,7 +28,7 @@
 # internal/analysis/testdata/ci_violation, which it loads typechecked as
 # it loads the tree, and MUST exit 1 there (findings; 2 would be a load
 # failure) with a finding from each of wallclock, globalrand, maprange,
-# goroutine and timeunits. A vet binary that waves the fixture through,
+# goroutine, timeunits and foreach. A vet binary that waves the fixture through,
 # or fails it for any other reason, is broken, and the build fails
 # rather than green-lighting silently.
 #
@@ -69,7 +69,7 @@ if [[ "${code}" -ne 1 ]]; then
     echo "vet: the gate cannot be trusted; failing the build" >&2
     exit 1
 fi
-for check in wallclock globalrand maprange goroutine timeunits; do
+for check in wallclock globalrand maprange goroutine timeunits foreach; do
     if ! grep -q ": ${check}: " <<<"${selftest}"; then
         echo "${selftest}" >&2
         echo "vet: SELF-TEST FAILED — no ${check} finding on the injected-violation fixture" >&2
