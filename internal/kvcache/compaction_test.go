@@ -230,21 +230,14 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 		if len(sc.block) != len(sc.heads)*m.slots {
 			t.Fatalf("after %s: %s has a %d-entry block for %d heads of %d slots", op, what, len(sc.block), len(sc.heads), m.slots)
 		}
-		if len(sc.rows) != len(sc.heads) {
-			t.Fatalf("after %s: %s has %d rows for %d heads", op, what, len(sc.rows), len(sc.heads))
-		}
 		for h := range sc.heads {
 			hc := &sc.heads[h]
 			bt := &hc.table
 			if len(bt.slots) != m.slots || &bt.slots[0] != &sc.block[h*m.slots] {
 				t.Fatalf("after %s: %s head %d's table is not its block's slice", op, what, h)
 			}
-			if hc.row != &sc.rows[h] || hc.seq != sc {
-				t.Fatalf("after %s: %s head %d's row or sequence is not its record's", op, what, h)
-			}
-			// a row's fit is what its tables' pages hold
-			if hc.row.fit != [2]int32{int32(bt.count(LevelHi) * m.capHi), int32(bt.count(LevelLo) * m.capLo)} {
-				t.Fatalf("after %s: %s head %d fits %v tokens with %v pages", op, what, h, hc.row.fit, bt.n)
+			if hc.seq != sc {
+				t.Fatalf("after %s: %s head %d's sequence is not its record", op, what, h)
 			}
 		}
 	}
@@ -283,8 +276,8 @@ func checkConservation(t *testing.T, m *Manager, op string) {
 			t.Fatalf("after %s: %s holds a page ID", op, what)
 		}
 		for h := range sc.heads {
-			if hc := &sc.heads[h]; hc.table.n != [2]int32{} || *hc.row != (headRow{}) {
-				t.Fatalf("after %s: %s head %d has %v pages and row %v", op, what, h, hc.table.n, *hc.row)
+			if hc := &sc.heads[h]; hc.table.n != [2]int{} || hc.tokens != [2]int{} {
+				t.Fatalf("after %s: %s head %d has %v pages and %v tokens", op, what, h, hc.table.n, hc.tokens)
 			}
 		}
 	}
@@ -490,9 +483,9 @@ func TestBlockReuseProperty(t *testing.T) {
 // Steady-state canaries, in the style of the attention scratch pins: once
 // the scratch has grown, compaction allocates nothing, and neither does
 // AddSequence when a released sequence of the same head count left its
-// record. A sequence of a head count no released record has costs four
-// allocations whatever its head count: the view, the HeadCache slab, the
-// slab of the heads' rows and the page-table block.
+// record. A sequence of a head count no released record has costs three
+// allocations whatever its head count: the view, the HeadCache slab and
+// the page-table block.
 func TestCompactionAllocs(t *testing.T) {
 	const heads, seqs, promptLen, runs = 64, 8, 500, 50
 	m := compactManager(t, 1<<16, 8192)
@@ -544,8 +537,8 @@ func TestCompactionAllocs(t *testing.T) {
 	if addAllocs != 0 {
 		t.Errorf("AddSequence after a same-shape release: %v allocs, want 0", addAllocs)
 	}
-	if freshAllocs > 4 {
-		t.Errorf("AddSequence of a fresh shape: %v allocs, want <= 4", freshAllocs)
+	if freshAllocs > 3 {
+		t.Errorf("AddSequence of a fresh shape: %v allocs, want <= 3", freshAllocs)
 	}
 	if promptAllocs != 0 {
 		t.Errorf("PromptCompact: %v allocs, want 0", promptAllocs)
@@ -1287,23 +1280,4 @@ func TestSeqTokenTotalMatchesHeads(t *testing.T) {
 	if sc.total == 0 {
 		t.Fatal("the materialized head kept no token")
 	}
-}
-
-// A given demand that would take a count below the rows' int32 range is
-// refused like a table overflow, in the middle of a sequence, and moves
-// nothing: the count would otherwise wrap.
-func TestGenCompactRejectsCountOutOfRange(t *testing.T) {
-	m := compactManager(t, 64, 300)
-	if _, err := m.AddSequence(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	before := captureState(m)
-	_, err := m.GenCompact([]int{1}, [][]GenDemand{{{HiDelta: 1}, {LoDelta: math.MinInt32 - 1}, {}}})
-	if err == nil || !strings.HasPrefix(err.Error(), "kvcache: seq 1 head 1: demand (0,-2147483649) takes a count below") {
-		t.Fatalf("error %v", err)
-	}
-	if !reflect.DeepEqual(captureState(m), before) {
-		t.Fatal("the refused call moved something")
-	}
-	checkConservation(t, m, "a refused demand")
 }

@@ -99,7 +99,7 @@ func headCounts(t *testing.T, m *Manager, ids []int) [][]HeadDemand {
 // slack is the tokens a tier of hc takes before it needs a page.
 func slack(m *Manager, hc *HeadCache, level Level) int {
 	_, perPage := m.tier(level)
-	return hc.table.count(level)*perPage - hc.tokens(level)
+	return hc.table.count(level)*perPage - hc.tokens[level]
 }
 
 // The plan walk — its leaf loop, handing off to the per-head plan at
@@ -112,10 +112,10 @@ func slack(m *Manager, hc *HeadCache, level Level) int {
 // head, the last, two consecutive heads and every head, after counts that
 // land exactly on pages·perPage, with negative and multi-page deltas, and
 // through a table overflow in the middle of a sequence, whose undo must
-// restore every count; random steps follow. GenCompactFrom walks genDraw's
+// restore every count; random steps follow. GenCompactFrom walks the draw
 // leaf on the steps a source's draws can make (first head, last head,
 // two consecutive heads, every head, one token each) and GenCompact's
-// genFit on the others.
+// given-demand leaf on the others.
 func TestGenHandOffMatchesReference(t *testing.T) {
 	const seqs, heads, maxSeqLen = 4, 6, 20 * 37 // 20 table slots per head
 	type step struct {

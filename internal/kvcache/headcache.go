@@ -31,43 +31,33 @@ type TokenRef struct {
 // append / score-update / remove / downgrade operations (the mechanics
 // behind the compression policy); in counts-only mode just the counts.
 //
-// A sequence's HeadCaches are one slab (see Manager.AddSequence) and the
-// table is held by value. The counts a generation step reads and writes
-// for every head live apart from the slab, in the head's row of its
-// sequence's dense rows, so the step's leaf loop reads 16 bytes per head.
+// A sequence's HeadCaches are one slab (see Manager.AddSequence), the table
+// is held by value and both per-tier pairs are indexed by Level, so the
+// Manager's planning pass reads one cache line per head.
 type HeadCache struct {
-	seq   *SeqCache // the record the head belongs to, whose token total its counts add to
-	row   *headRow  // the head's counts, in seq's rows
-	table BiTable
+	seq    *SeqCache // the record the head belongs to, whose token total its counts add to
+	table  BiTable
+	tokens [2]int // cached tokens per tier
 }
 
-// headRow is one head's counts as a generation step's leaf loop reads and
-// writes them, both indexed by Level: each tier's cached tokens, and the
-// tokens its pages hold (pages·perPage), which attach keeps. A sequence's
-// rows are one dense slab, 16 bytes a head.
-type headRow struct{ tok, fit [2]int32 }
-
-// tokens returns the tier's cached tokens.
-func (hc *HeadCache) tokens(level Level) int { return int(hc.row.tok[level]) }
-
 // HiTokens returns the number of tokens in the high-precision tier.
-func (hc *HeadCache) HiTokens() int { return hc.tokens(LevelHi) }
+func (hc *HeadCache) HiTokens() int { return hc.tokens[LevelHi] }
 
 // LoTokens returns the number of tokens in the low-precision tier.
-func (hc *HeadCache) LoTokens() int { return hc.tokens(LevelLo) }
+func (hc *HeadCache) LoTokens() int { return hc.tokens[LevelLo] }
 
 // TotalTokens returns the number of cached tokens across both tiers.
-func (hc *HeadCache) TotalTokens() int { return hc.tokens(LevelHi) + hc.tokens(LevelLo) }
+func (hc *HeadCache) TotalTokens() int { return hc.tokens[LevelHi] + hc.tokens[LevelLo] }
 
 // setTokens sets both tiers' counts and keeps the sequence's total.
 func (hc *HeadCache) setTokens(hi, lo int) {
 	hc.seq.total += hi + lo - hc.TotalTokens()
-	hc.row.tok = [2]int32{int32(hi), int32(lo)}
+	hc.tokens = [2]int{LevelHi: hi, LevelLo: lo}
 }
 
 // addToken adds n tokens to a tier and to the sequence's total.
 func (hc *HeadCache) addToken(level Level, n int) {
-	hc.row.tok[level] += int32(n)
+	hc.tokens[level] += n
 	hc.seq.total += n
 }
 
@@ -79,8 +69,8 @@ func (hc *HeadCache) page(level Level, i int) *Page {
 // head (token-exact, not page-rounded).
 func (hc *HeadCache) KVBytes() int {
 	dim := hc.seq.mgr.cfg.Dim
-	return hc.tokens(LevelHi)*hc.seq.mgr.cfg.HiPrec.TokenBytes(dim) +
-		hc.tokens(LevelLo)*hc.seq.mgr.cfg.LoPrec.TokenBytes(dim)
+	return hc.tokens[LevelHi]*hc.seq.mgr.cfg.HiPrec.TokenBytes(dim) +
+		hc.tokens[LevelLo]*hc.seq.mgr.cfg.LoPrec.TokenBytes(dim)
 }
 
 // appendPage returns the tier's last page, allocating and configuring a

@@ -2,7 +2,6 @@ package kvcache
 
 import (
 	"fmt"
-	"math"
 
 	"diffkv/internal/mathx"
 	"diffkv/internal/quant"
@@ -112,9 +111,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	// tokens per high-precision page (paper §5.2 — low-precision pages hold
 	// more tokens, so this side can never overflow first).
 	m.slots = pagesNeeded(cfg.MaxSeqLen, m.capHi)
-	if m.slots > math.MaxInt32/m.capLo {
-		return nil, fmt.Errorf("kvcache: MaxSeqLen %d: a full table's tokens overflow a head's int32 counts", cfg.MaxSeqLen)
-	}
 	return m, nil
 }
 
@@ -149,7 +145,6 @@ type SeqCache struct {
 	ID    int
 	mgr   *Manager
 	heads []HeadCache // the slab the Manager's passes scan
-	rows  []headRow   // each head's counts: the slab a generation step's leaf walks
 	block []int32     // the page-table entries the heads' tables slice up
 	total int         // cached tokens over every head and tier
 	epoch uint64      // the last GenCompact call that named the sequence
@@ -179,22 +174,19 @@ func (m *Manager) checkNew(id, numHeads int) error {
 }
 
 // register returns a record for a new sequence: a released record of the
-// same head count, whose tables and rows release left empty, or a fresh
-// one built in four allocations whatever its head count — the view, one
-// slab of HeadCaches, one slab of their rows and one block of page-table
-// entries the tables slice up.
+// same head count, whose tables release left empty, or a fresh one built in
+// three allocations whatever its head count — the view, one slab of
+// HeadCaches and one block of page-table entries the tables slice up.
 func (m *Manager) register(id, numHeads int) *SeqCache {
 	sc := m.reuse(numHeads)
 	if sc == nil {
 		block := make([]int32, numHeads*m.slots)
-		rows := make([]headRow, numHeads)
 		for i := range block {
 			block[i] = -1
 		}
-		sc = &SeqCache{mgr: m, heads: make([]HeadCache, numHeads), rows: rows, block: block}
+		sc = &SeqCache{mgr: m, heads: make([]HeadCache, numHeads), block: block}
 		for i := range sc.heads {
-			sc.heads[i] = HeadCache{seq: sc, row: &rows[i],
-				table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
+			sc.heads[i] = HeadCache{seq: sc, table: BiTable{slots: block[i*m.slots : (i+1)*m.slots : (i+1)*m.slots]}}
 		}
 	}
 	sc.ID = id
@@ -228,8 +220,8 @@ func (m *Manager) ReleaseSequence(id int) error {
 	for i := range sc.heads {
 		hc := &sc.heads[i]
 		flat = hc.table.drain(flat)
+		hc.tokens = [2]int{}
 	}
-	clear(sc.rows)
 	sc.total = 0
 	m.flat = flat[:0]
 	m.free.give(flat)
@@ -258,12 +250,11 @@ func (m *Manager) scanTake(cnt []int32) (off, flat []int32, err error) {
 }
 
 // attach pushes pages ids onto a tier of hc's table, whose room the
-// caller's plan has checked, and adds their tokens to the tier's fit. A
-// materialized manager first configures each page, empty, for the tier; a
-// counts-only one has only the IDs.
+// caller's plan has checked. A materialized manager first configures each
+// page, empty, for the tier; a counts-only one has only the IDs.
 func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
-	prec, perPage := m.tier(level)
 	if m.pool != nil {
+		prec, perPage := m.tier(level)
 		for _, id := range ids {
 			m.pool.configure(id, prec, perPage)
 		}
@@ -271,7 +262,6 @@ func (m *Manager) attach(hc *HeadCache, level Level, ids []int32) {
 	if err := hc.table.push(level, ids...); err != nil {
 		panic(err)
 	}
-	hc.row.fit[level] += int32(len(ids) * perPage)
 }
 
 // CompactStats counts the work of one compaction pass; the gpusim cost
@@ -303,10 +293,9 @@ func (m *Manager) pages(d HeadDemand) int {
 	return pagesNeeded(d.HiTokens, m.capHi) + pagesNeeded(d.LoTokens, m.capLo)
 }
 
-// place attaches head h's planned pages — the high tier's first, then the
+// place attaches a head's planned pages — the high tier's first, then the
 // low tier's — and sets its token counts to d.
-func (m *Manager) place(sc *SeqCache, h int, d HeadDemand, ids []int32) {
-	hc := &sc.heads[h]
+func (m *Manager) place(hc *HeadCache, d HeadDemand, ids []int32) {
 	hi := pagesNeeded(d.HiTokens, m.capHi)
 	m.attach(hc, LevelHi, ids[:hi])
 	m.attach(hc, LevelLo, ids[hi:])
@@ -368,7 +357,7 @@ func (m *Manager) PromptCompact(seqID, promptLen int, demands []HeadDemand) (Com
 		return CompactStats{}, err
 	}
 	for i, d := range demands {
-		m.place(sc, i, d, flat[off[i]:off[i]+cnt[i]])
+		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
 	}
 	return stats, nil
 }
@@ -443,20 +432,17 @@ func shortfall(tokens, have, perPage int) int {
 
 // parallelHeads is the batch size, in heads, from which a generation step
 // draws and plans its chunks on mathx.ForEach: 48 Llama3-8B sequences of
-// 256 heads. Measured with the one-pass draw leaf (genDraw over the dense
-// rows) on a 2-vCPU host (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96
-// sequences, fan-out forced on against forced off, alternating pairs),
-// the fan-out lost at 32-56 sequences in a first sweep (2 of 8 pairs won,
-// medians 0.64-0.79× the serial speed) and sat on no consistent side of
-// the serial walk from 48 to 96 in a second (4-7 of 12 won, medians
-// 0.89-1.04×); at decode_heavy's 96 it won 6 of 8 and 6 of 12 (1.16× and
-// 1.04×). The faster leaf moved the break-even up into that band but not
-// past it, so the threshold stays where it was, at the band's bottom,
-// and manager-fanout (up to 52 sequences at once) keeps reaching the
-// fan-out; smaller batches stay on the calling goroutine, where they
-// allocate nothing. It is a variable only so that tests can force every
-// call onto either path. genChunkHeads is the heads a chunk gathers
-// before it closes at a sequence boundary.
+// 256 heads. Measured with the one-pass draw leaf on a 2-vCPU host
+// (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences, fan-out
+// forced on against forced off, 8 alternating pairs), the fan-out lost at
+// 16-32 sequences (0 of 8 pairs won, 0.84-0.87× the serial speed), sat at
+// the break-even from 48 to 64 (3 and 5 of 8, 0.96× and 1.03×) and won at
+// 80-96 (7 of 8 each, 1.14× and 1.10×). The threshold stays at the
+// break-even's bottom, so manager-fanout (up to 52 sequences at once)
+// keeps reaching the fan-out; smaller batches stay on the calling
+// goroutine, where they allocate nothing. It is a variable only so that
+// tests can force every call onto either path. genChunkHeads is the heads
+// a chunk gathers before it closes at a sequence boundary.
 var parallelHeads = 12288
 
 const genChunkHeads = 2048
@@ -466,6 +452,8 @@ const genChunkHeads = 2048
 // and its sequences' counts.
 type genChunk struct {
 	first, end int       // sequence indices [first, end)
+	draws      seqDraws  // the sequence being walked, when the step draws
+	given      seqGiven  // the sequence being walked, when GenCompact's demands are given
 	grows      []genGrow // the heads that need pages, in (sequence, head) order
 	pages      int       // their sum
 	tokenOps   int
@@ -483,13 +471,13 @@ type genGrow struct {
 // GenCompact runs one generation-step compaction for a set of distinct
 // sequences, with demands[i] the demand of each head of seqIDs[i]. It
 // checks every demand's length before anything moves, then walks the
-// demands as GenCompactFrom walks a source's draws, with genFit as the
-// leaf loop and the same hand-off.
+// demands as GenCompactFrom walks a source's draws, with the same
+// hand-off.
 func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats, error) {
 	if len(seqIDs) != len(demands) {
 		return CompactStats{}, fmt.Errorf("kvcache: %d seqs vs %d demand sets", len(seqIDs), len(demands))
 	}
-	return m.genCompact(seqIDs, demands, nil)
+	return m.genCompact(seqIDs, genSteps{given: demands})
 }
 
 // GenCompactFrom runs one generation-step compaction for a set of distinct
@@ -512,25 +500,24 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 // short pool undoes every committed count, asking src again for the draws
 // it subtracts, so a failed call still moves nothing.
 func (m *Manager) GenCompactFrom(seqIDs []int, src GenSource) (CompactStats, error) {
-	return m.genCompact(seqIDs, nil, src)
+	return m.genCompact(seqIDs, genSteps{src: src})
 }
 
-// genCompact is the walk behind GenCompact and GenCompactFrom: the heads'
-// demands are given when given is not nil, checked against the sequences'
-// head counts first, and drawn from src when it is.
-func (m *Manager) genCompact(seqIDs []int, given [][]GenDemand, src GenSource) (CompactStats, error) {
-	scs, heads, err := m.genBatch(seqIDs, given)
+// genCompact is the walk behind GenCompact and GenCompactFrom.
+func (m *Manager) genCompact(seqIDs []int, steps genSteps) (CompactStats, error) {
+	scs, heads, err := m.genBatch(seqIDs, steps.given)
 	if err != nil {
 		return CompactStats{}, err
 	}
 	defer clear(scs) // the scratch holds no sequence past the call
 	parallel := heads >= parallelHeads
 	chunks := m.genChunks(scs, parallel)
+	defer forget(chunks)
 	if parallel {
-		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, given, src) })
+		mathx.ForEach(len(chunks), 0, func(c int) { m.planGen(&chunks[c], scs, steps) })
 	} else {
 		for c := range chunks {
-			m.planGen(&chunks[c], scs, given, src)
+			m.planGen(&chunks[c], scs, steps)
 		}
 	}
 	stats := CompactStats{Regions: heads}
@@ -546,7 +533,7 @@ func (m *Manager) genCompact(seqIDs []int, given [][]GenDemand, src GenSource) (
 		err = m.free.take(len(flat), flat)
 	}
 	if err != nil {
-		m.undoGen(chunks, scs, given, src)
+		m.undoGen(chunks, scs, steps)
 		return CompactStats{}, err
 	}
 	k := 0
@@ -615,34 +602,106 @@ func (m *Manager) genChunks(scs []*SeqCache, parallel bool) []genChunk {
 	return m.chunks[:n]
 }
 
-// genDraws is one sequence's draws for a generation step: the stream at
-// its first draw and a threshold pair per head; ok is false when the
-// sequence draws nothing. When the demands are given, it holds only ok,
-// true.
-type genDraws struct {
+// forget drops what the chunks hold of the last sequence each walked, so
+// the scratch keeps no caller's slice past the call.
+func forget(chunks []genChunk) {
+	for c := range chunks {
+		chunks[c].draws, chunks[c].given = seqDraws{}, nil
+	}
+}
+
+// genSteps is the source of a generation step's demands: src's draws, or
+// the demands GenCompact was given when given is not nil. It is a value,
+// not an interface, so that handing it to the chunks' workers allocates
+// nothing.
+type genSteps struct {
+	src   GenSource
+	given [][]GenDemand
+}
+
+// seq returns sequence s's demands for the step, held in c's scratch, or
+// nil when s draws nothing.
+func (g genSteps) seq(c *genChunk, s int) genSeq {
+	if g.given != nil {
+		c.given = g.given[s]
+		return &c.given
+	}
+	r, thr, ok := g.src.GenDraws(s)
+	if !ok {
+		return nil
+	}
+	c.draws = seqDraws{r, thr}
+	return &c.draws
+}
+
+// genSeq is one sequence's demands in a generation step, as the walk reads
+// them. leaf is the walk's leaf loop: from head from on, it commits each
+// head's new counts, in order, while the head's pages already hold them in
+// both tiers (tokens ≤ pages·perPage), and returns how many heads it
+// committed and the sum of their new counts. It stops at the first head
+// that needs a page and leaves that head as it is. demand is head h's
+// demand, for that head's hand-off and for the undo.
+type genSeq interface {
+	leaf(heads []HeadCache, from, capHi, capLo int) (n, tokens int)
+	demand(h int) GenDemand
+}
+
+// seqDraws is one sequence's draws: its stream at its first draw of the
+// step, and its heads' thresholds. Head h's demand is its thresholds'
+// placement of draw h.
+type seqDraws struct {
 	r   mathx.RNG
 	thr []TierThresholds
-	ok  bool
 }
 
-// drawsOf returns sequence s's draws, from src when the demands are not
-// given.
-func drawsOf(s int, given [][]GenDemand, src GenSource) genDraws {
-	if given != nil {
-		return genDraws{ok: true}
+// leaf reads each head's draw by index and places its candidate by its
+// thresholds as it goes. It calls nothing, and ranging over the thresholds
+// by value, not indexing them, leaves the draw's mix more registers; it
+// stays out of line so that planGen's rare paths never share its loop.
+//
+//go:noinline
+func (g *seqDraws) leaf(heads []HeadCache, from, capHi, capLo int) (n, tokens int) {
+	r, thr := g.r.Ahead(uint64(from)), g.thr[from:len(heads)]
+	heads = heads[from:]
+	heads = heads[:len(thr)]
+	for i, t := range thr {
+		d := t.demand(r.Uint64At(uint64(i)))
+		hc := &heads[i]
+		hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
+		if hiTok > hc.table.n[LevelHi]*capHi || loTok > hc.table.n[LevelLo]*capLo {
+			return i, tokens
+		}
+		hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+		tokens += hiTok + loTok
 	}
-	r, thr, ok := src.GenDraws(s)
-	return genDraws{r, thr, ok}
+	return len(thr), tokens
 }
 
-// demandAt is head h of sequence s's demand: given, or placed from its
-// draw.
-func (g *genDraws) demandAt(s, h int, given [][]GenDemand) GenDemand {
-	if given != nil {
-		return given[s][h]
+func (g *seqDraws) demand(h int) GenDemand { return g.thr[h].demand(g.r.Uint64At(uint64(h))) }
+
+// seqGiven is one sequence's given demands, one per head.
+type seqGiven []GenDemand
+
+// leaf adds each head's given demand to its counts.
+//
+//go:noinline
+func (ds *seqGiven) leaf(heads []HeadCache, from, capHi, capLo int) (n, tokens int) {
+	given := (*ds)[from:len(heads)]
+	heads = heads[from:]
+	heads = heads[:len(given)]
+	for i, d := range given {
+		hc := &heads[i]
+		hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
+		if hiTok > hc.table.n[LevelHi]*capHi || loTok > hc.table.n[LevelLo]*capLo {
+			return i, tokens
+		}
+		hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
+		tokens += hiTok + loTok
 	}
-	return g.thr[h].demand(g.r.Uint64At(uint64(h)))
+	return len(given), tokens
 }
+
+func (ds *seqGiven) demand(h int) GenDemand { return (*ds)[h] }
 
 // planGen walks a chunk's sequences one at a time and their heads in
 // order; it stops at the first head whose table cannot take its
@@ -651,63 +710,49 @@ func (g *genDraws) demandAt(s, h int, given [][]GenDemand) GenDemand {
 // draws nothing keeps its counts, which its tables already cover, so the
 // total is all it costs.
 //
-// The walk is a leaf loop over the sequence's rows — genDraw over a
-// source's draws, genFit over given demands — which commits the heads
-// whose pages already hold their new counts, handing off to the per-head
-// plan below at each head that needs a page (about one head-step in
-// twelve); the walk resumes after that head. The rare paths — shortfall's
+// The walk runs the sequence's leaf loop, which commits the heads whose
+// pages already hold their new counts, and hands off to the per-head plan
+// below at each head that needs a page (about one head-step in twelve);
+// the leaf then resumes after that head. The rare paths — shortfall's
 // division, the room check's error, the append to grows — sit outside the
 // leaf, so its per-head state stays in registers. The leaf sums the new
 // counts of the heads it commits, and the sequence's total becomes their
 // sum once the walk has passed every head.
-func (m *Manager) planGen(c *genChunk, scs []*SeqCache, given [][]GenDemand, src GenSource) {
+func (m *Manager) planGen(c *genChunk, scs []*SeqCache, steps genSteps) {
 	grows, pages, ops, done := c.grows[:0], 0, 0, 0
 	var err error
 walk:
 	for s := c.first; s < c.end; s++ {
 		sc := scs[s]
 		ops += sc.total
-		g := drawsOf(s, given, src)
-		if !g.ok {
+		g := steps.seq(c, s)
+		if g == nil {
 			done += len(sc.heads)
 			continue
 		}
-		if given == nil {
-			g.thr = g.thr[:len(sc.heads)]
-		}
 		total := 0 // the walked heads' counts after the step
 		for h := 0; h < len(sc.heads); h++ {
-			var n, t int
-			if given == nil {
-				n, t = genDraw(sc.rows[h:], g.thr[h:], g.r.Ahead(uint64(h)))
-			} else {
-				n, t = genFit(sc.rows[h:], given[s][h:])
-			}
+			n, t := g.leaf(sc.heads, h, m.capHi, m.capLo)
 			h, done, total = h+n, done+n, total+t
 			if h == len(sc.heads) {
 				break
 			}
 			// head h needs a page in at least one tier
-			hc, d := &sc.heads[h], g.demandAt(s, h, given)
-			hiTok, loTok := hc.tokens(LevelHi)+d.HiDelta, hc.tokens(LevelLo)+d.LoDelta
+			hc, d := &sc.heads[h], g.demand(h)
+			hiTok, loTok := hc.tokens[LevelHi]+d.HiDelta, hc.tokens[LevelLo]+d.LoDelta
 			hi := shortfall(hiTok, hc.table.count(LevelHi), m.capHi)
 			lo := shortfall(loTok, hc.table.count(LevelLo), m.capLo)
-			switch {
-			case min(hiTok, loTok) < math.MinInt32: // a given demand only
-				err = fmt.Errorf("kvcache: seq %d head %d: demand (%d,%d) takes a count below %d", sc.ID, h, d.HiDelta, d.LoDelta, math.MinInt32)
-			case hi+lo > hc.table.room():
+			if hi+lo > hc.table.room() {
 				err = fmt.Errorf("kvcache: seq %d head %d: %w", sc.ID, h, tableOverflow(m.slots))
-			}
-			if err != nil {
 				// the heads from h on keep their counts; the undo
 				// takes back the others' from the total
-				for _, row := range sc.rows[h:] {
-					total += int(row.tok[LevelHi]) + int(row.tok[LevelLo])
+				for i := h; i < len(sc.heads); i++ {
+					total += sc.heads[i].TotalTokens()
 				}
 				sc.total = total
 				break walk
 			}
-			hc.row.tok = [2]int32{LevelHi: int32(hiTok), LevelLo: int32(loTok)}
+			hc.tokens = [2]int{LevelHi: hiTok, LevelLo: loTok}
 			total += hiTok + loTok
 			done++
 			grows = append(grows, genGrow{seq: int32(s), head: int32(h), hi: int32(hi), lo: int32(lo)})
@@ -718,58 +763,10 @@ walk:
 	c.grows, c.pages, c.tokenOps, c.done, c.err = grows, pages, ops, done, err
 }
 
-// genDraw is the leaf of a generation step over a source's draws: rows
-// are the heads' rows from the walk's head on, thr their thresholds and r
-// the stream at that head's draw. Head i reads draw i of r by index and
-// places its candidate by its thresholds; genDraw commits the new counts
-// of heads, in order, while each head's pages already hold them in both
-// tiers (tokens ≤ fit), and returns how many heads it committed and the
-// sum of their new counts. It stops at the first head that needs a page
-// and leaves that head as it is. It is a leaf, calling nothing, and its
-// loop keeps every value in a register (ranging over thr by value, not
-// indexing it, leaves the draw's mix the registers it needs); it stays
-// out of line so that planGen's rare paths never share that loop.
-//
-//go:noinline
-func genDraw(rows []headRow, thr []TierThresholds, r mathx.RNG) (n, tokens int) {
-	rows = rows[:len(thr)]
-	for i, t := range thr {
-		d := t.demand(r.Uint64At(uint64(i)))
-		row := &rows[i]
-		hiTok, loTok := row.tok[LevelHi]+int32(d.HiDelta), row.tok[LevelLo]+int32(d.LoDelta)
-		if hiTok > row.fit[LevelHi] || loTok > row.fit[LevelLo] {
-			return i, tokens
-		}
-		row.tok = [2]int32{hiTok, loTok}
-		tokens += int(hiTok + loTok)
-	}
-	return len(thr), tokens
-}
-
-// genFit is genDraw's leaf over given demands: it commits head i's counts
-// plus ds[i] while its pages hold them, and returns what genDraw returns.
-// A count a demand would take below the rows' int32 range is handed off
-// too, and the per-head plan refuses it.
-//
-//go:noinline
-func genFit(rows []headRow, ds []GenDemand) (n, tokens int) {
-	rows = rows[:len(ds)]
-	for i, d := range ds {
-		row := &rows[i]
-		hiTok, loTok := int(row.tok[LevelHi])+d.HiDelta, int(row.tok[LevelLo])+d.LoDelta
-		if hiTok > int(row.fit[LevelHi]) || loTok > int(row.fit[LevelLo]) || min(hiTok, loTok) < math.MinInt32 {
-			return i, tokens
-		}
-		row.tok = [2]int32{int32(hiTok), int32(loTok)}
-		tokens += hiTok + loTok
-	}
-	return len(ds), tokens
-}
-
 // undoGen takes back the token counts planGen committed, exactly, asking
-// src again for the draws it subtracts; a sequence that drew nothing
-// committed nothing.
-func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, given [][]GenDemand, src GenSource) {
+// the source again for the demands it subtracts; a sequence that drew
+// nothing committed nothing.
+func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, steps genSteps) {
 	for c := range chunks {
 		ch := &chunks[c]
 		left := ch.done
@@ -777,13 +774,13 @@ func (m *Manager) undoGen(chunks []genChunk, scs []*SeqCache, given [][]GenDeman
 			sc := scs[s]
 			n := min(left, len(sc.heads))
 			left -= n
-			g := drawsOf(s, given, src)
-			if !g.ok {
+			g := steps.seq(ch, s)
+			if g == nil {
 				continue
 			}
 			for h := range n {
-				d, hc := g.demandAt(s, h, given), &sc.heads[h]
-				hc.setTokens(hc.tokens(LevelHi)-d.HiDelta, hc.tokens(LevelLo)-d.LoDelta)
+				d, hc := g.demand(h), &sc.heads[h]
+				hc.setTokens(hc.tokens[LevelHi]-d.HiDelta, hc.tokens[LevelLo]-d.LoDelta)
 			}
 		}
 	}
@@ -853,7 +850,7 @@ func (m *Manager) AdoptCounts(seqID int, demands []HeadDemand) error {
 	}
 	sc := m.register(seqID, len(demands))
 	for i, d := range demands {
-		m.place(sc, i, d, flat[off[i]:off[i]+cnt[i]])
+		m.place(&sc.heads[i], d, flat[off[i]:off[i]+cnt[i]])
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import "fmt"
 // high-precision ones.
 type BiTable struct {
 	slots []int32
-	n     [2]int32 // pages per side, indexed by Level: hi grows from the left, lo from the right
+	n     [2]int // pages per side, indexed by Level: hi grows from the left, lo from the right
 }
 
 // NewBiTable creates a table with n slots.
@@ -29,10 +29,10 @@ func NewBiTable(n int) *BiTable {
 func (t *BiTable) Len() int { return len(t.slots) }
 
 // count returns the number of pages on a side.
-func (t *BiTable) count(level Level) int { return int(t.n[level]) }
+func (t *BiTable) count(level Level) int { return t.n[level] }
 
 // room returns the number of unused slots.
-func (t *BiTable) room() int { return len(t.slots) - t.count(LevelHi) - t.count(LevelLo) }
+func (t *BiTable) room() int { return len(t.slots) - t.n[LevelHi] - t.n[LevelLo] }
 
 // at returns the slot index of a side's i-th page in push order.
 func (t *BiTable) at(level Level, i int) int {
@@ -58,7 +58,7 @@ func (t *BiTable) push(level Level, ids ...int32) error {
 	if len(ids) > t.room() {
 		return tableOverflow(len(t.slots))
 	}
-	n := t.count(level)
+	n := t.n[level]
 	if level == LevelHi {
 		copy(t.slots[n:], ids)
 	} else {
@@ -67,7 +67,7 @@ func (t *BiTable) push(level Level, ids ...int32) error {
 			lo[len(lo)-1-i] = id
 		}
 	}
-	t.n[level] += int32(len(ids))
+	t.n[level] += len(ids)
 	return nil
 }
 
@@ -75,17 +75,17 @@ func (t *BiTable) push(level Level, ids ...int32) error {
 // high side then the low side, each in push order, writing -1 back into
 // every slot it empties.
 func (t *BiTable) drain(dst []int32) []int32 {
-	hi := t.slots[:t.count(LevelHi)]
+	hi := t.slots[:t.n[LevelHi]]
 	dst = append(dst, hi...)
 	for i := range hi {
 		hi[i] = -1
 	}
-	lo := t.slots[len(t.slots)-t.count(LevelLo):]
+	lo := t.slots[len(t.slots)-t.n[LevelLo]:]
 	for i := len(lo) - 1; i >= 0; i-- {
 		dst = append(dst, lo[i])
 		lo[i] = -1
 	}
-	t.n = [2]int32{}
+	t.n = [2]int{}
 	return dst
 }
 

@@ -211,7 +211,7 @@ func TestBiTableBulkMatchesSingleProperty(t *testing.T) {
 					refused++
 				}
 			}
-			if !reflect.DeepEqual(bt.slots, ref.slots) || [2]int{bt.count(LevelHi), bt.count(LevelLo)} != ref.n {
+			if !reflect.DeepEqual(bt.slots, ref.slots) || bt.n != ref.n {
 				t.Fatalf("seed %d step %d: slots %v counts %v, one at a time %v %v", seed, step, bt.slots, bt.n, ref.slots, ref.n)
 			}
 		}

@@ -54,7 +54,10 @@ type progress struct {
 
 // fractions returns the per-head tier fractions, high then low: one
 // slice holds both halves, so the record carries a single slice header
-// for them.
+// for them. Every request record carries these fields, whatever its
+// store: with hiF and loF as two fields beside thr, cluster_fleet's
+// records (traits mode, no fractions at all) took 6.5 MB more peak RSS,
+// 92.4 against 85.9 MB (8 of 8 alternating pairs, 2-vCPU amd64 host).
 func (p *progress) fractions() (hiF, loF []float64) {
 	n := len(p.frac) / 2
 	return p.frac[:n:n], p.frac[n:]
