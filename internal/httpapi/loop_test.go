@@ -16,10 +16,9 @@ import (
 // TestLoopMatchesStepDriven pins loop determinism: the same request
 // stream produces bit-identical completion timestamps whether an engine
 // is driven by the caller-owned Submit/Step shims or served as a
-// one-instance cluster by a paced background Loop. Arrivals sit far
-// enough in simulated future (with TimeScale pacing holding the first
-// step back) that every Open lands before the loop executes anything —
-// the exact setup a batch Submit models.
+// one-instance cluster by a paced background Loop. Every session is
+// opened before the loop starts, so all of them land before the loop
+// executes anything — the exact setup a batch Submit models.
 func TestLoopMatchesStepDriven(t *testing.T) {
 	reqs := make([]workload.Request, 8)
 	for i := range reqs {
@@ -51,17 +50,23 @@ func TestLoopMatchesStepDriven(t *testing.T) {
 		t.Fatalf("reference run completed %d of %d", len(want), len(reqs))
 	}
 
-	// loop-driven: first simulated step is at 1e5 us; TimeScale 1e-3
-	// holds it back ~100ms of wall time, so all Opens land first
-	l := engineLoop(t, traitsCfg(9), LoopConfig{TimeScale: 1e-3})
+	// loop-driven: every session is opened on the cluster before the loop
+	// that then owns it starts, so no Open can land after a step however
+	// slowly the test runs; TimeScale 1e-3 paces the first step (at 1e5
+	// us) ~100ms of wall time out, so the loop's pacing path runs too
+	c, err := cluster.New(cluster.Config{Instances: 1, Engine: traitsCfg(9), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sessions []*serving.Session
 	for _, r := range reqs {
-		s, err := l.Open(context.Background(), r, nil)
+		s, err := c.Open(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
 	}
+	l := startLoop(t, c, LoopConfig{TimeScale: 1e-3})
 	for _, s := range sessions {
 		select {
 		case <-s.Done():

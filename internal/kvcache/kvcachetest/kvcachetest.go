@@ -14,7 +14,7 @@ import (
 // ParallelHeads is kvcache's default fan-out threshold, in heads: a
 // generation step of this many heads or more draws and plans its chunks on
 // mathx.ForEach.
-const ParallelHeads = 12288
+const ParallelHeads = 4096
 
 // parallelHeads is kvcache's unexported threshold, reached by its symbol
 // name.

@@ -431,19 +431,18 @@ func shortfall(tokens, have, perPage int) int {
 }
 
 // parallelHeads is the batch size, in heads, from which a generation step
-// draws and plans its chunks on mathx.ForEach: 48 Llama3-8B sequences of
-// 256 heads. Measured with the one-pass draw leaf on a 2-vCPU host
-// (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences, fan-out
-// forced on against forced off, 8 alternating pairs), the fan-out lost at
-// 16-32 sequences (0 of 8 pairs won, 0.84-0.87× the serial speed), sat at
-// the break-even from 48 to 64 (3 and 5 of 8, 0.96× and 1.03×) and won at
-// 80-96 (7 of 8 each, 1.14× and 1.10×). The threshold stays at the
-// break-even's bottom, so manager-fanout (up to 52 sequences at once)
-// keeps reaching the fan-out; smaller batches stay on the calling
+// draws and plans its chunks on mathx.ForEach: 16 Llama3-8B sequences of
+// 256 heads, two chunks. Measured with mathx.ForEach's warm helpers on a
+// 2-vCPU host (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences,
+// fan-out forced on against forced off, 8-10 alternating pairs), the
+// fan-out won from 16 sequences on (10 of 10 pairs at 16 and 24, 1.10×
+// and 1.28×; 8 of 8 at 48-96, 1.55-1.75×) and sat at the break-even below
+// it (7 of 10 at 10 sequences, 1.07×, and 2 of 10 at 12, 0.84×; 8 is one
+// chunk, which runs inline). Smaller batches stay on the calling
 // goroutine, where they allocate nothing. It is a variable only so that
 // tests can force every call onto either path. genChunkHeads is the heads
 // a chunk gathers before it closes at a sequence boundary.
-var parallelHeads = 12288
+var parallelHeads = 4096
 
 const genChunkHeads = 2048
 

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"runtime"
 	"testing"
 
 	"diffkv/internal/baselines"
@@ -232,8 +233,10 @@ func admitGenBatch(tb testing.TB, ps *pageStore, seqs []*seqState) {
 // Once its scratch has grown, a generation step allocates nothing below
 // the fan-out threshold and only the manager's plan closure from it:
 // testing.AllocsPerRun runs at GOMAXPROCS 1, where mathx.ForEach runs the
-// chunks inline. The step draws its tiers inside the manager's walk, so
-// no draw closure is made beside the plan's.
+// chunks inline. At GOMAXPROCS 2, with the pool's helper warm, a fanned-out
+// step adds only ForEach's shared state: back-to-back steps find the
+// helper lingering and start no goroutine. The step draws its tiers inside
+// the manager's walk, so no draw closure is made beside the plan's.
 func TestGenStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		seqs int
@@ -260,6 +263,27 @@ func TestGenStepAllocs(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%d sequences: %v allocs per generation step, want %v", tc.seqs, got, tc.want)
 		}
+	}
+	if runtime.NumCPU() < 2 {
+		return // no helper lingers on one CPU
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ps, seqs := genStepStore(t, 96)
+	gen := func() {
+		if _, err := ps.gen(seqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen() // grow the scratch and start the helper
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		gen()
+	}
+	runtime.ReadMemStats(&after)
+	if got := int(after.Mallocs-before.Mallocs) / runs; got != 2 {
+		t.Errorf("96 sequences at GOMAXPROCS 2: %d allocs per warm generation step, want 2", got)
 	}
 }
 
