@@ -125,6 +125,27 @@ func fig8Claims(tables []*Table) []Verdict {
 	return v
 }
 
+// fig9Claims: a shared significance threshold (dynamic per-head budgets)
+// is at least as accurate as a uniform per-head budget at every pruned
+// fraction, and strictly more accurate at the deepest one, where the
+// sweep shows the gap.
+func fig9Claims(tables []*Table) []Verdict {
+	var v verdicts
+	for _, t := range tables {
+		for i, r := range t.Rows {
+			s := subject(t, r[0])
+			dyn, errD := t.Num(r[0], "dynamic-acc")
+			stat, errS := t.Num(r[0], "static-acc")
+			err := errors.Join(errD, errS)
+			v.add(s+": dynamic ≥ static", dyn-stat, false, err)
+			if i == len(t.Rows)-1 {
+				v.add(s+": dynamic > static at the deepest fraction", dyn-stat, true, err)
+			}
+		}
+	}
+	return v
+}
+
 // fig13Claims: parallel compaction is at least two orders of magnitude
 // faster than on-CPU management, on every row of Fig 13a.
 func fig13Claims(tables []*Table) []Verdict {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -162,34 +161,19 @@ func TestDynamicBeatsStaticSparsity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// in each panel, dynamic accuracy >= static accuracy at the 50% point
-	wins, total := 0, 0
+	// dynamic ≥ static on every row of every panel, and strictly above
+	// at the deepest pruned fraction
+	verdicts := Registry["fig9"].Claims(tables)
+	rows := 0
 	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			if row[0] != "50.0%" {
-				continue
-			}
-			total++
-			var dyn, stat float64
-			if _, err := sscan(row[1], &dyn); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sscan(row[2], &stat); err != nil {
-				t.Fatal(err)
-			}
-			if dyn >= stat {
-				wins++
-			}
+		rows += len(tbl.Rows)
+	}
+	if len(verdicts) != rows+len(tables) {
+		t.Fatalf("%d claims for %d rows of %d panels", len(verdicts), rows, len(tables))
+	}
+	for _, v := range verdicts {
+		if !v.Held {
+			t.Errorf("%s: margin %+g, err %v", v.Claim, v.Margin, v.Err)
 		}
 	}
-	if total == 0 {
-		t.Fatal("no 50% rows found")
-	}
-	if wins*2 < total {
-		t.Fatalf("dynamic sparsity won only %d of %d panels", wins, total)
-	}
-}
-
-func sscan(s string, v *float64) (int, error) {
-	return fmt.Sscan(s, v)
 }

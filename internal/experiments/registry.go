@@ -24,7 +24,7 @@ var Registry = map[string]Experiment{
 	"fig4":  {Run: Fig4},
 	"fig5":  {Run: Fig5},
 	"fig8":  {Run: Fig8, Claims: fig8Claims},
-	"fig9":  {Run: Fig9},
+	"fig9":  {Run: Fig9, Claims: fig9Claims},
 	"fig10": {Run: Fig10},
 	"fig11": {Run: Fig11},
 	"fig12": {Run: Fig12},
