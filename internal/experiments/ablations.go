@@ -224,7 +224,7 @@ func AblationThreeLevels(o Opts) []*Table {
 	for _, sc := range schemes {
 		errs := make([]float64, reps)
 		mems := make([]float64, reps)
-		o.forEach(reps, func(rep int) {
+		eachHead(reps, func(rep int) {
 			rng := root.SplitAt(uint64(rep))
 			prof := synth.Profile(model, rep%model.Layers, rep%model.KVHeads, 1, rng)
 			data := synth.GenHead(model, prof, n, rng.SplitAt(1))

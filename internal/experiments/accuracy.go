@@ -13,15 +13,15 @@ import (
 )
 
 // evalBaseline measures a baseline method's (error, memory) on a
-// (model, benchmark) pair across several heads, then maps through the
-// accuracy model.
-func evalBaseline(m baselines.Method, model *synth.ModelConfig, bench *workload.Benchmark, reps int, seed uint64, o Opts) (acc, mem float64) {
+// (model, benchmark) pair across reps heads, which fan out on the head
+// pool, then maps through the accuracy model.
+func evalBaseline(m baselines.Method, model *synth.ModelConfig, bench *workload.Benchmark, reps int, seed uint64) (acc, mem float64) {
 	promptLen, genLen := bench.EvalLen()
 	n := promptLen + genLen
 	root := mathx.NewRNG(seed)
 	errs := make([]float64, reps)
 	mems := make([]float64, reps)
-	o.forEach(reps, func(rep int) {
+	eachHead(reps, func(rep int) {
 		method := m
 		rng := root.SplitAt(uint64(rep))
 		prof := synth.Profile(model, (rep*11)%model.Layers, rep%model.KVHeads, bench.DensityScale, rng)
@@ -103,7 +103,7 @@ func Table1(o Opts) []*Table {
 			dAcc, dMem, _ := evalDiffKV(model, bench, params, o.Reps, o.Seed+seedOf("t1", model.Name, bench.Name), o)
 			row = append(row, fmt.Sprintf("%s (%s)", f1(dAcc), pct(dMem)))
 			for _, m := range methods {
-				acc, _ := evalBaseline(m, model, bench, 2*o.Reps, o.Seed+seedOf("t1", model.Name, bench.Name, m.Name()), o)
+				acc, _ := evalBaseline(m, model, bench, 2*o.Reps, o.Seed+seedOf("t1", model.Name, bench.Name, m.Name()))
 				row = append(row, f1(acc))
 			}
 			t.AddRow(row...)
@@ -135,8 +135,8 @@ func Table2(o Opts) []*Table {
 				continue
 			}
 			dAcc, dMem, _ := evalDiffKV(model, bench, params, o.Reps, o.Seed+seedOf("t2", model.Name, bench.Name), o)
-			qAcc, _ := evalBaseline(baselines.Quest{Budget: 0.25}, model, bench, 2*o.Reps, o.Seed+seedOf("t2q", model.Name, bench.Name), o)
-			sAcc, _ := evalBaseline(baselines.SnapKV{Budget: 0.25}, model, bench, 2*o.Reps, o.Seed+seedOf("t2s", model.Name, bench.Name), o)
+			qAcc, _ := evalBaseline(baselines.Quest{Budget: 0.25}, model, bench, 2*o.Reps, o.Seed+seedOf("t2q", model.Name, bench.Name))
+			sAcc, _ := evalBaseline(baselines.SnapKV{Budget: 0.25}, model, bench, 2*o.Reps, o.Seed+seedOf("t2s", model.Name, bench.Name))
 			t.AddRow(bench.Name, f1(fp16),
 				fmt.Sprintf("%s (%s)", f1(dAcc), pct(dMem)), f1(qAcc), f1(sAcc))
 		}
@@ -176,7 +176,7 @@ func Table3(o Opts) []*Table {
 			dAcc, dMem, _ := evalDiffKV(model, bench, params, o.Reps, o.Seed+seedOf("t3", model.Name, bench.Name), o)
 			row = append(row, fmt.Sprintf("%s (%s)", f1(dAcc), pct(dMem)))
 			for _, m := range methods {
-				acc, _ := evalBaseline(m, model, bench, 2*o.Reps, o.Seed+seedOf("t3", model.Name, bench.Name, m.Name()), o)
+				acc, _ := evalBaseline(m, model, bench, 2*o.Reps, o.Seed+seedOf("t3", model.Name, bench.Name, m.Name()))
 				row = append(row, f1(acc))
 			}
 			t.AddRow(row...)
@@ -233,7 +233,7 @@ func Fig11(o Opts) []*Table {
 			baselines.KIVI{}, baselines.INT4Atom{}, baselines.SnapKV{},
 			baselines.DuoAttention{}, baselines.Quest{}, baselines.H2O{},
 		} {
-			acc, mem := evalBaseline(m, p.model, p.bench, 2*o.Reps, o.Seed+seedOf("f11", p.model.Name, p.bench.Name, m.Name()), o)
+			acc, mem := evalBaseline(m, p.model, p.bench, 2*o.Reps, o.Seed+seedOf("f11", p.model.Name, p.bench.Name, m.Name()))
 			t.AddRow(m.Name(), pct(mem), f1(acc))
 		}
 		out = append(out, t)

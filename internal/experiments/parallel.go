@@ -11,9 +11,20 @@ import (
 
 // forEach runs fn(i) for every i in [0, n) on the harness's worker pool
 // (Opts.Workers goroutines; 0 means runtime.GOMAXPROCS(0)). Independent
-// reps/configs of a figure fan out while the table stays bit-identical
-// for every Workers value, under mathx.ForEach's determinism contract.
+// cells, configs and sequences of a figure fan out while the table stays
+// bit-identical for every Workers value, under mathx.ForEach's
+// determinism contract.
 func (o Opts) forEach(n int, fn func(i int)) { mathx.ForEach(n, o.Workers, fn) }
+
+// eachHead runs fn(i) for every i in [0, n) where item i is one synthetic
+// head, on the head pool: mathx.ForEach at GOMAXPROCS workers whatever
+// Opts.Workers says, as core.Engine.RunSequence fans out its sampled
+// (layer, head) pairs. The paper handles every attention head on its own
+// and runs heads in parallel (§4-§5). Inside a harness pool item the head
+// pool nests. Item i owns its scratches and writes only its own index,
+// and the caller reduces in head order, so a table is bit-identical for
+// every GOMAXPROCS.
+func eachHead(n int, fn func(i int)) { mathx.ForEach(n, 0, fn) }
 
 // meanOf reduces a per-index result slice sequentially (index order), so
 // parallel and sequential runs agree bit-for-bit.

@@ -16,11 +16,11 @@ import (
 
 // uniformErr measures the mean attention-output error of one uniform
 // precision configuration on a model under a benchmark's sparsity profile.
-// Reps fan out across o's worker pool; each rep derives its own RNG stream.
-func uniformErr(model *synth.ModelConfig, bench *workload.Benchmark, prec quant.Precision, reps int, root *mathx.RNG, o Opts) float64 {
+// Each rep is one head on the head pool and derives its own RNG stream.
+func uniformErr(model *synth.ModelConfig, bench *workload.Benchmark, prec quant.Precision, reps int, root *mathx.RNG) float64 {
 	n := 384
 	errs := make([]float64, reps)
-	o.forEach(reps, func(rep int) {
+	eachHead(reps, func(rep int) {
 		rng := root.SplitAt(uint64(rep))
 		prof := synth.Profile(model, (rep*7)%model.Layers, rep%model.KVHeads, bench.DensityScale, rng)
 		h := synth.GenHead(model, prof, n, rng.SplitAt(1))
@@ -58,7 +58,7 @@ func Fig8(o Opts) []*Table {
 			for _, p := range precs {
 				e := 0.0
 				if p != quant.FP16 {
-					e = uniformErr(model, bench, p, reps, root.SplitAt(seedOf(model.Name, bench.Name, p.String())), o)
+					e = uniformErr(model, bench, p, reps, root.SplitAt(seedOf(model.Name, bench.Name, p.String())))
 				}
 				row = append(row, f1(bench.Accuracy(model.Name, e)))
 			}
@@ -116,11 +116,12 @@ func Fig9(o Opts) []*Table {
 				Header: []string{"pruned-frac", "dynamic-acc", "static-acc"},
 				Notes:  "dynamic per-head budgets dominate uniform budgets",
 			}
-			// reps fan out across the worker pool. A rep's heads, queries and
-			// reference outputs do not depend on the pruned fraction, so each
-			// rep builds them once and then sweeps every fraction; per-rep
-			// results land in their own buckets and are concatenated in rep
-			// order.
+			// reps fan out across the worker pool, and a rep's heads on
+			// the head pool. A rep's heads, queries and reference outputs
+			// do not depend on the pruned fraction, so each rep builds
+			// them once and then sweeps every fraction; every head owns
+			// its scratch, and per-head results land at their index and
+			// are concatenated in (rep, head) order.
 			repDyn := make([][][]float64, len(fracs))
 			repStat := make([][][]float64, len(fracs))
 			for f := range fracs {
@@ -132,17 +133,19 @@ func Fig9(o Opts) []*Table {
 				// one request: heads spanning sparse to dense profiles, each
 				// with its probe queries and their full-cache outputs
 				hs := make([]headEval, heads)
-				var sc attention.Scratch
-				for i := range hs {
+				scs := make([]attention.Scratch, heads)
+				eachHead(heads, func(i int) {
+					sc := &scs[i]
 					prof := synth.Profile(model, (i*3)%model.Layers, i%model.KVHeads, bench.DensityScale, rng.SplitAt(uint64(i)))
 					data := synth.GenHead(model, prof, n, rng.SplitAt(uint64(100+i)))
-					hs[i] = headEval{data: data, sig: data.CheapSignificance(model, rng.SplitAt(uint64(200+i)))}
+					h := headEval{data: data, sig: data.CheapSignificance(model, rng.SplitAt(uint64(200+i)))}
 					for pr := 0; pr < probes; pr++ {
 						q := data.Query(rng.SplitAt(uint64(300 + i*100 + pr)))
-						hs[i].queries = append(hs[i].queries, q)
-						hs[i].refs = append(hs[i].refs, slices.Clone(sc.Reference(q, data.Keys, data.Vals)))
+						h.queries = append(h.queries, q)
+						h.refs = append(h.refs, slices.Clone(sc.Reference(q, data.Keys, data.Vals)))
 					}
-				}
+					hs[i] = h
+				})
 				sorted := sortedSig(hs)
 				for f, frac := range fracs {
 					// dynamic: one global threshold hits the aggregate target
@@ -150,11 +153,13 @@ func Fig9(o Opts) []*Table {
 					// static: every head prunes exactly frac; per-head errors
 					// blend mean with tail (pruning errors are spiky: a query
 					// that needs an evicted token fails hard)
-					for i, h := range hs {
+					k := int(float64(n) * (1 - frac))
+					dyn, stat := make([]float64, heads), make([]float64, heads)
+					eachHead(heads, func(i int) {
+						sc, h := &scs[i], hs[i]
 						var dSum, sSum float64
 						dSamples := make([]float64, probes)
 						sSamples := make([]float64, probes)
-						k := int(float64(n) * (1 - frac))
 						sIdx := topK(h.sig, k)
 						for pr, q := range h.queries {
 							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, keepDyn[i]), h.refs[pr])
@@ -162,11 +167,10 @@ func Fig9(o Opts) []*Table {
 							dSum += dSamples[pr]
 							sSum += sSamples[pr]
 						}
-						repDyn[f][rep] = append(repDyn[f][rep],
-							0.5*dSum/float64(probes)+0.5*stats.Quantile(dSamples, 0.9))
-						repStat[f][rep] = append(repStat[f][rep],
-							0.5*sSum/float64(probes)+0.5*stats.Quantile(sSamples, 0.9))
-					}
+						dyn[i] = 0.5*dSum/float64(probes) + 0.5*stats.Quantile(dSamples, 0.9)
+						stat[i] = 0.5*sSum/float64(probes) + 0.5*stats.Quantile(sSamples, 0.9)
+					})
+					repDyn[f][rep], repStat[f][rep] = dyn, stat
 				}
 			})
 			for f, frac := range fracs {

@@ -29,12 +29,11 @@ func Fig2(o Opts) []*Table {
 		Notes:  "scores span far more orders of magnitude than value norms",
 	}
 	for _, layer := range layers {
-		// per-sequence samples fan out across the worker pool and are
-		// concatenated in sequence order
+		// a sequence's samples are one head's: sequences fan out on the
+		// head pool and are concatenated in sequence order
 		seqScores := make([][]float64, seqs)
 		seqNorms := make([][]float64, seqs)
-		layer := layer
-		o.forEach(seqs, func(s int) {
+		eachHead(seqs, func(s int) {
 			rng := root.SplitAt(uint64(layer*1000 + s))
 			prof := synth.Profile(model, layer, s%model.KVHeads, 1, rng)
 			h := synth.GenHead(model, prof, seqLen, rng.SplitAt(1))
@@ -135,26 +134,26 @@ func Fig4(o Opts) []*Table {
 		Header: []string{"layer", "mean-critical-tokens", "std-across-requests"},
 		Notes:  "sparsity varies substantially across layers",
 	}
-	// one row per layer; layers fan out across the worker pool and rows are
-	// emitted in layer order
-	type layerRow struct{ mean, std float64 }
-	rows := make([]layerRow, model.Layers)
-	o.forEach(model.Layers, func(layer int) {
+	// every (layer, request, head) fans out on the head pool; each layer's
+	// row averages its heads per request, then its requests, in order
+	crit := make([]int, model.Layers*reqs*model.KVHeads)
+	eachHead(len(crit), func(i int) {
+		layer, r, head := i/(reqs*model.KVHeads), i/model.KVHeads%reqs, i%model.KVHeads
+		rng := root.SplitAt(uint64(layer*100 + r))
+		prof := synth.Profile(model, layer, head, 1, rng.SplitAt(uint64(head)))
+		scores := synth.ScoreSeries(prof, n, rng.SplitAt(uint64(1000+head)))
+		crit[i] = synth.CriticalTokens(scores, 0.95)
+	})
+	for layer := 0; layer < model.Layers; layer++ {
 		var s stats.Summary
 		for r := 0; r < reqs; r++ {
-			rng := root.SplitAt(uint64(layer*100 + r))
 			var perReq stats.Summary
-			for head := 0; head < model.KVHeads; head++ {
-				prof := synth.Profile(model, layer, head, 1, rng.SplitAt(uint64(head)))
-				scores := synth.ScoreSeries(prof, n, rng.SplitAt(uint64(1000+head)))
-				perReq.Add(float64(synth.CriticalTokens(scores, 0.95)))
+			for _, c := range crit[(layer*reqs+r)*model.KVHeads:][:model.KVHeads] {
+				perReq.Add(float64(c))
 			}
 			s.Add(perReq.Mean())
 		}
-		rows[layer] = layerRow{s.Mean(), s.Std()}
-	})
-	for layer, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", layer), f1(r.mean), f1(r.std))
+		t.AddRow(fmt.Sprintf("%d", layer), f1(s.Mean()), f1(s.Std()))
 	}
 	return []*Table{t}
 }
@@ -175,12 +174,12 @@ func Fig5(o Opts) []*Table {
 		Header: []string{"layer", "head", "mean-critical-tokens", "std-across-requests"},
 		Notes:  "heads within a layer differ; the same head varies across requests",
 	}
-	// the (layer, head) grid fans out across the worker pool; rows are
-	// emitted in grid order
+	// the (layer, head) grid fans out on the head pool; rows are emitted
+	// in grid order
 	layers := []int{0, 15, 31}
 	type cellRow struct{ mean, std float64 }
 	rows := make([]cellRow, len(layers)*model.KVHeads)
-	o.forEach(len(rows), func(i int) {
+	eachHead(len(rows), func(i int) {
 		layer := layers[i/model.KVHeads]
 		head := i % model.KVHeads
 		var s stats.Summary

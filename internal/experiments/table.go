@@ -149,10 +149,15 @@ type Opts struct {
 	Fast bool
 	// Seed is the root seed.
 	Seed uint64
-	// Workers bounds the worker pool independent reps/configs fan out
-	// across: 0 means runtime.GOMAXPROCS(0). It does not reach inside a
-	// core.Engine sequence, whose sampled heads always fan out. Results
-	// are bit-identical for every value (see mathx.ForEach).
+	// Workers bounds the worker pool that independent cells, configs and
+	// sequences fan out across: 0 means runtime.GOMAXPROCS(0). It does not
+	// reach a loop whose item is one synthetic head: those always fan out
+	// on the head pool (GOMAXPROCS workers), as a core.Engine sequence's
+	// sampled heads do. The head loops are evalBaseline's (tab1, tab2,
+	// tab3, fig11), uniformErr's (fig8), fig9's head build and per-fraction
+	// error pass, fig2's sequences, fig4's and fig5's heads and
+	// abl-levels' reps. Results are bit-identical for every value (see
+	// mathx.ForEach).
 	Workers int
 }
 

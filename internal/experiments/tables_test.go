@@ -113,3 +113,44 @@ func TestParallelMatchesSequential(t *testing.T) {
 		})
 	}
 }
+
+// TestHeadFanOutBitIdentical runs tab1, fig8 and fig9 fast at seed 42 and
+// Workers 1 under GOMAXPROCS 1 and 4, and requires every rendering to
+// equal the checked-in table byte for byte. At Workers 1 the harness pool
+// is serial, so only the head pool runs in parallel (evalBaseline's,
+// uniformErr's and fig9's heads, and core.Engine's sampled pairs): its
+// width may move no bit. Off amd64 the GOMAXPROCS 1 run stands in for the
+// checked-in table, as in TestParallelMatchesSequential.
+func TestHeadFanOutBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, id := range []string{"tab1", "fig8", "fig9"} {
+		t.Run(id, func(t *testing.T) {
+			var want string
+			if runtime.GOARCH == "amd64" {
+				b, err := os.ReadFile(filepath.Join("testdata", id+".md"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = string(b)
+			}
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				tables, err := experiments.Run(id, experiments.Opts{Fast: true, Reps: 1, Seed: 42, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := render(t, tables)
+				if want == "" {
+					want = got
+				}
+				if got != want {
+					n, gl, wl := firstDiff(got, want)
+					t.Fatalf("GOMAXPROCS %d: %s differs from its table at line %d:\n  got:  %q\n  want: %q", procs, id, n, gl, wl)
+				}
+			}
+		})
+	}
+}
