@@ -907,6 +907,16 @@ func newDrawSource(r []mathx.RNG, hiF, loF [][]float64, idle []bool) *drawSource
 	return s
 }
 
+func (s *drawSource) DrawHeads() int {
+	n := 0
+	for i, thr := range s.thr {
+		if !s.idle[i] {
+			n += len(thr)
+		}
+	}
+	return n
+}
+
 func (s *drawSource) GenDraws(i int) (mathx.RNG, []TierThresholds, bool) {
 	s.calls[i]++
 	if s.idle[i] {

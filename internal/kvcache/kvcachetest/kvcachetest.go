@@ -12,8 +12,8 @@ import (
 )
 
 // ParallelHeads is kvcache's default fan-out threshold, in heads: a
-// generation step of this many heads or more draws and plans its chunks on
-// mathx.ForEach.
+// generation step of this many drawing heads or more draws and plans its
+// chunks on mathx.ForEach.
 const ParallelHeads = 4096
 
 // parallelHeads is kvcache's unexported threshold, reached by its symbol

@@ -416,8 +416,13 @@ func (t TierThresholds) demand(x uint64) GenDemand {
 // different sequences may run at once, and calls it again on the calling
 // goroutine to undo a failed call. A source therefore writes nothing, and
 // answers the same every time it is called for i within one call.
+// DrawHeads returns the call's drawing heads: the heads of every sequence
+// GenDraws answers ok for. The walk decides its fan-out on it, since a
+// sequence that draws nothing costs one read of its token total; a wrong
+// count moves wall time only, never a result.
 type GenSource interface {
 	GenDraws(i int) (r mathx.RNG, thr []TierThresholds, ok bool)
+	DrawHeads() int
 }
 
 // shortfall is the planning step of one tier of one head during generation:
@@ -430,9 +435,10 @@ func shortfall(tokens, have, perPage int) int {
 	return pagesNeeded(tokens, perPage) - have
 }
 
-// parallelHeads is the batch size, in heads, from which a generation step
-// draws and plans its chunks on mathx.ForEach: 16 Llama3-8B sequences of
-// 256 heads, two chunks. Measured with mathx.ForEach's warm helpers on a
+// parallelHeads is the work, in heads that draw (or, for GenCompact, in
+// heads given demands), from which a generation step draws and plans its
+// chunks on mathx.ForEach: 16 Llama3-8B sequences of 256 heads, two
+// chunks. Measured with mathx.ForEach's warm helpers on a
 // 2-vCPU host (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences,
 // fan-out forced on against forced off, 8-10 alternating pairs), the
 // fan-out won from 16 sequences on (10 of 10 pairs at 16 and 24, 1.10×
@@ -491,8 +497,9 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 // plan, which computes its shortfall, checks its table room, commits its
 // counts and records it. A sequence src reports as drawing nothing is
 // only priced: its cached tokens, which the manager keeps as one total,
-// are added to TokenOps. A batch of parallelHeads or more is drawn and
-// planned in chunks on mathx.ForEach, one pass. The chunks' page totals
+// are added to TokenOps. A batch whose drawing heads (src.DrawHeads())
+// number parallelHeads or more is drawn and planned in chunks on
+// mathx.ForEach, one pass. The chunks' page totals
 // are then summed in order, one run is taken from the free ring and the
 // recorded heads get their pages in (sequence, head) order, so every head
 // gets the page IDs a serial walk would give it. A table overflow or a
@@ -509,7 +516,7 @@ func (m *Manager) genCompact(seqIDs []int, steps genSteps) (CompactStats, error)
 		return CompactStats{}, err
 	}
 	defer clear(scs) // the scratch holds no sequence past the call
-	parallel := heads >= parallelHeads
+	parallel := steps.work(heads) >= parallelHeads
 	chunks := m.genChunks(scs, parallel)
 	defer forget(chunks)
 	if parallel {
@@ -616,6 +623,15 @@ func forget(chunks []genChunk) {
 type genSteps struct {
 	src   GenSource
 	given [][]GenDemand
+}
+
+// work returns the heads the walk must draw or plan, of a call of heads
+// heads: every head of given demands, or src's drawing heads.
+func (g genSteps) work(heads int) int {
+	if g.given != nil {
+		return heads
+	}
+	return g.src.DrawHeads()
 }
 
 // seq returns sequence s's demands for the step, held in c's scratch, or

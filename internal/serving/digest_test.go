@@ -299,7 +299,9 @@ func engineDigestRows() []digestRow {
 			})},
 		{"manager-fanout", "a41b4608b60556412f6bc837ee26dacd0a2437e7d22a114272c8d4c1363c51fb",
 			single(fanOut, cotReqs(64, 31), func(e *Engine, r Result) bool {
-				ps := e.kv.(*pageStore) // its scratch is sized by the largest generation batch
+				// the scratch is sized by the largest generation batch, every
+				// sequence of which draws (52 × 256 heads at the peak)
+				ps := e.kv.(*pageStore)
 				return r.Preemptions > 0 && cap(ps.genIDs)*ps.heads >= kvcachetest.ParallelHeads
 			})},
 		{"manager-brownout", "16147b8cc92418bf24c6f3943263fbc3d4f3c08aa3d62a27ccbcfbbbf35cf95c",

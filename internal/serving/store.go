@@ -106,6 +106,7 @@ type pageStore struct {
 	genIDs     []int
 	genSeqs    []*seqState // the step's records, while the manager draws them
 	genAt      []int       // each sequence's first draw of the step
+	genDraws   int         // the step's draws: heads × drawing sequences
 }
 
 func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
@@ -191,7 +192,7 @@ func (s *pageStore) gen(seqs []*seqState) (gpusim.Micros, error) {
 			}
 		}
 	}
-	s.genSeqs = seqs
+	s.genSeqs, s.genDraws = seqs, draws
 	work, err := s.mgr.GenCompactFrom(ids, s)
 	s.genSeqs = nil // the scratch holds no record past the step
 	s.rng.Advance(uint64(draws))
@@ -234,6 +235,11 @@ func (s *pageStore) GenDraws(i int) (mathx.RNG, []kvcache.TierThresholds, bool) 
 	}
 	return s.rng.Ahead(uint64(s.genAt[i])), st.thr, true
 }
+
+// DrawHeads is the step's draw count: the manager fans the step out on
+// the heads that draw, not on the batch, so a batch whose windows have
+// not filled stays on the calling goroutine.
+func (s *pageStore) DrawHeads() int { return s.genDraws }
 
 func (s *pageStore) release(st *seqState) error { return s.mgr.ReleaseSequence(st.req.ID) }
 

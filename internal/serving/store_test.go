@@ -233,35 +233,43 @@ func admitGenBatch(tb testing.TB, ps *pageStore, seqs []*seqState) {
 // Once its scratch has grown, a generation step allocates nothing below
 // the fan-out threshold and only the manager's plan closure from it:
 // testing.AllocsPerRun runs at GOMAXPROCS 1, where mathx.ForEach runs the
-// chunks inline. At GOMAXPROCS 2, with the pool's helper warm, a fanned-out
-// step adds only ForEach's shared state: back-to-back steps find the
-// helper lingering and start no goroutine. The step draws its tiers inside
-// the manager's walk, so no draw closure is made beside the plan's.
+// chunks inline. The threshold counts the heads that draw, so 96
+// sequences whose windows have not filled stay inline. At GOMAXPROCS 2,
+// with the pool's helper warm, a fanned-out step adds only ForEach's
+// shared state: back-to-back steps find the helper lingering and start no
+// goroutine. The step draws its tiers inside the manager's walk, so no
+// draw closure is made beside the plan's.
 func TestGenStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		seqs int
-		want float64
-	}{{8, 0}, {96, 1}} {
+		seqs   int
+		filled bool
+		want   float64
+	}{{8, true, 0}, {96, true, 1}, {96, false, 0}} {
 		ps, seqs := genStepStore(t, tc.seqs)
-		if fans := tc.seqs*ps.heads >= kvcachetest.ParallelHeads; fans != (tc.want > 0) {
-			t.Fatalf("%d sequences of %d heads: fan-out %v", tc.seqs, ps.heads, fans)
-		}
-		for i := 0; i < 3; i++ { // grow the page scratch past a typical step
-			if _, err := ps.gen(seqs); err != nil {
-				t.Fatal(err)
-			}
-		}
 		var err error
-		got := testing.AllocsPerRun(50, func() {
+		gen := func() {
+			if !tc.filled {
+				for _, st := range seqs {
+					st.winFill = 0
+				}
+			}
 			if _, e := ps.gen(seqs); e != nil && err == nil {
 				err = e
 			}
-		})
+		}
+		gen()
+		if fans := ps.genDraws >= kvcachetest.ParallelHeads; fans != (tc.want > 0) {
+			t.Fatalf("%d sequences of %d heads, windows filled %v: %d drawing heads, fan-out %v", tc.seqs, ps.heads, tc.filled, ps.genDraws, fans)
+		}
+		for i := 0; i < 2; i++ { // grow the page scratch past a typical step
+			gen()
+		}
+		got := testing.AllocsPerRun(50, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != tc.want {
-			t.Errorf("%d sequences: %v allocs per generation step, want %v", tc.seqs, got, tc.want)
+			t.Errorf("%d sequences, windows filled %v: %v allocs per generation step, want %v", tc.seqs, tc.filled, got, tc.want)
 		}
 	}
 	if runtime.NumCPU() < 2 {
