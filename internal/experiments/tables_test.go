@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -48,7 +49,8 @@ func firstDiff(got, want string) (int, string, string) {
 // rendering to equal testdata/<id>.md byte for byte. Each file is the
 // -workers 1 output of diffkv-bench, so the check is both a pinned table
 // and parallel == sequential. The files hold on amd64, where GOAMD64=v1
-// never fuses a multiply-add (DESIGN.md §8); elsewhere the test compares a
+// never fuses a multiply-add and math.Exp takes its AVX+FMA path
+// (DESIGN.md §8, the amd64 caveat); elsewhere the test compares a
 // 1-worker run with the 8-worker one instead. Every table must also be
 // non-empty and rectangular, and every claim registered for its ID must
 // hold on it.
@@ -125,32 +127,42 @@ func TestHeadFanOutBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, id := range []string{"tab1", "fig8", "fig9"} {
-		t.Run(id, func(t *testing.T) {
-			var want string
-			if runtime.GOARCH == "amd64" {
-				b, err := os.ReadFile(filepath.Join("testdata", id+".md"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = string(b)
+	ids := []string{"tab1", "fig8", "fig9"}
+	want := make(map[string]string)
+	if runtime.GOARCH == "amd64" {
+		for _, id := range ids {
+			b, err := os.ReadFile(filepath.Join("testdata", id+".md"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 4} {
-				runtime.GOMAXPROCS(procs)
-				tables, err := experiments.Run(id, experiments.Opts{Fast: true, Reps: 1, Seed: 42, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := render(t, tables)
-				if want == "" {
-					want = got
-				}
-				if got != want {
-					n, gl, wl := firstDiff(got, want)
-					t.Fatalf("GOMAXPROCS %d: %s differs from its table at line %d:\n  got:  %q\n  want: %q", procs, id, n, gl, wl)
-				}
+			want[id] = string(b)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := make([]string, len(ids))
+		// the three IDs run at once; the group returns when all have
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			for i, id := range ids {
+				t.Run(id, func(t *testing.T) {
+					t.Parallel()
+					tables, err := experiments.Run(id, experiments.Opts{Fast: true, Reps: 1, Seed: 42, Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[i] = render(t, tables)
+				})
 			}
 		})
+		for i, id := range ids {
+			if _, ok := want[id]; !ok {
+				want[id] = got[i]
+			}
+			if got[i] != want[id] {
+				n, gl, wl := firstDiff(got[i], want[id])
+				t.Fatalf("GOMAXPROCS %d: %s differs from its table at line %d:\n  got:  %q\n  want: %q", procs, id, n, gl, wl)
+			}
+		}
 	}
 }
