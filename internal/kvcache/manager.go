@@ -438,8 +438,8 @@ func shortfall(tokens, have, perPage int) int {
 // parallelHeads is the work, in heads that draw (or, for GenCompact, in
 // heads given demands), from which a generation step draws and plans its
 // chunks on mathx.ForEach: 16 Llama3-8B sequences of 256 heads, two
-// chunks. Measured with mathx.ForEach's warm helpers on a
-// 2-vCPU host (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences,
+// chunks. Measured with mathx.ForEach's warm helpers on a 2-vCPU host
+// (GOMAXPROCS 2, BenchmarkGenStep's steps at 8-96 sequences,
 // fan-out forced on against forced off, 8-10 alternating pairs), the
 // fan-out won from 16 sequences on (10 of 10 pairs at 16 and 24, 1.10×
 // and 1.28×; 8 of 8 at 48-96, 1.55-1.75×) and sat at the break-even below
@@ -499,9 +499,9 @@ func (m *Manager) GenCompact(seqIDs []int, demands [][]GenDemand) (CompactStats,
 // only priced: its cached tokens, which the manager keeps as one total,
 // are added to TokenOps. A batch whose drawing heads (src.DrawHeads())
 // number parallelHeads or more is drawn and planned in chunks on
-// mathx.ForEach, one pass. The chunks' page totals
-// are then summed in order, one run is taken from the free ring and the
-// recorded heads get their pages in (sequence, head) order, so every head
+// mathx.ForEach, one pass. The chunks' page totals are then summed in
+// order, one run is taken from the free ring and the recorded heads get
+// their pages in (sequence, head) order, so every head
 // gets the page IDs a serial walk would give it. A table overflow or a
 // short pool undoes every committed count, asking src again for the draws
 // it subtracts, so a failed call still moves nothing.
