@@ -157,6 +157,20 @@ func TestTypeErrorFailsLoad(t *testing.T) {
 	}
 }
 
+// TestLoadHonoursBuildConstraints: the buildtags fixture declares two
+// names twice each under complementary constraints, so the load
+// typechecks only with one file of each pair: doc.go and two more on
+// every GOOS and GOARCH.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	_, pkg, err := LoadDir(filepath.Join("testdata", "src", "buildtags"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Filenames) != 3 {
+		t.Fatalf("loaded %v, want doc.go and one file of each pair", pkg.Filenames)
+	}
+}
+
 // TestTreeHasNoFindings runs the whole gate over the real module, so
 // `go test ./...` alone keeps the tree free of determinism findings and
 // of code only tests reach.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -46,7 +47,8 @@ type Module struct {
 }
 
 // LoadModule walks root (a directory inside a Go module), parses every
-// non-test package outside testdata/hidden directories, attaches
+// non-test package outside testdata/hidden directories (the files go
+// build compiles for the current GOOS and GOARCH), attaches
 // //diffkv:allow directives, and typechecks in dependency order. A
 // package that does not typecheck fails the load.
 func LoadModule(root string) (*Module, error) {
@@ -143,8 +145,11 @@ func packageDirs(root string) ([]string, error) {
 			return err
 		}
 		for _, e := range ents {
-			name := e.Name()
-			if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			ok, err := buildFile(path, e)
+			if err != nil {
+				return err
+			}
+			if ok {
 				dirs = append(dirs, path)
 				break
 			}
@@ -154,8 +159,21 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses dir's non-test files into a Package (nil when the
-// directory holds none).
+// buildFile reports whether e in dir is a non-test .go file that go
+// build compiles for the current GOOS and GOARCH. go/build's MatchFile
+// honours //go:build lines and _GOOS/_GOARCH name suffixes, so two files
+// that declare one function under complementary constraints never meet
+// in one load.
+func buildFile(dir string, e os.DirEntry) (bool, error) {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
+}
+
+// parseDir parses the non-test files go build compiles in dir into a
+// Package (nil when the directory holds none).
 func (m *Module) parseDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -163,11 +181,14 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	}
 	pkg := &Package{ImportPath: m.importPathFor(dir)}
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		ok, err := buildFile(dir, e)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
-		filename := filepath.Join(dir, name)
+		filename := filepath.Join(dir, e.Name())
 		src, err := os.ReadFile(filename)
 		if err != nil {
 			return nil, err

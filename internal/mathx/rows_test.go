@@ -67,6 +67,147 @@ func TestAxpyRowsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDotColsMatchesDotRows: DotCols over the transposed rows writes
+// DotRows' bits, with every column longer than out (the prefix of a
+// longer key set).
+func TestDotColsMatchesDotRows(t *testing.T) {
+	rng := NewRNG(44)
+	counts, dims := rowShapes()
+	for _, dim := range dims {
+		for _, n := range counts {
+			q := make([]float32, dim)
+			rng.NormVec(q, 1)
+			rows := randRows(rng, n, dim)
+			cols := randRows(rng, dim, n+3) // the last 3 elements lie past out
+			for i, c := range cols {
+				for j, r := range rows {
+					c[j] = r[i]
+				}
+			}
+			scale := float32(1 / math.Sqrt(float64(dim)))
+			want := make([]float32, n)
+			DotRows(q, rows, scale, want)
+			got := make([]float32, n)
+			for j := range got {
+				got[j] = float32(j) + 0.5 // DotCols must not read out
+			}
+			DotCols(q, cols, scale, got)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("dim %d rows %d: out[%d] = %v, DotRows %v", dim, n, j, got[j], want[j])
+				}
+			}
+		}
+	}
+	mustPanic(t, "DotCols with fewer columns than q", func() {
+		DotCols(make([]float32, 8), randRows(rng, 7, 4), 1, make([]float32, 4))
+	})
+	mustPanic(t, "DotCols with a column shorter than out", func() {
+		cols := randRows(rng, 8, 4)
+		cols[5] = cols[5][:3]
+		DotCols(make([]float32, 8), cols, 1, make([]float32, 4))
+	})
+}
+
+// axpy4Values mixes ordinary draws with the values whose rounding or
+// propagation a vector body could get wrong: signed zeros, infinities,
+// subnormals, magnitudes whose products overflow or underflow, and NaN.
+func axpy4Values(rng *RNG, n int) []float32 {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), -math.Float32frombits(0x00400000),
+		math.MaxFloat32, -math.MaxFloat32, 3e38, -2e19, 1e-20, -1e-25,
+		float32(math.NaN()),
+	}
+	v := make([]float32, n)
+	rng.NormVec(v, 3)
+	for i := range v {
+		if rng.Intn(3) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// TestAxpy4MatchesGo holds axpy4 (SSE2 on amd64 outside -race) to its Go
+// body bit for bit on every remainder of the length mod 4, on sub-slices
+// that start off a 16-byte boundary, and on rows longer than dst. A NaN
+// result must be a NaN on both sides; its payload may differ.
+func TestAxpy4MatchesGo(t *testing.T) {
+	rng := NewRNG(45)
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129}
+	for _, n := range lengths {
+		for off := 0; off < 4; off++ {
+			for rep := 0; rep < 8; rep++ {
+				var rows [4][]float32
+				for r := range rows {
+					rows[r] = axpy4Values(rng, off+n+2)[off : off+n+rep%3]
+				}
+				w := axpy4Values(rng, 4)
+				if rep == 0 {
+					w = []float32{1, -0.5, 2, 0.25}
+				}
+				got := axpy4Values(rng, off+n)[off:]
+				want := append([]float32(nil), got...)
+				axpy4(got, w[0], w[1], w[2], w[3], rows[0], rows[1], rows[2], rows[3])
+				axpy4Go(want, w[0], w[1], w[2], w[3], rows[0], rows[1], rows[2], rows[3])
+				for i := range want {
+					g, x := got[i], want[i]
+					if g != g || x != x {
+						if g == g || x == x {
+							t.Fatalf("len %d off %d rep %d: dst[%d] = %v, Go body %v", n, off, rep, i, g, x)
+						}
+						continue
+					}
+					if math.Float32bits(g) != math.Float32bits(x) {
+						t.Fatalf("len %d off %d rep %d: dst[%d] = %v (%#08x), Go body %v (%#08x)",
+							n, off, rep, i, g, math.Float32bits(g), x, math.Float32bits(x))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDotColsZeroAllocs(t *testing.T) {
+	rng := NewRNG(46)
+	q := make([]float32, 128)
+	rng.NormVec(q, 1)
+	cols := randRows(rng, 128, 384)
+	out := make([]float32, 301)
+	if allocs := testing.AllocsPerRun(20, func() { DotCols(q, cols, 0.5, out) }); allocs != 0 {
+		t.Fatalf("DotCols allocated %v per run", allocs)
+	}
+}
+
+// BenchmarkDotCols scores one dim-128 query against 384 keys laid out by
+// column, the shape of SignificancePrefix's inner call.
+func BenchmarkDotCols(b *testing.B) {
+	rng := NewRNG(47)
+	q := make([]float32, 128)
+	rng.NormVec(q, 1)
+	cols := randRows(rng, 128, 384)
+	out := make([]float32, 384)
+	for b.Loop() {
+		DotCols(q, cols, 0.088, out)
+	}
+}
+
+// BenchmarkAxpyRows adds 384 weighted dim-128 rows into one vector, the
+// shape of an attention output over 384 keys.
+func BenchmarkAxpyRows(b *testing.B) {
+	rng := NewRNG(48)
+	rows := randRows(rng, 384, 128)
+	w := make([]float32, 384)
+	rng.NormVec(w, 0.1)
+	dst := make([]float32, 128)
+	for b.Loop() {
+		AxpyRows(w, rows, dst)
+	}
+}
+
 // TestRowKernelsPanicOnRowLength: a row shorter or longer than the vector
 // panics, as Dot and Axpy do, whether it sits in a group of four or in the
 // tail.

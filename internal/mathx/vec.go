@@ -11,8 +11,24 @@
 // is what the synthetic KV data spends its time in; its tables are
 // literals, so its fast path draws the same values on every GOARCH.
 //
-// Everything here is pure Go (stdlib only) and allocation-conscious: the hot
+// Everything here is Go (stdlib only) and allocation-conscious: the hot
 // paths (dot products, axpy, softmax) write into caller-provided buffers.
+// One routine also has an assembly body: axpy4, the four-row multiply-add
+// under AxpyRows and DotCols, is SSE2 on amd64 (axpy4_amd64.s). That body
+// is bit-identical to the Go body, axpy4Go: each of its four lanes holds a
+// different element and runs that element's scalar steps in the same
+// order (MULPS then ADDPS per row, never a fused op), so a lane rounds
+// exactly where the MULSS/ADDSS the Go compiler emits would. SSE2 is
+// amd64's baseline, so there is no CPU feature check; AVX would need one
+// at GOAMD64=v1, with a second body to keep equal, and is out of scope.
+// Off amd64, and under the race detector (so it sees every access),
+// axpy4 is the Go body.
+//
+// Every product the row kernels (Dot, Axpy, DotRows, AxpyRows, DotCols,
+// axpy4Go) sum is converted to float32 explicitly. The Go spec lets a
+// compiler fuse x*y+z into one rounding unless the product is converted,
+// and arm64 would fuse it; amd64 never does, so the conversion changes no
+// amd64 instruction and keeps the sums the same on every GOARCH.
 package mathx
 
 import "math"
@@ -25,7 +41,7 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -37,7 +53,7 @@ func Axpy(alpha float32, x, dst []float32) {
 		panic("mathx: Axpy length mismatch")
 	}
 	for i := range x {
-		dst[i] += alpha * x[i]
+		dst[i] += float32(alpha * x[i])
 	}
 }
 
@@ -57,10 +73,10 @@ func DotRows(q []float32, rows [][]float32, scale float32, out []float32) {
 		r0, r1, r2, r3 = r0[:len(q)], r1[:len(q)], r2[:len(q)], r3[:len(q)]
 		var s0, s1, s2, s3 float32
 		for i, qv := range q {
-			s0 += qv * r0[i]
-			s1 += qv * r1[i]
-			s2 += qv * r2[i]
-			s3 += qv * r3[i]
+			s0 += float32(qv * r0[i])
+			s1 += float32(qv * r1[i])
+			s2 += float32(qv * r2[i])
+			s3 += float32(qv * r3[i])
 		}
 		out[j], out[j+1], out[j+2], out[j+3] = s0*scale, s1*scale, s2*scale, s3*scale
 	}
@@ -69,10 +85,39 @@ func DotRows(q []float32, rows [][]float32, scale float32, out []float32) {
 	}
 }
 
+// DotCols is DotRows on the transpose: it writes
+// out[j] = scale·Σᵢ q[i]·cols[i][j] for every j < len(out), where cols[i]
+// holds element i of every row. Each out[j] is summed from zero in i
+// order and then scaled, as DotRows sums a row, so with
+// cols[i][j] == rows[j][i] every output bit equals DotRows'. It adds
+// four columns at a time into out (axpy4), so a scorer whose keys are
+// laid out by column streams each one once per query. A column may be
+// longer than out; it panics unless len(cols) == len(q) and every column
+// holds at least len(out) elements.
+func DotCols(q []float32, cols [][]float32, scale float32, out []float32) {
+	if len(cols) != len(q) {
+		panic("mathx: DotCols length mismatch")
+	}
+	for _, c := range cols {
+		if len(c) < len(out) {
+			panic("mathx: DotCols column shorter than out")
+		}
+	}
+	clear(out)
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		axpy4(out, q[i], q[i+1], q[i+2], q[i+3], cols[i], cols[i+1], cols[i+2], cols[i+3])
+	}
+	for ; i < len(q); i++ {
+		Axpy(q[i], cols[i][:len(out)], out)
+	}
+	Scale(scale, out)
+}
+
 // AxpyRows computes dst += w[j]*rows[j] for j in order, with the same
 // result bits as calling Axpy once per row. It works through the rows four
-// at a time: each dst element is loaded and stored once per group and
-// receives the four terms in row order. A tail of fewer than four rows
+// at a time (axpy4): each dst element is loaded and stored once per group
+// and receives the four terms in row order. A tail of fewer than four rows
 // goes through Axpy. Like Axpy, it panics on a row whose length differs
 // from len(dst).
 func AxpyRows(w []float32, rows [][]float32, dst []float32) {
@@ -83,18 +128,25 @@ func AxpyRows(w []float32, rows [][]float32, dst []float32) {
 		if len(r0) != len(dst) || len(r1) != len(dst) || len(r2) != len(dst) || len(r3) != len(dst) {
 			panic("mathx: AxpyRows length mismatch")
 		}
-		r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
-		w0, w1, w2, w3 := w[j], w[j+1], w[j+2], w[j+3]
-		for i, d := range dst {
-			d += w0 * r0[i]
-			d += w1 * r1[i]
-			d += w2 * r2[i]
-			d += w3 * r3[i]
-			dst[i] = d
-		}
+		axpy4(dst, w[j], w[j+1], w[j+2], w[j+3], r0, r1, r2, r3)
 	}
 	for ; j < len(rows); j++ {
 		Axpy(w[j], rows[j], dst)
+	}
+}
+
+// axpy4Go is axpy4's Go body: for every i < len(dst),
+// dst[i] = (((dst[i] + w0·r0[i]) + w1·r1[i]) + w2·r2[i]) + w3·r3[i], each
+// product and each sum rounded to float32. Every row must hold at least
+// len(dst) elements.
+func axpy4Go(dst []float32, w0, w1, w2, w3 float32, r0, r1, r2, r3 []float32) {
+	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
+	for i, d := range dst {
+		d += float32(w0 * r0[i])
+		d += float32(w1 * r1[i])
+		d += float32(w2 * r2[i])
+		d += float32(w3 * r3[i])
+		dst[i] = d
 	}
 }
 

@@ -129,7 +129,10 @@ func (h *HeadData) ScoresInto(q, dst []float32) []float32 {
 // is the average of the attention it receives from subsequent tokens,
 // max-aggregated across the query heads of the GQA group.
 //
-// Queries for steps 1..n-1 are generated on the fly from qrng.
+// Queries for steps 1..n-1 are generated on the fly from qrng. Each is
+// scored as ScoresInto scores it, bit for bit, but against the prefix's
+// keys transposed once per call into columns (mathx.DotCols), which the
+// four-lane multiply-add streams; the column arena is dropped at return.
 func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG) []float32 {
 	if n > h.Len() {
 		n = h.Len()
@@ -143,6 +146,16 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 	if n > 512 {
 		stride = n / 512
 	}
+	cols := make([][]float32, h.Dim)
+	arena := make([]float32, h.Dim*n)
+	for d := range cols {
+		col := arena[d*n : (d+1)*n : (d+1)*n]
+		for j, k := range h.Keys[:n] {
+			col[j] = k[d]
+		}
+		cols[d] = col
+	}
+	scale := float32(1 / math.Sqrt(float64(h.Dim)))
 	perHead := make([]float32, n)
 	buf := make([]float32, n)
 	q := make([]float32, h.Dim)
@@ -152,7 +165,9 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 		}
 		for g := 0; g < group; g++ {
 			h.QueryInto(qrng, q)
-			scores := h.ScoresInto(q, buf[:t])
+			scores := buf[:t]
+			mathx.DotCols(q, cols, scale, scores)
+			mathx.Softmax(scores, scores)
 			for j, s := range scores {
 				if s > perHead[j] {
 					perHead[j] = s // max over query heads in the group

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -116,11 +117,81 @@ func TestScoresIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// significanceByRows is SignificancePrefix as it was before its keys were
+// transposed: every GQA query scored over the key rows by ScoresInto.
+func significanceByRows(h *HeadData, model *ModelConfig, n int, qrng *mathx.RNG) []float32 {
+	n = min(n, h.Len())
+	sig := make([]float32, n)
+	counts := make([]int, n)
+	stride := 1
+	if n > 512 {
+		stride = n / 512
+	}
+	perHead := make([]float32, n)
+	buf := make([]float32, n)
+	q := make([]float32, h.Dim)
+	for t := 1; t < n; t += stride {
+		clear(perHead[:t])
+		for g := 0; g < model.QueriesPerKV; g++ {
+			h.QueryInto(qrng, q)
+			for j, s := range h.ScoresInto(q, buf[:t]) {
+				if s > perHead[j] {
+					perHead[j] = s
+				}
+			}
+		}
+		for j := 0; j < t; j++ {
+			sig[j] += perHead[j] * float32(t)
+			counts[j]++
+		}
+	}
+	for j := range sig {
+		if counts[j] > 0 {
+			sig[j] /= float32(counts[j])
+		} else {
+			sig[j] = 1
+		}
+	}
+	return sig
+}
+
+// TestSignificancePrefixMatchesRowScores holds the column-major scoring
+// to the row loop bit for bit: GQA groups of 4 and 7, a prefix shorter
+// than the head, and one over 512 tokens, where queries are strided.
+func TestSignificancePrefixMatchesRowScores(t *testing.T) {
+	for _, tc := range []struct {
+		model  *ModelConfig
+		tokens int
+		n      int
+	}{
+		{Llama3_8B, 300, 300},
+		{Qwen25_7B, 260, 197},
+		{Llama3_8B, 1100, 1030},
+	} {
+		rng := mathx.NewRNG(uint64(tc.n))
+		h := GenHead(tc.model, Profile(tc.model, 8, 0, 1, rng), tc.tokens, rng)
+		got := h.SignificancePrefix(tc.model, tc.n, rng.SplitAt(5))
+		want := significanceByRows(h, tc.model, tc.n, rng.SplitAt(5))
+		if len(got) != len(want) {
+			t.Fatalf("%s n=%d: %d scores, row loop %d", tc.model.Name, tc.n, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("%s n=%d: sig[%d] = %v, row loop %v", tc.model.Name, tc.n, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 // TestSignificancePrefixAllocsFlat extends the zero-alloc pattern above:
 // SignificancePrefix allocates its fixed buffers and nothing per stride
 // step, so its count must not grow with n; and QueryInto, which fills the
-// reused query buffer, draws exactly the query Query returns.
+// reused query buffer, draws exactly the query Query returns. The process's
+// first garbage collection starts the runtime's mark workers, which counts
+// as allocations; its per-call column arena can bring that collection into
+// the measured runs, so one is forced first.
 func TestSignificancePrefixAllocsFlat(t *testing.T) {
+	runtime.GC()
 	rng := mathx.NewRNG(7)
 	data := GenHead(Llama3_8B, Profile(Llama3_8B, 8, 0, 1, rng), 260, rng)
 	qrng := rng.SplitAt(1)

@@ -23,6 +23,14 @@
 #      behaviour reads (an observation point), the reason naming that
 #      behaviour or pinned test.
 #
+#   4. GOARCH=arm64's listing of internal/mathx must show no fused
+#      multiply-add (FMADD/FMSUB, FNMADD/FNMSUB) in the row kernels: Dot,
+#      Axpy, DotRows, AxpyRows, DotCols and axpy4 with its Go body. They convert
+#      every product to float32, which forbids fusing it into the add
+#      that follows; arm64 fuses an unconverted x*y+z and amd64 never
+#      does, so the arm64 listing is where a lost conversion shows. The
+#      step fails too if any of those symbols is missing from the listing.
+#
 # Before trusting layer 3, the script proves the gate can actually fail:
 # diffkv-vet is run over the injected-violation fixture
 # internal/analysis/testdata/ci_violation, which it loads typechecked as
@@ -81,6 +89,31 @@ done
 echo "vet: diffkv-vet ./..."
 if ! "${bindir}/diffkv-vet" ./...; then
     fail=1
+fi
+
+echo "vet: no fused multiply-add in the row kernels (GOARCH=arm64)"
+kernels='Dot Axpy DotRows AxpyRows DotCols axpy4 axpy4Go'
+if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx 2>&1)"; then
+    echo "${listing}" >&2
+    echo "vet: GOARCH=arm64 go build ./internal/mathx failed" >&2
+    fail=1
+else
+    for k in ${kernels}; do
+        if ! grep -q "^diffkv/internal/mathx\.${k} STEXT" <<<"${listing}"; then
+            echo "vet: mathx.${k} is missing from the GOARCH=arm64 listing" >&2
+            fail=1
+        fi
+    done
+    fused="$(awk -v kernels="${kernels}" '
+        BEGIN { split(kernels, k, " "); for (i in k) want["diffkv/internal/mathx." k[i]] = 1 }
+        /^[^ \t].* STEXT/ { sym = $1 }
+        /\tF(N)?M(ADD|SUB)[SD]\t/ && (sym in want) { n[sym]++ }
+        END { for (s in n) print s ": " n[s] " fused" }' <<<"${listing}" | sort)"
+    if [[ -n "${fused}" ]]; then
+        echo "${fused}" >&2
+        echo "vet: a row kernel's product is fused on arm64; convert it to float32" >&2
+        fail=1
+    fi
 fi
 
 if [[ "${fail}" -ne 0 ]]; then
