@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"diffkv/internal/attention"
 	"diffkv/internal/kvcache"
@@ -289,16 +288,13 @@ type incrementalScores struct {
 }
 
 func newIncrementalScores(logits []float32) *incrementalScores {
-	s := &incrementalScores{exps: make([]float64, 0, len(logits))}
-	for _, l := range logits {
-		x := float64(l)
+	exps := make([]float64, len(logits))
+	for i, l := range logits {
 		// logits are bounded (~[-12, 8]) by construction; clamp for safety
-		if x > 60 {
-			x = 60
-		}
-		s.exps = append(s.exps, math.Exp(x))
+		exps[i] = min(float64(l), 60)
 	}
-	return s
+	mathx.ExpVec(exps, exps)
+	return &incrementalScores{exps: exps}
 }
 
 // weightsInto writes the attention distribution of the token at position t

@@ -9,8 +9,10 @@ import (
 // fused multiply-add path taken when the CPU has AVX and FMA
 // (math.useFMA), and an SSE path of separate multiplies and adds. They
 // round differently, and LogNorm, Softmax and the synthetic tensors all
-// call math.Exp, so every serving digest and every checked-in table holds
-// only on the AVX+FMA path. TestExpTakesFMAPath pins it.
+// reach math.Exp (Softmax and LogNormInto through ExpVec, whose kernel
+// transcribes the AVX+FMA path and runs only where math.Exp takes it), so
+// every serving digest and every checked-in table holds only on the
+// AVX+FMA path. TestExpTakesFMAPath pins it.
 func TestExpTakesFMAPath(t *testing.T) {
 	const x, want = 34.0 / 1024, 0x3ff08a487359f24d
 	if got := math.Float64bits(math.Exp(x)); got != want {

@@ -10,10 +10,13 @@ import "math"
 // It has two normal samplers. Norm (and LogNorm on it) is polar
 // Box-Muller: the serving path's scalar draws — request lengths, per-head
 // tier fractions — go through it, and every serving digest records its
-// exact stream. NormVec, the bulk float32 sampler behind the synthetic
-// keys, values and queries, is a ziggurat, about three times as fast per
-// variate; it never touches Norm's spare, so a stream's Norm draws and
-// its NormVec draws interleave as they are called.
+// exact stream. LogNormInto is a batch of LogNorm calls, not a third
+// sampler: it draws Norm's stream and takes the logs and exps through
+// LogVec and ExpVec, which equal math.Log and math.Exp bit for bit.
+// NormVec, the bulk float32 sampler behind the synthetic keys, values and
+// queries, is a ziggurat, about three times as fast per variate; it never
+// touches Norm's spare, so a stream's Norm draws and its NormVec draws
+// interleave as they are called.
 //
 // Draw k of a stream depends only on its state and k (SplitMix64 adds a
 // Weyl constant per draw), so a stream's draws can also be read by index:
@@ -74,9 +77,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The quotient is converted
+// explicitly: the compiler turns the division into a product by 2^-53, and
+// arm64 would fuse that product into a caller's add (2u − 1 in Norm, as
+// u + u).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Uint64At returns draw k of r's stream, counting r's next draw as k = 0:
@@ -121,7 +127,9 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal variate (Box-Muller).
+// Norm returns a standard normal variate (Box-Muller). Each product is
+// converted explicitly, so that no GOARCH fuses it into the add that
+// follows; LogNormInto repeats these steps and relies on it.
 func (r *RNG) Norm() float64 {
 	if r.hasSpare {
 		r.hasSpare = false
@@ -129,9 +137,9 @@ func (r *RNG) Norm() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -145,7 +153,59 @@ func (r *RNG) Norm() float64 {
 // LogNorm returns a log-normal variate with the given log-space mean and
 // standard deviation.
 func (r *RNG) LogNorm(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
+	return math.Exp(mu + float64(sigma*r.Norm()))
+}
+
+// logNormChunk is the number of polar pairs LogNormInto draws before it
+// takes their logs in one batch.
+const logNormChunk = 64
+
+// LogNormInto fills dst with the values len(dst) LogNorm(mu, sigma) calls
+// would return, bit for bit, and leaves the stream and the spare as they
+// would: a spare held at entry is dst[0], and an odd count of the rest
+// leaves its last pair's v·f as the spare. These are Norm's polar draws,
+// not NormVec's ziggurat. It runs the rejection loops in order, up to 64
+// pairs at a time, takes their logs through LogVec and the final exps
+// through ExpVec, so the two transcendentals run two lanes at a time; it
+// allocates nothing.
+func (r *RNG) LogNormInto(dst []float64, mu, sigma float64) {
+	z := dst
+	if len(z) > 0 && r.hasSpare {
+		r.hasSpare = false
+		z[0] = r.spare
+		z = z[1:]
+	}
+	var us, vs, ss, ls [logNormChunk]float64
+	for len(z) > 0 {
+		pairs := min((len(z)+1)/2, logNormChunk)
+		for p := 0; p < pairs; p++ {
+			for { // Norm's rejection loop
+				u := float64(2*r.Float64()) - 1
+				v := float64(2*r.Float64()) - 1
+				s := float64(u*u) + float64(v*v)
+				if s > 0 && s < 1 {
+					us[p], vs[p], ss[p] = u, v, s
+					break
+				}
+			}
+		}
+		LogVec(ls[:pairs], ss[:pairs])
+		for p := 0; p < pairs; p++ {
+			f := math.Sqrt(-2 * ls[p] / ss[p])
+			z[0] = us[p] * f
+			if len(z) == 1 {
+				r.spare, r.hasSpare = vs[p]*f, true
+				z = z[1:]
+				break
+			}
+			z[1] = vs[p] * f
+			z = z[2:]
+		}
+	}
+	for i, x := range dst {
+		dst[i] = mu + float64(sigma*x)
+	}
+	ExpVec(dst, dst)
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).

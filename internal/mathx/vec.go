@@ -13,22 +13,37 @@
 //
 // Everything here is Go (stdlib only) and allocation-conscious: the hot
 // paths (dot products, axpy, softmax) write into caller-provided buffers.
-// One routine also has an assembly body: axpy4, the four-row multiply-add
-// under AxpyRows and DotCols, is SSE2 on amd64 (axpy4_amd64.s). That body
-// is bit-identical to the Go body, axpy4Go: each of its four lanes holds a
-// different element and runs that element's scalar steps in the same
-// order (MULPS then ADDPS per row, never a fused op), so a lane rounds
-// exactly where the MULSS/ADDSS the Go compiler emits would. SSE2 is
-// amd64's baseline, so there is no CPU feature check; AVX would need one
-// at GOAMD64=v1, with a second body to keep equal, and is out of scope.
-// Off amd64, and under the race detector (so it sees every access),
-// axpy4 is the Go body.
+// Three routines also have assembly bodies on amd64, built outside the
+// race detector only (so it sees every access), and each is bit-identical
+// to the Go it stands in for, because each lane holds a different element
+// and runs that element's scalar steps in the same order:
+//
+//   - axpy4, the four-row multiply-add under AxpyRows and DotCols, is SSE2
+//     (axpy4_amd64.s): MULPS then ADDPS per row, never a fused op, so a
+//     lane rounds exactly where the MULSS/ADDSS of its Go body, axpy4Go,
+//     would. SSE2 is amd64's baseline, so there is no CPU feature check.
+//   - ExpVec's kernel transcribes the AVX+FMA path of math.Exp's own
+//     assembly (math/exp_amd64.s, Shibata's SIMD-oriented method) two
+//     lanes at a time (expvec_amd64.s). It runs only where math.Exp takes
+//     that path: the gate probes one input whose two paths round
+//     differently, so it is math's own useFMA, with no second CPU-feature
+//     check. Off that path the body is a math.Exp loop, so there is no
+//     second body to keep equal.
+//   - LogVec's kernel transcribes math.Log's single amd64 path
+//     (math/log_amd64.s) in SSE2, two lanes at a time.
+//
+// The two kernels leave every pair with a lane off the main path (NaN,
+// infinities, overflow, subnormal or zero exps, logs outside (0, +Inf))
+// to math.Exp and math.Log. Off amd64, and under the race detector, the
+// bodies are the Go loops.
 //
 // Every product the row kernels (Dot, Axpy, DotRows, AxpyRows, DotCols,
-// axpy4Go) sum is converted to float32 explicitly. The Go spec lets a
-// compiler fuse x*y+z into one rounding unless the product is converted,
-// and arm64 would fuse it; amd64 never does, so the conversion changes no
-// amd64 instruction and keeps the sums the same on every GOARCH.
+// axpy4Go) sum is converted to float32 explicitly, and every product the
+// polar normal samplers (Norm, LogNorm, LogNormInto) add to is converted
+// to float64. The Go spec lets a compiler fuse x*y+z into one rounding
+// unless the product is converted, and arm64 would fuse it; amd64 never
+// does, so the conversion changes no amd64 instruction and keeps the sums
+// the same on every GOARCH.
 package mathx
 
 import "math"
@@ -166,9 +181,15 @@ func Norm2(x []float32) float32 {
 	return float32(math.Sqrt(s))
 }
 
+// softmaxChunk is the number of exps Softmax takes through one ExpVec
+// call, in a stack buffer.
+const softmaxChunk = 64
+
 // Softmax writes the softmax of logits into dst and returns dst. It is
 // numerically stable (subtracts the max logit before exponentiation).
-// dst may alias logits. Panics if lengths differ.
+// dst may alias logits. Panics if lengths differ. Its exps go through
+// ExpVec 64 at a time, so each is math.Exp's, and their float64 sum runs
+// in index order.
 func Softmax(logits, dst []float32) []float32 {
 	if len(logits) != len(dst) {
 		panic("mathx: Softmax length mismatch")
@@ -183,10 +204,18 @@ func Softmax(logits, dst []float32) []float32 {
 		}
 	}
 	var sum float64
-	for i, v := range logits {
-		e := math.Exp(float64(v - maxL))
-		dst[i] = float32(e)
-		sum += e
+	var buf [softmaxChunk]float64
+	for lo := 0; lo < len(logits); lo += softmaxChunk {
+		chunk := logits[lo:min(lo+softmaxChunk, len(logits))]
+		e := buf[:len(chunk)]
+		for i, v := range chunk {
+			e[i] = float64(v - maxL)
+		}
+		ExpVec(e, e)
+		for i, x := range e {
+			dst[lo+i] = float32(x)
+			sum += x
+		}
 	}
 	inv := float32(1.0 / sum)
 	for i := range dst {

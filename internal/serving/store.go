@@ -103,6 +103,7 @@ type pageStore struct {
 
 	// step scratch, reused so the steady state allocates nothing
 	headDemand []kvcache.HeadDemand
+	draws      []float64 // register's tier draws: hi then lo, head by head
 	genIDs     []int
 	genSeqs    []*seqState // the step's records, while the manager draws them
 	genAt      []int       // each sequence's first draw of the step
@@ -118,6 +119,7 @@ func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
 		blendTok: cfg.HiFrac*float64(mc.HiPrec.TokenBytes(mc.Dim)) +
 			cfg.LoFrac*float64(mc.LoPrec.TokenBytes(mc.Dim)),
 		headDemand: make([]kvcache.HeadDemand, heads),
+		draws:      make([]float64, 2*heads),
 	}
 }
 
@@ -128,15 +130,23 @@ func (s *pageStore) register(st *seqState) error {
 		return err
 	}
 	st.frac, st.thr = make([]float64, 2*s.heads), nil
-	hiF, loF := st.fractions()
-	for h := range hiF {
-		hiF[h] = mathx.Clamp(s.hiFrac*s.rng.LogNorm(0, 0.3), 0.02, 0.9)
-		loF[h] = mathx.Clamp(s.loFrac*s.rng.LogNorm(0, 0.3), 0, 0.9-hiF[h])
-	}
+	s.drawFractions(st.fractions())
 	if st.brownout {
 		st.allLow()
 	}
 	return nil
+}
+
+// drawFractions draws each head's high- and low-precision fractions,
+// hiF[h] = clamp(hiFrac·LogNorm(0, 0.3)) and then loF[h] =
+// clamp(loFrac·LogNorm(0, 0.3)), head by head: the 2·heads draws come from
+// one LogNormInto call, which returns what those LogNorm calls would.
+func (s *pageStore) drawFractions(hiF, loF []float64) {
+	s.rng.LogNormInto(s.draws, 0, 0.3)
+	for h := range hiF {
+		hiF[h] = mathx.Clamp(s.hiFrac*s.draws[2*h], 0.02, 0.9)
+		loF[h] = mathx.Clamp(s.loFrac*s.draws[2*h+1], 0, 0.9-hiF[h])
+	}
 }
 
 // promptFits holds PromptCompact's conservative allocation (every head at

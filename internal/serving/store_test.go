@@ -7,6 +7,7 @@ import (
 	"diffkv/internal/baselines"
 	"diffkv/internal/kvcache"
 	"diffkv/internal/kvcache/kvcachetest"
+	"diffkv/internal/mathx"
 	"diffkv/internal/synth"
 	"diffkv/internal/workload"
 )
@@ -319,5 +320,37 @@ func BenchmarkGenStep(b *testing.B) {
 		if _, err := ps.gen(seqs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// register draws a record's tier fractions through one LogNormInto call
+// into the store's scratch. They must equal the per-head LogNorm loop it
+// replaced (hi then lo, head by head, each clamped), leave the stream
+// where that loop does, also with a spare normal held at entry, and
+// allocate nothing.
+func TestDrawFractionsMatchLogNormLoop(t *testing.T) {
+	ps, _ := genStepStore(t, 0)
+	hiF, loF := make([]float64, ps.heads), make([]float64, ps.heads)
+	for round, spare := range []bool{false, true, false} {
+		ref := *ps.rng
+		if spare {
+			if ref.Norm() != ps.rng.Norm() {
+				t.Fatal("two copies of one stream disagree")
+			}
+		}
+		ps.drawFractions(hiF, loF)
+		for h := range hiF {
+			wantHi := mathx.Clamp(ps.hiFrac*ref.LogNorm(0, 0.3), 0.02, 0.9)
+			wantLo := mathx.Clamp(ps.loFrac*ref.LogNorm(0, 0.3), 0, 0.9-wantHi)
+			if hiF[h] != wantHi || loF[h] != wantLo {
+				t.Fatalf("round %d, head %d: fractions (%v, %v), the LogNorm loop gives (%v, %v)", round, h, hiF[h], loF[h], wantHi, wantLo)
+			}
+		}
+		if a, b := ref.Norm(), ps.rng.Norm(); a != b {
+			t.Fatalf("round %d: the next Norm is %v after the loop, %v after drawFractions", round, a, b)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { ps.drawFractions(hiF, loF) }); n != 0 {
+		t.Fatalf("drawFractions allocates %v times per record, want 0", n)
 	}
 }

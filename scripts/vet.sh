@@ -25,8 +25,10 @@
 #
 #   4. GOARCH=arm64's listing of internal/mathx must show no fused
 #      multiply-add (FMADD/FMSUB, FNMADD/FNMSUB) in the row kernels: Dot,
-#      Axpy, DotRows, AxpyRows, DotCols and axpy4 with its Go body. They convert
-#      every product to float32, which forbids fusing it into the add
+#      Axpy, DotRows, AxpyRows, DotCols and axpy4 with its Go body; nor in
+#      the polar normal samplers: RNG.Norm, RNG.LogNorm and RNG.LogNormInto,
+#      whose batched body must round as the scalar ones do. They convert
+#      every product explicitly, which forbids fusing it into the add
 #      that follows; arm64 fuses an unconverted x*y+z and amd64 never
 #      does, so the arm64 listing is where a lost conversion shows. The
 #      step fails too if any of those symbols is missing from the listing.
@@ -91,15 +93,16 @@ if ! "${bindir}/diffkv-vet" ./...; then
     fail=1
 fi
 
-echo "vet: no fused multiply-add in the row kernels (GOARCH=arm64)"
-kernels='Dot Axpy DotRows AxpyRows DotCols axpy4 axpy4Go'
+echo "vet: no fused multiply-add in the row kernels and normal samplers (GOARCH=arm64)"
+kernels='Dot Axpy DotRows AxpyRows DotCols axpy4 axpy4Go (*RNG).Norm (*RNG).LogNorm (*RNG).LogNormInto'
 if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx 2>&1)"; then
     echo "${listing}" >&2
     echo "vet: GOARCH=arm64 go build ./internal/mathx failed" >&2
     fail=1
 else
-    for k in ${kernels}; do
-        if ! grep -q "^diffkv/internal/mathx\.${k} STEXT" <<<"${listing}"; then
+    read -ra symbols <<<"${kernels}" # no glob expansion of (*RNG)
+    for k in "${symbols[@]}"; do
+        if ! grep -qF "diffkv/internal/mathx.${k} STEXT" <<<"${listing}"; then
             echo "vet: mathx.${k} is missing from the GOARCH=arm64 listing" >&2
             fail=1
         fi
@@ -111,7 +114,7 @@ else
         END { for (s in n) print s ": " n[s] " fused" }' <<<"${listing}" | sort)"
     if [[ -n "${fused}" ]]; then
         echo "${fused}" >&2
-        echo "vet: a row kernel's product is fused on arm64; convert it to float32" >&2
+        echo "vet: a product is fused on arm64; convert it explicitly (float32(x*y) in a row kernel, float64(x*y) in a sampler)" >&2
         fail=1
     fi
 fi
