@@ -168,8 +168,8 @@ func BenchmarkSynthGenHead512(b *testing.B) {
 }
 
 // BenchmarkScoresInto512 is one query's softmax scores over a 512-token
-// head into a reused buffer: the row-interleaved dot kernel (DotRows)
-// that ScoresInto and the attention reference score their rows with.
+// head into a reused buffer: the column kernel (DotCols) that ScoresInto
+// and the attention reference score the head's key columns with.
 func BenchmarkScoresInto512(b *testing.B) {
 	rng := mathx.NewRNG(9)
 	h := synth.GenHead(synth.Llama3_8B, synth.Profile(synth.Llama3_8B, 8, 0, 1, rng), 512, rng)
@@ -184,8 +184,8 @@ func BenchmarkScoresInto512(b *testing.B) {
 
 // BenchmarkSignificancePrefix is the prompt-phase significance pass of one
 // head at LongBench Qasper's prompt length on Llama3.1-8B: 512 strided
-// steps of four queries each, every query scored against the prefix's
-// keys laid out by column (DotCols), the reproduction path's hottest loop.
+// steps of four queries each, every query scored against the head's key
+// columns (DotCols), the reproduction path's hottest loop.
 func BenchmarkSignificancePrefix(b *testing.B) {
 	rng := mathx.NewRNG(9)
 	n := workload.LBQasper.PromptLen

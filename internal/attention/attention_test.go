@@ -10,6 +10,21 @@ import (
 	"diffkv/internal/synth"
 )
 
+// cols lays key rows out by column, as Reference, Uniform and Subset take
+// them.
+func cols(keys [][]float32) [][]float32 {
+	if len(keys) == 0 {
+		return nil
+	}
+	c := synth.NewKeyCols(len(keys[0]), len(keys))
+	for j, k := range keys {
+		for d, v := range k {
+			c[d][j] = v
+		}
+	}
+	return c
+}
+
 func genKV(rng *mathx.RNG, n, dim int) (q []float32, keys, vals [][]float32) {
 	q = make([]float32, dim)
 	rng.NormVec(q, 1)
@@ -28,7 +43,7 @@ func TestReferenceSingleToken(t *testing.T) {
 	rng := mathx.NewRNG(2)
 	q, keys, vals := genKV(rng, 1, 16)
 	// single token: weight 1, output = value
-	if e := mathx.RelErr(new(Scratch).Reference(q, keys, vals), vals[0]); e > 1e-6 {
+	if e := mathx.RelErr(new(Scratch).Reference(q, cols(keys), vals), vals[0]); e > 1e-6 {
 		t.Fatalf("output != value: %v", e)
 	}
 }
@@ -36,8 +51,8 @@ func TestReferenceSingleToken(t *testing.T) {
 func TestUniformHighPrecisionMatchesReference(t *testing.T) {
 	rng := mathx.NewRNG(3)
 	q, keys, vals := genKV(rng, 100, 64)
-	ref := new(Scratch).Reference(q, keys, vals)
-	res := new(Scratch).Uniform(q, keys, vals, quant.K8V8)
+	ref := new(Scratch).Reference(q, cols(keys), vals)
+	res := new(Scratch).Uniform(q, cols(keys), vals, quant.K8V8)
 	if e := OutputError(res, ref); e > 0.02 {
 		t.Fatalf("K8V8 error vs reference = %v", e)
 	}
@@ -47,10 +62,10 @@ func TestUniformErrorOrdering(t *testing.T) {
 	// More aggressive quantization must increase output error.
 	rng := mathx.NewRNG(4)
 	q, keys, vals := genKV(rng, 200, 64)
-	ref := new(Scratch).Reference(q, keys, vals)
+	ref := new(Scratch).Reference(q, cols(keys), vals)
 	prev := -1.0
 	for _, prec := range []quant.Precision{quant.K8V8, quant.K8V4, quant.K4V2, quant.K2V2} {
-		e := OutputError(new(Scratch).Uniform(q, keys, vals, prec), ref)
+		e := OutputError(new(Scratch).Uniform(q, cols(keys), vals, prec), ref)
 		if e < prev {
 			t.Fatalf("%s error %v below previous %v", prec, e, prev)
 		}
@@ -70,12 +85,12 @@ func TestKeyBitsMatterMoreThanValueBits(t *testing.T) {
 		prof := synth.Profile(model, rep%4, rep%8, 1, rng.SplitAt(uint64(rep)))
 		h := synth.GenHead(model, prof, 256, rng.SplitAt(uint64(100+rep)))
 		q := h.Query(rng)
-		ref := new(Scratch).Reference(q, h.Keys, h.Vals)
+		ref := new(Scratch).Reference(q, h.KeyCols, h.Vals)
 		var s Scratch
-		e84 += OutputError(s.Uniform(q, h.Keys, h.Vals, quant.K8V4), ref)
-		e48 += OutputError(s.Uniform(q, h.Keys, h.Vals, quant.K4V8), ref)
-		e42 += OutputError(s.Uniform(q, h.Keys, h.Vals, quant.K4V2), ref)
-		e24 += OutputError(s.Uniform(q, h.Keys, h.Vals, quant.K2V4), ref)
+		e84 += OutputError(s.Uniform(q, h.KeyCols, h.Vals, quant.K8V4), ref)
+		e48 += OutputError(s.Uniform(q, h.KeyCols, h.Vals, quant.K4V8), ref)
+		e42 += OutputError(s.Uniform(q, h.KeyCols, h.Vals, quant.K4V2), ref)
+		e24 += OutputError(s.Uniform(q, h.KeyCols, h.Vals, quant.K2V4), ref)
 	}
 	if e84 >= e48 {
 		t.Fatalf("K8V4 error (%v) should be below K4V8 (%v)", e84/float64(reps), e48/float64(reps))
@@ -115,7 +130,7 @@ func TestCompressedMatchesUniformWhenAllHigh(t *testing.T) {
 		}
 	}
 	cOut := new(Scratch).Compressed(q, hc, nil)
-	uOut := new(Scratch).Uniform(q, keys, vals, quant.K8V4)
+	uOut := new(Scratch).Uniform(q, cols(keys), vals, quant.K8V4)
 	if e := mathx.RelErr(cOut, uOut); e > 1e-4 {
 		t.Fatalf("compressed vs uniform mismatch: %v", e)
 	}
@@ -138,7 +153,7 @@ func TestCompressedMixedTiersAndWindow(t *testing.T) {
 		window = append(window, policy.WindowToken{Key: keys[j], Val: vals[j], Pos: int32(j)})
 	}
 	res := new(Scratch).Compressed(q, hc, window)
-	ref := new(Scratch).Reference(q, keys, vals)
+	ref := new(Scratch).Reference(q, cols(keys), vals)
 	if e := OutputError(res, ref); e > 0.35 {
 		t.Fatalf("mixed-tier error vs reference = %v", e)
 	}
@@ -154,7 +169,7 @@ func TestCompressedEmptyCacheWindowOnly(t *testing.T) {
 		window = append(window, policy.WindowToken{Key: keys[j], Val: vals[j], Pos: int32(j)})
 	}
 	res := new(Scratch).Compressed(q, hc, window)
-	ref := new(Scratch).Reference(q, keys, vals)
+	ref := new(Scratch).Reference(q, cols(keys), vals)
 	if e := OutputError(res, ref); e > 1e-5 {
 		t.Fatalf("window-only attention should be exact: %v", e)
 	}

@@ -21,14 +21,16 @@ type Scratch struct {
 	logits []float32
 	out    []float32
 
-	// uniform-path arenas: per-call key buffer, one value arena sliced per
-	// token, and per-token value metadata
+	// uniform-path arenas: the gathered key row and its packed bytes, one
+	// value arena sliced per token, and per-token value metadata
+	krow   []float32
 	kbuf   []byte
 	varena []byte
 	vmeta  []float32
 
-	// Subset's gathered row headers
-	subKeys, subVals [][]float32
+	// Subset's scores over the whole prefix and its gathered value rows
+	prefix  []float32
+	subVals [][]float32
 }
 
 // grow readies the shared buffers for n tokens at dimension dim.
@@ -102,15 +104,20 @@ func (s *Scratch) Compressed(q []float32, hc *kvcache.HeadCache, window []policy
 
 // Uniform computes attention with every key/value quantized at one
 // precision, quantizing values into a single preallocated arena sliced per
-// token instead of one fresh buffer per token.
-func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precision) []float32 {
-	n := len(keys)
+// token instead of one fresh buffer per token. Keys come by column, as
+// Reference takes them: each token's key row is gathered into Scratch
+// storage and quantized from there.
+func (s *Scratch) Uniform(q []float32, keyCols, vals [][]float32, prec quant.Precision) []float32 {
+	n := len(vals)
 	dim := len(q)
 	s.grow(n, dim)
 	invSqrt := float32(1 / math.Sqrt(float64(dim)))
 
 	kb := quant.PackedLen(dim, prec.KeyBits)
 	vb := quant.PackedLen(dim, prec.ValBits)
+	if cap(s.krow) < dim {
+		s.krow = make([]float32, dim)
+	}
 	if cap(s.kbuf) < kb {
 		s.kbuf = make([]byte, kb)
 	}
@@ -120,13 +127,17 @@ func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precis
 	if cap(s.vmeta) < 2*n {
 		s.vmeta = make([]float32, 2*n)
 	}
+	krow := s.krow[:dim]
 	kbuf := s.kbuf[:kb]
 	varena := s.varena[:n*vb]
 	vmeta := s.vmeta[:2*n]
 
 	logits := s.logits[:n]
 	for j := 0; j < n; j++ {
-		ks, kz := quant.QuantizeInto(keys[j], prec.KeyBits, kbuf)
+		for d, c := range keyCols {
+			krow[d] = c[j]
+		}
+		ks, kz := quant.QuantizeInto(krow, prec.KeyBits, kbuf)
 		logits[j] = quant.DequantDot(q, kbuf, prec.KeyBits, ks, kz) * invSqrt
 		vs, vz := quant.QuantizeInto(vals[j], prec.ValBits, varena[j*vb:(j+1)*vb])
 		vmeta[2*j], vmeta[2*j+1] = vs, vz
@@ -142,33 +153,49 @@ func (s *Scratch) Uniform(q []float32, keys, vals [][]float32, prec quant.Precis
 }
 
 // Reference computes exact attention of query q over uncompressed keys and
-// values — the FP16 baseline — into Scratch-owned buffers.
-func (s *Scratch) Reference(q []float32, keys, vals [][]float32) []float32 {
-	n := len(keys)
-	dim := len(q)
-	s.grow(n, dim)
-	invSqrt := float32(1 / math.Sqrt(float64(dim)))
-
+// values — the FP16 baseline — into Scratch-owned buffers. The keys come
+// by column (keyCols[d][j] is channel d of token j, as synth.HeadData
+// stores them), one column per element of q, each holding at least
+// len(vals) tokens; the values come one row per token.
+func (s *Scratch) Reference(q []float32, keyCols, vals [][]float32) []float32 {
+	n := len(vals)
+	s.grow(n, len(q))
 	logits := s.logits[:n]
-	mathx.DotRows(q, keys, invSqrt, logits)
-	weights := mathx.Softmax(logits, logits)
+	mathx.DotCols(q, keyCols, float32(1/math.Sqrt(float64(len(q)))), logits)
+	return s.attend(logits, vals, len(q))
+}
 
+// attend softmaxes logits in place and returns the weighted sum of vals
+// (one dim-element row per logit) in Scratch storage.
+func (s *Scratch) attend(logits []float32, vals [][]float32, dim int) []float32 {
+	weights := mathx.Softmax(logits, logits)
 	out := s.out[:dim]
-	for i := range out {
-		out[i] = 0
-	}
-	mathx.AxpyRows(weights, vals[:n], out)
+	clear(out)
+	mathx.AxpyRows(weights, vals, out)
 	return out
 }
 
-// Subset is Reference restricted to the rows of keys and vals listed in
-// idx, taken in idx order. It gathers the row headers into Scratch storage, so the steady state
-// allocates nothing.
-func (s *Scratch) Subset(q []float32, keys, vals [][]float32, idx []int) []float32 {
-	s.subKeys, s.subVals = s.subKeys[:0], s.subVals[:0]
+// Subset is Reference restricted to the tokens listed in idx, taken in idx
+// order. It scores the prefix up to the last listed token and selects the
+// listed scores, each of which DotCols computes on its own, so every bit
+// equals Reference over the gathered rows; the value row headers are
+// gathered into Scratch storage, so the steady state allocates nothing.
+func (s *Scratch) Subset(q []float32, keyCols, vals [][]float32, idx []int) []float32 {
+	m := 0
 	for _, j := range idx {
-		s.subKeys = append(s.subKeys, keys[j])
+		m = max(m, j+1)
+	}
+	if cap(s.prefix) < m {
+		s.prefix = make([]float32, max(2*cap(s.prefix), m))
+	}
+	prefix := s.prefix[:m]
+	mathx.DotCols(q, keyCols, float32(1/math.Sqrt(float64(len(q)))), prefix)
+	s.grow(len(idx), len(q))
+	logits := s.logits[:len(idx)]
+	s.subVals = s.subVals[:0]
+	for k, j := range idx {
+		logits[k] = prefix[j]
 		s.subVals = append(s.subVals, vals[j])
 	}
-	return s.Reference(q, s.subKeys, s.subVals)
+	return s.attend(logits, s.subVals, len(q))
 }

@@ -73,10 +73,11 @@ func TestScratchCompressedMatchesWrapper(t *testing.T) {
 func TestScratchUniformMatchesWrapper(t *testing.T) {
 	rng := mathx.NewRNG(22)
 	q, keys, vals := genKV(rng, 80, 64)
+	kc := cols(keys)
 	var s Scratch
-	s.Uniform(q, keys, vals, quant.K4V2)
-	got := s.Uniform(q, keys, vals, quant.K4V2)
-	want := new(Scratch).Uniform(q, keys, vals, quant.K4V2)
+	s.Uniform(q, kc, vals, quant.K4V2)
+	got := s.Uniform(q, kc, vals, quant.K4V2)
+	want := new(Scratch).Uniform(q, kc, vals, quant.K4V2)
 	if e := mathx.RelErr(got, want); e != 0 {
 		t.Fatalf("scratch uniform differs: %v", e)
 	}
@@ -85,10 +86,11 @@ func TestScratchUniformMatchesWrapper(t *testing.T) {
 func TestScratchReferenceMatchesWrapper(t *testing.T) {
 	rng := mathx.NewRNG(23)
 	q, keys, vals := genKV(rng, 60, 32)
+	kc := cols(keys)
 	var s Scratch
-	s.Reference(q, keys, vals)
-	got := s.Reference(q, keys, vals)
-	want := new(Scratch).Reference(q, keys, vals)
+	s.Reference(q, kc, vals)
+	got := s.Reference(q, kc, vals)
+	want := new(Scratch).Reference(q, kc, vals)
 	if e := mathx.RelErr(got, want); e != 0 {
 		t.Fatalf("scratch reference differs: %v", e)
 	}
@@ -149,10 +151,11 @@ func BenchmarkCompressedAttention1KScratch(b *testing.B) {
 func TestScratchReferenceZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(27)
 	q, keys, vals := genKV(rng, 131, 64)
+	kc := cols(keys)
 	var s Scratch
-	s.Reference(q, keys, vals)
+	s.Reference(q, kc, vals)
 	allocs := testing.AllocsPerRun(50, func() {
-		s.Reference(q, keys, vals)
+		s.Reference(q, kc, vals)
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch Reference allocated %v per run", allocs)
@@ -162,10 +165,11 @@ func TestScratchReferenceZeroAllocs(t *testing.T) {
 func TestScratchUniformZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(26)
 	q, keys, vals := genKV(rng, 128, 64)
+	kc := cols(keys)
 	var s Scratch
-	s.Uniform(q, keys, vals, quant.K4V2)
+	s.Uniform(q, kc, vals, quant.K4V2)
 	allocs := testing.AllocsPerRun(50, func() {
-		s.Uniform(q, keys, vals, quant.K4V2)
+		s.Uniform(q, kc, vals, quant.K4V2)
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch Uniform allocated %v per run", allocs)

@@ -66,7 +66,7 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 	var sc attention.Scratch
 	for p := 0; p < probes; p++ {
 		q := data.Query(rng)
-		ref := sc.Reference(q, data.Keys, data.Vals)
+		ref := sc.Reference(q, data.KeyCols, data.Vals)
 		samples[p] = attention.OutputError(attnFn(q), ref)
 		sum += samples[p]
 	}
@@ -80,17 +80,17 @@ func probeErr(data *synth.HeadData, probes int, rng *mathx.RNG,
 func subsetErr(data *synth.HeadData, idx []int, probes int, rng *mathx.RNG) float64 {
 	var sc attention.Scratch
 	return probeErr(data, probes, rng, func(q []float32) []float32 {
-		return sc.Subset(q, data.Keys, data.Vals, idx)
+		return sc.Subset(q, data.KeyCols, data.Vals, idx)
 	})
 }
 
 // reconErr is probeErr for a method that keeps every token, attending over
-// keys and vals: the dequantized reconstructions for a quantizing method,
-// the originals for a full-cache one.
-func reconErr(data *synth.HeadData, keys, vals [][]float32, probes int, rng *mathx.RNG) float64 {
+// keyCols (by column) and vals: the dequantized reconstructions for a
+// quantizing method, the originals for a full-cache one.
+func reconErr(data *synth.HeadData, keyCols, vals [][]float32, probes int, rng *mathx.RNG) float64 {
 	var sc attention.Scratch
 	return probeErr(data, probes, rng, func(q []float32) []float32 {
-		return sc.Reference(q, keys, vals)
+		return sc.Reference(q, keyCols, vals)
 	})
 }
 

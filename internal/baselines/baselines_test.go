@@ -164,8 +164,8 @@ func TestSubsetAttentionFullEqualsReference(t *testing.T) {
 	}
 	var sc attention.Scratch
 	var scRef attention.Scratch
-	out := sc.Subset(q, data.Keys, data.Vals, all)
-	refOut := scRef.Reference(q, data.Keys, data.Vals)
+	out := sc.Subset(q, data.KeyCols, data.Vals, all)
+	refOut := scRef.Reference(q, data.KeyCols, data.Vals)
 	for i := range refOut {
 		if math.Float32bits(out[i]) != math.Float32bits(refOut[i]) {
 			t.Fatalf("full subset differs from reference at %d: %v vs %v", i, out[i], refOut[i])

@@ -128,7 +128,7 @@ func (DuoAttention) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig
 	retrieval := rng.Float64() < duoRetrievalFrac
 	n := data.Len()
 	if retrieval {
-		return EvalResult{OutputErr: reconErr(data, data.Keys, data.Vals, probes, rng), MemFrac: 1}
+		return EvalResult{OutputErr: reconErr(data, data.KeyCols, data.Vals, probes, rng), MemFrac: 1}
 	}
 	// streaming: sink + recent only
 	var idx []int

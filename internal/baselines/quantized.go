@@ -21,10 +21,11 @@ func (INT4Atom) Name() string { return "INT4" }
 // Evaluate implements Method.
 func (INT4Atom) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float32, probes int, rng *mathx.RNG) EvalResult {
 	n := data.Len()
-	keys := make([][]float32, n)
+	keys := roundTripKeys(data, func(_ int, key []float32) []float32 {
+		return quant.RoundTripGrouped(key, 4, atomGroupSize)
+	})
 	vals := make([][]float32, n)
 	for j := 0; j < n; j++ {
-		keys[j] = quant.RoundTripGrouped(data.Keys[j], 4, atomGroupSize)
 		vals[j] = quant.RoundTripGrouped(data.Vals[j], 4, atomGroupSize)
 	}
 	e := reconErr(data, keys, vals, probes, rng)
@@ -57,18 +58,23 @@ func (KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float
 	if cut < 0 {
 		cut = 0
 	}
-	keys := make([][]float32, n)
-	vals := make([][]float32, n)
 	// keys: per-channel 2-bit across the compressed block (outlier
-	// channels get their own scale — KIVI's key insight); values:
-	// per-token 2-bit
-	recKeys := quant.RoundTripPerChannel(data.Keys[:cut], 2)
+	// channels get their own scale — KIVI's key insight), read straight
+	// from the head's columns; values: per-token 2-bit
+	block := make([][]float32, data.Dim)
+	for d, c := range data.KeyCols {
+		block[d] = c[:cut]
+	}
+	keys := synth.NewKeyCols(data.Dim, n)
+	for d, rec := range quant.RoundTripPerChannel(block, 2) {
+		copy(keys[d], rec)
+		copy(keys[d][cut:], data.KeyCols[d][cut:n])
+	}
+	vals := make([][]float32, n)
 	for j := 0; j < n; j++ {
 		if j < cut {
-			keys[j] = recKeys[j]
 			vals[j] = quant.RoundTripGrouped(data.Vals[j], 2, kiviGroupSize)
 		} else {
-			keys[j] = data.Keys[j]
 			vals[j] = data.Vals[j]
 		}
 	}
@@ -112,11 +118,12 @@ func (QAQ) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float3
 			bits[j] = 2
 		}
 	}
-	keys := make([][]float32, n)
+	keys := roundTripKeys(data, func(j int, key []float32) []float32 {
+		return quant.RoundTripGrouped(key, bits[j], 32)
+	})
 	vals := make([][]float32, n)
 	var bytes int
 	for j := 0; j < n; j++ {
-		keys[j] = quant.RoundTripGrouped(data.Keys[j], bits[j], 32)
 		vals[j] = quant.RoundTripGrouped(data.Vals[j], bits[j], 32)
 		bytes += quant.GroupedTokenBytes(data.Dim, quant.Precision{KeyBits: bits[j], ValBits: bits[j]}, 32)
 	}
@@ -136,4 +143,19 @@ func sortBySigDesc(idx []int, sig []float32) {
 		return idx[a] < idx[b]
 	}
 	sort.Slice(idx, lessFn)
+}
+
+// roundTripKeys passes every key of the head through rt, gathered into a
+// reused row with its token index, and returns the reconstructions by
+// column, as attention.Scratch.Reference takes keys.
+func roundTripKeys(data *synth.HeadData, rt func(j int, key []float32) []float32) [][]float32 {
+	n := data.Len()
+	cols := synth.NewKeyCols(data.Dim, n)
+	row := make([]float32, data.Dim)
+	for j := 0; j < n; j++ {
+		for d, v := range rt(j, data.KeyInto(j, row)) {
+			cols[d][j] = v
+		}
+	}
+	return cols
 }

@@ -52,7 +52,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			p     int
 			score float32
 		}
-		mathx.DotRows(q, data.Keys, 1, dots)
+		mathx.DotCols(q, data.KeyCols, 1, dots)
 		scores := make([]pageScore, numPages)
 		for p := 0; p < numPages; p++ {
 			lo, hi := p*ps, (p+1)*ps
@@ -79,7 +79,7 @@ func (m Quest) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []fl
 			}
 		}
 		sort.Ints(idx)
-		return sc.Subset(q, data.Keys, data.Vals, idx)
+		return sc.Subset(q, data.KeyCols, data.Vals, idx)
 	})
 
 	// Reported per the paper's convention: the loading budget. The

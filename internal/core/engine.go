@@ -202,13 +202,21 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 	// across the GQA group inside SignificancePrefix)
 	sig := data.SignificancePrefix(model, promptLen, reqRNG.SplitAt(2))
 	levels := policy.ClassifyPrompt(sig, params)
+	// key rows are gathered from the head's columns: a prompt token's
+	// into one row, which AppendToken quantizes before the next gather;
+	// a generated token's into a ring one deeper than the window, which
+	// holds a key until the step that compresses it
+	keyRing := make([][]float32, params.Window+1)
+	for i := range keyRing {
+		keyRing[i] = make([]float32, dim)
+	}
 	for i := 0; i < promptLen; i++ {
 		gp.Sig.Seed(i, sig[i])
 		switch levels[i] {
 		case policy.LevelHigh:
-			err = hc.AppendToken(kvcache.LevelHi, data.Keys[i], data.Vals[i], sig[i], int32(i))
+			err = hc.AppendToken(kvcache.LevelHi, data.KeyInto(i, keyRing[0]), data.Vals[i], sig[i], int32(i))
 		case policy.LevelLow:
-			err = hc.AppendToken(kvcache.LevelLo, data.Keys[i], data.Vals[i], sig[i], int32(i))
+			err = hc.AppendToken(kvcache.LevelLo, data.KeyInto(i, keyRing[0]), data.Vals[i], sig[i], int32(i))
 		}
 		if err != nil {
 			return headRun{}, err
@@ -243,7 +251,8 @@ func (e *Engine) runHead(layer, head, promptLen, genLen, total, dim int, root *m
 			run.probes++
 		}
 
-		if err := gp.Step(hc, data.Keys[t], data.Vals[t], int32(t)); err != nil {
+		key := data.KeyInto(t, keyRing[t%len(keyRing)])
+		if err := gp.Step(hc, key, data.Vals[t], int32(t)); err != nil {
 			return headRun{}, err
 		}
 	}
@@ -269,7 +278,7 @@ func (e *Engine) probe(data *synth.HeadData, hc *kvcache.HeadCache, gp *policy.G
 	for g := 0; g < group; g++ {
 		data.QueryInto(rng, q)
 		comp := scComp.Compressed(q, hc, gp.Window())
-		ref := scRef.Reference(q, data.Keys[:t], data.Vals[:t])
+		ref := scRef.Reference(q, data.KeyCols, data.Vals[:t])
 		outErr += attention.OutputError(comp, ref)
 	}
 	outErr /= float64(group)

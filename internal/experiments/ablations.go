@@ -234,7 +234,10 @@ func AblationThreeLevels(o Opts) []*Table {
 				order[i] = i
 			}
 			sortIdxBySigDesc(order, sig)
-			keys := make([][]float32, n)
+			// reconstructed keys by column, as Reference takes them; each
+			// key row is gathered into krow for its round trip
+			keys := synth.NewKeyCols(model.HeadDim, n)
+			krow := make([]float32, model.HeadDim)
 			vals := make([][]float32, n)
 			var bytes int
 			for rank, j := range order {
@@ -244,13 +247,15 @@ func AblationThreeLevels(o Opts) []*Table {
 					tier++
 				}
 				p := sc.levels[tier]
-				keys[j] = quant.RoundTrip(data.Keys[j], p.KeyBits)
+				for d, v := range quant.RoundTrip(data.KeyInto(j, krow), p.KeyBits) {
+					keys[d][j] = v
+				}
 				vals[j] = quant.RoundTrip(data.Vals[j], p.ValBits)
 				bytes += p.TokenBytes(model.HeadDim)
 			}
 			q := data.Query(rng.SplitAt(3))
 			var scRef, scRecon attention.Scratch
-			ref := scRef.Reference(q, data.Keys, data.Vals)
+			ref := scRef.Reference(q, data.KeyCols, data.Vals)
 			errs[rep] = attention.OutputError(scRecon.Reference(q, keys, vals), ref) / float64(reps)
 			mems[rep] = float64(bytes) / float64(n*4*model.HeadDim) / float64(reps)
 		})

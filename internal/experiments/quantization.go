@@ -26,8 +26,8 @@ func uniformErr(model *synth.ModelConfig, bench *workload.Benchmark, prec quant.
 		h := synth.GenHead(model, prof, n, rng.SplitAt(1))
 		q := h.Query(rng)
 		var scRef, sc attention.Scratch
-		ref := scRef.Reference(q, h.Keys, h.Vals)
-		errs[rep] = attention.OutputError(sc.Uniform(q, h.Keys, h.Vals, prec), ref)
+		ref := scRef.Reference(q, h.KeyCols, h.Vals)
+		errs[rep] = attention.OutputError(sc.Uniform(q, h.KeyCols, h.Vals, prec), ref)
 	})
 	return meanOf(errs)
 }
@@ -142,7 +142,7 @@ func Fig9(o Opts) []*Table {
 					for pr := 0; pr < probes; pr++ {
 						q := data.Query(rng.SplitAt(uint64(300 + i*100 + pr)))
 						h.queries = append(h.queries, q)
-						h.refs = append(h.refs, slices.Clone(sc.Reference(q, data.Keys, data.Vals)))
+						h.refs = append(h.refs, slices.Clone(sc.Reference(q, data.KeyCols, data.Vals)))
 					}
 					hs[i] = h
 				})
@@ -162,8 +162,8 @@ func Fig9(o Opts) []*Table {
 						sSamples := make([]float64, probes)
 						sIdx := topK(h.sig, k)
 						for pr, q := range h.queries {
-							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, keepDyn[i]), h.refs[pr])
-							sSamples[pr] = attention.OutputError(sc.Subset(q, h.data.Keys, h.data.Vals, sIdx), h.refs[pr])
+							dSamples[pr] = attention.OutputError(sc.Subset(q, h.data.KeyCols, h.data.Vals, keepDyn[i]), h.refs[pr])
+							sSamples[pr] = attention.OutputError(sc.Subset(q, h.data.KeyCols, h.data.Vals, sIdx), h.refs[pr])
 							dSum += dSamples[pr]
 							sSum += sSamples[pr]
 						}

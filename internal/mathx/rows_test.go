@@ -22,6 +22,29 @@ func randRows(rng *RNG, n, dim int) [][]float32 {
 	return rows
 }
 
+// dotRows is the per-row reference every column scorer is held to:
+// out[j] = Dot(q, rows[j])·scale.
+func dotRows(q []float32, rows [][]float32, scale float32, out []float32) {
+	for j, r := range rows {
+		out[j] = Dot(q, r) * scale
+	}
+}
+
+// transpose lays rows out by column, each column holding extra elements
+// past the last row.
+func transpose(rows [][]float32, dim, extra int) [][]float32 {
+	cols := make([][]float32, dim)
+	for i := range cols {
+		cols[i] = make([]float32, len(rows)+extra)
+		for j, r := range rows {
+			cols[i][j] = r[i]
+		}
+	}
+	return cols
+}
+
+// TestDotRowsBitIdentical: scoring rows through their columns (DotCols)
+// writes the per-row Dot loop's bits on every row count and dimension.
 func TestDotRowsBitIdentical(t *testing.T) {
 	rng := NewRNG(41)
 	counts, dims := rowShapes()
@@ -32,11 +55,12 @@ func TestDotRowsBitIdentical(t *testing.T) {
 			rows := randRows(rng, n, dim)
 			scale := float32(1 / math.Sqrt(float64(dim)))
 			got := make([]float32, n)
-			DotRows(q, rows, scale, got)
-			for j, r := range rows {
-				want := Dot(q, r) * scale
-				if math.Float32bits(got[j]) != math.Float32bits(want) {
-					t.Fatalf("dim %d rows %d: row %d = %v, per-row Dot %v", dim, n, j, got[j], want)
+			DotCols(q, transpose(rows, dim, 0), scale, got)
+			want := make([]float32, n)
+			dotRows(q, rows, scale, want)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("dim %d rows %d: row %d = %v, per-row Dot %v", dim, n, j, got[j], want[j])
 				}
 			}
 		}
@@ -67,9 +91,9 @@ func TestAxpyRowsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDotColsMatchesDotRows: DotCols over the transposed rows writes
-// DotRows' bits, with every column longer than out (the prefix of a
-// longer key set).
+// TestDotColsMatchesDotRows: DotCols over the transposed rows writes the
+// per-row reference's bits, with every column longer than out (the prefix
+// of a longer key set) and out's old contents never read.
 func TestDotColsMatchesDotRows(t *testing.T) {
 	rng := NewRNG(44)
 	counts, dims := rowShapes()
@@ -78,15 +102,13 @@ func TestDotColsMatchesDotRows(t *testing.T) {
 			q := make([]float32, dim)
 			rng.NormVec(q, 1)
 			rows := randRows(rng, n, dim)
-			cols := randRows(rng, dim, n+3) // the last 3 elements lie past out
-			for i, c := range cols {
-				for j, r := range rows {
-					c[j] = r[i]
-				}
+			cols := transpose(rows, dim, 3) // the last 3 elements lie past out
+			for _, c := range cols {
+				rng.NormVec(c[n:], 1.7)
 			}
 			scale := float32(1 / math.Sqrt(float64(dim)))
 			want := make([]float32, n)
-			DotRows(q, rows, scale, want)
+			dotRows(q, rows, scale, want)
 			got := make([]float32, n)
 			for j := range got {
 				got[j] = float32(j) + 0.5 // DotCols must not read out
@@ -94,7 +116,7 @@ func TestDotColsMatchesDotRows(t *testing.T) {
 			DotCols(q, cols, scale, got)
 			for j := range want {
 				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("dim %d rows %d: out[%d] = %v, DotRows %v", dim, n, j, got[j], want[j])
+					t.Fatalf("dim %d rows %d: out[%d] = %v, per-row Dot %v", dim, n, j, got[j], want[j])
 				}
 			}
 		}
@@ -209,8 +231,8 @@ func BenchmarkAxpyRows(b *testing.B) {
 }
 
 // TestRowKernelsPanicOnRowLength: a row shorter or longer than the vector
-// panics, as Dot and Axpy do, whether it sits in a group of four or in the
-// tail.
+// panics in AxpyRows, as it does in Axpy, whether it sits in a group of
+// four or in the tail.
 func TestRowKernelsPanicOnRowLength(t *testing.T) {
 	const dim = 8
 	rng := NewRNG(43)
@@ -220,9 +242,6 @@ func TestRowKernelsPanicOnRowLength(t *testing.T) {
 				rows := randRows(rng, n, dim)
 				rows[bad] = make([]float32, badLen)
 				name := fmt.Sprintf("rows %d, row %d of length %d", n, bad, badLen)
-				mustPanic(t, "DotRows "+name, func() {
-					DotRows(make([]float32, dim), rows, 1, make([]float32, n))
-				})
 				mustPanic(t, "AxpyRows "+name, func() {
 					AxpyRows(make([]float32, n), rows, make([]float32, dim))
 				})

@@ -37,9 +37,9 @@
 // to math.Exp and math.Log. Off amd64, and under the race detector, the
 // bodies are the Go loops.
 //
-// Every product the row kernels (Dot, Axpy, DotRows, AxpyRows, DotCols,
-// axpy4Go) sum is converted to float32 explicitly, and every product the
-// polar normal samplers (Norm, LogNorm, LogNormInto) add to is converted
+// Every product the row kernels (Dot, Axpy, AxpyRows, DotCols, axpy4Go)
+// sum is converted to float32 explicitly, and every product the polar
+// normal samplers (Norm, LogNorm, LogNormInto) add to is converted
 // to float64. The Go spec lets a compiler fuse x*y+z into one rounding
 // unless the product is converted, and arm64 would fuse it; amd64 never
 // does, so the conversion changes no amd64 instruction and keeps the sums
@@ -72,41 +72,13 @@ func Axpy(alpha float32, x, dst []float32) {
 	}
 }
 
-// DotRows writes out[j] = Dot(q, rows[j]) * scale for every row. It works
-// through the rows four at a time, one accumulator per row, so each row is
-// summed in exactly Dot's order and every output bit equals the per-row
-// loop's; a tail of fewer than four rows goes through Dot. Like Dot, it
-// panics on a row whose length differs from len(q).
-func DotRows(q []float32, rows [][]float32, scale float32, out []float32) {
-	out = out[:len(rows)]
-	j := 0
-	for ; j+4 <= len(rows); j += 4 {
-		r0, r1, r2, r3 := rows[j], rows[j+1], rows[j+2], rows[j+3]
-		if len(r0) != len(q) || len(r1) != len(q) || len(r2) != len(q) || len(r3) != len(q) {
-			panic("mathx: DotRows length mismatch")
-		}
-		r0, r1, r2, r3 = r0[:len(q)], r1[:len(q)], r2[:len(q)], r3[:len(q)]
-		var s0, s1, s2, s3 float32
-		for i, qv := range q {
-			s0 += float32(qv * r0[i])
-			s1 += float32(qv * r1[i])
-			s2 += float32(qv * r2[i])
-			s3 += float32(qv * r3[i])
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = s0*scale, s1*scale, s2*scale, s3*scale
-	}
-	for ; j < len(rows); j++ {
-		out[j] = Dot(q, rows[j]) * scale
-	}
-}
-
-// DotCols is DotRows on the transpose: it writes
+// DotCols scores one query against vectors laid out by column: it writes
 // out[j] = scale·Σᵢ q[i]·cols[i][j] for every j < len(out), where cols[i]
-// holds element i of every row. Each out[j] is summed from zero in i
-// order and then scaled, as DotRows sums a row, so with
-// cols[i][j] == rows[j][i] every output bit equals DotRows'. It adds
-// four columns at a time into out (axpy4), so a scorer whose keys are
-// laid out by column streams each one once per query. A column may be
+// holds element i of every vector. Each out[j] is summed from zero in i
+// order and then scaled, so with cols[i][j] == rows[j][i] every output bit
+// equals Dot(q, rows[j])·scale. It adds four columns at a time into out
+// (axpy4), so a scorer whose keys are laid out by column streams each one
+// once per query. A column may be
 // longer than out; it panics unless len(cols) == len(q) and every column
 // holds at least len(out) elements.
 func DotCols(q []float32, cols [][]float32, scale float32, out []float32) {

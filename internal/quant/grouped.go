@@ -49,30 +49,13 @@ func RoundTripGrouped(src []float32, bits, groupSize int) []float32 {
 // RoundTripPerChannel quantizes a block of vectors channel-wise: each
 // feature dimension is quantized across all vectors in the block with its
 // own scale/zero pair. This is KIVI's key layout — persistent outlier
-// channels get their own scale, so low-bit keys survive. The returned
-// block aliases no input memory.
-func RoundTripPerChannel(block [][]float32, bits int) [][]float32 {
-	if len(block) == 0 {
-		return nil
-	}
-	n := len(block)
-	dim := len(block[0])
-	out := make([][]float32, n)
-	for i := range out {
-		out[i] = make([]float32, dim)
-	}
-	col := make([]float32, n)
-	buf := make([]byte, PackedLen(n, bits))
-	rec := make([]float32, n)
-	for d := 0; d < dim; d++ {
-		for i := 0; i < n; i++ {
-			col[i] = block[i][d]
-		}
-		scale, zero := QuantizeInto(col, bits, buf)
-		DequantizeInto(buf, bits, n, scale, zero, rec)
-		for i := 0; i < n; i++ {
-			out[i][d] = rec[i]
-		}
+// channels get their own scale, so low-bit keys survive. The block comes by
+// column (cols[d] holds channel d of every vector), and so does the
+// reconstruction, which aliases no input memory.
+func RoundTripPerChannel(cols [][]float32, bits int) [][]float32 {
+	out := make([][]float32, len(cols))
+	for d, col := range cols {
+		out[d] = RoundTrip(col, bits)
 	}
 	return out
 }

@@ -10,12 +10,17 @@ import (
 // one request: keys and values for every token, plus the ground-truth
 // attention logits used to construct the keys (handy for tests; attention
 // itself recomputes scores from the vectors).
+//
+// Keys are stored by channel: KeyCols[d][j] is channel d of token j's key,
+// and the Dim columns share one arena. The keys of the first t tokens are
+// every column's [:t], which mathx.DotCols scores without a copy; KeyInto
+// gathers one token's key row. Values stay one row per token.
 type HeadData struct {
-	Dim    int
-	Keys   [][]float32 // [token][dim]
-	Vals   [][]float32 // [token][dim]
-	Logits []float32   // construction logits (q·k/√d ≈ Logits + noise)
-	dir    []float32   // shared key direction (unit vector)
+	Dim     int
+	KeyCols [][]float32 // [dim][token]
+	Vals    [][]float32 // [token][dim]
+	Logits  []float32   // construction logits (q·k/√d ≈ Logits + noise)
+	dir     []float32   // shared key direction (unit vector)
 
 	// Persistent key outlier channels: a few channels where every key
 	// carries a large fixed-sign magnitude. They contribute an (almost)
@@ -32,7 +37,28 @@ type HeadData struct {
 const numOutlierChannels = 4
 
 // Len returns the number of tokens.
-func (h *HeadData) Len() int { return len(h.Keys) }
+func (h *HeadData) Len() int { return len(h.Vals) }
+
+// NewKeyCols returns dim zeroed key columns of n tokens each, in one
+// arena; every column is capped so an append to one cannot run into its
+// neighbour.
+func NewKeyCols(dim, n int) [][]float32 {
+	arena := make([]float32, dim*n)
+	cols := make([][]float32, dim)
+	for d := range cols {
+		cols[d] = arena[d*n : (d+1)*n : (d+1)*n]
+	}
+	return cols
+}
+
+// KeyInto gathers token j's key into dst (length Dim) and returns it.
+func (h *HeadData) KeyInto(j int, dst []float32) []float32 {
+	dst = dst[:len(h.KeyCols)]
+	for d, c := range h.KeyCols {
+		dst[d] = c[j]
+	}
+	return dst
+}
 
 // GenHead generates keys and values for n tokens of one (layer, head) pair.
 //
@@ -44,11 +70,11 @@ func (h *HeadData) Len() int { return len(h.Keys) }
 func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *HeadData {
 	dim := model.HeadDim
 	h := &HeadData{
-		Dim:    dim,
-		Keys:   make([][]float32, n),
-		Vals:   make([][]float32, n),
-		Logits: prof.Logits(n, rng),
-		dir:    make([]float32, dim),
+		Dim:     dim,
+		KeyCols: NewKeyCols(dim, n),
+		Vals:    make([][]float32, n),
+		Logits:  prof.Logits(n, rng),
+		dir:     make([]float32, dim),
 	}
 	rng.NormVec(h.dir, 1)
 	normalize(h.dir)
@@ -68,13 +94,14 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 		}
 	}
 
-	// one arena each for keys and values; every row is capped at dim so
-	// an append to a row cannot run into its neighbour
-	keys, vals := make([]float32, n*dim), make([]float32, n*dim)
+	// one arena for the value rows, every row capped at dim so an append
+	// to a row cannot run into its neighbour; each key is drawn into a
+	// scratch row and then written into its columns
+	vals := make([]float32, n*dim)
+	k := make([]float32, dim)
 	noise := 1.0 / math.Sqrt(float64(dim)) // keeps |k| ≈ O(1..l_j)
 	for j := 0; j < n; j++ {
 		lo, hi := j*dim, (j+1)*dim
-		k := keys[lo:hi:hi]
 		rng.NormVec(k, noise)
 		mathx.Axpy(h.Logits[j], h.dir, k)
 		for c, idx := range h.outlierIdx {
@@ -82,7 +109,9 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 			// across tokens (softmax-invariant) while staying realistic
 			k[idx] += h.outlierAmp * h.outlierSign[c] * float32(1+0.1*rng.Norm())
 		}
-		h.Keys[j] = k
+		for d, c := range h.KeyCols {
+			c[j] = k[d]
+		}
 
 		v := vals[lo:hi:hi]
 		rng.NormVec(v, 1)
@@ -119,7 +148,7 @@ func (h *HeadData) Scores(q []float32, n int) []float32 {
 // ScoresInto is Scores over the first len(dst) tokens, written into dst
 // and returned.
 func (h *HeadData) ScoresInto(q, dst []float32) []float32 {
-	mathx.DotRows(q, h.Keys[:len(dst)], float32(1/math.Sqrt(float64(h.Dim))), dst)
+	mathx.DotCols(q, h.KeyCols, float32(1/math.Sqrt(float64(h.Dim))), dst)
 	return mathx.Softmax(dst, dst)
 }
 
@@ -130,9 +159,8 @@ func (h *HeadData) ScoresInto(q, dst []float32) []float32 {
 // max-aggregated across the query heads of the GQA group.
 //
 // Queries for steps 1..n-1 are generated on the fly from qrng. Each is
-// scored as ScoresInto scores it, bit for bit, but against the prefix's
-// keys transposed once per call into columns (mathx.DotCols), which the
-// four-lane multiply-add streams; the column arena is dropped at return.
+// scored as ScoresInto scores it, against the key columns' first t
+// elements (mathx.DotCols), which the four-lane multiply-add streams.
 func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG) []float32 {
 	if n > h.Len() {
 		n = h.Len()
@@ -146,15 +174,6 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 	if n > 512 {
 		stride = n / 512
 	}
-	cols := make([][]float32, h.Dim)
-	arena := make([]float32, h.Dim*n)
-	for d := range cols {
-		col := arena[d*n : (d+1)*n : (d+1)*n]
-		for j, k := range h.Keys[:n] {
-			col[j] = k[d]
-		}
-		cols[d] = col
-	}
 	scale := float32(1 / math.Sqrt(float64(h.Dim)))
 	perHead := make([]float32, n)
 	buf := make([]float32, n)
@@ -166,7 +185,7 @@ func (h *HeadData) SignificancePrefix(model *ModelConfig, n int, qrng *mathx.RNG
 		for g := 0; g < group; g++ {
 			h.QueryInto(qrng, q)
 			scores := buf[:t]
-			mathx.DotCols(q, cols, scale, scores)
+			mathx.DotCols(q, h.KeyCols, scale, scores)
 			mathx.Softmax(scores, scores)
 			for j, s := range scores {
 				if s > perHead[j] {

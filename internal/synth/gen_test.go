@@ -117,8 +117,9 @@ func TestScoresIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// significanceByRows is SignificancePrefix as it was before its keys were
-// transposed: every GQA query scored over the key rows by ScoresInto.
+// significanceByRows is SignificancePrefix on a per-row reference: every
+// GQA query scored against each key row, gathered from the columns, by
+// mathx.Dot, then softmaxed.
 func significanceByRows(h *HeadData, model *ModelConfig, n int, qrng *mathx.RNG) []float32 {
 	n = min(n, h.Len())
 	sig := make([]float32, n)
@@ -129,12 +130,17 @@ func significanceByRows(h *HeadData, model *ModelConfig, n int, qrng *mathx.RNG)
 	}
 	perHead := make([]float32, n)
 	buf := make([]float32, n)
-	q := make([]float32, h.Dim)
+	q, k := make([]float32, h.Dim), make([]float32, h.Dim)
+	scale := float32(1 / math.Sqrt(float64(h.Dim)))
 	for t := 1; t < n; t += stride {
 		clear(perHead[:t])
 		for g := 0; g < model.QueriesPerKV; g++ {
 			h.QueryInto(qrng, q)
-			for j, s := range h.ScoresInto(q, buf[:t]) {
+			scores := buf[:t]
+			for j := range scores {
+				scores[j] = mathx.Dot(q, h.KeyInto(j, k)) * scale
+			}
+			for j, s := range mathx.Softmax(scores, scores) {
 				if s > perHead[j] {
 					perHead[j] = s
 				}
@@ -188,8 +194,8 @@ func TestSignificancePrefixMatchesRowScores(t *testing.T) {
 // step, so its count must not grow with n; and QueryInto, which fills the
 // reused query buffer, draws exactly the query Query returns. The process's
 // first garbage collection starts the runtime's mark workers, which counts
-// as allocations; its per-call column arena can bring that collection into
-// the measured runs, so one is forced first.
+// as allocations; its per-call buffers can bring that collection into the
+// measured runs, so one is forced first.
 func TestSignificancePrefixAllocsFlat(t *testing.T) {
 	runtime.GC()
 	rng := mathx.NewRNG(7)
@@ -229,7 +235,7 @@ func TestOutlierChannelsInflateKeyRange(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	prof := Profile(Llama3_8B, 2, 0, 1, rng)
 	data := GenHead(Llama3_8B, prof, 64, rng)
-	k := data.Keys[0]
+	k := data.KeyInto(0, make([]float32, data.Dim))
 	minV, maxV := slices.Min(k), slices.Max(k)
 	spread := float64(maxV - minV)
 	if spread < float64(Llama3_8B.KeyOutlierAmp) {
@@ -245,7 +251,7 @@ func TestOutlierChannelsPersistAcrossTokens(t *testing.T) {
 	data := GenHead(Llama3_8B, prof, 32, rng)
 	// find outlier channels of token 0
 	big := map[int]bool{}
-	for d, v := range data.Keys[0] {
+	for d, v := range data.KeyInto(0, make([]float32, data.Dim)) {
 		if v > 3 || v < -3 {
 			big[d] = true
 		}
@@ -256,7 +262,7 @@ func TestOutlierChannelsPersistAcrossTokens(t *testing.T) {
 	// those channels must be large in (almost) every other token
 	for j := 1; j < 32; j++ {
 		for d := range big {
-			v := data.Keys[j][d]
+			v := data.KeyCols[d][j]
 			if v < 2 && v > -2 {
 				t.Fatalf("outlier channel %d not persistent at token %d: %v", d, j, v)
 			}

@@ -137,8 +137,16 @@ func TestGenHeadShapes(t *testing.T) {
 	if h.Len() != 64 {
 		t.Fatalf("Len = %d", h.Len())
 	}
+	if len(h.KeyCols) != 128 {
+		t.Fatalf("%d key columns, want 128", len(h.KeyCols))
+	}
+	for d, c := range h.KeyCols {
+		if len(c) != 64 {
+			t.Fatalf("key column %d holds %d tokens, want 64", d, len(c))
+		}
+	}
 	for j := 0; j < 64; j++ {
-		if len(h.Keys[j]) != 128 || len(h.Vals[j]) != 128 {
+		if len(h.Vals[j]) != 128 {
 			t.Fatalf("vector dims wrong at token %d", j)
 		}
 	}

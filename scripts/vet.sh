@@ -25,7 +25,7 @@
 #
 #   4. GOARCH=arm64's listing of internal/mathx must show no fused
 #      multiply-add (FMADD/FMSUB, FNMADD/FNMSUB) in the row kernels: Dot,
-#      Axpy, DotRows, AxpyRows, DotCols and axpy4 with its Go body; nor in
+#      Axpy, AxpyRows, DotCols and axpy4 with its Go body; nor in
 #      the polar normal samplers: RNG.Norm, RNG.LogNorm and RNG.LogNormInto,
 #      whose batched body must round as the scalar ones do. They convert
 #      every product explicitly, which forbids fusing it into the add
@@ -94,7 +94,7 @@ if ! "${bindir}/diffkv-vet" ./...; then
 fi
 
 echo "vet: no fused multiply-add in the row kernels and normal samplers (GOARCH=arm64)"
-kernels='Dot Axpy DotRows AxpyRows DotCols axpy4 axpy4Go (*RNG).Norm (*RNG).LogNorm (*RNG).LogNormInto'
+kernels='Dot Axpy AxpyRows DotCols axpy4 axpy4Go (*RNG).Norm (*RNG).LogNorm (*RNG).LogNormInto'
 if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx 2>&1)"; then
     echo "${listing}" >&2
     echo "vet: GOARCH=arm64 go build ./internal/mathx failed" >&2
