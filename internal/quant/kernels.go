@@ -2,9 +2,10 @@ package quant
 
 // Bit-width-specialized decode loops and page-granular batched kernels.
 //
-// The generic loops in quant.go recompute i/perByte and a variable shift for
-// every element. The specialized loops below load each packed byte once and
-// decode its 8/bits values with constant shifts — the Go analogue of the
+// A generic loop would recompute i/perByte and a variable shift for every
+// element; only QuantizeInto's 1-bit packing still does. The loops below,
+// like QuantizeInto's 8-, 4- and 2-bit ones, touch each packed byte once and
+// move its 8/bits values with constant shifts — the Go analogue of the
 // paper's CUDA kernel decoding a full register per instruction (§6.2). The
 // *Slots variants process every occupied slot of a unified page in one call,
 // so the attention path pays bit-width dispatch and the q-summation term

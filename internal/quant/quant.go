@@ -79,24 +79,55 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 		scale = span / float32(l)
 	}
 	inv := 1 / scale
-	// zero the packed region we will OR into
-	for i := 0; i < PackedLen(len(src), bits); i++ {
-		dst[i] = 0
-	}
-	perByte := 8 / bits
-	for i, v := range src {
-		q := int((v-zero)*inv + 0.5)
-		if q < 0 {
-			q = 0
+	n := len(src)
+	switch bits {
+	case 8:
+		for i, v := range src {
+			dst[i] = code(v, zero, inv, l)
 		}
-		if q > l {
-			q = l
+	case 4:
+		i := 0
+		for ; i+2 <= n; i += 2 {
+			dst[i>>1] = code(src[i], zero, inv, l) | code(src[i+1], zero, inv, l)<<4
 		}
-		byteIdx := i / perByte
-		shift := uint((i % perByte) * bits)
-		dst[byteIdx] |= byte(q) << shift
+		if i < n {
+			dst[i>>1] = code(src[i], zero, inv, l)
+		}
+	case 2:
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			dst[i>>2] = code(src[i], zero, inv, l) | code(src[i+1], zero, inv, l)<<2 |
+				code(src[i+2], zero, inv, l)<<4 | code(src[i+3], zero, inv, l)<<6
+		}
+		if i < n {
+			var b byte
+			for k := 0; i+k < n; k++ {
+				b |= code(src[i+k], zero, inv, l) << (2 * k)
+			}
+			dst[i>>2] = b
+		}
+	default:
+		// zero the packed region we will OR into
+		clear(dst[:PackedLen(n, bits)])
+		perByte := 8 / bits
+		for i, v := range src {
+			dst[i/perByte] |= code(v, zero, inv, l) << uint((i%perByte)*bits)
+		}
 	}
 	return scale, zero
+}
+
+// code is one value's b-bit code, round((v-zero)/scale) clamped to
+// [0, l], with inv = 1/scale.
+func code(v, zero, inv float32, l int) byte {
+	q := int((v-zero)*inv + 0.5)
+	if q < 0 {
+		q = 0
+	}
+	if q > l {
+		q = l
+	}
+	return byte(q)
 }
 
 // DequantizeInto reconstructs n values from packed data into dst.

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -302,5 +303,77 @@ func TestF16ExactSmallIntsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 256}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quantizeGeneric is QuantizeInto's packing as one loop for every width:
+// a zeroing pass, then each code ORed in at i/perByte and (i%perByte)·bits.
+// The per-width loops must write its bytes.
+func quantizeGeneric(src []float32, bits int, dst []byte) (scale, zero float32) {
+	minV, maxV := src[0], src[0]
+	for _, v := range src[1:] {
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	zero = minV
+	l := levels(bits)
+	if span := maxV - minV; span <= 0 {
+		scale = 1
+	} else {
+		scale = span / float32(l)
+	}
+	inv := 1 / scale
+	clear(dst[:PackedLen(len(src), bits)])
+	perByte := 8 / bits
+	for i, v := range src {
+		q := int((v-zero)*inv + 0.5)
+		if q < 0 {
+			q = 0
+		}
+		if q > l {
+			q = l
+		}
+		dst[i/perByte] |= byte(q) << uint((i%perByte)*bits)
+	}
+	return scale, zero
+}
+
+// TestQuantizeIntoMatchesGenericLoop holds the per-width loops to the
+// generic one at 1, 2, 4 and 8 bits: odd lengths, constant vectors, NaN
+// and ±Inf inputs, values on a .5 rounding tie, and a destination whose
+// old bytes must not leak into the result.
+func TestQuantizeIntoMatchesGenericLoop(t *testing.T) {
+	rng := mathx.NewRNG(61)
+	inputs := [][]float32{
+		{3, 3, 3, 3, 3},
+		{0, 0.5, 1.5, 2.5, 3}, // span 3 at 2 bits: codes on .5 ties
+		{0, 7.5, 15, 0.5, 14.5, 1, 2, 3, 4},
+		{1, float32(math.NaN()), 2, 3},
+		{float32(math.NaN()), 1, 2, 3, 4},
+		{float32(math.Inf(1)), 1, 2},
+		{float32(math.Inf(-1)), 1, 2, 3, 4},
+	}
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 31, 64, 127, 128} {
+		v := make([]float32, n)
+		rng.NormVec(v, 2)
+		inputs = append(inputs, v)
+	}
+	for _, src := range inputs {
+		for _, bits := range []int{1, 2, 4, 8} {
+			got := make([]byte, PackedLen(len(src), bits)+1)
+			want := make([]byte, len(got))
+			for i := range got {
+				got[i], want[i] = 0xa5, 0xa5
+			}
+			gs, gz := QuantizeInto(src, bits, got)
+			ws, wz := quantizeGeneric(src, bits, want)
+			if !bytes.Equal(got, want) || math.Float32bits(gs) != math.Float32bits(ws) || math.Float32bits(gz) != math.Float32bits(wz) {
+				t.Fatalf("%d bits, src %v: got %x (%v, %v), generic loop %x (%v, %v)", bits, src, got, gs, gz, want, ws, wz)
+			}
+		}
 	}
 }
