@@ -32,38 +32,38 @@ func dotPacked(q []float32, data []byte, bits int) float32 {
 	switch bits {
 	case 8:
 		for i, qv := range q {
-			s += qv * float32(data[i])
+			s += float32(qv * float32(data[i]))
 		}
 	case 4:
 		i := 0
 		for ; i+2 <= n; i += 2 {
 			b := data[i>>1]
-			s += q[i]*float32(b&0x0f) + q[i+1]*float32(b>>4)
+			s += float32(q[i]*float32(b&0x0f)) + float32(q[i+1]*float32(b>>4))
 		}
 		if i < n {
-			s += q[i] * float32(data[i>>1]&0x0f)
+			s += float32(q[i] * float32(data[i>>1]&0x0f))
 		}
 	case 2:
 		i := 0
 		for ; i+4 <= n; i += 4 {
 			b := data[i>>2]
-			s += q[i]*float32(b&3) + q[i+1]*float32((b>>2)&3) +
-				q[i+2]*float32((b>>4)&3) + q[i+3]*float32(b>>6)
+			s += float32(q[i]*float32(b&3)) + float32(q[i+1]*float32((b>>2)&3)) +
+				float32(q[i+2]*float32((b>>4)&3)) + float32(q[i+3]*float32(b>>6))
 		}
 		for ; i < n; i++ {
-			s += q[i] * float32((data[i>>2]>>uint((i&3)*2))&3)
+			s += float32(q[i] * float32((data[i>>2]>>uint((i&3)*2))&3))
 		}
 	case 1:
 		i := 0
 		for ; i+8 <= n; i += 8 {
 			b := data[i>>3]
-			s += q[i]*float32(b&1) + q[i+1]*float32((b>>1)&1) +
-				q[i+2]*float32((b>>2)&1) + q[i+3]*float32((b>>3)&1) +
-				q[i+4]*float32((b>>4)&1) + q[i+5]*float32((b>>5)&1) +
-				q[i+6]*float32((b>>6)&1) + q[i+7]*float32(b>>7)
+			s += float32(q[i]*float32(b&1)) + float32(q[i+1]*float32((b>>1)&1)) +
+				float32(q[i+2]*float32((b>>2)&1)) + float32(q[i+3]*float32((b>>3)&1)) +
+				float32(q[i+4]*float32((b>>4)&1)) + float32(q[i+5]*float32((b>>5)&1)) +
+				float32(q[i+6]*float32((b>>6)&1)) + float32(q[i+7]*float32(b>>7))
 		}
 		for ; i < n; i++ {
-			s += q[i] * float32((data[i>>3]>>uint(i&7))&1)
+			s += float32(q[i] * float32((data[i>>3]>>uint(i&7))&1))
 		}
 	default:
 		panic(fmt.Sprintf("quant: unsupported bit width %d", bits))
@@ -78,7 +78,7 @@ func dotSumPacked(q []float32, data []byte, bits int) (dot, sum float32) {
 	switch bits {
 	case 8:
 		for i, qv := range q {
-			dot += qv * float32(data[i])
+			dot += float32(qv * float32(data[i]))
 			sum += qv
 		}
 	case 4:
@@ -86,11 +86,11 @@ func dotSumPacked(q []float32, data []byte, bits int) (dot, sum float32) {
 		for ; i+2 <= n; i += 2 {
 			b := data[i>>1]
 			q0, q1 := q[i], q[i+1]
-			dot += q0*float32(b&0x0f) + q1*float32(b>>4)
+			dot += float32(q0*float32(b&0x0f)) + float32(q1*float32(b>>4))
 			sum += q0 + q1
 		}
 		if i < n {
-			dot += q[i] * float32(data[i>>1]&0x0f)
+			dot += float32(q[i] * float32(data[i>>1]&0x0f))
 			sum += q[i]
 		}
 	case 2:
@@ -98,26 +98,26 @@ func dotSumPacked(q []float32, data []byte, bits int) (dot, sum float32) {
 		for ; i+4 <= n; i += 4 {
 			b := data[i>>2]
 			q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
-			dot += q0*float32(b&3) + q1*float32((b>>2)&3) +
-				q2*float32((b>>4)&3) + q3*float32(b>>6)
+			dot += float32(q0*float32(b&3)) + float32(q1*float32((b>>2)&3)) +
+				float32(q2*float32((b>>4)&3)) + float32(q3*float32(b>>6))
 			sum += q0 + q1 + q2 + q3
 		}
 		for ; i < n; i++ {
-			dot += q[i] * float32((data[i>>2]>>uint((i&3)*2))&3)
+			dot += float32(q[i] * float32((data[i>>2]>>uint((i&3)*2))&3))
 			sum += q[i]
 		}
 	case 1:
 		i := 0
 		for ; i+8 <= n; i += 8 {
 			b := data[i>>3]
-			dot += q[i]*float32(b&1) + q[i+1]*float32((b>>1)&1) +
-				q[i+2]*float32((b>>2)&1) + q[i+3]*float32((b>>3)&1) +
-				q[i+4]*float32((b>>4)&1) + q[i+5]*float32((b>>5)&1) +
-				q[i+6]*float32((b>>6)&1) + q[i+7]*float32(b>>7)
+			dot += float32(q[i]*float32(b&1)) + float32(q[i+1]*float32((b>>1)&1)) +
+				float32(q[i+2]*float32((b>>2)&1)) + float32(q[i+3]*float32((b>>3)&1)) +
+				float32(q[i+4]*float32((b>>4)&1)) + float32(q[i+5]*float32((b>>5)&1)) +
+				float32(q[i+6]*float32((b>>6)&1)) + float32(q[i+7]*float32(b>>7))
 			sum += q[i] + q[i+1] + q[i+2] + q[i+3] + q[i+4] + q[i+5] + q[i+6] + q[i+7]
 		}
 		for ; i < n; i++ {
-			dot += q[i] * float32((data[i>>3]>>uint(i&7))&1)
+			dot += float32(q[i] * float32((data[i>>3]>>uint(i&7))&1))
 			sum += q[i]
 		}
 	default:
@@ -131,7 +131,7 @@ func dotF16(q []float32, data []byte) float32 {
 	var s float32
 	for i := range q {
 		h := uint16(data[2*i]) | uint16(data[2*i+1])<<8
-		s += q[i] * F16ToF32(h)
+		s += float32(q[i] * F16ToF32(h))
 	}
 	return s
 }
@@ -143,45 +143,45 @@ func axpyPacked(ws, wz float32, data []byte, bits, n int, dst []float32) {
 	switch bits {
 	case 8:
 		for i := 0; i < n; i++ {
-			dst[i] += ws*float32(data[i]) + wz
+			dst[i] += float32(ws*float32(data[i])) + wz
 		}
 	case 4:
 		i := 0
 		for ; i+2 <= n; i += 2 {
 			b := data[i>>1]
-			dst[i] += ws*float32(b&0x0f) + wz
-			dst[i+1] += ws*float32(b>>4) + wz
+			dst[i] += float32(ws*float32(b&0x0f)) + wz
+			dst[i+1] += float32(ws*float32(b>>4)) + wz
 		}
 		if i < n {
-			dst[i] += ws*float32(data[i>>1]&0x0f) + wz
+			dst[i] += float32(ws*float32(data[i>>1]&0x0f)) + wz
 		}
 	case 2:
 		i := 0
 		for ; i+4 <= n; i += 4 {
 			b := data[i>>2]
-			dst[i] += ws*float32(b&3) + wz
-			dst[i+1] += ws*float32((b>>2)&3) + wz
-			dst[i+2] += ws*float32((b>>4)&3) + wz
-			dst[i+3] += ws*float32(b>>6) + wz
+			dst[i] += float32(ws*float32(b&3)) + wz
+			dst[i+1] += float32(ws*float32((b>>2)&3)) + wz
+			dst[i+2] += float32(ws*float32((b>>4)&3)) + wz
+			dst[i+3] += float32(ws*float32(b>>6)) + wz
 		}
 		for ; i < n; i++ {
-			dst[i] += ws*float32((data[i>>2]>>uint((i&3)*2))&3) + wz
+			dst[i] += float32(ws*float32((data[i>>2]>>uint((i&3)*2))&3)) + wz
 		}
 	case 1:
 		i := 0
 		for ; i+8 <= n; i += 8 {
 			b := data[i>>3]
-			dst[i] += ws*float32(b&1) + wz
-			dst[i+1] += ws*float32((b>>1)&1) + wz
-			dst[i+2] += ws*float32((b>>2)&1) + wz
-			dst[i+3] += ws*float32((b>>3)&1) + wz
-			dst[i+4] += ws*float32((b>>4)&1) + wz
-			dst[i+5] += ws*float32((b>>5)&1) + wz
-			dst[i+6] += ws*float32((b>>6)&1) + wz
-			dst[i+7] += ws*float32(b>>7) + wz
+			dst[i] += float32(ws*float32(b&1)) + wz
+			dst[i+1] += float32(ws*float32((b>>1)&1)) + wz
+			dst[i+2] += float32(ws*float32((b>>2)&1)) + wz
+			dst[i+3] += float32(ws*float32((b>>3)&1)) + wz
+			dst[i+4] += float32(ws*float32((b>>4)&1)) + wz
+			dst[i+5] += float32(ws*float32((b>>5)&1)) + wz
+			dst[i+6] += float32(ws*float32((b>>6)&1)) + wz
+			dst[i+7] += float32(ws*float32(b>>7)) + wz
 		}
 		for ; i < n; i++ {
-			dst[i] += ws*float32((data[i>>3]>>uint(i&7))&1) + wz
+			dst[i] += float32(ws*float32((data[i>>3]>>uint(i&7))&1)) + wz
 		}
 	default:
 		panic(fmt.Sprintf("quant: unsupported bit width %d", bits))
@@ -218,30 +218,30 @@ func dotPacked4(q []float32, data []byte, stride, bits int) [4]float32 {
 	case 8:
 		d0, d1, d2, d3 = d0[:len(q)], d1[:len(q)], d2[:len(q)], d3[:len(q)]
 		for i, qv := range q {
-			s0 += qv * float32(d0[i])
-			s1 += qv * float32(d1[i])
-			s2 += qv * float32(d2[i])
-			s3 += qv * float32(d3[i])
+			s0 += float32(qv * float32(d0[i]))
+			s1 += float32(qv * float32(d1[i]))
+			s2 += float32(qv * float32(d2[i]))
+			s3 += float32(qv * float32(d3[i]))
 		}
 	case 4:
 		q = q[:2*stride]
 		for k := range d0 {
 			q0, q1 := q[2*k], q[2*k+1]
 			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
-			s0 += q0*float32(b0&0x0f) + q1*float32(b0>>4)
-			s1 += q0*float32(b1&0x0f) + q1*float32(b1>>4)
-			s2 += q0*float32(b2&0x0f) + q1*float32(b2>>4)
-			s3 += q0*float32(b3&0x0f) + q1*float32(b3>>4)
+			s0 += float32(q0*float32(b0&0x0f)) + float32(q1*float32(b0>>4))
+			s1 += float32(q0*float32(b1&0x0f)) + float32(q1*float32(b1>>4))
+			s2 += float32(q0*float32(b2&0x0f)) + float32(q1*float32(b2>>4))
+			s3 += float32(q0*float32(b3&0x0f)) + float32(q1*float32(b3>>4))
 		}
 	case 2:
 		q = q[:4*stride]
 		for k := range d0 {
 			q0, q1, q2, q3 := q[4*k], q[4*k+1], q[4*k+2], q[4*k+3]
 			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
-			s0 += q0*float32(b0&3) + q1*float32((b0>>2)&3) + q2*float32((b0>>4)&3) + q3*float32(b0>>6)
-			s1 += q0*float32(b1&3) + q1*float32((b1>>2)&3) + q2*float32((b1>>4)&3) + q3*float32(b1>>6)
-			s2 += q0*float32(b2&3) + q1*float32((b2>>2)&3) + q2*float32((b2>>4)&3) + q3*float32(b2>>6)
-			s3 += q0*float32(b3&3) + q1*float32((b3>>2)&3) + q2*float32((b3>>4)&3) + q3*float32(b3>>6)
+			s0 += float32(q0*float32(b0&3)) + float32(q1*float32((b0>>2)&3)) + float32(q2*float32((b0>>4)&3)) + float32(q3*float32(b0>>6))
+			s1 += float32(q0*float32(b1&3)) + float32(q1*float32((b1>>2)&3)) + float32(q2*float32((b1>>4)&3)) + float32(q3*float32(b1>>6))
+			s2 += float32(q0*float32(b2&3)) + float32(q1*float32((b2>>2)&3)) + float32(q2*float32((b2>>4)&3)) + float32(q3*float32(b2>>6))
+			s3 += float32(q0*float32(b3&3)) + float32(q1*float32((b3>>2)&3)) + float32(q2*float32((b3>>4)&3)) + float32(q3*float32(b3>>6))
 		}
 	default:
 		panic(fmt.Sprintf("quant: no four-slot dot at %d bits", bits))
@@ -263,10 +263,10 @@ func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32
 		dst = dst[:stride]
 		d0, d1, d2, d3 = d0[:len(dst)], d1[:len(dst)], d2[:len(dst)], d3[:len(dst)]
 		for i, x := range dst {
-			x += ws0*float32(d0[i]) + wz0
-			x += ws1*float32(d1[i]) + wz1
-			x += ws2*float32(d2[i]) + wz2
-			x += ws3*float32(d3[i]) + wz3
+			x += float32(ws0*float32(d0[i])) + wz0
+			x += float32(ws1*float32(d1[i])) + wz1
+			x += float32(ws2*float32(d2[i])) + wz2
+			x += float32(ws3*float32(d3[i])) + wz3
 			dst[i] = x
 		}
 	case 4:
@@ -274,14 +274,14 @@ func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32
 		for k := range d0 {
 			b0, b1, b2, b3 := d0[k], d1[k], d2[k], d3[k]
 			x, y := dst[2*k], dst[2*k+1]
-			x += ws0*float32(b0&0x0f) + wz0
-			x += ws1*float32(b1&0x0f) + wz1
-			x += ws2*float32(b2&0x0f) + wz2
-			x += ws3*float32(b3&0x0f) + wz3
-			y += ws0*float32(b0>>4) + wz0
-			y += ws1*float32(b1>>4) + wz1
-			y += ws2*float32(b2>>4) + wz2
-			y += ws3*float32(b3>>4) + wz3
+			x += float32(ws0*float32(b0&0x0f)) + wz0
+			x += float32(ws1*float32(b1&0x0f)) + wz1
+			x += float32(ws2*float32(b2&0x0f)) + wz2
+			x += float32(ws3*float32(b3&0x0f)) + wz3
+			y += float32(ws0*float32(b0>>4)) + wz0
+			y += float32(ws1*float32(b1>>4)) + wz1
+			y += float32(ws2*float32(b2>>4)) + wz2
+			y += float32(ws3*float32(b3>>4)) + wz3
 			dst[2*k], dst[2*k+1] = x, y
 		}
 	case 2:
@@ -292,10 +292,10 @@ func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32
 			// of each slot's byte per element
 			e := dst[4*k : 4*k+4 : 4*k+4]
 			for i, x := range e {
-				x += ws0*float32(b0&3) + wz0
-				x += ws1*float32(b1&3) + wz1
-				x += ws2*float32(b2&3) + wz2
-				x += ws3*float32(b3&3) + wz3
+				x += float32(ws0*float32(b0&3)) + wz0
+				x += float32(ws1*float32(b1&3)) + wz1
+				x += float32(ws2*float32(b2&3)) + wz2
+				x += float32(ws3*float32(b3&3)) + wz3
 				e[i] = x
 				b0, b1, b2, b3 = b0>>2, b1>>2, b2>>2, b3>>2
 			}
@@ -384,13 +384,13 @@ func DequantDotSlots(q []float32, data []byte, bits, nSlots int, meta []float32,
 	if interleaves(bits, dim) {
 		for ; s+4 <= nSlots; s += 4 {
 			for k, d := range dotPacked4(q, data[s*stride:(s+4)*stride], stride, bits) {
-				out[s+k] = meta[2*(s+k)]*d + meta[2*(s+k)+1]*sq
+				out[s+k] = float32(meta[2*(s+k)]*d) + float32(meta[2*(s+k)+1]*sq)
 			}
 		}
 	}
 	for ; s < nSlots; s++ {
 		d := data[s*stride : (s+1)*stride]
-		out[s] = meta[2*s]*dotPacked(q, d, bits) + meta[2*s+1]*sq
+		out[s] = float32(meta[2*s]*dotPacked(q, d, bits)) + float32(meta[2*s+1]*sq)
 	}
 }
 
@@ -409,7 +409,7 @@ func DequantAxpySlots(w []float32, data []byte, bits, n int, meta []float32, dst
 			d := data[s*stride : (s+1)*stride]
 			for i := 0; i < n; i++ {
 				h := uint16(d[2*i]) | uint16(d[2*i+1])<<8
-				dst[i] += ws * F16ToF32(h)
+				dst[i] += float32(ws * F16ToF32(h))
 			}
 		}
 		return

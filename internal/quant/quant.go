@@ -120,7 +120,7 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 // code is one value's b-bit code, round((v-zero)/scale) clamped to
 // [0, l], with inv = 1/scale.
 func code(v, zero, inv float32, l int) byte {
-	q := int((v-zero)*inv + 0.5)
+	q := int(float32((v-zero)*inv) + 0.5)
 	if q < 0 {
 		q = 0
 	}
@@ -144,7 +144,7 @@ func DequantizeInto(data []byte, bits, n int, scale, zero float32, dst []float32
 	}
 	unpackInto(data, bits, n, dst)
 	for i := 0; i < n; i++ {
-		dst[i] = scale*dst[i] + zero
+		dst[i] = float32(scale*dst[i]) + zero
 	}
 }
 
@@ -158,7 +158,7 @@ func DequantDot(q []float32, data []byte, bits int, scale, zero float32) float32
 		return dotF16(q, data)
 	}
 	dot, sum := dotSumPacked(q, data, bits)
-	return scale*dot + zero*sum
+	return float32(scale*dot) + float32(zero*sum)
 }
 
 // DequantAxpy computes dst += w * dequantize(data) for an n-element packed
@@ -170,7 +170,7 @@ func DequantAxpy(w float32, data []byte, bits, n int, scale, zero float32, dst [
 	if bits == BitsF16 {
 		for i := 0; i < n; i++ {
 			h := uint16(data[2*i]) | uint16(data[2*i+1])<<8
-			dst[i] += w * F16ToF32(h)
+			dst[i] += float32(w * F16ToF32(h))
 		}
 		return
 	}

@@ -32,6 +32,8 @@
 #      that follows; arm64 fuses an unconverted x*y+z and amd64 never
 #      does, so the arm64 listing is where a lost conversion shows. The
 #      step fails too if any of those symbols is missing from the listing.
+#      GOARCH=arm64's listing of internal/quant must show no fused op at
+#      all: every product its packing and page kernels add is converted.
 #
 # Before trusting layer 3, the script proves the gate can actually fail:
 # diffkv-vet is run over the injected-violation fixture
@@ -115,6 +117,23 @@ else
     if [[ -n "${fused}" ]]; then
         echo "${fused}" >&2
         echo "vet: a product is fused on arm64; convert it explicitly (float32(x*y) in a row kernel, float64(x*y) in a sampler)" >&2
+        fail=1
+    fi
+fi
+
+echo "vet: no fused multiply-add in internal/quant (GOARCH=arm64)"
+if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/quant 2>&1)"; then
+    echo "${listing}" >&2
+    echo "vet: GOARCH=arm64 go build ./internal/quant failed" >&2
+    fail=1
+else
+    fused="$(awk '
+        /^[^ \t].* STEXT/ { sym = $1 }
+        /\tF(N)?M(ADD|SUB)[SD]\t/ { n[sym]++ }
+        END { for (s in n) print s ": " n[s] " fused" }' <<<"${listing}" | sort)"
+    if [[ -n "${fused}" ]]; then
+        echo "${fused}" >&2
+        echo "vet: a product is fused on arm64 in internal/quant; convert it explicitly (float32(x*y))" >&2
         fail=1
     fi
 fi
