@@ -1,6 +1,8 @@
 package attention
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"diffkv/internal/kvcache"
@@ -173,5 +175,62 @@ func TestScratchUniformZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch Uniform allocated %v per run", allocs)
+	}
+}
+
+// TestScratchSubsetMatchesReference: Subset over sparse keep sets (scored
+// where they lie) and dense ones (scored over the prefix) writes every bit
+// Reference writes over the gathered keys and values, and allocates
+// nothing once warm.
+func TestScratchSubsetMatchesReference(t *testing.T) {
+	rng := mathx.NewRNG(29)
+	q, keys, vals := genKV(rng, 200, 64)
+	kc := cols(keys)
+	var s, ref Scratch
+	for _, idx := range [][]int{{7}, subsetIdx(200, 20), subsetIdx(200, 9), subsetIdx(200, 3), subsetIdx(200, 1), {150, 3, 3, 42}} {
+		var gk, gv [][]float32
+		for _, j := range idx {
+			gk, gv = append(gk, keys[j]), append(gv, vals[j])
+		}
+		want := ref.Reference(q, cols(gk), gv)
+		got := s.Subset(q, kc, vals, idx)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("keep %d: out[%d] = %v, Reference over gathered %v", len(idx), i, got[i], want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.Subset(q, kc, vals, idx) }); allocs != 0 {
+			t.Fatalf("keep %d: Subset allocated %v per run", len(idx), allocs)
+		}
+	}
+}
+
+// subsetIdx lists every stride-th token of n, the sorted keep set of a head
+// that prunes all but 1/stride of its tokens.
+func subsetIdx(n, stride int) []int {
+	var idx []int
+	for j := stride / 2; j < n; j += stride {
+		idx = append(idx, j)
+	}
+	return idx
+}
+
+// BenchmarkSubset runs Subset on a Fig9-sized head (512 tokens, dim 128)
+// at keep fractions of 8 %, 25 % and 50 %, the spread the pruning
+// experiments and Quest produce.
+func BenchmarkSubset(b *testing.B) {
+	rng := mathx.NewRNG(8)
+	q, keys, vals := genKV(rng, 512, 128)
+	kc := cols(keys)
+	for _, stride := range []int{12, 4, 2} {
+		idx := subsetIdx(len(vals), stride)
+		b.Run(fmt.Sprintf("keep%d", len(idx)), func(b *testing.B) {
+			var s Scratch
+			s.Subset(q, kc, vals, idx)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Subset(q, kc, vals, idx)
+			}
+		})
 	}
 }

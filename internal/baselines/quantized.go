@@ -58,17 +58,14 @@ func (KIVI) Evaluate(model *synth.ModelConfig, data *synth.HeadData, sig []float
 	if cut < 0 {
 		cut = 0
 	}
-	// keys: per-channel 2-bit across the compressed block (outlier
-	// channels get their own scale — KIVI's key insight), read straight
-	// from the head's columns; values: per-token 2-bit
-	block := make([][]float32, data.Dim)
-	for d, c := range data.KeyCols {
-		block[d] = c[:cut]
-	}
+	// keys: per-channel 2-bit across the compressed block, one scale/zero
+	// pair per channel (outlier channels get their own scale — KIVI's key
+	// insight), read straight from the head's columns; values: per-token
+	// 2-bit
 	keys := synth.NewKeyCols(data.Dim, n)
-	for d, rec := range quant.RoundTripPerChannel(block, 2) {
-		copy(keys[d], rec)
-		copy(keys[d][cut:], data.KeyCols[d][cut:n])
+	for d, c := range data.KeyCols {
+		copy(keys[d], quant.RoundTrip(c[:cut], 2))
+		copy(keys[d][cut:], c[cut:n])
 	}
 	vals := make([][]float32, n)
 	for j := 0; j < n; j++ {

@@ -131,6 +131,43 @@ func TestDotColsMatchesDotRows(t *testing.T) {
 	})
 }
 
+// TestDotColsAtMatchesDotCols: scoring the listed vectors where they lie
+// writes DotCols's bits for each, on every dimension, on sorted, repeated
+// and unordered index lists, and leaves out past len(idx) untouched.
+func TestDotColsAtMatchesDotCols(t *testing.T) {
+	rng := NewRNG(49)
+	_, dims := rowShapes()
+	const n = 37
+	lists := [][]int{nil, {0}, {36}, {3, 4, 5, 30}, {9, 9, 2}, {36, 0, 17, 5, 5, 11, 8, 1, 29}}
+	for _, dim := range dims {
+		q := make([]float32, dim)
+		rng.NormVec(q, 1)
+		cols := transpose(randRows(rng, n, dim), dim, 0)
+		scale := float32(1 / math.Sqrt(float64(dim)))
+		all := make([]float32, n)
+		DotCols(q, cols, scale, all)
+		for _, idx := range lists {
+			got := make([]float32, len(idx)+1)
+			got[len(idx)] = 0.5
+			DotColsAt(q, cols, idx, scale, got)
+			for k, j := range idx {
+				if math.Float32bits(got[k]) != math.Float32bits(all[j]) {
+					t.Fatalf("dim %d idx %v: out[%d] = %v, DotCols %v", dim, idx, k, got[k], all[j])
+				}
+			}
+			if got[len(idx)] != 0.5 {
+				t.Fatalf("dim %d idx %v: wrote past len(idx)", dim, idx)
+			}
+		}
+	}
+	mustPanic(t, "DotColsAt with fewer columns than q", func() {
+		DotColsAt(make([]float32, 8), randRows(rng, 7, 4), []int{1}, 1, make([]float32, 1))
+	})
+	mustPanic(t, "DotColsAt with out shorter than idx", func() {
+		DotColsAt(make([]float32, 4), randRows(rng, 4, 4), []int{1, 2}, 1, make([]float32, 1))
+	})
+}
+
 // axpy4Values mixes ordinary draws with the values whose rounding or
 // propagation a vector body could get wrong: signed zeros, infinities,
 // subnormals, magnitudes whose products overflow or underflow, and NaN.

@@ -37,9 +37,9 @@
 // to math.Exp and math.Log. Off amd64, and under the race detector, the
 // bodies are the Go loops.
 //
-// Every product the row kernels (Dot, Axpy, AxpyRows, DotCols, axpy4Go)
-// sum is converted to float32 explicitly, and every product the polar
-// normal samplers (Norm, LogNorm, LogNormInto) add to is converted
+// Every product the row kernels (Dot, Axpy, AxpyRows, DotCols, DotColsAt,
+// axpy4Go) sum is converted to float32 explicitly, and every product the
+// polar normal samplers (Norm, LogNorm, LogNormInto) add to is converted
 // to float64. The Go spec lets a compiler fuse x*y+z into one rounding
 // unless the product is converted, and arm64 would fuse it; amd64 never
 // does, so the conversion changes no amd64 instruction and keeps the sums
@@ -97,6 +97,40 @@ func DotCols(q []float32, cols [][]float32, scale float32, out []float32) {
 	}
 	for ; i < len(q); i++ {
 		Axpy(q[i], cols[i][:len(out)], out)
+	}
+	Scale(scale, out)
+}
+
+// DotColsAt is DotCols restricted to the vectors listed in idx: it writes
+// out[k] = scale·Σᵢ q[i]·cols[i][idx[k]] for every k < len(idx), each
+// summed from zero in i order and then scaled, so every output bit equals
+// DotCols's out[idx[k]]. It reads only the listed elements of each column,
+// so its work is len(idx)·len(q), however far apart the listed vectors
+// lie. It panics unless len(cols) == len(q) and len(out) >= len(idx).
+func DotColsAt(q []float32, cols [][]float32, idx []int, scale float32, out []float32) {
+	if len(cols) != len(q) {
+		panic("mathx: DotColsAt length mismatch")
+	}
+	out = out[:len(idx)]
+	clear(out)
+	i := 0
+	for ; i+4 <= len(q); i += 4 {
+		q0, q1, q2, q3 := q[i], q[i+1], q[i+2], q[i+3]
+		c0, c1, c2, c3 := cols[i], cols[i+1], cols[i+2], cols[i+3]
+		for k, j := range idx {
+			d := out[k]
+			d += float32(q0 * c0[j])
+			d += float32(q1 * c1[j])
+			d += float32(q2 * c2[j])
+			d += float32(q3 * c3[j])
+			out[k] = d
+		}
+	}
+	for ; i < len(q); i++ {
+		qi, c := q[i], cols[i]
+		for k, j := range idx {
+			out[k] += float32(qi * c[j])
+		}
 	}
 	Scale(scale, out)
 }

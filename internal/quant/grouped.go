@@ -46,20 +46,6 @@ func RoundTripGrouped(src []float32, bits, groupSize int) []float32 {
 	return out
 }
 
-// RoundTripPerChannel quantizes a block of vectors channel-wise: each
-// feature dimension is quantized across all vectors in the block with its
-// own scale/zero pair. This is KIVI's key layout — persistent outlier
-// channels get their own scale, so low-bit keys survive. The block comes by
-// column (cols[d] holds channel d of every vector), and so does the
-// reconstruction, which aliases no input memory.
-func RoundTripPerChannel(cols [][]float32, bits int) [][]float32 {
-	out := make([][]float32, len(cols))
-	for d, col := range cols {
-		out[d] = RoundTrip(col, bits)
-	}
-	return out
-}
-
 // RoundTrip quantizes src per-vector (one scale/zero for the whole vector)
 // and returns the dequantized reconstruction.
 func RoundTrip(src []float32, bits int) []float32 {

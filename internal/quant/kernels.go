@@ -207,11 +207,12 @@ func slots4(data []byte, stride int) (d0, d1, d2, d3 []byte) {
 	return d0, data[stride:][:len(d0)], data[2*stride:][:len(d0)], data[3*stride:][:len(d0)]
 }
 
-// dotPacked4 is dotPacked over four slots stored at stride: one
+// dotPacked4Go is dotPacked over four slots stored at stride: one
 // accumulator per slot, each summed in exactly dotPacked's order, so every
-// result is bit-identical to a dotPacked call. Only shapes interleaves
-// accepts reach it.
-func dotPacked4(q []float32, data []byte, stride, bits int) [4]float32 {
+// result is bit-identical to a dotPacked call. It is dotPacked4's Go body,
+// the reference its SSE2 body must equal. Only shapes interleaves accepts
+// reach it.
+func dotPacked4Go(q []float32, data []byte, stride, bits int) [4]float32 {
 	d0, d1, d2, d3 := slots4(data, stride)
 	var s0, s1, s2, s3 float32
 	switch bits {
@@ -249,12 +250,13 @@ func dotPacked4(q []float32, data []byte, stride, bits int) [4]float32 {
 	return [4]float32{s0, s1, s2, s3}
 }
 
-// axpyPacked4 is axpyPacked over four slots stored at stride, with slot
+// axpyPacked4Go is axpyPacked over four slots stored at stride, with slot
 // k's folded weights in ws[k] and wz[k]. Each dst element is loaded and
 // stored once and receives the four slots' terms in slot order, so dst
-// ends bit-identical to four axpyPacked calls. Only shapes interleaves
+// ends bit-identical to four axpyPacked calls. It is axpyPacked4's Go
+// body, the reference its SSE2 body must equal. Only shapes interleaves
 // accepts reach it.
-func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32) {
+func axpyPacked4Go(ws, wz [4]float32, data []byte, stride, bits int, dst []float32) {
 	d0, d1, d2, d3 := slots4(data, stride)
 	ws0, ws1, ws2, ws3 := ws[0], ws[1], ws[2], ws[3]
 	wz0, wz1, wz2, wz3 := wz[0], wz[1], wz[2], wz[3]

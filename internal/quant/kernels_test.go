@@ -319,3 +319,114 @@ func TestQuantizeIntoZeroAllocs(t *testing.T) {
 		t.Fatalf("checked %d widths, want 5 (1, 2, 4, 8 and F16)", widths)
 	}
 }
+
+// specialFloats mixes ordinary draws with the values whose rounding or
+// propagation a vector body could get wrong: signed zeros, infinities,
+// subnormals, magnitudes whose products overflow or underflow, and NaN.
+func specialFloats(rng *mathx.RNG, n int) []float32 {
+	special := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), -math.Float32frombits(0x00400000),
+		math.MaxFloat32, -math.MaxFloat32, 3e38, -2e19, 1e-20, -1e-25,
+		float32(math.NaN()),
+	}
+	v := make([]float32, n)
+	rng.NormVec(v, 3)
+	for i := range v {
+		if rng.Intn(3) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// sameBits reports whether a and b are the same float32, any NaN matching
+// any NaN (a vector body may carry a different payload).
+func sameBits(a, b float32) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
+}
+
+// TestPageKernelsMatchGo holds the four-slot kernels (SSE2 on amd64
+// outside -race) to their Go bodies bit for bit at 8, 4 and 2 bits, on
+// strides that fill the four-byte passes and strides that fall back to Go,
+// on every byte value, and with queries, weights and destinations that
+// hold NaN, infinities and subnormals. A NaN must be a NaN on both sides.
+func TestPageKernelsMatchGo(t *testing.T) {
+	rng := mathx.NewRNG(21)
+	for _, bits := range []int{8, 4, 2} {
+		for _, stride := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 32, 64, 128} {
+			n := stride * 8 / bits
+			for rep := 0; rep < 6; rep++ {
+				data := make([]byte, 4*stride)
+				for i := range data {
+					data[i] = byte(rng.Intn(256))
+				}
+				q := specialFloats(rng, n)
+				if rep == 0 {
+					rng.NormVec(q, 1)
+				}
+				got, want := dotPacked4(q, data, stride, bits), dotPacked4Go(q, data, stride, bits)
+				for k := range want {
+					if !sameBits(got[k], want[k]) {
+						t.Fatalf("dot bits %d stride %d rep %d: slot %d = %v, Go body %v", bits, stride, rep, k, got[k], want[k])
+					}
+				}
+
+				var ws, wz [4]float32
+				copy(ws[:], specialFloats(rng, 4))
+				copy(wz[:], specialFloats(rng, 4))
+				if rep == 0 {
+					ws, wz = [4]float32{0.5, -1.25, 3, 1e-3}, [4]float32{-0.75, 2, 0.125, -4}
+				}
+				gotV := specialFloats(rng, n)
+				wantV := append([]float32(nil), gotV...)
+				axpyPacked4(ws, wz, data, stride, bits, gotV)
+				axpyPacked4Go(ws, wz, data, stride, bits, wantV)
+				for i := range wantV {
+					if !sameBits(gotV[i], wantV[i]) {
+						t.Fatalf("axpy bits %d stride %d rep %d: dst[%d] = %v, Go body %v", bits, stride, rep, i, gotV[i], wantV[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSlotKernelsSpecialWeights: with 0-9 slots and weights, metadata and
+// queries that hold NaN, infinities and subnormals, the slot kernels still
+// write the per-slot loops' bits (any NaN matching any NaN).
+func TestSlotKernelsSpecialWeights(t *testing.T) {
+	rng := mathx.NewRNG(22)
+	for _, bits := range []int{8, 4, 2} {
+		for _, dim := range []int{8, 64, 128} {
+			for nSlots := 0; nSlots <= 9; nSlots++ {
+				data, _, _ := slotPage(rng, bits, dim, nSlots)
+				meta := specialFloats(rng, 2*nSlots)
+				q := specialFloats(rng, dim)
+				got, want := make([]float32, nSlots), make([]float32, nSlots)
+				DequantDotSlots(q, data, bits, nSlots, meta, got)
+				refDotSlots(q, data, bits, nSlots, meta, want)
+				for s := range want {
+					if !sameBits(got[s], want[s]) {
+						t.Fatalf("dot bits=%d dim=%d slots=%d: slot %d = %v, per-slot %v", bits, dim, nSlots, s, got[s], want[s])
+					}
+				}
+				w := specialFloats(rng, nSlots)
+				gotV := specialFloats(rng, dim)
+				wantV := append([]float32(nil), gotV...)
+				DequantAxpySlots(w, data, bits, dim, meta, gotV)
+				refAxpySlots(w, data, bits, dim, meta, wantV)
+				for i := range wantV {
+					if !sameBits(gotV[i], wantV[i]) {
+						t.Fatalf("axpy bits=%d dim=%d slots=%d: dst[%d] = %v, per-slot %v", bits, dim, nSlots, i, gotV[i], wantV[i])
+					}
+				}
+			}
+		}
+	}
+}

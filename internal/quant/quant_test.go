@@ -330,7 +330,7 @@ func quantizeGeneric(src []float32, bits int, dst []byte) (scale, zero float32) 
 	clear(dst[:PackedLen(len(src), bits)])
 	perByte := 8 / bits
 	for i, v := range src {
-		q := int((v-zero)*inv + 0.5)
+		q := int(float32((v-zero)*inv) + 0.5)
 		if q < 0 {
 			q = 0
 		}

@@ -96,7 +96,7 @@ if ! "${bindir}/diffkv-vet" ./...; then
 fi
 
 echo "vet: no fused multiply-add in the row kernels and normal samplers (GOARCH=arm64)"
-kernels='Dot Axpy AxpyRows DotCols axpy4 axpy4Go (*RNG).Norm (*RNG).LogNorm (*RNG).LogNormInto'
+kernels='Dot Axpy AxpyRows DotCols DotColsAt axpy4 axpy4Go (*RNG).Norm (*RNG).LogNorm (*RNG).LogNormInto'
 if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx 2>&1)"; then
     echo "${listing}" >&2
     echo "vet: GOARCH=arm64 go build ./internal/mathx failed" >&2
@@ -122,11 +122,18 @@ else
 fi
 
 echo "vet: no fused multiply-add in internal/quant (GOARCH=arm64)"
+qkernels='dotPacked4Go axpyPacked4Go dotPacked dotSumPacked axpyPacked dotF16 code QuantizeInto DequantizeInto DequantDot DequantAxpy DequantDotSlots DequantAxpySlots'
 if ! listing="$(GOARCH=arm64 go build -gcflags=-S ./internal/quant 2>&1)"; then
     echo "${listing}" >&2
     echo "vet: GOARCH=arm64 go build ./internal/quant failed" >&2
     fail=1
 else
+    for k in ${qkernels}; do
+        if ! grep -qF "diffkv/internal/quant.${k} STEXT" <<<"${listing}"; then
+            echo "vet: quant.${k} is missing from the GOARCH=arm64 listing" >&2
+            fail=1
+        fi
+    done
     fused="$(awk '
         /^[^ \t].* STEXT/ { sym = $1 }
         /\tF(N)?M(ADD|SUB)[SD]\t/ { n[sym]++ }
