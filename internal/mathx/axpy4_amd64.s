@@ -48,3 +48,42 @@ loop:
 
 done:
 	RET
+
+// func axpy4AVX(dst, r0, r1, r2, r3 []float32, w0, w1, w2, w3 float32)
+//
+// axpy4SSE eight elements per iteration: a VMULPS then a VADDPS per row,
+// never a fused op, so every lane rounds as MULSS/ADDSS would. The
+// len(dst)&7 remaining elements are left to the caller.
+TEXT ·axpy4AVX(SB), NOSPLIT, $0-136
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         r0_base+24(FP), R8
+	MOVQ         r1_base+48(FP), R9
+	MOVQ         r2_base+72(FP), R10
+	MOVQ         r3_base+96(FP), R11
+	VBROADCASTSS w0+120(FP), Y4
+	VBROADCASTSS w1+124(FP), Y5
+	VBROADCASTSS w2+128(FP), Y6
+	VBROADCASTSS w3+132(FP), Y7
+	SHRQ         $3, CX
+	JZ           avxdone
+	XORQ         AX, AX
+
+avxloop:
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS  (R8)(AX*1), Y4, Y1
+	VADDPS  Y1, Y0, Y0
+	VMULPS  (R9)(AX*1), Y5, Y2
+	VADDPS  Y2, Y0, Y0
+	VMULPS  (R10)(AX*1), Y6, Y3
+	VADDPS  Y3, Y0, Y0
+	VMULPS  (R11)(AX*1), Y7, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     avxloop
+
+avxdone:
+	VZEROUPPER
+	RET

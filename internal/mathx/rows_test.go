@@ -190,15 +190,21 @@ func axpy4Values(rng *RNG, n int) []float32 {
 	return v
 }
 
-// TestAxpy4MatchesGo holds axpy4 (SSE2 on amd64 outside -race) to its Go
-// body bit for bit on every remainder of the length mod 4, on sub-slices
-// that start off a 16-byte boundary, and on rows longer than dst. A NaN
-// result must be a NaN on both sides; its payload may differ.
+// TestAxpy4MatchesGo holds axpy4 (AVX where usable and SSE2 on amd64
+// outside -race) to its Go body bit for bit at every length from 0 to 33
+// (each remainder mod 8 with and without a full AVX pass) and around 128,
+// on sub-slices that start at every float off a 32-byte boundary, and on
+// rows longer than dst. A NaN result must be a NaN on both sides; its
+// payload may differ.
 func TestAxpy4MatchesGo(t *testing.T) {
 	rng := NewRNG(45)
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129}
+	var lengths []int
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 127, 128, 129)
 	for _, n := range lengths {
-		for off := 0; off < 4; off++ {
+		for off := 0; off < 8; off++ {
 			for rep := 0; rep < 8; rep++ {
 				var rows [4][]float32
 				for r := range rows {

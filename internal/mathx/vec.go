@@ -18,10 +18,13 @@
 // to the Go it stands in for, because each lane holds a different element
 // and runs that element's scalar steps in the same order:
 //
-//   - axpy4, the four-row multiply-add under AxpyRows and DotCols, is SSE2
-//     (axpy4_amd64.s): MULPS then ADDPS per row, never a fused op, so a
-//     lane rounds exactly where the MULSS/ADDSS of its Go body, axpy4Go,
-//     would. SSE2 is amd64's baseline, so there is no CPU feature check.
+//   - axpy4, the four-row multiply-add under AxpyRows and DotCols, is
+//     VEX-256 eight elements at a time where AVX is usable, then SSE2 four
+//     at a time (axpy4_amd64.s): a multiply then an add per row, never a
+//     fused op, so a lane rounds exactly where the MULSS/ADDSS of its Go
+//     body, axpy4Go, would. SSE2 is amd64's baseline and needs no check;
+//     the AVX body is gated on ExpVec's gate, math's own useFMA (AVX and
+//     FMA, with the OS check), so it needs no CPU-feature probe either.
 //   - ExpVec's kernel transcribes the AVX+FMA path of math.Exp's own
 //     assembly (math/exp_amd64.s, Shibata's SIMD-oriented method) two
 //     lanes at a time (expvec_amd64.s). It runs only where math.Exp takes
