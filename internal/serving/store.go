@@ -104,6 +104,9 @@ type pageStore struct {
 	// step scratch, reused so the steady state allocates nothing
 	headDemand []kvcache.HeadDemand
 	draws      []float64 // register's tier draws: hi then lo, head by head
+	// released records' 2·heads fraction slices, which register hands out
+	// again before it allocates one
+	fracFree [][]float64
 	genIDs     []int
 	genSeqs    []*seqState // the step's records, while the manager draws them
 	genAt      []int       // each sequence's first draw of the step
@@ -124,12 +127,20 @@ func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
 }
 
 // register draws the sequence's per-head tier fractions and registers it
-// with the manager.
+// with the manager. The fractions go into a slice a released record gave
+// back, when there is one: drawFractions writes every element.
 func (s *pageStore) register(st *seqState) error {
 	if _, err := s.mgr.AddSequence(st.req.ID, s.heads); err != nil {
 		return err
 	}
-	st.frac, st.thr = make([]float64, 2*s.heads), nil
+	if k := len(s.fracFree); k > 0 {
+		st.frac = s.fracFree[k-1]
+		s.fracFree[k-1] = nil
+		s.fracFree = s.fracFree[:k-1]
+	} else {
+		st.frac = make([]float64, 2*s.heads)
+	}
+	st.thr = nil
 	s.drawFractions(st.fractions())
 	if st.brownout {
 		st.allLow()
@@ -251,7 +262,20 @@ func (s *pageStore) GenDraws(i int) (mathx.RNG, []kvcache.TierThresholds, bool) 
 // not filled stays on the calling goroutine.
 func (s *pageStore) DrawHeads() int { return s.genDraws }
 
-func (s *pageStore) release(st *seqState) error { return s.mgr.ReleaseSequence(st.req.ID) }
+// release returns the sequence's pages and takes back its fraction slice
+// for the next register. A prefill child that completes with handoffGen
+// set keeps its slice: its KVExport holds the same progress, and the
+// decode side adopts those fractions.
+func (s *pageStore) release(st *seqState) error {
+	if err := s.mgr.ReleaseSequence(st.req.ID); err != nil {
+		return err
+	}
+	if st.handoffGen == 0 && len(st.frac) == 2*s.heads {
+		s.fracFree = append(s.fracFree, st.frac)
+		st.frac, st.thr = nil, nil
+	}
+	return nil
+}
 
 func (s *pageStore) shape(st *seqState) ([]kvcache.HeadDemand, error) {
 	return s.mgr.HeadCounts(st.req.ID, nil)

@@ -354,3 +354,34 @@ func TestDrawFractionsMatchLogNormLoop(t *testing.T) {
 		t.Fatalf("drawFractions allocates %v times per record, want 0", n)
 	}
 }
+
+// A released record's fraction slice goes to the next register instead of
+// a fresh one; a prefill child completing into a handoff keeps
+// its slice, because its export holds the same progress.
+func TestRegisterRecyclesReleasedFractions(t *testing.T) {
+	ps, seqs := genStepStore(t, 2)
+	done, child := seqs[0], seqs[1]
+	frac := done.frac
+	if err := ps.release(done); err != nil {
+		t.Fatal(err)
+	}
+	if done.frac != nil {
+		t.Fatal("a released record still holds the fraction slice it gave back")
+	}
+	next := &seqState{req: workload.Request{ID: 3, PromptLen: 512, GenLen: 8}}
+	if err := ps.register(next); err != nil {
+		t.Fatal(err)
+	}
+	if &next.frac[0] != &frac[0] {
+		t.Fatal("register did not take the released record's slice")
+	}
+
+	child.handoffGen = 64
+	kept := child.frac
+	if err := ps.release(child); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.fracFree) != 0 || &child.frac[0] != &kept[0] {
+		t.Fatal("releasing a prefill child recycled the fractions its export shares")
+	}
+}
