@@ -107,10 +107,10 @@ type pageStore struct {
 	// released records' 2·heads fraction slices, which register hands out
 	// again before it allocates one
 	fracFree [][]float64
-	genIDs     []int
-	genSeqs    []*seqState // the step's records, while the manager draws them
-	genAt      []int       // each sequence's first draw of the step
-	genDraws   int         // the step's draws: heads × drawing sequences
+	genIDs   []int
+	genSeqs  []*seqState // the step's records, while the manager draws them
+	genAt    []int       // each sequence's first draw of the step
+	genDraws int         // the step's draws: heads × drawing sequences
 }
 
 func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {

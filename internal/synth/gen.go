@@ -60,6 +60,12 @@ func (h *HeadData) KeyInto(j int, dst []float32) []float32 {
 	return dst
 }
 
+// keyBlock is the number of keys GenHead draws before it writes them into
+// their columns: a column takes a run of keyBlock writes at once instead of
+// one write per key, and the columns, which lie n floats apart, are
+// visited once per block rather than once per key.
+const keyBlock = 16
+
 // GenHead generates keys and values for n tokens of one (layer, head) pair.
 //
 // Construction: a unit direction u is drawn per head; token j's key is
@@ -95,13 +101,16 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 	}
 
 	// one arena for the value rows, every row capped at dim so an append
-	// to a row cannot run into its neighbour; each key is drawn into a
-	// scratch row and then written into its columns
+	// to a row cannot run into its neighbour; keys are drawn row by row
+	// into a block of keyBlock scratch rows, and each full block (and the
+	// last) is written into the columns column by column
 	vals := make([]float32, n*dim)
-	k := make([]float32, dim)
+	kblock := make([]float32, keyBlock*dim)
 	noise := 1.0 / math.Sqrt(float64(dim)) // keeps |k| ≈ O(1..l_j)
 	for j := 0; j < n; j++ {
 		lo, hi := j*dim, (j+1)*dim
+		b := j % keyBlock
+		k := kblock[b*dim : (b+1)*dim : (b+1)*dim]
 		rng.NormVec(k, noise)
 		mathx.Axpy(h.Logits[j], h.dir, k)
 		for c, idx := range h.outlierIdx {
@@ -109,8 +118,13 @@ func GenHead(model *ModelConfig, prof SparsityProfile, n int, rng *mathx.RNG) *H
 			// across tokens (softmax-invariant) while staying realistic
 			k[idx] += h.outlierAmp * h.outlierSign[c] * float32(1+0.1*rng.Norm())
 		}
-		for d, c := range h.KeyCols {
-			c[j] = k[d]
+		if b == keyBlock-1 || j == n-1 {
+			for d, c := range h.KeyCols {
+				col := c[j-b : j+1]
+				for i := range col {
+					col[i] = kblock[i*dim+d]
+				}
+			}
 		}
 
 		v := vals[lo:hi:hi]
