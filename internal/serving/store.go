@@ -104,13 +104,14 @@ type pageStore struct {
 	// step scratch, reused so the steady state allocates nothing
 	headDemand []kvcache.HeadDemand
 	draws      []float64 // register's tier draws: hi then lo, head by head
+	genIDs     []int
+	genSeqs    []*seqState // the step's records, while the manager draws them
+	genAt      []int       // each sequence's first draw of the step
+	genDraws   int         // the step's draws: heads × drawing sequences
+
 	// released records' 2·heads fraction slices, which register hands out
 	// again before it allocates one
 	fracFree [][]float64
-	genIDs   []int
-	genSeqs  []*seqState // the step's records, while the manager draws them
-	genAt    []int       // each sequence's first draw of the step
-	genDraws int         // the step's draws: heads × drawing sequences
 }
 
 func newPageStore(cfg Config, mgr *kvcache.Manager) *pageStore {
