@@ -11,6 +11,11 @@ package quant
 // so the attention path pays bit-width dispatch and the q-summation term
 // once per page rather than once per token, and they decode four slots per
 // pass with one accumulator each, keeping every slot's summation order.
+// On amd64 outside the race detector those four-slot passes are SSE2
+// (kernels_amd64.s): each lane runs one slot's (dot) or one element's
+// (axpy) scalar chain in the Go body's order, multiplying and adding where
+// the Go body rounds, so every bit equals dotPacked4Go's and
+// axpyPacked4Go's.
 
 import "fmt"
 
