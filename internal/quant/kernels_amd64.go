@@ -89,3 +89,70 @@ func axpySlots4SSE(dst []float32, data []byte, stride int, ws, wz *[4]float32)
 //
 //go:noescape
 func axpySlots2SSE(dst []float32, data []byte, stride int, ws, wz *[4]float32)
+
+// minMaxKernel folds the first len(src)&^3 elements into lo and hi as
+// QuantizeInto's scalar scan would, in SSE2, and returns that count.
+func minMaxKernel(src []float32, lo, hi *float32) int {
+	m := len(src) &^ 3
+	if m == 0 {
+		return 0
+	}
+	l, h := minMaxSSE(src[:m], *lo)
+	*lo, *hi = min32(*lo, l), max32(*hi, h)
+	return m
+}
+
+// min32 and max32 are QuantizeInto's scalar steps: b replaces a only when
+// it is strictly below (above) it.
+func min32(a, b float32) float32 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func max32(a, b float32) float32 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
+// codesKernel writes QuantizeInto's 8-, 4- or 2-bit codes for the first
+// len(src)&^15 elements into dst in SSE2 and returns that count, or 0 at
+// 1 bit.
+func codesKernel(src []float32, zero, inv float32, l, bits int, dst []byte) int {
+	m := len(src) &^ 15
+	if m == 0 {
+		return 0
+	}
+	switch bits {
+	case 8:
+		codes8SSE(src[:m], zero, inv, l, dst[:m])
+	case 4:
+		codes4SSE(src[:m], zero, inv, l, dst[:m/2])
+	case 2:
+		codes2SSE(src[:m], zero, inv, l, dst[:m/4])
+	default:
+		return 0
+	}
+	return m
+}
+
+// minMaxSSE is QuantizeInto's min/max scan over the first len(src)&^3
+// elements, four lanes that start at init (kernels_amd64.s).
+//
+//go:noescape
+func minMaxSSE(src []float32, init float32) (lo, hi float32)
+
+// codes8SSE, codes4SSE and codes2SSE write the codes of the first
+// len(src)&^15 elements at 8, 4 and 2 bits (kernels_amd64.s).
+//
+//go:noescape
+func codes8SSE(src []float32, zero, inv float32, l int, dst []byte)
+
+//go:noescape
+func codes4SSE(src []float32, zero, inv float32, l int, dst []byte)
+
+//go:noescape
+func codes2SSE(src []float32, zero, inv float32, l int, dst []byte)

@@ -42,6 +42,64 @@
 	PUNPCKLWL X7, X2; \
 	PUNPCKHWL X7, X4
 
+// CODES turns sixteen floats at SI into their clamped codes, one per word:
+// elements 0-7 in X0 and 8-15 in X2. Each lane computes
+// int(float32((v-zero)·inv) + 0.5) as code does: SUBPS, MULPS, ADDPS, then
+// CVTTPS2PL truncates toward zero (NaN and ±Inf give a negative integer,
+// as Go's conversion does on amd64), PACKSSLW saturates to words and
+// PMAXSW/PMINSW clamp to [0, l]. X4 holds zero, X5 inv, X6 0.5, X7 l in
+// every word and X8 zero bits.
+#define CODES \
+	MOVUPS    (SI), X0; \
+	MOVUPS    16(SI), X1; \
+	MOVUPS    32(SI), X2; \
+	MOVUPS    48(SI), X3; \
+	SUBPS     X4, X0; \
+	SUBPS     X4, X1; \
+	SUBPS     X4, X2; \
+	SUBPS     X4, X3; \
+	MULPS     X5, X0; \
+	MULPS     X5, X1; \
+	MULPS     X5, X2; \
+	MULPS     X5, X3; \
+	ADDPS     X6, X0; \
+	ADDPS     X6, X1; \
+	ADDPS     X6, X2; \
+	ADDPS     X6, X3; \
+	CVTTPS2PL X0, X0; \
+	CVTTPS2PL X1, X1; \
+	CVTTPS2PL X2, X2; \
+	CVTTPS2PL X3, X3; \
+	PACKSSLW  X1, X0; \
+	PACKSSLW  X3, X2; \
+	PMAXSW    X8, X0; \
+	PMAXSW    X8, X2; \
+	PMINSW    X7, X0; \
+	PMINSW    X7, X2
+
+// CODESETUP loads the arguments of the codes kernels: SI the floats, DI
+// the bytes, CX the number of sixteen-element passes, and CODES'
+// constants.
+#define CODESETUP \
+	MOVQ   src_base+0(FP), SI; \
+	MOVQ   src_len+8(FP), CX; \
+	MOVQ   dst_base+40(FP), DI; \
+	MOVSS  zero+24(FP), X4; \
+	SHUFPS $0x00, X4, X4; \
+	MOVSS  inv+28(FP), X5; \
+	SHUFPS $0x00, X5, X5; \
+	MOVL   $0x3f000000, AX; \
+	MOVL   AX, X6; \
+	PSHUFD $0x00, X6, X6; \
+	MOVQ   l+32(FP), AX; \
+	MOVQ   AX, DX; \
+	SHLQ   $16, DX; \
+	ORQ    DX, AX; \
+	MOVL   AX, X7; \
+	PSHUFD $0x00, X7, X7; \
+	PXOR   X8, X8; \
+	SHRQ   $4, CX
+
 // BCAST broadcasts dword k of the ws and wz arrays into WS and WZ.
 #define BCAST(k, WS, WZ) \
 	MOVSS  (k*4)(R11), WS; \
@@ -352,4 +410,149 @@ loopA2:
 	JNZ    loopA2
 
 doneA2:
+	RET
+
+// func codes8SSE(src []float32, zero, inv float32, l int, dst []byte)
+//
+// QuantizeInto's 8-bit codes for the first len(src)&^15 elements, one
+// byte each.
+TEXT ·codes8SSE(SB), NOSPLIT, $0-64
+	CODESETUP
+	JZ done8c
+
+loop8c:
+	CODES
+	PACKUSWB X2, X0
+	MOVOU    X0, (DI)
+	ADDQ     $64, SI
+	ADDQ     $16, DI
+	DECQ     CX
+	JNZ      loop8c
+
+done8c:
+	RET
+
+// func codes4SSE(src []float32, zero, inv float32, l int, dst []byte)
+//
+// QuantizeInto's 4-bit codes for the first len(src)&^15 elements, two to
+// a byte, the even element in the low nibble: a dword holding words e, f
+// becomes e | f<<4.
+#define NIBBLES(X) \
+	MOVOU X, X9; \
+	PSRLL $12, X9; \
+	PAND  X11, X9; \
+	PAND  X10, X; \
+	POR   X9, X
+
+TEXT ·codes4SSE(SB), NOSPLIT, $0-64
+	CODESETUP
+	MOVL   $0x0f, AX
+	MOVL   AX, X10
+	PSHUFD $0x00, X10, X10
+	MOVL   $0xf0, AX
+	MOVL   AX, X11
+	PSHUFD $0x00, X11, X11
+	TESTQ  CX, CX
+	JZ     done4c
+
+loop4c:
+	CODES
+	NIBBLES(X0)
+	NIBBLES(X2)
+	PACKSSLW X2, X0
+	PACKUSWB X0, X0
+	MOVQ     X0, (DI)
+	ADDQ     $64, SI
+	ADDQ     $8, DI
+	DECQ     CX
+	JNZ      loop4c
+
+done4c:
+	RET
+
+// func codes2SSE(src []float32, zero, inv float32, l int, dst []byte)
+//
+// QuantizeInto's 2-bit codes for the first len(src)&^15 elements, four to
+// a byte from the low bits up: crumb pairs e | f<<2 first, then nibble
+// pairs as at 4 bits.
+#define CRUMBS(X) \
+	MOVOU X, X9; \
+	PSRLL $14, X9; \
+	PAND  X13, X9; \
+	PAND  X12, X; \
+	POR   X9, X
+
+TEXT ·codes2SSE(SB), NOSPLIT, $0-64
+	CODESETUP
+	MOVL   $0x0f, AX
+	MOVL   AX, X10
+	PSHUFD $0x00, X10, X10
+	MOVL   $0xf0, AX
+	MOVL   AX, X11
+	PSHUFD $0x00, X11, X11
+	MOVL   $0x03, AX
+	MOVL   AX, X12
+	PSHUFD $0x00, X12, X12
+	MOVL   $0x0c, AX
+	MOVL   AX, X13
+	PSHUFD $0x00, X13, X13
+	TESTQ  CX, CX
+	JZ     done2c
+
+loop2c:
+	CODES
+	CRUMBS(X0)
+	CRUMBS(X2)
+	PACKSSLW X2, X0
+	NIBBLES(X0)
+	PACKSSLW X0, X0
+	PACKUSWB X0, X0
+	MOVL     X0, (DI)
+	ADDQ     $64, SI
+	ADDQ     $4, DI
+	DECQ     CX
+	JNZ      loop2c
+
+done2c:
+	RET
+
+// func minMaxSSE(src []float32, init float32) (lo, hi float32)
+//
+// QuantizeInto's min/max scan over the first len(src)&^3 elements, four
+// lanes that each start at init. A lane keeps its value unless the
+// element is strictly below (above) it, exactly as the scalar
+// `if v < minV { minV = v }`: MINPS and MAXPS return their second operand,
+// the lane, when the compare is false or either side is NaN. The lanes are
+// then folded the same way.
+TEXT ·minMaxSSE(SB), NOSPLIT, $0-40
+	MOVQ   src_base+0(FP), SI
+	MOVQ   src_len+8(FP), CX
+	MOVSS  init+24(FP), X0
+	SHUFPS $0x00, X0, X0
+	MOVOU  X0, X1
+	SHRQ   $2, CX
+	JZ     fold
+
+mmloop:
+	MOVUPS (SI), X2
+	MOVOU  X2, X3
+	MINPS  X0, X2
+	MAXPS  X1, X3
+	MOVOU  X2, X0
+	MOVOU  X3, X1
+	ADDQ   $16, SI
+	DECQ   CX
+	JNZ    mmloop
+
+fold:
+	PSHUFD $0x4e, X0, X2
+	MINPS  X0, X2
+	PSHUFD $0xb1, X2, X0
+	MINPS  X2, X0
+	PSHUFD $0x4e, X1, X3
+	MAXPS  X1, X3
+	PSHUFD $0xb1, X3, X1
+	MAXPS  X3, X1
+	MOVSS  X0, lo+32(FP)
+	MOVSS  X1, hi+36(FP)
 	RET

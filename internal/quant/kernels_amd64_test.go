@@ -46,3 +46,30 @@ func TestPageKernelsTakeSSE(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeKernelsRun: at the modelled head dimension QuantizeInto's
+// scan and its 8-, 4- and 2-bit code passes go through the SSE2 bodies
+// for every whole pass, and leave only the 1-bit width to Go.
+func TestQuantizeKernelsRun(t *testing.T) {
+	const dim = 128
+	src := make([]float32, dim)
+	for i := range src {
+		src[i] = float32(i%11) - 4.5
+	}
+	lo, hi := src[0], src[0]
+	if got := minMaxKernel(src[1:], &lo, &hi); got != dim-4 {
+		t.Fatalf("minMaxKernel took %d of %d elements, want %d", got, dim-1, dim-4)
+	}
+	if lo != -4.5 || hi != 5.5 {
+		t.Fatalf("minMaxKernel found [%v, %v], want [-4.5, 5.5]", lo, hi)
+	}
+	dst := make([]byte, dim)
+	for _, bits := range []int{8, 4, 2} {
+		if got := codesKernel(src, -4.5, 0.5, levels(bits), bits, dst); got != dim {
+			t.Fatalf("%d-bit codesKernel took %d of %d elements", bits, got, dim)
+		}
+	}
+	if got := codesKernel(src, -4.5, 0.5, 1, 1, dst); got != 0 {
+		t.Fatalf("1-bit codesKernel took %d elements, want 0", got)
+	}
+}

@@ -13,3 +13,11 @@ func dotPacked4(q []float32, data []byte, stride, bits int) [4]float32 {
 func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32) {
 	axpyPacked4Go(ws, wz, data, stride, bits, dst)
 }
+
+// minMaxKernel and codesKernel take no elements off amd64 and under the
+// race detector: QuantizeInto's Go loops take every one.
+func minMaxKernel(src []float32, lo, hi *float32) int { return 0 }
+
+func codesKernel(src []float32, zero, inv float32, l, bits int, dst []byte) int {
+	return 0
+}

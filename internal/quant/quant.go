@@ -59,15 +59,7 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 	if len(src) == 0 {
 		return 1, 0
 	}
-	minV, maxV := src[0], src[0]
-	for _, v := range src[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
+	minV, maxV := minMax(src)
 	zero = minV
 	span := maxV - minV
 	l := levels(bits)
@@ -80,13 +72,13 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 	}
 	inv := 1 / scale
 	n := len(src)
+	i := codesKernel(src, zero, inv, l, bits, dst)
 	switch bits {
 	case 8:
-		for i, v := range src {
-			dst[i] = code(v, zero, inv, l)
+		for ; i < n; i++ {
+			dst[i] = code(src[i], zero, inv, l)
 		}
 	case 4:
-		i := 0
 		for ; i+2 <= n; i += 2 {
 			dst[i>>1] = code(src[i], zero, inv, l) | code(src[i+1], zero, inv, l)<<4
 		}
@@ -94,7 +86,6 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 			dst[i>>1] = code(src[i], zero, inv, l)
 		}
 	case 2:
-		i := 0
 		for ; i+4 <= n; i += 4 {
 			dst[i>>2] = code(src[i], zero, inv, l) | code(src[i+1], zero, inv, l)<<2 |
 				code(src[i+2], zero, inv, l)<<4 | code(src[i+3], zero, inv, l)<<6
@@ -115,6 +106,38 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 		}
 	}
 	return scale, zero
+}
+
+// minMax returns the smallest and largest of src (len(src) > 0) as the
+// scan `if v < minV { minV = v }`, `if v > maxV { maxV = v }` from src[0]
+// finds them: a NaN first element stays both, later NaNs are skipped, and
+// among equal zeros the first one's sign wins. minMaxKernel folds a prefix
+// in lanes, which finds the same values except where a zero's sign could
+// depend on the order, so a zero result is scanned again in order.
+func minMax(src []float32) (minV, maxV float32) {
+	minV, maxV = src[0], src[0]
+	rest := src[1:]
+	k := minMaxKernel(rest, &minV, &maxV)
+	for _, v := range rest[k:] {
+		if v < minV {
+			minV = v
+		}
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if k > 0 && (minV == 0 || maxV == 0) {
+		minV, maxV = src[0], src[0]
+		for _, v := range rest {
+			if v < minV {
+				minV = v
+			}
+			if v > maxV {
+				maxV = v
+			}
+		}
+	}
+	return minV, maxV
 }
 
 // code is one value's b-bit code, round((v-zero)/scale) clamped to

@@ -342,10 +342,40 @@ func quantizeGeneric(src []float32, bits int, dst []byte) (scale, zero float32) 
 	return scale, zero
 }
 
-// TestQuantizeIntoMatchesGenericLoop holds the per-width loops to the
-// generic one at 1, 2, 4 and 8 bits: odd lengths, constant vectors, NaN
-// and ±Inf inputs, values on a .5 rounding tie, and a destination whose
-// old bytes must not leak into the result.
+func abs(v []float32) {
+	for i, x := range v {
+		v[i] = float32(math.Abs(float64(x))) + 0.25
+	}
+}
+
+func neg(v []float32) {
+	for i, x := range v {
+		v[i] = -float32(math.Abs(float64(x))) - 0.25
+	}
+}
+
+func fill(v []float32, x float32) {
+	for i := range v {
+		v[i] = x
+	}
+}
+
+// ties lays out 0, 3 and then 0.5, 1.5, 2.5 and 3.5 cycled: at 2 bits the
+// scale is 1 and every code after the first two falls on a .5 rounding
+// tie.
+func ties(v []float32) {
+	for i := range v {
+		v[i] = float32(i%3) + 0.5
+	}
+	v[0], v[1] = 0, 3
+}
+
+// TestQuantizeIntoMatchesGenericLoop holds the per-width loops (and, on
+// amd64 outside -race, the SSE2 scan and code passes) to the generic one
+// at 1, 2, 4 and 8 bits: odd lengths, constant vectors, NaN and ±Inf
+// inputs, zeros of both signs, overflowing and subnormal spans, values on
+// a .5 rounding tie, and a destination whose old bytes must not leak into
+// the result.
 func TestQuantizeIntoMatchesGenericLoop(t *testing.T) {
 	rng := mathx.NewRNG(61)
 	inputs := [][]float32{
@@ -357,10 +387,41 @@ func TestQuantizeIntoMatchesGenericLoop(t *testing.T) {
 		{float32(math.Inf(1)), 1, 2},
 		{float32(math.Inf(-1)), 1, 2, 3, 4},
 	}
-	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 31, 64, 127, 128} {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 48, 64, 127, 128, 129} {
 		v := make([]float32, n)
 		rng.NormVec(v, 2)
 		inputs = append(inputs, v)
+	}
+	// vectors long enough for the SSE2 scan and code passes: specials at
+	// the front, inside a pass and in the tail, zeros of both signs as the
+	// extreme (the first one's sign must win), constant and .5-tie runs,
+	// a span that overflows and a scale that is subnormal
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{16, 37, 128} {
+		for _, put := range []func(v []float32){
+			func(v []float32) { v[0] = nan },
+			func(v []float32) { v[5] = nan },
+			func(v []float32) { v[n-1] = nan },
+			func(v []float32) { v[3] = inf },
+			func(v []float32) { v[9] = -inf },
+			func(v []float32) { v[2], v[7] = inf, -inf },
+			func(v []float32) { v[4], v[1] = 3e38, -3e38 },
+			func(v []float32) { abs(v); v[6], v[11] = negZero, 0 },
+			func(v []float32) { abs(v); v[6], v[11] = 0, negZero },
+			func(v []float32) { abs(v); v[0], v[n-1] = negZero, 0 },
+			func(v []float32) { neg(v); v[3], v[n-2] = 0, negZero },
+			func(v []float32) { fill(v, 2.5) },
+			func(v []float32) { fill(v, negZero); v[8] = 0 },
+			func(v []float32) { ties(v) },
+			func(v []float32) { fill(v, 1e-44); v[5] = 3e-44 },
+			func(v []float32) { fill(v, 1); v[n/2] = 1 + 1e-7 },
+		} {
+			v := make([]float32, n)
+			rng.NormVec(v, 2)
+			put(v)
+			inputs = append(inputs, v)
+		}
 	}
 	for _, src := range inputs {
 		for _, bits := range []int{1, 2, 4, 8} {
