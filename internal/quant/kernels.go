@@ -15,7 +15,8 @@ package quant
 // (kernels_amd64.s): each lane runs one slot's (dot) or one element's
 // (axpy) scalar chain in the Go body's order, multiplying and adding where
 // the Go body rounds, so every bit equals dotPacked4Go's and
-// axpyPacked4Go's.
+// axpyPacked4Go's. QuantizeInto's min/max scan and its 8-, 4- and 2-bit
+// code loops have SSE2 bodies there as well (minMaxKernel, codesKernel).
 
 import "fmt"
 
