@@ -90,32 +90,16 @@ func axpySlots4SSE(dst []float32, data []byte, stride int, ws, wz *[4]float32)
 //go:noescape
 func axpySlots2SSE(dst []float32, data []byte, stride int, ws, wz *[4]float32)
 
-// minMaxKernel folds the first len(src)&^3 elements into lo and hi as
-// QuantizeInto's scalar scan would, in SSE2, and returns that count.
-func minMaxKernel(src []float32, lo, hi *float32) int {
-	m := len(src) &^ 3
-	if m == 0 {
-		return 0
+// minMaxKernel folds the first len(src)&^3 elements, from init, into the
+// smallest and largest as QuantizeInto's scalar scan would, in SSE2, and
+// returns that count with the two.
+func minMaxKernel(src []float32, init float32) (k int, lo, hi float32) {
+	k = len(src) &^ 3
+	if k == 0 {
+		return 0, init, init
 	}
-	l, h := minMaxSSE(src[:m], *lo)
-	*lo, *hi = min32(*lo, l), max32(*hi, h)
-	return m
-}
-
-// min32 and max32 are QuantizeInto's scalar steps: b replaces a only when
-// it is strictly below (above) it.
-func min32(a, b float32) float32 {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-func max32(a, b float32) float32 {
-	if b > a {
-		return b
-	}
-	return a
+	lo, hi = minMaxSSE(src[:k], init)
+	return k, lo, hi
 }
 
 // codesKernel writes QuantizeInto's 8-, 4- or 2-bit codes for the first

@@ -56,8 +56,8 @@ func TestQuantizeKernelsRun(t *testing.T) {
 	for i := range src {
 		src[i] = float32(i%11) - 4.5
 	}
-	lo, hi := src[0], src[0]
-	if got := minMaxKernel(src[1:], &lo, &hi); got != dim-4 {
+	got, lo, hi := minMaxKernel(src[1:], src[0])
+	if got != dim-4 {
 		t.Fatalf("minMaxKernel took %d of %d elements, want %d", got, dim-1, dim-4)
 	}
 	if lo != -4.5 || hi != 5.5 {

@@ -16,7 +16,9 @@ func axpyPacked4(ws, wz [4]float32, data []byte, stride, bits int, dst []float32
 
 // minMaxKernel and codesKernel take no elements off amd64 and under the
 // race detector: QuantizeInto's Go loops take every one.
-func minMaxKernel(src []float32, lo, hi *float32) int { return 0 }
+func minMaxKernel(src []float32, init float32) (k int, lo, hi float32) {
+	return 0, init, init
+}
 
 func codesKernel(src []float32, zero, inv float32, l, bits int, dst []byte) int {
 	return 0

@@ -115,26 +115,22 @@ func QuantizeInto(src []float32, bits int, dst []byte) (scale, zero float32) {
 // in lanes, which finds the same values except where a zero's sign could
 // depend on the order, so a zero result is scanned again in order.
 func minMax(src []float32) (minV, maxV float32) {
-	minV, maxV = src[0], src[0]
-	rest := src[1:]
-	k := minMaxKernel(rest, &minV, &maxV)
-	for _, v := range rest[k:] {
+	k, minV, maxV := minMaxKernel(src[1:], src[0])
+	minV, maxV = scanMinMax(src[1+k:], minV, maxV)
+	if k > 0 && (minV == 0 || maxV == 0) {
+		minV, maxV = scanMinMax(src[1:], src[0], src[0])
+	}
+	return minV, maxV
+}
+
+// scanMinMax continues the scan from minV and maxV over vs in order.
+func scanMinMax(vs []float32, minV, maxV float32) (float32, float32) {
+	for _, v := range vs {
 		if v < minV {
 			minV = v
 		}
 		if v > maxV {
 			maxV = v
-		}
-	}
-	if k > 0 && (minV == 0 || maxV == 0) {
-		minV, maxV = src[0], src[0]
-		for _, v := range rest {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
 		}
 	}
 	return minV, maxV
